@@ -23,14 +23,9 @@ measured in.
 PR 6 adds the robustness arms: ``test_shard_recovery_time`` prices one
 full failure cycle (worker SIGKILL → drop-and-count → respawn + state
 resync → first clean burst), and ``test_supervision_steady_state_overhead``
-compares the bounded ``poll``-then-``recv`` reply wait the supervisor
-needs against the old blocking ``recv`` on the no-failure path.
-
-PR 8 adds ``test_dispatch_preroute_routing_mode``: the burst pre-route
-(one ``owners_of_iv_bytes`` call over a 64-IV column) under the default
-PRF-keyed map vs the legacy residue map — the acceptance bar is keyed
-within ~10% of residue at burst 64 on openssl, which one bulk CMAC over
-the whole column buys.
+runs the scaling curve's pipelined workload through the bounded
+``poll``-then-``recv`` reply wait the supervisor needs on the no-failure
+path.
 """
 
 import os
@@ -193,41 +188,6 @@ def test_dispatch_only_routing(benchmark, sharded_plane):
     benchmark.extra_info["burst_size"] = BURST
 
 
-@pytest.mark.parametrize("routing", ["residue", "keyed"])
-def test_dispatch_preroute_routing_mode(benchmark, routing):
-    """The PR 8 acceptance arm: one burst's batched pre-route — exactly
-    the ``owners_of_iv_bytes`` call ``submit`` makes over a 64-frame IV
-    column — keyed (one bulk CMAC over the column) vs the old residue
-    arithmetic it replaced."""
-    from repro.sharding import ShardPlan
-
-    backend = _preferred_backend()
-    with crypto_backend.use_backend(backend):
-        plan = ShardPlan(
-            4,
-            mode=routing,
-            key=bytes(range(16)) if routing == "keyed" else None,
-        ).validate_routing()
-        # A Weyl sequence of IVs: cheap, deterministic, all distinct.
-        iv_column = [
-            ((i * 2654435761) % 2**32).to_bytes(4, "big") for i in range(BURST)
-        ]
-        owners = plan.owners_of_iv_bytes(iv_column)  # warm the router cache
-        assert len(owners) == BURST
-
-        def route_burst():
-            assert len(plan.owners_of_iv_bytes(iv_column)) == BURST
-
-        benchmark(route_burst)
-    benchmark.extra_info["crypto_backend"] = backend
-    benchmark.extra_info["routing"] = routing
-    benchmark.extra_info["shards"] = 4
-    benchmark.extra_info["burst_size"] = BURST
-    benchmark.extra_info["acceptance"] = (
-        "keyed pre-route within ~10% of residue at burst 64 on openssl"
-    )
-
-
 def _supervised_plane(world, policy):
     """A 2-shard plane over the world's AS ``a`` with an explicit
     supervision policy (``for_assembly`` would read it from config)."""
@@ -306,12 +266,10 @@ def test_shard_recovery_time(benchmark, recovery_plane):
     benchmark.extra_info["cpu_count"] = os.cpu_count()
 
 
-@pytest.fixture(scope="module", params=["blocking", "supervised"])
-def overhead_plane(request):
-    """Identical 2-shard planes, differing only in the reply wait: the
-    pre-PR-6 blocking ``recv`` (``reply_timeout=None``) vs the bounded
-    ``poll``-then-``recv`` the supervisor needs for hang detection."""
-    mode = request.param
+@pytest.fixture(scope="module")
+def overhead_plane():
+    """A 2-shard plane with the default supervision policy: every reply
+    wait is the bounded ``poll``-then-``recv`` hang detection needs."""
     backend = _preferred_backend()
     with crypto_backend.use_backend(backend):
         config = ApnaConfig(forwarding_shards=2, forwarding_batch_size=BURST)
@@ -320,24 +278,17 @@ def overhead_plane(request):
         frames = build_apna_pool(
             as_a, world.hosts_a, size=512, count=BURST, dst_aid=200
         ).wire_frames
-        plane = _supervised_plane(
-            world,
-            SupervisorPolicy(
-                reply_timeout=None if mode == "blocking" else 5.0
-            ),
-        )
+        plane = _supervised_plane(world, SupervisorPolicy())
         plane.process(frames, [True] * len(frames), as_a.clock())  # warm
-    yield mode, backend, world, plane, frames
+    yield backend, world, plane, frames
     plane.close()
     world.close()
 
 
 def test_supervision_steady_state_overhead(benchmark, overhead_plane):
-    """The price of being supervisable when nothing fails: the same
-    pipelined workload as the scaling curve, with and without the
-    bounded reply wait.  The two arms should be within noise of each
-    other — supervision must cost ~nothing on the happy path."""
-    mode, backend, world, plane, frames = overhead_plane
+    """The supervised plane when nothing fails: the same pipelined
+    workload as the scaling curve, every reply wait bounded."""
+    backend, world, plane, frames = overhead_plane
     as_a = world.asys("a")
     now = as_a.clock()
     egress = [True] * len(frames)
@@ -351,7 +302,7 @@ def test_supervision_steady_state_overhead(benchmark, overhead_plane):
 
     benchmark(run_pipelined)
     benchmark.extra_info["crypto_backend"] = backend
-    benchmark.extra_info["reply_wait"] = mode
+    benchmark.extra_info["reply_wait"] = "supervised"
     benchmark.extra_info["shards"] = 2
     benchmark.extra_info["burst_size"] = BURST
     benchmark.extra_info["packets_per_round"] = ROUNDS * BURST

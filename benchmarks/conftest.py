@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark suite.
 
-Each ``bench_*`` module regenerates one paper artifact (see DESIGN.md's
-experiment index).  Wall-clock numbers are machine-dependent; the
+Each ``bench_*`` module regenerates one paper artifact (see the
+experiment index in :mod:`repro.experiments`).  Wall-clock numbers are machine-dependent; the
 paper-shape verdicts are attached as ``extra_info`` on each benchmark.
 
 Every benchmark also records the active crypto backend (``pure`` or

@@ -126,14 +126,6 @@ from .topology import (
     WorldBuilder,
 )
 from .version import __version__
-from .world import (
-    MultiAsWorld,
-    TwoAsWorld,
-    build_as_chain,
-    build_as_star,
-    build_transit_stub,
-    build_two_as_internet,
-)
 
 __all__ = [
     "AccountabilityAgent",
@@ -152,7 +144,6 @@ __all__ = [
     "HostStack",
     "LinkSpec",
     "ManagementService",
-    "MultiAsWorld",
     "Network",
     "RegistryService",
     "RevocationList",
@@ -163,14 +154,9 @@ __all__ = [
     "TrafficProfile",
     "TrafficReport",
     "TrustAnchor",
-    "TwoAsWorld",
     "UnknownAsError",
     "World",
     "WorldBuilder",
-    "build_as_chain",
-    "build_as_star",
-    "build_transit_stub",
-    "build_two_as_internet",
     "make_policy",
     "scenarios",
     "__version__",

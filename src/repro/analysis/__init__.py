@@ -65,6 +65,11 @@ depends on — the motivating bug/PR is part of the rule's definition:
     referenced by at least one test under ``tests/``.  The evaluation
     runner resolves worlds by preset name, so an unreferenced preset is
     an eval surface with zero regression protection.
+``doc-references`` (PR 14)
+    A ``*.md`` file or ``tests/``/``benchmarks/``/``bench/`` ``*.py``
+    path named in a docstring exists in the repo.  Docstrings kept
+    citing a design document that was never written and audit tests
+    that had been deleted.
 
 Suppressions and the baseline
 =============================
@@ -108,6 +113,7 @@ from . import rules_determinism  # noqa: E402,F401  (determinism)
 from . import rules_ipc  # noqa: E402,F401  (bounded-wait, pickle-free-wire, wire-protocol-completeness)
 from . import rules_exceptions  # noqa: E402,F401  (silent-except)
 from . import rules_scenarios  # noqa: E402,F401  (scenario-coverage)
+from . import rules_docs  # noqa: E402,F401  (doc-references)
 
 __all__ = [
     "DEFAULT_BASELINE",

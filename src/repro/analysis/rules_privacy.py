@@ -1,11 +1,9 @@
 """Privacy rules: linkage channels and secret-material leaks.
 
-``shard-routing-mod`` is the PR 8 audit
-(``tests/test_shard_routing_audit.py``, now a thin wrapper).  The
-dispatcher used to route by the publicly computable ``iv % nshards``
-residue, handing any on-path observer log2(nshards) bits of exactly the
-cross-EphID linkage the paper's domain-brokered privacy model (Sections
-IV, V-A1) forbids.  Routing arithmetic is allowed only inside
+``shard-routing-mod`` is the PR 8 audit.  The dispatcher used to route
+by the publicly computable ``iv % nshards`` residue, handing any on-path
+observer log2(nshards) bits of exactly the cross-EphID linkage the
+paper's domain-brokered privacy model (Sections IV, V-A1) forbids.  Routing arithmetic is allowed only inside
 ``sharding/plan.py``; everyone else goes through
 ``ShardPlan.owner_of_iv*`` / ``owners_of_iv_bytes``.
 

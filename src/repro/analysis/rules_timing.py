@@ -1,7 +1,6 @@
 """Timing-channel rules.
 
-``ct-compare`` is the direct descendant of the PR 3 audit
-(``tests/test_tag_comparison_audit.py``, now a thin wrapper): a naive
+``ct-compare`` is the direct descendant of the PR 3 audit: a naive
 ``==`` on a MAC/tag short-circuits at the first differing byte and
 leaks the mismatch position through timing — the classic remote
 timing-oracle forgery, found live in ``PassportVerifier.verify`` during

@@ -119,7 +119,6 @@ class ApnaAutonomousSystem:
             self.shard_plan = ShardPlan(
                 config.forwarding_shards,
                 block=config.shard_block,
-                mode=config.shard_routing,
                 key=self.keys.secret.shard_route,
             ).validate_routing()
         #: The live worker pool (see :meth:`start_shard_pool`).
@@ -482,13 +481,13 @@ class ApnaAutonomousSystem:
 class BorderRouterNode(Node):
     """The simulated border router: wire bytes in, wire bytes out.
 
-    With ``config.forwarding_batch_size > 1`` the node runs the paper's
-    burst data plane: arriving packets are accumulated and pushed through
-    :meth:`BorderRouter.process_batch` / ``process_incoming_batch`` once
-    the burst fills (or after ``forwarding_batch_window`` virtual seconds,
-    whichever comes first), and the verdicts are acted on in arrival
-    order.  The flush timer guarantees a partially-filled burst always
-    drains when the event queue is run.
+    The node runs the paper's burst data plane: arriving packets are
+    accumulated and pushed through :meth:`BorderRouter.process_mixed_batch`
+    once ``config.forwarding_batch_size`` of them are waiting (or after
+    ``forwarding_batch_window`` virtual seconds, whichever comes first),
+    and the verdicts are acted on in arrival order.  A burst size of 1
+    flushes every packet as a burst of one.  The flush timer guarantees a
+    partially-filled burst always drains when the event queue is run.
 
     When the assembly has a live shard pool (``config.forwarding_shards
     >= 2`` + :meth:`ApnaAutonomousSystem.start_shard_pool`), every data
@@ -525,16 +524,8 @@ class BorderRouterNode(Node):
         packet = ApnaPacket.from_wire(
             apna_bytes, with_nonce=assembly.config.replay_protection
         )
-        batch_size = assembly.config.forwarding_batch_size
-        if batch_size <= 1 and assembly.shard_pool is None:
-            if arrived_from_outside:
-                verdict = assembly.br.process_incoming(packet)
-            else:
-                verdict = assembly.br.process_outgoing(packet)
-            self._act(packet, verdict, arrived_from_outside=arrived_from_outside)
-            return
         self._burst.append((packet, arrived_from_outside, apna_bytes))
-        if len(self._burst) >= batch_size:
+        if len(self._burst) >= assembly.config.forwarding_batch_size:
             self._flush_burst()
         elif self._burst_timer is None:
             self._burst_timer = self.scheduler.schedule(

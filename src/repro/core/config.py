@@ -50,9 +50,9 @@ class ApnaConfig:
 
     #: Max packets a border router accumulates before running the batched
     #: verdict pipeline (:meth:`repro.core.border_router.BorderRouter.
-    #: process_batch`).  1 = per-packet dispatch (the legacy behaviour);
-    #: larger values amortise clock reads, revocation prunes and crypto
-    #: across the burst, as the paper's DPDK prototype does (§V-B).
+    #: process_batch`).  1 = every packet is a burst of one; larger
+    #: values amortise clock reads, revocation prunes and crypto across
+    #: the burst, as the paper's DPDK prototype does (§V-B).
     forwarding_batch_size: int = 1
 
     #: Max virtual seconds a partially-filled burst may wait before it is
@@ -74,42 +74,21 @@ class ApnaConfig:
     #: registration order.
     shard_block: int = 1
 
-    #: IV -> shard dispatch map (``repro.sharding.ShardPlan.mode``).
-    #: ``"keyed"`` (default) routes by ``CMAC_kR(iv) % nshards`` under an
-    #: AS-internal routing key derived from the AS secret, so the clear
-    #: IV bytes leak nothing about which EphIDs share a host.
-    #: ``"residue"`` is the legacy unkeyed ``iv % nshards`` map, kept only
-    #: for bit-compatibility with worlds built before keyed routing: it
-    #: lets any on-path observer link one host's EphIDs by residue
-    #: (log2(nshards) bits of the cross-EphID linkage Section IV/V-A1
-    #: rules out), so never deploy it.
-    shard_routing: str = "keyed"
-
     #: Wall-clock seconds the shard dispatcher waits for any single
     #: worker reply before declaring the worker hung and restarting it
     #: (bounded ``Connection.poll``; see
-    #: :mod:`repro.sharding.supervisor`).  ``None`` restores the
-    #: unbounded blocking waits of the unsupervised plane — a hung
-    #: worker then wedges the dispatcher forever, so leave it bounded in
-    #: anything resembling production.
-    shard_reply_timeout: float | None = 5.0
+    #: :mod:`repro.sharding.supervisor`).
+    shard_reply_timeout: float = 5.0
 
     #: Worker restarts allowed per shard before the plane stops trying
-    #: and applies its degradation policy.  ``0`` disables recovery:
-    #: the first failure immediately degrades (or poisons, see
-    #: ``shard_degraded_fallback``).
+    #: and degrades to an in-process border router over the
+    #: authoritative AS state (traffic keeps flowing, ``stats()``
+    #: reports ``degraded``).  ``0`` degrades on the first failure.
     shard_max_restarts: int = 3
 
     #: Base of the capped exponential backoff between restart attempts
     #: of one shard (delay ``min(base * 2**attempt, 50 * base)``).
     shard_restart_backoff: float = 0.05
-
-    #: Degradation policy once a shard exhausts its restart budget:
-    #: ``True`` falls back to an in-process border router over the
-    #: authoritative AS state (traffic keeps flowing, ``stats()``
-    #: reports ``degraded``), ``False`` poisons the plane — every later
-    #: submit/collect raises, the pre-supervision behaviour.
-    shard_degraded_fallback: bool = True
 
     #: Backing store for the per-AS state (``host_info``, ``revoked_ids``
     #: and the shard workers' replicas): ``"columnar"`` keeps dense

@@ -191,11 +191,7 @@ class IvAllocator:
     lands there.  Every IV still comes from the single counter, so
     uniqueness is exactly the unsharded argument.  Under the keyed map
     a chunk scatters ~uniformly, so the expected overdraw per pinned IV
-    is ``nshards`` candidates; under the legacy ``"residue"`` map this
-    enumeration yields, per shard, the identical stride-``nshards``
-    sequence the pre-keyed allocator produced (ascending from the first
-    class member at or above the random start, wrapping to the class
-    bottom) — seed streams stay bit-compatible.
+    is ``nshards`` candidates.
 
     Issuance accounting (:attr:`issued`) counts only IVs actually handed
     out, never banked candidates, and is broken down per shard

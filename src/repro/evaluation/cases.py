@@ -65,8 +65,7 @@ class CaseContext:
         legitimately costs up to a reply timeout plus the restart."""
         if not self.chaos:
             return self.latency_budget
-        timeout = self.config.shard_reply_timeout or 0.0
-        return self.latency_budget + 2.0 * timeout
+        return self.latency_budget + 2.0 * self.config.shard_reply_timeout
 
     def storm_plan(self, bursts: int):
         plan = crash_storm_plan(

@@ -1,8 +1,7 @@
 """Runnable reproductions of every paper artifact.
 
 Each ``eN_*`` module regenerates one table/figure/claim of the paper
-(the full index lives in DESIGN.md; measured-vs-paper numbers in
-EXPERIMENTS.md).  Run one with ``python -m repro.experiments.eN_name``
+(indexed below).  Run one with ``python -m repro.experiments.eN_name``
 or all of them with ``python -m repro.experiments``.
 
 ==== ==================================================================

@@ -11,10 +11,7 @@ range, fed one burst-sized batch of packed wire frames per IPC message:
   without leaking: EphID IVs are pinned at issuance so that
   ``CMAC_kR(iv) % nshards`` (under the AS-internal routing key ``kR``)
   lands on the owner shard, so the clear IV bytes carry no cross-EphID
-  linkage an observer could check.  The original unkeyed residue map
-  (``iv % nshards``) survives only as ``mode="residue"`` for
-  bit-compatibility — it leaks ``log2(nshards)`` linkage bits and must
-  not be deployed;
+  linkage an observer could check;
 * :mod:`~repro.sharding.wire` — the binary pipe protocol (bursts in,
   verdict vectors out; revocation/registration control frames between;
   full-state resync frames for restarted workers);
@@ -65,15 +62,10 @@ happens next, in order:
    shard has a lifetime budget of ``shard_max_restarts`` attempts.
 
 3. **Degrade, don't refuse.**  A shard that exhausts its budget ends the
-   pooled plane: with ``shard_degraded_fallback=True`` (default) the
-   plane falls back to a single in-process
+   pooled plane: it falls back to a single in-process
    :class:`~repro.core.border_router.BorderRouter` over the
    authoritative state and keeps serving exact verdicts — ``stats()``
-   then reports ``degraded: 1`` and per-shard counters are gone.  With
-   the fallback disabled (or when the plane was built without an
-   authoritative state source), the plane *poisons* itself exactly as
-   the unsupervised iteration did: every later call raises
-   :class:`ShardError` rather than risk mispaired verdicts.
+   then reports ``degraded: 1`` and per-shard counters are gone.
 
 :mod:`repro.faults` drives every one of these paths deterministically;
 ``tests/test_sharding_faults.py`` pins the semantics.

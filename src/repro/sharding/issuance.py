@@ -80,7 +80,7 @@ def run_issuance_shards(
     counts: "list[int]",
     *,
     seed_base: int = 100,
-    reply_timeout: "float | None" = DEFAULT_REPLY_TIMEOUT,
+    reply_timeout: float = DEFAULT_REPLY_TIMEOUT,
 ) -> "list[tuple[int, float]]":
     """Run one timed issuance loop per worker, share-nothing.
 
@@ -88,9 +88,8 @@ def run_issuance_shards(
     and times only its issuance loop, exactly as the paper's 4-process
     measurement does.  Returns ``(requests_done, elapsed_seconds)`` per
     worker.  A worker that sends no result within ``reply_timeout``
-    seconds raises :class:`~repro.sharding.pool.ShardTimeout`
-    (``None`` restores the old unbounded wait); teardown then reaps the
-    hung process.
+    seconds raises :class:`~repro.sharding.pool.ShardTimeout`; teardown
+    then reaps the hung process.
     """
     pool = ShardProcessPool(
         issuance_worker, list(range(len(counts))), name="apna-ms"

@@ -25,42 +25,38 @@ equals the owning shard (:meth:`repro.core.ephid.IvAllocator.
 next_iv_for`), and the dispatcher recovers the shard from four
 clear-text bytes — the software analogue of NIC RSS steering.
 
-The *shape* of that map is a privacy decision.  The original map was the
-bare residue ``iv % nshards``: free to compute, but anyone on the path
-could compute it too, so two EphIDs of the same host shared a publicly
-checkable residue — ``log2(nshards)`` bits of cross-EphID linkage,
-exactly what the paper's domain-brokered privacy (Section IV/V-A1)
-promises does not exist.  The default map is therefore **keyed**:
+The *shape* of that map is a privacy decision, which is why it is
+**keyed** and why there is no other mode:
 
     ``owner_of_iv(iv) = CMAC_kR(iv) % nshards``
 
 under ``kR``, an AS-internal routing key derived from the AS master
-secret (:attr:`repro.core.keys.AsSecret.shard_route`).  The map is still
-deterministic — the AS can pin IVs against it at issuance, and every
-EphID of a host still routes to the host's owner shard — but without
-``kR`` the clear IV bytes are uncorrelated with the shard, so an
-observer learns nothing an unsharded deployment would not leak.  The
-dispatcher pays one short PRF per packet, batched over a burst's whole
-IV column with a single AES-ECB pass — a 4-byte CMAC collapses to one
-AES call, see :class:`RoutingKey` —
+secret (:attr:`repro.core.keys.AsSecret.shard_route`).  The cheaper bare
+residue ``iv % nshards`` is one anyone on the path can compute too: two
+EphIDs of the same host would share a publicly checkable residue —
+``log2(nshards)`` bits of cross-EphID linkage, exactly what the paper's
+domain-brokered privacy (Section IV/V-A1) promises does not exist.  The
+keyed map is still deterministic — the AS can pin IVs against it at
+issuance, and every EphID of a host still routes to the host's owner
+shard — but without ``kR`` the clear IV bytes are uncorrelated with the
+shard, so an observer learns nothing an unsharded deployment would not
+leak.  The dispatcher pays one short PRF per packet, batched over a
+burst's whole IV column with a single AES-ECB pass — a 4-byte CMAC
+collapses to one AES call, see :class:`RoutingKey` —
 (:meth:`ShardPlan.owners_of_iv_bytes`; nearly free on the openssl
 backend).
 
-``mode="residue"`` keeps the original unkeyed map, bit-compatible with
-worlds built before the keyed map existed.  Its only remaining use is
-that compatibility; it retains the linkage leak and should not be
-deployed.
-
 This module is the **only** place an IV -> shard decision may be
-computed: ``tests/test_shard_routing_audit.py`` fails on any
-``% nshards``-style routing arithmetic elsewhere on the dispatch or
-issuance paths, so the leak cannot quietly come back.
+computed: the ``shard-routing-mod`` rule of :mod:`repro.analysis` fails
+on any ``% nshards``-style routing arithmetic elsewhere on the dispatch
+or issuance paths, so the leak cannot quietly come back.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from ..core.ephid import CIPHERTEXT_SIZE, IV_SIZE
 from ..core.hostdb import FIRST_HOST_HID
@@ -70,9 +66,6 @@ from ..crypto.cmac import _left_shift
 #: EphID layout offsets (Fig. 6): ciphertext || IV || tag.
 _IV_OFFSET = CIPHERTEXT_SIZE
 _IV_END = CIPHERTEXT_SIZE + IV_SIZE
-
-#: The IV -> shard maps a plan can use.
-ROUTING_MODES = ("keyed", "residue")
 
 #: kR length: one AES-CMAC key.
 ROUTING_KEY_SIZE = 16
@@ -155,23 +148,18 @@ class ShardPlan:
     nshards: int
     #: Consecutive host HIDs per contiguous ownership block.
     block: int = 1
-    #: The IV -> shard map: ``"keyed"`` (default, unlinkable) or
-    #: ``"residue"`` (the original ``iv % nshards``, kept only for
-    #: bit-compatibility; leaks cross-EphID linkage).
-    mode: str = "keyed"
-    #: kR for the keyed map.  Required for keyed routing over more than
-    #: one shard; ownership-only uses (``owner_of``) never need it.
+    #: kR for the keyed map.  Required for routing over more than one
+    #: shard; ownership-only uses (``owner_of``) never need it.
     key: "bytes | None" = field(default=None, repr=False)
+    #: The IV -> shard map's tag, fixed: worker specs and snapshots carry
+    #: it so a worker can cross-check that both came from one plan.
+    mode: ClassVar[str] = "keyed"
 
     def __post_init__(self) -> None:
         if self.nshards < 1:
             raise ValueError(f"nshards must be >= 1, got {self.nshards}")
         if self.block < 1:
             raise ValueError(f"block must be >= 1, got {self.block}")
-        if self.mode not in ROUTING_MODES:
-            raise ValueError(
-                f"routing mode must be one of {ROUTING_MODES}, got {self.mode!r}"
-            )
         if self.key is not None and len(self.key) != ROUTING_KEY_SIZE:
             raise ValueError(
                 f"routing key kR must be {ROUTING_KEY_SIZE} bytes, "
@@ -194,8 +182,7 @@ class ShardPlan:
             if self.key is None:
                 raise ValueError(
                     f"keyed routing over {self.nshards} shards needs a "
-                    "routing key kR (pass ShardPlan(key=...), or "
-                    "mode='residue' for the legacy unkeyed map)"
+                    "routing key kR (pass ShardPlan(key=...))"
                 )
             router = RoutingKey(self.key)
             object.__setattr__(self, "_router", router)
@@ -203,7 +190,7 @@ class ShardPlan:
 
     def validate_routing(self) -> "ShardPlan":
         """Fail fast (not mid-burst) if this plan cannot route IVs."""
-        if self.nshards > 1 and self.mode == "keyed":
+        if self.nshards > 1:
             self._keyed_router()
         return self
 
@@ -211,36 +198,24 @@ class ShardPlan:
         """The shard a pinned IV routes to, under the plan's map."""
         if self.nshards == 1:
             return 0
-        if self.mode == "residue":
-            return iv % self.nshards
         return self._keyed_router().shard_of(iv.to_bytes(4, "big"), self.nshards)
 
     def owner_of_iv_bytes(self, iv_bytes: bytes) -> int:
         """:meth:`owner_of_iv` straight from four clear wire bytes."""
         if self.nshards == 1:
             return 0
-        if self.mode == "residue":
-            return int.from_bytes(iv_bytes, "big") % self.nshards
         return self._keyed_router().shard_of(bytes(iv_bytes), self.nshards)
 
     def owners_of_iv_bytes(self, iv_columns) -> "list[int]":
         """Route a whole burst's IV column at once.
 
-        Keyed mode spends one bulk CMAC call for the entire column (the
-        dispatcher's batched pre-route); residue mode is a plain mod
-        loop.  Element-for-element identical to :meth:`owner_of_iv_bytes`
-        per entry.
+        One bulk CMAC call for the entire column (the dispatcher's
+        batched pre-route).  Element-for-element identical to
+        :meth:`owner_of_iv_bytes` per entry.
         """
         if self.nshards == 1:
             return [0] * len(iv_columns)
-        if self.mode == "residue":
-            n = self.nshards
-            return [int.from_bytes(b, "big") % n for b in iv_columns]
         return self._keyed_router().shards_of(iv_columns, self.nshards)
-
-    def shard_of_iv(self, iv: int) -> int:
-        """Deprecated name for :meth:`owner_of_iv`."""
-        return self.owner_of_iv(iv)
 
     def shard_of_ephid(self, ephid: bytes) -> int:
         """Routing shard of an EphID, read from its clear IV bytes."""

@@ -5,8 +5,8 @@ workers, one duplex pipe each, binary messages only.  On top of it,
 :class:`ShardedDataPlane` is the paper's §V-A3 share-nothing scale-out
 applied to the border router: a dispatcher that
 
-* routes each packed wire frame to a shard by the source EphID's clear
-  IV residue (no crypto on the dispatch path — see
+* routes each packed wire frame to a shard by the keyed map of the
+  source EphID's clear IV (one bulk PRF per burst — see
   :mod:`repro.sharding.plan`),
 * short-circuits transit packets itself (forwarding by destination AID
   needs no per-host state at all, Section IV-D3),
@@ -188,19 +188,18 @@ class ShardProcessPool:
                 self._failure(shard, f"send failed ({exc!r})"), shard=shard
             ) from exc
 
-    def recv_bytes(self, shard: int, *, timeout: "float | None" = None) -> bytes:
-        """One reply from ``shard``, waiting at most ``timeout`` seconds.
+    def recv_bytes(self, shard: int, *, timeout: float) -> bytes:
+        """One reply from ``shard``, waiting at most ``timeout`` seconds
+        (the wait also wakes on pipe EOF when the worker dies).
 
-        ``timeout=None`` blocks forever (the pre-supervision behaviour;
-        still wakes on pipe EOF when the worker dies).  A worker-sent
-        error frame is raised as :class:`ShardError` here so no caller
-        can mistake it for a payload.
+        A worker-sent error frame is raised as :class:`ShardError` here
+        so no caller can mistake it for a payload.
         """
         if self._closed:
             raise ShardError("pool is closed")
         conn = self._conns[shard]
         try:
-            if timeout is not None and not conn.poll(timeout):
+            if not conn.poll(timeout):
                 raise ShardTimeout(
                     self._failure(shard, f"no reply within {timeout:g}s"),
                     shard=shard,
@@ -438,9 +437,9 @@ class ShardedDataPlane:
         plan: ShardPlan,
         *,
         aid: int,
+        state_source: ShardStateSource,
         start_method: "str | None" = None,
         supervision: "SupervisorPolicy | None" = None,
-        state_source: "ShardStateSource | None" = None,
     ) -> None:
         self.plan = plan
         self.aid = aid
@@ -450,7 +449,7 @@ class ShardedDataPlane:
         #: What a routable frame must carry in this deployment: the base
         #: header, plus the nonce when replay protection is on — a runt
         #: is rejected here (burst untouched) rather than crashing a
-        #: worker's parse and poisoning the plane.
+        #: worker's parse and costing a restart.
         self._min_frame = (
             _MIN_FRAME_WITH_NONCE if specs[0].with_nonce else _MIN_FRAME
         )
@@ -467,12 +466,6 @@ class ShardedDataPlane:
         #: Per-shard count of bursts dispatched — the sequence numbers
         #: fault plans key on and failure reports cite.
         self._burst_seq = [0] * self.nshards
-        #: Set when the plane can no longer serve at all: recovery is
-        #: impossible (or disabled) *and* degradation is off, so the
-        #: reply streams cannot be trusted to line up with tickets and
-        #: the plane refuses further work instead of silently handing
-        #: later bursts earlier bursts' verdicts.
-        self._broken: "str | None" = None
         #: Set (to the triggering cause) once the plane has fallen back
         #: to in-process forwarding; the pool is gone from then on.
         self.degraded: "str | None" = None
@@ -530,13 +523,13 @@ class ShardedDataPlane:
         """
         if plan is None:
             if nshards > 1:
-                # A multi-shard plan needs the issuing AS's routing
-                # key/mode — a default-constructed one here would route
-                # differently than issuance pinned, and misroute every
-                # packet.  (nshards == 1 routes everything to shard 0.)
+                # A multi-shard plan needs the issuing AS's routing key —
+                # a default-constructed one here would route differently
+                # than issuance pinned, and misroute every packet.
+                # (nshards == 1 routes everything to shard 0.)
                 raise ValueError(
                     "a multi-shard pool needs the issuing AS's ShardPlan "
-                    "(routing mode + kR); pass plan="
+                    "(it carries kR); pass plan="
                 )
             plan = ShardPlan(1)
         if plan.nshards != nshards:
@@ -591,7 +584,7 @@ class ShardedDataPlane:
         be routed to a shard that does not hold its host's MAC keys.
         The assembly's config also supplies the supervision policy
         (``shard_reply_timeout`` / ``shard_max_restarts`` /
-        ``shard_restart_backoff`` / ``shard_degraded_fallback``).
+        ``shard_restart_backoff``).
         """
         config = assembly.config
         nshards = nshards or max(1, config.forwarding_shards)
@@ -763,10 +756,9 @@ class ShardedDataPlane:
         for i, dst_aid in transit:
             self.forwarded_inter += 1
             ticket.verdicts[i] = self._inter_verdicts[dst_aid]
-        # A send failure no longer poisons the plane: the sub-burst that
-        # never reached its worker is dropped-and-counted, the worker is
-        # restarted (or the plane degraded), and the rest of the burst
-        # proceeds.
+        # A send failure costs only the sub-burst that never reached its
+        # worker: it is dropped-and-counted, the worker is restarted (or
+        # the plane degraded), and the rest of the burst proceeds.
         for shard, indices, message in messages:
             if self.degraded is not None:
                 # Degraded mid-loop by an earlier send failure: the rest
@@ -785,7 +777,6 @@ class ShardedDataPlane:
                 self._shard_failed(
                     shard, f"burst dispatch failed mid-send: {exc}"
                 )
-                self._check_usable()
                 continue
             ticket.pending.append((shard, indices, seq))
             self._in_flight_verdicts += len(indices)
@@ -821,9 +812,8 @@ class ShardedDataPlane:
         reply timeout, error frame, undecodable bytes) forfeits every
         verdict it still owes — those packets are dropped-and-counted
         (``DropReason.SHARD_FAILURE``) across all in-flight tickets —
-        and the worker is restarted with a state resync.  Only when
-        recovery *and* degradation are both impossible does the plane
-        poison itself as it originally did.
+        and the worker is restarted with a state resync (or, past its
+        restart budget, the plane degrades).
         """
         self._check_usable()
         if not self._tickets or self._tickets[0] is not ticket:
@@ -848,7 +838,6 @@ class ShardedDataPlane:
                     f"reply for burst #{seq} lost: {exc}",
                     extra_ticket=ticket,
                 )
-                self._check_usable()
                 continue
             except Exception as exc:
                 self._shard_failed(
@@ -856,7 +845,6 @@ class ShardedDataPlane:
                     f"reply for burst #{seq} undecodable ({exc!r})",
                     extra_ticket=ticket,
                 )
-                self._check_usable()
                 continue
             ticket.pending.pop(0)
             for i, verdict in zip(indices, verdicts):
@@ -939,18 +927,14 @@ class ShardedDataPlane:
         """One worker's reply stream is gone.  Drop everything it still
         owes (its replies can no longer be paired with requests), then
         restart it — or, once its restart budget is spent, degrade to
-        in-process forwarding (or poison, per policy)."""
+        in-process forwarding."""
         self.supervisor.record_failure(shard, cause)
         tickets = list(self._tickets)
         if extra_ticket is not None:
             tickets.append(extra_ticket)
         self._drop_pending_for(shard, tickets)
-        if self.supervisor.restart(shard):
-            return
-        if self._policy.degrade_to_inline and self._state_source is not None:
+        if not self.supervisor.restart(shard):
             self._degrade(f"shard {shard} unrecoverable: {cause}", tickets)
-        else:
-            self._broken = f"shard {shard} unrecoverable: {cause}"
 
     def _degrade(self, cause: str, tickets) -> None:
         """Fall back to a single in-process border router over the
@@ -974,7 +958,6 @@ class ShardedDataPlane:
                 bits_per_generation=spec.replay_bits,
             )
         clock = _SettableClock()
-        assert self._state_source is not None
         self._fallback = BorderRouter(
             self.aid,
             EphIdCodec(spec.ephid_enc_key, spec.ephid_mac_key),
@@ -989,10 +972,6 @@ class ShardedDataPlane:
         self._pool.close(stop_msg=bytes([wire.MSG_STOP]))
 
     def _check_usable(self) -> None:
-        if self._broken is not None:
-            raise ShardError(
-                f"data plane is poisoned ({self._broken}); rebuild the pool"
-            )
         if self.degraded is None and self._pool.closed:
             raise ShardError("data plane is closed")
 
@@ -1071,7 +1050,6 @@ class ShardedDataPlane:
             # A successful restart already resynced the full state —
             # resending this frame is unnecessary (and would double-add).
             self._shard_failed(shard, f"control send failed: {exc}")
-            self._check_usable()
 
     def _check_no_inflight(self, what: str) -> None:
         """Control traffic requires an empty ticket queue.
@@ -1119,7 +1097,6 @@ class ShardedDataPlane:
                 )
             except ShardError as exc:
                 self._shard_failed(shard, f"stats reply lost: {exc}")
-                self._check_usable()
                 raise ShardError(
                     f"shard {shard}: stats unavailable ({exc}); counters "
                     "died with the worker"
@@ -1180,8 +1157,6 @@ class ShardedDataPlane:
     def __repr__(self) -> str:
         if self.degraded is not None:
             state = "degraded"
-        elif self._broken is not None:
-            state = "poisoned"
         elif self.closed:
             state = "closed"
         else:

@@ -1,12 +1,10 @@
 """Worker supervision: crash/hang detection, restart with state resync,
 and the degradation decision.
 
-The unsupervised plane of the first sharded iteration had exactly one
-answer to any worker failure — poison itself and refuse all further
-traffic.  That is the right last resort (a desynchronised reply stream
-must never mispair verdicts with packets), but a terrible first one: a
-production AS cannot rebuild its data plane by hand every time one
-process dies.  This module supplies the layers in between:
+A desynchronised reply stream must never mispair verdicts with packets,
+but a production AS cannot rebuild its data plane by hand every time one
+process dies either.  This module supplies the layers between a worker
+failure and the plane giving up on its pool:
 
 1. **Detection** — every reply wait is a bounded ``Connection.poll``
    plus a ``Process.is_alive`` liveness probe (see
@@ -23,11 +21,10 @@ process dies.  This module supplies the layers in between:
    capped exponential delay.
 3. **Degradation** — once a shard exhausts its restart budget
    (:attr:`SupervisorPolicy.max_restarts`), the plane stops gambling:
-   with :attr:`SupervisorPolicy.degrade_to_inline` it falls back to a
-   single in-process :class:`~repro.core.border_router.BorderRouter`
-   over the authoritative state and keeps serving verdicts (flagged
-   ``degraded`` in ``stats()``); without it, the plane poisons itself
-   exactly as before.
+   it falls back to a single in-process
+   :class:`~repro.core.border_router.BorderRouter` over the
+   authoritative state and keeps serving verdicts (flagged ``degraded``
+   in ``stats()``).
 
 What survives a restart and what does not is part of the contract (see
 the package docstring's fault-model section): host records and
@@ -63,10 +60,9 @@ class SupervisorPolicy:
     """The recovery knobs, mirrored from :class:`repro.core.config.
     ApnaConfig`'s ``shard_*`` fields (see there for semantics)."""
 
-    reply_timeout: "float | None" = 5.0
+    reply_timeout: float = 5.0
     max_restarts: int = 3
     restart_backoff: float = 0.05
-    degrade_to_inline: bool = True
 
     @classmethod
     def from_config(cls, config) -> "SupervisorPolicy":
@@ -74,7 +70,6 @@ class SupervisorPolicy:
             reply_timeout=config.shard_reply_timeout,
             max_restarts=config.shard_max_restarts,
             restart_backoff=config.shard_restart_backoff,
-            degrade_to_inline=config.shard_degraded_fallback,
         )
 
 
@@ -116,7 +111,7 @@ class ShardSupervisor:
         pool: "ShardProcessPool",
         plan: "ShardPlan",
         specs: "list[ShardSpec]",
-        state: "ShardStateSource | None",
+        state: ShardStateSource,
         policy: SupervisorPolicy,
         *,
         sleep: Callable[[float], None] = time.sleep,
@@ -139,11 +134,6 @@ class ShardSupervisor:
         #: post-mortems.
         self.failures: "list[tuple[int, str]]" = []
 
-    @property
-    def can_resync(self) -> bool:
-        """Restarts need an authoritative state source to replay from."""
-        return self._state is not None
-
     def record_failure(self, shard: int, cause: str) -> None:
         self.failures.append((shard, cause))
 
@@ -152,13 +142,11 @@ class ShardSupervisor:
 
         Returns ``True`` once a fresh worker acknowledged its resync;
         ``False`` when the shard's restart budget is exhausted (the
-        caller then degrades or poisons the plane).  Each attempt —
+        caller then degrades the plane).  Each attempt —
         successful or not — consumes budget, and attempts back off with
         a capped exponential delay so a crash-looping worker cannot spin
         the dispatcher.
         """
-        if not self.can_resync:
-            return False
         while self.restarts[shard] < self.policy.max_restarts:
             attempt = self.restarts[shard]
             self.restarts[shard] += 1
@@ -185,7 +173,6 @@ class ShardSupervisor:
     def _resync(self, shard: int) -> None:
         """Replay the authoritative state into a fresh worker and wait
         for its ack (bounded by the same reply timeout as bursts)."""
-        assert self._state is not None
         snap = self._state.shard_snapshot(self._plan, shard)
         self._pool.send_bytes(shard, wire.encode_resync(snap))
         reply = self._pool.recv_bytes(

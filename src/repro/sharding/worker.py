@@ -61,11 +61,11 @@ class ShardSpec:
     replay_bits: int
     #: Consecutive HIDs per shard-ownership block (``ShardPlan.block``).
     shard_block: int
-    #: IV -> shard map the dispatcher routes this worker's packets with
-    #: (``ShardPlan.mode``): ``"keyed"`` or the legacy ``"residue"``.
+    #: Tag of the IV -> shard map the dispatcher routes this worker's
+    #: packets with (``ShardPlan.mode``, always ``"keyed"``).
     routing_mode: str
-    #: kR when ``routing_mode == "keyed"`` (else empty) — carried so the
-    #: worker can cross-check resync'd snapshots against its spec.
+    #: kR — carried with the tag so the worker can cross-check resync'd
+    #: snapshots against its spec.
     routing_key: bytes
     #: Which store backs the worker's replica: ``"columnar"`` (dense
     #: :mod:`repro.state` columns, zero per-host objects) or ``"object"``.

@@ -55,10 +55,10 @@ EPHID_BYTES = 16
 _NEEDS_SWAP = sys.byteorder == "little"
 _HEAD = struct.Struct(">III")  # n_owned, n_live, n_revoked
 
-#: Routing-trailer mode flags (u8).  Snapshots encoded before the keyed
-#: routing change have no trailer at all; :meth:`ShardSnapshot.decode`
-#: still accepts those blobs and reports ``routing_mode == ""``.
-_ROUTING_FLAG = {"": 0, "residue": 1, "keyed": 2}
+#: Routing-trailer mode flags (u8): ``""`` for a snapshot built without
+#: a plan (:meth:`ShardSnapshot.empty` / ``from_rows``), ``"keyed"`` for
+#: every plan-built one.  Flag 1 is retired and decodes as unknown.
+_ROUTING_FLAG = {"": 0, "keyed": 2}
 _ROUTING_MODE = {flag: mode for mode, flag in _ROUTING_FLAG.items()}
 
 
@@ -111,10 +111,10 @@ class ShardSnapshot:
     live_hids: bytes  # m x u32 BE
     rev_exp: bytes  # k x f64 BE
     rev_ephids: bytes  # k x 16 B
-    #: IV -> shard routing the snapshot's plan uses (``""`` on legacy
-    #: blobs that predate keyed routing).  Carried so a restarted worker
-    #: can sanity-check that its spec and the resync'd state agree on
-    #: how packets reach it.
+    #: IV -> shard routing the snapshot's plan uses (``""`` when built
+    #: without one).  Carried so a restarted worker can sanity-check
+    #: that its spec and the resync'd state agree on how packets reach
+    #: it.
     routing_mode: str = ""
     #: kR when ``routing_mode == "keyed"`` (else empty).
     routing_key: bytes = b""
@@ -176,13 +176,14 @@ class ShardSnapshot:
         for size in (n * 4, n, n * KEY_BYTES, m * 4, k * 8, k * EPHID_BYTES):
             sections.append(bytes(view[offset : offset + size]))
             offset += size
-        if offset == len(view):
-            # Legacy blob without the routing trailer.
-            return cls(*sections)
         if offset + 2 > len(view):
+            # Snapshots only ever live in a spawn spec or a MSG_RESYNC
+            # frame, both written by encode(): a blob without the
+            # trailer is truncated, and accepting it would skip the
+            # worker's routing cross-check.
             raise ValueError(
                 f"snapshot is {len(view)} bytes, columns end at {offset} "
-                "with a truncated routing trailer"
+                "with a missing or truncated routing trailer"
             )
         flag, keylen = view[offset], view[offset + 1]
         offset += 2

@@ -22,9 +22,7 @@ than one bespoke builder per shape, this module provides three layers:
   uniform ``attach_host(name, at=<as-name>)`` addressing, host lookup and
   lifecycle (``run``, ``run_until``, ``advance``) regardless of shape.
 
-Named presets ("fig1", "chain:4", ...) live in :mod:`repro.scenarios`; the
-legacy ``build_two_as_internet`` / ``build_as_chain`` / ... entry points in
-:mod:`repro.world` are deprecation shims over this module.
+Named presets ("fig1", "chain:4", ...) live in :mod:`repro.scenarios`.
 """
 
 from __future__ import annotations
@@ -56,16 +54,15 @@ __all__ = [
 class TopologyError(ApnaError, ValueError):
     """A topology spec or builder call is invalid.
 
-    Also a :class:`ValueError` so pre-redesign callers that caught
-    ``ValueError`` from the ``build_*`` helpers keep working.
+    Also a :class:`ValueError`, so callers validating user input can
+    catch it as one.
     """
 
 
 class UnknownAsError(TopologyError, KeyError):
     """An AS reference (``at=...``) did not resolve.
 
-    Also a :class:`KeyError` for compatibility with the old
-    ``MultiAsWorld.as_by_aid`` contract.
+    Also a :class:`KeyError`: :meth:`World.as_by_aid` is a lookup.
     """
 
     def __init__(self, ref: object, known: list[str]) -> None:
@@ -334,8 +331,7 @@ class TopologySpec:
 class World:
     """A built simulated internet, whatever its shape.
 
-    One class supersedes the old ``TwoAsWorld``/``MultiAsWorld`` split:
-    every topology exposes the same addressing (`asys`, `as_by_aid`,
+    Every topology exposes the same addressing (`asys`, `as_by_aid`,
     `as_names`), host management (`attach_host(name, at=...)`, `host`)
     and lifecycle (`run`, `run_until`, `advance`) surface.
     """
@@ -668,8 +664,7 @@ class WorldBuilder:
     ... )
 
     AIDs may be given explicitly or auto-assigned: transits count up from
-    1, everything else from 100 in steps of 100 (the conventions of the
-    old per-shape builders).
+    1, everything else from 100 in steps of 100.
     """
 
     def __init__(
@@ -691,11 +686,9 @@ class WorldBuilder:
         *,
         batch_size: int | None = None,
         block: int | None = None,
-        reply_timeout: float | None | str = "unset",
+        reply_timeout: float | None = None,
         max_restarts: int | None = None,
         restart_backoff: float | None = None,
-        degraded_fallback: bool | None = None,
-        routing: str | None = None,
     ) -> "WorldBuilder":
         """Shard every AS's data plane over ``shards`` worker processes.
 
@@ -706,14 +699,10 @@ class WorldBuilder:
         off.
 
         The supervision knobs mirror the ``shard_*`` config fields:
-        ``reply_timeout`` bounds every worker reply wait (``None``
-        restores the unbounded pre-supervision wait), ``max_restarts`` /
-        ``restart_backoff`` budget and pace worker restarts, and
-        ``degraded_fallback`` picks what happens once the budget is
-        spent — fall back to in-process forwarding (default) or poison
-        the plane.  ``routing`` picks the IV -> shard dispatch map
-        (``config.shard_routing``): ``"keyed"`` (default) or the legacy,
-        linkage-leaking ``"residue"``.
+        ``reply_timeout`` bounds every worker reply wait, and
+        ``max_restarts`` / ``restart_backoff`` budget and pace worker
+        restarts before a shard's plane degrades to in-process
+        forwarding.  Every keyword left ``None`` keeps the config's value.
         """
         if shards < 1:
             raise TopologyError(f"shards must be >= 1, got {shards}")
@@ -730,10 +719,10 @@ class WorldBuilder:
             if block < 1:
                 raise TopologyError(f"block must be >= 1, got {block}")
             self._sharding["shard_block"] = block
-        if reply_timeout != "unset":
-            if reply_timeout is not None and reply_timeout <= 0:
+        if reply_timeout is not None:
+            if reply_timeout <= 0:
                 raise TopologyError(
-                    f"reply_timeout must be > 0 (or None), got {reply_timeout}"
+                    f"reply_timeout must be > 0, got {reply_timeout}"
                 )
             self._sharding["shard_reply_timeout"] = reply_timeout
         if max_restarts is not None:
@@ -748,14 +737,6 @@ class WorldBuilder:
                     f"restart_backoff must be >= 0, got {restart_backoff}"
                 )
             self._sharding["shard_restart_backoff"] = restart_backoff
-        if degraded_fallback is not None:
-            self._sharding["shard_degraded_fallback"] = degraded_fallback
-        if routing is not None:
-            if routing not in ("keyed", "residue"):
-                raise TopologyError(
-                    f"routing must be 'keyed' or 'residue', got {routing!r}"
-                )
-            self._sharding["shard_routing"] = routing
         return self
 
     # -- ASes ----------------------------------------------------------------

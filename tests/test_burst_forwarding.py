@@ -62,7 +62,7 @@ class TestBorderRouterNodeBursts:
         world = build_world()  # forwarding_batch_size = 1
         alice, _ = _exchange(world)
         assert len(alice.inbox) == 1
-        assert world.as_a.node.bursts_flushed == 0
+        assert world.as_a.node.largest_burst == 1
 
 
 class TestTrafficProfileBursts:

@@ -9,11 +9,16 @@
   adding entries would turn it into an amnesty machine.
 """
 
+import dataclasses
+import inspect
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
+
+from repro.core.config import ApnaConfig
+from repro.topology import WorldBuilder
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -84,4 +89,49 @@ def test_analysis_baseline_only_shrinks():
         "findings baseline grew — fix the new violations or annotate them "
         "with `# audit: allow(<rule>)` instead of grandfathering:\n  "
         + "\n  ".join(added)
+    )
+
+
+#: The option surface, pinned shrink-only: a new ``ApnaConfig`` field or
+#: ``WorldBuilder.sharding`` keyword is a visible edit to one of these
+#: lists (and a reviewer asking which two callers need different
+#: values); removing a knob just deletes its name here.
+_CONFIG_FIELDS = {
+    "control_ephid_lifetime",
+    "data_ephid_lifetime",
+    "lifetime_classes",
+    "max_ephid_lifetime",
+    "replay_protection",
+    "in_network_replay_filter",
+    "replay_filter_window",
+    "replay_filter_bits",
+    "forwarding_batch_size",
+    "forwarding_batch_window",
+    "forwarding_shards",
+    "shard_block",
+    "shard_reply_timeout",
+    "shard_max_restarts",
+    "shard_restart_backoff",
+    "state_backend",
+    "aead_scheme",
+    "packet_mac_size",
+    "revocation_threshold",
+    "icmp_on_drop",
+}
+_SHARDING_PARAMETERS = {
+    "shards",
+    "batch_size",
+    "block",
+    "reply_timeout",
+    "max_restarts",
+    "restart_backoff",
+}
+
+
+def test_option_surface_only_shrinks():
+    fields = {field.name for field in dataclasses.fields(ApnaConfig)}
+    assert fields <= _CONFIG_FIELDS, sorted(fields - _CONFIG_FIELDS)
+    parameters = set(inspect.signature(WorldBuilder.sharding).parameters) - {"self"}
+    assert parameters <= _SHARDING_PARAMETERS, sorted(
+        parameters - _SHARDING_PARAMETERS
     )

@@ -17,7 +17,6 @@ from repro.core.config import ApnaConfig
 from repro.core.ephid import IvAllocator
 from repro.core.errors import RevokedError, UnknownHostError
 from repro.core.hostdb import FIRST_HOST_HID
-from repro.crypto import backend as crypto_backend_module
 from repro.sharding import (
     ShardError,
     ShardHostView,
@@ -53,12 +52,6 @@ class TestShardPlan:
         plan = ShardPlan(2, block=3)
         owners = [plan.owner_of(FIRST_HOST_HID + i) for i in range(8)]
         assert owners == [0, 0, 0, 1, 1, 1, 0, 0]
-
-    def test_residue_mode_routes_by_iv_residue(self):
-        plan = ShardPlan(3, mode="residue")
-        for iv in (0, 1, 2, 5, 2**32 - 1):
-            ephid = bytes(8) + iv.to_bytes(4, "big") + bytes(4)
-            assert plan.shard_of_ephid(ephid) == iv % 3 == plan.shard_of_iv(iv)
 
     def test_keyed_mode_routes_by_prf_not_residue(self):
         plan = ShardPlan(3, key=_KR)
@@ -116,30 +109,19 @@ class TestShardPlan:
         with pytest.raises(ValueError):
             ShardPlan(2, block=0)
         with pytest.raises(ValueError):
-            ShardPlan(2, mode="hash")
-        with pytest.raises(ValueError):
             ShardPlan(2, key=b"short")
 
 
 class TestPinnedIvAllocation:
-    @pytest.mark.parametrize(
-        "plan",
-        [ShardPlan(3, mode="residue"), ShardPlan(3, key=_KR)],
-        ids=["residue", "keyed"],
-    )
-    def test_pinning_matches_plan_owner(self, plan):
+    def test_pinning_matches_plan_owner(self):
+        plan = ShardPlan(3, key=_KR)
         alloc = IvAllocator(start=12345, plan=plan)
         for hid in range(FIRST_HOST_HID, FIRST_HOST_HID + 9):
             iv = alloc.next_iv_for(hid)
             assert plan.owner_of_iv(iv) == plan.owner_of(hid)
 
-    @pytest.mark.parametrize(
-        "plan",
-        [ShardPlan(2, mode="residue"), ShardPlan(2, key=_KR)],
-        ids=["residue", "keyed"],
-    )
-    def test_pinned_ivs_stay_unique(self, plan):
-        alloc = IvAllocator(start=7, plan=plan)
+    def test_pinned_ivs_stay_unique(self):
+        alloc = IvAllocator(start=7, plan=ShardPlan(2, key=_KR))
         ivs = [
             alloc.next_iv_for(FIRST_HOST_HID + (i % 4)) for i in range(200)
         ]
@@ -152,15 +134,6 @@ class TestPinnedIvAllocation:
         assert [a.next_iv() for _ in range(5)] == [
             b.next_iv_for(FIRST_HOST_HID + i) for i in range(5)
         ]
-
-    def test_wraparound_stays_in_residue_class(self):
-        # Residue mode stays bit-compatible with the pre-keyed stride
-        # streams: from start 2^32-2, class 1's draws are exactly the
-        # wrapped ascending enumeration the old allocator produced.
-        plan = ShardPlan(3, mode="residue")
-        alloc = IvAllocator(start=2**32 - 2, plan=plan)
-        ivs = [alloc.next_iv_for(FIRST_HOST_HID + 1) for _ in range(3)]
-        assert ivs == [1, 4, 7]
 
     def test_mixed_use_accounting_is_exact(self):
         plan = ShardPlan(3, key=_KR)
@@ -181,13 +154,18 @@ class TestPinnedIvAllocation:
 class TestDispatcherObserverLinkage:
     """The closed leak, from the on-path observer's seat.
 
-    An observer sees only the EphID's four clear IV bytes.  Under the
-    old residue map, two EphIDs of the same host *always* share
-    ``iv % nshards`` — a perfect linkage oracle.  Under the keyed map
-    the same statistic must behave like chance (≈ 1/nshards agreement),
-    even though the AS-internal map still pins both EphIDs to the same
-    owner shard.
+    An observer sees only the EphID's four clear IV bytes.  Under an
+    unkeyed residue map (the positive control, defined here — the
+    library has no such mode), two EphIDs of the same host *always*
+    share ``iv % nshards`` — a perfect linkage oracle.  Under the keyed
+    map the same statistic must behave like chance (≈ 1/nshards
+    agreement), even though the AS-internal map still pins both EphIDs
+    to the same owner shard.
     """
+
+    class _ResiduePlan(ShardPlan):
+        def owners_of_iv_bytes(self, iv_columns):
+            return [int.from_bytes(iv, "big") % self.nshards for iv in iv_columns]
 
     NSHARDS = 4
     HOSTS = 120
@@ -198,7 +176,7 @@ class TestDispatcherObserverLinkage:
         return [(hid, alloc.next_iv_for(hid), alloc.next_iv_for(hid)) for hid in hids]
 
     def test_residue_mode_is_a_linkage_oracle(self):
-        pairs = self._iv_pairs(ShardPlan(self.NSHARDS, mode="residue"))
+        pairs = self._iv_pairs(self._ResiduePlan(self.NSHARDS))
         matches = sum(1 for _, a, b in pairs if a % self.NSHARDS == b % self.NSHARDS)
         assert matches == len(pairs)  # the leak: 100% linkable
 
@@ -491,7 +469,7 @@ class TestDispatcher:
     def test_runt_rejection_is_nonce_aware(self):
         # With replay protection the wire header is 56 bytes: a 50-byte
         # frame must be rejected at dispatch (plane untouched), not
-        # shipped to a worker whose parse failure would poison the pool.
+        # shipped to a worker whose parse failure would cost a restart.
         builder = (
             WorldBuilder(seed=9, config=ApnaConfig(replay_protection=True))
             .sharding(2, batch_size=4)
@@ -526,6 +504,16 @@ class TestDispatcher:
         assert config.shard_block == ApnaConfig().shard_block
         assert world.asys("a").shard_pool is None
 
+    def test_removed_options_are_rejected(self):
+        # One data-plane configuration: the residue map and unbounded
+        # waits have no spelling left, at the plan or at the builder.
+        with pytest.raises(TypeError):
+            ShardPlan(2, mode="residue")
+        with pytest.raises(TypeError):
+            WorldBuilder().sharding(2, routing="residue")
+        with pytest.raises(ValueError, match="reply_timeout"):
+            WorldBuilder().sharding(2, reply_timeout=0)
+
     def test_control_error_held_until_next_reply(self):
         """A failing fire-and-forget message must not emit an unsolicited
         reply (that would desynchronise the verdict stream); the error is
@@ -537,8 +525,8 @@ class TestDispatcher:
                 plane.shard_stats()
 
     def test_lost_reply_recovers_with_drop_accounting(self):
-        """A lost burst reply no longer poisons the plane: the owed
-        verdicts are dropped-and-counted, the worker is restarted with a
+        """A lost burst reply costs only what it owed: those verdicts
+        are dropped-and-counted, the worker is restarted with a
         resync, and the very next burst flows normally."""
         with build_sharded_world(hosts=1) as world:
             as_a = world.asys("a")
@@ -688,111 +676,6 @@ class TestDispatcher:
             verdicts = plane.process([transit], [False], as_a.clock())
             assert verdicts[0].next_aid == 65000
             assert plane.forwarded_inter == 1
-
-
-def build_no_recovery_world(*, hosts=2):
-    """A sharded world with supervision disabled: no restart budget, no
-    degraded fallback — the PR-5 poisoning semantics, kept as a policy."""
-    builder = (
-        WorldBuilder(seed=21)
-        .sharding(
-            TIER1_SHARDS,
-            batch_size=8,
-            max_restarts=0,
-            degraded_fallback=False,
-            reply_timeout=10.0,
-        )
-        .asys("a", aid=100)
-        .asys("b", aid=200)
-        .link("a", "b")
-    )
-    for i in range(hosts):
-        builder.host(f"a{i}", at="a")
-        builder.host(f"b{i}", at="b")
-    return builder.build()
-
-
-@pytest.mark.parametrize(
-    "backend", crypto_backend_module.available_backends()
-)
-class TestNoRecoveryPolicy:
-    """With ``max_restarts=0`` and the fallback off, every failure path
-    must refuse loudly (and cite its cause) rather than recover — the
-    conservative policy for differential runs where a silent drop would
-    invalidate the comparison.  Exercised under both crypto backends:
-    the poisoning machinery sits above the backend, so behaviour must
-    not vary with it."""
-
-    def test_lost_reply_poisons_and_names_the_cause(self, backend):
-        with crypto_backend_module.use_backend(backend):
-            world = build_no_recovery_world()
-        with world:
-            as_a = world.asys("a")
-            pool = build_apna_pool(
-                as_a, [world.host("a0")], size=128, count=2, dst_aid=200
-            )
-            plane = as_a.shard_pool
-            plane._pool.send_bytes(0, bytes([99]))  # poison pill
-            ticket = plane.submit(pool.wire_frames, [True, True], as_a.clock())
-            with pytest.raises(ShardError, match="unknown message kind"):
-                plane.collect(ticket)
-            assert plane._broken is not None
-            # Submit, control broadcasts and stats all refuse, citing the
-            # original cause — nobody trips over a cryptic secondary error.
-            with pytest.raises(ShardError, match="poisoned.*unknown message"):
-                plane.submit(pool.wire_frames, [True, True], as_a.clock())
-            with pytest.raises(ShardError, match="poisoned.*unknown message"):
-                plane.revoke_ephid(bytes(16), 1e12)
-            with pytest.raises(ShardError, match="poisoned.*unknown message"):
-                plane.register_host(next(iter(as_a.hostdb.records())))
-            with pytest.raises(ShardError, match="poisoned.*unknown message"):
-                plane.stats()
-
-    def test_worker_death_poisons(self, backend):
-        with crypto_backend_module.use_backend(backend):
-            world = build_no_recovery_world()
-        with world:
-            as_a = world.asys("a")
-            pool = build_apna_pool(
-                as_a,
-                [world.host("a0"), world.host("a1")],
-                size=128,
-                count=8,
-                dst_aid=200,
-            )
-            plane = as_a.shard_pool
-            for proc in plane._pool._procs:
-                proc.terminate()
-                proc.join(timeout=5.0)
-            with pytest.raises(ShardError):
-                plane.process(
-                    pool.wire_frames, [True] * len(pool.wire_frames), 0.0
-                )
-            assert plane._broken is not None
-            with pytest.raises(ShardError, match="poisoned"):
-                plane.process(
-                    pool.wire_frames, [True] * len(pool.wire_frames), 0.0
-                )
-
-    def test_collect_on_stale_ticket_fails_cleanly(self, backend):
-        """A ticket orphaned by poisoning must fail with the poisoned
-        error, not hang on a reply that will never come or mispair."""
-        with crypto_backend_module.use_backend(backend):
-            world = build_no_recovery_world()
-        with world:
-            as_a = world.asys("a")
-            pool = build_apna_pool(
-                as_a, [world.host("a0")], size=128, count=2, dst_aid=200
-            )
-            plane = as_a.shard_pool
-            stale = plane.submit(pool.wire_frames, [True, True], as_a.clock())
-            plane._pool.send_bytes(0, bytes([99]))
-            doomed = plane.submit(pool.wire_frames, [True, True], as_a.clock())
-            plane.collect(stale)  # still fine: its reply pre-dates the pill
-            with pytest.raises(ShardError, match="unknown message kind"):
-                plane.collect(doomed)
-            with pytest.raises(ShardError, match="poisoned"):
-                plane.collect(doomed)
 
 
 class TestShardedIssuance:

@@ -33,7 +33,7 @@ SHARD_COUNTS = (2, 3)
 STATE_BACKENDS = ("object", "columnar")
 
 
-def _build_world(backend, nshards, state_backend="columnar", routing="keyed"):
+def _build_world(backend, nshards, state_backend="columnar"):
     with crypto_backend.use_backend(backend):
         world = build_world(
             config=ApnaConfig(
@@ -43,7 +43,6 @@ def _build_world(backend, nshards, state_backend="columnar", routing="keyed"):
                 replay_filter_bits=BITS,
                 forwarding_shards=nshards,
                 state_backend=state_backend,
-                shard_routing=routing,
             ),
             host_names=("alice", "bob", "carol", "dave", "erin"),
         )
@@ -313,51 +312,3 @@ class TestShardedEquivalence:
             _assert_counters_match(plane, router)
         finally:
             plane.close()
-
-
-@pytest.mark.parametrize("nshards", SHARD_COUNTS)
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestKeyedVsResidueEquivalence:
-    """Keyed routing changes which bytes route where — and nothing else.
-
-    Two worlds built from one seed, differing only in ``shard_routing``,
-    see the same fuzz schedule (packet kinds, directions, mid-stream
-    revocation timing).  The IV bytes of every EphID differ between the
-    worlds (pinned under different maps), but the verdict each position
-    gets must be identical — and each world's sharded plane must match
-    its own single-process oracle along the way.
-    """
-
-    def test_verdict_streams_identical(self, backend, nshards):
-        streams = {}
-        for routing in ("keyed", "residue"):
-            world = _build_world(backend, nshards, routing=routing)
-            world.network.run_until(5.0)
-            rng = random.Random(0x0E5 + nshards)
-            build, revocable = _packet_mix(world, rng)
-            world.as_a.revocations.add(revocable[0][1].ephid, 1e12)
-            router = _reference_router(world)
-            plane = _fresh_plane(world, nshards)
-            assert plane.plan.mode == routing
-            verdicts = []
-            try:
-                world.as_a.revocations.on_add = plane.revoke_ephid
-                for round_no in range(6):
-                    burst = [
-                        build(rng.choice(KINDS))
-                        for _ in range(rng.randint(1, 40))
-                    ]
-                    now = world.as_a.clock()
-                    scalar = [router.process_outgoing(p) for p in burst]
-                    sharded = plane.process_packets(
-                        [(p, True) for p in burst], now
-                    )
-                    assert sharded == scalar
-                    verdicts.extend(sharded)
-                    if round_no == 2:
-                        world.as_a.revocations.add(revocable[1][1].ephid, 1e12)
-            finally:
-                world.as_a.revocations.on_add = None
-                plane.close()
-            streams[routing] = verdicts
-        assert streams["keyed"] == streams["residue"]

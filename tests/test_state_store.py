@@ -9,6 +9,8 @@ resynced over ``MSG_RESYNC`` ends up in the same state no matter which
 pair of backends sits on either side of the pipe.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.errors import RevokedError, UnknownHostError
@@ -341,6 +343,17 @@ class TestShardSnapshotCodec:
         assert list(decoded.iter_owned()) == rows
         assert list(decoded.iter_live()) == live
         assert list(decoded.iter_revoked()) == revoked
+        # The routing trailer round-trips too, and is required: a blob
+        # cut exactly where it starts is truncated, not a trailer-less
+        # snapshot (that would skip the worker's kR cross-check), and
+        # the retired residue flag no longer decodes.
+        keyed = replace(snap, routing_mode="keyed", routing_key=b"\x07" * 16)
+        blob = keyed.encode()
+        assert ShardSnapshot.decode(blob) == keyed
+        with pytest.raises(ValueError, match="routing trailer"):
+            ShardSnapshot.decode(blob[:-18])
+        with pytest.raises(ValueError, match="unknown routing-mode flag 1"):
+            ShardSnapshot.decode(blob[:-18] + b"\x01\x00")
 
     def test_decode_rejects_trailing_bytes(self):
         blob = ShardSnapshot.empty().encode() + b"\x00"

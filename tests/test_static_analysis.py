@@ -45,6 +45,7 @@ EXPECTED_RULES = {
     "wire-protocol-completeness",
     "silent-except",
     "scenario-coverage",
+    "doc-references",
 }
 
 
@@ -61,7 +62,12 @@ def findings_of(rule_name: str, source: str, rel: str):
 
 def test_all_rules_registered():
     assert EXPECTED_RULES <= set(RULES), sorted(RULES)
-    assert len(RULES) >= 9
+    assert len(RULES) >= 10
+    # Scope pins: every per-module rule's scope still matches files (an
+    # audited module that moved would silently drop out of its rule).
+    for rule in RULES.values():
+        for pattern in () if rule.project_wide else rule.scope:
+            assert list(DEFAULT_ROOT.glob(pattern)), (rule.name, pattern)
 
 
 def test_source_tree_has_no_new_findings():
@@ -131,6 +137,16 @@ def test_ct_compare_detects_and_passes():
         "    return ct_eq(tag, presented)\n"
     )
     assert not findings_of("ct-compare", good, "crypto/fixture.py")
+    # The `presented != expected` idiom (PassportVerifier, PR 3): neither
+    # local is named after the tag itself.
+    renamed = (
+        "def verify(presented, data, key):\n"
+        "    expected = cmac(key, data)\n"
+        "    return not (presented != expected)\n"
+    )
+    assert findings_of("ct-compare", renamed, "crypto/fixture.py")
+    sizes_and_keys = "def check():\n    return tag_length == 4 and enc_key == mac_key\n"
+    assert not findings_of("ct-compare", sizes_and_keys, "crypto/fixture.py")
 
 
 def test_shard_routing_mod_detects_and_passes():
@@ -144,6 +160,10 @@ def test_shard_routing_mod_detects_and_passes():
     assert not findings_of("shard-routing-mod", good, "sharding/fixture.py")
     # plan.py itself is the one sanctioned home of routing arithmetic.
     assert not RULES["shard-routing-mod"].applies_to("sharding/plan.py")
+    # HID-block *ownership* arithmetic (which rows a shard stores) is
+    # keyed on the secret HID, not clear packet bytes: out of scope.
+    assert not RULES["shard-routing-mod"].applies_to("state/view.py")
+    assert not RULES["shard-routing-mod"].applies_to("state/columns.py")
 
 
 def test_secret_hygiene_detects_and_passes():
@@ -410,6 +430,37 @@ def test_scenario_coverage_silent_without_tests_dir():
     # rather than flagging every preset.
     project = Project(sources={"scenarios.py": _FIXTURE_SCENARIOS})
     assert not _coverage_findings(project)
+
+
+def _doc_project(tmp_path, docstring):
+    """An on-disk repo around src/repro, the shape the rule resolves."""
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "fixture.py").write_text(f'"""{docstring}"""\n')
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_real.py").write_text("")
+    (tmp_path / "NOTES.md").write_text("")
+    return Project(root=pkg)
+
+
+def test_doc_references_detects_and_passes(tmp_path):
+    rule = RULES["doc-references"]
+    bad = _doc_project(
+        tmp_path / "bad",
+        "Design in DESIGN.md;\npinned by ``tests/test_gone.py``.",
+    )
+    found = list(rule.check_project(bad))
+    assert [(f.line, f.message.split("'")[1]) for f in found] == [
+        (1, "DESIGN.md"),
+        (2, "tests/test_gone.py"),
+    ]
+    good = _doc_project(
+        tmp_path / "good",
+        "Notes in NOTES.md; pinned by ``tests/test_real.py``; a.md5 is no doc.",
+    )
+    assert not list(rule.check_project(good))
+    # In-memory projects have no repo to resolve against: stay silent.
+    assert not list(rule.check_project(Project(sources={"x.py": '"""DESIGN.md"""'})))
 
 
 def test_silent_except_detects_and_passes():

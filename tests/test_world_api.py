@@ -1,8 +1,10 @@
-"""Tests for the top-level public API (`repro` and `repro.world`).
+"""Tests for the top-level public API: `repro` and the named presets
+driven through `scenarios.build(...)` / `attach_host(..., at=...)`.
 
-`repro.world` is now a deprecation-shim layer over `repro.topology`;
-the legacy suites below double as the shim regression tests, and the
-classes at the bottom pin the shim<->new-API equivalence.
+Parsing, AID plans and addressing errors are pinned in
+`test_scenarios.py` / `test_topology_builder.py`; this file covers what
+those leave out — built-world wiring, preset routing and end-to-end data
+flow — plus the package surface.
 """
 
 import pytest
@@ -10,233 +12,98 @@ import pytest
 import repro
 from repro import scenarios
 from repro.core.autonomous_system import ApnaHostNode
-from repro.core.errors import ApnaError
-from repro.topology import World
-from repro.world import (
-    MultiAsWorld,
-    TwoAsWorld,
-    build_as_chain,
-    build_as_star,
-    build_transit_stub,
-    build_two_as_internet,
-)
+from repro.topology import TopologySpec, World
+
+
+def _deliver(world, src_at, dst_at, data):
+    """One early-data connection from a host at ``src_at`` to one at
+    ``dst_at``; returns what the listener received."""
+    alice = world.attach_host("alice", at=src_at)
+    bob = world.attach_host("bob", at=dst_at)
+    received = []
+    bob.listen(80, lambda session, transport, data: received.append(data))
+    peer = bob.acquire_ephid_direct()
+    alice.connect(peer.cert, early_data=data, dst_port=80)
+    world.run()
+    return received
 
 
 class TestBuildTwoAsInternet:
     def test_returns_wired_world(self):
-        world = build_two_as_internet(seed=1)
-        assert isinstance(world, TwoAsWorld)
+        world = scenarios.build("fig1", seed=1)
         assert world.as_a.aid == 100
         assert world.as_b.aid == 200
         assert world.rpki is world.as_a.rpki
 
     def test_custom_aids(self):
-        world = build_two_as_internet(seed=1, aid_a=3320, aid_b=1299)
+        spec = TopologySpec.fig1(aid_a=3320, aid_b=1299)
+        world = World.from_spec(spec, seed=1)
         assert world.as_a.aid == 3320
         assert world.as_b.aid == 1299
 
     def test_both_ases_published_to_rpki(self):
-        world = build_two_as_internet(seed=1)
+        world = scenarios.build("fig1", seed=1)
         assert world.as_a.aid in world.rpki
         assert world.as_b.aid in world.rpki
 
-    def test_deterministic_for_equal_seeds(self):
-        one = build_two_as_internet(seed=42)
-        two = build_two_as_internet(seed=42)
-        assert one.as_a.keys.signing.public == two.as_a.keys.signing.public
-
     def test_different_seeds_differ(self):
-        one = build_two_as_internet(seed=1)
-        two = build_two_as_internet(seed=2)
+        one = scenarios.build("fig1", seed=1)
+        two = scenarios.build("fig1", seed=2)
         assert one.as_a.keys.signing.public != two.as_a.keys.signing.public
 
 
 class TestAttachHost:
     def test_attaches_bootstrapped_host(self):
-        world = build_two_as_internet(seed=3)
-        host = world.attach_host("alice", side="a")
+        world = scenarios.build("fig1", seed=3)
+        host = world.attach_host("alice", at="a")
         assert isinstance(host, ApnaHostNode)
         assert world.hosts["alice"] is host
         # Bootstrapped: the host can immediately acquire EphIDs.
         owned = host.acquire_ephid_direct()
         assert len(owned.ephid) == 16
 
-    def test_side_b(self):
-        world = build_two_as_internet(seed=3)
-        host = world.attach_host("bob", side="b")
-        assert host.assembly.aid == world.as_b.aid
-
-    def test_invalid_side_rejected(self):
-        world = build_two_as_internet(seed=3)
-        with pytest.raises(ValueError):
-            world.attach_host("mallory", side="c")
-
     def test_end_to_end_data_flow(self):
-        world = build_two_as_internet(seed=4)
-        alice = world.attach_host("alice", side="a")
-        bob = world.attach_host("bob", side="b")
-        received = []
-        bob.listen(80, lambda session, transport, data: received.append(data))
-        peer = bob.acquire_ephid_direct()
-        alice.connect(peer.cert, early_data=b"hello world", dst_port=80)
-        world.network.run()
-        assert received == [b"hello world"]
+        world = scenarios.build("fig1", seed=4)
+        assert _deliver(world, "a", "b", b"hello world") == [b"hello world"]
 
 
 class TestChainTopology:
-    def test_chain_aids(self):
-        world = build_as_chain(4, seed=1)
-        assert [a.aid for a in world.ases] == [100, 200, 300, 400]
-
-    def test_end_to_end_path_crosses_every_as(self):
-        world = build_as_chain(4, seed=1)
-        assert world.as_path(100, 400) == [100, 200, 300, 400]
-
-    def test_too_short_chain_rejected(self):
-        with pytest.raises(ValueError):
-            build_as_chain(1)
-
     def test_data_flows_across_the_chain(self):
-        world = build_as_chain(3, seed=2)
-        alice = world.attach_host("alice", 100)
-        bob = world.attach_host("bob", 300)
-        received = []
-        bob.listen(80, lambda session, transport, data: received.append(data))
-        peer = bob.acquire_ephid_direct()
-        alice.connect(peer.cert, early_data=b"across the chain", dst_port=80)
-        world.network.run()
-        assert received == [b"across the chain"]
-
-    def test_as_by_aid_lookup(self):
-        world = build_as_chain(3, seed=1)
-        assert world.as_by_aid(200) is world.ases[1]
-        with pytest.raises(KeyError):
-            world.as_by_aid(999)
+        world = scenarios.build("chain:3", seed=2)
+        assert _deliver(world, 100, 300, b"across the chain") == [
+            b"across the chain"
+        ]
 
 
 class TestStarTopology:
     def test_hub_and_leaves(self):
-        world = build_as_star(3, seed=1)
+        world = scenarios.build("star:3", seed=1)
         assert world.ases[0].aid == 1
         assert [a.aid for a in world.ases[1:]] == [100, 200, 300]
 
     def test_leaf_to_leaf_crosses_hub(self):
-        world = build_as_star(3, seed=1)
+        world = scenarios.build("star:3", seed=1)
         assert world.as_path(100, 300) == [100, 1, 300]
 
     def test_needs_a_leaf(self):
         with pytest.raises(ValueError):
-            build_as_star(0)
+            scenarios.spec("star:0")
 
 
 class TestTransitStubTopology:
-    def test_counts(self):
-        world = build_transit_stub(3, 2, seed=1)
-        assert len(world.ases) == 3 + 6
-        assert [a.aid for a in world.ases[:3]] == [1, 2, 3]
-
     def test_core_is_full_mesh(self):
-        world = build_transit_stub(3, 0, seed=1)
+        world = scenarios.build("transit-stub:3x0", seed=1)
         assert world.as_path(1, 3) == [1, 3]  # direct, not via 2
 
     def test_stub_to_stub_crosses_both_providers(self):
-        world = build_transit_stub(2, 1, seed=1)
+        world = scenarios.build("transit-stub:2x1", seed=1)
         assert world.as_path(100, 200) == [100, 1, 2, 200]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            build_transit_stub(0, 1)
+            TopologySpec.transit_stub(0, 1)
         with pytest.raises(ValueError):
-            build_transit_stub(1, -1)
-
-
-class TestDeprecationShims:
-    def test_builders_warn(self):
-        with pytest.warns(DeprecationWarning, match="scenarios"):
-            build_two_as_internet(seed=1)
-        with pytest.warns(DeprecationWarning):
-            build_as_chain(2, seed=1)
-        with pytest.warns(DeprecationWarning):
-            build_as_star(1, seed=1)
-        with pytest.warns(DeprecationWarning):
-            build_transit_stub(1, 1, seed=1)
-
-    def test_old_worlds_are_worlds(self):
-        assert issubclass(TwoAsWorld, World)
-        assert issubclass(MultiAsWorld, World)
-        assert isinstance(build_two_as_internet(seed=1), World)
-        assert isinstance(build_as_chain(2, seed=1), World)
-
-    def test_fig1_preset_equals_old_builder(self):
-        old = build_two_as_internet(seed=42)
-        new = scenarios.build("fig1", seed=42)
-        assert old.as_a.keys.signing.public == new.as_a.keys.signing.public
-        assert old.as_b.keys.signing.public == new.as_b.keys.signing.public
-        assert [a.aid for a in old.ases] == [a.aid for a in new.ases]
-
-    def test_chain_preset_equals_old_builder(self):
-        old = build_as_chain(3, seed=7)
-        new = scenarios.build("chain:3", seed=7)
-        assert [a.aid for a in old.ases] == [a.aid for a in new.ases]
-        assert [
-            a.keys.signing.public for a in old.ases
-        ] == [a.keys.signing.public for a in new.ases]
-
-    def test_transit_stub_preset_equals_old_builder(self):
-        old = build_transit_stub(2, 2, seed=3)
-        new = scenarios.build("transit-stub:2x2", seed=3)
-        assert [
-            a.keys.signing.public for a in old.ases
-        ] == [a.keys.signing.public for a in new.ases]
-
-    def test_fig1_quickstart_flow_matches_old_builder(self):
-        """The acceptance bar: identical session outcomes on both paths."""
-
-        def flow(world, a_ref, b_ref):
-            alice = world.attach_host("alice", **{a_ref[0]: a_ref[1]})
-            bob = world.attach_host("bob", **{b_ref[0]: b_ref[1]})
-            received = []
-            bob.listen(80, lambda s, t, d: received.append(d))
-            ephid = bob.acquire_ephid_direct()
-            session = alice.connect(ephid.cert, early_data=b"hi", dst_port=80)
-            world.network.run()
-            return ephid.ephid, session.key, received
-
-        old = flow(build_two_as_internet(seed=7), ("side", "a"), ("side", "b"))
-        new = flow(scenarios.build("fig1", seed=7), ("at", "a"), ("at", "b"))
-        assert old == new
-
-    def test_two_as_world_duplicate_host_rejected(self):
-        world = build_two_as_internet(seed=1)
-        world.attach_host("alice", side="a")
-        with pytest.raises(ApnaError):
-            world.attach_host("alice", side="b")
-        assert world.hosts["alice"].assembly.aid == 100  # not overwritten
-
-    def test_multi_as_world_duplicate_host_rejected(self):
-        world = build_as_chain(2, seed=1)
-        world.attach_host("alice", 100)
-        with pytest.raises(ApnaError):
-            world.attach_host("alice", 200)
-
-    def test_old_worlds_accept_new_addressing_too(self):
-        two = build_two_as_internet(seed=1)
-        assert two.attach_host("h1", at="b").assembly.aid == 200
-        multi = build_as_chain(2, seed=1)
-        assert multi.attach_host("h2", at=200).assembly.aid == 200
-
-    def test_conflicting_old_and_new_addressing_rejected(self):
-        two = build_two_as_internet(seed=1)
-        with pytest.raises(ValueError, match="not both"):
-            two.attach_host("h1", side="a", at="b")
-        multi = build_as_chain(2, seed=1)
-        with pytest.raises(ValueError, match="not both"):
-            multi.attach_host("h2", 100, at=200)
-
-    def test_unknown_aid_message_lists_known_ases(self):
-        world = build_as_chain(2, seed=1)
-        with pytest.raises(KeyError, match="known ASes"):
-            world.as_by_aid(999)
+            TopologySpec.transit_stub(1, -1)
 
 
 class TestPackageSurface:
