@@ -45,13 +45,13 @@ depends on — the motivating bug/PR is part of the rule's definition:
     tree).  Same-seed world equivalence is load-bearing for the
     sharding, crypto-backend, state-backend and chaos suites.
 ``bounded-wait`` (PRs 6 and 8)
-    No ``Connection.recv_bytes`` in ``sharding/`` without a
-    ``timeout=`` or a ``poll(timeout)`` guard in the same function —
+    No ``Connection.recv_bytes`` in ``sharding/`` or ``faults/`` without
+    a ``timeout=`` or a ``poll(timeout)`` guard in the same function —
     the dispatcher-wedged-forever hang class.  Intentionally-blocking
     worker request loops are annotated inline.
 ``pickle-free-wire`` (PR 5)
     Shard pipes carry packed wire frames only; ``Connection.send`` /
-    ``recv`` (which pickle) are forbidden in ``sharding/``.
+    ``recv`` (which pickle) are forbidden in ``sharding/``, ``faults/``.
 ``wire-protocol-completeness`` (PRs 5/6)
     Every ``MSG_*`` kind in ``sharding/wire.py`` has an encoder, a
     decoder, and a dispatch arm on the side that receives it — the

@@ -3,8 +3,9 @@
 ``bounded-wait`` is the PR 6 / PR 8 hang class as a rule: an unbounded
 ``Connection.recv_bytes`` wedges the dispatcher forever the first time
 a worker dies mid-reply (PR 6) or an MS issuance worker hangs (PR 8).
-Every receive in ``sharding/`` must either pass a ``timeout=`` or sit
-behind a ``poll(timeout)`` guard in the same function.  Worker-side
+Every receive in ``sharding/`` — and in ``faults/``, whose carrier
+sits on the same path — must either pass a ``timeout=`` or sit behind a
+``poll(timeout)`` guard in the same function.  Worker-side
 request loops that *intend* to block forever (EOF from the parent wakes
 them) carry an ``# audit: allow(bounded-wait)`` with the justification.
 
@@ -47,7 +48,7 @@ class BoundedWaitRule(Rule):
         "PR 8: MS issuance hung on a wedged worker — both were an "
         "unbounded Connection.recv_bytes"
     )
-    scope = ("sharding/*.py",)
+    scope = ("sharding/*.py", "faults/*.py")
 
     def check_module(self, module: Module):
         for func in ast.walk(module.tree):
@@ -97,7 +98,7 @@ class PickleFreeWireRule(Rule):
         "Connection.send/recv pickle objects silently and break the "
         "wire format, accounting and resync story"
     )
-    scope = ("sharding/*.py",)
+    scope = ("sharding/*.py", "faults/*.py")
 
     def check_module(self, module: Module):
         for node in ast.walk(module.tree):

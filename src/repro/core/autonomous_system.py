@@ -241,8 +241,8 @@ class ApnaAutonomousSystem:
         bus reaches every shard before the next burst is dispatched.
         The pool also retains the hostdb/revocation list as its
         authoritative state source, from which the supervisor resyncs a
-        restarted worker (and the degraded fallback router reads
-        directly) — see the fault-model section of
+        restarted worker (and a degraded plane's in-process shards) —
+        see the fault-model section of
         :mod:`repro.sharding`.  ``fault_plan`` arms a deterministic
         :class:`repro.faults.FaultPlan` on the new pool's data path
         (chaos testing).

@@ -80,10 +80,10 @@ class ApnaConfig:
     #: :mod:`repro.sharding.supervisor`).
     shard_reply_timeout: float = 5.0
 
-    #: Worker restarts allowed per shard before the plane stops trying
-    #: and degrades to an in-process border router over the
-    #: authoritative AS state (traffic keeps flowing, ``stats()``
-    #: reports ``degraded``).  ``0`` degrades on the first failure.
+    #: Worker restarts allowed per shard before the plane degrades: the
+    #: same shards, resynced from the authoritative AS state, run in the
+    #: dispatcher's process (traffic keeps flowing, ``stats()`` reports
+    #: ``degraded``).  ``0`` degrades on the first failure.
     shard_max_restarts: int = 3
 
     #: Base of the capped exponential backoff between restart attempts

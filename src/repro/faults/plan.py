@@ -2,10 +2,11 @@
 
 A :class:`FaultPlan` maps ``(shard, burst_seq)`` — the *n*-th burst the
 dispatcher sends to a given worker shard — to one :class:`Fault`.  The
-plane consults the plan at its pool/wire boundary
-(:meth:`repro.sharding.ShardedDataPlane.install_faults`), so a fault
-fires at exactly the same point of the packet stream on every run with
-the same plan: chaos testing without the chaos.
+plan is consulted by the :class:`repro.faults.FaultCarrier` that
+:meth:`repro.sharding.ShardedDataPlane.install_faults` wraps around the
+plane's worker pool, so a fault fires at exactly the same point of the
+packet stream on every run with the same plan: chaos testing without
+the chaos.
 
 Fault kinds, and the failure they model:
 

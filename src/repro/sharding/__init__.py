@@ -15,11 +15,12 @@ range, fed one burst-sized batch of packed wire frames per IPC message:
 * :mod:`~repro.sharding.wire` — the binary pipe protocol (bursts in,
   verdict vectors out; revocation/registration control frames between;
   full-state resync frames for restarted workers);
-* :mod:`~repro.sharding.worker` — the worker process: a real
-  :class:`~repro.core.border_router.BorderRouter` over process-local
-  sharded state;
+* :mod:`~repro.sharding.worker` — one shard: a real
+  :class:`~repro.core.border_router.BorderRouter` over local sharded
+  state, and the whole worker protocol (:meth:`ShardState.handle`);
 * :mod:`~repro.sharding.pool` — :class:`ShardedDataPlane`, the
-  dispatcher, plus the generic :class:`ShardProcessPool`;
+  dispatcher, plus the carriers of its worker messages: the generic
+  :class:`ShardProcessPool` and the in-process one;
 * :mod:`~repro.sharding.supervisor` — crash/hang detection, restart
   with state resync, and the degradation decision;
 * :mod:`~repro.sharding.issuance` — E1's share-nothing MS measurement
@@ -62,10 +63,18 @@ happens next, in order:
    shard has a lifetime budget of ``shard_max_restarts`` attempts.
 
 3. **Degrade, don't refuse.**  A shard that exhausts its budget ends the
-   pooled plane: it falls back to a single in-process
-   :class:`~repro.core.border_router.BorderRouter` over the
-   authoritative state and keeps serving exact verdicts — ``stats()``
-   then reports ``degraded: 1`` and per-shard counters are gone.
+   pooled plane: the workers are stopped and the *same* N shards are
+   rebuilt in the dispatcher's process
+   (:class:`~repro.sharding.pool.InProcessCarrier`), each resynced by
+   step 2's ``MSG_RESYNC`` exchange.  Routing, sequencing, control
+   frames and ``shard_stats()`` (counting from the degrade) run
+   unchanged and verdicts stay exact; ``stats()`` reports
+   ``degraded: 1`` and ``closed`` still means closed.  The price: one
+   snapshot + resync per shard when degrading, the replicas' memory
+   moves into the dispatcher, and a degraded burst pays the wire codec
+   like any other.  A state that cannot be snapshotted closes the plane
+   with :class:`ShardError`; a later carrier error can only be a bug and
+   propagates as one — there is nothing left to fall back to.
 
 :mod:`repro.faults` drives every one of these paths deterministically;
 ``tests/test_sharding_faults.py`` pins the semantics.

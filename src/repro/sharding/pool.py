@@ -1,7 +1,10 @@
 """The sharded data plane: persistent worker shards fed burst-sized batches.
 
 :class:`ShardProcessPool` is the process scaffolding — N long-lived
-workers, one duplex pipe each, binary messages only.  On top of it,
+workers, one duplex pipe each, binary messages only — one *carrier* of
+worker messages ("send these bytes to shard k / give me shard k's next
+reply within t"); :class:`InProcessCarrier` is another and
+:class:`repro.faults.FaultCarrier` wraps one.  On top of a carrier,
 :class:`ShardedDataPlane` is the paper's §V-A3 share-nothing scale-out
 applied to the border router: a dispatcher that
 
@@ -32,46 +35,39 @@ Failure bar: the plane is *self-healing*.  Every reply wait is bounded,
 a dead or hung worker is restarted and resynced from the authoritative
 AS state (:mod:`repro.sharding.supervisor`), verdicts owed by a failed
 worker are dropped-and-counted (never guessed), and a shard that cannot
-be revived degrades the plane to an in-process border router instead of
-refusing traffic.  The package docstring's fault-model section states
-exactly what survives a restart; ``tests/test_sharding_faults.py``
+be revived degrades the plane — the same shards, carried in-process —
+instead of refusing traffic.  The package docstring's fault-model
+section states exactly what survives; ``tests/test_sharding_faults.py``
 drives every path with deterministic :mod:`repro.faults` storms.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
-import time
 from collections import deque
 from typing import Callable, Sequence
 
-from ..core.border_router import (
-    Action,
-    BorderRouter,
-    DropReason,
-    InterVerdicts,
-    Verdict,
-)
-from ..core.ephid import CIPHERTEXT_SIZE, IV_SIZE, EphIdCodec
+from ..core.border_router import Action, DropReason, InterVerdicts, Verdict
+from ..core.ephid import CIPHERTEXT_SIZE, IV_SIZE
 from ..core.errors import ApnaError
-from ..core.replay_filter import RotatingReplayFilter
 from ..wire.apna import (
     AID_SIZE,
     EPHID_SIZE,
     HEADER_SIZE,
     HEADER_SIZE_WITH_NONCE,
-    ApnaPacket,
 )
 from . import wire
 from .plan import ShardPlan
 from .supervisor import ShardStateSource, ShardSupervisor, SupervisorPolicy
-from .worker import ShardSpec, _SettableClock, data_plane_worker
+from .worker import ShardSpec, ShardState, data_plane_worker
 
 __all__ = [
     "ShardError",
     "ShardTimeout",
     "ShardProcessPool",
+    "InProcessCarrier",
     "ShardedDataPlane",
 ]
 
@@ -104,6 +100,14 @@ class ShardError(ApnaError):
 class ShardTimeout(ShardError):
     """No reply within the bounded wait: the worker is hung (or died
     without closing its pipe — practically impossible, but covered)."""
+
+
+def _reply_or_raise(shard: int, msg: bytes) -> bytes:
+    """A shard-sent error frame is raised as :class:`ShardError` by the
+    carrier, so no caller can mistake it for a payload."""
+    if msg and msg[0] == wire.MSG_ERROR:
+        raise ShardError(wire.decode_error(msg), shard=shard)
+    return msg
 
 
 def _default_start_method() -> str:
@@ -190,11 +194,7 @@ class ShardProcessPool:
 
     def recv_bytes(self, shard: int, *, timeout: float) -> bytes:
         """One reply from ``shard``, waiting at most ``timeout`` seconds
-        (the wait also wakes on pipe EOF when the worker dies).
-
-        A worker-sent error frame is raised as :class:`ShardError` here
-        so no caller can mistake it for a payload.
-        """
+        (the wait also wakes on pipe EOF when the worker dies)."""
         if self._closed:
             raise ShardError("pool is closed")
         conn = self._conns[shard]
@@ -212,21 +212,7 @@ class ShardProcessPool:
                 self._failure(shard, f"reply pipe failed ({exc!r})"),
                 shard=shard,
             ) from exc
-        if msg and msg[0] == wire.MSG_ERROR:
-            raise ShardError(wire.decode_error(msg), shard=shard)
-        return msg
-
-    def broadcast(self, msg: bytes) -> None:
-        for shard in range(len(self._conns)):
-            self.send_bytes(shard, msg)
-
-    def is_alive(self, shard: int) -> bool:
-        return self._procs[shard].is_alive()
-
-    def worker(self, shard: int):
-        """The current :class:`multiprocessing.Process` in a slot (its
-        identity changes on restart — fault injection keys on that)."""
-        return self._procs[shard]
+        return _reply_or_raise(shard, msg)
 
     def kill_worker(self, shard: int) -> None:
         """SIGKILL one worker and reap it (fault injection / teardown)."""
@@ -341,91 +327,46 @@ class _Ticket:
         self.pending: "list[tuple[int, list[int], int]]" = []
 
 
-class _ActiveFaults:
-    """A :class:`repro.faults.FaultPlan` armed against one plane's pool.
+class InProcessCarrier:
+    """The carrier of last resort: the same shards, run in the caller's
+    process — ``send_bytes`` is a :meth:`ShardState.handle` call and
+    ``recv_bytes`` pops the reply it produced.  No ``restart``: there is
+    no process, and a failure here is a bug in the shard code.
 
-    The hooks sit exactly at the pool/wire boundary of the *data* path
-    (burst send, burst reply); control traffic and the supervisor's own
-    restart/resync exchange are never fault-injected — recovery itself
-    is assumed reliable, failures are what is being modelled.
+    The states are built from the supervisor's bare specs (it resyncs
+    them like any fresh worker) with ``crypto_backend=None``: a named
+    backend would switch the *process-wide* one, which a worker process
+    wants and the dispatcher's does not.
     """
 
-    #: An ``error`` fault truncates the burst to its fixed header, so
-    #: the worker's decoder raises and it answers with an error frame.
-    _TRUNCATE_AT = 11
-    #: A ``garbage`` fault replaces the real reply with these bytes
-    #: (first byte deliberately no known message kind).
-    _GARBAGE = b"\xee\xfa\x11\xed" * 4
+    def __init__(self, specs: Sequence[ShardSpec]) -> None:
+        self._states = [
+            ShardState(dataclasses.replace(spec, crypto_backend=None))
+            for spec in specs
+        ]
+        self._replies: "list[deque[bytes]]" = [deque() for _ in specs]
+        self._closed = False
 
-    def __init__(self, plan, pool: ShardProcessPool) -> None:
-        self.plan = plan
-        self._pool = pool
-        #: shard -> the Process object that drew a ``hang``.  A really
-        #: hung worker answers *nothing* from that point on, so every
-        #: later burst to the same incarnation is swallowed too — else a
-        #: live worker's reply to burst N+1 would be paired with hung
-        #: burst N.  A restart installs a new Process and clears it.
-        self._hung: "dict[int, object]" = {}
-        #: shard -> replies duplicated in transit, surfaced (stale) ahead
-        #: of the shard's next real reply — transport-level replay.
-        self._dup_replies: "dict[int, deque[bytes]]" = {}
+    def send_bytes(self, shard: int, msg: bytes) -> None:
+        reply = self._states[shard].handle(msg)
+        if reply is not None:
+            self._replies[shard].append(reply)
 
-    def _is_hung(self, shard: int) -> bool:
-        proc = self._hung.get(shard)
-        if proc is None:
-            return False
-        if self._pool.worker(shard) is not proc:
-            del self._hung[shard]  # supervisor replaced the incarnation
-            return False
-        return True
+    def recv_bytes(self, shard: int, *, timeout: float) -> bytes:
+        """The shard's next queued reply; an empty queue times out at
+        once — replies are produced inside ``send_bytes``."""
+        if not self._replies[shard]:
+            raise ShardTimeout(
+                f"shard {shard}: no reply queued in-process", shard=shard
+            )
+        return _reply_or_raise(shard, self._replies[shard].popleft())
 
-    def on_burst_send(self, shard: int, seq: int, message: bytes) -> "bytes | None":
-        if self._is_hung(shard):
-            return None
-        fault = self.plan.fault_for(shard, seq)
-        if fault is None or fault.kind not in ("kill", "hang", "error"):
-            return message
-        self.plan.mark_injected(shard, seq, fault.kind)
-        if fault.kind == "kill":
-            self._pool.kill_worker(shard)
-            return message  # the send then fails against the dead worker
-        if fault.kind == "hang":
-            self._hung[shard] = self._pool.worker(shard)
-            return None  # swallowed: the worker never sees the burst
-        return message[: self._TRUNCATE_AT]  # "error"
+    def close(self, *, stop_msg: "bytes | None" = None) -> None:
+        self._closed = True
 
-    def before_burst_reply(self, shard: int, seq: int) -> None:
-        fault = self.plan.fault_for(shard, seq)
-        if fault is not None and fault.kind == "delay":
-            self.plan.mark_injected(shard, seq, "delay")
-            time.sleep(fault.delay)
-
-    def on_burst_reply(self, shard: int, seq: int, msg: bytes) -> "bytes | None":
-        """Transform a received reply; ``None`` means it was lost in
-        transit (the ``drop`` kind) and the caller must treat the wait
-        as expired."""
-        fault = self.plan.fault_for(shard, seq)
-        if fault is None:
-            return msg
-        if fault.kind == "garbage":
-            self.plan.mark_injected(shard, seq, "garbage")
-            return self._GARBAGE
-        if fault.kind == "drop":
-            self.plan.mark_injected(shard, seq, "drop")
-            return None
-        if fault.kind == "duplicate":
-            self.plan.mark_injected(shard, seq, "duplicate")
-            self._dup_replies.setdefault(shard, deque()).append(msg)
-        return msg
-
-    def stale_reply(self, shard: int) -> "bytes | None":
-        """A duplicated reply still 'in the wire' for ``shard``, if any
-        — delivered before the shard's next real reply, exactly where a
-        replayed datagram would surface."""
-        queue = self._dup_replies.get(shard)
-        if not queue:
-            return None
-        return queue.popleft()
+    @property
+    def closed(self) -> bool:
+        return self._closed
 
 
 class ShardedDataPlane:
@@ -444,8 +385,6 @@ class ShardedDataPlane:
         self.plan = plan
         self.aid = aid
         self.nshards = len(specs)
-        self._specs = list(specs)
-        self._with_nonce = specs[0].with_nonce
         #: What a routable frame must carry in this deployment: the base
         #: header, plus the nonce when replay protection is on — a runt
         #: is rejected here (burst untouched) rather than crashing a
@@ -457,27 +396,23 @@ class ShardedDataPlane:
             data_plane_worker, specs, name=f"apna-br-{aid}", start_method=start_method
         )
         self._policy = supervision or SupervisorPolicy()
-        self._state_source = state_source
         self.supervisor = ShardSupervisor(
-            self._pool, plan, self._specs, state_source, self._policy
+            self._pool, plan, specs, state_source, self._policy
         )
         self._tickets: "deque[_Ticket]" = deque()
         self._in_flight_verdicts = 0
         #: Per-shard count of bursts dispatched — the sequence numbers
         #: fault plans key on and failure reports cite.
         self._burst_seq = [0] * self.nshards
-        #: Set (to the triggering cause) once the plane has fallen back
-        #: to in-process forwarding; the pool is gone from then on.
+        #: Set (to the triggering cause) once the plane has swapped its
+        #: worker processes for an :class:`InProcessCarrier`.
         self.degraded: "str | None" = None
-        self._fallback: "BorderRouter | None" = None
-        self._fallback_clock: "_SettableClock | None" = None
         #: Dropped-and-counted work owed by failed workers.
         self.dropped_bursts = 0
         self.dropped_packets = 0
         #: Replies whose echoed burst seq was already paired — duplicates
         #: discarded by the seq check, never re-delivered as verdicts.
         self.stale_replies_discarded = 0
-        self._faults: "_ActiveFaults | None" = None
         #: Dispatcher-side transit forwarding (no shard round-trip).
         self.forwarded_inter = 0
         self._inter_verdicts = InterVerdicts()
@@ -517,8 +452,8 @@ class ShardedDataPlane:
         :meth:`register_host` / :meth:`revoke_ephid` / :meth:`revoke_hid`
         (the AS assembly wires those to its database hooks).  They are
         also retained as the *authoritative* state source: a restarted
-        worker is resynced from them, and the degraded in-process
-        fallback reads them directly.  ``state_backend`` picks the
+        worker — and every in-process shard of a degraded plane — is
+        resynced from them.  ``state_backend`` picks the
         workers' replica store (``"columnar"`` / ``"object"``).
         """
         if plan is None:
@@ -628,9 +563,17 @@ class ShardedDataPlane:
     # -- fault injection ----------------------------------------------------
 
     def install_faults(self, plan) -> None:
-        """Arm a :class:`repro.faults.FaultPlan` on this plane's data
-        path (chaos testing; see :mod:`repro.faults`)."""
-        self._faults = _ActiveFaults(plan, self._pool) if plan is not None else None
+        """Arm a :class:`repro.faults.FaultPlan` by wrapping the carrier
+        in a :class:`repro.faults.FaultCarrier`; ``None`` unwraps it.  A
+        degraded plane has no worker process to fault and stays bare."""
+        from ..faults.carrier import FaultCarrier
+
+        carrier = self._pool
+        if isinstance(carrier, FaultCarrier):
+            carrier = carrier.inner
+        if plan is not None and self.degraded is None:
+            carrier = FaultCarrier(plan, carrier)
+        self._pool = self.supervisor.carrier = carrier
 
     # -- routing -----------------------------------------------------------
 
@@ -683,8 +626,6 @@ class ShardedDataPlane:
                     f"deployment's {self._min_frame}-byte APNA header, "
                     "cannot route"
                 )
-        if self.degraded is not None:
-            return self._submit_degraded(frames, egress, now)
         # Classify without side effects: transit short-circuits vs
         # shard-bound sub-bursts.  Routing is two-phase so the keyed map
         # costs one bulk PRF per burst, not one per frame: first split
@@ -758,50 +699,23 @@ class ShardedDataPlane:
             ticket.verdicts[i] = self._inter_verdicts[dst_aid]
         # A send failure costs only the sub-burst that never reached its
         # worker: it is dropped-and-counted, the worker is restarted (or
-        # the plane degraded), and the rest of the burst proceeds.
+        # the plane degraded, forfeiting what this ticket already sent),
+        # and the rest of the burst proceeds.
         for shard, indices, message in messages:
-            if self.degraded is not None:
-                # Degraded mid-loop by an earlier send failure: the rest
-                # of the burst was never delivered anywhere — drop it.
-                self._drop_subburst(ticket, indices)
-                continue
             seq = self._burst_seq[shard]
             self._burst_seq[shard] += 1
-            if self._faults is not None:
-                message = self._faults.on_burst_send(shard, seq, message)
             try:
-                if message is not None:
-                    self._pool.send_bytes(shard, message)
+                self._pool.send_bytes(shard, message)
             except ShardError as exc:
                 self._drop_subburst(ticket, indices)
                 self._shard_failed(
-                    shard, f"burst dispatch failed mid-send: {exc}"
+                    shard,
+                    f"burst dispatch failed mid-send: {exc}",
+                    extra_ticket=ticket,
                 )
                 continue
             ticket.pending.append((shard, indices, seq))
             self._in_flight_verdicts += len(indices)
-        self._tickets.append(ticket)
-        return ticket
-
-    def _submit_degraded(self, frames, egress, now: float) -> _Ticket:
-        """Degraded mode: the whole burst through the in-process
-        fallback router, verdicts complete at submit time."""
-        ticket = _Ticket(len(frames))
-        packets = []
-        for i, frame in enumerate(frames):
-            try:
-                packets.append(
-                    ApnaPacket.from_wire(frame, with_nonce=self._with_nonce)
-                )
-            except Exception as exc:
-                raise ShardError(
-                    f"frame {i} is unparseable ({exc!r}); burst rejected"
-                ) from exc
-        assert self._fallback is not None and self._fallback_clock is not None
-        self._fallback_clock.now = now
-        ticket.verdicts[:] = self._fallback.process_mixed_batch(
-            packets, [bool(out) for out in egress]
-        )
         self._tickets.append(ticket)
         return ticket
 
@@ -822,8 +736,6 @@ class ShardedDataPlane:
         while ticket.pending:
             shard, indices, seq = ticket.pending[0]
             try:
-                if self._faults is not None:
-                    self._faults.before_burst_reply(shard, seq)
                 reply_seq, verdicts = self._next_reply(shard, seq)
                 if len(verdicts) != len(indices):
                     raise ShardError(
@@ -857,35 +769,16 @@ class ShardedDataPlane:
 
         The reply stream is checked, not assumed: every verdict message
         echoes the burst seq it answers, so a reply duplicated in
-        transit (the ``duplicate`` fault today, datagram replay on a
-        real transport) is recognised as stale — already paired once —
-        and discarded with a counter instead of being silently married
-        to the wrong burst.  A *future* seq can only mean dispatcher
-        state corruption and fails the shard.  The ``drop`` fault
-        surfaces here as a lost reply: the bounded wait is charged
-        immediately (no real sleep) and recovery proceeds exactly as a
-        timeout would.
+        transit (datagram replay on a real transport) is recognised as
+        stale — already paired once — and discarded with a counter
+        instead of being silently married to the wrong burst.  A
+        *future* seq can only mean dispatcher state corruption and fails
+        the shard.
         """
         while True:
-            stale = (
-                self._faults.stale_reply(shard)
-                if self._faults is not None
-                else None
+            msg = self._pool.recv_bytes(
+                shard, timeout=self._policy.reply_timeout
             )
-            if stale is not None:
-                msg = stale
-            else:
-                msg = self._pool.recv_bytes(
-                    shard, timeout=self._policy.reply_timeout
-                )
-                if self._faults is not None:
-                    msg = self._faults.on_burst_reply(shard, seq, msg)
-                    if msg is None:
-                        raise ShardTimeout(
-                            f"shard {shard}: reply for burst #{seq} "
-                            "dropped in transit (injected)",
-                            shard=shard,
-                        )
             reply_seq, verdicts = wire.decode_verdicts(msg)
             if reply_seq == seq:
                 return reply_seq, verdicts
@@ -928,6 +821,10 @@ class ShardedDataPlane:
         owes (its replies can no longer be paired with requests), then
         restart it — or, once its restart budget is spent, degrade to
         in-process forwarding."""
+        if self.degraded is not None:
+            # In-process shards lose no frames, so this is a bug in the
+            # shard code — and there is no carrier left to fall back to.
+            raise ShardError(f"degraded plane, {cause}", shard=shard)
         self.supervisor.record_failure(shard, cause)
         tickets = list(self._tickets)
         if extra_ticket is not None:
@@ -937,42 +834,37 @@ class ShardedDataPlane:
             self._degrade(f"shard {shard} unrecoverable: {cause}", tickets)
 
     def _degrade(self, cause: str, tickets) -> None:
-        """Fall back to a single in-process border router over the
-        authoritative AS state.
+        """Swap the worker processes for an :class:`InProcessCarrier`,
+        resynced from the authoritative AS state like restarted workers.
 
         Every still-pending sub-burst — healthy shards included — is
         dropped-and-counted: their replies may well be queued, but a
         plane that has decided its pool is unreliable does not gamble on
-        reading them.  Traffic keeps flowing through the fallback from
-        the very next burst; ``stats()`` reports ``degraded``.
+        reading them.  Traffic keeps flowing from the very next
+        sub-burst; ``stats()`` reports ``degraded``.  A state that
+        cannot be snapshotted leaves nothing exact to serve from: the
+        plane closes and the failure propagates.
         """
         for ticket in tickets:
             for _, indices, _ in ticket.pending:
                 self._drop_subburst(ticket, indices, in_flight=True)
             ticket.pending.clear()
-        spec = self._specs[0]
-        replay_filter = None
-        if spec.replay_window is not None:
-            replay_filter = RotatingReplayFilter(
-                window=spec.replay_window,
-                bits_per_generation=spec.replay_bits,
-            )
-        clock = _SettableClock()
-        self._fallback = BorderRouter(
-            self.aid,
-            EphIdCodec(spec.ephid_enc_key, spec.ephid_mac_key),
-            self._state_source.hostdb,
-            self._state_source.revocations,
-            clock,
-            packet_mac_size=spec.packet_mac_size,
-            replay_filter=replay_filter,
-        )
-        self._fallback_clock = clock
         self.degraded = cause
-        self._pool.close(stop_msg=bytes([wire.MSG_STOP]))
+        self.close()  # the worker processes
+        self._pool = self.supervisor.carrier = InProcessCarrier(
+            self.supervisor.bare_specs
+        )
+        try:
+            for shard in range(self.nshards):
+                self.supervisor.resync(shard)
+        except Exception as exc:
+            self.close()
+            raise ShardError(
+                f"cannot degrade ({cause}): in-process resync failed: {exc}"
+            ) from exc
 
     def _check_usable(self) -> None:
-        if self.degraded is None and self._pool.closed:
+        if self._pool.closed:
             raise ShardError("data plane is closed")
 
     def process(
@@ -1009,13 +901,9 @@ class ShardedDataPlane:
     def register_host(self, record) -> None:
         """Announce a newly registered host: keys to the owning shard,
         liveness to everyone else."""
-        if self.degraded is not None:
-            return  # the fallback reads the live hostdb directly
         self._check_no_inflight("host registrations")
         owner = self.plan.owner_of(record.hid)
         for shard in range(self.nshards):
-            if self.degraded is not None:
-                return
             self._control_send(
                 shard,
                 wire.encode_register_host(
@@ -1033,22 +921,20 @@ class ShardedDataPlane:
         The authoritative state (hostdb / revocation list) is always
         updated *before* its hook fires, so a worker restarted here
         receives the very update that failed to send as part of its
-        resync — replicas cannot diverge through this path.
+        resync — replicas cannot diverge through this path.  (Control
+        frames are idempotent, so shards resynced by a mid-broadcast
+        degrade may take the frame again.)
         """
-        if self.degraded is not None:
-            return  # the fallback reads the live revocation list directly
         self._check_no_inflight("control messages")
         for shard in range(self.nshards):
-            if self.degraded is not None:
-                return
             self._control_send(shard, msg)
 
     def _control_send(self, shard: int, msg: bytes) -> None:
         try:
             self._pool.send_bytes(shard, msg)
         except ShardError as exc:
-            # A successful restart already resynced the full state —
-            # resending this frame is unnecessary (and would double-add).
+            # The recovery already resynced the full state, this frame's
+            # update included — no resend.
             self._shard_failed(shard, f"control send failed: {exc}")
 
     def _check_no_inflight(self, what: str) -> None:
@@ -1074,14 +960,9 @@ class ShardedDataPlane:
         A shard that fails to answer is restarted like any other failure
         and the call raises — its counters died with the worker, so
         there is nothing truthful to return for it.  A degraded plane
-        has no shards left; use :meth:`stats`.
+        reports its in-process shards, counting from the degrade.
         """
         self._check_usable()
-        if self.degraded is not None:
-            raise ShardError(
-                "plane is degraded to in-process forwarding; per-shard "
-                "counters are gone (aggregate stats() still works)"
-            )
         if self._tickets:
             raise ShardError("collect in-flight bursts before reading stats")
         results = []
@@ -1104,26 +985,13 @@ class ShardedDataPlane:
         return results
 
     def stats(self) -> "dict[str, int]":
-        """Aggregate counters: shard sums (or, degraded, the fallback
-        router's counters) plus dispatcher-side transit and the
-        supervision ledger (``restarts`` / ``dropped_bursts`` /
+        """Aggregate counters: shard sums plus dispatcher-side transit
+        and the supervision ledger (``restarts`` / ``dropped_bursts`` /
         ``dropped_packets`` / ``degraded``)."""
         totals: "dict[str, int]" = {field: 0 for field in wire.STATS_FIELDS}
-        if self.degraded is not None:
-            router = self._fallback
-            assert router is not None
-            for reason, count in router.drops.items():
-                totals[reason.value] += count
-            totals["forwarded_inter"] += router.forwarded_inter
-            totals["forwarded_intra"] += router.forwarded_intra
-            if router.replay_filter is not None:
-                totals["replay_passed"] += router.replay_filter.passed
-                totals["replay_replays"] += router.replay_filter.replays
-                totals["replay_rotations"] += router.replay_filter.rotations
-        else:
-            for shard in self.shard_stats():
-                for field, value in shard.items():
-                    totals[field] += value
+        for shard in self.shard_stats():
+            for field, value in shard.items():
+                totals[field] += value
         totals["forwarded_inter"] += self.forwarded_inter
         totals[DropReason.SHARD_FAILURE.value] += self.dropped_packets
         totals["restarts"] = self.supervisor.total_restarts
@@ -1135,8 +1003,6 @@ class ShardedDataPlane:
 
     def barrier(self) -> None:
         """Wait until every shard has drained its control queue."""
-        if self.degraded is not None:
-            return
         self.shard_stats()
 
     # -- lifecycle -----------------------------------------------------------

@@ -20,11 +20,11 @@ failure and the plane giving up on its pool:
    the worker before any traffic resumes.  Attempts back off with a
    capped exponential delay.
 3. **Degradation** — once a shard exhausts its restart budget
-   (:attr:`SupervisorPolicy.max_restarts`), the plane stops gambling:
-   it falls back to a single in-process
-   :class:`~repro.core.border_router.BorderRouter` over the
-   authoritative state and keeps serving verdicts (flagged ``degraded``
-   in ``stats()``).
+   (:attr:`SupervisorPolicy.max_restarts`), the plane stops gambling on
+   processes: it swaps its carrier for the same shards run in the
+   dispatcher's own process, hands each the same :meth:`resync
+   <ShardSupervisor.resync>` a restarted worker gets, and keeps serving
+   verdicts (flagged ``degraded`` in ``stats()``).
 
 What survives a restart and what does not is part of the contract (see
 the package docstring's fault-model section): host records and
@@ -46,7 +46,6 @@ from . import wire
 
 if TYPE_CHECKING:  # pragma: no cover
     from .plan import ShardPlan
-    from .pool import ShardProcessPool
     from .worker import ShardSpec
 
 __all__ = ["ShardStateSource", "SupervisorPolicy", "ShardSupervisor"]
@@ -108,7 +107,7 @@ class ShardSupervisor:
 
     def __init__(
         self,
-        pool: "ShardProcessPool",
+        carrier,
         plan: "ShardPlan",
         specs: "list[ShardSpec]",
         state: ShardStateSource,
@@ -116,12 +115,14 @@ class ShardSupervisor:
         *,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        self._pool = pool
+        #: Where worker messages go; the plane swaps it when it degrades
+        #: and wraps it for fault injection.
+        self.carrier = carrier
         self._plan = plan
         #: Bare per-shard specs: the original specs stripped of state, so
         #: a respawned worker starts empty and MSG_RESYNC is the single
         #: source of its state.
-        self._bare_specs = [
+        self.bare_specs = [
             dataclasses.replace(spec, snapshot=b"") for spec in specs
         ]
         self._state = state
@@ -155,27 +156,27 @@ class ShardSupervisor:
                 base = self.policy.restart_backoff
                 self._sleep(min(base * (2 ** (attempt - 1)), base * _BACKOFF_CAP_FACTOR))
             try:
-                self._pool.restart(shard, self._bare_specs[shard])
+                self.carrier.restart(shard, self.bare_specs[shard])
             except Exception as exc:  # noqa: BLE001 — any failure retries
                 self.record_failure(shard, f"restart attempt {attempt + 1}: {exc}")
                 continue
             try:
-                self._resync(shard)
+                self.resync(shard)
                 return True
             except Exception as exc:  # noqa: BLE001 — any failure retries
                 self.record_failure(shard, f"restart attempt {attempt + 1}: {exc}")
                 # The respawn succeeded but the worker never got its
                 # state: it must not linger across the backoff (or past
                 # the final give-up) holding pipes and a live process.
-                self._pool.discard_worker(shard)
+                self.carrier.discard_worker(shard)
         return False
 
-    def _resync(self, shard: int) -> None:
-        """Replay the authoritative state into a fresh worker and wait
+    def resync(self, shard: int) -> None:
+        """Replay the authoritative state into a fresh shard and wait
         for its ack (bounded by the same reply timeout as bursts)."""
         snap = self._state.shard_snapshot(self._plan, shard)
-        self._pool.send_bytes(shard, wire.encode_resync(snap))
-        reply = self._pool.recv_bytes(
+        self.carrier.send_bytes(shard, wire.encode_resync(snap))
+        reply = self.carrier.recv_bytes(
             shard, timeout=self.policy.reply_timeout
         )
         if not reply or reply[0] != wire.MSG_RESYNC_ACK:

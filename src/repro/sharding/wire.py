@@ -96,6 +96,11 @@ def decode_burst(msg: bytes) -> "tuple[float, int, list[bytes], list[int]]":
     return now, seq, frames, directions
 
 
+def burst_seq(msg: bytes) -> int:
+    """A burst message's sequence number, read from its fixed header."""
+    return _BURST_HEAD.unpack_from(msg)[2]
+
+
 def encode_verdicts(seq: int, verdicts: "list[Verdict]") -> bytes:
     """Pack a verdict vector; ``seq`` echoes the burst it answers."""
     parts = [_VERDICTS_HEAD.pack(MSG_VERDICTS, seq, len(verdicts))]

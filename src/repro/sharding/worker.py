@@ -1,7 +1,7 @@
-"""The data-plane worker process: one shard of the border router.
+"""One shard of the border router, and the worker process that runs it.
 
-Each worker rebuilds, from a compact :class:`ShardSpec`, a *real*
-:class:`~repro.core.border_router.BorderRouter` around process-local
+Each :class:`ShardState` rebuilds, from a compact :class:`ShardSpec`, a
+*real* :class:`~repro.core.border_router.BorderRouter` around local
 state — its slice of the host database (MAC keys only for owned HIDs), a
 replica of the revocation list and of the live-HID set, and its own
 rotating replay filter.  Reusing the single-process router verbatim is
@@ -156,8 +156,17 @@ class _SettableClock:
         return self.now
 
 
+#: Message kinds the dispatcher expects exactly one reply to.  The
+#: invariant :meth:`ShardState.handle` protects: a shard produces a
+#: reply *only* in response to these — an unsolicited frame would be
+#: consumed as the answer to some later request and desynchronise every
+#: reply after it.
+_REPLYING_KINDS = frozenset({wire.MSG_BURST, wire.MSG_STATS, wire.MSG_RESYNC})
+
+
 class ShardState:
-    """Process-local state of one worker, built from its :class:`ShardSpec`."""
+    """One shard, built from its :class:`ShardSpec`: the state and the
+    worker protocol (:meth:`handle`), whichever process runs it."""
 
     def __init__(self, spec: ShardSpec) -> None:
         if spec.crypto_backend is not None:
@@ -166,6 +175,8 @@ class ShardState:
             crypto_backend.set_backend(spec.crypto_backend)
         self.spec = spec
         self.clock = _SettableClock()
+        #: A failed fire-and-forget frame's error, owed to the next reply.
+        self._held_error: "str | None" = None
         #: Shared across view incarnations so resyncs re-intern instead
         #: of re-allocating key bytes (object backend only).
         self._key_pool: dict[bytes, bytes] = {}
@@ -240,7 +251,45 @@ class ShardState:
             replay_filter=replay_filter,
         )
 
-    # -- message handlers --
+    # -- the worker protocol --
+
+    def handle(self, msg: bytes) -> "bytes | None":
+        """Apply one protocol frame; the reply to send back, if any.
+
+        Every kind in ``_REPLYING_KINDS`` gets exactly one frame back
+        (verdicts, stats, a resync ack, or an error frame the carrier
+        re-raises).  Control frames are fire-and-forget; if one fails
+        (or an unknown kind arrives), the error is *held* and delivered
+        in place of the next expected reply — keeping the reply stream
+        aligned while still surfacing the failure loudly.
+        """
+        kind = msg[0]
+        expects_reply = kind in _REPLYING_KINDS
+        if expects_reply and self._held_error is not None:
+            held, self._held_error = self._held_error, None
+            return wire.encode_error(held)
+        try:
+            if kind == wire.MSG_BURST:
+                return self.handle_burst(msg)
+            if kind == wire.MSG_STATS:
+                return self.stats()
+            if kind == wire.MSG_RESYNC:
+                return self.handle_resync(msg)
+            if kind == wire.MSG_REVOKE_EPHID:
+                self.handle_revoke_ephid(msg)
+            elif kind == wire.MSG_REVOKE_HID:
+                self.handle_revoke_hid(msg)
+            elif kind == wire.MSG_REGISTER_HOST:
+                self.handle_register_host(msg)
+            else:
+                self._held_error = f"unknown message kind {kind}"
+        # Not swallowed: the traceback becomes a MSG_ERROR frame, either
+        # this request's reply or held for the next reply slot.
+        except Exception:  # audit: allow(silent-except)
+            if expects_reply:
+                return wire.encode_error(traceback.format_exc())
+            self._held_error = traceback.format_exc()
+        return None
 
     def handle_burst(self, msg: bytes) -> bytes:
         now, seq, frames, directions = wire.decode_burst(msg)
@@ -289,25 +338,10 @@ class ShardState:
         return wire.encode_stats(counters)
 
 
-#: Message kinds the dispatcher expects exactly one reply to.  The
-#: invariant the loop below protects: a worker writes to the reply pipe
-#: *only* in response to these — an unsolicited frame would be consumed
-#: as the answer to some later request and desynchronise every reply
-#: after it.
-_REPLYING_KINDS = frozenset({wire.MSG_BURST, wire.MSG_STATS, wire.MSG_RESYNC})
-
-
 def data_plane_worker(conn, spec: ShardSpec) -> None:
-    """Worker process main loop: build the shard, then serve the pipe.
-
-    Every request kind in ``_REPLYING_KINDS`` gets exactly one message
-    back (verdicts, stats, or an error frame the dispatcher re-raises).
-    Control messages are fire-and-forget; if one fails (or an unknown
-    kind arrives), the error is *held* and delivered in place of the
-    next expected reply rather than sent immediately — keeping the
-    reply stream aligned while still surfacing the failure loudly.
-    EOF or MSG_STOP ends the loop.
-    """
+    """Worker process main loop: build the shard, then carry the pipe's
+    frames to :meth:`ShardState.handle` and its replies back.  EOF or
+    MSG_STOP ends the loop."""
     try:
         state = ShardState(spec)
     # Not swallowed: the construction traceback ships to the dispatcher
@@ -316,7 +350,6 @@ def data_plane_worker(conn, spec: ShardSpec) -> None:
         conn.send_bytes(wire.encode_error(traceback.format_exc()))
         conn.close()
         return
-    held_error: "str | None" = None
     while True:
         try:
             # Worker request loop: blocking forever is the contract (the
@@ -327,33 +360,7 @@ def data_plane_worker(conn, spec: ShardSpec) -> None:
             break
         if not msg or msg[0] == wire.MSG_STOP:
             break
-        kind = msg[0]
-        expects_reply = kind in _REPLYING_KINDS
-        if expects_reply and held_error is not None:
-            conn.send_bytes(wire.encode_error(held_error))
-            held_error = None
-            continue
-        try:
-            if kind == wire.MSG_BURST:
-                conn.send_bytes(state.handle_burst(msg))
-            elif kind == wire.MSG_REVOKE_EPHID:
-                state.handle_revoke_ephid(msg)
-            elif kind == wire.MSG_REVOKE_HID:
-                state.handle_revoke_hid(msg)
-            elif kind == wire.MSG_REGISTER_HOST:
-                state.handle_register_host(msg)
-            elif kind == wire.MSG_STATS:
-                conn.send_bytes(state.stats())
-            elif kind == wire.MSG_RESYNC:
-                conn.send_bytes(state.handle_resync(msg))
-            else:
-                held_error = f"unknown message kind {kind}"
-        # Not swallowed: the traceback crosses the pipe as a MSG_ERROR
-        # frame, either immediately (replying kinds) or held for the
-        # next reply slot so the verdict stream stays aligned.
-        except Exception:  # audit: allow(silent-except)
-            if expects_reply:
-                conn.send_bytes(wire.encode_error(traceback.format_exc()))
-            else:
-                held_error = traceback.format_exc()
+        reply = state.handle(msg)
+        if reply is not None:
+            conn.send_bytes(reply)
     conn.close()

@@ -701,8 +701,8 @@ class WorldBuilder:
         The supervision knobs mirror the ``shard_*`` config fields:
         ``reply_timeout`` bounds every worker reply wait, and
         ``max_restarts`` / ``restart_backoff`` budget and pace worker
-        restarts before a shard's plane degrades to in-process
-        forwarding.  Every keyword left ``None`` keeps the config's value.
+        restarts before a shard's plane degrades to running its shards
+        in-process.  Every keyword left ``None`` keeps the config's value.
         """
         if shards < 1:
             raise TopologyError(f"shards must be >= 1, got {shards}")

@@ -9,6 +9,7 @@
   adding entries would turn it into an amnesty machine.
 """
 
+import ast
 import dataclasses
 import inspect
 import shutil
@@ -135,3 +136,18 @@ def test_option_surface_only_shrinks():
     assert parameters <= _SHARDING_PARAMETERS, sorted(
         parameters - _SHARDING_PARAMETERS
     )
+
+
+def test_dispatcher_holds_no_verdict_path():
+    """Verdicts come from the node's in-line router or from a
+    ``ShardState``; the dispatcher only carries frames to one.  A
+    ``BorderRouter`` or an ``ApnaPacket`` parse in ``sharding/pool.py``
+    would be a third verdict path with its own accounting."""
+    tree = ast.parse((ROOT / "src/repro/sharding/pool.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & {"BorderRouter", "ApnaPacket"}

@@ -21,12 +21,16 @@ shard is state-identical to one that never crashed — any verdict
 divergence is a real bug.
 """
 
+import dataclasses
+import multiprocessing
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core.border_router import BorderRouter, DropReason
 from repro.core.config import ApnaConfig
+from repro.crypto import backend as crypto_backend
 from repro.faults import FAULT_KINDS, Fault, FaultPlan, crash_storm_plan
 from repro.sharding import ShardedDataPlane, SupervisorPolicy
 from repro.wire.apna import Endpoint
@@ -64,7 +68,7 @@ def _reference_router(world):
     )
 
 
-def _fresh_plane(world, nshards, policy=CHAOS_POLICY):
+def _fresh_plane(world, nshards, policy=CHAOS_POLICY, **parts):
     as_a = world.as_a
     return ShardedDataPlane.from_parts(
         aid=as_a.aid,
@@ -76,7 +80,18 @@ def _fresh_plane(world, nshards, policy=CHAOS_POLICY):
         plan=as_a.shard_plan,
         packet_mac_size=world.config.packet_mac_size,
         supervision=policy,
+        **parts,
     )
+
+
+def _live_workers(plane):
+    """This plane's worker processes still running (``apna-br-<aid>-<shard>``)."""
+    prefix = f"apna-br-{plane.aid}-"
+    return [
+        proc
+        for proc in multiprocessing.active_children()
+        if proc.name.startswith(prefix)
+    ]
 
 
 #: Verdict classes in the storm mix.  No "replay" kind: these worlds run
@@ -90,8 +105,6 @@ KINDS = (
 
 def _packet_mix(world, rng):
     """The equivalence suite's packet builder, minus replay duplicates."""
-    import dataclasses
-
     alice = world.hosts["alice"]
     carol = world.hosts["carol"]
     erin = world.hosts["erin"]
@@ -447,10 +460,10 @@ class TestDegradation:
                 if burst_no == 20:
                     assert seen_degraded, "budget never exhausted"
                     # Revocations still bite in degraded mode: the
-                    # fallback reads the live authoritative list.
+                    # control frame reaches the in-process replicas.
                     _, owned = revocable[0]
                     world.as_a.revocations.add(owned.ephid, 2**31)
-                    plane.revoke_ephid(owned.ephid, 2**31)  # silent no-op
+                    plane.revoke_ephid(owned.ephid, 2**31)
                     drop = plane.process(
                         [
                             revocable[0][0]
@@ -469,9 +482,181 @@ class TestDegradation:
             assert stats["degraded"] == 1
             assert 1 <= stats["restarts"] <= 2  # one budgeted restart per shard
             assert stats["dropped_packets"] > 0
-            assert plane.closed  # the worker pool is gone
-            plane.barrier()  # no-op, must not raise
+            assert not _live_workers(plane)  # the worker pool is gone
+            plane.barrier()  # must not raise
         finally:
+            plane.close()
+
+    def test_send_failure_mid_submit_degrades_once(self):
+        """A worker found dead while a burst is being *sent* forfeits the
+        sub-bursts that ticket already shipped, once — it must not leave
+        them to be read off the closed pool, blamed on a healthy shard
+        and answered with a second degrade that forgets what the plane
+        served in between."""
+        world = _build_world(2)
+        rng = random.Random(17)
+        build, _ = _packet_mix(world, rng)
+        router = _reference_router(world)
+        plane = _fresh_plane(
+            world, 2, SupervisorPolicy(reply_timeout=0.4, max_restarts=0)
+        )
+        try:
+            packets = [build("inter") for _ in range(8)]
+            frames = [p.to_wire() for p in packets]
+            send_order = list(dict.fromkeys(map(plane.shard_of_frame, frames)))
+            assert len(send_order) == 2, "burst must touch both shards"
+            killed = send_order[1]
+            plane.install_faults(FaultPlan({(killed, 0): "kill"}))
+            now = world.as_a.clock()
+            ticket = plane.submit(frames, [True] * 8, now)
+            # Pipelined behind it, before the failed ticket is collected.
+            later = [build("inter") for _ in range(8)]
+            later_ticket = plane.submit(
+                [p.to_wire() for p in later], [True] * 8, now
+            )
+            assert {v.reason for v in plane.collect(ticket)} == {
+                DropReason.SHARD_FAILURE
+            }
+            assert plane.collect(later_ticket) == [
+                router.process_outgoing(p) for p in later
+            ]
+            assert [shard for shard, _ in plane.supervisor.failures] == [killed]
+            assert plane.degraded.startswith(f"shard {killed} unrecoverable")
+            stats = plane.stats()
+            assert stats["dropped_packets"] == 8
+            assert stats["forwarded_inter"] == 8  # the burst in between
+        finally:
+            plane.close()
+
+    def test_degraded_plane_is_the_oracle_on_every_path(self):
+        """Egress, ingress, transit, intra-AS and replayed packets, then
+        a revocation, a late registration and a HID revocation — each of
+        which can only reach the in-process shards as a control frame —
+        all judged against the scalar router, counters included."""
+        from tests import test_sharding_equivalence as equivalence
+
+        active = crypto_backend.active_backend()
+        other = next(
+            (n for n in crypto_backend.available_backends() if n != active.name),
+            active.name,
+        )
+        world = equivalence._build_world(active.name, 2)
+        world.network.run_until(5.0)  # expire the crafted exp_time=1 EphID
+        rng = random.Random(0xDE6)
+        build, revocable = equivalence._packet_mix(world, rng)
+        oracle = equivalence._reference_router(world)
+        as_a = world.as_a
+        plane = _fresh_plane(
+            world,
+            2,
+            SupervisorPolicy(reply_timeout=0.4, max_restarts=0),
+            crypto_backend=other,
+            with_nonce=True,
+            replay_window=equivalence.WINDOW,
+            replay_bits=equivalence.BITS,
+            state_backend=world.config.state_backend,
+        )
+
+        def scalar(items):
+            # The node's drain order: the egress subset, then the ingress.
+            verdicts = [None] * len(items)
+            for direction, process in (
+                (True, oracle.process_outgoing),
+                (False, oracle.process_incoming),
+            ):
+                for i, (packet, out) in enumerate(items):
+                    if out is direction:
+                        verdicts[i] = process(packet)
+            return verdicts
+
+        def mixed_burst(kinds, size):
+            items = []
+            for _ in range(size):
+                packet = build(rng.choice(kinds))
+                out = rng.random() >= 0.4
+                if not out:  # ingress: transit (foreign dst) or local
+                    packet = dataclasses.replace(
+                        packet,
+                        header=dataclasses.replace(
+                            packet.header,
+                            dst_aid=777 if rng.random() < 0.4 else as_a.aid,
+                        ),
+                    )
+                items.append((packet, out))
+            return items
+
+        try:
+            for shard in range(2):
+                plane._pool.kill_worker(shard)
+            # The first dead pipe degrades the plane mid-burst: what was
+            # bound for it is forfeited, the rest is already served.
+            opening = [build("inter") for _ in range(4)]
+            for packet, verdict in zip(
+                opening,
+                plane.process_packets([(p, True) for p in opening], as_a.clock()),
+            ):
+                if verdict.reason is not DropReason.SHARD_FAILURE:
+                    assert verdict == oracle.process_outgoing(packet)
+            assert plane.degraded is not None and not plane.closed
+            assert plane.dropped_packets > 0
+            assert not _live_workers(plane)
+            # The specs name the other backend; degrading builds their
+            # shards in this process and must not switch it over.
+            assert crypto_backend.active_backend() is active
+
+            as_a.revocations.on_add = plane.revoke_ephid
+            as_a.hostdb.on_register = plane.register_host
+            as_a.hostdb.on_revoke_hid = plane.revoke_hid
+            for _ in range(3):
+                items = mixed_burst(equivalence.KINDS, 24)
+                assert plane.process_packets(items, as_a.clock()) == scalar(items)
+
+            revoked_host, owned = revocable[1]
+            as_a.revocations.add(owned.ephid, 1e12)
+            late = as_a.attach_host("late", latency=0.001, bandwidth=1e8)
+            late.bootstrap()
+            late_src = late.acquire_ephid_direct()
+            victim = world.hosts["erin"]
+            victim_src = victim.acquire_ephid_direct()
+            as_a.hostdb.revoke_hid(
+                as_a.hostdb.find_by_subscriber(victim.subscriber_id).hid
+            )
+            dst = Endpoint(world.as_b.aid, bytes(16))
+            items = [
+                (host.stack.make_packet(ephid, dst, b"x", nonce=10**7 + i), True)
+                for i, (host, ephid) in enumerate(
+                    (
+                        (revoked_host, owned.ephid),
+                        (late, late_src.ephid),
+                        (victim, victim_src.ephid),
+                    )
+                )
+            ]
+            verdicts = plane.process_packets(items, as_a.clock())
+            assert verdicts == scalar(items)
+            assert [v.reason for v in verdicts] == [
+                DropReason.SRC_REVOKED, None, DropReason.SRC_HID_INVALID
+            ]
+
+            shard_sums = Counter()
+            for shard in plane.shard_stats():
+                shard_sums.update(shard)
+            for reason, count in oracle.drops.items():
+                assert shard_sums[reason.value] == count, reason
+            assert shard_sums["forwarded_intra"] == oracle.forwarded_intra
+            assert (
+                shard_sums["forwarded_inter"] + plane.forwarded_inter
+                == oracle.forwarded_inter
+            )
+            assert plane.forwarded_inter > 0  # transit was in the mix
+            assert shard_sums["replay_replays"] == oracle.replay_filter.replays > 0
+            assert shard_sums["replay_passed"] == oracle.replay_filter.passed
+            assert plane.stats()["degraded"] == 1
+        finally:
+            as_a.revocations.on_add = None
+            as_a.hostdb.on_register = None
+            as_a.hostdb.on_revoke_hid = None
+            crypto_backend.set_backend(active)
             plane.close()
 
 
@@ -498,20 +683,29 @@ class TestFailedResyncCleanup:
                 world.as_a.clock(),
             )
 
-            # Sabotage resync: every restart attempt respawns a worker,
-            # then blows up before it can be handed its state.
+            # Sabotage resync: every budgeted restart attempt respawns
+            # a worker, then blows up before it can be handed its state.
+            # (Degrading afterwards needs the snapshot to work again.)
+            pool = plane._pool
+            source = plane.supervisor._state
+            real_snapshot = source.shard_snapshot
+            respawned = []
+
             def broken_snapshot(plan, shard):
+                if len(respawned) == policy.max_restarts:
+                    return real_snapshot(plan, shard)
+                respawned.append(pool._procs[shard])
                 raise RuntimeError("resync sabotaged")
 
-            plane.supervisor._state.shard_snapshot = broken_snapshot
+            source.shard_snapshot = broken_snapshot
             # The backoff before attempt two is where a leaked worker
             # would linger (degrading closes the whole pool afterwards).
             alive_across_backoff = []
             plane.supervisor._sleep = lambda _delay: alive_across_backoff.append(
-                plane._pool.worker(0).is_alive()
+                pool._procs[0].is_alive()
             )
-            victim = plane._pool.worker(0)
-            plane._pool.kill_worker(0)
+            victim = pool._procs[0]
+            pool.kill_worker(0)
 
             # Drive traffic until the dead shard is noticed and both
             # budgeted restart attempts have failed their resync.
@@ -525,7 +719,7 @@ class TestFailedResyncCleanup:
             assert plane.degraded is not None
             assert alive_across_backoff == [False]
 
-            fresh = plane._pool.worker(0)
+            fresh = respawned[-1]
             assert fresh is not victim  # a respawn did happen
             fresh.join(timeout=5.0)
             assert not fresh.is_alive(), (

@@ -516,6 +516,20 @@ class TestMetroResyncRoundTrip:
             assert len(spawned.revocations) == len(resynced.revocations)
 
 
+def test_handle_holds_a_control_error_for_the_next_reply():
+    """The worker protocol's alignment rule, in-process: a failed
+    fire-and-forget frame yields no reply of its own; its error takes
+    the place of the next expected reply, and the stream is clean after."""
+    state = ShardState(_shard_spec(ShardPlan(2), 0, "columnar"))
+    assert state.handle(bytes([99])) is None  # unknown message kind
+    held = state.handle(bytes([wire.MSG_STATS]))
+    assert held[0] == wire.MSG_ERROR
+    assert "unknown message kind 99" in wire.decode_error(held)
+    reply = state.handle(bytes([wire.MSG_STATS]))
+    assert reply[0] == wire.MSG_STATS_REPLY
+    assert set(wire.decode_stats(reply)) == set(wire.STATS_FIELDS)
+
+
 class TestKeyInterning:
     def test_add_owned_interns_equal_keys(self):
         view = ShardHostView()

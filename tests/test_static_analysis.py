@@ -247,13 +247,17 @@ def test_bounded_wait_detects_and_passes():
         "    return pool.recv_bytes(shard, timeout=5.0)\n"
     )
     assert not findings_of("bounded-wait", passed_through, "sharding/fixture.py")
-    # Out of scope outside the sharding package.
+    # The fault carrier reads the same pipes: same rule.
+    assert findings_of("bounded-wait", bad, "faults/fixture.py")
+    assert not findings_of("bounded-wait", passed_through, "faults/fixture.py")
+    # Out of scope outside the sharding and faults packages.
     assert not RULES["bounded-wait"].applies_to("core/hostdb.py")
 
 
 def test_pickle_free_wire_detects_and_passes():
     bad = "def ship(conn, obj):\n    conn.send(obj)\n    return conn.recv()\n"
     assert len(findings_of("pickle-free-wire", bad, "sharding/fixture.py")) == 2
+    assert len(findings_of("pickle-free-wire", bad, "faults/fixture.py")) == 2
     good = (
         "def ship(conn, frame):\n"
         "    conn.send_bytes(frame)\n"
