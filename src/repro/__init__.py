@@ -48,9 +48,8 @@ Package map
 ``repro.sharding``  Share-nothing multi-process scale-out (Section V-A3):
                     HID-range worker shards behind a burst dispatcher
                     (``ShardedDataPlane``), enabled via
-                    ``ApnaConfig(forwarding_shards=N)`` or
-                    ``WorldBuilder.sharding(N)``; also E1's sharded MS
-                    issuance runner.
+                    ``ApnaConfig(forwarding_shards=N)``; also E1's
+                    sharded MS issuance runner.
 ``repro.workload``  Synthetic 24 h flow traces, packet pools (Section V)
                     and ``TrafficProfile`` — replay a trace against any
                     built ``World`` in one call.

@@ -41,7 +41,7 @@ depends on — the motivating bug/PR is part of the rule's definition:
     No ``time.time()``, unseeded ``random.Random()``, module-level
     ``random.*``, ``os.urandom`` or ``secrets.*`` outside the
     sanctioned seams (``crypto/rng.py``'s ``SystemRng``,
-    ``metrics/timing``, and ``benchmarks/`` which sits outside the
+    ``metrics/timing``, and ``bench/`` which sits outside the
     tree).  Same-seed world equivalence is load-bearing for the
     sharding, crypto-backend, state-backend and chaos suites.
 ``bounded-wait`` (PRs 6 and 8)
@@ -66,10 +66,10 @@ depends on — the motivating bug/PR is part of the rule's definition:
     runner resolves worlds by preset name, so an unreferenced preset is
     an eval surface with zero regression protection.
 ``doc-references`` (PR 14)
-    A ``*.md`` file or ``tests/``/``benchmarks/``/``bench/`` ``*.py``
-    path named in a docstring exists in the repo.  Docstrings kept
-    citing a design document that was never written and audit tests
-    that had been deleted.
+    A ``*.md`` file or ``tests/``/``bench/`` ``*.py`` path named in a
+    docstring exists in the repo.  Docstrings kept citing a design
+    document that was never written and audit tests that had been
+    deleted.
 
 Suppressions and the baseline
 =============================

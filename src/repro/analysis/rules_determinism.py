@@ -10,7 +10,7 @@ clock.  The sanctioned seams are:
   ``os.urandom`` (real deployments opt in by constructing it);
 * :mod:`repro.metrics.timing` — wall-clock measurement for the
   experiment harness (``perf_counter`` timing, never simulation state);
-* ``benchmarks/`` — outside the analysed tree entirely.
+* ``bench/`` — outside the analysed tree entirely.
 
 Everything else must draw randomness from an explicitly seeded
 generator (``DeterministicRng``, ``random.Random(seed)``) and time from

@@ -3,12 +3,12 @@
 ``doc-references`` closes the class PR 14 cleaned up by hand: module
 docstrings citing a design document that was never written, and audit
 wrapper tests that had been deleted.  A docstring under ``src/repro``
-that names a ``*.md`` file or a ``*.py`` path under ``tests/``,
-``benchmarks/`` or ``bench/`` is a pointer the next reader will follow;
-the rule checks the pointer resolves.  It is project-wide because the
-evidence lives outside the analysis root (``src/repro`` → repo root);
-synthetic in-memory projects have no repo around them, so the rule
-stays silent there.
+that names a ``*.md`` file or a ``*.py`` path under ``tests/`` or
+``bench/`` is a pointer the next reader will follow; the rule checks
+the pointer resolves.  It is project-wide because the evidence lives
+outside the analysis root (``src/repro`` → repo root); synthetic
+in-memory projects have no repo around them, so the rule stays silent
+there.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import re
 from .engine import Finding, Rule, register
 from .model import Project
 
-#: ``NAME.md`` anywhere, or a ``*.py`` path under one of the repo's
-#: test/benchmark trees.  Paths resolve against the repo root.
+#: ``NAME.md`` anywhere, or a ``*.py`` path under the repo's test or
+#: benchmark tree.  Paths resolve against the repo root.
 _REFERENCE = re.compile(
-    r"(?<![\w./-])((?:[\w.-]+/)*[\w.-]+\.md|(?:tests|benchmarks|bench)/[\w./-]+\.py)\b"
+    r"(?<![\w./-])((?:[\w.-]+/)*[\w.-]+\.md|(?:tests|bench)/[\w./-]+\.py)\b"
 )
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -32,9 +32,9 @@ class DocReferencesRule(Rule):
     name = "doc-references"
     title = "docstrings cite only files that exist in the repo"
     motivation = (
-        "PR 14: experiments/__init__ and benchmarks/conftest cited a "
-        "DESIGN.md/EXPERIMENTS.md that never existed, and two modules "
-        "cited audit wrapper tests after their deletion"
+        "PR 14: experiments/__init__ cited a DESIGN.md/EXPERIMENTS.md "
+        "that never existed, and two modules cited audit wrapper tests "
+        "after their deletion"
     )
     project_wide = True
 

@@ -8,8 +8,7 @@ provided:
 * :class:`EtmScheme` — AES-CTR + AES-CMAC Encrypt-then-MAC composition
   (the generic composition the EphID construction itself uses, per
   Bellare/Namprempre).  This is the default data-plane scheme in the
-  reproduction because it is ~3x faster in pure Python, and E9 benchmarks
-  the two against each other.
+  reproduction because it is ~3x faster in pure Python.
 
 Both expose ``seal``/``open`` with a 12-byte nonce and associated data.
 """

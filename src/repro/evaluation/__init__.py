@@ -50,8 +50,8 @@ Adding a preset
    plane, return a :class:`ScenarioReport` whose ``invariants`` list is
    filled (reuse ``_core_invariants`` for the shared families).
 3. Reference the preset name in a test — the ``scenario-coverage``
-   analysis rule fails any registered preset no test exercises.
-4. Give it a benchmark arm in ``benchmarks/bench_evaluation.py``.
+   analysis rule fails any registered preset no test exercises — and
+   add it to the preset matrix in ``tests/test_evaluation.py``.
 
 CLI: ``python -m repro.evaluation --scale 10k flash-crowd churn``.
 """

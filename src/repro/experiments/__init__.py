@@ -12,7 +12,10 @@ E5   §VIII-A EphID granularity ablation
 E6   §VIII-G2 revocation-list management
 E7   §IX baseline comparison (APIP, AIP, Persona, plain IP)
 E8   Fig. 7 / §VII-D header & encapsulation overhead
-E9   crypto micro-costs (pytest-benchmark only: bench_crypto.py)
+E9   crypto micro-costs (no runner: the ``crypto.cmac.tag_us``,
+     ``core.ephid.open_us``, ``core.ephid.seal_us``,
+     ``crypto.ed25519.sign_us`` and ``crypto.aead.etm_us`` per-layer
+     rows of ``BENCHMARK.json``, from ``bench/run.py --trace 1``)
 E10  §VI security analysis, executed
 E11  §VIII-C path validation & the strengthened shutoff
 E12  §VIII-D in-network replay detection (future work, built)

@@ -22,11 +22,15 @@ class Timer:
 
 
 def time_loop(fn: Callable[[], None], *, repeat: int) -> float:
-    """Seconds to run ``fn`` ``repeat`` times."""
-    start = time.perf_counter()
-    for _ in range(repeat):
-        fn()
-    return time.perf_counter() - start
+    """Seconds to run ``fn`` ``repeat`` times — the best of three passes
+    (the ``timeit`` rule), so one preemption cannot decide a timing."""
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        for _ in range(repeat):
+            fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def rate(count: int, seconds: float) -> float:

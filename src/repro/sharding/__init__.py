@@ -27,7 +27,8 @@ range, fed one burst-sized batch of packed wire frames per IPC message:
   on the same scaffolding.
 
 Enable it deployment-wide with ``ApnaConfig(forwarding_shards=N)`` (plus
-a burst size) or ``WorldBuilder(...).sharding(N, batch_size=64)``.
+a burst size, ``forwarding_batch_size``), passed as ``config=`` to
+``WorldBuilder`` or ``scenarios.build``.
 
 Fault model & recovery semantics
 --------------------------------

@@ -20,16 +20,18 @@ Equivalence bar: the merged verdicts are element-for-element identical
 to the single-process
 :meth:`~repro.core.border_router.BorderRouter.process_batch` loop, and
 the summed shard counters match the single router's counters
-(``tests/test_sharding_equivalence.py`` fuzzes both under both crypto
-backends).  One qualification: replay detection is a Bloom filter, and
-each shard owns its own — inserts are partitioned across N filters
-instead of hashed into one, so Bloom *false positives* (and rotation
-counts) can differ from the single-filter plane.  Every true verdict is
+(``tests/test_sharding_equivalence.py`` fuzzes both, and runs one
+stream through workers on each crypto backend).  One qualification:
+replay detection is a Bloom filter, and each shard owns its own —
+inserts are partitioned across N filters instead of hashed into one, so
+Bloom *false positives* (and rotation counts) can differ from the
+single-filter plane.  Every true verdict is
 identical; the divergence is confined to the filter's engineered FP
 rate (sized by ``replay_filter_bits``), and sharding only ever lowers
 it.  The perf bar — shards stacking on top of the burst loop's
-amortisation, super-linear against the scalar loop — is measured by
-``benchmarks/bench_sharding.py``.
+amortisation — is held by the sharded ``bench/`` workloads
+(``egress_cold_metro``, ``mixed_imix_pipelined``, ``churn_hostile`` in
+``BENCHMARK.json``).
 
 Failure bar: the plane is *self-healing*.  Every reply wait is bounded,
 a dead or hung worker is restarted and resynced from the authoritative
@@ -424,86 +426,6 @@ class ShardedDataPlane:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_parts(
-        cls,
-        *,
-        aid: int,
-        enc_key: bytes,
-        mac_key: bytes,
-        hostdb,
-        revocations,
-        nshards: int,
-        plan: "ShardPlan | None" = None,
-        crypto_backend: "str | None" = None,
-        packet_mac_size: int = 8,
-        with_nonce: bool = False,
-        replay_window: "float | None" = None,
-        replay_bits: int = 1 << 20,
-        start_method: "str | None" = None,
-        supervision: "SupervisorPolicy | None" = None,
-        state_backend: str = "object",
-    ) -> "ShardedDataPlane":
-        """Build a pool from explicit AS parts (shared keys, sharded state).
-
-        ``hostdb`` / ``revocations`` are snapshotted into the worker
-        specs — as encoded :class:`repro.state.ShardSnapshot` columns,
-        the same bytes a later ``MSG_RESYNC`` would carry; later changes
-        propagate only through
-        :meth:`register_host` / :meth:`revoke_ephid` / :meth:`revoke_hid`
-        (the AS assembly wires those to its database hooks).  They are
-        also retained as the *authoritative* state source: a restarted
-        worker — and every in-process shard of a degraded plane — is
-        resynced from them.  ``state_backend`` picks the
-        workers' replica store (``"columnar"`` / ``"object"``).
-        """
-        if plan is None:
-            if nshards > 1:
-                # A multi-shard plan needs the issuing AS's routing key —
-                # a default-constructed one here would route differently
-                # than issuance pinned, and misroute every packet.
-                # (nshards == 1 routes everything to shard 0.)
-                raise ValueError(
-                    "a multi-shard pool needs the issuing AS's ShardPlan "
-                    "(it carries kR); pass plan="
-                )
-            plan = ShardPlan(1)
-        if plan.nshards != nshards:
-            raise ValueError(
-                f"plan is for {plan.nshards} shards, pool wants {nshards}"
-            )
-        state_source = ShardStateSource(hostdb, revocations)
-        specs = []
-        for shard in range(nshards):
-            snap = state_source.shard_snapshot(plan, shard)
-            specs.append(
-                ShardSpec(
-                    shard=shard,
-                    nshards=nshards,
-                    aid=aid,
-                    ephid_enc_key=enc_key,
-                    ephid_mac_key=mac_key,
-                    crypto_backend=crypto_backend,
-                    packet_mac_size=packet_mac_size,
-                    with_nonce=with_nonce,
-                    replay_window=replay_window,
-                    replay_bits=replay_bits,
-                    shard_block=plan.block,
-                    routing_mode=plan.mode,
-                    routing_key=plan.key or b"",
-                    state_backend=state_backend,
-                    snapshot=snap.encode(),
-                )
-            )
-        return cls(
-            specs,
-            plan,
-            aid=aid,
-            start_method=start_method,
-            supervision=supervision,
-            state_source=state_source,
-        )
-
-    @classmethod
     def for_assembly(
         cls,
         assembly,
@@ -519,7 +441,18 @@ class ShardedDataPlane:
         be routed to a shard that does not hold its host's MAC keys.
         The assembly's config also supplies the supervision policy
         (``shard_reply_timeout`` / ``shard_max_restarts`` /
-        ``shard_restart_backoff``).
+        ``shard_restart_backoff``) and the workers' replica store
+        (``state_backend``); the workers run the crypto backend active
+        in the caller.
+
+        The assembly's ``hostdb`` / ``revocations`` are snapshotted into
+        the worker specs — as encoded :class:`repro.state.ShardSnapshot`
+        columns, the same bytes a later ``MSG_RESYNC`` would carry;
+        later changes propagate only through :meth:`register_host` /
+        :meth:`revoke_ephid` / :meth:`revoke_hid` (the assembly wires
+        those to its database hooks).  They are also retained as the
+        *authoritative* state source: a restarted worker — and every
+        in-process shard of a degraded plane — is resynced from them.
         """
         config = assembly.config
         nshards = nshards or max(1, config.forwarding_shards)
@@ -539,25 +472,39 @@ class ShardedDataPlane:
             )
         from ..crypto import backend as crypto_backend
 
-        replay_window = None
-        if config.in_network_replay_filter:
-            replay_window = config.replay_filter_window
-        return cls.from_parts(
+        secret = assembly.keys.secret
+        state_source = ShardStateSource(assembly.hostdb, assembly.revocations)
+        specs = [
+            ShardSpec(
+                shard=shard,
+                nshards=nshards,
+                aid=assembly.aid,
+                ephid_enc_key=secret.ephid_enc,
+                ephid_mac_key=secret.ephid_mac,
+                crypto_backend=crypto_backend.active_backend().name,
+                packet_mac_size=config.packet_mac_size,
+                with_nonce=config.replay_protection,
+                replay_window=(
+                    config.replay_filter_window
+                    if config.in_network_replay_filter
+                    else None
+                ),
+                replay_bits=config.replay_filter_bits,
+                shard_block=plan.block,
+                routing_mode=plan.mode,
+                routing_key=plan.key or b"",
+                state_backend=config.state_backend,
+                snapshot=state_source.shard_snapshot(plan, shard).encode(),
+            )
+            for shard in range(nshards)
+        ]
+        return cls(
+            specs,
+            plan,
             aid=assembly.aid,
-            enc_key=assembly.keys.secret.ephid_enc,
-            mac_key=assembly.keys.secret.ephid_mac,
-            hostdb=assembly.hostdb,
-            revocations=assembly.revocations,
-            nshards=nshards,
-            plan=plan,
-            crypto_backend=crypto_backend.active_backend().name,
-            packet_mac_size=config.packet_mac_size,
-            with_nonce=config.replay_protection,
-            replay_window=replay_window,
-            replay_bits=config.replay_filter_bits,
+            state_source=state_source,
             start_method=start_method,
             supervision=SupervisorPolicy.from_config(config),
-            state_backend=config.state_backend,
         )
 
     # -- fault injection ----------------------------------------------------

@@ -63,6 +63,20 @@ class SupervisorPolicy:
     max_restarts: int = 3
     restart_backoff: float = 0.05
 
+    def __post_init__(self) -> None:
+        if self.reply_timeout <= 0:
+            raise ValueError(
+                f"reply_timeout must be > 0, got {self.reply_timeout}"
+            )
+        if self.max_restarts < 0:
+            raise ValueError(
+                f"max_restarts must be >= 0, got {self.max_restarts}"
+            )
+        if self.restart_backoff < 0:
+            raise ValueError(
+                f"restart_backoff must be >= 0, got {self.restart_backoff}"
+            )
+
     @classmethod
     def from_config(cls, config) -> "SupervisorPolicy":
         return cls(
@@ -153,8 +167,12 @@ class ShardSupervisor:
             self.restarts[shard] += 1
             self.total_restarts += 1
             if attempt > 0:
-                base = self.policy.restart_backoff
-                self._sleep(min(base * (2 ** (attempt - 1)), base * _BACKOFF_CAP_FACTOR))
+                # Cap the multiplier, not the product: ``restarts`` is a
+                # lifetime count and 2 ** 1024 no longer fits a float.
+                self._sleep(
+                    self.policy.restart_backoff
+                    * min(2 ** (attempt - 1), _BACKOFF_CAP_FACTOR)
+                )
             try:
                 self.carrier.restart(shard, self.bare_specs[shard])
             except Exception as exc:  # noqa: BLE001 — any failure retries

@@ -82,8 +82,24 @@ def encode_burst(
     return b"".join(parts)
 
 
+def _check_kind(kind: int, expected: int) -> None:
+    if kind != expected:
+        raise ValueError(f"message kind {kind} where {expected} was expected")
+
+
+def _check_end(msg: bytes, offset: int) -> None:
+    """The last record must end where the message does: a slice past the
+    end silently shortens, so this is what catches truncation — and
+    trailing bytes alike."""
+    if offset != len(msg):
+        raise ValueError(
+            f"records end at byte {offset} of a {len(msg)}-byte message"
+        )
+
+
 def decode_burst(msg: bytes) -> "tuple[float, int, list[bytes], list[int]]":
-    _, now, seq, count = _BURST_HEAD.unpack_from(msg)
+    kind, now, seq, count = _BURST_HEAD.unpack_from(msg)
+    _check_kind(kind, MSG_BURST)
     offset = _BURST_HEAD.size
     frames: list[bytes] = []
     directions: list[int] = []
@@ -93,6 +109,7 @@ def decode_burst(msg: bytes) -> "tuple[float, int, list[bytes], list[int]]":
         frames.append(msg[offset : offset + length])
         directions.append(direction)
         offset += length
+    _check_end(msg, offset)
     return now, seq, frames, directions
 
 
@@ -123,7 +140,8 @@ def encode_verdicts(seq: int, verdicts: "list[Verdict]") -> bytes:
 
 
 def decode_verdicts(msg: bytes) -> "tuple[int, list[Verdict]]":
-    _, seq, count = _VERDICTS_HEAD.unpack_from(msg)
+    kind, seq, count = _VERDICTS_HEAD.unpack_from(msg)
+    _check_kind(kind, MSG_VERDICTS)
     offset = _VERDICTS_HEAD.size
     verdicts: list[Verdict] = []
     for _ in range(count):
@@ -137,6 +155,7 @@ def decode_verdicts(msg: bytes) -> "tuple[int, list[Verdict]]":
                 next_aid=next_aid if flags & _HAS_NEXT_AID else None,
             )
         )
+    _check_end(msg, offset)
     return seq, verdicts
 
 

@@ -672,72 +672,10 @@ class WorldBuilder:
     ) -> None:
         self._seed = seed
         self._config = config
-        self._sharding: dict[str, object] = {}
         self._ases: list[AsSpec] = []
         self._links: list[LinkSpec] = []
         self._hosts: list[HostSpec] = []
         self._populations: list[PopulationSpec] = []
-
-    # -- deployment knobs ----------------------------------------------------
-
-    def sharding(
-        self,
-        shards: int,
-        *,
-        batch_size: int | None = None,
-        block: int | None = None,
-        reply_timeout: float | None = None,
-        max_restarts: int | None = None,
-        restart_backoff: float | None = None,
-    ) -> "WorldBuilder":
-        """Shard every AS's data plane over ``shards`` worker processes.
-
-        Overlays ``forwarding_shards`` (and optionally the burst size and
-        the HID block width) onto the builder's config; the built world
-        spawns one :class:`repro.sharding.ShardedDataPlane` per AS and
-        should be closed when done.  ``shards=1`` switches sharding back
-        off.
-
-        The supervision knobs mirror the ``shard_*`` config fields:
-        ``reply_timeout`` bounds every worker reply wait, and
-        ``max_restarts`` / ``restart_backoff`` budget and pace worker
-        restarts before a shard's plane degrades to running its shards
-        in-process.  Every keyword left ``None`` keeps the config's value.
-        """
-        if shards < 1:
-            raise TopologyError(f"shards must be >= 1, got {shards}")
-        # Each call restates the whole sharding overlay: sharding(1)
-        # after sharding(4, batch_size=64) reverts the batch/block
-        # overrides too, not just the shard count.
-        self._sharding.clear()
-        self._sharding["forwarding_shards"] = 0 if shards == 1 else shards
-        if batch_size is not None:
-            if batch_size < 1:
-                raise TopologyError(f"batch_size must be >= 1, got {batch_size}")
-            self._sharding["forwarding_batch_size"] = batch_size
-        if block is not None:
-            if block < 1:
-                raise TopologyError(f"block must be >= 1, got {block}")
-            self._sharding["shard_block"] = block
-        if reply_timeout is not None:
-            if reply_timeout <= 0:
-                raise TopologyError(
-                    f"reply_timeout must be > 0, got {reply_timeout}"
-                )
-            self._sharding["shard_reply_timeout"] = reply_timeout
-        if max_restarts is not None:
-            if max_restarts < 0:
-                raise TopologyError(
-                    f"max_restarts must be >= 0, got {max_restarts}"
-                )
-            self._sharding["shard_max_restarts"] = max_restarts
-        if restart_backoff is not None:
-            if restart_backoff < 0:
-                raise TopologyError(
-                    f"restart_backoff must be >= 0, got {restart_backoff}"
-                )
-            self._sharding["shard_restart_backoff"] = restart_backoff
-        return self
 
     # -- ASes ----------------------------------------------------------------
 
@@ -862,7 +800,4 @@ class WorldBuilder:
 
     def build(self) -> World:
         """Instantiate the accumulated spec into a :class:`World`."""
-        config = self._config
-        if self._sharding:
-            config = replace(config or ApnaConfig(), **self._sharding)
-        return World.from_spec(self.spec(), seed=self._seed, config=config)
+        return World.from_spec(self.spec(), seed=self._seed, config=self._config)

@@ -2,9 +2,9 @@
 
 With ``cryptography`` installed, the default backend is ``openssl`` and
 the in-process test run exercises mostly that provider.  These tests
-force ``REPRO_CRYPTO_BACKEND=pure`` in subprocesses (mirroring
-``tests/test_benchmarks_smoke.py``) so the from-scratch implementations
-stay pinned by tier-1 even after OpenSSL becomes the default.
+force ``REPRO_CRYPTO_BACKEND=pure`` in subprocesses so the from-scratch
+implementations stay pinned by tier-1 even after OpenSSL becomes the
+default.
 """
 
 import os

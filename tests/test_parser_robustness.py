@@ -33,6 +33,7 @@ from repro.core.messages import (
 from repro.core.session import ConnectionAccept, ConnectionRequest
 from repro.pathval.passport import PassportHeader
 from repro.pathval.shutoff_ext import OnPathShutoffRequest
+from repro.sharding import wire as shard_wire
 from repro.tls.ca import DomainCertError, DomainCertificate
 from repro.tls.handshake import Attestation, AuthRequest, TlsAuthError
 from repro.wire.apna import ApnaHeader, ApnaPacket
@@ -89,6 +90,29 @@ def test_arbitrary_bytes_fail_closed(parser, errors, data):
         parser(data)
     except errors:
         pass  # the documented failure mode
+
+
+_BURST = shard_wire.encode_burst(
+    1.0, 3, [b"a" * 48, b"b" * 60], [shard_wire.EGRESS, shard_wire.INGRESS]
+)
+
+
+@pytest.mark.parametrize(
+    ("decoder", "frame"),
+    [
+        (shard_wire.decode_burst, _BURST[:-20]),
+        (shard_wire.decode_burst, _BURST + b"junk"),
+        (shard_wire.decode_verdicts, shard_wire.encode_resync_ack(3, 4)),
+        (shard_wire.decode_verdicts, shard_wire.encode_stats({})),
+    ],
+    ids=["burst-truncated", "burst-trailing", "verdicts-ack", "verdicts-stats"],
+)
+def test_shard_frame_decoders_check_kind_and_length(decoder, frame):
+    """A short final frame, trailing bytes, or another kind's frame read
+    as a verdict reply must fail the shard, not decode to something
+    plausible (a wrong-kind reply would count as a stale one)."""
+    with pytest.raises(ValueError):
+        decoder(frame)
 
 
 class TestMutatedValidInputs:

@@ -8,9 +8,8 @@ verification time** — an in-flight packet carrying a just-revoked
 EphID drops with ``SRC_REVOKED`` no matter when it was made, and the
 cut-over is exact at the packet where the revocation interleaved.
 
-Both crypto backends × both state backends: the columnar
-``ColumnarRevocationList`` must be race-indistinguishable from the
-object-store original.
+Both state backends: the columnar ``ColumnarRevocationList`` must be
+race-indistinguishable from the object-store original.
 """
 
 import pytest
@@ -22,23 +21,17 @@ from repro.wire.apna import Endpoint
 
 from tests.conftest import build_world
 
-BACKENDS = crypto_backend.available_backends()
+#: The suite runs on the active crypto backend; the ids say which.
+CRYPTO = crypto_backend.active_backend().name
 STATE_BACKENDS = ("object", "columnar")
 
 FAR_FUTURE = 1e12
 
 
-@pytest.fixture(
-    params=[(c, s) for c in BACKENDS for s in STATE_BACKENDS],
-    ids=lambda p: f"{p[0]}-{p[1]}",
-)
+@pytest.fixture(params=STATE_BACKENDS, ids=lambda s: f"{CRYPTO}-{s}")
 def race_world(request):
-    """One world per crypto-backend × state-backend combination."""
-    crypto, state_backend = request.param
-    with crypto_backend.use_backend(crypto):
-        world = build_world(config=ApnaConfig(state_backend=state_backend))
-        world.crypto_backend = crypto
-    return world
+    """One world per state backend."""
+    return build_world(config=ApnaConfig(state_backend=request.param))
 
 
 def _router(world, clock=None):
@@ -56,14 +49,13 @@ def _router(world, clock=None):
 
 def _in_flight(world, src_ephid, count):
     """``count`` pre-built packets — sealed and MAC'd before any revoke."""
-    with crypto_backend.use_backend(world.crypto_backend):
-        alice = world.hosts["alice"]
-        bob_ephid = world.hosts["bob"].acquire_ephid_direct().ephid
-        dst = Endpoint(world.as_b.aid, bob_ephid)
-        return [
-            alice.stack.make_packet(src_ephid, dst, b"in-flight", nonce=n + 1)
-            for n in range(count)
-        ]
+    alice = world.hosts["alice"]
+    bob_ephid = world.hosts["bob"].acquire_ephid_direct().ephid
+    dst = Endpoint(world.as_b.aid, bob_ephid)
+    return [
+        alice.stack.make_packet(src_ephid, dst, b"in-flight", nonce=n + 1)
+        for n in range(count)
+    ]
 
 
 def test_revocation_cuts_over_exactly_mid_stream(race_world):
@@ -72,12 +64,11 @@ def test_revocation_cuts_over_exactly_mid_stream(race_world):
     src = world.hosts["alice"].acquire_ephid_direct()
     packets = _in_flight(world, src.ephid, 10)
     router = _router(world)
-    with crypto_backend.use_backend(world.crypto_backend):
-        verdicts = []
-        for i, packet in enumerate(packets):
-            if i == 6:  # the revocation interleaves here
-                world.as_a.revocations.add(src.ephid, FAR_FUTURE)
-            verdicts.append(router.process_outgoing(packet))
+    verdicts = []
+    for i, packet in enumerate(packets):
+        if i == 6:  # the revocation interleaves here
+            world.as_a.revocations.add(src.ephid, FAR_FUTURE)
+        verdicts.append(router.process_outgoing(packet))
     # Build time is irrelevant: every packet was made before the revoke.
     assert [v.action for v in verdicts[:6]] == [Action.FORWARD_INTER] * 6
     assert [v.reason for v in verdicts[6:]] == [DropReason.SRC_REVOKED] * 4
@@ -91,10 +82,9 @@ def test_revocation_between_batches_is_batch_exact(race_world):
     src = world.hosts["alice"].acquire_ephid_direct()
     packets = _in_flight(world, src.ephid, 8)
     router = _router(world)
-    with crypto_backend.use_backend(world.crypto_backend):
-        before = router.process_batch(packets[:4])
-        world.as_a.revocations.add(src.ephid, FAR_FUTURE)
-        after = router.process_batch(packets[4:])
+    before = router.process_batch(packets[:4])
+    world.as_a.revocations.add(src.ephid, FAR_FUTURE)
+    after = router.process_batch(packets[4:])
     assert all(v.action is Action.FORWARD_INTER for v in before)
     assert all(v.reason is DropReason.SRC_REVOKED for v in after)
     assert router.drops[DropReason.SRC_REVOKED] == 4
@@ -110,11 +100,10 @@ def test_hid_revocation_fells_every_ephid_at_once(race_world):
         world, second.ephid, 2
     )
     router = _router(world)
-    with crypto_backend.use_backend(world.crypto_backend):
-        assert router.process_outgoing(flight[0]).action is Action.FORWARD_INTER
-        hid = world.as_a.hostdb.find_by_subscriber(alice.subscriber_id).hid
-        world.as_a.hostdb.revoke_hid(hid)
-        verdicts = [router.process_outgoing(p) for p in flight[1:]]
+    assert router.process_outgoing(flight[0]).action is Action.FORWARD_INTER
+    hid = world.as_a.hostdb.find_by_subscriber(alice.subscriber_id).hid
+    world.as_a.hostdb.revoke_hid(hid)
+    verdicts = [router.process_outgoing(p) for p in flight[1:]]
     assert [v.reason for v in verdicts] == [DropReason.SRC_HID_INVALID] * 3
     assert router.drops[DropReason.SRC_HID_INVALID] == 3
 
@@ -129,24 +118,21 @@ def test_pruned_revocation_cannot_resurrect_a_forward(race_world):
     """
     world = race_world
     alice = world.hosts["alice"]
-    with crypto_backend.use_backend(world.crypto_backend):
-        codec = world.as_a.codec
-        hid = world.as_a.hostdb.find_by_subscriber(alice.subscriber_id).hid
+    codec = world.as_a.codec
+    hid = world.as_a.hostdb.find_by_subscriber(alice.subscriber_id).hid
     # The EphID's lifetime ended at t=0; the router verifies at t=10.
     now = 10.0
-    with crypto_backend.use_backend(world.crypto_backend):
-        stale = codec.seal(hid, exp_time=0, iv=world.as_a.ivs.next_iv())
+    stale = codec.seal(hid, exp_time=0, iv=world.as_a.ivs.next_iv())
     world.as_a.revocations.add(stale, exp_time=0)
     assert world.as_a.revocations.contains(stale)
     packets = _in_flight(world, stale, 2)
     router = _router(world, clock=lambda: now)
-    with crypto_backend.use_backend(world.crypto_backend):
-        while_listed = router.process_outgoing(packets[0])
-        # The router auto-prunes as it goes; force it for the backends
-        # that defer, then verify the verdict is unchanged without the
-        # list entry.
-        world.as_a.revocations.prune(now)
-        after_prune = router.process_outgoing(packets[1])
+    while_listed = router.process_outgoing(packets[0])
+    # The router auto-prunes as it goes; force it for the backends
+    # that defer, then verify the verdict is unchanged without the
+    # list entry.
+    world.as_a.revocations.prune(now)
+    after_prune = router.process_outgoing(packets[1])
     assert while_listed.reason is DropReason.SRC_EXPIRED
     assert after_prune.reason is DropReason.SRC_EXPIRED
     assert not world.as_a.revocations.contains(stale)

@@ -4,7 +4,7 @@ integration and the sharded E1 issuance runner.
 Everything here is sized for the tier-1 pass: shard counts are clamped
 to 2, bursts are small, and nothing asserts wall-clock speedups — the
 worker processes are exercised for *correctness* on any core count (the
-multi-core scaling claims live in ``benchmarks/bench_sharding.py``).  A
+throughput claims are the sharded workloads of ``bench/run.py``).  A
 single lenient scaling sanity check runs only on multi-core hosts.
 """
 
@@ -22,6 +22,7 @@ from repro.sharding import (
     ShardHostView,
     ShardPlan,
     ShardedDataPlane,
+    SupervisorPolicy,
     split_requests,
 )
 from repro.sharding import wire
@@ -269,8 +270,12 @@ class TestShardHostView:
 
 def build_sharded_world(*, seed=21, hosts=4, batch_size=8, shards=TIER1_SHARDS):
     builder = (
-        WorldBuilder(seed=seed)
-        .sharding(shards, batch_size=batch_size)
+        WorldBuilder(
+            seed=seed,
+            config=ApnaConfig(
+                forwarding_shards=shards, forwarding_batch_size=batch_size
+            ),
+        )
         .asys("a", aid=100)
         .asys("b", aid=200)
         .link("a", "b")
@@ -397,10 +402,12 @@ class TestMidTrafficTransitions:
             WorldBuilder(
                 seed=5,
                 config=ApnaConfig(
-                    replay_protection=True, in_network_replay_filter=True
+                    replay_protection=True,
+                    in_network_replay_filter=True,
+                    forwarding_shards=2,
+                    forwarding_batch_size=4,
                 ),
             )
-            .sharding(2, batch_size=4)
             .asys("a", aid=100)
             .asys("b", aid=200)
             .link("a", "b")
@@ -471,8 +478,14 @@ class TestDispatcher:
         # frame must be rejected at dispatch (plane untouched), not
         # shipped to a worker whose parse failure would cost a restart.
         builder = (
-            WorldBuilder(seed=9, config=ApnaConfig(replay_protection=True))
-            .sharding(2, batch_size=4)
+            WorldBuilder(
+                seed=9,
+                config=ApnaConfig(
+                    replay_protection=True,
+                    forwarding_shards=2,
+                    forwarding_batch_size=4,
+                ),
+            )
             .asys("a", aid=100)
             .host("h", at="a")
         )
@@ -488,31 +501,18 @@ class TestDispatcher:
             with pytest.raises(ShardError, match="direction flags"):
                 plane.process([b"\x00" * 48, b"\x00" * 48], [True], 0.0)
 
-    def test_sharding_one_reverts_all_overlays(self):
-        # sharding(1) after sharding(4, batch_size=64) must restore the
-        # scalar in-line pipeline, batch size included.
-        builder = (
-            WorldBuilder(seed=3)
-            .sharding(4, batch_size=64, block=8)
-            .sharding(1)
-            .asys("a", aid=100)
-        )
-        world = builder.build()
-        config = world.asys("a").config
-        assert config.forwarding_shards == 0
-        assert config.forwarding_batch_size == ApnaConfig().forwarding_batch_size
-        assert config.shard_block == ApnaConfig().shard_block
-        assert world.asys("a").shard_pool is None
-
     def test_removed_options_are_rejected(self):
         # One data-plane configuration: the residue map and unbounded
-        # waits have no spelling left, at the plan or at the builder.
+        # waits have no spelling left, at the plan or in the policy every
+        # plane is built with.
         with pytest.raises(TypeError):
             ShardPlan(2, mode="residue")
-        with pytest.raises(TypeError):
-            WorldBuilder().sharding(2, routing="residue")
         with pytest.raises(ValueError, match="reply_timeout"):
-            WorldBuilder().sharding(2, reply_timeout=0)
+            SupervisorPolicy.from_config(ApnaConfig(shard_reply_timeout=0))
+        with pytest.raises(ValueError, match="max_restarts"):
+            SupervisorPolicy(max_restarts=-1)
+        with pytest.raises(ValueError, match="restart_backoff"):
+            SupervisorPolicy(restart_backoff=-0.1)
 
     def test_control_error_held_until_next_reply(self):
         """A failing fire-and-forget message must not emit an unsolicited

@@ -6,11 +6,13 @@ through ``ShardedDataPlane(shards=N)`` and through a single-process
 the shard counters sum to the single router's counters.  A seeded fuzzer
 mixes every verdict class — including mid-stream revocations and replay
 duplicates whose source EphIDs straddle shard boundaries — and checks
-the property under both crypto backends and at 2 and 3 shards (3
-exercises the non-power-of-two routing path).
+the property on the active crypto backend at 2 and 3 shards (3
+exercises the non-power-of-two routing path).  One more test runs a
+single stream through workers on every available crypto backend.
 """
 
 import dataclasses
+import multiprocessing
 import random
 
 import pytest
@@ -25,6 +27,8 @@ from repro.wire.apna import Endpoint
 from tests.conftest import build_world
 
 BACKENDS = crypto_backend.available_backends()
+#: The fuzzed suite runs on the active crypto backend; the ids say which.
+CRYPTO = crypto_backend.active_backend().name
 WINDOW = 900.0
 BITS = 1 << 16
 SHARD_COUNTS = (2, 3)
@@ -33,21 +37,19 @@ SHARD_COUNTS = (2, 3)
 STATE_BACKENDS = ("object", "columnar")
 
 
-def _build_world(backend, nshards, state_backend="columnar"):
-    with crypto_backend.use_backend(backend):
-        world = build_world(
-            config=ApnaConfig(
-                replay_protection=True,
-                in_network_replay_filter=True,
-                replay_filter_window=WINDOW,
-                replay_filter_bits=BITS,
-                forwarding_shards=nshards,
-                state_backend=state_backend,
-            ),
-            host_names=("alice", "bob", "carol", "dave", "erin"),
-        )
-        world.crypto_backend = backend
-    return world
+def _build_world(nshards, state_backend="columnar", **supervision):
+    return build_world(
+        config=ApnaConfig(
+            replay_protection=True,
+            in_network_replay_filter=True,
+            replay_filter_window=WINDOW,
+            replay_filter_bits=BITS,
+            forwarding_shards=nshards,
+            state_backend=state_backend,
+            **supervision,
+        ),
+        host_names=("alice", "bob", "carol", "dave", "erin"),
+    )
 
 
 def _reference_router(world):
@@ -65,25 +67,6 @@ def _reference_router(world):
     )
 
 
-def _fresh_plane(world, nshards):
-    as_a = world.as_a
-    return ShardedDataPlane.from_parts(
-        aid=as_a.aid,
-        enc_key=as_a.keys.secret.ephid_enc,
-        mac_key=as_a.keys.secret.ephid_mac,
-        hostdb=as_a.hostdb,
-        revocations=as_a.revocations,
-        nshards=nshards,
-        plan=as_a.shard_plan,
-        crypto_backend=world.crypto_backend,
-        packet_mac_size=world.config.packet_mac_size,
-        with_nonce=True,
-        replay_window=WINDOW,
-        replay_bits=BITS,
-        state_backend=world.config.state_backend,
-    )
-
-
 def _packet_mix(world, rng):
     """A packet builder covering every verdict class.
 
@@ -91,28 +74,27 @@ def _packet_mix(world, rng):
     shard assignment, land on different shards — so replay duplicates
     and revocations exercise more than one worker.
     """
-    with crypto_backend.use_backend(world.crypto_backend):
-        alice = world.hosts["alice"]
-        carol = world.hosts["carol"]
-        erin = world.hosts["erin"]
-        bob = world.hosts["bob"]
-        sources = [
-            (host, host.acquire_ephid_direct()) for host in (alice, carol, erin)
-        ]
-        peer = bob.acquire_ephid_direct()
-        local_peer = carol.acquire_ephid_direct()
-        revocable = [
-            (host, host.acquire_ephid_direct()) for host in (alice, erin)
-        ]
-        codec = world.as_a.codec
-        alice_hid = world.as_a.hostdb.find_by_subscriber(alice.subscriber_id).hid
-        expired_ephid = codec.seal(
-            alice_hid, exp_time=1, iv=world.as_a.ivs.next_iv_for(alice_hid)
-        )
-        bad_hid = 0xDEAD_0000
-        bad_hid_ephid = codec.seal(
-            bad_hid, exp_time=2**31, iv=world.as_a.ivs.next_iv_for(bad_hid)
-        )
+    alice = world.hosts["alice"]
+    carol = world.hosts["carol"]
+    erin = world.hosts["erin"]
+    bob = world.hosts["bob"]
+    sources = [
+        (host, host.acquire_ephid_direct()) for host in (alice, carol, erin)
+    ]
+    peer = bob.acquire_ephid_direct()
+    local_peer = carol.acquire_ephid_direct()
+    revocable = [
+        (host, host.acquire_ephid_direct()) for host in (alice, erin)
+    ]
+    codec = world.as_a.codec
+    alice_hid = world.as_a.hostdb.find_by_subscriber(alice.subscriber_id).hid
+    expired_ephid = codec.seal(
+        alice_hid, exp_time=1, iv=world.as_a.ivs.next_iv_for(alice_hid)
+    )
+    bad_hid = 0xDEAD_0000
+    bad_hid_ephid = codec.seal(
+        bad_hid, exp_time=2**31, iv=world.as_a.ivs.next_iv_for(bad_hid)
+    )
 
     dst_inter = Endpoint(world.as_b.aid, peer.ephid)
     dst_intra = Endpoint(world.as_a.aid, local_peer.ephid)
@@ -176,6 +158,24 @@ KINDS = (
 )
 
 
+def _mixed_burst(build, rng, kinds, size):
+    """``size`` ``(packet, egress)`` items: about 40% re-addressed as
+    ingress — transit (foreign dst) or local delivery at AS 100."""
+    items = []
+    for _ in range(size):
+        packet = build(rng.choice(kinds))
+        out = rng.random() >= 0.4
+        if not out:
+            packet = dataclasses.replace(
+                packet,
+                header=dataclasses.replace(
+                    packet.header, dst_aid=777 if rng.random() < 0.4 else 100
+                ),
+            )
+        items.append((packet, out))
+    return items
+
+
 def _assert_counters_match(plane, router):
     """Shard counter sums (plus dispatcher transit) == single-router state."""
     stats = plane.stats()
@@ -189,11 +189,10 @@ def _assert_counters_match(plane, router):
 
 
 @pytest.mark.parametrize("state_backend", STATE_BACKENDS)
-@pytest.mark.parametrize("nshards", SHARD_COUNTS)
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("nshards", SHARD_COUNTS, ids=lambda n: f"{CRYPTO}-{n}")
 class TestShardedEquivalence:
-    def test_fuzzed_egress_bursts(self, backend, nshards, state_backend):
-        world = _build_world(backend, nshards, state_backend)
+    def test_fuzzed_egress_bursts(self, nshards, state_backend):
+        world = _build_world(nshards, state_backend)
         world.network.run_until(5.0)  # expire the crafted exp_time=1 EphID
         rng = random.Random(0x5AD + nshards)
         build, revocable = _packet_mix(world, rng)
@@ -202,7 +201,7 @@ class TestShardedEquivalence:
         first_host, first = revocable[0]
         world.as_a.revocations.add(first.ephid, 1e12)
         router = _reference_router(world)
-        plane = _fresh_plane(world, nshards)
+        plane = ShardedDataPlane.for_assembly(world.as_a)
         try:
             # Keep the reference revocation list and the shard replicas in
             # lockstep from here on.
@@ -236,34 +235,23 @@ class TestShardedEquivalence:
             world.as_a.revocations.on_add = None
             plane.close()
 
-    def test_fuzzed_mixed_direction_bursts(self, backend, nshards, state_backend):
+    def test_fuzzed_mixed_direction_bursts(self, nshards, state_backend):
         """Egress and ingress interleaved in one burst, the way the
         border-router node drains them (egress subset first)."""
-        world = _build_world(backend, nshards, state_backend)
+        world = _build_world(nshards, state_backend)
         world.network.run_until(5.0)
         rng = random.Random(0xB0B + nshards)
         build, _ = _packet_mix(world, rng)
         router = _reference_router(world)
-        plane = _fresh_plane(world, nshards)
+        plane = ShardedDataPlane.for_assembly(world.as_a)
         try:
             for _ in range(5):
-                items = []
-                for _ in range(rng.randint(2, 32)):
-                    packet = build(
-                        rng.choice(("inter", "intra", "replay", "forged-dst"))
-                    )
-                    if rng.random() < 0.4:
-                        # Ingress: transit (foreign dst) or local delivery.
-                        dst_aid = 777 if rng.random() < 0.4 else 100
-                        packet = dataclasses.replace(
-                            packet,
-                            header=dataclasses.replace(
-                                packet.header, dst_aid=dst_aid
-                            ),
-                        )
-                        items.append((packet, False))
-                    else:
-                        items.append((packet, True))
+                items = _mixed_burst(
+                    build,
+                    rng,
+                    ("inter", "intra", "replay", "forged-dst"),
+                    rng.randint(2, 32),
+                )
                 now = world.as_a.clock()
                 # Reference: the node's two-pass split, egress then ingress.
                 reference = [None] * len(items)
@@ -283,14 +271,14 @@ class TestShardedEquivalence:
         finally:
             plane.close()
 
-    def test_replay_duplicates_straddle_shards(self, backend, nshards, state_backend):
+    def test_replay_duplicates_straddle_shards(self, nshards, state_backend):
         """The same duplicate pair, repeated across hosts on different
         shards, is flagged identically in both planes."""
-        world = _build_world(backend, nshards, state_backend)
+        world = _build_world(nshards, state_backend)
         rng = random.Random(1)
         build, _ = _packet_mix(world, rng)
         router = _reference_router(world)
-        plane = _fresh_plane(world, nshards)
+        plane = ShardedDataPlane.for_assembly(world.as_a)
         try:
             firsts = [build("inter") for _ in range(nshards * 2)]
             shards_hit = {
@@ -311,4 +299,69 @@ class TestShardedEquivalence:
             )
             _assert_counters_match(plane, router)
         finally:
+            plane.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the workers' backend switch is observed through fork inheritance",
+)
+def test_one_stream_same_verdicts_on_every_crypto_backend(monkeypatch):
+    """The data plane's one cross-backend check: a mixed-direction
+    stream with replays, a revoke and a ``revoke_hid`` mid-stream, through
+    one 2-shard plane per available backend (``ShardSpec.crypto_backend``
+    names it), must yield the same verdicts and the same summed counters.
+    Primitive-level agreement is ``tests/test_crypto_backends.py``."""
+    world = _build_world(2)
+    world.network.run_until(5.0)  # expire the crafted exp_time=1 EphID
+    rng = random.Random(0xC0DE)
+    build, revocable = _packet_mix(world, rng)
+    as_a = world.as_a
+    as_a.revocations.add(revocable[0][1].ephid, 1e12)
+    victim_hid = as_a.hostdb.find_by_subscriber(
+        world.hosts["erin"].subscriber_id
+    ).hid
+
+    # A forked worker inherits the backend active in its parent, and the
+    # backends agree by design, so verdicts cannot show that a worker
+    # read its spec: count the switches the workers make themselves.
+    switches = {name: multiprocessing.Value("i", 0) for name in BACKENDS}
+    set_backend = crypto_backend.set_backend
+
+    def counting_set_backend(backend):
+        with switches[backend].get_lock():
+            switches[backend].value += 1
+        return set_backend(backend)
+
+    planes = {}
+    try:
+        for name in BACKENDS:
+            with crypto_backend.use_backend(name), monkeypatch.context() as patch:
+                patch.setattr(crypto_backend, "set_backend", counting_set_backend)
+                planes[name] = ShardedDataPlane.for_assembly(as_a)
+        for round_no in range(6):
+            items = _mixed_burst(build, rng, KINDS, rng.randint(8, 40))
+            now = as_a.clock()
+            first, *rest = (
+                plane.process_packets(items, now) for plane in planes.values()
+            )
+            assert all(verdicts == first for verdicts in rest)
+            if round_no == 2:
+                for plane in planes.values():
+                    plane.revoke_ephid(revocable[1][1].ephid, 1e12)
+                    plane.revoke_hid(victim_hid)
+        first, *rest = (plane.stats() for plane in planes.values())
+        assert all(stats == first for stats in rest)
+        assert {name: count.value for name, count in switches.items()} == {
+            name: 2 for name in BACKENDS
+        }
+        # The stream was worth comparing.
+        for counter in (
+            DropReason.REPLAYED, DropReason.SRC_REVOKED,
+            DropReason.SRC_HID_INVALID, DropReason.BAD_MAC,
+        ):
+            assert first[counter.value] > 0, counter
+        assert first["forwarded_inter"] > 0 and first["forwarded_intra"] > 0
+    finally:
+        for plane in planes.values():
             plane.close()

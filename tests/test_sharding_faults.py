@@ -32,7 +32,13 @@ from repro.core.border_router import BorderRouter, DropReason
 from repro.core.config import ApnaConfig
 from repro.crypto import backend as crypto_backend
 from repro.faults import FAULT_KINDS, Fault, FaultPlan, crash_storm_plan
-from repro.sharding import ShardedDataPlane, SupervisorPolicy
+from repro.sharding import (
+    ShardError,
+    ShardPlan,
+    ShardSupervisor,
+    ShardedDataPlane,
+    SupervisorPolicy,
+)
 from repro.wire.apna import Endpoint
 from repro import scenarios
 
@@ -48,9 +54,14 @@ CHAOS_POLICY = SupervisorPolicy(
 )
 
 
-def _build_world(nshards):
+def _build_world(nshards, policy=CHAOS_POLICY):
     return build_world(
-        config=ApnaConfig(forwarding_shards=nshards),
+        config=ApnaConfig(
+            forwarding_shards=nshards,
+            shard_reply_timeout=policy.reply_timeout,
+            shard_max_restarts=policy.max_restarts,
+            shard_restart_backoff=policy.restart_backoff,
+        ),
         host_names=("alice", "bob", "carol", "dave", "erin"),
     )
 
@@ -65,22 +76,6 @@ def _reference_router(world):
         world.network.scheduler.clock(),
         packet_mac_size=world.config.packet_mac_size,
         replay_filter=None,
-    )
-
-
-def _fresh_plane(world, nshards, policy=CHAOS_POLICY, **parts):
-    as_a = world.as_a
-    return ShardedDataPlane.from_parts(
-        aid=as_a.aid,
-        enc_key=as_a.keys.secret.ephid_enc,
-        mac_key=as_a.keys.secret.ephid_mac,
-        hostdb=as_a.hostdb,
-        revocations=as_a.revocations,
-        nshards=nshards,
-        plan=as_a.shard_plan,
-        packet_mac_size=world.config.packet_mac_size,
-        supervision=policy,
-        **parts,
     )
 
 
@@ -227,7 +222,7 @@ class TestCrashStormEquivalence:
             nshards, self.BURSTS, seed=7 + nshards, rate=0.06, delay=0.005
         )
         assert len(plan) > 0
-        plane = _fresh_plane(world, nshards)
+        plane = ShardedDataPlane.for_assembly(world.as_a)
         plane.install_faults(plan)
         total = delivered = failures = 0
         try:
@@ -283,7 +278,7 @@ class TestCrashStormEquivalence:
             rng = random.Random(99)
             build, _ = _packet_mix(world, rng)
             plan = crash_storm_plan(nshards, 40, seed=5, rate=0.1)
-            plane = _fresh_plane(world, nshards)
+            plane = ShardedDataPlane.for_assembly(world.as_a)
             plane.install_faults(plan)
             try:
                 for _ in range(40):
@@ -311,11 +306,11 @@ class TestFaultKindsIsolated:
     """One fault kind at a time, pinned to a specific burst."""
 
     def _run(self, plan, *, bursts=6, policy=CHAOS_POLICY):
-        world = _build_world(2)
+        world = _build_world(2, policy)
         rng = random.Random(3)
         build, _ = _packet_mix(world, rng)
         router = _reference_router(world)
-        plane = _fresh_plane(world, 2, policy)
+        plane = ShardedDataPlane.for_assembly(world.as_a)
         plane.install_faults(plan)
         outcomes = []
         try:
@@ -422,25 +417,23 @@ class TestDegradation:
     """Budget exhaustion must end in exact in-process service, not a wall
     of exceptions."""
 
-    def _degraded_plane(self, world):
-        policy = SupervisorPolicy(
-            reply_timeout=0.4, max_restarts=1, restart_backoff=0.001
+    def test_degrades_to_exact_inprocess_service(self):
+        world = _build_world(
+            2,
+            SupervisorPolicy(
+                reply_timeout=0.4, max_restarts=1, restart_backoff=0.001
+            ),
         )
-        plane = _fresh_plane(world, 2, policy)
+        rng = random.Random(11)
+        build, revocable = _packet_mix(world, rng)
+        router = _reference_router(world)
+        plane = ShardedDataPlane.for_assembly(world.as_a)
         # Two kills per shard (routing decides which shards carry
         # traffic): the first kill consumes a shard's only restart, the
         # second exhausts its budget.
         plane.install_faults(
             FaultPlan({(s, q): "kill" for s in (0, 1) for q in (1, 2)})
         )
-        return plane
-
-    def test_degrades_to_exact_inprocess_service(self):
-        world = _build_world(2)
-        rng = random.Random(11)
-        build, revocable = _packet_mix(world, rng)
-        router = _reference_router(world)
-        plane = self._degraded_plane(world)
         try:
             seen_degraded = False
             for burst_no in range(30):
@@ -487,19 +480,44 @@ class TestDegradation:
         finally:
             plane.close()
 
+    def test_backoff_stays_capped_through_a_chaos_grade_budget(self):
+        """A shard that never comes back must cost its whole budget and
+        then ``False`` — with a lifetime count as the exponent, an
+        uncapped doubling outgrows a float near attempt 1025 and the
+        ``OverflowError`` would escape ``collect`` mid-merge."""
+        from tests.test_state_store import _shard_spec
+
+        class DeadCarrier:
+            def restart(self, shard, spec):
+                raise ShardError("spawn failed", shard=shard)
+
+        plan = ShardPlan(1)
+        slept = []
+        supervisor = ShardSupervisor(
+            DeadCarrier(),
+            plan,
+            [_shard_spec(plan, 0, "columnar")],
+            None,
+            CHAOS_POLICY,
+            sleep=slept.append,
+        )
+        assert supervisor.restart(0) is False
+        assert supervisor.restarts == [CHAOS_POLICY.max_restarts]
+        assert max(slept) <= 50 * CHAOS_POLICY.restart_backoff
+
     def test_send_failure_mid_submit_degrades_once(self):
         """A worker found dead while a burst is being *sent* forfeits the
         sub-bursts that ticket already shipped, once — it must not leave
         them to be read off the closed pool, blamed on a healthy shard
         and answered with a second degrade that forgets what the plane
         served in between."""
-        world = _build_world(2)
+        world = _build_world(
+            2, SupervisorPolicy(reply_timeout=0.4, max_restarts=0)
+        )
         rng = random.Random(17)
         build, _ = _packet_mix(world, rng)
         router = _reference_router(world)
-        plane = _fresh_plane(
-            world, 2, SupervisorPolicy(reply_timeout=0.4, max_restarts=0)
-        )
+        plane = ShardedDataPlane.for_assembly(world.as_a)
         try:
             packets = [build("inter") for _ in range(8)]
             frames = [p.to_wire() for p in packets]
@@ -540,22 +558,16 @@ class TestDegradation:
             (n for n in crypto_backend.available_backends() if n != active.name),
             active.name,
         )
-        world = equivalence._build_world(active.name, 2)
+        world = equivalence._build_world(
+            2, shard_reply_timeout=0.4, shard_max_restarts=0
+        )
         world.network.run_until(5.0)  # expire the crafted exp_time=1 EphID
         rng = random.Random(0xDE6)
         build, revocable = equivalence._packet_mix(world, rng)
         oracle = equivalence._reference_router(world)
         as_a = world.as_a
-        plane = _fresh_plane(
-            world,
-            2,
-            SupervisorPolicy(reply_timeout=0.4, max_restarts=0),
-            crypto_backend=other,
-            with_nonce=True,
-            replay_window=equivalence.WINDOW,
-            replay_bits=equivalence.BITS,
-            state_backend=world.config.state_backend,
-        )
+        with crypto_backend.use_backend(other):
+            plane = ShardedDataPlane.for_assembly(as_a)
 
         def scalar(items):
             # The node's drain order: the egress subset, then the ingress.
@@ -568,22 +580,6 @@ class TestDegradation:
                     if out is direction:
                         verdicts[i] = process(packet)
             return verdicts
-
-        def mixed_burst(kinds, size):
-            items = []
-            for _ in range(size):
-                packet = build(rng.choice(kinds))
-                out = rng.random() >= 0.4
-                if not out:  # ingress: transit (foreign dst) or local
-                    packet = dataclasses.replace(
-                        packet,
-                        header=dataclasses.replace(
-                            packet.header,
-                            dst_aid=777 if rng.random() < 0.4 else as_a.aid,
-                        ),
-                    )
-                items.append((packet, out))
-            return items
 
         try:
             for shard in range(2):
@@ -608,7 +604,9 @@ class TestDegradation:
             as_a.hostdb.on_register = plane.register_host
             as_a.hostdb.on_revoke_hid = plane.revoke_hid
             for _ in range(3):
-                items = mixed_burst(equivalence.KINDS, 24)
+                items = equivalence._mixed_burst(
+                    build, rng, equivalence.KINDS, 24
+                )
                 assert plane.process_packets(items, as_a.clock()) == scalar(items)
 
             revoked_host, owned = revocable[1]
@@ -667,13 +665,13 @@ class TestFailedResyncCleanup:
     degraded plane — starts from a clean slate."""
 
     def test_failed_resync_kills_half_respawned_worker(self):
-        world = _build_world(2)
-        rng = random.Random(21)
-        build, _ = _packet_mix(world, rng)
         policy = SupervisorPolicy(
             reply_timeout=0.4, max_restarts=2, restart_backoff=0.001
         )
-        plane = _fresh_plane(world, 2, policy)
+        world = _build_world(2, policy)
+        rng = random.Random(21)
+        build, _ = _packet_mix(world, rng)
+        plane = ShardedDataPlane.for_assembly(world.as_a)
         try:
             # Warm burst: all workers up and serving before the sabotage.
             packets = [build("inter") for _ in range(4)]
