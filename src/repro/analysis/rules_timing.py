@@ -24,6 +24,10 @@ TAG_TOKENS = ("tag", "mac", "digest", "expected", "presented")
 
 
 def _is_tag_operand(node: ast.expr) -> bool:
+    if isinstance(node, ast.Subscript):
+        # Columnar code indexes and slices its tags: ``tags[k]`` is named
+        # by its base, ``frame[_MAC]`` by the slice constant it reads.
+        return _is_tag_operand(node.value) or _is_tag_operand(node.slice)
     if isinstance(node, ast.Name):
         name = node.id.lower()
     elif isinstance(node, ast.Attribute):
@@ -45,7 +49,8 @@ class CtCompareRule(Rule):
         "PR 3: non-constant-time passport MAC compare (timing-oracle "
         "forgery); guarded since by the tag-comparison audit"
     )
-    #: Modules holding tag comparisons on secret-dependent hot paths.
+    #: Modules holding tag comparisons on secret-dependent hot paths
+    #: (``core/border_router.py`` is where ``process_burst`` lives).
     scope = (
         "crypto/*.py",
         "core/ephid.py",

@@ -53,6 +53,7 @@ from .replay import ReplayWindow
 from .replay_filter import RotatingReplayFilter
 from .rpki import RpkiDirectory, TrustAnchor
 from .session import ConnectionAccept, ConnectionRequest, OwnedEphId, Session, SessionError
+from .verdict import verdicts_of
 
 HID_ROUTER = 5
 
@@ -141,7 +142,10 @@ class ApnaAutonomousSystem:
             aid, self.codec, self.hostdb, self.bus, rpki, clock, config
         )
         replay_filter = None
-        if config.in_network_replay_filter:
+        # The filter keys on the Section VIII-D nonce, which the burst
+        # path reads at a fixed frame offset: without nonces on the wire
+        # there is nothing to observe, so no filter is run.
+        if config.in_network_replay_filter and config.replay_protection:
             replay_filter = RotatingReplayFilter(
                 window=config.replay_filter_window,
                 bits_per_generation=config.replay_filter_bits,
@@ -482,7 +486,7 @@ class BorderRouterNode(Node):
     """The simulated border router: wire bytes in, wire bytes out.
 
     The node runs the paper's burst data plane: arriving packets are
-    accumulated and pushed through :meth:`BorderRouter.process_mixed_batch`
+    accumulated and pushed through :meth:`BorderRouter.process_burst`
     once ``config.forwarding_batch_size`` of them are waiting (or after
     ``forwarding_batch_window`` virtual seconds, whichever comes first),
     and the verdicts are acted on in arrival order.  A burst size of 1
@@ -542,17 +546,14 @@ class BorderRouterNode(Node):
             return
         self.bursts_flushed += 1
         self.largest_burst = max(self.largest_burst, len(burst))
+        frames = [frame for _, _, frame in burst]
+        egress = [not outside for _, outside, _ in burst]
         pool = self.assembly.shard_pool
         if pool is not None:
-            verdicts = pool.process(
-                [frame for _, _, frame in burst],
-                [not outside for _, outside, _ in burst],
-                self.assembly.clock(),
-            )
+            verdicts = pool.process(frames, egress, self.assembly.clock())
         else:
-            verdicts = self.assembly.br.process_mixed_batch(
-                [packet for packet, _, _ in burst],
-                [not outside for _, outside, _ in burst],
+            verdicts = verdicts_of(
+                b"".join(self.assembly.br.process_burst(frames, egress))
             )
         for (packet, outside, _), verdict in zip(burst, verdicts):
             assert verdict is not None

@@ -23,67 +23,81 @@ Burst pipeline
 --------------
 
 The paper's DPDK prototype hits line rate by computing verdicts over
-*bursts* rather than single packets; :meth:`BorderRouter.process_batch`
-(egress) and :meth:`BorderRouter.process_incoming_batch` (ingress) are
-that loop.  A burst pays one clock read and one revocation prune; the
-burst's distinct source/destination EphIDs are opened together through
-:meth:`repro.core.ephid.EphIdCodec.open_batch` (two bulk ECB calls per
-burst on the ``openssl`` backend, whatever the burst size); and the
-per-packet MACs are verified grouped by HID through each host's cached
-reusable CMAC context (:meth:`repro.crypto.cmac.Cmac.tag_many`).
+*bursts* of raw frames; :meth:`BorderRouter.process_burst` is that loop
+and the only production verdict path (the in-line node and every
+:class:`~repro.sharding.worker.ShardState` call it).  It never builds a
+packet object: the fields are fixed-offset slices of the packed Fig. 7
+header (:mod:`repro.wire.apna`) — source AID ``[0:4]``, source EphID
+``[4:20]``, destination EphID ``[20:36]``, destination AID ``[36:40]``,
+MAC ``[40:48]`` and, when the router runs a replay filter (the one
+stage that reads it), the Section VIII-D nonce ``[48:56]`` — and the MAC
+input is ``frame[:40] + zero MAC + frame[48:]``.  A burst pays one clock read
+and one revocation prune; each *distinct* source/destination EphID is
+opened (:meth:`~repro.core.ephid.EphIdCodec.open_batch`, two bulk ECB
+calls) and checked once; MACs are verified grouped by HID through each
+host's cached CMAC context (:meth:`~repro.crypto.cmac.Cmac.tag_many`);
+replay keys go through one
+:meth:`~repro.core.replay_filter.RotatingReplayFilter.observe_many`.
 
-Equivalence guarantee: for any packet list, ``process_batch(packets)``
-returns exactly the list of :class:`Verdict` objects the scalar loop
-``[process_outgoing(p) for p in packets]`` would return when the clock
-does not advance between packets (the simulator's case — verdicts are
-computed at one instant), and leaves the router in the identical state:
-same drop counters, same forwarded counters, and the same replay-filter
-inserts performed in the same packet order.  The batch path is pure
-amortisation, not a semantic change; ``tests/test_batch_equivalence.py``
-fuzzes this property under both crypto backends.
+Each verdict leaves as its packed 11-byte record (:mod:`repro.core.
+verdict`, the one definition of the layout) — one constant per
+:class:`DropReason` (``DROP_RECORDS``), ``INTER_HEAD + dst_aid`` for
+``FORWARD_INTER``, ``INTRA_HEAD + hid + INTRA_TAIL`` for ``FORWARD_INTRA``
+— so a shard's reply is a header plus ``b"".join(records)``.
+:func:`~repro.core.verdict.verdicts_of` turns records into
+:class:`Verdict` objects at the API edge, out of a bounded intern table.
+
+Equivalence guarantee: ``process_burst(frames, egress)`` returns the
+records of exactly the verdicts the scalar loop (``process_outgoing``
+on each egress frame, ``process_incoming`` on each ingress frame, in
+arrival order) returns when the clock does not advance inside the burst,
+and leaves the router in the identical state: same drop and forward
+counters, same replay-filter inserts in the same order.
+``tests/test_batch_equivalence.py`` fuzzes this on both state backends;
+the scalar pipelines stay as the one-screen spec and that oracle.
+
+:meth:`BorderRouter.process_mixed_batch` is an adapter over
+``process_burst`` for ``bench/apnabench/trace.py``, which still hands
+the router parsed packets; ROADMAP item 0(b) re-points the trace and
+deletes it.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import Callable
+from itertools import repeat
+from typing import Callable, Sequence
 
 from ..crypto.cmac import Cmac
 from ..crypto.util import ct_eq
 from ..wire import icmp as icmp_wire
-from ..wire.apna import ApnaPacket
+from ..wire.apna import (
+    DST_AID_FIELD,
+    DST_EPHID_FIELD,
+    HEADER_SIZE,
+    HEADER_SIZE_WITH_NONCE,
+    MAC_FIELD,
+    MAC_SIZE,
+    NONCE_FIELD,
+    SRC_AID_FIELD,
+    SRC_EPHID_FIELD,
+    ApnaPacket,
+)
+from ..wire.errors import ParseError
 from .ephid import EphIdCodec
 from .errors import EphIdError
 from .hostdb import HostDatabase
 from .replay_filter import RotatingReplayFilter
 from .revocation import RevocationList
-
-
-class Action(enum.Enum):
-    FORWARD_INTER = "forward-inter"  # toward another AS
-    FORWARD_INTRA = "forward-intra"  # to a local HID
-    DROP = "drop"
-
-
-class DropReason(enum.Enum):
-    SRC_FORGED = "src-ephid-forged"
-    SRC_EXPIRED = "src-ephid-expired"
-    SRC_REVOKED = "src-ephid-revoked"
-    SRC_HID_INVALID = "src-hid-invalid"
-    BAD_MAC = "packet-mac-invalid"
-    DST_FORGED = "dst-ephid-forged"
-    DST_EXPIRED = "dst-ephid-expired"
-    DST_REVOKED = "dst-ephid-revoked"
-    DST_HID_INVALID = "dst-hid-invalid"
-    NOT_LOCAL_SOURCE = "src-aid-foreign"
-    REPLAYED = "packet-replayed"
-    #: Dispatcher-side synthetic drop: the packet was in flight to a
-    #: worker shard that crashed/hung before replying, so its real
-    #: verdict is unknowable (:mod:`repro.sharding.supervisor` counts
-    #: every such drop).  Single-process routers never emit it.
-    SHARD_FAILURE = "shard-failure"
-
+from .verdict import (
+    DROP_RECORDS,
+    INTER_HEAD,
+    INTRA_HEAD,
+    INTRA_TAIL,
+    Action,
+    DropReason,
+    Verdict,
+    verdicts_of,
+)
 
 #: ICMP codes attached to (incoming-side) drops so the source can learn
 #: why its packets die (Section VIII-B: ICMP works by default in APNA).
@@ -93,34 +107,24 @@ ICMP_CODES = {
     DropReason.DST_HID_INVALID: icmp_wire.CODE_HID_INVALID,
 }
 
+#: The MAC input is the frame with its MAC field zeroed.
+_BEFORE_MAC = slice(0, MAC_FIELD.start)
+_ZERO_MAC = bytes(MAC_SIZE)
+_AFTER_MAC = slice(MAC_FIELD.stop, None)
 
-@dataclass(frozen=True)
-class Verdict:
-    """The router's decision for one packet."""
-
-    action: Action
-    reason: DropReason | None = None
-    hid: int | None = None  # set for FORWARD_INTRA
-    next_aid: int | None = None  # set for FORWARD_INTER
-
-    @property
-    def dropped(self) -> bool:
-        return self.action is Action.DROP
-
-
-class InterVerdicts(dict):
-    """Interned FORWARD_INTER verdicts keyed by destination AID.
-
-    Verdicts are frozen value objects, so bursts reuse one instance per
-    destination instead of constructing thousands of equal dataclasses.
-    Shared by the in-process router and the shard dispatcher's transit
-    short-circuit (:mod:`repro.sharding.pool`).
-    """
-
-    def __missing__(self, dst_aid: int) -> Verdict:
-        verdict = Verdict(Action.FORWARD_INTER, next_aid=dst_aid)
-        self[dst_aid] = verdict
-        return verdict
+#: The (forged, expired, revoked, HID-invalid) reasons of each side.
+_SRC_FAULTS = (
+    DropReason.SRC_FORGED,
+    DropReason.SRC_EXPIRED,
+    DropReason.SRC_REVOKED,
+    DropReason.SRC_HID_INVALID,
+)
+_DST_FAULTS = (
+    DropReason.DST_FORGED,
+    DropReason.DST_EXPIRED,
+    DropReason.DST_REVOKED,
+    DropReason.DST_HID_INVALID,
+)
 
 
 class BorderRouter:
@@ -151,7 +155,6 @@ class BorderRouter:
         self.drops: dict[DropReason, int] = {reason: 0 for reason in DropReason}
         self.forwarded_inter = 0
         self.forwarded_intra = 0
-        self._inter_verdicts = InterVerdicts()
 
     def _drop(self, reason: DropReason) -> Verdict:
         self.drops[reason] += 1
@@ -224,156 +227,152 @@ class BorderRouter:
             return True
         return self.replay_filter.observe(header.src_ephid, header.nonce, now)
 
-    # -- burst pipelines (paper §V-B: verdicts are computed per burst) --
+    # -- the burst pipeline (paper §V-B: verdicts are computed per burst) --
 
-    def process_batch(self, packets: "list[ApnaPacket]") -> "list[Verdict]":
-        """Egress pipeline over a burst; see the module docstring for the
-        equivalence guarantee with the scalar :meth:`process_outgoing`.
+    def process_burst(
+        self, frames: "Sequence[bytes]", egress: "Sequence[bool]"
+    ) -> "list[bytes]":
+        """Both Fig. 4 pipelines over one burst of raw wire frames
+        (``egress[k]`` says which applies to ``frames[k]``); returns one
+        packed :data:`~repro.core.verdict.VERDICT_RECORD` per frame.
+        See the module docstring for the layout and the equivalence
+        guarantee with the scalar pipelines.
+
+        A frame shorter than the header raises ``ParseError`` before any
+        counter or filter is touched.
         """
-        if not packets:
+        if len(frames) != len(egress):
+            raise ValueError(
+                f"{len(frames)} frames but {len(egress)} direction flags"
+            )
+        if not frames:
             return []
+        replay_filter = self.replay_filter
+        header = HEADER_SIZE if replay_filter is None else HEADER_SIZE_WITH_NONCE
+        if min(map(len, frames)) < header:
+            k = next(k for k, frame in enumerate(frames) if len(frame) < header)
+            raise ParseError(
+                f"frame {k} of the burst is {len(frames[k])} bytes, "
+                f"the APNA header needs {header}"
+            )
         now = self._clock()
         self._revocations.maybe_prune(now)
-        verdicts: list[Verdict | None] = [None] * len(packets)
-        local_src: list[int] = []
-        for i, packet in enumerate(packets):
-            if packet.header.src_aid != self.aid:
-                verdicts[i] = self._drop(DropReason.NOT_LOCAL_SOURCE)
-            else:
-                local_src.append(i)
-        infos = self._open_many(
-            [packets[i].header.src_ephid for i in local_src]
-        )
-        # Expiry / revocation / HID validity, then MAC work grouped by
-        # HID so each group reuses one cached CMAC key schedule.
-        by_hid: dict[int, list[int]] = {}
-        for i in local_src:
-            header = packets[i].header
-            info = infos[header.src_ephid]
-            if info is None:
-                verdicts[i] = self._drop(DropReason.SRC_FORGED)
-            elif info.exp_time < now:
-                verdicts[i] = self._drop(DropReason.SRC_EXPIRED)
-            elif self._revocations.contains(header.src_ephid):
-                verdicts[i] = self._drop(DropReason.SRC_REVOKED)
-            elif not self._hostdb.is_valid(info.hid):
-                verdicts[i] = self._drop(DropReason.SRC_HID_INVALID)
-            else:
-                by_hid.setdefault(info.hid, []).append(i)
-        authentic: list[int] = []
-        for hid, indexes in by_hid.items():
+        aid = self.aid.to_bytes(4, "big")
+        records: "list[bytes | None]" = [None] * len(frames)
+        foreign: list[int] = []  # egress frames of another AS's source AID
+        by_src: dict[bytes, list[int]] = {}  # the rest, by source EphID
+        checked: list[int] = []  # frames due the replay check
+        inter = 0
+        for k, (frame, out) in enumerate(zip(frames, egress)):
+            if out:
+                if frame[SRC_AID_FIELD] == aid:
+                    by_src.setdefault(frame[SRC_EPHID_FIELD], []).append(k)
+                else:
+                    foreign.append(k)
+            elif frame[DST_AID_FIELD] == aid:
+                checked.append(k)
+            else:  # transit
+                inter += 1
+                records[k] = INTER_HEAD + frame[DST_AID_FIELD]
+        self._drop_frames(DropReason.NOT_LOCAL_SOURCE, foreign, records)
+        # Source side: MAC work grouped by HID so each group reuses one
+        # cached CMAC context.
+        bad_mac: list[int] = []
+        for hid, group in self._vet(by_src, now, _SRC_FAULTS, records).items():
             tags = self._mac_for(hid).tag_many(
-                [packets[i].mac_input() for i in indexes], self._mac_size
+                [
+                    frames[k][_BEFORE_MAC] + _ZERO_MAC + frames[k][_AFTER_MAC]
+                    for k in group
+                ],
+                self._mac_size,
             )
-            for i, expected in zip(indexes, tags):
-                if ct_eq(expected, packets[i].header.mac):
-                    authentic.append(i)
-                else:
-                    verdicts[i] = self._drop(DropReason.BAD_MAC)
-        # Replay inserts must happen in packet order so that a duplicate
-        # nonce inside one burst is flagged exactly as the scalar loop
-        # would flag it.
-        authentic.sort()
-        deliver: list[int] = []
-        for i in authentic:
-            header = packets[i].header
-            if not self._replay_fresh(header, now):
-                verdicts[i] = self._drop(DropReason.REPLAYED)
-            elif header.dst_aid == self.aid:
-                deliver.append(i)
+            for k, tag in zip(group, tags):
+                (checked if ct_eq(tag, frames[k][MAC_FIELD]) else bad_mac).append(k)
+        self._drop_frames(DropReason.BAD_MAC, bad_mac, records)
+        # Replay inserts happen in arrival order (the MAC groups and the
+        # ingress frames interleave), after the MAC check so spoofed
+        # packets cannot pollute the filter against a victim's nonces.
+        checked.sort()
+        if replay_filter is not None and checked:
+            fresh = replay_filter.observe_many(
+                [
+                    frames[k][SRC_EPHID_FIELD] + frames[k][NONCE_FIELD]
+                    for k in checked
+                ],
+                now,
+            )
+        else:
+            fresh = repeat(True)
+        replayed: list[int] = []
+        by_dst: dict[bytes, list[int]] = {}  # local deliveries, by dst EphID
+        for k, ok in zip(checked, fresh):
+            frame = frames[k]
+            dst_aid = frame[DST_AID_FIELD]
+            if not ok:
+                replayed.append(k)
+            elif dst_aid == aid:
+                by_dst.setdefault(frame[DST_EPHID_FIELD], []).append(k)
             else:
-                self.forwarded_inter += 1
-                verdicts[i] = self._inter_verdicts[header.dst_aid]
-        self._deliver_local_batch(packets, deliver, verdicts, now)
-        return verdicts  # type: ignore[return-value]  # every slot is filled
+                inter += 1
+                records[k] = INTER_HEAD + dst_aid
+        self._drop_frames(DropReason.REPLAYED, replayed, records)
+        self.forwarded_inter += inter
+        for hid, group in self._vet(by_dst, now, _DST_FAULTS, records).items():
+            self.forwarded_intra += len(group)
+            record = INTRA_HEAD + hid.to_bytes(4, "big") + INTRA_TAIL
+            for k in group:
+                records[k] = record
+        return records  # type: ignore[return-value]  # every slot is filled
 
-    def process_incoming_batch(
-        self, packets: "list[ApnaPacket]"
-    ) -> "list[Verdict]":
-        """Ingress pipeline over a burst; equivalence mirror of
-        :meth:`process_incoming`."""
-        verdicts: list[Verdict | None] = [None] * len(packets)
-        local: list[int] = []
-        for i, packet in enumerate(packets):
-            if packet.header.dst_aid != self.aid:
-                self.forwarded_inter += 1
-                verdicts[i] = self._inter_verdicts[packet.header.dst_aid]
+    def _drop_frames(
+        self, reason: DropReason, group: "list[int]", records: list
+    ) -> None:
+        self.drops[reason] += len(group)
+        record = DROP_RECORDS[reason]
+        for k in group:
+            records[k] = record
+
+    def _vet(
+        self,
+        by_ephid: "dict[bytes, list[int]]",
+        now: float,
+        faults: "tuple[DropReason, ...]",
+        records: list,
+    ) -> "dict[int, list[int]]":
+        """Open and check each distinct EphID of a burst column
+        (``by_ephid`` maps it to the frames that carry it).  Frames of
+        an EphID the scalar ladder refuses get the drop record of the
+        matching one of ``faults``; the rest come back grouped by HID.
+
+        Bursts repeat EphIDs heavily (a flow's packets share one), so
+        deduplication removes most of the per-packet cost before the
+        bulk AES calls amortise the rest.
+        """
+        forged, expired, revoked, hid_invalid = faults
+        by_hid: dict[int, list[int]] = {}
+        infos = self._codec.open_batch(list(by_ephid))
+        for (ephid, group), info in zip(by_ephid.items(), infos):
+            if info is None:
+                self._drop_frames(forged, group, records)
+            elif info.exp_time < now:
+                self._drop_frames(expired, group, records)
+            elif self._revocations.contains(ephid):
+                self._drop_frames(revoked, group, records)
+            elif not self._hostdb.is_valid(info.hid):
+                self._drop_frames(hid_invalid, group, records)
+            elif info.hid in by_hid:
+                by_hid[info.hid] += group
             else:
-                local.append(i)
-        if local:
-            now = self._clock()
-            self._revocations.maybe_prune(now)
-            deliver: list[int] = []
-            for i in local:
-                if self._replay_fresh(packets[i].header, now):
-                    deliver.append(i)
-                else:
-                    verdicts[i] = self._drop(DropReason.REPLAYED)
-            self._deliver_local_batch(packets, deliver, verdicts, now)
-        return verdicts  # type: ignore[return-value]  # every slot is filled
+                by_hid[info.hid] = group
+        return by_hid
 
     def process_mixed_batch(
         self, packets: "list[ApnaPacket]", egress: "list[bool]"
     ) -> "list[Verdict]":
-        """A burst of mixed directions: the egress subset through
-        :meth:`process_batch`, the ingress subset through
-        :meth:`process_incoming_batch`, verdicts merged back
-        positionally.
-
-        This is *the* drain loop of a burst-accumulating router node —
-        shared by :class:`~repro.core.autonomous_system.BorderRouterNode`
-        and the shard worker (:mod:`repro.sharding.worker`), so the
-        sharded plane's equivalence with the in-process plane is
-        structural rather than re-implemented.
-        """
-        verdicts: "list[Verdict | None]" = [None] * len(packets)
-        egress_idx = [i for i, out in enumerate(egress) if out]
-        ingress_idx = [i for i, out in enumerate(egress) if not out]
-        for indexes, process in (
-            (egress_idx, self.process_batch),
-            (ingress_idx, self.process_incoming_batch),
-        ):
-            for i, verdict in zip(indexes, process([packets[i] for i in indexes])):
-                verdicts[i] = verdict
-        return verdicts  # type: ignore[return-value]  # every slot is filled
-
-    def _open_many(self, ephids: "list[bytes]") -> dict:
-        """Open the distinct EphIDs of a burst in one batched call.
-
-        Bursts repeat EphIDs heavily (a flow's packets share one), so
-        deduplication alone removes most of the per-packet open cost
-        before the bulk AES calls amortise the rest.
-        """
-        unique = list(dict.fromkeys(ephids))
-        return dict(zip(unique, self._codec.open_batch(unique)))
-
-    def _deliver_local_batch(
-        self,
-        packets: "list[ApnaPacket]",
-        indexes: "list[int]",
-        verdicts: "list[Verdict | None]",
-        now: float,
-    ) -> None:
-        """Destination-side checks for the burst's intra-delivery subset."""
-        if not indexes:
-            return
-        infos = self._open_many(
-            [packets[i].header.dst_ephid for i in indexes]
-        )
-        for i in indexes:
-            header = packets[i].header
-            info = infos[header.dst_ephid]
-            if info is None:
-                verdicts[i] = self._drop(DropReason.DST_FORGED)
-            elif info.exp_time < now:
-                verdicts[i] = self._drop(DropReason.DST_EXPIRED)
-            elif self._revocations.contains(header.dst_ephid):
-                verdicts[i] = self._drop(DropReason.DST_REVOKED)
-            elif not self._hostdb.is_valid(info.hid):
-                verdicts[i] = self._drop(DropReason.DST_HID_INVALID)
-            else:
-                self.forwarded_intra += 1
-                verdicts[i] = Verdict(Action.FORWARD_INTRA, hid=info.hid)
+        """:meth:`process_burst` for parsed packets — kept only for
+        ``bench/apnabench/trace.py``; ROADMAP item 0(b) deletes it."""
+        frames = [packet.to_wire() for packet in packets]
+        return verdicts_of(b"".join(self.process_burst(frames, egress)))
 
     def _deliver_local(self, packet: ApnaPacket, now: float) -> Verdict:
         header = packet.header

@@ -48,9 +48,9 @@ class ApnaConfig:
     #: under 1% up to ~90k packets per window with 4 hashes.
     replay_filter_bits: int = 1 << 20
 
-    #: Max packets a border router accumulates before running the batched
+    #: Max packets a border router accumulates before running the burst
     #: verdict pipeline (:meth:`repro.core.border_router.BorderRouter.
-    #: process_batch`).  1 = every packet is a burst of one; larger
+    #: process_burst`).  1 = every packet is a burst of one; larger
     #: values amortise clock reads, revocation prunes and crypto across
     #: the burst, as the paper's DPDK prototype does (§V-B).
     forwarding_batch_size: int = 1

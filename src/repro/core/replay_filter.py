@@ -29,6 +29,10 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from typing import Sequence
+
+
+_NONCE = struct.Struct(">Q")
 
 
 class BloomFilter:
@@ -37,20 +41,20 @@ class BloomFilter:
     def __init__(self, bits: int, hashes: int = 4) -> None:
         if bits <= 0 or bits & (bits - 1):
             raise ValueError("bits must be a positive power of two")
-        if not 1 <= hashes <= 16:
-            raise ValueError("hashes must be in 1..16")
+        if not 1 <= hashes <= 8:
+            raise ValueError("hashes must be in 1..8: one SHA-256 holds eight words")
         self.bits = bits
         self.hashes = hashes
         self._mask = bits - 1
+        #: The first ``hashes`` big-endian words of the item's SHA-256
+        #: (the rest of the digest is padding to the format).
+        self._words = struct.Struct(f">{hashes}I{32 - 4 * hashes}x")
         self._array = bytearray(bits // 8 or 1)
         self.inserted = 0
 
     def _indexes(self, item: bytes) -> list[int]:
         digest = hashlib.sha256(item).digest()
-        return [
-            struct.unpack_from(">I", digest, 4 * i)[0] & self._mask
-            for i in range(self.hashes)
-        ]
+        return [word & self._mask for word in self._words.unpack(digest)]
 
     def add(self, item: bytes) -> None:
         for index in self._indexes(item):
@@ -126,7 +130,7 @@ class RotatingReplayFilter:
 
     @staticmethod
     def _key(ephid: bytes, nonce: int) -> bytes:
-        return ephid + struct.pack(">Q", nonce)
+        return ephid + _NONCE.pack(nonce)
 
     def _maybe_rotate(self, now: float) -> None:
         if self._rotated_at is None:
@@ -152,16 +156,49 @@ class RotatingReplayFilter:
 
     def observe(self, ephid: bytes, nonce: int, now: float) -> bool:
         """Record one packet.  True = fresh (forward), False = replay (drop)."""
+        return self.observe_many((self._key(ephid, nonce),), now)[0]
+
+    def observe_many(self, keys: "Sequence[bytes]", now: float) -> "list[bool]":
+        """Record a burst's ``EphID || nonce`` keys in packet order, so
+        a duplicate inside the burst is flagged exactly where a loop of
+        :meth:`observe` calls at one instant would flag it.
+
+        Each key is hashed once: the two generations are sized alike,
+        so one set of index words serves the lookup in the previous
+        generation and the test-and-insert in the current one (the bit
+        operations of :class:`BloomFilter`, unrolled into the loop: this
+        is the data plane's largest per-packet stage).
+        """
         self._maybe_rotate(now)
-        key = self._key(ephid, nonce)
-        if key in self._previous:
-            self.replays += 1
-            return False
-        if self._current.check_and_add(key):
-            self.replays += 1
-            return False
-        self.passed += 1
-        return True
+        current = self._current
+        previous_bits, bits, mask = self._previous._array, current._array, current._mask
+        sha256 = hashlib.sha256
+        digests = b"".join([sha256(key).digest() for key in keys])
+        fresh = []
+        for words in current._words.iter_unpack(digests):
+            for word in words:
+                index = word & mask
+                if not previous_bits[index >> 3] & (1 << (index & 7)):
+                    break
+            else:  # every bit set: seen in the previous generation
+                fresh.append(False)
+                continue
+            # Setting a bit that is set changes nothing, so "insert
+            # unless present" is one pass: fresh iff a bit was clear.
+            inserted = False
+            for word in words:
+                index = word & mask
+                byte, bit = index >> 3, 1 << (index & 7)
+                old = bits[byte]
+                if not old & bit:
+                    bits[byte] = old | bit
+                    inserted = True
+            fresh.append(inserted)
+        passed = sum(fresh)
+        current.inserted += passed
+        self.passed += passed
+        self.replays += len(fresh) - passed
+        return fresh
 
     @property
     def memory_bytes(self) -> int:

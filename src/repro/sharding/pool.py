@@ -18,7 +18,7 @@ applied to the border router: a dispatcher that
 
 Equivalence bar: the merged verdicts are element-for-element identical
 to the single-process
-:meth:`~repro.core.border_router.BorderRouter.process_batch` loop, and
+:meth:`~repro.core.border_router.BorderRouter.process_burst`, and
 the summed shard counters match the single router's counters
 (``tests/test_sharding_equivalence.py`` fuzzes both, and runs one
 stream through workers on each crypto backend).  One qualification:
@@ -51,12 +51,12 @@ import os
 from collections import deque
 from typing import Callable, Sequence
 
-from ..core.border_router import Action, DropReason, InterVerdicts, Verdict
+from ..core.verdict import INTER_HEAD, Action, DropReason, Verdict, verdict_of
 from ..core.ephid import CIPHERTEXT_SIZE, IV_SIZE
 from ..core.errors import ApnaError
 from ..wire.apna import (
     AID_SIZE,
-    EPHID_SIZE,
+    DST_AID_FIELD,
     HEADER_SIZE,
     HEADER_SIZE_WITH_NONCE,
 )
@@ -73,14 +73,12 @@ __all__ = [
     "ShardedDataPlane",
 ]
 
-#: Wire offsets into a packed APNA header, derived from the canonical
+#: Wire offset into a packed APNA header, derived from the canonical
 #: Fig. 7 / Fig. 6 layout constants: the source EphID's clear IV sits
-#: after the source AID and the EphID ciphertext; the destination AID
-#: after both EphIDs.
+#: after the source AID and the EphID ciphertext.
 _SRC_IV = slice(
     AID_SIZE + CIPHERTEXT_SIZE, AID_SIZE + CIPHERTEXT_SIZE + IV_SIZE
 )
-_DST_AID = slice(AID_SIZE + 2 * EPHID_SIZE, 2 * AID_SIZE + 2 * EPHID_SIZE)
 _MIN_FRAME = HEADER_SIZE
 _MIN_FRAME_WITH_NONCE = HEADER_SIZE_WITH_NONCE
 
@@ -417,7 +415,6 @@ class ShardedDataPlane:
         self.stale_replies_discarded = 0
         #: Dispatcher-side transit forwarding (no shard round-trip).
         self.forwarded_inter = 0
-        self._inter_verdicts = InterVerdicts()
         # Fail at construction, not mid-burst, if the plan cannot route
         # IVs (e.g. keyed mode without kR).
         if self.nshards > 1:
@@ -579,15 +576,15 @@ class ShardedDataPlane:
         # off transit and gather the shard-bound frames' IV columns, then
         # route the whole column in a single plan call.
         ticket = _Ticket(len(frames))
-        transit: "list[tuple[int, int]]" = []  # (index, dst_aid)
+        transit: "list[int]" = []
         routed: "list[int]" = []
         iv_column: "list[bytes]" = []
         aid_bytes = self.aid.to_bytes(4, "big")
         for i, (frame, out) in enumerate(zip(frames, egress)):
-            if not out and frame[_DST_AID] != aid_bytes:
+            if not out and frame[DST_AID_FIELD] != aid_bytes:
                 # Transit: forward toward the destination AS — a routing
                 # table decision, no per-host state, no shard round-trip.
-                transit.append((i, int.from_bytes(frame[_DST_AID], "big")))
+                transit.append(i)
                 continue
             routed.append(i)
             iv_column.append(frame[_SRC_IV])
@@ -641,9 +638,9 @@ class ShardedDataPlane:
             )
             for shard, (indices, shard_frames, directions) in by_shard.items()
         ]
-        for i, dst_aid in transit:
+        for i in transit:
             self.forwarded_inter += 1
-            ticket.verdicts[i] = self._inter_verdicts[dst_aid]
+            ticket.verdicts[i] = verdict_of(INTER_HEAD + frames[i][DST_AID_FIELD])
         # A send failure costs only the sub-burst that never reached its
         # worker: it is dropped-and-counted, the worker is restarted (or
         # the plane degraded, forfeiting what this ticket already sent),

@@ -22,7 +22,13 @@ from __future__ import annotations
 
 import struct
 
-from ..core.border_router import Action, DropReason, Verdict
+from ..core.verdict import (
+    VERDICT_RECORD,
+    DropReason,
+    Verdict,
+    verdict_record,
+    verdicts_of,
+)
 
 MSG_STOP = 0
 MSG_BURST = 1
@@ -39,28 +45,20 @@ MSG_RESYNC_ACK = 10
 #: Directions inside a burst message.
 EGRESS = 0
 INGRESS = 1
+_DIRECTIONS = frozenset((EGRESS, INGRESS))
 
 _BURST_HEAD = struct.Struct(">BdIH")  # kind, now, burst seq, count
 _PACKET_HEAD = struct.Struct(">BI")  # direction, frame length
-_VERDICTS_HEAD = struct.Struct(">BIH")  # kind, echoed burst seq, count
-#: action, reason, presence flags, hid, next_aid.  Presence is explicit
-#: (no in-band sentinel) because the full u32 range is legal for both
-#: AIDs and HIDs.
-_VERDICT = struct.Struct(">BBBII")
-_HAS_HID = 1
-_HAS_NEXT_AID = 2
+#: kind, echoed burst seq, count; then ``count`` packed verdict records
+#: (:data:`repro.core.verdict.VERDICT_RECORD`).  Public because a shard
+#: packs it straight in front of the records its router emitted.
+VERDICTS_HEAD = struct.Struct(">BIH")
 _REVOKE_EPHID = struct.Struct(">Bd16s")  # kind, exp_time, ephid
 _REVOKE_HID = struct.Struct(">BI")  # kind, hid
 _REGISTER_HOST = struct.Struct(">BIB16s16s")  # kind, hid, owned, control, mac
 
-_ACTIONS = tuple(Action)
-_ACTION_INDEX = {action: i for i, action in enumerate(_ACTIONS)}
-_REASONS = tuple(DropReason)
-_REASON_INDEX = {reason: i for i, reason in enumerate(_REASONS)}
-_NONE_U8 = 0xFF
-
 #: Per-shard counters carried by a stats reply, in wire order.
-STATS_FIELDS = tuple(reason.value for reason in _REASONS) + (
+STATS_FIELDS = tuple(reason.value for reason in DropReason) + (
     "forwarded_inter",
     "forwarded_intra",
     "replay_passed",
@@ -110,6 +108,8 @@ def decode_burst(msg: bytes) -> "tuple[float, int, list[bytes], list[int]]":
         directions.append(direction)
         offset += length
     _check_end(msg, offset)
+    if not _DIRECTIONS.issuperset(directions):
+        raise ValueError(f"burst message with direction bytes {set(directions)}")
     return now, seq, frames, directions
 
 
@@ -120,43 +120,18 @@ def burst_seq(msg: bytes) -> int:
 
 def encode_verdicts(seq: int, verdicts: "list[Verdict]") -> bytes:
     """Pack a verdict vector; ``seq`` echoes the burst it answers."""
-    parts = [_VERDICTS_HEAD.pack(MSG_VERDICTS, seq, len(verdicts))]
-    for verdict in verdicts:
-        flags = 0
-        if verdict.hid is not None:
-            flags |= _HAS_HID
-        if verdict.next_aid is not None:
-            flags |= _HAS_NEXT_AID
-        parts.append(
-            _VERDICT.pack(
-                _ACTION_INDEX[verdict.action],
-                _NONE_U8 if verdict.reason is None else _REASON_INDEX[verdict.reason],
-                flags,
-                verdict.hid or 0,
-                verdict.next_aid or 0,
-            )
-        )
-    return b"".join(parts)
+    return VERDICTS_HEAD.pack(MSG_VERDICTS, seq, len(verdicts)) + b"".join(
+        map(verdict_record, verdicts)
+    )
 
 
 def decode_verdicts(msg: bytes) -> "tuple[int, list[Verdict]]":
-    kind, seq, count = _VERDICTS_HEAD.unpack_from(msg)
+    """The echoed seq and the verdicts of a reply — the API edge where
+    records become (interned) :class:`Verdict` objects."""
+    kind, seq, count = VERDICTS_HEAD.unpack_from(msg)
     _check_kind(kind, MSG_VERDICTS)
-    offset = _VERDICTS_HEAD.size
-    verdicts: list[Verdict] = []
-    for _ in range(count):
-        action, reason, flags, hid, next_aid = _VERDICT.unpack_from(msg, offset)
-        offset += _VERDICT.size
-        verdicts.append(
-            Verdict(
-                _ACTIONS[action],
-                reason=None if reason == _NONE_U8 else _REASONS[reason],
-                hid=hid if flags & _HAS_HID else None,
-                next_aid=next_aid if flags & _HAS_NEXT_AID else None,
-            )
-        )
-    _check_end(msg, offset)
-    return seq, verdicts
+    _check_end(msg, VERDICTS_HEAD.size + count * VERDICT_RECORD.size)
+    return seq, verdicts_of(msg[VERDICTS_HEAD.size :])
 
 
 def encode_revoke_ephid(ephid: bytes, exp_time: float) -> bytes:

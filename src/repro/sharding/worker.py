@@ -7,7 +7,9 @@ replica of the revocation list and of the live-HID set, and its own
 rotating replay filter.  Reusing the single-process router verbatim is
 what makes the sharded plane's verdict-equivalence guarantee structural
 rather than re-implemented: a shard computes exactly the verdicts the
-in-process batch loop would, over the subset of packets routed to it.
+in-process :meth:`~repro.core.border_router.BorderRouter.process_burst`
+would, over the subset of frames routed to it — raw frames in, packed
+verdict records out, no packet or verdict object in between.
 
 The split between *sharded* and *replicated* state follows what each
 check needs:
@@ -36,7 +38,6 @@ from ..core.revocation import RevocationList
 from ..state.revlist import ColumnarRevocationList
 from ..state.snapshot import ShardSnapshot
 from ..state.view import ColumnarShardView
-from ..wire.apna import ApnaPacket
 from . import wire
 
 
@@ -145,7 +146,7 @@ class ShardHostView:
 class _SettableClock:
     """The worker router's clock: each burst message carries the
     dispatcher's single clock read, so expiry/replay decisions are made
-    at the same instant the in-process batch loop would use."""
+    at the same instant the in-process burst loop would use."""
 
     __slots__ = ("now",)
 
@@ -236,7 +237,8 @@ class ShardState:
             for ephid, exp_time in snap.iter_revoked():
                 self.revocations.add(ephid, exp_time)
         replay_filter = None
-        if spec.replay_window is not None:
+        # As in the assembly: no nonce on the wire, no filter to key.
+        if spec.replay_window is not None and spec.with_nonce:
             replay_filter = RotatingReplayFilter(
                 window=spec.replay_window, bits_per_generation=spec.replay_bits
             )
@@ -294,18 +296,17 @@ class ShardState:
     def handle_burst(self, msg: bytes) -> bytes:
         now, seq, frames, directions = wire.decode_burst(msg)
         self.clock.now = now
-        packets = [
-            ApnaPacket.from_wire(frame, with_nonce=self.spec.with_nonce)
-            for frame in frames
-        ]
-        # The same drain loop BorderRouterNode runs in-process — the
+        # The same burst function BorderRouterNode runs in-process — the
         # structural half of the sharded plane's equivalence guarantee.
-        verdicts = self.router.process_mixed_batch(
-            packets, [d == wire.EGRESS for d in directions]
+        # Frames in, packed records out: no packet or verdict object is
+        # built on this side of the pipe.
+        records = self.router.process_burst(
+            frames, [direction == wire.EGRESS for direction in directions]
         )
         # Echo the burst seq so the dispatcher can prove this reply
         # answers the burst it is waiting on (duplicate/stale detection).
-        return wire.encode_verdicts(seq, verdicts)
+        head = wire.VERDICTS_HEAD.pack(wire.MSG_VERDICTS, seq, len(records))
+        return head + b"".join(records)
 
     def handle_revoke_ephid(self, msg: bytes) -> None:
         ephid, exp_time = wire.decode_revoke_ephid(msg)

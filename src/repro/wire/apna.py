@@ -33,6 +33,15 @@ HEADER_SIZE = 48
 NONCE_SIZE = 8
 HEADER_SIZE_WITH_NONCE = HEADER_SIZE + NONCE_SIZE
 
+#: Where each field sits in a packed header, for code that reads frames
+#: without parsing them (the router's burst path, the shard dispatcher).
+SRC_AID_FIELD = slice(0, AID_SIZE)
+SRC_EPHID_FIELD = slice(SRC_AID_FIELD.stop, SRC_AID_FIELD.stop + EPHID_SIZE)
+DST_EPHID_FIELD = slice(SRC_EPHID_FIELD.stop, SRC_EPHID_FIELD.stop + EPHID_SIZE)
+DST_AID_FIELD = slice(DST_EPHID_FIELD.stop, DST_EPHID_FIELD.stop + AID_SIZE)
+MAC_FIELD = slice(DST_AID_FIELD.stop, HEADER_SIZE)
+NONCE_FIELD = slice(HEADER_SIZE, HEADER_SIZE_WITH_NONCE)
+
 _MAX_AID = 2**32 - 1
 _MAX_NONCE = 2**64 - 1
 

@@ -1,28 +1,45 @@
-"""Batch/scalar equivalence of the border router's burst pipeline.
+"""Burst/scalar equivalence of the border router's burst pipeline.
 
-The contract (see :mod:`repro.core.border_router`): for any packet list,
-``process_batch`` / ``process_incoming_batch`` return exactly the
-verdicts the scalar loop returns and leave the router in the identical
-state — same drop counters, same forwarded counters, same replay-filter
-statistics.  A seeded fuzzer mixes every verdict class (forged, expired,
-revoked, bad-MAC, replayed, transit, intra, foreign-source) into random
-bursts and checks the property on the active crypto backend; the
-primitive classes at the bottom compare the backends directly.
+The contract (see :mod:`repro.core.border_router`): for any burst of
+wire frames, ``process_burst`` returns the records of exactly the
+verdicts the scalar loop returns — ``process_outgoing`` /
+``process_incoming`` per frame, in arrival order — and leaves the router
+in the identical state: same drop counters, same forwarded counters,
+same replay-filter statistics.  A seeded fuzzer mixes every verdict
+class (forged, expired, revoked, bad-MAC, replayed, transit, intra,
+foreign-source) into random bursts and checks the property on both
+state backends; ``TestShardBurst`` pins the shard's reply to the scalar
+verdicts byte for byte over the benchmark's own smoke traffic; the
+primitive classes at the bottom compare the crypto backends directly.
 """
 
 import dataclasses
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.core.border_router import Action, BorderRouter, DropReason
+from repro import scenarios
+from repro.core import verdict as verdict_module
+from repro.core.border_router import Action, BorderRouter, DropReason, Verdict
 from repro.core.config import ApnaConfig
 from repro.core.ephid import EphIdCodec
 from repro.core.replay_filter import RotatingReplayFilter
+from repro.core.verdict import VERDICT_TABLE_CAP, verdict_of
 from repro.crypto import backend as crypto_backend
-from repro.wire.apna import Endpoint
+from repro.sharding import wire
+from repro.sharding.plan import ShardPlan
+from repro.sharding.worker import ShardState
+from repro.wire.apna import ApnaPacket, Endpoint
+from repro.wire.errors import ParseError
 
 from tests.conftest import build_world
+
+#: ``bench/apnabench`` — the benchmark's traffic plans are the frames
+#: ``TestShardBurst`` replays.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+from apnabench import engine, traffic  # noqa: E402
 
 BACKENDS = crypto_backend.available_backends()
 #: The router suites run on the active crypto backend; the ids say which.
@@ -67,6 +84,20 @@ def _fresh_router(world):
 def _filter_stats(router):
     filt = router.replay_filter
     return (filt.passed, filt.replays, filt.rotations)
+
+
+def _scalar(router, packets, egress):
+    """The oracle: one scalar pipeline call per packet, in arrival order."""
+    return [
+        router.process_outgoing(packet) if out else router.process_incoming(packet)
+        for packet, out in zip(packets, egress)
+    ]
+
+
+def _burst(router, packets, egress):
+    """``process_burst`` over the packets' wire frames, materialised."""
+    records = router.process_burst([p.to_wire() for p in packets], egress)
+    return [verdict_of(record) for record in records]
 
 
 def _assert_same_state(scalar_router, batch_router):
@@ -174,9 +205,10 @@ class TestEgressEquivalence:
         batch_router = _fresh_router(burst_world)
         for _ in range(6):
             burst = [build(rng.choice(KINDS)) for _ in range(rng.randint(1, 48))]
-            scalar = [scalar_router.process_outgoing(p) for p in burst]
-            batched = batch_router.process_batch(list(burst))
-            assert scalar == batched
+            egress = [True] * len(burst)
+            assert _scalar(scalar_router, burst, egress) == _burst(
+                batch_router, burst, egress
+            )
             _assert_same_state(scalar_router, batch_router)
         # Every verdict class must actually have been exercised.
         hits = {r for r, n in batch_router.drops.items() if n}
@@ -197,9 +229,8 @@ class TestEgressEquivalence:
         scalar_router = _fresh_router(burst_world)
         batch_router = _fresh_router(burst_world)
         burst = [packet, packet, packet]
-        scalar = [scalar_router.process_outgoing(p) for p in burst]
-        batched = batch_router.process_batch(list(burst))
-        assert scalar == batched
+        batched = _burst(batch_router, burst, [True] * 3)
+        assert _scalar(scalar_router, burst, [True] * 3) == batched
         assert batched[0].action is Action.FORWARD_INTER
         assert batched[1].reason is DropReason.REPLAYED
         assert batched[2].reason is DropReason.REPLAYED
@@ -207,9 +238,11 @@ class TestEgressEquivalence:
 
     def test_empty_burst(self, burst_world):
         router = _fresh_router(burst_world)
-        assert router.process_batch([]) == []
-        assert router.process_incoming_batch([]) == []
+        assert router.process_burst([], []) == []
         assert router.total_drops == 0
+        assert _filter_stats(router) == (0, 0, 0)
+        with pytest.raises(ValueError):
+            router.process_burst([bytes(64)], [])
 
 
 class TestIngressEquivalence:
@@ -236,12 +269,167 @@ class TestIngressEquivalence:
                 as_incoming(build(rng.choice(("inter", "intra", "replay", "forged-dst", "revoked-dst"))))
                 for _ in range(rng.randint(1, 48))
             ]
-            scalar = [scalar_router.process_incoming(p) for p in burst]
-            batched = batch_router.process_incoming_batch(list(burst))
-            assert scalar == batched
+            ingress = [False] * len(burst)
+            assert _scalar(scalar_router, burst, ingress) == _burst(
+                batch_router, burst, ingress
+            )
             _assert_same_state(scalar_router, batch_router)
         assert batch_router.forwarded_inter > 0  # transit exercised
         assert batch_router.forwarded_intra > 0  # local delivery exercised
+
+
+class TestMixedEquivalence:
+    def test_fuzzed_bursts(self, burst_world):
+        """Both directions interleaved in one burst.  ``replay`` re-offers
+        an earlier packet in either direction, so the same (EphID, nonce)
+        can arrive once outbound and once inbound: whichever comes first
+        in the burst is the fresh one, as in the scalar loop."""
+        burst_world.network.run_until(5.0)
+        rng = random.Random(0xC0DE)
+        build = _packet_mix(burst_world, rng)
+        scalar_router = _fresh_router(burst_world)
+        batch_router = _fresh_router(burst_world)
+        crossed = 0
+        for _ in range(8):
+            burst = [build(rng.choice(KINDS)) for _ in range(rng.randint(1, 48))]
+            egress = [rng.random() < 0.5 for _ in burst]
+            seen = {}
+            for packet, out in zip(burst, egress):
+                key = (packet.header.src_ephid, packet.header.nonce)
+                crossed += seen.setdefault(key, out) != out
+            scalar = _scalar(scalar_router, burst, egress)
+            assert scalar == _burst(batch_router, burst, egress)
+            _assert_same_state(scalar_router, batch_router)
+        assert crossed  # a duplicate did straddle the two directions
+        assert batch_router.drops[DropReason.REPLAYED] > 0
+        assert batch_router.forwarded_inter > 0
+        assert batch_router.forwarded_intra > 0
+
+    def test_transit_flood_cannot_grow_the_intern_table(self, burst_world):
+        """100 000 attacker-chosen destination AIDs: every verdict is
+        right and the record -> Verdict table stops at its cap."""
+        router = _fresh_router(burst_world)
+        template = bytearray(_packet_mix(burst_world, random.Random(3))("inter").to_wire())
+        aids = range(70_000, 170_000)
+        for first in range(0, len(aids), 4096):
+            chunk = aids[first : first + 4096]
+            frames = []
+            for aid in chunk:
+                template[36:40] = aid.to_bytes(4, "big")
+                frames.append(bytes(template))
+            records = router.process_burst(frames, [False] * len(frames))
+            assert [verdict_of(record) for record in records] == [
+                Verdict(Action.FORWARD_INTER, next_aid=aid) for aid in chunk
+            ]
+        assert router.forwarded_inter == len(aids)
+        assert len(verdict_module._VERDICT_TABLE) == VERDICT_TABLE_CAP
+
+
+def _smoke_twin(plan):
+    """A world for ``plan`` with a one-shard :class:`ShardState` cut from
+    it and a scalar oracle router over the same authoritative state."""
+    world = scenarios.build(plan.preset, seed=plan.seed, config=plan.config)
+    asys = world.asys("a")
+    engine.apply_setup(asys, plan)
+    state = ShardState(engine.shard_spec(asys, plan.config, ShardPlan(1), 0))
+    replay_filter = None
+    if plan.config.in_network_replay_filter:
+        replay_filter = RotatingReplayFilter(
+            window=plan.config.replay_filter_window,
+            bits_per_generation=plan.config.replay_filter_bits,
+        )
+    oracle = BorderRouter(
+        asys.aid,
+        asys.codec,
+        asys.hostdb,
+        asys.revocations,
+        lambda: plan.now,
+        packet_mac_size=plan.config.packet_mac_size,
+        replay_filter=replay_filter,
+    )
+    return world, state, oracle
+
+
+def _burst_message(plan, seq, burst):
+    directions = [wire.EGRESS if out else wire.INGRESS for out in burst.egress]
+    return wire.encode_burst(plan.now, seq, burst.frames, directions)
+
+
+class TestShardBurst:
+    @pytest.mark.parametrize("name", sorted(traffic.GENERATORS))
+    def test_reply_is_the_scalar_verdicts_byte_for_byte(self, name):
+        plan = traffic.GENERATORS[name](1, traffic.SMOKE)
+        world, state, oracle = _smoke_twin(plan)
+        try:
+            asys = world.asys("a")
+            for seq, burst in enumerate(plan.warm + plan.bursts):
+                round_ = plan.rounds.get(seq - len(plan.warm))
+                if round_ is not None:
+                    engine.apply_writes(asys, round_)
+                    for ephid, exp in round_.revoke_ephids:
+                        state.handle_revoke_ephid(wire.encode_revoke_ephid(ephid, exp))
+                    for hid, control, packet_mac in round_.register:
+                        state.handle_register_host(
+                            wire.encode_register_host(
+                                hid, owned=True, control=control, packet_mac=packet_mac
+                            )
+                        )
+                    for hid in round_.revoke_hids:
+                        state.handle_revoke_hid(wire.encode_revoke_hid(hid))
+                packets = [
+                    ApnaPacket.from_wire(
+                        frame, with_nonce=plan.config.replay_protection
+                    )
+                    for frame in burst.frames
+                ]
+                scalar = _scalar(oracle, packets, burst.egress)
+                assert scalar == burst.expect
+                assert state.handle_burst(
+                    _burst_message(plan, seq, burst)
+                ) == wire.encode_verdicts(seq, scalar)
+            assert wire.decode_stats(state.stats()) == {
+                **dict.fromkeys(wire.STATS_FIELDS, 0),
+                **{reason.value: n for reason, n in oracle.drops.items()},
+                "forwarded_inter": oracle.forwarded_inter,
+                "forwarded_intra": oracle.forwarded_intra,
+                **(
+                    {
+                        "replay_passed": oracle.replay_filter.passed,
+                        "replay_replays": oracle.replay_filter.replays,
+                        "replay_rotations": oracle.replay_filter.rotations,
+                    }
+                    if oracle.replay_filter is not None
+                    else {}
+                ),
+            }
+        finally:
+            world.close()
+
+    @pytest.mark.parametrize("short_at", [0, 17, 63])
+    def test_short_frame_is_an_error_and_touches_nothing(self, short_at):
+        """One frame a byte short of the (nonce-carrying) header: the
+        burst is refused whole, before any counter or filter insert."""
+        plan = traffic.mixed_imix_pipelined(1, traffic.SMOKE)
+        world, state, _ = _smoke_twin(plan)
+        try:
+            burst = plan.bursts[0]
+            state.handle_burst(_burst_message(plan, 0, burst))  # non-zero state
+            stats = state.stats()
+            replay_filter = state.router.replay_filter
+            bits = bytes(replay_filter._current._array)
+            cut = dataclasses.replace(burst, frames=list(burst.frames))
+            cut.frames[short_at] = cut.frames[short_at][:55]
+            reply = state.handle(_burst_message(plan, 1, cut))
+            assert reply[0] == wire.MSG_ERROR
+            assert ParseError.__name__ in wire.decode_error(reply)
+            assert f"frame {short_at} " in wire.decode_error(reply)
+            assert state.stats() == stats
+            assert bytes(replay_filter._current._array) == bits
+            assert replay_filter._current.inserted == wire.decode_stats(stats)[
+                "replay_passed"
+            ]
+        finally:
+            world.close()
 
 
 class TestOpenBatch:

@@ -1,9 +1,9 @@
 """Burst mode in the simulated delivery loop.
 
-``ApnaConfig.forwarding_batch_size > 1`` switches every border router
-node onto the batched verdict pipeline: frames are accumulated, pushed
-through ``process_batch`` / ``process_incoming_batch`` when the burst
-fills (or the flush window elapses), and acted on in arrival order.
+``ApnaConfig.forwarding_batch_size > 1`` makes every border router
+node accumulate frames and push them through ``process_burst`` when the
+burst fills (or the flush window elapses), acting on the verdicts in
+arrival order.
 End-to-end traffic must come out identical to per-packet dispatch.
 """
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import framing
+from repro.core import verdict as verdict_module
 from repro.core.certs import AsCertificate, CertError, EphIdCertificate
 from repro.core.ephid import EphIdCodec
 from repro.core.errors import ApnaError, EphIdError
@@ -95,6 +96,8 @@ def test_arbitrary_bytes_fail_closed(parser, errors, data):
 _BURST = shard_wire.encode_burst(
     1.0, 3, [b"a" * 48, b"b" * 60], [shard_wire.EGRESS, shard_wire.INGRESS]
 )
+#: The head of a one-record verdict reply.
+_VERDICTS_HEAD = shard_wire.encode_verdicts(3, [])[:-2] + b"\x00\x01"
 
 
 @pytest.mark.parametrize(
@@ -104,15 +107,26 @@ _BURST = shard_wire.encode_burst(
         (shard_wire.decode_burst, _BURST + b"junk"),
         (shard_wire.decode_verdicts, shard_wire.encode_resync_ack(3, 4)),
         (shard_wire.decode_verdicts, shard_wire.encode_stats({})),
+        (shard_wire.decode_burst, shard_wire.encode_burst(1.0, 3, [b"a" * 48], [2])),
+        (shard_wire.decode_verdicts, _VERDICTS_HEAD + bytes([3, 0xFF, 0]) + bytes(8)),
+        (shard_wire.decode_verdicts, _VERDICTS_HEAD + bytes([2, 12, 0]) + bytes(8)),
+        (shard_wire.decode_verdicts, _VERDICTS_HEAD + bytes([2, 4, 4]) + bytes(8)),
     ],
-    ids=["burst-truncated", "burst-trailing", "verdicts-ack", "verdicts-stats"],
+    ids=[
+        "burst-truncated", "burst-trailing", "verdicts-ack", "verdicts-stats",
+        "burst-direction", "verdict-action", "verdict-reason", "verdict-flags",
+    ],
 )
 def test_shard_frame_decoders_check_kind_and_length(decoder, frame):
-    """A short final frame, trailing bytes, or another kind's frame read
-    as a verdict reply must fail the shard, not decode to something
-    plausible (a wrong-kind reply would count as a stale one)."""
+    """A short final frame, trailing bytes, another kind's frame read as
+    a verdict reply, a direction byte that is neither egress nor
+    ingress, or a verdict record no encoder writes (action, reason or
+    flag bit out of range) must fail the shard, not decode to something
+    plausible (a wrong-kind reply would count as a stale one) — and the
+    bad record must not be interned on the way out."""
     with pytest.raises(ValueError):
         decoder(frame)
+    assert frame[-11:] not in verdict_module._VERDICT_TABLE
 
 
 class TestMutatedValidInputs:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.border_router import Action, DropReason
 from repro.core.config import ApnaConfig
 from repro.core.replay_filter import BloomFilter, RotatingReplayFilter
+from repro.core.verdict import verdict_of
 from repro.wire.apna import Endpoint
 
 from tests.conftest import build_world
@@ -144,6 +145,57 @@ class TestRotatingReplayFilter:
         assert filt.rotations == 0
         assert not filt.observe(b"\x01" * 16, 1, now=1.7e9 + 1.0)
 
+    @pytest.mark.parametrize("bits", [1 << 12, 1 << 6])
+    def test_observe_many_is_the_scalar_loop(self, bits):
+        """Burst by burst, ``observe_many`` answers and leaves the filter
+        exactly as a loop of ``observe`` at the same instant does: same
+        bit arrays, same counters.  The stream holds a duplicate inside
+        one burst, replays of earlier bursts, a burst straddling one
+        rotation, one landing an idle gap later — and, on the 64-bit
+        arm, plenty of Bloom false positives."""
+        reference, scalar, bulk = (
+            RotatingReplayFilter(window=10.0, bits_per_generation=bits)
+            for _ in range(3)
+        )
+        key = RotatingReplayFilter._key
+
+        def lookup_then_insert(ephid, nonce, now):
+            # The two-generation rule spelled out on the Bloom filters'
+            # public calls (two hashes per fresh key).
+            reference._maybe_rotate(now)
+            item = key(ephid, nonce)
+            if item in reference._previous or reference._current.check_and_add(item):
+                reference.replays += 1
+                return False
+            reference.passed += 1
+            return True
+
+        ephids = [bytes([i]) * 16 for i in range(4)]
+        nonce = 0
+        earlier: list = []
+        for now in (0.0, 3.0, 9.9, 10.0, 10.1, 19.9, 20.5, 55.0, 55.0):
+            burst = []
+            for k in range(12):
+                if earlier and k % 4 == 3:
+                    burst.append(earlier[(k * 7 + nonce) % len(earlier)])
+                else:
+                    nonce += 1
+                    burst.append((ephids[k % 4], nonce))
+            burst.insert(5, burst[2])  # a duplicate inside the burst
+            earlier.extend(burst)
+            expected = [lookup_then_insert(ephid, n, now) for ephid, n in burst]
+            assert [scalar.observe(ephid, n, now) for ephid, n in burst] == expected
+            assert bulk.observe_many([key(e, n) for e, n in burst], now) == expected
+            for filt in (scalar, bulk):
+                for attr in ("passed", "replays", "rotations", "_rotated_at"):
+                    assert getattr(filt, attr) == getattr(reference, attr), attr
+                for generation in ("_current", "_previous"):
+                    mine, theirs = getattr(filt, generation), getattr(reference, generation)
+                    assert mine._array == theirs._array
+                    assert mine.inserted == theirs.inserted
+        assert reference.rotations >= 3 and reference.replays > 9
+        assert bulk.observe_many([], 60.0) == []
+
     def test_memory_accounting(self):
         filt = RotatingReplayFilter(window=1.0, bits_per_generation=1 << 13)
         assert filt.memory_bytes == 2 * (1 << 13) // 8
@@ -227,7 +279,9 @@ class TestBorderRouterIntegration:
 
     def test_nonceless_deployment_never_consults_filter(self):
         # Filter enabled but nonces disabled: everything passes (the
-        # mechanism requires the Section VIII-D header extension).
+        # mechanism requires the Section VIII-D header extension) — on
+        # the burst path too, which would otherwise read the first
+        # payload bytes as a nonce.
         world = build_world(
             config=ApnaConfig(
                 replay_protection=False, in_network_replay_filter=True
@@ -237,7 +291,9 @@ class TestBorderRouterIntegration:
         br = world.as_a.br
         assert br.process_outgoing(packet).action is Action.FORWARD_INTER
         assert br.process_outgoing(packet).action is Action.FORWARD_INTER
-        assert br.replay_filter.passed == 0
+        assert br.replay_filter is None
+        records = br.process_burst([packet.to_wire()] * 2, [True, True])
+        assert [verdict_of(r).action for r in records] == [Action.FORWARD_INTER] * 2
 
     def _outgoing_packet_nonceless(self, world):
         return self._outgoing_packet(world, nonce=None)

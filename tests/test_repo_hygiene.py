@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.border_router import BorderRouter
 from repro.core.config import ApnaConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -130,16 +131,33 @@ def test_option_surface_only_shrinks():
     assert fields <= _CONFIG_FIELDS, sorted(fields - _CONFIG_FIELDS)
 
 
-def test_dispatcher_holds_no_verdict_path():
-    """Verdicts come from the node's in-line router or from a
-    ``ShardState``; the dispatcher only carries frames to one.  A
-    ``BorderRouter`` or an ``ApnaPacket`` parse in ``sharding/pool.py``
-    would be a third verdict path with its own accounting."""
-    tree = ast.parse((ROOT / "src/repro/sharding/pool.py").read_text())
-    imported = {
+def _imported_names(rel: str) -> set[str]:
+    tree = ast.parse((ROOT / rel).read_text())
+    return {
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+
+
+def test_dispatcher_holds_no_verdict_path():
+    """Verdicts come from the node's in-line router or from a
+    ``ShardState``; the dispatcher only carries frames to one.  A
+    ``BorderRouter`` or an ``ApnaPacket`` parse in ``sharding/pool.py``
+    would be a third verdict path with its own accounting."""
+    imported = _imported_names("src/repro/sharding/pool.py")
     assert not imported & {"BorderRouter", "ApnaPacket"}
+
+
+def test_one_burst_path_frames_in_records_out():
+    """The worker hands raw frames to ``BorderRouter.process_burst`` and
+    frames the records it returns: a packet parse or a ``Verdict`` in
+    ``sharding/worker.py``, or an object-batch method back on the router,
+    would be the second burst implementation this tree deleted."""
+    assert not _imported_names("src/repro/sharding/worker.py") & {
+        "ApnaPacket",
+        "Verdict",
+    }
+    assert hasattr(BorderRouter, "process_burst")
+    assert not {"process_batch", "process_incoming_batch"} & set(vars(BorderRouter))

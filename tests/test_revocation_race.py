@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.border_router import Action, BorderRouter, DropReason
 from repro.core.config import ApnaConfig
+from repro.core.verdict import verdict_of
 from repro.crypto import backend as crypto_backend
 from repro.wire.apna import Endpoint
 
@@ -82,9 +83,10 @@ def test_revocation_between_batches_is_batch_exact(race_world):
     src = world.hosts["alice"].acquire_ephid_direct()
     packets = _in_flight(world, src.ephid, 8)
     router = _router(world)
-    before = router.process_batch(packets[:4])
+    frames = [packet.to_wire() for packet in packets]
+    before = map(verdict_of, router.process_burst(frames[:4], [True] * 4))
     world.as_a.revocations.add(src.ephid, FAR_FUTURE)
-    after = router.process_batch(packets[4:])
+    after = map(verdict_of, router.process_burst(frames[4:], [True] * 4))
     assert all(v.action is Action.FORWARD_INTER for v in before)
     assert all(v.reason is DropReason.SRC_REVOKED for v in after)
     assert router.drops[DropReason.SRC_REVOKED] == 4

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.core import verdict as verdict_module
 from repro.core.border_router import Action, DropReason, Verdict
 from repro.core.config import ApnaConfig
 from repro.core.ephid import IvAllocator
@@ -218,11 +219,14 @@ class TestWireCodecs:
             Verdict(Action.FORWARD_INTRA, hid=0),
         ]
         # The echoed burst seq rides every verdict reply (duplicate and
-        # stale-reply detection); it must round-trip alongside.
-        assert wire.decode_verdicts(wire.encode_verdicts(7, verdicts)) == (
-            7,
-            verdicts,
-        )
+        # stale-reply detection); it must round-trip alongside — out of
+        # an empty intern table and again out of the one that filled.
+        verdict_module._VERDICT_TABLE.clear()
+        msg = wire.encode_verdicts(7, verdicts)
+        cold = wire.decode_verdicts(msg)
+        warm = wire.decode_verdicts(msg)
+        assert cold == warm == (7, verdicts)
+        assert all(a is b for a, b in zip(cold[1], warm[1]))
 
     def test_control_roundtrips(self):
         ephid = bytes(range(16))
@@ -445,6 +449,36 @@ class TestDispatcher:
             assert plane.forwarded_inter == 4
             assert all(
                 s["forwarded_inter"] == 0 for s in plane.shard_stats()
+            )
+
+    def test_transit_flood_cannot_grow_the_intern_table(self):
+        """A transit flood with 100 000 attacker-chosen destination AIDs
+        through ``submit``/``collect``: every verdict names its AID and
+        the dispatcher's verdict interning stops at the table's cap."""
+        with build_sharded_world(hosts=1) as world:
+            as_b = world.asys("b")
+            pool = build_apna_pool(
+                world.asys("a"), [world.host("a0")], size=64, count=1, dst_aid=300
+            )
+            template = bytearray(pool.wire_frames[0])
+            plane = as_b.shard_pool
+            aids = range(70_000, 170_000)
+            for first in range(0, len(aids), 4096):
+                chunk = aids[first : first + 4096]
+                frames = []
+                for aid in chunk:
+                    template[36:40] = aid.to_bytes(4, "big")
+                    frames.append(bytes(template))
+                verdicts = plane.collect(
+                    plane.submit(frames, [False] * len(frames), as_b.clock())
+                )
+                assert verdicts == [
+                    Verdict(Action.FORWARD_INTER, next_aid=aid) for aid in chunk
+                ]
+            assert plane.forwarded_inter == len(aids)
+            assert (
+                len(verdict_module._VERDICT_TABLE)
+                == verdict_module.VERDICT_TABLE_CAP
             )
 
     def test_out_of_order_collect_rejected(self):
@@ -745,7 +779,7 @@ def test_two_shards_not_slower_than_half_single_process():
         pool = build_apna_pool(
             as_a, [world.host(f"a{i}") for i in range(4)], size=256, count=32, dst_aid=200
         )
-        frames, packets = pool.wire_frames, pool.apna_packets
+        frames = pool.wire_frames
         plane = as_a.shard_pool
         now = as_a.clock()
         rounds = 30
@@ -758,9 +792,9 @@ def test_two_shards_not_slower_than_half_single_process():
         for ticket in tickets:
             plane.collect(ticket)
         sharded = time.perf_counter() - start
-        as_a.br.process_batch(list(packets))  # warm the MAC cache
+        as_a.br.process_burst(frames, [True] * len(frames))  # warm the MAC cache
         start = time.perf_counter()
         for _ in range(rounds):
-            as_a.br.process_batch(list(packets))
+            as_a.br.process_burst(frames, [True] * len(frames))
         single = time.perf_counter() - start
         assert sharded < single * 2.0

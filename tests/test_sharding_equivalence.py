@@ -20,6 +20,7 @@ import pytest
 from repro.core.border_router import Action, BorderRouter, DropReason
 from repro.core.config import ApnaConfig
 from repro.core.replay_filter import RotatingReplayFilter
+from repro.core.verdict import verdict_of
 from repro.crypto import backend as crypto_backend
 from repro.sharding import ShardedDataPlane
 from repro.wire.apna import Endpoint
@@ -236,13 +237,15 @@ class TestShardedEquivalence:
             plane.close()
 
     def test_fuzzed_mixed_direction_bursts(self, nshards, state_backend):
-        """Egress and ingress interleaved in one burst, the way the
-        border-router node drains them (egress subset first)."""
+        """Egress and ingress interleaved in one burst, judged in arrival
+        order — by the scalar loop and by the one in-process burst
+        function the shards themselves run."""
         world = _build_world(nshards, state_backend)
         world.network.run_until(5.0)
         rng = random.Random(0xB0B + nshards)
         build, _ = _packet_mix(world, rng)
         router = _reference_router(world)
+        burst_router = _reference_router(world)
         plane = ShardedDataPlane.for_assembly(world.as_a)
         try:
             for _ in range(5):
@@ -253,18 +256,17 @@ class TestShardedEquivalence:
                     rng.randint(2, 32),
                 )
                 now = world.as_a.clock()
-                # Reference: the node's two-pass split, egress then ingress.
-                reference = [None] * len(items)
-                egress = [i for i, (_, out) in enumerate(items) if out]
-                ingress = [i for i, (_, out) in enumerate(items) if not out]
-                for indexes, process in (
-                    (egress, router.process_batch),
-                    (ingress, router.process_incoming_batch),
-                ):
-                    for i, verdict in zip(
-                        indexes, process([items[i][0] for i in indexes])
-                    ):
-                        reference[i] = verdict
+                reference = [
+                    router.process_outgoing(packet)
+                    if out
+                    else router.process_incoming(packet)
+                    for packet, out in items
+                ]
+                records = burst_router.process_burst(
+                    [packet.to_wire() for packet, _ in items],
+                    [out for _, out in items],
+                )
+                assert [verdict_of(record) for record in records] == reference
                 assert plane.process_packets(items, now) == reference
             _assert_counters_match(plane, router)
             assert router.forwarded_inter > 0

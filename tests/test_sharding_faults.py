@@ -570,16 +570,12 @@ class TestDegradation:
             plane = ShardedDataPlane.for_assembly(as_a)
 
         def scalar(items):
-            # The node's drain order: the egress subset, then the ingress.
-            verdicts = [None] * len(items)
-            for direction, process in (
-                (True, oracle.process_outgoing),
-                (False, oracle.process_incoming),
-            ):
-                for i, (packet, out) in enumerate(items):
-                    if out is direction:
-                        verdicts[i] = process(packet)
-            return verdicts
+            return [
+                oracle.process_outgoing(packet)
+                if out
+                else oracle.process_incoming(packet)
+                for packet, out in items
+            ]
 
         try:
             for shard in range(2):

@@ -147,6 +147,24 @@ def test_ct_compare_detects_and_passes():
     assert findings_of("ct-compare", renamed, "crypto/fixture.py")
     sizes_and_keys = "def check():\n    return tag_length == 4 and enc_key == mac_key\n"
     assert not findings_of("ct-compare", sizes_and_keys, "crypto/fixture.py")
+    # Columnar code compares slices and indexed columns, not bare names:
+    # the operand is named by the base under the subscript, or by the
+    # slice constant it reads.
+    for columnar in (
+        "tags[k] == frame[40:48]",
+        "frame[40:48] != self.tags[k][:8]",
+        "frames[k][_MAC] == computed",
+    ):
+        bad = f"def check(tags, frame, frames, k, computed):\n    return {columnar}\n"
+        assert findings_of("ct-compare", bad, "core/border_router.py"), columnar
+    good = (
+        "def check(tags, frame, k, aid, tag_sizes):\n"
+        "    if frame[_SRC_AID] != aid or tag_sizes[k] != 8:\n"
+        "        return False\n"
+        "    return ct_eq(tags[k], frame[_MAC])\n"
+    )
+    assert not findings_of("ct-compare", good, "core/border_router.py")
+    assert RULES["ct-compare"].applies_to("core/border_router.py")
 
 
 def test_shard_routing_mod_detects_and_passes():
