@@ -71,6 +71,20 @@ depends on — the motivating bug/PR is part of the rule's definition:
     document that was never written and audit tests that had been
     deleted.
 
+``bounded-cache`` (PRs 19/20)
+    In the modules on the packet and request paths
+    (``core/border_router.py``, ``core/management.py``,
+    ``state/view.py``, ``sharding/worker.py``) an instance attribute
+    named ``*cache`` initialised to a bare ``dict`` / ``OrderedDict`` /
+    ``set`` must be length-checked against a module-level constant, or
+    evicted (``popitem`` / ``pop``) in a method that inserts into it.
+    The router's per-HID CMAC contexts, the MS's per-HID schemes and the
+    shard view's per-HID records were all unbounded maps keyed by a
+    requester-chosen HID; PR 19's guessed bound regressed
+    ``churn_hostile``, PR 20 put them on one
+    :class:`repro.core.lru.LruCache` sized from the benchmark's working
+    sets (or deleted them).
+
 Suppressions and the baseline
 =============================
 
@@ -114,6 +128,7 @@ from . import rules_ipc  # noqa: E402,F401  (bounded-wait, pickle-free-wire, wir
 from . import rules_exceptions  # noqa: E402,F401  (silent-except)
 from . import rules_scenarios  # noqa: E402,F401  (scenario-coverage)
 from . import rules_docs  # noqa: E402,F401  (doc-references)
+from . import rules_bounds  # noqa: E402,F401  (bounded-cache)
 
 __all__ = [
     "DEFAULT_BASELINE",

@@ -36,6 +36,17 @@ IV_SIZE = 4
 CIPHERTEXT_SIZE = HID_SIZE + EXPTIME_SIZE
 TAG_SIZE = 4
 
+#: Where the Fig. 6 fields sit in an EphID, and how ``open_batch`` reads
+#: a column of 16-byte blocks: the truncated CBC-MAC tag leads each MAC
+#: block, ``(hid, exp_time)`` each decrypted one.
+_CIPHERTEXT = slice(0, CIPHERTEXT_SIZE)
+_IV = slice(CIPHERTEXT_SIZE, CIPHERTEXT_SIZE + IV_SIZE)
+_TAG = slice(CIPHERTEXT_SIZE + IV_SIZE, EPHID_SIZE)
+_ZERO4 = bytes(4)
+_ZERO12 = bytes(12)
+_TAG_OF_BLOCK = struct.Struct(f"{TAG_SIZE}s{16 - TAG_SIZE}x")
+_INFO_OF_BLOCK = struct.Struct(f">II{16 - CIPHERTEXT_SIZE}x")
+
 _MAX_HID = 2**32 - 1
 _MAX_EXPTIME = 2**32 - 1
 _MAX_IV = 2**32 - 1
@@ -108,15 +119,19 @@ class EphIdCodec:
         return EphIdInfo(hid=hid, exp_time=exp_time)
 
     def open_batch(self, ephids: "list[bytes]") -> "list[EphIdInfo | None]":
-        """Open a burst of EphIDs with two bulk AES calls.
+        """Open a burst of EphIDs column-wise, with two bulk AES calls.
 
         The CBC-MAC input and the CTR keystream of every EphID are one
         16-byte block each, so a whole burst's MACs (under kA'') and
         keystreams (under kA') are computed as two ECB passes over
         concatenated blocks — on the ``openssl`` backend that is two EVP
-        updates regardless of burst size.  Entries that :meth:`open`
-        would reject come back as ``None`` instead of raising, so the
-        result is positionally aligned with the input.
+        updates regardless of burst size.  The EphID column is then
+        XORed against the keystream column as one integer (only the
+        ciphertext's eight bytes of each block mean anything) and read
+        back as ``(hid, exp_time)`` pairs; a pair is released only where
+        the EphID's tag matches in constant time.  Entries that
+        :meth:`open` would reject come back as ``None`` instead of
+        raising, so the result is positionally aligned with the input.
         """
         results: list[EphIdInfo | None] = [None] * len(ephids)
         well_formed = [
@@ -124,33 +139,25 @@ class EphIdCodec:
         ]
         if not well_formed:
             return results
-        mac_blocks = bytearray()
-        ctr_blocks = bytearray()
-        zero4 = bytes(4)
-        zero12 = bytes(12)
-        for i in well_formed:
-            ephid = ephids[i]
-            iv_bytes = ephid[CIPHERTEXT_SIZE : CIPHERTEXT_SIZE + IV_SIZE]
-            mac_blocks += iv_bytes + zero4 + ephid[:CIPHERTEXT_SIZE]
-            ctr_blocks += iv_bytes + zero12
-        tags = self._mac_cipher.encrypt_blocks(bytes(mac_blocks))
-        streams = self._enc.encrypt_blocks(bytes(ctr_blocks))
-        for k, i in enumerate(well_formed):
-            ephid = ephids[i]
-            offset = 16 * k
-            if not ct_eq(
-                tags[offset : offset + TAG_SIZE],
-                ephid[CIPHERTEXT_SIZE + IV_SIZE :],
-            ):
-                continue
-            hid, exp_time = struct.unpack(
-                ">II",
-                xor_bytes(
-                    ephid[:CIPHERTEXT_SIZE],
-                    streams[offset : offset + CIPHERTEXT_SIZE],
-                ),
-            )
-            results[i] = EphIdInfo(hid=hid, exp_time=exp_time)
+        column = [ephids[i] for i in well_formed]
+        tags = self._mac_cipher.encrypt_blocks(
+            b"".join([ephid[_IV] + _ZERO4 + ephid[_CIPHERTEXT] for ephid in column])
+        )
+        streams = self._enc.encrypt_blocks(
+            b"".join([ephid[_IV] + _ZERO12 for ephid in column])
+        )
+        sealed = b"".join(column)
+        plain = (
+            int.from_bytes(sealed, "big") ^ int.from_bytes(streams, "big")
+        ).to_bytes(len(sealed), "big")
+        for i, ephid, (tag,), (hid, exp_time) in zip(
+            well_formed,
+            column,
+            _TAG_OF_BLOCK.iter_unpack(tags),
+            _INFO_OF_BLOCK.iter_unpack(plain),
+        ):
+            if ct_eq(tag, ephid[_TAG]):
+                results[i] = EphIdInfo(hid, exp_time)
         return results
 
     def is_valid(self, ephid: bytes) -> bool:

@@ -93,6 +93,11 @@ class HostDatabase:
             raise RevokedError(f"HID {hid} is revoked")
         return record
 
+    def packet_mac_key(self, hid: int) -> bytes:
+        """The packet-MAC subkey of a live host's kHA — all the border
+        router needs from a record; raises what :meth:`get` raises."""
+        return self.get(hid).keys.packet_mac
+
     def is_valid(self, hid: int) -> bool:
         record = self._records.get(hid)
         return record is not None and not record.revoked

@@ -17,13 +17,20 @@ from typing import Callable
 
 from ..crypto.aead import EtmScheme
 from ..crypto.rng import Rng, SystemRng
+from ..crypto.util import ct_eq
 from .certs import EphIdCertificate
 from .config import ApnaConfig
 from .ephid import EphIdCodec, IvAllocator
 from .errors import EphIdError, IssuanceError
 from .hostdb import HostDatabase
 from .keys import AsKeyMaterial
+from .lru import LruCache
 from .messages import EphIdReply, EphIdRequest
+
+#: Most requesters whose control-key scheme (two key schedules, ~3 KB,
+#: ~40 µs to derive) the MS keeps between requests — about 12 MB, however
+#: many distinct hosts an issuance flood comes from.
+SCHEME_CACHE_CAPACITY = 4096
 
 
 class ManagementService:
@@ -54,14 +61,17 @@ class ManagementService:
         self.aa_ephid: bytes = bytes(16)
         self.issued = 0
         self.rejected = 0
-        self._scheme_cache: dict[int, EtmScheme] = {}
+        #: hid -> (control key, its scheme); least recently used out.
+        self._scheme_cache = LruCache(SCHEME_CACHE_CAPACITY)
 
     def _scheme_for(self, hid: int, control_key: bytes) -> EtmScheme:
-        scheme = self._scheme_cache.get(hid)
-        if scheme is None:
-            scheme = EtmScheme(control_key)
-            self._scheme_cache[hid] = scheme
-        return scheme
+        entry = self._scheme_cache.hit(hid)
+        # A hit counts only under the key it was derived from, so a
+        # host whose control key changed gets a fresh scheme.
+        if entry is None or not ct_eq(entry[0], control_key):
+            entry = (control_key, EtmScheme(control_key))
+            self._scheme_cache.put(hid, entry)
+        return entry[1]
 
     # -- Fig. 3, full sealed path --
 

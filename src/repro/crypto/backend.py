@@ -103,15 +103,15 @@ class _OpenSSLAes:
     present so multi-block work runs entirely inside OpenSSL.
     """
 
-    __slots__ = ("key_size", "_algorithm", "_cipher_cls", "_modes", "_ecb_enc", "_ecb_dec")
+    __slots__ = ("key_size", "_algorithm", "_provider", "_ecb_enc", "_ecb_dec")
 
-    def __init__(self, key: bytes, ciphers_mod) -> None:
+    def __init__(self, key: bytes, provider: "_OpenSSLProvider") -> None:
         self.key_size = len(key)
-        self._cipher_cls = ciphers_mod.Cipher
-        self._modes = ciphers_mod.modes
-        self._algorithm = ciphers_mod.algorithms.AES(key)
-        self._ecb_enc = self._cipher_cls(self._algorithm, self._modes.ECB()).encryptor()
-        self._ecb_dec = self._cipher_cls(self._algorithm, self._modes.ECB()).decryptor()
+        self._provider = provider
+        self._algorithm = provider._aes_cls(key)
+        ecb = provider._cipher_cls(self._algorithm, provider._ecb_cls())
+        self._ecb_enc = ecb.encryptor()
+        self._ecb_dec = ecb.decryptor()
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
@@ -151,15 +151,18 @@ class _OpenSSLAes:
                 for i in range((len(data) + 15) // 16)
             )
             return xor_bytes(data, stream[: len(data)]) if data else b""
-        enc = self._cipher_cls(self._algorithm, self._modes.CTR(counter_block)).encryptor()
-        return enc.update(data)
+        provider = self._provider
+        mode = provider._ctr_cls(counter_block)
+        return provider._cipher_cls(self._algorithm, mode).encryptor().update(data)
 
     def cbc_encrypt(self, iv: bytes, plaintext: bytes) -> bytes:
-        enc = self._cipher_cls(self._algorithm, self._modes.CBC(iv)).encryptor()
+        provider = self._provider
+        enc = provider._cipher_cls(self._algorithm, provider._cbc_cls(iv)).encryptor()
         return enc.update(plaintext) + enc.finalize()
 
     def cbc_decrypt(self, iv: bytes, ciphertext: bytes) -> bytes:
-        dec = self._cipher_cls(self._algorithm, self._modes.CBC(iv)).decryptor()
+        provider = self._provider
+        dec = provider._cipher_cls(self._algorithm, provider._cbc_cls(iv)).decryptor()
         return dec.update(ciphertext) + dec.finalize()
 
 
@@ -209,17 +212,17 @@ class _OpenSSLGcm:
     pure implementation so both backends accept exactly the same inputs.
     """
 
-    __slots__ = ("tag_size", "_key", "_algorithm", "_cipher_cls", "_modes", "_invalid_tag", "_pure")
+    __slots__ = ("tag_size", "_key", "_algorithm", "_provider", "_pure")
 
-    def __init__(self, key: bytes, tag_size: int, ciphers_mod, invalid_tag) -> None:
+    def __init__(
+        self, key: bytes, tag_size: int, provider: "_OpenSSLProvider"
+    ) -> None:
         if not 4 <= tag_size <= 16:
             raise ValueError("tag size must be between 4 and 16 bytes")
         self.tag_size = tag_size
         self._key = key
-        self._cipher_cls = ciphers_mod.Cipher
-        self._modes = ciphers_mod.modes
-        self._algorithm = ciphers_mod.algorithms.AES(key)
-        self._invalid_tag = invalid_tag
+        self._provider = provider
+        self._algorithm = provider._aes_cls(key)
         self._pure = None
 
     def _pure_fallback(self):
@@ -232,7 +235,9 @@ class _OpenSSLGcm:
     def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         if not 8 <= len(nonce) <= 128:
             return self._pure_fallback().seal(nonce, plaintext, aad)
-        enc = self._cipher_cls(self._algorithm, self._modes.GCM(nonce)).encryptor()
+        provider = self._provider
+        mode = provider._gcm_cls(nonce)
+        enc = provider._cipher_cls(self._algorithm, mode).encryptor()
         if aad:
             enc.authenticate_additional_data(aad)
         ciphertext = enc.update(plaintext) + enc.finalize()
@@ -244,14 +249,15 @@ class _OpenSSLGcm:
         if not 8 <= len(nonce) <= 128:
             return self._pure_fallback().open(nonce, sealed, aad)
         ciphertext, tag = sealed[: -self.tag_size], sealed[-self.tag_size :]
-        mode = self._modes.GCM(nonce, tag, min_tag_length=self.tag_size)
-        dec = self._cipher_cls(self._algorithm, mode).decryptor()
+        provider = self._provider
+        mode = provider._gcm_cls(nonce, tag, min_tag_length=self.tag_size)
+        dec = provider._cipher_cls(self._algorithm, mode).decryptor()
         if aad:
             dec.authenticate_additional_data(aad)
         plaintext = dec.update(ciphertext)
         try:
             plaintext += dec.finalize()
-        except self._invalid_tag:
+        except provider._invalid_tag:
             raise ValueError("GCM authentication failed") from None
         return plaintext
 
@@ -272,6 +278,7 @@ class _OpenSSLProvider:
             from cryptography.hazmat.primitives.asymmetric import ed25519 as _ed
             from cryptography.hazmat.primitives.asymmetric import x25519 as _x
             from cryptography.hazmat.primitives.ciphers import algorithms as _algorithms
+            from cryptography.hazmat.primitives.ciphers import modes as _modes
         except ImportError as exc:  # pragma: no cover - exercised offline
             raise BackendUnavailable(
                 "the 'cryptography' package is not importable; "
@@ -279,8 +286,18 @@ class _OpenSSLProvider:
             ) from exc
         self._hashlib = _hashlib
         self._hmac = _hmac
-        self._ciphers = _ciphers
-        self._algorithms = _algorithms
+        # ``algorithms`` and ``modes`` are deprecation proxies whose
+        # every attribute read runs a Python-level ``__getattr__``
+        # (``algorithms.AES(key)`` ~2.5 µs against ~0.5 µs for the class
+        # itself — more than the key schedule of the per-host CMAC context
+        # a border router builds on first contact), so each class is
+        # resolved once here and the primitives read it off the provider.
+        self._cipher_cls = _ciphers.Cipher
+        self._aes_cls = _algorithms.AES
+        self._ecb_cls = _modes.ECB
+        self._ctr_cls = _modes.CTR
+        self._cbc_cls = _modes.CBC
+        self._gcm_cls = _modes.GCM
         self._cmac_cls = _cmac_mod.CMAC
         self._ed = _ed
         self._x = _x
@@ -288,13 +305,13 @@ class _OpenSSLProvider:
         self._invalid_tag = InvalidTag
 
     def new_aes(self, key: bytes) -> _OpenSSLAes:
-        return _OpenSSLAes(key, self._ciphers)
+        return _OpenSSLAes(key, self)
 
     def new_cmac(self, key: bytes) -> _OpenSSLCmac:
-        return _OpenSSLCmac(self._algorithms.AES(key), self._cmac_cls)
+        return _OpenSSLCmac(self._aes_cls(key), self._cmac_cls)
 
     def new_gcm(self, key: bytes, tag_size: int) -> _OpenSSLGcm:
-        return _OpenSSLGcm(key, tag_size, self._ciphers, self._invalid_tag)
+        return _OpenSSLGcm(key, tag_size, self)
 
     def hmac_sha256(self, key: bytes, message: bytes) -> bytes:
         return self._hmac.new(key, message, self._hashlib.sha256).digest()

@@ -77,6 +77,21 @@ happens next, in order:
    with :class:`ShardError`; a later carrier error can only be a bug and
    propagates as one — there is nothing left to fall back to.
 
+**Derived per-host state follows the keys.**  Beside the replica, a
+shard's router keeps one derived thing per source host: the CMAC context
+built from its kHA (a bounded LRU, see :mod:`repro.core.border_router`).
+A resync rebuilds the router, so nothing derived survives one.  Between
+resyncs the replica's keys can change under a warm context — a
+``MSG_REGISTER_HOST`` for an owned HID the shard already holds overwrites
+its key row — and until PR 20 the context survived that: the shard went
+on *forwarding* frames MAC'd with the old kHA and dropped the re-keyed
+host's real ones as ``BAD_MAC``.  Now the register arm (owned) and the
+``MSG_REVOKE_HID`` arm both call ``BorderRouter.forget_host``: a context
+never outlives the key it was built from, and a revoked host's key
+material leaves the router with the revocation
+(``tests/test_first_contact.py``, and ``tests/test_sharding.py`` on both
+carriers).
+
 :mod:`repro.faults` drives every one of these paths deterministically;
 ``tests/test_sharding_faults.py`` pins the semantics.
 """

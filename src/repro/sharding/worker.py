@@ -90,9 +90,9 @@ class ShardHostView:
     Duck-type compatible with the two :class:`~repro.core.hostdb.
     HostDatabase` methods the border router uses — ``is_valid`` (answered
     from the replicated live-HID set, so destination-side checks work for
-    hosts owned by other shards) and ``get`` (answered only for owned
-    HIDs; the router only fetches MAC keys for source hosts, which the
-    IV-pinned routing guarantees are local).
+    hosts owned by other shards) and ``packet_mac_key`` (answered, like
+    ``get``, only for owned HIDs; the router only fetches MAC keys for
+    source hosts, which the IV-pinned routing guarantees are local).
     """
 
     def __init__(self, key_pool: "dict[bytes, bytes] | None" = None) -> None:
@@ -137,6 +137,9 @@ class ShardHostView:
         if record.revoked:
             raise RevokedError(f"HID {hid} is revoked")
         return record
+
+    def packet_mac_key(self, hid: int) -> bytes:
+        return self.get(hid).keys.packet_mac
 
     @property
     def owned_count(self) -> int:
@@ -313,12 +316,18 @@ class ShardState:
         self.revocations.add(ephid, exp_time)
 
     def handle_revoke_hid(self, msg: bytes) -> None:
-        self.hosts.revoke(wire.decode_revoke_hid(msg))
+        hid = wire.decode_revoke_hid(msg)
+        self.hosts.revoke(hid)
+        # A revoked host's key material does not linger in the router.
+        self.router.forget_host(hid)
 
     def handle_register_host(self, msg: bytes) -> None:
         hid, owned, control, packet_mac = wire.decode_register_host(msg)
         if owned:
             self.hosts.add_owned(hid, control, packet_mac)
+            # add_owned accepts an overwrite: a CMAC context built from
+            # the previous kHA must not verify the re-keyed host's frames.
+            self.router.forget_host(hid)
         else:
             self.hosts.set_live(hid)
 

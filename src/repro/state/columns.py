@@ -11,9 +11,10 @@ HIDs (below ``FIRST_HOST_HID``, a handful per AS) keep their real
 :class:`~repro.core.hostdb.HostRecord` objects.
 
 Duck-type compatible with :class:`~repro.core.hostdb.HostDatabase`
-(``allocate_hid``/``register``/``get``/``is_valid``/``revoke_hid``/
-``find_by_subscriber``/``records``/``on_register``/``on_revoke_hid``/
-``__len__``/``total_registered``), plus two bulk entry points:
+(``allocate_hid``/``register``/``get``/``packet_mac_key``/``is_valid``/
+``revoke_hid``/``find_by_subscriber``/``records``/``on_register``/
+``on_revoke_hid``/``__len__``/``total_registered``), plus two bulk entry
+points:
 ``bulk_register`` admits a population from one keystream blob, and
 ``shard_columns`` slices the columns per shard for the snapshot codec
 (numpy-gathered when available).
@@ -200,12 +201,24 @@ class ColumnarHostDatabase:
             if record.revoked:
                 raise RevokedError(f"HID {hid} is revoked")
             return record
+        return HostRef(self, hid, self._live_row(hid))
+
+    def _live_row(self, hid: int) -> int:
+        """The row of a live host HID; raises for unknown or revoked."""
         row = hid - FIRST_HOST_HID
         if row >= len(self._flags) or not self._flags[row] & F_REGISTERED:
             raise UnknownHostError(f"HID {hid} is not registered")
         if self._flags[row] & F_REVOKED:
             raise RevokedError(f"HID {hid} is revoked")
-        return HostRef(self, hid, row)
+        return row
+
+    def packet_mac_key(self, hid: int) -> bytes:
+        """The packet-MAC subkey of a live host's kHA, sliced out of the
+        key column — no row proxy; raises what :meth:`get` raises."""
+        if hid < FIRST_HOST_HID:
+            return self.get(hid).keys.packet_mac
+        base = self._live_row(hid) * KEY_BYTES
+        return bytes(self._keys[base + SYMMETRIC_KEY_SIZE : base + KEY_BYTES])
 
     def is_valid(self, hid: int) -> bool:
         if hid < FIRST_HOST_HID:

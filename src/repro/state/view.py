@@ -1,8 +1,8 @@
 """Columnar shard host view: the worker-process side of the columns.
 
 Duck-type compatible with :class:`~repro.sharding.worker.ShardHostView`
-(``add_owned``/``set_live``/``revoke``/``is_valid``/``get``/
-``owned_count``), but backed by dense columns instead of per-host
+(``add_owned``/``set_live``/``revoke``/``is_valid``/``packet_mac_key``/
+``get``/``owned_count``), but backed by dense columns instead of per-host
 dicts.  A shard owns the HID blocks ``blk % nshards == shard`` of the
 dense row space, so its owned rows compact to their own dense index::
 
@@ -14,9 +14,11 @@ Owned keys live in one pooled bytearray at ``orow``; the replicated
 live-HID view is one byte per dense row.  ``load_snapshot`` ingests a
 :class:`~repro.state.snapshot.ShardSnapshot` with numpy scatter stores
 when available (stdlib loop otherwise), so a worker resync at
-million-host scale is a handful of vectorised copies.  ``get`` hands
-out cached :class:`_ViewRecord` proxies only for HIDs actually looked
-up (i.e. hosts that send traffic), never per registered host.
+million-host scale is a handful of vectorised copies.  The router's key
+fetch, ``packet_mac_key``, is a 16-byte slice of the key pool behind the
+flag-byte checks; ``get`` builds a :class:`_ViewRecord` on demand for
+the callers that want a whole record, and nothing here is kept per HID
+looked up.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ _REVOKED = 2
 
 
 class _ViewRecord:
-    """What ``get`` returns: hid + kHA keys + a live ``revoked`` flag."""
+    """What ``get`` returns: hid + kHA keys + a ``revoked`` flag."""
 
     __slots__ = ("hid", "keys", "revoked")
 
@@ -59,12 +61,10 @@ class ColumnarShardView:
         self._owned_n = 0
         self._live = bytearray()  # by dense row: 1 == live
         self._service_live: set[int] = set()
-        #: Out-of-plan entries: service HIDs (< FIRST_HOST_HID) and any
-        #: host HID add_owned put here despite not mapping to this shard.
-        self._extra: dict[int, _ViewRecord] = {}
-        #: hid -> materialised record, populated lazily by ``get`` so
-        #: repeat lookups for active senders stay one dict hit.
-        self._cache: dict[int, _ViewRecord] = {}
+        #: Out-of-plan rows — service HIDs (< FIRST_HOST_HID) and any
+        #: host HID add_owned put here despite not mapping to this shard
+        #: — as ``[32 key bytes, revoked]``.
+        self._extra: dict[int, list] = {}
 
     # -- row math ----------------------------------------------------------
 
@@ -97,9 +97,7 @@ class ColumnarShardView:
         if orow < 0:
             if hid not in self._extra:
                 self._owned_n += 1
-            self._extra[hid] = _ViewRecord(
-                hid, HostAsKeys(control=control, packet_mac=packet_mac), revoked
-            )
+            self._extra[hid] = [control + packet_mac, revoked]
         else:
             self._ensure_orows(orow + 1)
             if self._owned_flags[orow] == _ABSENT:
@@ -108,7 +106,6 @@ class ColumnarShardView:
             base = orow * KEY_BYTES
             self._keys[base : base + 16] = control
             self._keys[base + 16 : base + KEY_BYTES] = packet_mac
-            self._cache.pop(hid, None)
         if not revoked:
             self.set_live(hid)
 
@@ -127,17 +124,13 @@ class ColumnarShardView:
             row = hid - FIRST_HOST_HID
             if row < len(self._live):
                 self._live[row] = 0
-        record = self._extra.get(hid)
-        if record is not None:
-            record.revoked = True
+        extra = self._extra.get(hid)
+        if extra is not None:
+            extra[1] = True
             return
         orow = self._orow(hid)
-        if orow >= 0 and orow < len(self._owned_flags):
-            if self._owned_flags[orow] & _PRESENT:
-                self._owned_flags[orow] |= _REVOKED
-            cached = self._cache.get(hid)
-            if cached is not None:
-                cached.revoked = True
+        if 0 <= orow < len(self._owned_flags) and self._owned_flags[orow] & _PRESENT:
+            self._owned_flags[orow] |= _REVOKED
 
     def is_valid(self, hid: int) -> bool:
         if hid < FIRST_HOST_HID:
@@ -145,33 +138,37 @@ class ColumnarShardView:
         row = hid - FIRST_HOST_HID
         return row < len(self._live) and self._live[row] == 1
 
-    def get(self, hid: int) -> _ViewRecord:
-        record = self._cache.get(hid)
-        if record is None:
-            record = self._extra.get(hid)
-            if record is None:
-                orow = self._orow(hid)
-                if (
-                    orow < 0
-                    or orow >= len(self._owned_flags)
-                    or not self._owned_flags[orow] & _PRESENT
-                ):
-                    raise UnknownHostError(
-                        f"HID {hid} is not owned by this shard (misrouted packet?)"
-                    )
-                base = orow * KEY_BYTES
-                record = _ViewRecord(
-                    hid,
-                    HostAsKeys(
-                        control=bytes(self._keys[base : base + 16]),
-                        packet_mac=bytes(self._keys[base + 16 : base + KEY_BYTES]),
-                    ),
-                    bool(self._owned_flags[orow] & _REVOKED),
+    def _key_slot(self, hid: int) -> "tuple[bytes | bytearray, int]":
+        """``(buffer, offset)`` of the 32 kHA bytes (control ||
+        packet_mac) of an owned, unrevoked HID; raises for any other."""
+        extra = self._extra.get(hid)
+        if extra is not None:
+            (pool, revoked), base = extra, 0
+        else:
+            orow = self._orow(hid)
+            flags = self._owned_flags
+            if orow < 0 or orow >= len(flags) or not flags[orow] & _PRESENT:
+                raise UnknownHostError(
+                    f"HID {hid} is not owned by this shard (misrouted packet?)"
                 )
-                self._cache[hid] = record
-        if record.revoked:
+            pool, base, revoked = self._keys, orow * KEY_BYTES, flags[orow] & _REVOKED
+        if revoked:
             raise RevokedError(f"HID {hid} is revoked")
-        return record
+        return pool, base
+
+    def packet_mac_key(self, hid: int) -> bytes:
+        """The packet-MAC subkey of an owned live host's kHA: 16 bytes
+        of the key pool, no record built; raises what :meth:`get` raises."""
+        pool, base = self._key_slot(hid)
+        return bytes(pool[base + 16 : base + KEY_BYTES])
+
+    def get(self, hid: int) -> _ViewRecord:
+        pool, base = self._key_slot(hid)
+        keys = HostAsKeys(
+            control=bytes(pool[base : base + 16]),
+            packet_mac=bytes(pool[base + 16 : base + KEY_BYTES]),
+        )
+        return _ViewRecord(hid, keys, False)
 
     @property
     def owned_count(self) -> int:
@@ -187,7 +184,6 @@ class ColumnarShardView:
         self._live = bytearray()
         self._service_live = set()
         self._extra = {}
-        self._cache = {}
         if _np is not None and snap.owned_count + snap.live_count > 0:
             self._load_snapshot_np(snap)
             return
@@ -216,16 +212,11 @@ class ColumnarShardView:
             )[plan_idx]
             self._owned_n += int(plan_idx.size)
         for i in _np.flatnonzero(~in_plan):
-            hid = int(hids[i])
             base = int(i) * KEY_BYTES
-            self._extra[hid] = _ViewRecord(
-                hid,
-                HostAsKeys(
-                    control=snap.owned_keys[base : base + 16],
-                    packet_mac=snap.owned_keys[base + 16 : base + KEY_BYTES],
-                ),
+            self._extra[int(hids[i])] = [
+                bytes(snap.owned_keys[base : base + KEY_BYTES]),
                 bool(flags[i]),
-            )
+            ]
             self._owned_n += 1
         live = _np.frombuffer(snap.live_hids, dtype=">u4").astype(_np.int64)
         live_rows = live - FIRST_HOST_HID

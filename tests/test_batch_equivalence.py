@@ -25,6 +25,7 @@ from repro.core import verdict as verdict_module
 from repro.core.border_router import Action, BorderRouter, DropReason, Verdict
 from repro.core.config import ApnaConfig
 from repro.core.ephid import EphIdCodec
+from repro.core.errors import EphIdError
 from repro.core.replay_filter import RotatingReplayFilter
 from repro.core.verdict import VERDICT_TABLE_CAP, verdict_of
 from repro.crypto import backend as crypto_backend
@@ -462,6 +463,50 @@ class TestOpenBatch:
     def test_empty(self):
         codec = EphIdCodec(b"\x01" * 16, b"\x02" * 16)
         assert codec.open_batch([]) == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_fuzzed_column(self, backend):
+        """The column-wise open (one XOR over the whole column, tags and
+        plaintexts read back with ``iter_unpack``) against scalar
+        ``open``: valid EphIDs, a bit flipped in each of ciphertext / IV
+        / tag, wrong lengths and duplicates, shuffled — same ``None``
+        positions, same ``(hid, exp_time)``."""
+        rng = random.Random(0xE9)
+        codec = EphIdCodec(b"\x01" * 16, b"\x02" * 16, backend=backend)
+
+        def flipped(ephid, lo, hi):
+            bit = rng.randrange(8 * lo, 8 * hi)
+            return bytes(
+                byte ^ (1 << bit % 8) if i == bit // 8 else byte
+                for i, byte in enumerate(ephid)
+            )
+
+        opened = 0
+        for _ in range(40):
+            valid = [
+                codec.seal(
+                    rng.choice((0, 2**32 - 1, rng.getrandbits(32))),
+                    rng.choice((0, 2**32 - 1, rng.getrandbits(32))),
+                    iv=rng.getrandbits(32),
+                )
+                for _ in range(rng.randrange(2, 12))
+            ]
+            column = valid + [rng.choice(valid) for _ in range(3)]
+            for lo, hi in ((0, 8), (8, 12), (12, 16)):
+                column += [flipped(ephid, lo, hi) for ephid in valid[:2]]
+            column += [bytes(16), b"", valid[0][:15], valid[0] + b"\x00"]
+            column.append(valid[0] * 2)
+            rng.shuffle(column)
+            expected = []
+            for ephid in column:
+                try:
+                    expected.append(codec.open(ephid))
+                except EphIdError:
+                    expected.append(None)
+            assert codec.open_batch(column) == expected
+            opened += len(column) - expected.count(None)
+            assert expected.count(None) >= 11  # every tampered entry refused
+        assert opened > 200
 
 
 class TestBulkPrimitives:

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro import scenarios
+from repro.core import management
 from repro.core.errors import AuthError, CertError, IssuanceError
-from repro.core.messages import BootstrapRequest, EphIdRequest
+from repro.core.messages import BootstrapRequest, EphIdReply, EphIdRequest
 from repro.core.registry import credential_proof
+from repro.crypto.aead import EtmScheme
 from tests.conftest import build_world
 
 
@@ -209,3 +212,48 @@ class TestIssuanceOverNetwork:
         world.network.run()
         assert len(got) == 3
         assert len({o.ephid for o in got}) == 3
+
+
+class TestSchemeCache:
+    """The MS keeps a requester's control-key scheme between requests —
+    in a bounded LRU, and only under the key it was derived from."""
+
+    def test_issuance_flood_cannot_grow_the_service(self, monkeypatch):
+        """3x capacity distinct requesters, twice over: the cache stays
+        at its cap and every reply still opens under the requester's
+        own control key."""
+        capacity = 8
+        monkeypatch.setattr(management, "SCHEME_CACHE_CAPACITY", capacity)
+        with scenarios.build(f"metro:{3 * capacity}", seed=5) as world:
+            asys = world.asys("a")
+            ms = asys.ms
+            exp_time = int(asys.clock() + 600)
+            issued = set()
+            for _ in range(2):
+                for hid in world.population("a"):
+                    control_key = asys.hostdb.get(hid).keys.control
+                    scheme = EtmScheme(control_key)
+                    request = EphIdRequest(dh_public=bytes(32), sig_public=bytes(32))
+                    nonce = hid.to_bytes(12, "big")
+                    sealed = nonce + scheme.seal(
+                        nonce, request.pack(), b"ephid-request"
+                    )
+                    control = asys.codec.seal(hid, exp_time, iv=hid)
+                    reply = ms.handle_request(control, sealed)
+                    cert = EphIdReply.parse(
+                        scheme.open(reply[:12], reply[12:], b"ephid-reply")
+                    ).cert
+                    assert asys.codec.open(cert.ephid).hid == hid
+                    issued.add(cert.ephid)
+                    assert len(ms._scheme_cache) <= capacity
+            assert len(ms._scheme_cache) == capacity
+            assert len(issued) == ms.issued == 6 * capacity
+
+    def test_changed_control_key_is_not_served_from_the_cache(self, world):
+        ms = world.as_a.ms
+        old, new = b"\x01" * 16, b"\x02" * 16
+        nonce = bytes(12)
+        assert ms._scheme_for(77, old) is ms._scheme_for(77, bytes(old))
+        sealed = ms._scheme_for(77, new).seal(nonce, b"reply", b"aad")
+        assert EtmScheme(new).open(nonce, sealed, b"aad") == b"reply"
+        assert len(ms._scheme_cache) == 1

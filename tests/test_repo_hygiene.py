@@ -11,6 +11,7 @@
 
 import ast
 import dataclasses
+import inspect
 import shutil
 import subprocess
 from pathlib import Path
@@ -19,6 +20,9 @@ import pytest
 
 from repro.core.border_router import BorderRouter
 from repro.core.config import ApnaConfig
+from repro.sharding import SupervisorPolicy
+from repro.sharding.worker import ShardSpec
+from repro.state import ColumnarShardView
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -126,9 +130,47 @@ _CONFIG_FIELDS = {
 }
 
 
+#: What crosses to a worker, and the supervision policy: pinned the same
+#: way, so a cache capacity (say) cannot quietly become a knob.
+_SHARD_SPEC_FIELDS = {
+    "shard",
+    "nshards",
+    "aid",
+    "ephid_enc_key",
+    "ephid_mac_key",
+    "crypto_backend",
+    "packet_mac_size",
+    "with_nonce",
+    "replay_window",
+    "replay_bits",
+    "shard_block",
+    "routing_mode",
+    "routing_key",
+    "state_backend",
+    "snapshot",
+}
+_SUPERVISOR_POLICY_FIELDS = {"reply_timeout", "max_restarts", "restart_backoff"}
+
+
 def test_option_surface_only_shrinks():
-    fields = {field.name for field in dataclasses.fields(ApnaConfig)}
-    assert fields <= _CONFIG_FIELDS, sorted(fields - _CONFIG_FIELDS)
+    for options, pinned in (
+        (ApnaConfig, _CONFIG_FIELDS),
+        (ShardSpec, _SHARD_SPEC_FIELDS),
+        (SupervisorPolicy, _SUPERVISOR_POLICY_FIELDS),
+    ):
+        fields = {field.name for field in dataclasses.fields(options)}
+        assert fields <= pinned, (options.__name__, sorted(fields - pinned))
+
+
+def test_shard_view_keeps_nothing_per_hid_looked_up():
+    """``ColumnarShardView.get`` used to memoise a record per HID it was
+    asked for — a second unbounded per-host cache under the router's.
+    The router fetches keys with ``packet_mac_key``; the view holds
+    columns and the out-of-plan rows, nothing keyed by lookups."""
+    view = ColumnarShardView(shard=0, nshards=1)
+    assert not hasattr(view, "_cache")
+    assert "_cache" not in (ROOT / "src/repro/state/view.py").read_text()
+    assert "hostdb.get" not in inspect.getsource(BorderRouter)
 
 
 def _imported_names(rel: str) -> set[str]:

@@ -9,6 +9,7 @@ single lenient scaling sanity check runs only on multi-core hosts.
 """
 
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +19,8 @@ from repro.core.config import ApnaConfig
 from repro.core.ephid import IvAllocator
 from repro.core.errors import RevokedError, UnknownHostError
 from repro.core.hostdb import FIRST_HOST_HID
+from repro.core.keys import HostAsKeys
+from repro.crypto.cmac import Cmac
 from repro.sharding import (
     ShardError,
     ShardHostView,
@@ -27,7 +30,9 @@ from repro.sharding import (
     split_requests,
 )
 from repro.sharding import wire
+from repro.sharding.pool import InProcessCarrier
 from repro.topology import WorldBuilder
+from repro.wire.apna import ApnaPacket
 from repro.workload import TrafficProfile
 from repro.workload.packets import build_apna_pool
 
@@ -710,6 +715,50 @@ class TestDispatcher:
             verdicts = plane.process([transit], [False], as_a.clock())
             assert verdicts[0].next_aid == 65000
             assert plane.forwarded_inter == 1
+
+
+class TestRekeyedHost:
+    """``register_host`` for a HID the owning shard already holds
+    replaces its kHA on that shard; the warm CMAC context must go with
+    the old key, whichever carrier runs the shard."""
+
+    @pytest.mark.parametrize("carrier", ("pool", "inprocess"))
+    def test_rekeyed_host_is_verified_under_its_new_key(self, carrier):
+        with build_sharded_world(hosts=1) as world:
+            as_a = world.asys("a")
+            plane = as_a.shard_pool
+            if carrier == "inprocess":
+                plane._degrade("forced by the test", [])
+                assert isinstance(plane._pool, InProcessCarrier)
+            host = world.host("a0")
+            packet = build_apna_pool(
+                as_a, [host], size=128, count=1, dst_aid=200
+            ).apna_packets[0]
+            forward = Verdict(Action.FORWARD_INTER, next_aid=200)
+            assert plane.process_packets([(packet, True)], as_a.clock()) == [
+                forward
+            ]  # warms the host's context on its shard
+            record = as_a.hostdb.find_by_subscriber(host.subscriber_id)
+            new_key = bytes(b ^ 0xFF for b in record.keys.packet_mac)
+            plane.register_host(
+                SimpleNamespace(
+                    hid=record.hid,
+                    keys=HostAsKeys(
+                        control=record.keys.control, packet_mac=new_key
+                    ),
+                )
+            )
+            rekeyed = ApnaPacket(
+                packet.header.with_mac(
+                    Cmac(new_key).tag(
+                        packet.mac_input(), as_a.config.packet_mac_size
+                    )
+                ),
+                packet.payload,
+            )
+            assert plane.process_packets(
+                [(packet, True), (rekeyed, True)], as_a.clock()
+            ) == [Verdict(Action.DROP, reason=DropReason.BAD_MAC), forward]
 
 
 class TestShardedIssuance:

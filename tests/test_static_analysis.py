@@ -46,6 +46,7 @@ EXPECTED_RULES = {
     "silent-except",
     "scenario-coverage",
     "doc-references",
+    "bounded-cache",
 }
 
 
@@ -514,6 +515,108 @@ def test_silent_except_detects_and_passes():
         "        raise RuntimeError('job failed')\n"
     )
     assert not findings_of("silent-except", reraised, "core/fixture.py")
+
+
+def test_bounded_cache_detects_and_passes():
+    # The three shapes PR 20 removed.  The router's: filled on a miss,
+    # never evicted.
+    mac_cache = (
+        "class BorderRouter:\n"
+        "    def __init__(self):\n"
+        "        self._mac_cache: dict[int, object] = {}\n"
+        "    def _mac_for(self, hid):\n"
+        "        mac = self._mac_cache.get(hid)\n"
+        "        if mac is None:\n"
+        "            mac = self._mac_cache[hid] = build(hid)\n"
+        "        return mac\n"
+    )
+    (finding,) = findings_of("bounded-cache", mac_cache, "core/border_router.py")
+    assert finding.line == 3 and "_mac_cache" in finding.message
+    # The MS's: the same through a constructor call.
+    scheme_cache = mac_cache.replace(
+        "_mac_cache: dict[int, object] = {}", "_scheme_cache = dict()"
+    ).replace("_mac_cache", "_scheme_cache")
+    assert findings_of("bounded-cache", scheme_cache, "core/management.py")
+    # The shard view's: a pop exists, but on the *write* path of another
+    # store — invalidation, not a bound on what ``get`` inserts.
+    view_cache = (
+        "class ColumnarShardView:\n"
+        "    def __init__(self):\n"
+        "        self._cache = {}\n"
+        "    def add_owned(self, hid, keys):\n"
+        "        self._keys[hid] = keys\n"
+        "        self._cache.pop(hid, None)\n"
+        "    def get(self, hid):\n"
+        "        record = self._cache.get(hid)\n"
+        "        if record is None:\n"
+        "            record = self._cache[hid] = self._build(hid)\n"
+        "        return record\n"
+        "    def load_snapshot(self, snap):\n"
+        "        self._cache = {}\n"
+    )
+    (finding,) = findings_of("bounded-cache", view_cache, "state/view.py")
+    assert finding.line == 3
+    ordered = (
+        "from collections import OrderedDict\n"
+        "class Worker:\n"
+        "    def __init__(self):\n"
+        "        self.reply_cache = OrderedDict()\n"
+        "    def remember(self, seq, reply):\n"
+        "        self.reply_cache[seq] = reply\n"
+    )
+    assert findings_of("bounded-cache", ordered, "sharding/worker.py")
+    seen = "class W:\n    def __init__(self):\n        self.seen_cache = set()\n"
+    assert findings_of("bounded-cache", seen, "sharding/worker.py")
+
+    # Known-good: evicted on the insert path (through a local alias)...
+    evicting = (
+        "from collections import OrderedDict\n"
+        "class BorderRouter:\n"
+        "    def __init__(self):\n"
+        "        self._mac_cache = OrderedDict()\n"
+        "    def _mac_for(self, hid):\n"
+        "        cache = self._mac_cache\n"
+        "        mac = cache.get(hid)\n"
+        "        if mac is None:\n"
+        "            mac = cache[hid] = build(hid)\n"
+        "            if len(cache) > 8192:\n"  # a literal is not the bound...
+        "                cache.popitem(last=False)\n"  # ...the eviction is
+        "        return mac\n"
+    )
+    assert not findings_of("bounded-cache", evicting, "core/border_router.py")
+    # ...length-checked against a module-level constant...
+    capped = (
+        "TABLE_CAP = 4096\n"
+        "class Interner:\n"
+        "    def __init__(self):\n"
+        "        self._cache = {}\n"
+        "    def of(self, record):\n"
+        "        value = self._cache.get(record)\n"
+        "        if value is None:\n"
+        "            value = build(record)\n"
+        "            if len(self._cache) < TABLE_CAP:\n"
+        "                self._cache[record] = value\n"
+        "        return value\n"
+    )
+    assert not findings_of("bounded-cache", capped, "state/view.py")
+    # ...but not against a literal or a local.
+    uncapped = capped.replace("TABLE_CAP = 4096\n", "").replace(
+        "TABLE_CAP", "4096"
+    )
+    assert findings_of("bounded-cache", uncapped, "state/view.py")
+    # ...or built bounded: the shared LRU (what the tree does), and
+    # attributes that are not caches at all.
+    lru = (
+        "from .lru import LruCache\n"
+        "MAC_CACHE_CAPACITY = 8192\n"
+        "class BorderRouter:\n"
+        "    def __init__(self):\n"
+        "        self._mac_cache = LruCache(MAC_CACHE_CAPACITY)\n"
+        "        self.drops = {}\n"
+    )
+    assert not findings_of("bounded-cache", lru, "core/border_router.py")
+    # Scoped to the packet/request-path modules only.
+    assert not RULES["bounded-cache"].applies_to("pathval/keys.py")
 
 
 # --------------------------------------------------------------------------
