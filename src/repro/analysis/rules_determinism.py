@@ -1,7 +1,7 @@
 """Determinism rule: same seed, same world — everywhere.
 
 Every differential suite in this repo (sharding equivalence, crypto
-backends, state backends, fault storms) works by building two worlds
+backends, state stores, fault storms) works by building two worlds
 from one seed and asserting bit-identical behaviour.  That only holds
 if nothing in the simulation path reads ambient entropy or the wall
 clock.  The sanctioned seams are:
@@ -56,7 +56,7 @@ class DeterminismRule(Rule):
     title = "no ambient entropy or wall-clock reads outside sanctioned seams"
     motivation = (
         "same-seed world equivalence is load-bearing for every "
-        "differential suite (sharding, crypto backends, state backends, "
+        "differential suite (sharding, crypto backends, state stores, "
         "chaos storms); one stray time.time()/os.urandom breaks them all"
     )
     scope = ("**/*.py",)

@@ -125,10 +125,10 @@ class ApnaAutonomousSystem:
         #: The live worker pool (see :meth:`start_shard_pool`).
         self.shard_pool = None
         self.ivs = IvAllocator(self.rng, plan=self.shard_plan)
-        from ..state import make_host_database, make_revocation_list
+        from ..state import ColumnarHostDatabase, ColumnarRevocationList
 
-        self.hostdb = make_host_database(config.state_backend)
-        self.revocations = make_revocation_list(config.state_backend)
+        self.hostdb = ColumnarHostDatabase()
+        self.revocations = ColumnarRevocationList()
         self.bus = InfraBus(self.keys.secret)
         self.bus.subscribe_revocations(self.revocations)
 
@@ -378,12 +378,10 @@ class ApnaAutonomousSystem:
         are the metro-area population the AS is accountable for, against
         which issuance/verdict machinery is exercised at scale.  Key
         material comes from one SHAKE-256 keystream seeded by a single
-        ``rng.read(32)`` draw, so the registered keys are identical
-        under both state backends for a given world seed.  On the
-        columnar backend the registration is a few column appends with
-        zero per-host objects; the object backend falls back to
-        per-record inserts over the same keystream.  Returns the
-        registered HID range.
+        ``rng.read(32)`` draw, and the registration is a few column
+        appends with zero per-host objects
+        (:meth:`repro.state.ColumnarHostDatabase.bulk_register`).
+        Returns the registered HID range.
 
         Must run before :meth:`start_shard_pool`: a bulk load is meant
         to ride the shard-spawn snapshot, not a million per-host hook
@@ -398,29 +396,8 @@ class ApnaAutonomousSystem:
             )
         from ..state import population_key_material
 
-        seed = self.rng.read(32)
-        material = population_key_material(seed, count)
-        hostdb = self.hostdb
-        bulk = getattr(hostdb, "bulk_register", None)
-        if bulk is not None and hostdb.on_register is None:
-            first = bulk(count, material)
-            return range(first, first + count)
-        first = None
-        for i in range(count):
-            hid = hostdb.allocate_hid()
-            if first is None:
-                first = hid
-            base = i * 32
-            hostdb.register(
-                HostRecord(
-                    hid=hid,
-                    keys=HostAsKeys(
-                        control=material[base : base + 16],
-                        packet_mac=material[base + 16 : base + 32],
-                    ),
-                )
-            )
-        assert first is not None
+        material = population_key_material(self.rng.read(32), count)
+        first = self.hostdb.bulk_register(count, material)
         return range(first, first + count)
 
     def _register_host_hid(self, host: "ApnaHostNode") -> None:

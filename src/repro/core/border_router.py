@@ -83,8 +83,15 @@ on each egress frame, ``process_incoming`` on each ingress frame, in
 arrival order) returns when the clock does not advance inside the burst,
 and leaves the router in the identical state: same drop and forward
 counters, same replay-filter inserts in the same order.
-``tests/test_batch_equivalence.py`` fuzzes this on both state backends;
-the scalar pipelines stay as the one-screen spec and that oracle.
+``tests/test_batch_equivalence.py`` fuzzes this, with the scalar side
+over the per-record :class:`~repro.core.hostdb.HostDatabase` /
+:class:`~repro.core.revocation.RevocationList` and the burst side over
+the :mod:`repro.state` columns; the scalar pipelines stay as the
+one-screen spec and that oracle.  They share no predicate with the burst
+path: each side's EphID ladder is written once for the scalar pipelines
+(:meth:`BorderRouter._admit`) and once for the burst
+(:meth:`BorderRouter._vet`), because an oracle that calls the code it
+checks checks nothing.
 
 :meth:`BorderRouter.process_mixed_batch` is an adapter over
 ``process_burst`` for ``bench/apnabench/trace.py``, which still hands
@@ -216,17 +223,10 @@ class BorderRouter:
         header = packet.header
         if header.src_aid != self.aid:
             return self._drop(DropReason.NOT_LOCAL_SOURCE)
-        try:
-            info = self._codec.open(header.src_ephid)
-        except EphIdError:
-            return self._drop(DropReason.SRC_FORGED)
-        if info.exp_time < now:
-            return self._drop(DropReason.SRC_EXPIRED)
-        if self._revocations.contains(header.src_ephid):
-            return self._drop(DropReason.SRC_REVOKED)
-        if not self._hostdb.is_valid(info.hid):
-            return self._drop(DropReason.SRC_HID_INVALID)
-        expected = self._mac_for(info.hid).tag(packet.mac_input(), self._mac_size)
+        hid, fault = self._admit(header.src_ephid, now, _SRC_FAULTS)
+        if fault is not None:
+            return self._drop(fault)
+        expected = self._mac_for(hid).tag(packet.mac_input(), self._mac_size)
         if not ct_eq(expected, header.mac):
             return self._drop(DropReason.BAD_MAC)
         # Replay detection runs after the MAC check so that spoofed
@@ -253,6 +253,34 @@ class BorderRouter:
         if not self._replay_fresh(header, now):
             return self._drop(DropReason.REPLAYED)
         return self._deliver_local(packet, now)
+
+    def _deliver_local(self, packet: ApnaPacket, now: float) -> Verdict:
+        hid, fault = self._admit(packet.header.dst_ephid, now, _DST_FAULTS)
+        if fault is not None:
+            return self._drop(fault)
+        self.forwarded_intra += 1
+        return Verdict(Action.FORWARD_INTRA, hid=hid)
+
+    def _admit(
+        self, ephid: bytes, now: float, faults: "tuple[DropReason, ...]"
+    ) -> "tuple[int | None, DropReason | None]":
+        """The scalar EphID ladder, the same on both sides of Fig. 4:
+        authentic, unexpired, unrevoked, of a valid HID — in that order.
+        Returns ``(hid, None)``, or ``(None, fault)`` with the one of
+        ``faults`` (a side's forged / expired / revoked / HID-invalid
+        reasons) for the first check that fails."""
+        forged, expired, revoked, hid_invalid = faults
+        try:
+            info = self._codec.open(ephid)
+        except EphIdError:
+            return None, forged
+        if info.exp_time < now:
+            return None, expired
+        if self._revocations.contains(ephid):
+            return None, revoked
+        if not self._hostdb.is_valid(info.hid):
+            return None, hid_invalid
+        return info.hid, None
 
     def _replay_fresh(self, header, now: float) -> bool:
         """True unless the filter says this (EphID, nonce) was seen before.
@@ -413,21 +441,6 @@ class BorderRouter:
         ``bench/apnabench/trace.py``; ROADMAP item 0(b) deletes it."""
         frames = [packet.to_wire() for packet in packets]
         return verdicts_of(b"".join(self.process_burst(frames, egress)))
-
-    def _deliver_local(self, packet: ApnaPacket, now: float) -> Verdict:
-        header = packet.header
-        try:
-            info = self._codec.open(header.dst_ephid)
-        except EphIdError:
-            return self._drop(DropReason.DST_FORGED)
-        if info.exp_time < now:
-            return self._drop(DropReason.DST_EXPIRED)
-        if self._revocations.contains(header.dst_ephid):
-            return self._drop(DropReason.DST_REVOKED)
-        if not self._hostdb.is_valid(info.hid):
-            return self._drop(DropReason.DST_HID_INVALID)
-        self.forwarded_intra += 1
-        return Verdict(Action.FORWARD_INTRA, hid=info.hid)
 
     # -- observability --
 

@@ -90,11 +90,10 @@ class ApnaConfig:
     #: of one shard (delay ``min(base * 2**attempt, 50 * base)``).
     shard_restart_backoff: float = 0.05
 
-    #: Backing store for the per-AS state (``host_info``, ``revoked_ids``
-    #: and the shard workers' replicas): ``"columnar"`` keeps dense
-    #: array/bytes columns keyed by HID row (see :mod:`repro.state` —
-    #: zero per-host objects, the million-host default), ``"object"``
-    #: keeps the original per-record dataclass stores.
+    #: Kept for ``bench/`` until ROADMAP item 0(a); not an option.  The
+    #: per-AS state (``host_info``, ``revoked_ids`` and the shard
+    #: workers' replicas) lives in the :mod:`repro.state` columns and
+    #: any other value is refused.
     state_backend: str = "columnar"
 
     #: Data-plane AEAD ("etm" or "gcm"); any CCA-secure scheme is allowed.
@@ -110,6 +109,13 @@ class ApnaConfig:
 
     #: Whether border routers emit ICMP errors for dropped inbound packets.
     icmp_on_drop: bool = True
+
+    def __post_init__(self) -> None:
+        if self.state_backend != "columnar":
+            raise ValueError(
+                f"state_backend {self.state_backend!r}: the columnar "
+                "stores are the only state family"
+            )
 
     def clamp_lifetime(self, requested: float | None) -> float:
         """Resolve a requested lifetime to a granted one."""

@@ -5,6 +5,11 @@ needs to authenticate the host's packets (Fig. 2: "the entities need to
 learn the HID of the host and the shared key kHA").  Implemented as a
 hash table keyed by HID, exactly as the paper's prototype does
 (Section V-A2).
+
+An AS runs :class:`repro.state.ColumnarHostDatabase`, which keeps the
+same rows as dense columns; :class:`HostDatabase` is the one-screen spec
+of that API, the type the core services are annotated with, and the
+oracle the differential tests build directly.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ Section VIII-G2 describes the two control mechanisms implemented here:
   the expiry check anyway, so keeping them is pure overhead), and
 * a host that accumulates too many revocations has its HID revoked
   outright, invalidating all of its EphIDs at once.
+
+An AS runs :class:`repro.state.ColumnarRevocationList` (the same API
+over packed columns); :class:`RevocationList` is its one-screen spec,
+the oracle the differential tests build directly, and what E6 measures
+with pruning off.
 """
 
 from __future__ import annotations

@@ -64,7 +64,6 @@ class EvaluationRunner:
         self.config = replace(
             base,
             forwarding_shards=nshards,
-            state_backend="columnar",
             shard_reply_timeout=0.4,
             shard_max_restarts=10_000,
             shard_restart_backoff=0.001,

@@ -185,14 +185,14 @@ def _scale_int(arg: str, usage: str) -> int:
     description=(
         "fig1 pair with a bulk population of N registered HIDs per AS "
         "(metro:N, k/M suffixes allowed, default 1M); registry state "
-        "only — pair with the columnar state_backend for bounded memory"
+        "only, held as packed columns"
     ),
 )
 def _metro(arg: str | None) -> TopologySpec:
     """The scale shape: the Fig. 1 pair carrying a metro-sized registry.
 
     ``metro:1M`` registers 10^6 hosts per AS as packed columns (no
-    per-host objects on the columnar ``state_backend``), plus the named
+    per-host objects, see :mod:`repro.state`), plus the named
     ``alice``/``bob`` pair so protocol-level traffic still works.  The
     population is pure ``host_info`` state — the paper's §V-A2 registry
     at the AS sizes its tables are dimensioned for.

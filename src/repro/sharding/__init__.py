@@ -53,7 +53,7 @@ happens next, in order:
    ``MSG_RESYNC`` frame before traffic resumes.  What survives exactly:
    the shard's owned host records and MAC keys, the replicated live-HID
    view, and the revocation list — all reread from the AS's own
-   ``HostDatabase`` / ``RevocationList`` at restart time, so even an
+   ``host_info`` / ``revoked_ids`` columns at restart time, so even an
    update whose control broadcast died mid-send arrives via the resync.
    What does not survive: the shard's **replay-filter history** (packets
    first seen up to one rotation window before the crash may pass once
@@ -100,11 +100,10 @@ from .issuance import run_issuance_shards, split_requests
 from .plan import ShardPlan
 from .pool import ShardError, ShardProcessPool, ShardTimeout, ShardedDataPlane
 from .supervisor import ShardStateSource, ShardSupervisor, SupervisorPolicy
-from .worker import ShardHostView, ShardSpec, ShardState, data_plane_worker
+from .worker import ShardSpec, ShardState, data_plane_worker
 
 __all__ = [
     "ShardError",
-    "ShardHostView",
     "ShardPlan",
     "ShardProcessPool",
     "ShardSpec",

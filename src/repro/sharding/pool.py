@@ -438,9 +438,8 @@ class ShardedDataPlane:
         be routed to a shard that does not hold its host's MAC keys.
         The assembly's config also supplies the supervision policy
         (``shard_reply_timeout`` / ``shard_max_restarts`` /
-        ``shard_restart_backoff``) and the workers' replica store
-        (``state_backend``); the workers run the crypto backend active
-        in the caller.
+        ``shard_restart_backoff``); the workers run the crypto backend
+        active in the caller.
 
         The assembly's ``hostdb`` / ``revocations`` are snapshotted into
         the worker specs — as encoded :class:`repro.state.ShardSnapshot`
@@ -518,18 +517,6 @@ class ShardedDataPlane:
         if plan is not None and self.degraded is None:
             carrier = FaultCarrier(plan, carrier)
         self._pool = self.supervisor.carrier = carrier
-
-    # -- routing -----------------------------------------------------------
-
-    def shard_of_frame(self, frame: bytes) -> int:
-        """Routing shard of a packed frame, from the source EphID's four
-        clear IV bytes under the plan's (keyed by default) map.
-
-        The burst path batches this per-frame lookup into one bulk PRF
-        over the whole IV column (see :meth:`submit`); this scalar form
-        serves diagnostics and out-of-band callers.
-        """
-        return self.plan.owner_of_iv_bytes(frame[_SRC_IV])
 
     # -- the burst pipeline -------------------------------------------------
 
@@ -819,12 +806,6 @@ class ShardedDataPlane:
     ) -> "list[Verdict]":
         """One burst, synchronously: submit + collect."""
         return self.collect(self.submit(frames, egress, now))
-
-    def process_packets(self, packets, now: float) -> "list[Verdict]":
-        """Convenience for ``(ApnaPacket, egress)`` pairs (tests, drivers)."""
-        frames = [packet.to_wire() for packet, _ in packets]
-        egress = [out for _, out in packets]
-        return self.process(frames, egress, now)
 
     # -- control plane ------------------------------------------------------
 

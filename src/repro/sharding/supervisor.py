@@ -95,8 +95,8 @@ class ShardStateSource:
     workers as incremental control frames.  A restarted worker needs the
     *current* state, so the supervisor reads it fresh from the same
     objects the control hooks mutate — ``hostdb`` and ``revocations``
-    are the :class:`~repro.core.hostdb.HostDatabase` and
-    :class:`~repro.core.revocation.RevocationList` the AS itself owns.
+    are the :class:`~repro.state.ColumnarHostDatabase` and
+    :class:`~repro.state.ColumnarRevocationList` the AS itself owns.
     """
 
     def __init__(self, hostdb, revocations) -> None:
@@ -104,13 +104,9 @@ class ShardStateSource:
         self.revocations = revocations
 
     def shard_snapshot(self, plan: "ShardPlan", shard: int):
-        """One shard's :class:`repro.state.ShardSnapshot`, resync-ready.
-
-        Columnar stores export their packed columns wholesale; object
-        stores fall back to a per-record walk.  Either way the result is
-        the same wire bytes, which is what keeps resync equivalent
-        across ``state_backend`` values.
-        """
+        """One shard's :class:`repro.state.ShardSnapshot`, resync-ready:
+        the stores' packed columns sliced for the shard, in the one
+        serialisation the shard was also spawned from."""
         from ..state.snapshot import build_shard_snapshot
 
         return build_shard_snapshot(self.hostdb, self.revocations, plan, shard)

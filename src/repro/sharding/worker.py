@@ -31,10 +31,7 @@ from dataclasses import dataclass
 
 from ..core.border_router import BorderRouter
 from ..core.ephid import EphIdCodec
-from ..core.errors import RevokedError, UnknownHostError
-from ..core.keys import HostAsKeys
 from ..core.replay_filter import RotatingReplayFilter
-from ..core.revocation import RevocationList
 from ..state.revlist import ColumnarRevocationList
 from ..state.snapshot import ShardSnapshot
 from ..state.view import ColumnarShardView
@@ -68,82 +65,14 @@ class ShardSpec:
     #: kR — carried with the tag so the worker can cross-check resync'd
     #: snapshots against its spec.
     routing_key: bytes
-    #: Which store backs the worker's replica: ``"columnar"`` (dense
-    #: :mod:`repro.state` columns, zero per-host objects) or ``"object"``.
+    #: Kept for ``bench/`` until ROADMAP item 0(a); not an option.  The
+    #: replica is the :mod:`repro.state` columns and :class:`ShardState`
+    #: refuses any other value.
     state_backend: str
     #: Encoded :class:`repro.state.ShardSnapshot` — the shard's owned
     #: host rows, the replicated live-HID view and the revocation-list
     #: replica, as packed columns.  Empty means an empty shard.
     snapshot: bytes
-
-
-@dataclass
-class _OwnedRecord:
-    hid: int
-    keys: HostAsKeys
-    revoked: bool = False
-
-
-class ShardHostView:
-    """A shard's view of ``host_info``: owned keys + replicated liveness.
-
-    Duck-type compatible with the two :class:`~repro.core.hostdb.
-    HostDatabase` methods the border router uses — ``is_valid`` (answered
-    from the replicated live-HID set, so destination-side checks work for
-    hosts owned by other shards) and ``packet_mac_key`` (answered, like
-    ``get``, only for owned HIDs; the router only fetches MAC keys for
-    source hosts, which the IV-pinned routing guarantees are local).
-    """
-
-    def __init__(self, key_pool: "dict[bytes, bytes] | None" = None) -> None:
-        self._owned: dict[int, _OwnedRecord] = {}
-        self._live: set[int] = set()
-        #: Interning pool for kHA subkey bytes.  A worker that resyncs
-        #: keeps one pool across view incarnations, so re-shipped keys
-        #: alias the buffers the previous incarnation already held
-        #: instead of duplicating 32 B per host per resync.
-        self._key_pool: dict[bytes, bytes] = key_pool if key_pool is not None else {}
-
-    def add_owned(
-        self, hid: int, control: bytes, packet_mac: bytes, *, revoked: bool = False
-    ) -> None:
-        pool = self._key_pool
-        control = pool.setdefault(control, control)
-        packet_mac = pool.setdefault(packet_mac, packet_mac)
-        self._owned[hid] = _OwnedRecord(
-            hid, HostAsKeys(control=control, packet_mac=packet_mac), revoked=revoked
-        )
-        if not revoked:
-            self._live.add(hid)
-
-    def set_live(self, hid: int) -> None:
-        self._live.add(hid)
-
-    def revoke(self, hid: int) -> None:
-        self._live.discard(hid)
-        record = self._owned.get(hid)
-        if record is not None:
-            record.revoked = True
-
-    def is_valid(self, hid: int) -> bool:
-        return hid in self._live
-
-    def get(self, hid: int) -> _OwnedRecord:
-        record = self._owned.get(hid)
-        if record is None:
-            raise UnknownHostError(
-                f"HID {hid} is not owned by this shard (misrouted packet?)"
-            )
-        if record.revoked:
-            raise RevokedError(f"HID {hid} is revoked")
-        return record
-
-    def packet_mac_key(self, hid: int) -> bytes:
-        return self.get(hid).keys.packet_mac
-
-    @property
-    def owned_count(self) -> int:
-        return len(self._owned)
 
 
 class _SettableClock:
@@ -173,6 +102,11 @@ class ShardState:
     worker protocol (:meth:`handle`), whichever process runs it."""
 
     def __init__(self, spec: ShardSpec) -> None:
+        if spec.state_backend != "columnar":
+            raise ValueError(
+                f"state_backend {spec.state_backend!r}: the columnar "
+                "stores are the only state family"
+            )
         if spec.crypto_backend is not None:
             from ..crypto import backend as crypto_backend
 
@@ -181,9 +115,6 @@ class ShardState:
         self.clock = _SettableClock()
         #: A failed fire-and-forget frame's error, owed to the next reply.
         self._held_error: "str | None" = None
-        #: Shared across view incarnations so resyncs re-intern instead
-        #: of re-allocating key bytes (object backend only).
-        self._key_pool: dict[bytes, bytes] = {}
         snap = (
             ShardSnapshot.decode(spec.snapshot)
             if spec.snapshot
@@ -219,26 +150,18 @@ class ShardState:
             raise ValueError(
                 "snapshot's routing key kR differs from this shard's spec"
             )
-        if spec.state_backend == "columnar":
-            # Column blobs load wholesale: the snapshot's packed arrays
-            # become the view's backing stores with no per-host objects.
-            hosts = ColumnarShardView(
-                shard=spec.shard, nshards=spec.nshards, block=spec.shard_block
-            )
-            hosts.load_snapshot(snap)
-            self.hosts = hosts
-            revocations = ColumnarRevocationList()
-            revocations.load_packed(snap.rev_exp, snap.rev_ephids)
-            self.revocations = revocations
-        else:
-            self.hosts = ShardHostView(key_pool=self._key_pool)
-            for hid, control, packet_mac, revoked in snap.iter_owned():
-                self.hosts.add_owned(hid, control, packet_mac, revoked=revoked)
-            for hid in snap.iter_live():
-                self.hosts.set_live(hid)
-            self.revocations = RevocationList()
-            for ephid, exp_time in snap.iter_revoked():
-                self.revocations.add(ephid, exp_time)
+        # Column blobs load wholesale: the snapshot's packed arrays
+        # become the view's backing stores with no per-host objects.
+        hosts = ColumnarShardView(
+            shard=spec.shard, nshards=spec.nshards, block=spec.shard_block
+        )
+        hosts.load_snapshot(snap)
+        revocations = ColumnarRevocationList()
+        revocations.load_packed(snap.rev_exp, snap.rev_ephids)
+        # Swapped in only once both have loaded: a snapshot refused
+        # halfway leaves the previous state, whole, under the old router.
+        self.hosts = hosts
+        self.revocations = revocations
         replay_filter = None
         # As in the assembly: no nonce on the wire, no filter to key.
         if spec.replay_window is not None and spec.with_nonce:

@@ -1,12 +1,12 @@
 """``repro.state`` — columnar million-host state storage.
 
-The paper's accountability machinery keeps three per-AS stores:
-``host_info`` (HID -> kHA subkeys, Section V-A2), ``revoked_ids``
-(the revocation list, IV-E), and — in this reproduction's sharded data
-plane — per-worker replicas of both.  The default implementations are
-per-host Python objects; at the ROADMAP's "millions of users" scale,
-RAM and GC, not crypto, become the cap.  This package re-backs all of
-them with columnar storage behind the exact same duck-typed APIs:
+The paper's accountability machinery keeps two per-AS tables on the
+Fig. 4 path: ``host_info`` (HID -> kHA subkeys, Section V-A2) and
+``revoked_ids`` (the revocation list, IV-E) — and, in this
+reproduction's sharded data plane, a per-worker replica of both.  At
+the ROADMAP's "millions of users" scale RAM and GC, not crypto, become
+the cap of a per-host-object store, so the stores of this package are
+the ones the system runs:
 
 **Dense-HID index.**  Host HIDs are allocated sequentially from
 ``FIRST_HOST_HID``, so ``row = hid - FIRST_HOST_HID`` indexes flat
@@ -32,19 +32,22 @@ same bytes, so spawning and resyncing a million-host shard is a few
 buffer copies (numpy-gathered when available, stdlib ``array``
 otherwise) instead of per-record ``struct.pack`` loops.
 
-The ``state_backend`` config knob ("columnar" by default, "object" for
-the original stores) selects the implementation through the factories
-below; everything downstream sees only the shared duck-typed surface
-(``get``/``is_valid``/``records``/``on_register``/``on_revoke_hid``/
-``on_add``).
+**One family.**  There is no backend to select:
+:class:`~repro.core.autonomous_system.ApnaAutonomousSystem` constructs
+:class:`ColumnarHostDatabase` and :class:`ColumnarRevocationList`, and a
+:class:`~repro.sharding.worker.ShardState` a :class:`ColumnarShardView`
+and a :class:`ColumnarRevocationList`.  The per-record
+:class:`~repro.core.hostdb.HostDatabase` and
+:class:`~repro.core.revocation.RevocationList` are the one-screen spec
+of the same API and the oracle the differential tests run the scalar
+Fig. 4 pipelines over (``tests/test_state_store.py``,
+``tests/test_first_contact.py``, ``tests/test_batch_equivalence.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from ..core.hostdb import HostDatabase
-from ..core.revocation import RevocationList
 from .columns import ColumnarHostDatabase, HostRef
 from .revlist import ColumnarRevocationList
 from .snapshot import HAVE_NUMPY, KEY_BYTES, ShardSnapshot, build_shard_snapshot
@@ -58,33 +61,8 @@ __all__ = [
     "HostRef",
     "ShardSnapshot",
     "build_shard_snapshot",
-    "make_host_database",
-    "make_revocation_list",
     "population_key_material",
 ]
-
-_BACKENDS = ("object", "columnar")
-
-
-def _check_backend(backend: str) -> None:
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown state backend {backend!r}; expected one of {_BACKENDS}"
-        )
-
-
-def make_host_database(backend: str = "columnar"):
-    """``host_info`` for the requested ``state_backend``."""
-    _check_backend(backend)
-    return ColumnarHostDatabase() if backend == "columnar" else HostDatabase()
-
-
-def make_revocation_list(backend: str = "columnar", *, auto_prune: bool = True):
-    """``revoked_ids`` for the requested ``state_backend``."""
-    _check_backend(backend)
-    if backend == "columnar":
-        return ColumnarRevocationList(auto_prune=auto_prune)
-    return RevocationList(auto_prune=auto_prune)
 
 
 def population_key_material(seed: bytes, count: int) -> bytes:
@@ -92,8 +70,7 @@ def population_key_material(seed: bytes, count: int) -> bytes:
 
     One SHAKE-256 squeeze of ``count`` 32-byte rows (control ||
     packet_mac per host) — drawing a million hosts' keys through the
-    per-call AES rng would dominate build time.  The same seed yields
-    the same keystream on every backend, which is what keeps
-    object/columnar worlds bit-identical.
+    per-call AES rng would dominate build time.  A pure function of the
+    seed, so same-seed worlds register identical populations.
     """
     return hashlib.shake_256(seed).digest(KEY_BYTES * count)

@@ -10,7 +10,8 @@ asks for a record, and reads/writes through to the columns.  Service
 HIDs (below ``FIRST_HOST_HID``, a handful per AS) keep their real
 :class:`~repro.core.hostdb.HostRecord` objects.
 
-Duck-type compatible with :class:`~repro.core.hostdb.HostDatabase`
+The API is that of :class:`~repro.core.hostdb.HostDatabase`, the
+per-record spec the differential tests hold this store to
 (``allocate_hid``/``register``/``get``/``packet_mac_key``/``is_valid``/
 ``revoke_hid``/``find_by_subscriber``/``records``/``on_register``/
 ``on_revoke_hid``/``__len__``/``total_registered``), plus two bulk entry
@@ -106,7 +107,7 @@ class HostRef:
 
 
 class ColumnarHostDatabase:
-    """``host_info`` over dense columns (the ``"columnar"`` backend)."""
+    """``host_info`` over dense columns: the store every AS runs."""
 
     def __init__(self) -> None:
         self._flags = bytearray()
@@ -115,7 +116,7 @@ class ColumnarHostDatabase:
         self._issued = array("I")
         self._erevoked = array("I")
         #: Service endpoints (hid < FIRST_HOST_HID) keep real records;
-        #: insertion order first in ``records()``, like the object store.
+        #: insertion order first in ``records()``, as ``HostDatabase`` has it.
         self._services: dict[int, HostRecord] = {}
         self._by_subscriber: dict[int, int] = {}
         self._next_hid = FIRST_HOST_HID

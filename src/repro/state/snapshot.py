@@ -126,6 +126,15 @@ class ShardSnapshot:
                 f"owned columns disagree: {n} hids, "
                 f"{len(self.owned_flags)} flags, {len(self.owned_keys)} key bytes"
             )
+        # The numpy and stdlib loaders agree only on flags 0 and 1: numpy
+        # multiplies the byte into its flag column, where 2 or 128 lose
+        # the revoked bit; the stdlib loop tests it for truth.
+        stray = self.owned_flags.translate(None, b"\x00\x01")
+        if stray:
+            raise ValueError(
+                f"owned flag byte {stray[0]:#04x}: a flag is 0 (live) or "
+                "1 (revoked)"
+            )
         if len(self.rev_ephids) != self.revoked_count * EPHID_BYTES:
             raise ValueError(
                 f"revocation columns disagree: {self.revoked_count} expiries, "
@@ -204,7 +213,7 @@ class ShardSnapshot:
 
     @classmethod
     def from_rows(cls, owned_rows, live_hids, revoked_entries) -> "ShardSnapshot":
-        """Build from per-record rows (the object-backend path).
+        """Build from per-record rows (how tests write a snapshot by hand).
 
         ``owned_rows`` is an iterable of ``(hid, control, packet_mac,
         revoked)``, ``live_hids`` of ints, ``revoked_entries`` of
@@ -228,7 +237,7 @@ class ShardSnapshot:
             rev_ephids=b"".join(ephid for ephid, _ in entries),
         )
 
-    # -- row iteration (the object-backend consumption path) ---------------
+    # -- row iteration (the no-numpy loader, and tests reading one back) ----
 
     def iter_owned(self):
         """Yield ``(hid, control, packet_mac, revoked)`` per owned row."""
@@ -257,41 +266,12 @@ class ShardSnapshot:
 
 
 def build_shard_snapshot(hostdb, revocations, plan, shard: int) -> ShardSnapshot:
-    """One shard's snapshot from the authoritative AS state.
-
-    Dispatches to the columnar fast paths when the store provides them
-    (``hostdb.shard_columns`` / ``revocations.packed_snapshot``) and
-    falls back to per-record iteration for the object-backed stores, so
-    the supervisor and the pool builder never care which backend an AS
-    runs.
-    """
-    columns = getattr(hostdb, "shard_columns", None)
-    if columns is not None:
-        owned_hids, owned_flags, owned_keys, live_hids = columns(plan, shard)
-    else:
-        hids = []
-        flags = bytearray()
-        keys = []
-        live = []
-        for record in hostdb.records():
-            if not record.revoked:
-                live.append(record.hid)
-            if plan.owner_of(record.hid) == shard:
-                hids.append(record.hid)
-                flags.append(1 if record.revoked else 0)
-                keys.append(record.keys.control)
-                keys.append(record.keys.packet_mac)
-        owned_hids = pack_u32s(hids)
-        owned_flags = bytes(flags)
-        owned_keys = b"".join(keys)
-        live_hids = pack_u32s(live)
-    packed = getattr(revocations, "packed_snapshot", None)
-    if packed is not None:
-        rev_exp, rev_ephids = packed()
-    else:
-        entries = revocations.snapshot()
-        rev_exp = pack_f64s(exp for _, exp in entries)
-        rev_ephids = b"".join(ephid for ephid, _ in entries)
+    """One shard's snapshot from the authoritative AS state: the
+    columns :meth:`~repro.state.ColumnarHostDatabase.shard_columns` and
+    :meth:`~repro.state.ColumnarRevocationList.packed_snapshot` export,
+    under the plan's routing trailer."""
+    owned_hids, owned_flags, owned_keys, live_hids = hostdb.shard_columns(plan, shard)
+    rev_exp, rev_ephids = revocations.packed_snapshot()
     return ShardSnapshot(
         owned_hids=owned_hids,
         owned_flags=owned_flags,
@@ -299,6 +279,6 @@ def build_shard_snapshot(hostdb, revocations, plan, shard: int) -> ShardSnapshot
         live_hids=live_hids,
         rev_exp=rev_exp,
         rev_ephids=rev_ephids,
-        routing_mode=getattr(plan, "mode", ""),
-        routing_key=getattr(plan, "key", None) or b"",
+        routing_mode=plan.mode,
+        routing_key=plan.key or b"",
     )

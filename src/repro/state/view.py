@@ -1,10 +1,14 @@
 """Columnar shard host view: the worker-process side of the columns.
 
-Duck-type compatible with :class:`~repro.sharding.worker.ShardHostView`
-(``add_owned``/``set_live``/``revoke``/``is_valid``/``packet_mac_key``/
-``get``/``owned_count``), but backed by dense columns instead of per-host
-dicts.  A shard owns the HID blocks ``blk % nshards == shard`` of the
-dense row space, so its owned rows compact to their own dense index::
+A shard's view of ``host_info`` — owned keys plus replicated liveness —
+behind the two :class:`~repro.core.hostdb.HostDatabase` methods the
+border router uses: ``is_valid`` (answered from the replicated live-HID
+column, so destination-side checks work for hosts other shards own) and
+``packet_mac_key`` (answered, like ``get``, only for owned HIDs; the
+router fetches MAC keys for source hosts alone, which the IV-pinned
+routing guarantees are local).  A shard owns the HID blocks
+``blk % nshards == shard`` of the dense row space, so its owned rows
+compact to their own dense index::
 
     row  = hid - FIRST_HOST_HID
     blk, off = divmod(row, block)          # owned iff blk % nshards == shard
@@ -88,26 +92,29 @@ class ColumnarShardView:
         if grow > 0:
             self._live += bytes(grow)
 
-    # -- ShardHostView duck API --------------------------------------------
+    # -- what the worker protocol and the router call ----------------------
 
     def add_owned(
         self, hid: int, control: bytes, packet_mac: bytes, *, revoked: bool = False
     ) -> None:
+        self._put_owned(hid, control + packet_mac, revoked)
+        if not revoked:
+            self.set_live(hid)
+
+    def _put_owned(self, hid: int, keys: bytes, revoked: bool) -> None:
+        """Write one owned row (32 key bytes + flag); liveness untouched."""
         orow = self._orow(hid)
         if orow < 0:
             if hid not in self._extra:
                 self._owned_n += 1
-            self._extra[hid] = [control + packet_mac, revoked]
+            self._extra[hid] = [keys, revoked]
         else:
             self._ensure_orows(orow + 1)
             if self._owned_flags[orow] == _ABSENT:
                 self._owned_n += 1
             self._owned_flags[orow] = _PRESENT | (_REVOKED if revoked else 0)
             base = orow * KEY_BYTES
-            self._keys[base : base + 16] = control
-            self._keys[base + 16 : base + KEY_BYTES] = packet_mac
-        if not revoked:
-            self.set_live(hid)
+            self._keys[base : base + KEY_BYTES] = keys
 
     def set_live(self, hid: int) -> None:
         if hid < FIRST_HOST_HID:
@@ -177,7 +184,11 @@ class ColumnarShardView:
     # -- bulk ingest -------------------------------------------------------
 
     def load_snapshot(self, snap: ShardSnapshot) -> None:
-        """Replace this view's contents with a packed shard snapshot."""
+        """Replace this view's contents with a packed shard snapshot:
+        keys and revoked flags from its owned section, liveness from its
+        live section alone — on the numpy arm and the stdlib one alike.
+        A snapshot that names an owned HID twice is refused (a repeated
+        scatter index has no defined winner)."""
         self._owned_flags = bytearray()
         self._keys = bytearray()
         self._owned_n = 0
@@ -186,11 +197,16 @@ class ColumnarShardView:
         self._extra = {}
         if _np is not None and snap.owned_count + snap.live_count > 0:
             self._load_snapshot_np(snap)
-            return
-        for hid, control, packet_mac, revoked in snap.iter_owned():
-            self.add_owned(hid, control, packet_mac, revoked=revoked)
-        for hid in snap.iter_live():
-            self.set_live(hid)
+        else:
+            for hid, control, packet_mac, revoked in snap.iter_owned():
+                self._put_owned(hid, control + packet_mac, revoked)
+            for hid in snap.iter_live():
+                self.set_live(hid)
+        # The rows written, however often the snapshot named each.
+        flags = self._owned_flags
+        self._owned_n = len(flags) - flags.count(_ABSENT) + len(self._extra)
+        if self._owned_n != snap.owned_count:
+            raise ValueError("owned HIDs repeat: a shard holds one row per HID")
 
     def _load_snapshot_np(self, snap: ShardSnapshot) -> None:
         block, nshards, shard = self._block, self._nshards, self._shard
@@ -210,14 +226,12 @@ class ColumnarShardView:
             dest_keys.reshape(-1, KEY_BYTES)[orows] = src_keys.reshape(
                 -1, KEY_BYTES
             )[plan_idx]
-            self._owned_n += int(plan_idx.size)
         for i in _np.flatnonzero(~in_plan):
             base = int(i) * KEY_BYTES
             self._extra[int(hids[i])] = [
                 bytes(snap.owned_keys[base : base + KEY_BYTES]),
                 bool(flags[i]),
             ]
-            self._owned_n += 1
         live = _np.frombuffer(snap.live_hids, dtype=">u4").astype(_np.int64)
         live_rows = live - FIRST_HOST_HID
         host_live = live_rows >= 0

@@ -138,8 +138,8 @@ class PopulationSpec:
     state (HIDs and kHA subkeys in the AS's ``host_info``), which is
     what million-host scale experiments need.  Registered via
     :meth:`repro.core.autonomous_system.ApnaAutonomousSystem.
-    register_population`, so a columnar ``state_backend`` holds the
-    whole population in packed columns with no per-host objects.
+    register_population`, so the whole population lives in the
+    :mod:`repro.state` columns with no per-host objects.
     """
 
     at: str

@@ -87,6 +87,13 @@ def build_world(*, seed=7, config=None, host_names=("alice", "bob"), latency=0.0
     )
 
 
+def process_packets(plane, items, now):
+    """One synchronous burst of ``(ApnaPacket, egress)`` pairs through a
+    ``ShardedDataPlane``, as the wire frames it takes."""
+    frames = [packet.to_wire() for packet, _ in items]
+    return plane.process(frames, [out for _, out in items], now)
+
+
 @pytest.fixture()
 def world():
     return build_world()

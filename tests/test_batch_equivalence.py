@@ -7,10 +7,13 @@ verdicts the scalar loop returns — ``process_outgoing`` /
 in the identical state: same drop counters, same forwarded counters,
 same replay-filter statistics.  A seeded fuzzer mixes every verdict
 class (forged, expired, revoked, bad-MAC, replayed, transit, intra,
-foreign-source) into random bursts and checks the property on both
-state backends; ``TestShardBurst`` pins the shard's reply to the scalar
-verdicts byte for byte over the benchmark's own smoke traffic; the
-primitive classes at the bottom compare the crypto backends directly.
+foreign-source) into random bursts and checks the property across the
+state families: the burst side runs over the columnar stores the system
+runs, the scalar side over the per-record ``HostDatabase`` /
+``RevocationList`` fed the same registrations and revocations
+(``_object_oracle``).  ``TestShardBurst`` pins the shard's reply to the
+scalar verdicts byte for byte over the benchmark's own smoke traffic;
+the primitive classes at the bottom compare the crypto backends directly.
 """
 
 import dataclasses
@@ -26,7 +29,10 @@ from repro.core.border_router import Action, BorderRouter, DropReason, Verdict
 from repro.core.config import ApnaConfig
 from repro.core.ephid import EphIdCodec
 from repro.core.errors import EphIdError
+from repro.core.hostdb import HostDatabase, HostRecord
+from repro.core.keys import HostAsKeys
 from repro.core.replay_filter import RotatingReplayFilter
+from repro.core.revocation import RevocationList
 from repro.core.verdict import VERDICT_TABLE_CAP, verdict_of
 from repro.crypto import backend as crypto_backend
 from repro.sharding import wire
@@ -43,43 +49,57 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 from apnabench import engine, traffic  # noqa: E402
 
 BACKENDS = crypto_backend.available_backends()
-#: The router suites run on the active crypto backend; the ids say which.
+#: The router suites run on the active crypto backend; the ids say which
+#: (and keep the state-family label they carried while there were two).
 CRYPTO = crypto_backend.active_backend().name
-#: The columnar and object state stores must be indistinguishable to the
-#: batch pipeline (see repro.state).
-STATE_BACKENDS = ("object", "columnar")
 
 WINDOW = 900.0
 BITS = 1 << 14
 
 
-@pytest.fixture(params=STATE_BACKENDS, ids=lambda s: f"{CRYPTO}-{s}")
-def burst_world(request):
-    """A replay-protected world on one state backend."""
+@pytest.fixture(params=[pytest.param(None, id=f"{CRYPTO}-columnar")])
+def burst_world():
+    """A replay-protected world."""
     return build_world(
         config=ApnaConfig(
             replay_protection=True,
             in_network_replay_filter=True,
             replay_filter_window=WINDOW,
             replay_filter_bits=BITS,
-            state_backend=request.param,
         ),
         host_names=("alice", "bob", "carol"),  # alice, carol on AS 100
     )
 
 
-def _fresh_router(world):
+def _fresh_router(world, stores=None):
+    """A router over AS 100's own (columnar) stores, or the given pair."""
+    hostdb, revocations = stores or (world.as_a.hostdb, world.as_a.revocations)
     return BorderRouter(
         world.as_a.aid,
         world.as_a.codec,
-        world.as_a.hostdb,
-        world.as_a.revocations,
+        hostdb,
+        revocations,
         world.network.scheduler.clock(),
         packet_mac_size=world.config.packet_mac_size,
         replay_filter=RotatingReplayFilter(
             window=WINDOW, bits_per_generation=BITS
         ),
     )
+
+
+def _object_oracle(world):
+    """The cross-family reference: a scalar router over a per-record
+    ``HostDatabase`` + ``RevocationList`` holding every registration, HID
+    revocation and EphID revocation AS 100's columnar stores hold."""
+    hostdb = HostDatabase()
+    for record in world.as_a.hostdb.records():
+        hostdb.register(
+            HostRecord(hid=record.hid, keys=record.keys, revoked=record.revoked)
+        )
+    revocations = RevocationList()
+    for ephid, exp_time in world.as_a.revocations.snapshot():
+        revocations.add(ephid, exp_time)
+    return _fresh_router(world, (hostdb, revocations))
 
 
 def _filter_stats(router):
@@ -125,7 +145,16 @@ def _packet_mix(world, rng):
     codec = world.as_a.codec
     alice_hid = world.as_a.hostdb.find_by_subscriber(alice.subscriber_id).hid
     expired_ephid = codec.seal(alice_hid, exp_time=1, iv=world.as_a.ivs.next_iv())
-    bad_hid_ephid = codec.seal(0xDEAD, exp_time=2**31, iv=world.as_a.ivs.next_iv())
+    # Two invalid HIDs: one never registered, one registered then revoked.
+    gone_hid = world.as_a.hostdb.allocate_hid()
+    world.as_a.hostdb.register(
+        HostRecord(gone_hid, HostAsKeys(control=bytes(16), packet_mac=bytes(16)))
+    )
+    world.as_a.hostdb.revoke_hid(gone_hid)
+    bad_hid_ephids = [
+        codec.seal(hid, exp_time=2**31, iv=world.as_a.ivs.next_iv())
+        for hid in (0xDEAD, gone_hid)
+    ]
 
     dst_inter = Endpoint(world.as_b.aid, peer.ephid)
     dst_intra = Endpoint(world.as_a.aid, local_peer.ephid)
@@ -157,7 +186,9 @@ def _packet_mix(world, rng):
         if kind == "revoked":
             return make(revoked.ephid, dst_inter, b"data", nonce=next(nonces))
         if kind == "bad-hid":
-            return make(bad_hid_ephid, dst_inter, b"data", nonce=next(nonces))
+            return make(
+                rng.choice(bad_hid_ephids), dst_inter, b"data", nonce=next(nonces)
+            )
         if kind == "bad-mac":
             packet = make(src.ephid, dst_inter, b"data", nonce=next(nonces))
             return dataclasses.replace(
@@ -202,7 +233,7 @@ class TestEgressEquivalence:
         burst_world.network.run_until(5.0)
         rng = random.Random(0xA9A)
         build = _packet_mix(burst_world, rng)
-        scalar_router = _fresh_router(burst_world)
+        scalar_router = _object_oracle(burst_world)
         batch_router = _fresh_router(burst_world)
         for _ in range(6):
             burst = [build(rng.choice(KINDS)) for _ in range(rng.randint(1, 48))]
@@ -263,7 +294,7 @@ class TestIngressEquivalence:
                 packet, header=dataclasses.replace(packet.header, dst_aid=100)
             )
 
-        scalar_router = _fresh_router(burst_world)
+        scalar_router = _object_oracle(burst_world)
         batch_router = _fresh_router(burst_world)
         for _ in range(6):
             burst = [
@@ -288,7 +319,7 @@ class TestMixedEquivalence:
         burst_world.network.run_until(5.0)
         rng = random.Random(0xC0DE)
         build = _packet_mix(burst_world, rng)
-        scalar_router = _fresh_router(burst_world)
+        scalar_router = _object_oracle(burst_world)
         batch_router = _fresh_router(burst_world)
         crossed = 0
         for _ in range(8):

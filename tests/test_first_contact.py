@@ -10,6 +10,7 @@ changes a verdict, and a context never outlives the key it was built
 from: re-keying or revoking a HID on a shard drops it.
 """
 
+import dataclasses
 import gc
 
 import pytest
@@ -25,27 +26,28 @@ from repro.crypto.cmac import Cmac
 from repro.sharding import wire
 from repro.sharding.plan import ShardPlan
 from repro.sharding.worker import ShardState
-from repro.state import ShardSnapshot, make_host_database
+from repro.state import ColumnarHostDatabase, ShardSnapshot
 from repro.wire.apna import ApnaHeader, ApnaPacket
 
 from tests.test_state_store import _outcome, _shard_spec
 
 #: Every shard here is ``tests.test_state_store``'s; frames are sealed
 #: and addressed to match it.
-_BASE_SPEC = _shard_spec(ShardPlan(1), 0, "columnar")
+_BASE_SPEC = _shard_spec(ShardPlan(1), 0)
 AID = _BASE_SPEC.aid
 PEER_AID = 200
 CODEC = EphIdCodec(_BASE_SPEC.ephid_enc_key, _BASE_SPEC.ephid_mac_key)
 NOW = 1_000.0
 LIVE = 2**31
-STATE_BACKENDS = ("columnar", "object")
+#: Keeps the state-family label on the ids of the tests that ran on two.
+COLUMNAR = pytest.mark.parametrize((), [pytest.param(id="columnar")])
 
 FORWARD = Verdict(Action.FORWARD_INTER, next_aid=PEER_AID)
 BAD_MAC = Verdict(Action.DROP, reason=DropReason.BAD_MAC)
 
 
-def _spec(*, shard=0, nshards=1, state_backend="columnar", snapshot=b""):
-    return _shard_spec(ShardPlan(nshards), shard, state_backend, snapshot)
+def _spec(*, shard=0, nshards=1, snapshot=b""):
+    return _shard_spec(ShardPlan(nshards), shard, snapshot)
 
 
 def _mac_key(hid: int) -> bytes:
@@ -91,13 +93,13 @@ def _register(state: ShardState, hid: int, packet_mac: bytes) -> None:
 # A cached context never outlives its key
 
 
-@pytest.mark.parametrize("state_backend", STATE_BACKENDS)
-def test_rekeyed_hid_is_verified_under_its_new_key(state_backend):
+@COLUMNAR
+def test_rekeyed_hid_is_verified_under_its_new_key():
     """``MSG_REGISTER_HOST`` for an owned HID the shard already holds
     replaces its kHA; the warm CMAC context built from the old key must
     go with it, or the shard forwards old-key frames and drops the
     host's real ones."""
-    state = ShardState(_spec(state_backend=state_backend))
+    state = ShardState(_spec())
     hid = FIRST_HOST_HID + 5
     old, new = b"\x11" * 16, b"\x22" * 16
     _register(state, hid, old)
@@ -109,10 +111,10 @@ def test_rekeyed_hid_is_verified_under_its_new_key(state_backend):
     ]
 
 
-@pytest.mark.parametrize("state_backend", STATE_BACKENDS)
-def test_revoked_hid_leaves_no_context_behind(state_backend):
+@COLUMNAR
+def test_revoked_hid_leaves_no_context_behind():
     """Key material of a revoked host does not linger in the router."""
-    state = ShardState(_spec(state_backend=state_backend))
+    state = ShardState(_spec())
     hid, bystander = FIRST_HOST_HID + 5, FIRST_HOST_HID + 6
     for each in (hid, bystander):
         _register(state, each, _mac_key(each))
@@ -126,6 +128,34 @@ def test_revoked_hid_leaves_no_context_behind(state_backend):
         Verdict(Action.DROP, reason=DropReason.SRC_HID_INVALID),
         FORWARD,
     ]
+
+
+@pytest.mark.parametrize("flag", (2, 3, 128, 255))
+def test_snapshot_flag_byte_cannot_unrevoke_a_host(flag):
+    """An owned row's flag is 0 or 1.  The numpy loader multiplied any
+    other byte into its flag column, where 2 and 128 lose the revoked
+    bit: the row loaded live and ``packet_mac_key`` released a key the
+    stdlib loader held revoked.  The codec refuses such a byte — at
+    construction, at ``decode``, and as the ``MSG_ERROR`` reply to a
+    ``MSG_RESYNC`` that carries it, the shard's previous state serving."""
+    hid = FIRST_HOST_HID + 5
+    good = ShardSnapshot.from_rows(
+        [(hid, b"\x0c" * 16, _mac_key(hid), False)], [hid], []
+    )
+    with pytest.raises(ValueError, match="owned flag byte"):
+        dataclasses.replace(good, owned_flags=bytes([flag]))
+    blob = bytearray(good.encode())
+    blob[12 + 4] = flag  # after the 12-byte header and the one u32 HID
+    with pytest.raises(ValueError, match="owned flag byte"):
+        ShardSnapshot.decode(blob)
+    state = ShardState(_spec(snapshot=good.encode()))
+    packets = [_packet(hid, _mac_key(hid))]
+    assert _offer(state, packets) == [FORWARD]
+    reply = state.handle(bytes([wire.MSG_RESYNC]) + blob)
+    assert reply[0] == wire.MSG_ERROR
+    assert "owned flag byte" in wire.decode_error(reply)
+    assert _offer(state, packets) == [FORWARD]
+    assert state.hosts.packet_mac_key(hid) == _mac_key(hid)
 
 
 # --------------------------------------------------------------------------
@@ -206,9 +236,12 @@ def _keys(hid: int) -> HostAsKeys:
     return HostAsKeys(control=b"\x0c" * 16, packet_mac=_mac_key(hid))
 
 
-@pytest.mark.parametrize("backend", ("object", "columnar"))
-def test_key_fetch_on_the_authoritative_stores(backend):
-    db = make_host_database(backend)
+@pytest.mark.parametrize(
+    "store", (HostDatabase, ColumnarHostDatabase), ids=("object", "columnar")
+)
+def test_key_fetch_on_the_authoritative_stores(store):
+    """The per-record spec and the columns the AS runs, side by side."""
+    db = store()
     for hid in (H, H + 1, H + 5, 3, 4):  # H+2..H+4: a hole inside the columns
         db.register(HostRecord(hid, _keys(hid)))
     db.register(HostRecord(H + 6, _keys(H + 6), revoked=True))
@@ -265,9 +298,9 @@ _VIEW_EXPECTED = {
 }
 
 
-@pytest.mark.parametrize("state_backend", STATE_BACKENDS)
+@COLUMNAR
 @pytest.mark.parametrize("loaded", ("by calls", "from a snapshot"))
-def test_key_fetch_on_the_shard_views(state_backend, loaded):
+def test_key_fetch_on_the_shard_views(loaded):
     rows = [
         (hid, b"\x0c" * 16, _mac_key(hid), revoked) for hid, revoked in _VIEW_OWNED
     ]
@@ -275,9 +308,7 @@ def test_key_fetch_on_the_shard_views(state_backend, loaded):
     snapshot = ShardSnapshot.from_rows(rows, live, []).encode()
     if loaded == "by calls":
         snapshot = b""
-    state = ShardState(
-        _spec(shard=1, nshards=2, state_backend=state_backend, snapshot=snapshot)
-    )
+    state = ShardState(_spec(shard=1, nshards=2, snapshot=snapshot))
     view = state.hosts
     if loaded == "by calls":
         for hid, control, packet_mac, revoked in rows:

@@ -11,14 +11,18 @@ probe deeper than random noise) and accepts exactly two outcomes: a
 successful parse, or the documented exception.
 """
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import framing
 from repro.core import verdict as verdict_module
 from repro.core.certs import AsCertificate, CertError, EphIdCertificate
 from repro.core.ephid import EphIdCodec
-from repro.core.errors import ApnaError, EphIdError
+from repro.core.errors import ApnaError, EphIdError, RevokedError, UnknownHostError
+from repro.core.hostdb import FIRST_HOST_HID, HostRecord
+from repro.core.keys import HostAsKeys
 from repro.core.messages import (
     BootstrapReply,
     BootstrapRequest,
@@ -35,6 +39,16 @@ from repro.core.session import ConnectionAccept, ConnectionRequest
 from repro.pathval.passport import PassportHeader
 from repro.pathval.shutoff_ext import OnPathShutoffRequest
 from repro.sharding import wire as shard_wire
+from repro.sharding.plan import ShardPlan
+from repro.state import (
+    ColumnarHostDatabase,
+    ColumnarRevocationList,
+    ColumnarShardView,
+    ShardSnapshot,
+    build_shard_snapshot,
+    columns as columns_module,
+    view as view_module,
+)
 from repro.tls.ca import DomainCertError, DomainCertificate
 from repro.tls.handshake import Attestation, AuthRequest, TlsAuthError
 from repro.wire.apna import ApnaHeader, ApnaPacket
@@ -127,6 +141,121 @@ def test_shard_frame_decoders_check_kind_and_length(decoder, frame):
     with pytest.raises(ValueError):
         decoder(frame)
     assert frame[-11:] not in verdict_module._VERDICT_TABLE
+
+
+# -- the shard snapshot: one codec, one loader on two platform arms ---------
+
+_H = FIRST_HOST_HID
+#: Service HIDs, a stripe of host rows every plan below splits into
+#: in-plan and out-of-plan ones, and rows far past the end of it.
+_snapshot_hids = st.one_of(
+    st.integers(1, 8), st.integers(_H, _H + 24), st.integers(_H + 200, _H + 230)
+)
+
+
+def _keys(hid: int) -> HostAsKeys:
+    return HostAsKeys(control=b"\x0c" * 16, packet_mac=hid.to_bytes(4, "big") * 4)
+
+
+def _loaded(snap, shard, plan, *, numpy: bool) -> ColumnarShardView:
+    """``snap`` in a fresh view, through the numpy loader as installed or
+    through the stdlib loop a numpy-less host runs."""
+    view = ColumnarShardView(shard=shard, nshards=plan.nshards, block=plan.block)
+    with mock.patch.object(view_module, "_np", view_module._np if numpy else None):
+        view.load_snapshot(snap)
+    return view
+
+
+def _answers(snap, shard, plan, hids, *, numpy: bool):
+    """What a view loaded from ``snap`` says about ``hids`` — or that the
+    loader refused it."""
+    try:
+        view = _loaded(snap, shard, plan, numpy=numpy)
+    except ValueError as exc:
+        return str(exc)
+    answers = {"owned_count": view.owned_count}
+    for hid in hids:
+        try:
+            key = view.packet_mac_key(hid)
+        except (UnknownHostError, RevokedError) as exc:
+            key = type(exc)
+        answers[hid] = (view.is_valid(hid), key)
+    return answers
+
+
+def _with_neighbours(hids):
+    return sorted({hid + step for hid in hids for step in (-1, 0, 1) if hid + step > 0})
+
+
+@given(
+    owned=st.dictionaries(_snapshot_hids, st.booleans(), max_size=12),
+    live=st.sets(_snapshot_hids, max_size=12),
+    nshards=st.integers(1, 3),
+    block=st.sampled_from((1, 4)),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_shard_snapshot_loads_alike_with_and_without_numpy(
+    owned, live, nshards, block, data
+):
+    """``encode`` -> ``decode`` -> ``load_snapshot`` answers ``is_valid``,
+    ``packet_mac_key`` and ``owned_count`` as a plain dict model does,
+    whether or not numpy is there to scatter the columns; the columns a
+    ``ColumnarHostDatabase`` exports are the same bytes on both arms; and
+    one flipped, dropped or inserted byte is refused by ``decode``, or
+    refused by both loaders, or loads to the same answers on both."""
+    plan = ShardPlan(nshards, block=block)
+    shard = data.draw(st.integers(0, nshards - 1))
+    rows = [
+        (hid, _keys(hid).control, _keys(hid).packet_mac, revoked)
+        for hid, revoked in owned.items()
+    ]
+    revoked_ephids = [(bytes([i]) * 16, 50.0 + i) for i in range(2)]
+    blob = ShardSnapshot.from_rows(rows, sorted(live), revoked_ephids).encode()
+    snap = ShardSnapshot.decode(blob)
+    probes = _with_neighbours(set(owned) | live)
+    model = {"owned_count": len(owned)}
+    for hid in probes:
+        if hid not in owned:
+            key = UnknownHostError
+        else:
+            key = RevokedError if owned[hid] else _keys(hid).packet_mac
+        model[hid] = (hid in live, key)
+    for numpy in (True, False):
+        assert _answers(snap, shard, plan, probes, numpy=numpy) == model
+
+    # The exporting side: the same population in the authoritative columns.
+    hostdb = ColumnarHostDatabase()
+    for hid, revoked in owned.items():
+        hostdb.register(HostRecord(hid, _keys(hid), revoked=revoked))
+    revocations = ColumnarRevocationList()
+    for ephid, exp_time in revoked_ephids:
+        revocations.add(ephid, exp_time)
+    exported = build_shard_snapshot(hostdb, revocations, plan, shard).encode()
+    with mock.patch.object(columns_module, "_np", None):
+        assert build_shard_snapshot(hostdb, revocations, plan, shard).encode() == exported
+
+    # One byte of damage.  An HID may move, but not so far that loading
+    # it would allocate columns for a billion rows.
+    at = data.draw(st.integers(0, len(blob) - 1))
+    patch = data.draw(
+        st.one_of(
+            st.integers(1, 255).map(lambda mask: bytes([blob[at] ^ mask])),
+            st.just(b""),  # the byte dropped
+            st.just(b"\x00" + blob[at : at + 1]),  # one inserted before it
+        )
+    )
+    damaged = blob[:at] + patch + blob[at + 1 :]
+    try:
+        snap = ShardSnapshot.decode(damaged)
+    except ValueError:
+        return
+    named = [hid for hid, *_ in snap.iter_owned()] + list(snap.iter_live())
+    assume(max(named, default=0) < _H + (1 << 16))
+    probes = _with_neighbours(named)
+    assert _answers(snap, shard, plan, probes, numpy=True) == _answers(
+        snap, shard, plan, probes, numpy=False
+    )
 
 
 class TestMutatedValidInputs:

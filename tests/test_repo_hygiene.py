@@ -20,9 +20,11 @@ import pytest
 
 from repro.core.border_router import BorderRouter
 from repro.core.config import ApnaConfig
-from repro.sharding import SupervisorPolicy
-from repro.sharding.worker import ShardSpec
+from repro.sharding import ShardPlan, SupervisorPolicy
+from repro.sharding.worker import ShardSpec, ShardState
 from repro.state import ColumnarShardView
+
+from tests.test_state_store import _shard_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -122,7 +124,7 @@ _CONFIG_FIELDS = {
     "shard_reply_timeout",
     "shard_max_restarts",
     "shard_restart_backoff",
-    "state_backend",
+    "state_backend",  # one-valued; goes when ROADMAP item 0(a) lands
     "aead_scheme",
     "packet_mac_size",
     "revocation_threshold",
@@ -146,7 +148,7 @@ _SHARD_SPEC_FIELDS = {
     "shard_block",
     "routing_mode",
     "routing_key",
-    "state_backend",
+    "state_backend",  # one-valued; goes when ROADMAP item 0(a) lands
     "snapshot",
 }
 _SUPERVISOR_POLICY_FIELDS = {"reply_timeout", "max_restarts", "restart_backoff"}
@@ -160,6 +162,45 @@ def test_option_surface_only_shrinks():
     ):
         fields = {field.name for field in dataclasses.fields(options)}
         assert fields <= pinned, (options.__name__, sorted(fields - pinned))
+
+
+def test_one_state_family():
+    """The columnar stores are the system; the per-record stores are the
+    spec and the tests' oracle.  No factory, no worker-side object
+    replica and no second value for ``state_backend`` may grow back — the
+    name itself survives only because ``bench/`` still passes it."""
+    src = ROOT / "src/repro"
+    for rel in (
+        "core/config.py",
+        "core/autonomous_system.py",
+        "sharding/worker.py",
+        "sharding/pool.py",
+        "state/__init__.py",
+        "state/snapshot.py",
+    ):
+        assert '"object"' not in (src / rel).read_text(), rel
+    mentions = {}
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        for gone in ("ShardHostView", "make_host_database", "make_revocation_list"):
+            assert gone not in text, (path, gone)
+        if "state_backend" in text:
+            mentions[str(path.relative_to(src))] = sum(
+                "state_backend" in line for line in text.splitlines()
+            )
+    # Per field: its definition, its value check and the check's message;
+    # between them, ``for_assembly``'s pass-through.
+    assert mentions == {
+        "core/config.py": 3,
+        "sharding/pool.py": 1,
+        "sharding/worker.py": 3,
+    }
+    with pytest.raises(ValueError, match="only state family"):
+        ApnaConfig(state_backend="object")
+    spec = _shard_spec(ShardPlan(1), 0)
+    ShardState(spec)
+    with pytest.raises(ValueError, match="only state family"):
+        ShardState(dataclasses.replace(spec, state_backend="object"))
 
 
 def test_shard_view_keeps_nothing_per_hid_looked_up():

@@ -7,32 +7,27 @@ is that the verdict depends only on the revocation state **at
 verification time** — an in-flight packet carrying a just-revoked
 EphID drops with ``SRC_REVOKED`` no matter when it was made, and the
 cut-over is exact at the packet where the revocation interleaved.
-
-Both state backends: the columnar ``ColumnarRevocationList`` must be
-race-indistinguishable from the object-store original.
 """
 
 import pytest
 
 from repro.core.border_router import Action, BorderRouter, DropReason
-from repro.core.config import ApnaConfig
 from repro.core.verdict import verdict_of
 from repro.crypto import backend as crypto_backend
 from repro.wire.apna import Endpoint
 
 from tests.conftest import build_world
 
-#: The suite runs on the active crypto backend; the ids say which.
+#: The suite runs on the active crypto backend; the ids say which (and
+#: keep the state-family label they carried while there were two).
 CRYPTO = crypto_backend.active_backend().name
-STATE_BACKENDS = ("object", "columnar")
 
 FAR_FUTURE = 1e12
 
 
-@pytest.fixture(params=STATE_BACKENDS, ids=lambda s: f"{CRYPTO}-{s}")
-def race_world(request):
-    """One world per state backend."""
-    return build_world(config=ApnaConfig(state_backend=request.param))
+@pytest.fixture(params=[pytest.param(None, id=f"{CRYPTO}-columnar")])
+def race_world():
+    return build_world()
 
 
 def _router(world, clock=None):
@@ -130,9 +125,8 @@ def test_pruned_revocation_cannot_resurrect_a_forward(race_world):
     packets = _in_flight(world, stale, 2)
     router = _router(world, clock=lambda: now)
     while_listed = router.process_outgoing(packets[0])
-    # The router auto-prunes as it goes; force it for the backends
-    # that defer, then verify the verdict is unchanged without the
-    # list entry.
+    # The router auto-prunes as it goes; force it anyway, then verify
+    # the verdict is unchanged without the list entry.
     world.as_a.revocations.prune(now)
     after_prune = router.process_outgoing(packets[1])
     assert while_listed.reason is DropReason.SRC_EXPIRED

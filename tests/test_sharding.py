@@ -23,7 +23,6 @@ from repro.core.keys import HostAsKeys
 from repro.crypto.cmac import Cmac
 from repro.sharding import (
     ShardError,
-    ShardHostView,
     ShardPlan,
     ShardedDataPlane,
     SupervisorPolicy,
@@ -31,10 +30,13 @@ from repro.sharding import (
 )
 from repro.sharding import wire
 from repro.sharding.pool import InProcessCarrier
+from repro.state import ColumnarShardView
 from repro.topology import WorldBuilder
 from repro.wire.apna import ApnaPacket
 from repro.workload import TrafficProfile
 from repro.workload.packets import build_apna_pool
+
+from tests.conftest import process_packets
 
 #: Tier-1 worlds always use two shards — enough to cross a shard
 #: boundary, cheap enough for the 1-CPU CI container.
@@ -259,8 +261,11 @@ class TestWireCodecs:
 
 
 class TestShardHostView:
+    """The worker's host view (``ColumnarShardView``; the class keeps the
+    name its ids were first collected under)."""
+
     def test_owned_vs_replicated_split(self):
-        view = ShardHostView()
+        view = ColumnarShardView(shard=0, nshards=1)
         view.add_owned(10, b"c" * 16, b"m" * 16)
         view.set_live(11)
         assert view.is_valid(10) and view.is_valid(11)
@@ -269,7 +274,7 @@ class TestShardHostView:
             view.get(11)  # liveness replicated, keys not owned here
 
     def test_revoke(self):
-        view = ShardHostView()
+        view = ColumnarShardView(shard=0, nshards=1)
         view.add_owned(10, b"c" * 16, b"m" * 16)
         view.revoke(10)
         assert not view.is_valid(10)
@@ -735,7 +740,7 @@ class TestRekeyedHost:
                 as_a, [host], size=128, count=1, dst_aid=200
             ).apna_packets[0]
             forward = Verdict(Action.FORWARD_INTER, next_aid=200)
-            assert plane.process_packets([(packet, True)], as_a.clock()) == [
+            assert process_packets(plane, [(packet, True)], as_a.clock()) == [
                 forward
             ]  # warms the host's context on its shard
             record = as_a.hostdb.find_by_subscriber(host.subscriber_id)
@@ -756,8 +761,8 @@ class TestRekeyedHost:
                 ),
                 packet.payload,
             )
-            assert plane.process_packets(
-                [(packet, True), (rekeyed, True)], as_a.clock()
+            assert process_packets(
+                plane, [(packet, True), (rekeyed, True)], as_a.clock()
             ) == [Verdict(Action.DROP, reason=DropReason.BAD_MAC), forward]
 
 

@@ -25,7 +25,7 @@ from repro.crypto import backend as crypto_backend
 from repro.sharding import ShardedDataPlane
 from repro.wire.apna import Endpoint
 
-from tests.conftest import build_world
+from tests.conftest import build_world, process_packets
 
 BACKENDS = crypto_backend.available_backends()
 #: The fuzzed suite runs on the active crypto backend; the ids say which.
@@ -33,12 +33,9 @@ CRYPTO = crypto_backend.active_backend().name
 WINDOW = 900.0
 BITS = 1 << 16
 SHARD_COUNTS = (2, 3)
-#: Both state stores must produce bit-identical verdicts and counters
-#: (the repro.state columnar stores vs the original object stores).
-STATE_BACKENDS = ("object", "columnar")
 
 
-def _build_world(nshards, state_backend="columnar", **supervision):
+def _build_world(nshards, **supervision):
     return build_world(
         config=ApnaConfig(
             replay_protection=True,
@@ -46,7 +43,6 @@ def _build_world(nshards, state_backend="columnar", **supervision):
             replay_filter_window=WINDOW,
             replay_filter_bits=BITS,
             forwarding_shards=nshards,
-            state_backend=state_backend,
             **supervision,
         ),
         host_names=("alice", "bob", "carol", "dave", "erin"),
@@ -189,11 +185,13 @@ def _assert_counters_match(plane, router):
         assert stats["replay_replays"] == router.replay_filter.replays
 
 
-@pytest.mark.parametrize("state_backend", STATE_BACKENDS)
-@pytest.mark.parametrize("nshards", SHARD_COUNTS, ids=lambda n: f"{CRYPTO}-{n}")
+# The ids keep the state-family label they carried while there were two.
+@pytest.mark.parametrize(
+    "nshards", SHARD_COUNTS, ids=lambda n: f"{CRYPTO}-{n}-columnar"
+)
 class TestShardedEquivalence:
-    def test_fuzzed_egress_bursts(self, nshards, state_backend):
-        world = _build_world(nshards, state_backend)
+    def test_fuzzed_egress_bursts(self, nshards):
+        world = _build_world(nshards)
         world.network.run_until(5.0)  # expire the crafted exp_time=1 EphID
         rng = random.Random(0x5AD + nshards)
         build, revocable = _packet_mix(world, rng)
@@ -213,9 +211,7 @@ class TestShardedEquivalence:
                 ]
                 now = world.as_a.clock()
                 scalar = [router.process_outgoing(p) for p in burst]
-                sharded = plane.process_packets(
-                    [(p, True) for p in burst], now
-                )
+                sharded = process_packets(plane, [(p, True) for p in burst], now)
                 assert sharded == scalar
                 if round_no == 2:
                     # Mid-stream revocation: must reach the owning shard
@@ -236,11 +232,11 @@ class TestShardedEquivalence:
             world.as_a.revocations.on_add = None
             plane.close()
 
-    def test_fuzzed_mixed_direction_bursts(self, nshards, state_backend):
+    def test_fuzzed_mixed_direction_bursts(self, nshards):
         """Egress and ingress interleaved in one burst, judged in arrival
         order — by the scalar loop and by the one in-process burst
         function the shards themselves run."""
-        world = _build_world(nshards, state_backend)
+        world = _build_world(nshards)
         world.network.run_until(5.0)
         rng = random.Random(0xB0B + nshards)
         build, _ = _packet_mix(world, rng)
@@ -267,16 +263,16 @@ class TestShardedEquivalence:
                     [out for _, out in items],
                 )
                 assert [verdict_of(record) for record in records] == reference
-                assert plane.process_packets(items, now) == reference
+                assert process_packets(plane, items, now) == reference
             _assert_counters_match(plane, router)
             assert router.forwarded_inter > 0
         finally:
             plane.close()
 
-    def test_replay_duplicates_straddle_shards(self, nshards, state_backend):
+    def test_replay_duplicates_straddle_shards(self, nshards):
         """The same duplicate pair, repeated across hosts on different
         shards, is flagged identically in both planes."""
-        world = _build_world(nshards, state_backend)
+        world = _build_world(nshards)
         rng = random.Random(1)
         build, _ = _packet_mix(world, rng)
         router = _reference_router(world)
@@ -290,7 +286,7 @@ class TestShardedEquivalence:
             burst = firsts + firsts  # every packet replayed once
             now = world.as_a.clock()
             scalar = [router.process_outgoing(p) for p in burst]
-            sharded = plane.process_packets([(p, True) for p in burst], now)
+            sharded = process_packets(plane, [(p, True) for p in burst], now)
             assert sharded == scalar
             assert [v.action for v in sharded[: len(firsts)]] == [
                 Action.FORWARD_INTER
@@ -345,7 +341,7 @@ def test_one_stream_same_verdicts_on_every_crypto_backend(monkeypatch):
             items = _mixed_burst(build, rng, KINDS, rng.randint(8, 40))
             now = as_a.clock()
             first, *rest = (
-                plane.process_packets(items, now) for plane in planes.values()
+                process_packets(plane, items, now) for plane in planes.values()
             )
             assert all(verdicts == first for verdicts in rest)
             if round_no == 2:

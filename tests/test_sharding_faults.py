@@ -39,10 +39,10 @@ from repro.sharding import (
     ShardedDataPlane,
     SupervisorPolicy,
 )
-from repro.wire.apna import Endpoint
+from repro.wire.apna import SRC_EPHID_FIELD, Endpoint
 from repro import scenarios
 
-from tests.conftest import build_world
+from tests.conftest import build_world, process_packets
 
 SHARD_COUNTS = (2, 3)
 
@@ -521,7 +521,12 @@ class TestDegradation:
         try:
             packets = [build("inter") for _ in range(8)]
             frames = [p.to_wire() for p in packets]
-            send_order = list(dict.fromkeys(map(plane.shard_of_frame, frames)))
+            send_order = list(
+                dict.fromkeys(
+                    plane.plan.shard_of_ephid(frame[SRC_EPHID_FIELD])
+                    for frame in frames
+                )
+            )
             assert len(send_order) == 2, "burst must touch both shards"
             killed = send_order[1]
             plane.install_faults(FaultPlan({(killed, 0): "kill"}))
@@ -585,7 +590,7 @@ class TestDegradation:
             opening = [build("inter") for _ in range(4)]
             for packet, verdict in zip(
                 opening,
-                plane.process_packets([(p, True) for p in opening], as_a.clock()),
+                process_packets(plane, [(p, True) for p in opening], as_a.clock()),
             ):
                 if verdict.reason is not DropReason.SHARD_FAILURE:
                     assert verdict == oracle.process_outgoing(packet)
@@ -603,7 +608,7 @@ class TestDegradation:
                 items = equivalence._mixed_burst(
                     build, rng, equivalence.KINDS, 24
                 )
-                assert plane.process_packets(items, as_a.clock()) == scalar(items)
+                assert process_packets(plane, items, as_a.clock()) == scalar(items)
 
             revoked_host, owned = revocable[1]
             as_a.revocations.add(owned.ephid, 1e12)
@@ -626,7 +631,7 @@ class TestDegradation:
                     )
                 )
             ]
-            verdicts = plane.process_packets(items, as_a.clock())
+            verdicts = process_packets(plane, items, as_a.clock())
             assert verdicts == scalar(items)
             assert [v.reason for v in verdicts] == [
                 DropReason.SRC_REVOKED, None, DropReason.SRC_HID_INVALID

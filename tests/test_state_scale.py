@@ -5,9 +5,8 @@ to 10^6 registered HIDs per AS — fits in packed columns with a bounded,
 sub-linear number of Python objects and a resident-set footprint that
 tracks the column bytes, not per-host object overhead.  These tests pin
 the claim at a CI-sized rung (``metro:100k``), check the preset's
-parser/validation surface, the population build path's backend
-equivalence, and the streaming trace/profile path that keeps workload
-generation itself in bounded memory.
+parser/validation surface and the streaming trace/profile path that
+keeps workload generation itself in bounded memory.
 """
 
 import gc
@@ -17,9 +16,9 @@ import numpy as np
 import pytest
 
 from repro import scenarios
-from repro.core.config import ApnaConfig
 from repro.core.errors import ApnaError
 from repro.core.hostdb import FIRST_HOST_HID
+from repro.state import ColumnarHostDatabase
 from repro.topology import (
     PopulationSpec,
     TopologyError,
@@ -54,7 +53,7 @@ class TestMetroMemoryBudget:
         world = scenarios.build(f"metro:{METRO_HOSTS}", seed=1)
         after = _rss_bytes()
         try:
-            assert world.config.state_backend == "columnar"
+            assert isinstance(world.asys("a").hostdb, ColumnarHostDatabase)
             assert after - before < RSS_CEILING_BYTES, (
                 f"metro:{METRO_HOSTS} grew RSS by {(after - before) / 2**20:.1f}"
                 f" MiB (ceiling {RSS_CEILING_BYTES / 2**20:.0f} MiB)"
@@ -112,31 +111,6 @@ class TestMetroPreset:
             assert "alice" in world.hosts and "bob" in world.hosts
         finally:
             world.close()
-
-    def test_population_backend_equivalence(self):
-        """The same seed yields bit-identical populations whichever
-        state_backend holds them (rng consumption is backend-invariant)."""
-        worlds = {
-            backend: scenarios.build(
-                "metro:40", seed=9, config=ApnaConfig(state_backend=backend)
-            )
-            for backend in ("object", "columnar")
-        }
-        try:
-            for name in ("a", "b"):
-                rows = {}
-                for backend, world in worlds.items():
-                    hostdb = world.asys(name).hostdb
-                    rows[backend] = [
-                        (r.hid, r.keys.control, r.keys.packet_mac, r.revoked)
-                        for r in hostdb.records()
-                        if r.hid >= FIRST_HOST_HID
-                    ]
-                assert rows["object"] == rows["columnar"]
-                assert len(rows["object"]) == 40 + 1  # population + named host
-        finally:
-            for world in worlds.values():
-                world.close()
 
 
 class TestPopulationSpec:

@@ -1,33 +1,35 @@
-"""The repro.state columnar stores vs. the original object stores.
+"""The repro.state columnar stores vs. their per-record spec.
 
 The contract (see :mod:`repro.state`): ``ColumnarHostDatabase`` /
-``ColumnarRevocationList`` / ``ColumnarShardView`` are drop-in duck
-types for the object-backed stores — same results, same error types and
-messages, same observable ordering — and the :class:`ShardSnapshot`
-codec produces bit-identical bytes from either backend, so a worker
-resynced over ``MSG_RESYNC`` ends up in the same state no matter which
-pair of backends sits on either side of the pipe.
+``ColumnarRevocationList`` answer every call exactly as the per-record
+``HostDatabase`` / ``RevocationList`` do — same results, same error
+types and messages, same observable ordering — and the
+:class:`ShardSnapshot` a shard is spawned and resynced from holds the
+bytes a per-record walk of either family would write, so a worker
+resynced over ``MSG_RESYNC`` holds exactly the authoritative rows.
 """
 
 from dataclasses import replace
 
 import pytest
 
+from repro.core.config import ApnaConfig
 from repro.core.errors import RevokedError, UnknownHostError
-from repro.core.hostdb import FIRST_HOST_HID, HostRecord
+from repro.core.hostdb import FIRST_HOST_HID, HostDatabase, HostRecord
 from repro.core.keys import HostAsKeys
+from repro.core.revocation import RevocationList
 from repro.sharding import wire
 from repro.sharding.plan import ShardPlan
-from repro.sharding.worker import ShardHostView, ShardSpec, ShardState
+from repro.sharding.worker import ShardSpec, ShardState
 from repro.state import (
+    ColumnarHostDatabase,
     ColumnarRevocationList,
     ColumnarShardView,
     ShardSnapshot,
     build_shard_snapshot,
-    make_host_database,
-    make_revocation_list,
     population_key_material,
 )
+from repro.state import view as view_module
 from repro.state.snapshot import pack_f64s, pack_u32s
 
 SERVICE_HIDS = (3, 1, 2, 4, 5)  # AA, registry, MS, DNS, router order
@@ -46,7 +48,7 @@ def _outcome(fn):
 
 
 def _describe(record):
-    """A backend-neutral view of a host record/row proxy."""
+    """A store-neutral view of a host record/row proxy."""
     if record is None:
         return None
     return (
@@ -85,7 +87,7 @@ def _assert_same_db(obj, col, hids, subscribers):
 
 
 class TestHostDatabaseDifferential:
-    """Identical op sequences leave both backends observably identical."""
+    """Identical op sequences leave both stores observably identical."""
 
     def _populate(self, db, hosts=8):
         for i, hid in enumerate(SERVICE_HIDS):
@@ -100,8 +102,8 @@ class TestHostDatabaseDifferential:
         return hids
 
     def test_register_get_revoke_parity(self):
-        obj = make_host_database("object")
-        col = make_host_database("columnar")
+        obj = HostDatabase()
+        col = ColumnarHostDatabase()
         obj_hids = self._populate(obj)
         col_hids = self._populate(col)
         assert obj_hids == col_hids == list(
@@ -138,8 +140,8 @@ class TestHostDatabaseDifferential:
         assert obj.allocate_hid() == col.allocate_hid()
 
     def test_pre_revoked_registration_parity(self):
-        obj = make_host_database("object")
-        col = make_host_database("columnar")
+        obj = HostDatabase()
+        col = ColumnarHostDatabase()
         for db in (obj, col):
             hid = db.allocate_hid()
             db.register(
@@ -151,9 +153,9 @@ class TestHostDatabaseDifferential:
 
     def test_direct_mutation_heals_identically(self):
         """``record.revoked = True`` bypasses ``revoke_hid``; after the
-        ``find_by_subscriber`` heal both backends agree on everything."""
-        obj = make_host_database("object")
-        col = make_host_database("columnar")
+        ``find_by_subscriber`` heal both stores agree on everything."""
+        obj = HostDatabase()
+        col = ColumnarHostDatabase()
         self._populate(obj)
         self._populate(col)
         for db in (obj, col):
@@ -170,8 +172,8 @@ class TestHostDatabaseDifferential:
         assert len(obj) == len(col)
 
     def test_counter_write_through_parity(self):
-        obj = make_host_database("object")
-        col = make_host_database("columnar")
+        obj = HostDatabase()
+        col = ColumnarHostDatabase()
         self._populate(obj, hosts=2)
         self._populate(col, hosts=2)
         for db in (obj, col):
@@ -184,9 +186,8 @@ class TestHostDatabaseDifferential:
 
     def test_hooks_fire_identically(self):
         events = {"object": [], "columnar": []}
-        for backend in ("object", "columnar"):
-            db = make_host_database(backend)
-            log = events[backend]
+        for name, db in (("object", HostDatabase()), ("columnar", ColumnarHostDatabase())):
+            log = events[name]
             db.on_register = lambda record, log=log: log.append(
                 ("reg", record.hid)
             )
@@ -196,13 +197,13 @@ class TestHostDatabaseDifferential:
         assert events["object"] == events["columnar"]
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown state backend"):
-            make_host_database("bogus")
-        with pytest.raises(ValueError, match="unknown state backend"):
-            make_revocation_list("bogus")
+        """There is no store to select: the vestigial config name takes
+        its one value (``tests/test_repo_hygiene.py`` pins the rest)."""
+        with pytest.raises(ValueError, match="only state family"):
+            ApnaConfig(state_backend="bogus")
 
     def test_columnar_rejects_short_keys(self):
-        col = make_host_database("columnar")
+        col = ColumnarHostDatabase()
         with pytest.raises(ValueError, match="16 bytes"):
             col.register(
                 HostRecord(
@@ -212,7 +213,7 @@ class TestHostDatabaseDifferential:
             )
 
     def test_bulk_register_validation(self):
-        col = make_host_database("columnar")
+        col = ColumnarHostDatabase()
         with pytest.raises(ValueError, match="count must be at least 1"):
             col.bulk_register(0, b"")
         with pytest.raises(ValueError, match="key material is"):
@@ -220,10 +221,10 @@ class TestHostDatabaseDifferential:
 
     def test_bulk_register_matches_per_record_loop(self):
         material = population_key_material(b"bulk-parity", 40)
-        col = make_host_database("columnar")
+        col = ColumnarHostDatabase()
         first = col.bulk_register(40, material)
         assert first == FIRST_HOST_HID
-        obj = make_host_database("object")
+        obj = HostDatabase()
         for i in range(40):
             base = 32 * i
             obj.register(
@@ -241,7 +242,7 @@ class TestHostDatabaseDifferential:
     def test_bulk_register_after_explicit_rows(self):
         """The non-dense-tail path: explicit registrations past _next_hid
         force per-row writes with collision checks."""
-        col = make_host_database("columnar")
+        col = ColumnarHostDatabase()
         hid0 = col.allocate_hid()
         col.register(HostRecord(hid=hid0 + 2, keys=_keys(1)))  # out of order
         col.register(HostRecord(hid=hid0, keys=_keys(2)))
@@ -254,8 +255,8 @@ class TestHostDatabaseDifferential:
 
 class TestRevocationListDifferential:
     def test_lifecycle_parity(self):
-        obj = make_revocation_list("object")
-        col = make_revocation_list("columnar")
+        obj = RevocationList()
+        col = ColumnarRevocationList()
         observed = {}
         for name, lst in (("object", obj), ("columnar", col)):
             calls = []
@@ -279,8 +280,8 @@ class TestRevocationListDifferential:
             assert (0).to_bytes(16, "big") in lst
 
     def test_auto_prune_off_parity(self):
-        obj = make_revocation_list("object", auto_prune=False)
-        col = make_revocation_list("columnar", auto_prune=False)
+        obj = RevocationList(auto_prune=False)
+        col = ColumnarRevocationList(auto_prune=False)
         for lst in (obj, col):
             lst.add(b"\x01" * 16, 10.0)
             assert lst.maybe_prune(100.0) == 0
@@ -380,16 +381,29 @@ class TestShardSnapshotCodec:
                 rev_ephids=b"",
             )
 
+    @pytest.mark.parametrize("numpy", (True, False), ids=("numpy", "stdlib"))
+    def test_repeated_owned_hid_refused_at_load(self, numpy, monkeypatch):
+        """One row per owned HID: numpy's scatter leaves the winner of a
+        repeated index undefined and used to count the row twice, so the
+        loader refuses the snapshot — on both of its arms."""
+        if not numpy:
+            monkeypatch.setattr(view_module, "_np", None)
+        row = (FIRST_HOST_HID, b"\x01" * 16, b"\x02" * 16, False)
+        for rows in ([row, row], [(3, *row[1:]), row, (3, *row[1:])]):
+            snap = ShardSnapshot.decode(ShardSnapshot.from_rows(rows, [], []).encode())
+            with pytest.raises(ValueError, match="owned HIDs repeat"):
+                ColumnarShardView(shard=0, nshards=1).load_snapshot(snap)
 
-def _authoritative(backend: str, hosts: int = 240):
+
+def _authoritative(columnar: bool = True, hosts: int = 240):
     """An AS-state pair (hostdb, revocations) with services, a metro-style
     bulk population, some revoked HIDs and a revocation replica —
-    byte-identical content whichever backend holds it."""
-    db = make_host_database(backend)
+    byte-identical content in the columns or in per-record objects."""
+    db = ColumnarHostDatabase() if columnar else HostDatabase()
     for i, hid in enumerate(SERVICE_HIDS):
         db.register(HostRecord(hid=hid, keys=_keys(100 + i)))
     material = population_key_material(b"metro-resync", hosts)
-    if backend == "columnar":
+    if columnar:
         first = db.bulk_register(hosts, material)
     else:
         first = None
@@ -408,15 +422,36 @@ def _authoritative(backend: str, hosts: int = 240):
             )
     for offset in range(0, hosts, 17):
         db.revoke_hid(first + offset)
-    rev = make_revocation_list(backend)
+    rev = ColumnarRevocationList() if columnar else RevocationList()
     for i in range(12):
-        # Increasing expiries keep the object store's heap in insertion
-        # order, so both backends emit identical snapshot columns.
+        # Increasing expiries keep the per-record list's heap in
+        # insertion order, so both emit identical snapshot columns.
         rev.add(i.to_bytes(16, "big"), 1_000.0 + i)
     return db, rev
 
 
-def _shard_spec(plan, shard, state_backend, snapshot=b""):
+def _walked_snapshot(hostdb, revocations, plan, shard) -> ShardSnapshot:
+    """The oracle for ``build_shard_snapshot``: one shard's snapshot by a
+    per-record walk of ``records()`` / ``snapshot()``, which every store
+    of either family answers."""
+    owned, live = [], []
+    for record in hostdb.records():
+        if not record.revoked:
+            live.append(record.hid)
+        if plan.owner_of(record.hid) == shard:
+            owned.append(
+                (
+                    record.hid,
+                    record.keys.control,
+                    record.keys.packet_mac,
+                    record.revoked,
+                )
+            )
+    walked = ShardSnapshot.from_rows(owned, live, revocations.snapshot())
+    return replace(walked, routing_mode=plan.mode, routing_key=plan.key or b"")
+
+
+def _shard_spec(plan, shard, snapshot=b""):
     return ShardSpec(
         shard=shard,
         nshards=plan.nshards,
@@ -431,96 +466,97 @@ def _shard_spec(plan, shard, state_backend, snapshot=b""):
         shard_block=plan.block,
         routing_mode=plan.mode,
         routing_key=plan.key or b"",
-        state_backend=state_backend,
+        state_backend="columnar",
         snapshot=snapshot,
     )
 
 
 class TestMetroResyncRoundTrip:
-    """The ISSUE's scaled-down metro resync property: a snapshot built
-    from either authoritative backend, shipped as a ``MSG_RESYNC`` frame,
-    rebuilds bit-identical worker state on either worker backend."""
+    """The scaled-down metro resync property: the snapshot the columnar
+    stores export is the one a per-record walk writes, and shipped as a
+    ``MSG_RESYNC`` frame it rebuilds exactly those rows in the worker."""
 
     @pytest.mark.parametrize("plan", [ShardPlan(3), ShardPlan(2, block=4)])
     def test_snapshot_to_resync_to_worker_view(self, plan):
-        obj_db, obj_rev = _authoritative("object")
-        col_db, col_rev = _authoritative("columnar")
+        obj_db, obj_rev = _authoritative(columnar=False)
+        col_db, col_rev = _authoritative()
         all_hids = list(SERVICE_HIDS) + [
             record.hid for record in col_db.records() if record.hid >= FIRST_HOST_HID
         ]
         for shard in range(plan.nshards):
             snap = build_shard_snapshot(col_db, col_rev, plan, shard)
-            # Bit-identity of the wire image across authoritative backends.
-            assert (
-                snap.encode()
-                == build_shard_snapshot(obj_db, obj_rev, plan, shard).encode()
+            # Bit-identity of the wire image with a per-record walk, of
+            # the columns themselves and of the per-record stores.
+            assert snap.encode() == _walked_snapshot(
+                col_db, col_rev, plan, shard
+            ).encode()
+            assert snap.encode() == _walked_snapshot(
+                obj_db, obj_rev, plan, shard
+            ).encode()
+            state = ShardState(_shard_spec(plan, shard))
+            assert state.hosts.owned_count == 0
+            ack = state.handle_resync(wire.encode_resync(snap))
+            assert wire.decode_resync_ack(ack) == (
+                snap.owned_count,
+                snap.revoked_count,
             )
-            states = {}
-            for state_backend in ("object", "columnar"):
-                state = ShardState(_shard_spec(plan, shard, state_backend))
-                assert state.hosts.owned_count == 0
-                ack = state.handle_resync(wire.encode_resync(snap))
-                assert wire.decode_resync_ack(ack) == (
-                    snap.owned_count,
-                    snap.revoked_count,
-                )
-                assert state.hosts.owned_count == snap.owned_count
-                states[state_backend] = state
-            obj_state, col_state = states["object"], states["columnar"]
+            assert state.hosts.owned_count == snap.owned_count
             for hid, control, packet_mac, revoked in snap.iter_owned():
-                for state in states.values():
-                    if revoked:
-                        with pytest.raises(RevokedError):
-                            state.hosts.get(hid)
-                    else:
-                        record = state.hosts.get(hid)
-                        assert record.keys.control == control
-                        assert record.keys.packet_mac == packet_mac
+                if revoked:
+                    with pytest.raises(RevokedError):
+                        state.hosts.get(hid)
+                else:
+                    record = state.hosts.get(hid)
+                    assert record.keys.control == control
+                    assert record.keys.packet_mac == packet_mac
             for hid in all_hids:
-                assert obj_state.hosts.is_valid(hid) == col_state.hosts.is_valid(
-                    hid
-                ), hid
+                assert state.hosts.is_valid(hid) == obj_db.is_valid(hid), hid
                 if plan.owner_of(hid) != shard:
                     with pytest.raises(UnknownHostError):
-                        col_state.hosts.get(hid)
-                    with pytest.raises(UnknownHostError):
-                        obj_state.hosts.get(hid)
-            assert (
-                len(obj_state.revocations)
-                == len(col_state.revocations)
-                == snap.revoked_count
-            )
-            for ephid, _exp in snap.iter_revoked():
-                assert obj_state.revocations.contains(ephid)
-                assert col_state.revocations.contains(ephid)
+                        state.hosts.get(hid)
+            assert len(state.revocations) == snap.revoked_count == len(obj_rev)
+            for ephid, _exp in obj_rev.snapshot():
+                assert state.revocations.contains(ephid)
 
     def test_spawn_snapshot_equals_resync_snapshot(self):
         """The ShardSpec-embedded bytes and the MSG_RESYNC payload are the
         same serialisation: spawning from one equals resyncing the other."""
         plan = ShardPlan(2)
-        col_db, col_rev = _authoritative("columnar", hosts=60)
+        col_db, col_rev = _authoritative(hosts=60)
         snap = build_shard_snapshot(col_db, col_rev, plan, 1)
-        for state_backend in ("object", "columnar"):
-            spawned = ShardState(
-                _shard_spec(plan, 1, state_backend, snapshot=snap.encode())
-            )
-            resynced = ShardState(_shard_spec(plan, 1, state_backend))
-            resynced.handle_resync(wire.encode_resync(snap))
-            assert spawned.hosts.owned_count == resynced.hosts.owned_count
-            for hid, _c, _m, revoked in snap.iter_owned():
-                if revoked:
-                    continue
-                assert (
-                    spawned.hosts.get(hid).keys == resynced.hosts.get(hid).keys
-                )
-            assert len(spawned.revocations) == len(resynced.revocations)
+        spawned = ShardState(_shard_spec(plan, 1, snapshot=snap.encode()))
+        resynced = ShardState(_shard_spec(plan, 1))
+        resynced.handle_resync(wire.encode_resync(snap))
+        assert spawned.hosts.owned_count == resynced.hosts.owned_count
+        for hid, _c, _m, revoked in snap.iter_owned():
+            if revoked:
+                continue
+            assert spawned.hosts.get(hid).keys == resynced.hosts.get(hid).keys
+        assert len(spawned.revocations) == len(resynced.revocations)
+
+
+def test_refused_resync_leaves_the_previous_state_whole():
+    """A snapshot that decodes but fails to load (here: one EphID revoked
+    twice) is a ``MSG_ERROR`` reply, and the shard keeps the view, the
+    list and the router it had — not a new view under the old router."""
+    state = ShardState(_shard_spec(ShardPlan(1), 0))
+    before = (state.hosts, state.revocations, state.router)
+    twice = ShardSnapshot(
+        b"", b"", b"", b"", pack_f64s([1.0, 2.0]), b"\x01" * 32
+    )
+    reply = state.handle(wire.encode_resync(twice))
+    assert reply[0] == wire.MSG_ERROR
+    assert "duplicate" in wire.decode_error(reply)
+    after = (state.hosts, state.revocations, state.router)
+    assert all(new is old for new, old in zip(after, before))
+    assert state.router._hostdb is state.hosts
 
 
 def test_handle_holds_a_control_error_for_the_next_reply():
     """The worker protocol's alignment rule, in-process: a failed
     fire-and-forget frame yields no reply of its own; its error takes
     the place of the next expected reply, and the stream is clean after."""
-    state = ShardState(_shard_spec(ShardPlan(2), 0, "columnar"))
+    state = ShardState(_shard_spec(ShardPlan(2), 0))
     assert state.handle(bytes([99])) is None  # unknown message kind
     held = state.handle(bytes([wire.MSG_STATS]))
     assert held[0] == wire.MSG_ERROR
@@ -528,39 +564,6 @@ def test_handle_holds_a_control_error_for_the_next_reply():
     reply = state.handle(bytes([wire.MSG_STATS]))
     assert reply[0] == wire.MSG_STATS_REPLY
     assert set(wire.decode_stats(reply)) == set(wire.STATS_FIELDS)
-
-
-class TestKeyInterning:
-    def test_add_owned_interns_equal_keys(self):
-        view = ShardHostView()
-        control, mac = b"\x07" * 16, b"\x08" * 16
-        view.add_owned(FIRST_HOST_HID, control, mac)
-        # Equal-valued but distinct bytes objects, as each decoded resync
-        # frame produces.
-        view.add_owned(
-            FIRST_HOST_HID + 1, bytes(bytearray(control)), bytes(bytearray(mac))
-        )
-        first = view.get(FIRST_HOST_HID).keys
-        second = view.get(FIRST_HOST_HID + 1).keys
-        assert second.control is first.control
-        assert second.packet_mac is first.packet_mac
-
-    def test_resync_reuses_previous_incarnation_keys(self):
-        """Satellite guarantee: a worker that resyncs re-interns the
-        re-shipped kHA subkeys against the pool its previous view built,
-        so repeated resyncs don't duplicate 32 B per host."""
-        plan = ShardPlan(2)
-        col_db, col_rev = _authoritative("columnar", hosts=40)
-        snap = build_shard_snapshot(col_db, col_rev, plan, 1)
-        state = ShardState(_shard_spec(plan, 1, "object", snapshot=snap.encode()))
-        hid = next(
-            hid for hid, _c, _m, revoked in snap.iter_owned() if not revoked
-        )
-        before = state.hosts.get(hid).keys
-        state.handle_resync(wire.encode_resync(snap))
-        after = state.hosts.get(hid).keys
-        assert after.control is before.control
-        assert after.packet_mac is before.packet_mac
 
 
 class TestColumnarShardView:
