@@ -71,13 +71,19 @@ depends on — the motivating bug/PR is part of the rule's definition:
     document that was never written and audit tests that had been
     deleted.
 
-``bounded-cache`` (PRs 19/20)
+``bounded-cache`` (PRs 19/20, 23)
     In the modules on the packet and request paths
     (``core/border_router.py``, ``core/management.py``,
-    ``state/view.py``, ``sharding/worker.py``) an instance attribute
+    ``state/view.py``, ``sharding/*.py``, ``core/verdict.py``,
+    ``core/ephid.py``) an instance attribute
     named ``*cache`` initialised to a bare ``dict`` / ``OrderedDict`` /
     ``set`` must be length-checked against a module-level constant, or
-    evicted (``popitem`` / ``pop``) in a method that inserts into it.
+    evicted (``popitem`` / ``pop``) in a method that inserts into it;
+    and a module-scope ``_*_CACHE`` / ``_*_TABLE`` bound to a bare
+    ``dict`` must be bounded the same way inside every function that
+    stores into it (``sharding/plan.py`` kept one compiled ``Struct``
+    per distinct sub-burst size forever; ``core/verdict.py``'s
+    ``_VERDICT_TABLE`` / ``VERDICT_TABLE_CAP`` is the accepted shape).
     The router's per-HID CMAC contexts, the MS's per-HID schemes and the
     shard view's per-HID records were all unbounded maps keyed by a
     requester-chosen HID; PR 19's guessed bound regressed

@@ -69,6 +69,15 @@ host's cached CMAC context (:meth:`~repro.crypto.cmac.Cmac.tag_many`);
 replay keys go through one
 :meth:`~repro.core.replay_filter.RotatingReplayFilter.observe_many`.
 
+The tag checks are column passes too: a column of EphID tags (inside
+``open_batch``) and each HID group's packet MACs are compared *joined*,
+all computed tags against all carried ones in a single ``ct_eq``, and
+only a column that fails is walked element by element, again with
+``ct_eq``, to charge exactly the forged EphIDs or the ``BAD_MAC``
+frames — nothing is forwarded without a constant-time match covering
+its own tag.  A joined compare's timing shows only that *some* element
+of that column was refused, which the drop itself shows anyway.
+
 Each verdict leaves as its packed 11-byte record (:mod:`repro.core.
 verdict`, the one definition of the layout) — one constant per
 :class:`DropReason` (``DROP_RECORDS``), ``INTER_HEAD + dst_aid`` for
@@ -354,8 +363,14 @@ class BorderRouter:
                 ],
                 self._mac_size,
             )
-            for k, tag in zip(group, tags):
-                (checked if ct_eq(tag, frames[k][MAC_FIELD]) else bad_mac).append(k)
+            carried = [frames[k][MAC_FIELD] for k in group]
+            # One joined compare per group; frame by frame only to
+            # locate the bad MACs of a group that fails it.
+            if ct_eq(b"".join(tags), b"".join(carried)):
+                checked += group
+            else:
+                for k, tag, mac in zip(group, tags, carried):
+                    (checked if ct_eq(tag, mac) else bad_mac).append(k)
         self._drop_frames(DropReason.BAD_MAC, bad_mac, records)
         # Replay inserts happen in arrival order (the MAC groups and the
         # ingress frames interleave), after the MAC check so spoofed
@@ -417,21 +432,24 @@ class BorderRouter:
         bulk AES calls amortise the rest.
         """
         forged, expired, revoked, hid_invalid = faults
+        contains, is_valid = self._revocations.contains, self._hostdb.is_valid
         by_hid: dict[int, list[int]] = {}
         infos = self._codec.open_batch(list(by_ephid))
         for (ephid, group), info in zip(by_ephid.items(), infos):
             if info is None:
                 self._drop_frames(forged, group, records)
-            elif info.exp_time < now:
+                continue
+            hid, exp_time = info
+            if exp_time < now:
                 self._drop_frames(expired, group, records)
-            elif self._revocations.contains(ephid):
+            elif contains(ephid):
                 self._drop_frames(revoked, group, records)
-            elif not self._hostdb.is_valid(info.hid):
+            elif not is_valid(hid):
                 self._drop_frames(hid_invalid, group, records)
-            elif info.hid in by_hid:
-                by_hid[info.hid] += group
+            elif hid in by_hid:
+                by_hid[hid] += group
             else:
-                by_hid[info.hid] = group
+                by_hid[hid] = group
         return by_hid
 
     def process_mixed_batch(

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 from ..crypto.aes import AES
 from ..crypto.modes import cbc_mac
@@ -36,14 +37,13 @@ IV_SIZE = 4
 CIPHERTEXT_SIZE = HID_SIZE + EXPTIME_SIZE
 TAG_SIZE = 4
 
-#: Where the Fig. 6 fields sit in an EphID, and how ``open_batch`` reads
-#: a column of 16-byte blocks: the truncated CBC-MAC tag leads each MAC
-#: block, ``(hid, exp_time)`` each decrypted one.
-_CIPHERTEXT = slice(0, CIPHERTEXT_SIZE)
-_IV = slice(CIPHERTEXT_SIZE, CIPHERTEXT_SIZE + IV_SIZE)
+#: How ``open_batch`` reads a column of 16-byte blocks: which bytes of a
+#: block to keep after shifting the EphID column (the leading four, the
+#: trailing eight), the truncated CBC-MAC tag that leads each MAC block,
+#: and the ``(hid, exp_time)`` that leads each decrypted one.
 _TAG = slice(CIPHERTEXT_SIZE + IV_SIZE, EPHID_SIZE)
-_ZERO4 = bytes(4)
-_ZERO12 = bytes(12)
+_LEADING_4 = b"\xff" * 4 + bytes(12)
+_TRAILING_8 = bytes(8) + b"\xff" * 8
 _TAG_OF_BLOCK = struct.Struct(f"{TAG_SIZE}s{16 - TAG_SIZE}x")
 _INFO_OF_BLOCK = struct.Struct(f">II{16 - CIPHERTEXT_SIZE}x")
 
@@ -52,8 +52,7 @@ _MAX_EXPTIME = 2**32 - 1
 _MAX_IV = 2**32 - 1
 
 
-@dataclass(frozen=True)
-class EphIdInfo:
+class EphIdInfo(NamedTuple):
     """The plaintext content of an EphID."""
 
     hid: int
@@ -121,44 +120,66 @@ class EphIdCodec:
     def open_batch(self, ephids: "list[bytes]") -> "list[EphIdInfo | None]":
         """Open a burst of EphIDs column-wise, with two bulk AES calls.
 
-        The CBC-MAC input and the CTR keystream of every EphID are one
-        16-byte block each, so a whole burst's MACs (under kA'') and
-        keystreams (under kA') are computed as two ECB passes over
-        concatenated blocks — on the ``openssl`` backend that is two EVP
-        updates regardless of burst size.  The EphID column is then
-        XORed against the keystream column as one integer (only the
-        ciphertext's eight bytes of each block mean anything) and read
-        back as ``(hid, exp_time)`` pairs; a pair is released only where
-        the EphID's tag matches in constant time.  Entries that
-        :meth:`open` would reject come back as ``None`` instead of
-        raising, so the result is positionally aligned with the input.
+        The column is one big integer of 16-byte blocks, each
+        ``ciphertext(8) | IV(4) | tag(4)``, and every field moves by a
+        shift of the whole column and a per-block mask.  Eight bytes to
+        the left, each IV leads its block: ``IV | 0^12``, the CTR input;
+        OR in the column shifted eight bytes right and it is ``IV | 0^4
+        | ciphertext``, the CBC-MAC input — so a whole burst's
+        keystreams (under kA') and MACs (under kA'') are two ECB passes,
+        two EVP updates on the ``openssl`` backend whatever the burst
+        size.  The column XORed against the keystreams reads back as
+        ``(hid, exp_time)`` pairs (only the ciphertext's eight bytes of
+        each block mean anything).
+
+        The tags are checked as a column too — twelve bytes to the left
+        the presented tags lead their blocks, where the computed ones
+        lead theirs: one constant-time compare of the two — and only a
+        column that fails is compared EphID by EphID (each again with
+        ``ct_eq``) to locate the forgeries: no pair is released without
+        a constant-time match of its own tag.  The joined compare's
+        timing shows only that *some* EphID of the column was refused,
+        which the drop of its packets shows anyway.
+
+        Entries that :meth:`open` would reject come back as ``None``
+        instead of raising, so the result is positionally aligned with
+        the input.
         """
-        results: list[EphIdInfo | None] = [None] * len(ephids)
-        well_formed = [
-            i for i, ephid in enumerate(ephids) if len(ephid) == EPHID_SIZE
+        if set(map(len, ephids)) - {EPHID_SIZE}:
+            # Wrong-length entries never open; the rest are a column.
+            column = [ephid for ephid in ephids if len(ephid) == EPHID_SIZE]
+            opened = iter(self.open_batch(column))
+            return [
+                next(opened) if len(ephid) == EPHID_SIZE else None
+                for ephid in ephids
+            ]
+        if not ephids:
+            return []
+        sealed = b"".join(ephids)
+        size = len(sealed)
+        column = int.from_bytes(sealed, "big")
+        leading_4 = int.from_bytes(_LEADING_4 * len(ephids), "big")
+        iv_blocks = (column << 64) & leading_4
+        mac_blocks = iv_blocks | (column >> 64) & int.from_bytes(
+            _TRAILING_8 * len(ephids), "big"
+        )
+        streams = self._enc.encrypt_blocks(iv_blocks.to_bytes(size, "big"))
+        tags = self._mac_cipher.encrypt_blocks(mac_blocks.to_bytes(size, "big"))
+        plain = (column ^ int.from_bytes(streams, "big")).to_bytes(size, "big")
+        # ``EphIdInfo._make`` over the pairs, minus its Python frame.
+        infos = list(
+            map(tuple.__new__, repeat(EphIdInfo), _INFO_OF_BLOCK.iter_unpack(plain))
+        )
+        presented = (column << 96) & leading_4
+        computed = int.from_bytes(tags, "big") & leading_4
+        if ct_eq(presented.to_bytes(size, "big"), computed.to_bytes(size, "big")):
+            return infos
+        return [
+            info if ct_eq(tag, ephid[_TAG]) else None
+            for info, (tag,), ephid in zip(
+                infos, _TAG_OF_BLOCK.iter_unpack(tags), ephids
+            )
         ]
-        if not well_formed:
-            return results
-        column = [ephids[i] for i in well_formed]
-        tags = self._mac_cipher.encrypt_blocks(
-            b"".join([ephid[_IV] + _ZERO4 + ephid[_CIPHERTEXT] for ephid in column])
-        )
-        streams = self._enc.encrypt_blocks(
-            b"".join([ephid[_IV] + _ZERO12 for ephid in column])
-        )
-        sealed = b"".join(column)
-        plain = (
-            int.from_bytes(sealed, "big") ^ int.from_bytes(streams, "big")
-        ).to_bytes(len(sealed), "big")
-        for i, ephid, (tag,), (hid, exp_time) in zip(
-            well_formed,
-            column,
-            _TAG_OF_BLOCK.iter_unpack(tags),
-            _INFO_OF_BLOCK.iter_unpack(plain),
-        ):
-            if ct_eq(tag, ephid[_TAG]):
-                results[i] = EphIdInfo(hid, exp_time)
-        return results
 
     def is_valid(self, ephid: bytes) -> bool:
         """Authenticity-only check (no expiry/revocation semantics)."""

@@ -102,8 +102,9 @@ def verdict_of(record: bytes) -> Verdict:
 
     Verdicts are frozen value objects, so equal records share one
     interned instance (up to :data:`VERDICT_TABLE_CAP` of them).  A
-    record no encoder produces — unknown action, reason or flag bit —
-    is a ``ValueError`` and is never interned.
+    record no encoder produces — unknown action, reason or flag bit, or
+    a value in a field its flags mark absent — is a ``ValueError`` and
+    is never interned.
     """
     verdict = _VERDICT_TABLE.get(record)
     if verdict is None:
@@ -112,6 +113,8 @@ def verdict_of(record: bytes) -> Verdict:
             action >= len(_ACTIONS)
             or (reason != _NO_REASON and reason >= len(_REASONS))
             or flags & ~(_HAS_HID | _HAS_NEXT_AID)
+            or (hid and not flags & _HAS_HID)
+            or (next_aid and not flags & _HAS_NEXT_AID)
         ):
             raise ValueError(f"malformed verdict record {record.hex()}")
         verdict = Verdict(

@@ -54,17 +54,23 @@ class E1Result:
 
 
 def measure_issuance_rate(requests: int, *, seed: int = 7) -> float:
-    """Sequential full-path (Fig. 3) issuance time for ``requests``."""
+    """Sequential full-path (Fig. 3) issuance time for ``requests`` —
+    the best of three passes over fresh requests (the ``timeit`` rule,
+    as :func:`repro.metrics.time_loop`): a pass is tens of milliseconds,
+    so one preemption would otherwise decide the rate."""
     world = build_bench_world(seed=seed)
     host = world.hosts_a[0]
     ms = world.as_a.ms
     ctrl = host.stack.control_ephid
     assert ctrl is not None
-    prepared = [host.stack.build_ephid_request() for _ in range(requests)]
-    with Timer() as timer:
-        for _keypair, sealed in prepared:
-            ms.handle_request(ctrl, sealed)
-    return timer.elapsed
+    best = float("inf")
+    for _ in range(3):
+        prepared = [host.stack.build_ephid_request() for _ in range(requests)]
+        with Timer() as timer:
+            for _keypair, sealed in prepared:
+                ms.handle_request(ctrl, sealed)
+        best = min(best, timer.elapsed)
+    return best
 
 
 def measure_parallel_rate(
@@ -79,7 +85,9 @@ def measure_parallel_rate(
     spreads its remainder over the first workers rather than dropping it,
     so a rate computed over ``requests`` is honest.  Workers time only
     their issuance loops (setup excluded, as in the sequential
-    measurement); the effective duration for ``requests`` total is the
+    measurement) — each runs :func:`measure_issuance_rate`, so both arms
+    of E1 take the best of three passes alike, the workers' passes side
+    by side; the effective duration for ``requests`` total is the
     slowest worker's loop.  ``reply_timeout`` bounds each worker's wait
     (default: the issuance runner's generous
     :data:`~repro.sharding.issuance.DEFAULT_REPLY_TIMEOUT`).
@@ -114,9 +122,16 @@ def run(
     trace = TraceGenerator(trace_config).generate_arrays()
     stats = analyze(trace, duration=trace_config.duration)
 
-    # 2) The MS side.
-    single_seconds = measure_issuance_rate(requests)
-    parallel_seconds = measure_parallel_rate(requests, workers)
+    # 2) The MS side.  The two arms take turns, five rounds, best of
+    # each: a shared host hands its two CPUs one core's worth for a
+    # second or two at a time, and that must slow both arms, not
+    # whichever happened to be on the clock.
+    single_seconds = parallel_seconds = float("inf")
+    for _ in range(5):
+        single_seconds = min(single_seconds, measure_issuance_rate(requests))
+        parallel_seconds = min(
+            parallel_seconds, measure_parallel_rate(requests, workers)
+        )
 
     result = E1Result(
         hosts=stats.unique_hosts,

@@ -62,6 +62,7 @@ from ..core.ephid import CIPHERTEXT_SIZE, IV_SIZE
 from ..core.hostdb import FIRST_HOST_HID
 from ..crypto.aes import AES, BLOCK_SIZE
 from ..crypto.cmac import _left_shift
+from ..crypto.util import xor_bytes
 
 #: EphID layout offsets (Fig. 6): ciphertext || IV || tag.
 _IV_OFFSET = CIPHERTEXT_SIZE
@@ -74,15 +75,11 @@ ROUTING_KEY_SIZE = 16
 #: modulo bias below 2^-60 for any sane shard count.
 _PRF_BYTES = 8
 
-#: Per-burst-size unpackers for the bulk route (bursts reuse one size).
-_TAG_WORDS_CACHE: "dict[int, struct.Struct]" = {}
+#: The PRF word of each 16-byte tag in a bulk ECB output.
+_TAG_WORD = struct.Struct(f">Q{BLOCK_SIZE - _PRF_BYTES}x")
 
-
-def _tag_words(count: int) -> struct.Struct:
-    cached = _TAG_WORDS_CACHE.get(count)
-    if cached is None:
-        cached = _TAG_WORDS_CACHE[count] = struct.Struct(">" + "Q8x" * count)
-    return cached
+#: What follows the four IV bytes in a PRF input block, before masking.
+_PAD12 = bytes(BLOCK_SIZE - IV_SIZE)
 
 
 class RoutingKey:
@@ -102,7 +99,7 @@ class RoutingKey:
     CMAC).  The K2 mask is derived once at construction.
     """
 
-    __slots__ = ("_aes", "_mask_head", "_mask_tail")
+    __slots__ = ("_aes", "_mask")
 
     def __init__(self, key: bytes, *, backend=None) -> None:
         if len(key) != ROUTING_KEY_SIZE:
@@ -112,33 +109,27 @@ class RoutingKey:
         self._aes = AES(key, backend=backend)
         # RFC 4493 subkeys: L = AES_K(0), K1 = dbl(L), K2 = dbl(K1).
         k2 = _left_shift(_left_shift(self._aes.encrypt_block(bytes(BLOCK_SIZE))))
-        # K2 XOR (iv || 0x80 || 0^11), pre-split around the 4 IV bytes.
-        self._mask_head = int.from_bytes(k2[:IV_SIZE], "big")
-        self._mask_tail = bytes((k2[IV_SIZE] ^ 0x80,)) + k2[IV_SIZE + 1 :]
+        # K2 XOR (0^4 || 0x80 || 0^11): XORed onto ``iv || 0^12`` it
+        # yields the padded, subkey-masked block.
+        self._mask = k2[:IV_SIZE] + bytes((k2[IV_SIZE] ^ 0x80,)) + k2[IV_SIZE + 1 :]
 
     def shard_of(self, iv_bytes: bytes, nshards: int) -> int:
         """The shard the keyed map sends four clear IV bytes to."""
-        block = (
-            (int.from_bytes(iv_bytes, "big") ^ self._mask_head).to_bytes(
-                IV_SIZE, "big"
-            )
-            + self._mask_tail
-        )
-        tag = self._aes.encrypt_block(block)
+        tag = self._aes.encrypt_block(xor_bytes(iv_bytes + _PAD12, self._mask))
         return int.from_bytes(tag[:_PRF_BYTES], "big") % nshards
 
     def shards_of(self, iv_columns, nshards: int) -> "list[int]":
-        """Bulk form of :meth:`shard_of` — one AES-ECB call per burst."""
-        head, tail = self._mask_head, self._mask_tail
-        buf = b"".join(
-            (int.from_bytes(iv, "big") ^ head).to_bytes(IV_SIZE, "big") + tail
-            for iv in iv_columns
+        """Bulk form of :meth:`shard_of` — one XOR and one AES-ECB call
+        per burst."""
+        if not iv_columns:
+            return []
+        # The column as ``iv || 0^12`` blocks, masked as one integer.
+        blocks = _PAD12.join(iv_columns) + _PAD12
+        masked = int.from_bytes(blocks, "big") ^ int.from_bytes(
+            self._mask * len(iv_columns), "big"
         )
-        tags = self._aes.encrypt_blocks(buf)
-        # One unpack pulls every tag's leading PRF word out of the
-        # concatenated ECB output (">Q8x" = 8 tag bytes, 8 skipped).
-        words = _tag_words(len(iv_columns)).unpack(tags)
-        return [word % nshards for word in words]
+        tags = self._aes.encrypt_blocks(masked.to_bytes(len(blocks), "big"))
+        return [word % nshards for (word,) in _TAG_WORD.iter_unpack(tags)]
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+import select
 from collections import deque
 from typing import Callable, Sequence
 
@@ -153,14 +154,21 @@ class ShardProcessPool:
         self._name = name
         self._procs = []
         self._conns = []
+        #: One ``select.poll`` per worker, its pipe registered once: the
+        #: bounded wait of every reply, without ``Connection.poll``
+        #: building and closing a selector each time.
+        self._pollers = []
         self._closed = False
         for i, spec in enumerate(specs):
-            proc, conn = self._spawn(i, spec)
+            proc, conn, poller = self._spawn(i, spec)
             self._procs.append(proc)
             self._conns.append(conn)
+            self._pollers.append(poller)
 
     def _spawn(self, index: int, spec):
         parent, child = self._ctx.Pipe()
+        poller = select.poll()
+        poller.register(parent, select.POLLIN)  # hang-up always reports too
         proc = self._ctx.Process(
             target=self._worker,
             args=(child, spec),
@@ -169,7 +177,7 @@ class ShardProcessPool:
         )
         proc.start()
         child.close()
-        return proc, parent
+        return proc, parent, poller
 
     def __len__(self) -> int:
         return len(self._procs)
@@ -197,14 +205,13 @@ class ShardProcessPool:
         (the wait also wakes on pipe EOF when the worker dies)."""
         if self._closed:
             raise ShardError("pool is closed")
-        conn = self._conns[shard]
         try:
-            if not conn.poll(timeout):
+            if not self._pollers[shard].poll(timeout * 1000):  # milliseconds
                 raise ShardTimeout(
                     self._failure(shard, f"no reply within {timeout:g}s"),
                     shard=shard,
                 )
-            msg = conn.recv_bytes()
+            msg = self._conns[shard].recv_bytes()
         except ShardTimeout:
             raise
         except (BrokenPipeError, EOFError, OSError) as exc:
@@ -258,9 +265,10 @@ class ShardProcessPool:
         if old_proc.is_alive():
             old_proc.kill()
             old_proc.join(timeout=5.0)
-        proc, conn = self._spawn(shard, spec)
+        proc, conn, poller = self._spawn(shard, spec)
         self._procs[shard] = proc
         self._conns[shard] = conn
+        self._pollers[shard] = poller
 
     @staticmethod
     def _send_best_effort(conn, msg: bytes) -> None:

@@ -9,6 +9,14 @@ is processed by the worker before that burst's verdicts are computed.
 
 All integers are big-endian; every message starts with a one-byte kind.
 
+A burst message is three columns behind one fixed head (five bytes of
+framing a frame), so each end makes one pass per column instead of one
+``struct`` call per frame — a single ``join`` to encode; one unpack of
+the length column, ``accumulate`` into frame boundaries and one
+``translate`` over the direction column to decode::
+
+    kind now seq count | direction * count | u32 length * count | frames
+
 Burst messages carry the dispatcher's per-shard sequence number and the
 verdict reply echoes it back.  On a pipe the echo is redundant — message
 boundaries are reliable — but it is what makes reply pairing *checkable*
@@ -16,11 +24,16 @@ instead of assumed: a duplicated or replayed reply (possible on the UDP
 transport the ROADMAP points at, injected today by the ``duplicate``
 fault kind) carries a stale sequence number and is discarded instead of
 being silently paired with the wrong burst.
+
+Every decoder answers malformed bytes — short, long, another kind's
+frame, a field no encoder writes — with ``ValueError`` and nothing else
+(``tests/test_parser_robustness.py`` fuzzes that).
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import accumulate
 
 from ..core.verdict import (
     VERDICT_RECORD,
@@ -45,10 +58,10 @@ MSG_RESYNC_ACK = 10
 #: Directions inside a burst message.
 EGRESS = 0
 INGRESS = 1
-_DIRECTIONS = frozenset((EGRESS, INGRESS))
+_DIRECTIONS = bytes((EGRESS, INGRESS))
 
 _BURST_HEAD = struct.Struct(">BdIH")  # kind, now, burst seq, count
-_PACKET_HEAD = struct.Struct(">BI")  # direction, frame length
+_LENGTH_SIZE = 4  # one u32 per frame in the length column
 #: kind, echoed burst seq, count; then ``count`` packed verdict records
 #: (:data:`repro.core.verdict.VERDICT_RECORD`).  Public because a shard
 #: packs it straight in front of the records its router emitted.
@@ -56,6 +69,7 @@ VERDICTS_HEAD = struct.Struct(">BIH")
 _REVOKE_EPHID = struct.Struct(">Bd16s")  # kind, exp_time, ephid
 _REVOKE_HID = struct.Struct(">BI")  # kind, hid
 _REGISTER_HOST = struct.Struct(">BIB16s16s")  # kind, hid, owned, control, mac
+_RESYNC_ACK = struct.Struct(">BII")  # kind, owned count, revoked count
 
 #: Per-shard counters carried by a stats reply, in wire order.
 STATS_FIELDS = tuple(reason.value for reason in DropReason) + (
@@ -73,11 +87,16 @@ def encode_burst(
 ) -> bytes:
     """Pack one burst: the shared clock read, the dispatcher's per-shard
     burst sequence number, and the raw wire frames."""
-    parts = [_BURST_HEAD.pack(MSG_BURST, now, seq, len(frames))]
-    for frame, direction in zip(frames, directions):
-        parts.append(_PACKET_HEAD.pack(direction, len(frame)))
-        parts.append(frame)
-    return b"".join(parts)
+    count = len(frames)
+    return b"".join(
+        (
+            _BURST_HEAD.pack(MSG_BURST, now, seq, count),
+            bytes(directions),
+            # ``struct`` keeps its own bounded cache of compiled formats.
+            struct.pack(f">{count}I", *map(len, frames)),
+            *frames,
+        )
+    )
 
 
 def _check_kind(kind: int, expected: int) -> None:
@@ -95,27 +114,41 @@ def _check_end(msg: bytes, offset: int) -> None:
         )
 
 
+def _fields(
+    layout: struct.Struct, msg: bytes, kind: int, *, whole: bool = True
+) -> tuple:
+    """The fields after the kind byte of a ``kind`` message that is
+    ``layout`` — or, with ``whole=False``, starts with it."""
+    if len(msg) < layout.size or (whole and len(msg) > layout.size):
+        raise ValueError(
+            f"{len(msg)}-byte message where kind {kind} has {layout.size}"
+        )
+    fields = layout.unpack_from(msg)
+    _check_kind(fields[0], kind)
+    return fields[1:]
+
+
 def decode_burst(msg: bytes) -> "tuple[float, int, list[bytes], list[int]]":
-    kind, now, seq, count = _BURST_HEAD.unpack_from(msg)
-    _check_kind(kind, MSG_BURST)
-    offset = _BURST_HEAD.size
-    frames: list[bytes] = []
-    directions: list[int] = []
-    for _ in range(count):
-        direction, length = _PACKET_HEAD.unpack_from(msg, offset)
-        offset += _PACKET_HEAD.size
-        frames.append(msg[offset : offset + length])
-        directions.append(direction)
-        offset += length
-    _check_end(msg, offset)
-    if not _DIRECTIONS.issuperset(directions):
-        raise ValueError(f"burst message with direction bytes {set(directions)}")
-    return now, seq, frames, directions
+    now, seq, count = _fields(_BURST_HEAD, msg, MSG_BURST, whole=False)
+    lengths_at = _BURST_HEAD.size + count
+    frames_at = lengths_at + _LENGTH_SIZE * count
+    if frames_at > len(msg):
+        _check_end(msg, frames_at)  # the columns alone overrun the message
+    directions = msg[_BURST_HEAD.size : lengths_at]
+    unknown = directions.translate(None, _DIRECTIONS)
+    if unknown:
+        raise ValueError(f"burst message with direction bytes {set(unknown)}")
+    ends = list(
+        accumulate(struct.unpack_from(f">{count}I", msg, lengths_at), initial=frames_at)
+    )
+    _check_end(msg, ends[-1])
+    frames = [msg[start:end] for start, end in zip(ends, ends[1:])]
+    return now, seq, frames, list(directions)
 
 
 def burst_seq(msg: bytes) -> int:
     """A burst message's sequence number, read from its fixed header."""
-    return _BURST_HEAD.unpack_from(msg)[2]
+    return _fields(_BURST_HEAD, msg, MSG_BURST, whole=False)[1]
 
 
 def encode_verdicts(seq: int, verdicts: "list[Verdict]") -> bytes:
@@ -128,8 +161,7 @@ def encode_verdicts(seq: int, verdicts: "list[Verdict]") -> bytes:
 def decode_verdicts(msg: bytes) -> "tuple[int, list[Verdict]]":
     """The echoed seq and the verdicts of a reply — the API edge where
     records become (interned) :class:`Verdict` objects."""
-    kind, seq, count = VERDICTS_HEAD.unpack_from(msg)
-    _check_kind(kind, MSG_VERDICTS)
+    seq, count = _fields(VERDICTS_HEAD, msg, MSG_VERDICTS, whole=False)
     _check_end(msg, VERDICTS_HEAD.size + count * VERDICT_RECORD.size)
     return seq, verdicts_of(msg[VERDICTS_HEAD.size :])
 
@@ -139,7 +171,7 @@ def encode_revoke_ephid(ephid: bytes, exp_time: float) -> bytes:
 
 
 def decode_revoke_ephid(msg: bytes) -> "tuple[bytes, float]":
-    _, exp_time, ephid = _REVOKE_EPHID.unpack(msg)
+    exp_time, ephid = _fields(_REVOKE_EPHID, msg, MSG_REVOKE_EPHID)
     return ephid, exp_time
 
 
@@ -148,7 +180,7 @@ def encode_revoke_hid(hid: int) -> bytes:
 
 
 def decode_revoke_hid(msg: bytes) -> int:
-    _, hid = _REVOKE_HID.unpack(msg)
+    (hid,) = _fields(_REVOKE_HID, msg, MSG_REVOKE_HID)
     return hid
 
 
@@ -167,7 +199,11 @@ def encode_register_host(
 
 
 def decode_register_host(msg: bytes) -> "tuple[int, bool, bytes, bytes]":
-    _, hid, owned, control, packet_mac = _REGISTER_HOST.unpack(msg)
+    hid, owned, control, packet_mac = _fields(_REGISTER_HOST, msg, MSG_REGISTER_HOST)
+    # Exactly what the encoder writes: a flag of 0 or 1, and no key
+    # material in an announcement to a shard that does not own the host.
+    if owned > 1 or (not owned and any(control + packet_mac)):
+        raise ValueError(f"register-host message for HID {hid} is malformed")
     return hid, bool(owned), control, packet_mac
 
 
@@ -178,7 +214,7 @@ def encode_stats(counters: "dict[str, int]") -> bytes:
 
 
 def decode_stats(msg: bytes) -> "dict[str, int]":
-    values = _STATS_REPLY.unpack(msg)[1:]
+    values = _fields(_STATS_REPLY, msg, MSG_STATS_REPLY)
     return dict(zip(STATS_FIELDS, values))
 
 
@@ -208,12 +244,11 @@ def decode_resync(msg: bytes):
 def encode_resync_ack(owned_count: int, revoked_count: int) -> bytes:
     """The worker's confirmation that the resync was applied (counts echo
     what it now holds, a cheap sanity handle for the supervisor)."""
-    return struct.pack(">BII", MSG_RESYNC_ACK, owned_count, revoked_count)
+    return _RESYNC_ACK.pack(MSG_RESYNC_ACK, owned_count, revoked_count)
 
 
 def decode_resync_ack(msg: bytes) -> "tuple[int, int]":
-    _, owned_count, revoked_count = struct.unpack(">BII", msg)
-    return owned_count, revoked_count
+    return _fields(_RESYNC_ACK, msg, MSG_RESYNC_ACK)
 
 
 def encode_error(text: str) -> bytes:

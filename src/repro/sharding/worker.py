@@ -89,6 +89,10 @@ class _SettableClock:
         return self.now
 
 
+#: ``process_burst``'s egress flags from a burst's direction column, in
+#: one ``translate``: 1 where the byte says egress, 0 anywhere else.
+_EGRESS_FLAG = bytes(direction == wire.EGRESS for direction in range(256))
+
 #: Message kinds the dispatcher expects exactly one reply to.  The
 #: invariant :meth:`ShardState.handle` protects: a shard produces a
 #: reply *only* in response to these — an unsolicited frame would be
@@ -227,7 +231,7 @@ class ShardState:
         # Frames in, packed records out: no packet or verdict object is
         # built on this side of the pipe.
         records = self.router.process_burst(
-            frames, [direction == wire.EGRESS for direction in directions]
+            frames, bytes(directions).translate(_EGRESS_FLAG)
         )
         # Echo the burst seq so the dispatcher can prove this reply
         # answers the burst it is waiting on (duplicate/stale detection).

@@ -268,6 +268,37 @@ class TestEgressEquivalence:
         assert batched[2].reason is DropReason.REPLAYED
         _assert_same_state(scalar_router, batch_router)
 
+    @pytest.mark.parametrize("size", (1, 2, 17))
+    def test_joined_mac_compare_locates_the_bad_frame(self, burst_world, size):
+        """One HID's MAC group with a single bad MAC first, in the middle
+        or last: the group fails its one joined compare, and the frame by
+        frame pass behind it must charge exactly that frame — the rest
+        are forwarded and keyed into the replay filter as the scalar loop
+        over an object ``HostDatabase`` does."""
+        build = _packet_mix(burst_world, random.Random(size))
+        for bad_at in sorted({0, size // 2, size - 1}):
+            scalar_router = _object_oracle(burst_world)
+            batch_router = _fresh_router(burst_world)
+            burst = [
+                build("bad-mac" if k == bad_at else "inter") for k in range(size)
+            ]
+            egress = [True] * size
+            batched = _burst(batch_router, burst, egress)
+            assert batched == _scalar(scalar_router, burst, egress)
+            assert [verdict.reason for verdict in batched] == [
+                DropReason.BAD_MAC if k == bad_at else None for k in range(size)
+            ]
+            assert [verdict.action for verdict in batched].count(
+                Action.FORWARD_INTER
+            ) == size - 1
+            _assert_same_state(scalar_router, batch_router)
+            assert batch_router.drops[DropReason.BAD_MAC] == 1
+            assert batch_router.total_drops == 1
+            assert _filter_stats(batch_router) == (size - 1, 0, 0)
+            assert bytes(batch_router.replay_filter._current._array) == bytes(
+                scalar_router.replay_filter._current._array
+            )
+
     def test_empty_burst(self, burst_world):
         router = _fresh_router(burst_world)
         assert router.process_burst([], []) == []
@@ -494,6 +525,31 @@ class TestOpenBatch:
     def test_empty(self):
         codec = EphIdCodec(b"\x01" * 16, b"\x02" * 16)
         assert codec.open_batch([]) == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "forged",
+        [(0,), (31,), (63,), (0, 63), (30, 31)],
+        ids=["first", "middle", "last", "both-ends", "adjacent"],
+    )
+    def test_joined_tag_compare_locates_the_forgeries(self, backend, forged):
+        """A column whose one joined tag compare fails is opened EphID by
+        EphID: ``None`` in exactly the forged slots, every other slot
+        what scalar ``open`` returns."""
+        codec = EphIdCodec(b"\x01" * 16, b"\x02" * 16, backend=backend)
+        column = [
+            codec.seal(7000 + i, 10**9 + i, iv=i * 2654435761 % 2**32)
+            for i in range(64)
+        ]
+        expected = [codec.open(ephid) for ephid in column]
+        assert codec.open_batch(column) == expected
+        for slot in forged:  # one bit of the tag
+            column[slot] = column[slot][:-1] + bytes([column[slot][-1] ^ 0x10])
+            expected[slot] = None
+            with pytest.raises(EphIdError):
+                codec.open(column[slot])
+        assert codec.open_batch(column) == expected
+        assert expected.count(None) == len(forged)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_fuzzed_column(self, backend):

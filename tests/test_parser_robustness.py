@@ -143,6 +143,158 @@ def test_shard_frame_decoders_check_kind_and_length(decoder, frame):
     assert frame[-11:] not in verdict_module._VERDICT_TABLE
 
 
+def _one_damaged_byte(data, blob: bytes) -> bytes:
+    """``blob`` with one byte flipped, dropped, or one inserted before it."""
+    at = data.draw(st.integers(0, len(blob) - 1))
+    patch = data.draw(
+        st.one_of(
+            st.integers(1, 255).map(lambda mask: bytes([blob[at] ^ mask])),
+            st.just(b""),  # the byte dropped
+            st.just(b"\x00" + blob[at : at + 1]),  # one inserted before it
+        )
+    )
+    return blob[:at] + patch + blob[at + 1 :]
+
+
+# -- the shard wire: every decoder refuses, or reads exactly what was sent ---
+
+_BURST_HEAD_SIZE = 15  # kind, now, burst seq, count (the count is its last two bytes)
+
+_wire_verdicts = st.one_of(
+    st.sampled_from(list(verdict_module.DropReason)).map(
+        lambda reason: verdict_module.Verdict(verdict_module.Action.DROP, reason=reason)
+    ),
+    st.integers(0, 2**32 - 1).map(
+        lambda aid: verdict_module.Verdict(
+            verdict_module.Action.FORWARD_INTER, next_aid=aid
+        )
+    ),
+    st.integers(0, 2**32 - 1).map(
+        lambda hid: verdict_module.Verdict(verdict_module.Action.FORWARD_INTRA, hid=hid)
+    ),
+)
+
+
+def _reencode_register_host(decoded) -> bytes:
+    hid, owned, control, packet_mac = decoded
+    return shard_wire.encode_register_host(
+        hid, owned=owned, control=control, packet_mac=packet_mac
+    )
+
+
+@given(
+    burst=st.lists(
+        st.tuples(st.binary(max_size=2000), st.sampled_from((0, 1))), max_size=6
+    ),
+    now=st.floats(allow_nan=False),
+    seq=st.integers(0, 2**32 - 1),
+    verdicts=st.lists(_wire_verdicts, max_size=6),
+    hid=st.integers(0, 2**32 - 1),
+    owned=st.booleans(),
+    counters=st.lists(
+        st.integers(0, 2**64 - 1),
+        min_size=len(shard_wire.STATS_FIELDS),
+        max_size=len(shard_wire.STATS_FIELDS),
+    ),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_shard_wire_decoders_round_trip_or_refuse(
+    burst, now, seq, verdicts, hid, owned, counters, data
+):
+    """A burst of frames of any length (empty ones included) round-trips
+    byte-exact through its direction / length / blob columns; and damage
+    anywhere in it — or in a verdict reply, a control frame, a stats
+    reply or a resync ack — is refused with ``ValueError`` (never a raw
+    ``struct.error`` or ``IndexError``), or reads as a message that
+    re-encodes to the very bytes received: nothing is half-understood."""
+    frames = [frame for frame, _ in burst]
+    directions = [direction for _, direction in burst]
+    msg = shard_wire.encode_burst(now, seq, frames, directions)
+    assert shard_wire.decode_burst(msg) == (now, seq, frames, directions)
+    assert len(msg) == _BURST_HEAD_SIZE + 5 * len(frames) + sum(map(len, frames))
+
+    def refused_or_exact(decoder, reencode, damaged):
+        try:
+            decoded = decoder(damaged)
+        except ValueError:
+            return True
+        assert reencode(decoded) == damaged
+        return False
+
+    def burst_again(decoded):
+        return shard_wire.encode_burst(*decoded)
+
+    refused_or_exact(shard_wire.decode_burst, burst_again, _one_damaged_byte(data, msg))
+    # A count that lies about the columns behind it.
+    count = data.draw(st.integers(0, 0xFFFF).filter(lambda n: n != len(frames)))
+    lying = msg[:13] + count.to_bytes(2, "big") + msg[_BURST_HEAD_SIZE:]
+    refused_or_exact(shard_wire.decode_burst, burst_again, lying)
+    if frames:
+        k = data.draw(st.integers(0, len(frames) - 1))
+        # A direction no router knows, at any position.
+        at = _BURST_HEAD_SIZE + k
+        bad = msg[:at] + bytes([data.draw(st.integers(2, 255))]) + msg[at + 1 :]
+        with pytest.raises(ValueError):
+            shard_wire.decode_burst(bad)
+        # A length that overruns or undershoots the blob.
+        at = _BURST_HEAD_SIZE + len(frames) + 4 * k
+        length = data.draw(
+            st.integers(0, 2**32 - 1).filter(lambda n: n != len(frames[k]))
+        )
+        bad = msg[:at] + length.to_bytes(4, "big") + msg[at + 4 :]
+        with pytest.raises(ValueError):
+            shard_wire.decode_burst(bad)
+        # The length column cut short (the blob slides into its place).
+        end = _BURST_HEAD_SIZE + 5 * len(frames)
+        cut = data.draw(st.integers(1, 4 * len(frames)))
+        refused_or_exact(
+            shard_wire.decode_burst, burst_again, msg[: end - cut] + msg[end:]
+        )
+
+    # The same one byte of damage over every other decoder of the pipe.
+    key = bytes(range(16))
+    for valid, decoder, reencode in (
+        (
+            shard_wire.encode_verdicts(seq, verdicts),
+            shard_wire.decode_verdicts,
+            lambda decoded: shard_wire.encode_verdicts(*decoded),
+        ),
+        (
+            shard_wire.encode_revoke_ephid(key, now),
+            shard_wire.decode_revoke_ephid,
+            lambda decoded: shard_wire.encode_revoke_ephid(*decoded),
+        ),
+        (
+            shard_wire.encode_revoke_hid(hid),
+            shard_wire.decode_revoke_hid,
+            shard_wire.encode_revoke_hid,
+        ),
+        (
+            shard_wire.encode_register_host(
+                hid, owned=owned, control=key, packet_mac=key[::-1]
+            ),
+            shard_wire.decode_register_host,
+            _reencode_register_host,
+        ),
+        (
+            shard_wire.encode_stats(dict(zip(shard_wire.STATS_FIELDS, counters))),
+            shard_wire.decode_stats,
+            shard_wire.encode_stats,
+        ),
+        (
+            shard_wire.encode_resync_ack(hid, seq),
+            shard_wire.decode_resync_ack,
+            lambda decoded: shard_wire.encode_resync_ack(*decoded),
+        ),
+    ):
+        assert reencode(decoder(valid)) == valid
+        refused_or_exact(decoder, reencode, _one_damaged_byte(data, valid))
+        # Another kind's frame, or a frame cut or padded, is never read.
+        for wrong in (b"", valid[:-1], valid + b"\x00", bytes([valid[0] ^ 1]) + valid[1:]):
+            assert refused_or_exact(decoder, reencode, wrong), wrong
+
+
 # -- the shard snapshot: one codec, one loader on two platform arms ---------
 
 _H = FIRST_HOST_HID
@@ -237,15 +389,7 @@ def test_shard_snapshot_loads_alike_with_and_without_numpy(
 
     # One byte of damage.  An HID may move, but not so far that loading
     # it would allocate columns for a billion rows.
-    at = data.draw(st.integers(0, len(blob) - 1))
-    patch = data.draw(
-        st.one_of(
-            st.integers(1, 255).map(lambda mask: bytes([blob[at] ^ mask])),
-            st.just(b""),  # the byte dropped
-            st.just(b"\x00" + blob[at : at + 1]),  # one inserted before it
-        )
-    )
-    damaged = blob[:at] + patch + blob[at + 1 :]
+    damaged = _one_damaged_byte(data, blob)
     try:
         snap = ShardSnapshot.decode(damaged)
     except ValueError:

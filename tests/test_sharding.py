@@ -259,6 +259,35 @@ class TestWireCodecs:
         counters = {field: i for i, field in enumerate(wire.STATS_FIELDS)}
         assert wire.decode_stats(wire.encode_stats(counters)) == counters
 
+    def test_no_module_level_table_grows_with_burst_size(self):
+        """The bulk route and the burst codec keep nothing per sub-burst
+        size: ``sharding/plan.py`` used to hold one compiled ``Struct``
+        per distinct size forever, and ``BorderRouterNode``'s flush timer
+        drains bursts of any size up to 65 535 frames a shard."""
+        from repro.sharding import plan as plan_module
+
+        def tables():
+            return {
+                (module.__name__, name): len(value)
+                for module in (plan_module, wire)
+                for name, value in vars(module).items()
+                if isinstance(value, dict) and not name.startswith("__")
+            }
+
+        plan = ShardPlan(3, key=_KR)
+        before = tables()
+        for size in range(1, 301):
+            ivs = [(size * 1009 + i).to_bytes(4, "big") for i in range(size)]
+            owners = plan.owners_of_iv_bytes(ivs)
+            assert len(owners) == size
+            assert owners[-1] == plan.owner_of_iv_bytes(ivs[-1])
+            frames = [bytes([i % 251]) * (i % 7) for i in range(size)]
+            directions = [i % 2 for i in range(size)]
+            assert wire.decode_burst(
+                wire.encode_burst(0.5, size, frames, directions)
+            ) == (0.5, size, frames, directions)
+        assert tables() == before
+
 
 class TestShardHostView:
     """The worker's host view (``ColumnarShardView``; the class keeps the

@@ -619,6 +619,71 @@ def test_bounded_cache_detects_and_passes():
     assert not RULES["bounded-cache"].applies_to("pathval/keys.py")
 
 
+def test_bounded_cache_covers_module_level_tables():
+    # Known-bad: sharding/plan.py's per-burst-size unpackers as they stood
+    # before PR 23 — one compiled Struct per distinct sub-burst size, kept
+    # forever in a module-level dict no class-scoped check looked at.
+    tag_words = (
+        "import struct\n"
+        '_TAG_WORDS_CACHE: "dict[int, struct.Struct]" = {}\n'
+        "def _tag_words(count):\n"
+        "    cached = _TAG_WORDS_CACHE.get(count)\n"
+        "    if cached is None:\n"
+        '        cached = _TAG_WORDS_CACHE[count] = struct.Struct(">" + "Q8x" * count)\n'
+        "    return cached\n"
+    )
+    (finding,) = findings_of("bounded-cache", tag_words, "sharding/plan.py")
+    assert finding.line == 6
+    assert "_tag_words()" in finding.message and "_TAG_WORDS_CACHE" in finding.message
+    # The same through ``dict()``, ``setdefault`` and a local alias.
+    aliased = (
+        "_ROUTE_TABLE = dict()\n"
+        "def route(key):\n"
+        "    table = _ROUTE_TABLE\n"
+        "    return table.setdefault(key, build(key))\n"
+    )
+    assert findings_of("bounded-cache", aliased, "sharding/wire.py")
+    # Known-good: core/verdict.py's intern table, capped where it stores.
+    verdict_table = (
+        "VERDICT_TABLE_CAP = 4096\n"
+        '_VERDICT_TABLE: "dict[bytes, Verdict]" = {}\n'
+        "def verdict_of(record):\n"
+        "    verdict = _VERDICT_TABLE.get(record)\n"
+        "    if verdict is None:\n"
+        "        verdict = build(record)\n"
+        "        if len(_VERDICT_TABLE) < VERDICT_TABLE_CAP:\n"
+        "            _VERDICT_TABLE[record] = verdict\n"
+        "    return verdict\n"
+    )
+    assert not findings_of("bounded-cache", verdict_table, "core/verdict.py")
+    # A cap checked in some *other* function bounds nothing here...
+    elsewhere = verdict_table.replace(
+        "        if len(_VERDICT_TABLE) < VERDICT_TABLE_CAP:\n    ", ""
+    ) + (
+        "def full():\n"
+        "    return len(_VERDICT_TABLE) >= VERDICT_TABLE_CAP\n"
+    )
+    assert findings_of("bounded-cache", elsewhere, "core/verdict.py")
+    # ...while evicting where it inserts does, and so does never storing:
+    # a table filled once at import (DROP_RECORDS-style) is not a cache.
+    evicting = (
+        "_SEEN_TABLE = {}\n"
+        "def remember(key, value):\n"
+        "    _SEEN_TABLE[key] = value\n"
+        "    if len(_SEEN_TABLE) > 64:\n"
+        "        _SEEN_TABLE.pop(next(iter(_SEEN_TABLE)))\n"
+    )
+    assert not findings_of("bounded-cache", evicting, "core/ephid.py")
+    read_only = '_KIND_TABLE = {1: "burst"}\ndef kind(k):\n    return _KIND_TABLE[k]\n'
+    assert not findings_of("bounded-cache", read_only, "sharding/wire.py")
+    # Names outside the pattern are not this rule's business.
+    other = tag_words.replace("_TAG_WORDS_CACHE", "_unpackers")
+    assert not findings_of("bounded-cache", other, "sharding/plan.py")
+    # The real parent file shape is in scope under its real path.
+    for rel in ("sharding/plan.py", "sharding/wire.py", "core/verdict.py", "core/ephid.py"):
+        assert RULES["bounded-cache"].applies_to(rel)
+
+
 # --------------------------------------------------------------------------
 # 3. Suppressions and the baseline round-trip
 
