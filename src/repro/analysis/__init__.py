@@ -23,9 +23,10 @@ Every rule encodes an invariant this repo has already paid for or
 depends on — the motivating bug/PR is part of the rule's definition:
 
 ``ct-compare`` (PR 3)
-    Authentication tags are never compared with ``==``/``!=`` on
-    secret-dependent paths; :func:`repro.crypto.util.ct_eq` only.  The
-    PR 3 audit found a live non-constant-time passport MAC compare.
+    Authentication tags are never compared with ``==``/``!=``, anywhere
+    in the tree; :func:`repro.crypto.util.ct_eq` only.  The PR 3 audit
+    found a live non-constant-time passport MAC compare, PR 24 three
+    more in modules a listed scope had left out.
 ``shard-routing-mod`` (PR 8)
     Shard routing arithmetic (``% nshards``) exists only inside
     ``sharding/plan.py``; the keyed PRF map is the single router.  The

@@ -182,7 +182,8 @@ def _module_usage(module: Module, wire: _WireModel):
     Produced: kinds packed raw (``bytes([MSG_X])`` / ``*.pack(MSG_X,
     ...)``) or via a ``wire.encode_*`` call.  Consumed: kinds compared
     against (``msg[0] == MSG_X`` dispatch) or reached via a
-    ``wire.decode_*`` call.
+    ``wire.decode_*`` call — or one handed to a call by reference, the
+    way the dispatcher gives the ledger's reply method its decoder.
     """
     produced: set[str] = set()
     consumed: set[str] = set()
@@ -201,6 +202,10 @@ def _module_usage(module: Module, wire: _WireModel):
                 produced |= wire.kinds_of_encoder(callee)
             elif callee and callee.startswith("decode_"):
                 consumed |= wire.kinds_of_decoder(callee)
+            for arg in node.args:
+                decoder = _callee(arg)
+                if decoder and decoder.startswith("decode_"):
+                    consumed |= wire.kinds_of_decoder(decoder)
     return produced, consumed
 
 

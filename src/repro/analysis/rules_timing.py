@@ -49,17 +49,10 @@ class CtCompareRule(Rule):
         "PR 3: non-constant-time passport MAC compare (timing-oracle "
         "forgery); guarded since by the tag-comparison audit"
     )
-    #: Modules holding tag comparisons on secret-dependent hot paths
-    #: (``core/border_router.py`` is where ``process_burst`` lives).
-    scope = (
-        "crypto/*.py",
-        "core/ephid.py",
-        "core/border_router.py",
-        "core/icmp_crypto.py",
-        "pathval/opt.py",
-        "pathval/passport.py",
-        "pathval/shutoff_ext.py",
-    )
+    #: The whole tree: a listed-modules scope missed the shutoff agent's
+    #: kHA check, the NAT AP's client-frame check and the host's own
+    #: (PR 24) — a tag compare is a bug wherever it is written.
+    scope = ("**/*.py",)
 
     def check_module(self, module: Module):
         for node in ast.walk(module.tree):

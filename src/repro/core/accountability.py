@@ -24,6 +24,7 @@ from typing import Callable
 
 from ..crypto import ed25519
 from ..crypto.cmac import Cmac
+from ..crypto.util import ct_eq
 from ..wire.apna import ApnaPacket, HEADER_SIZE
 from .certs import EphIdCertificate
 from .config import ApnaConfig
@@ -130,7 +131,7 @@ class AccountabilityAgent:
         expected = Cmac(kha.packet_mac).tag(
             packet.mac_input(), self._config.packet_mac_size
         )
-        if expected != header.mac:
+        if not ct_eq(expected, header.mac):
             return None, "packet-mac-invalid"
         return info, None
 

@@ -33,7 +33,7 @@ from .border_router import Action, BorderRouter, ICMP_CODES, Verdict
 from .certs import EphIdCertificate, FLAG_CONTROL, FLAG_RECEIVE_ONLY
 from .config import ApnaConfig, DEFAULT_CONFIG
 from .ephid import EphIdCodec, IvAllocator
-from .errors import ApnaError, IssuanceError, ShutoffError
+from .errors import ApnaError, IssuanceError, ShardError, ShutoffError
 from .granularity import GranularityPolicy, PerFlowPolicy
 from .host import HostStack
 from .hostdb import (
@@ -272,7 +272,7 @@ class ApnaAutonomousSystem:
             self._warn_replay_history_lost("start_shard_pool")
         from ..sharding.pool import ShardedDataPlane
 
-        pool = ShardedDataPlane.for_assembly(self, self.shard_plan.nshards)
+        pool = ShardedDataPlane.for_assembly(self)
         if fault_plan is not None:
             pool.install_faults(fault_plan)
         self.shard_pool = pool
@@ -298,8 +298,6 @@ class ApnaAutonomousSystem:
         self.hostdb.on_register = None
         self.hostdb.on_revoke_hid = None
         if not final and self.config.in_network_replay_filter and not pool.closed:
-            from ..sharding.pool import ShardError
-
             # Best-effort read purely to decide whether to warn: a shard
             # failure here must not block teardown, but anything other
             # than a shard failure is a real bug and propagates.

@@ -51,6 +51,12 @@ _MAX_HID = 2**32 - 1
 _MAX_EXPTIME = 2**32 - 1
 _MAX_IV = 2**32 - 1
 
+#: Most candidate IVs :class:`IvAllocator` banks for one shard.  Under
+#: round-robin issuance a bucket stays small (measured once, PR 24: 49 at
+#: most over tier-1, 207 over the ``bench/`` worlds), so no such world
+#: reaches the cap and same-seed worlds stay bit-identical below it.
+BANKED_IVS_PER_SHARD = 1024
+
 
 class EphIdInfo(NamedTuple):
     """The plaintext content of an EphID."""
@@ -219,7 +225,12 @@ class IvAllocator:
     lands there.  Every IV still comes from the single counter, so
     uniqueness is exactly the unsharded argument.  Under the keyed map
     a chunk scatters ~uniformly, so the expected overdraw per pinned IV
-    is ``nshards`` candidates.
+    is ``nshards`` candidates.  A bucket holds at most
+    :data:`BANKED_IVS_PER_SHARD` candidates and the overflow is
+    discarded — never issued, so uniqueness and pinning are untouched —
+    because one subscriber drawing for a single shard (a host on the
+    per-packet policy of Section VIII-A) would otherwise bank an IV for
+    every idle shard on every draw, without limit.
 
     Issuance accounting (:attr:`issued`) counts only IVs actually handed
     out, never banked candidates, and is broken down per shard
@@ -315,7 +326,8 @@ class IvAllocator:
             bucket = self._buckets.get(shard)
             if bucket is None:
                 bucket = self._buckets[shard] = deque()
-            bucket.append(iv)
+            if len(bucket) < BANKED_IVS_PER_SHARD:
+                bucket.append(iv)
 
     @property
     def issued(self) -> int:

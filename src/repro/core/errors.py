@@ -41,3 +41,18 @@ class ShutoffError(ApnaError):
 
 class IssuanceError(ApnaError):
     """An EphID request could not be served."""
+
+
+class ShardError(ApnaError):
+    """A worker shard failed; the message carries the cause and, where
+    known, :attr:`shard` names the failing worker."""
+
+    def __init__(self, message: str, *, shard: "int | None" = None) -> None:
+        super().__init__(message)
+        self.shard = shard
+
+
+class ShardTimeout(ShardError):
+    """No reply — or no room to send — within the bounded wait: the
+    worker is hung (or died without closing its pipe — practically
+    impossible, but covered)."""

@@ -16,6 +16,7 @@ from typing import Callable
 from ..crypto.aead import EtmScheme
 from ..crypto.cmac import Cmac
 from ..crypto.rng import Rng, SystemRng
+from ..crypto.util import ct_eq
 from ..wire.apna import ApnaHeader, ApnaPacket, Endpoint
 from .certs import EphIdCertificate
 from .config import ApnaConfig, DEFAULT_CONFIG
@@ -210,7 +211,7 @@ class HostStack:
         expected = self._packet_mac.tag(
             packet.mac_input(), self.config.packet_mac_size
         )
-        return expected == packet.header.mac
+        return ct_eq(expected, packet.header.mac)
 
     # -- Section IV-D1: sessions --
 

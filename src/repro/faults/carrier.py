@@ -11,8 +11,8 @@ from __future__ import annotations
 import time
 from collections import deque
 
+from ..core.errors import ShardTimeout
 from ..sharding import wire
-from ..sharding.pool import ShardTimeout
 
 __all__ = ["FaultCarrier"]
 

@@ -26,6 +26,7 @@ from ..core.errors import ApnaError, MacError
 from ..core.keys import EphIdKeyPair
 from ..core.session import ConnectionRequest, OwnedEphId, Session, SessionError
 from ..crypto.cmac import Cmac
+from ..crypto.util import ct_eq
 from ..netsim import Node
 from ..wire.apna import ApnaHeader, ApnaPacket, Endpoint
 from ..wire.transport import PROTO_DATA, TransportHeader, build_segment, split_segment
@@ -100,7 +101,7 @@ def _lc_open(mac: Cmac, frame_bytes: bytes) -> tuple[int, bytes]:
     if len(frame_bytes) < 1 + _LC_MAC_SIZE:
         raise MacError("local control frame too short")
     head, tag = frame_bytes[:-_LC_MAC_SIZE], frame_bytes[-_LC_MAC_SIZE:]
-    if mac.tag(head, _LC_MAC_SIZE) != tag:
+    if not ct_eq(mac.tag(head, _LC_MAC_SIZE), tag):
         raise MacError("local control frame failed authentication")
     return head[0], head[1:]
 

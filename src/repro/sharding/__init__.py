@@ -19,10 +19,14 @@ range, fed one burst-sized batch of packed wire frames per IPC message:
   :class:`~repro.core.border_router.BorderRouter` over local sharded
   state, and the whole worker protocol (:meth:`ShardState.handle`);
 * :mod:`~repro.sharding.pool` — :class:`ShardedDataPlane`, the
-  dispatcher, plus the carriers of its worker messages: the generic
-  :class:`ShardProcessPool` and the in-process one;
-* :mod:`~repro.sharding.supervisor` — crash/hang detection, restart
-  with state resync, and the degradation decision;
+  dispatcher (route, pack, sequence, merge — and nothing else), over a
+  carrier of worker messages it is handed, and the process one, the
+  generic :class:`ShardProcessPool`;
+* :mod:`~repro.sharding.supervisor` — :class:`ShardSupervisor`, the
+  dispatcher's ledger and the one owner of the carrier, the policy, the
+  in-flight tickets and every failure charge: crash/hang detection,
+  restart with state resync, the degradation decision and the
+  in-process carrier it degrades to;
 * :mod:`~repro.sharding.issuance` — E1's share-nothing MS measurement
   on the same scaffolding.
 
@@ -34,11 +38,17 @@ Fault model & recovery semantics
 --------------------------------
 
 The plane assumes workers can die (OOM kill, segfault, operator
-``kill -9``) or hang (stuck lock, unbounded syscall) at any moment, and
-that a pipe can deliver an error frame or garbage instead of a reply.
-Every reply wait is bounded (``ApnaConfig.shard_reply_timeout``): a dead
-worker surfaces immediately as pipe EOF, a hung one as a timeout.  What
-happens next, in order:
+``kill -9``) or hang (stuck lock, unbounded syscall, ``SIGSTOP``) at any
+moment, and that a pipe can deliver an error frame or garbage instead of
+a reply.  Every wait on a worker is bounded by
+``ApnaConfig.shard_reply_timeout`` — the wait for a reply, and the wait
+for room in the socket buffer of a worker that has stopped reading
+(``SO_SNDTIMEO`` on the dispatcher's end of each pipe): a dead worker
+surfaces immediately as pipe EOF, a hung one as a timeout, whichever way
+the dispatcher was talking.  One place reacts: the dispatcher hands
+every send and every reply wait to its ledger
+(:class:`ShardSupervisor`), which charges the failure and recovers
+before it answers.  What happens next, in order:
 
 1. **Drop-and-count, never guess.**  Every verdict the failed worker
    still owes — across all in-flight bursts — is answered with
@@ -66,8 +76,8 @@ happens next, in order:
 3. **Degrade, don't refuse.**  A shard that exhausts its budget ends the
    pooled plane: the workers are stopped and the *same* N shards are
    rebuilt in the dispatcher's process
-   (:class:`~repro.sharding.pool.InProcessCarrier`), each resynced by
-   step 2's ``MSG_RESYNC`` exchange.  Routing, sequencing, control
+   (:class:`~repro.sharding.supervisor.InProcessCarrier`), each resynced
+   by step 2's ``MSG_RESYNC`` exchange.  Routing, sequencing, control
    frames and ``shard_stats()`` (counting from the degrade) run
    unchanged and verdicts stay exact; ``stats()`` reports
    ``degraded: 1`` and ``closed`` still means closed.  The price: one
@@ -75,7 +85,9 @@ happens next, in order:
    moves into the dispatcher, and a degraded burst pays the wire codec
    like any other.  A state that cannot be snapshotted closes the plane
    with :class:`ShardError`; a later carrier error can only be a bug and
-   propagates as one — there is nothing left to fall back to.
+   propagates as one — there is nothing left to fall back to.  (The
+   carrier is the plane's first constructor argument, so the same
+   in-process shards can also be what a plane is *built* on.)
 
 **Derived per-host state follows the keys.**  Beside the replica, a
 shard's router keeps one derived thing per source host: the CMAC context

@@ -99,9 +99,9 @@ def encode_burst(
     )
 
 
-def _check_kind(kind: int, expected: int) -> None:
-    if kind != expected:
-        raise ValueError(f"message kind {kind} where {expected} was expected")
+def _check_kind(kind: int, wanted: int) -> None:
+    if kind != wanted:
+        raise ValueError(f"message kind {kind} where {wanted} was expected")
 
 
 def _check_end(msg: bytes, offset: int) -> None:

@@ -1,6 +1,7 @@
 """Shared fixtures: deterministic single- and two-AS worlds, plus the
 watchdog that keeps multi-process sharding/fault tests from hanging CI."""
 
+import dataclasses
 import signal
 from types import SimpleNamespace
 
@@ -11,6 +12,8 @@ from repro.core.config import ApnaConfig
 from repro.core.rpki import RpkiDirectory, TrustAnchor
 from repro.crypto.rng import DeterministicRng
 from repro.netsim import Network
+from repro.sharding import ShardStateSource, ShardedDataPlane
+from repro.sharding.pool import InProcessCarrier
 
 #: Test files that drive worker *processes* — the only tests that can
 #: genuinely wedge (a worker stuck on a pipe the dispatcher never
@@ -92,6 +95,27 @@ def process_packets(plane, items, now):
     ``ShardedDataPlane``, as the wire frames it takes."""
     frames = [packet.to_wire() for packet, _ in items]
     return plane.process(frames, [out for _, out in items], now)
+
+
+def inprocess_plane(pooled, asys):
+    """A plane over ``asys`` *constructed* on an ``InProcessCarrier`` —
+    ``pooled``'s specs (over the state as it is now), plan and policy,
+    no worker process and no degrade behind it."""
+    source = ShardStateSource(asys.hostdb, asys.revocations)
+    specs = [
+        dataclasses.replace(
+            spec, snapshot=source.shard_snapshot(pooled.plan, spec.shard).encode()
+        )
+        for spec in pooled.supervisor.bare_specs
+    ]
+    return ShardedDataPlane(
+        InProcessCarrier(specs),
+        specs,
+        pooled.plan,
+        aid=asys.aid,
+        state_source=source,
+        supervision=pooled.supervisor.policy,
+    )
 
 
 @pytest.fixture()

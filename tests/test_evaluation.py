@@ -179,11 +179,22 @@ def test_flash_crowd_stream_arm_delivers():
 
 
 def test_churn_always_composes_a_crash_storm():
-    report = _small_runner().run("churn")
+    runner = _small_runner()
+    report = runner.run("churn")
     assert report.passed
     names = {inv.name for inv in report.invariants}
     assert {"storm-activity", "convergence"} <= names
     assert report.notes["faults_injected"] > 0
+    # ... and is judged against a storm's latency budget, though this
+    # runner's own chaos flag is off: a restart-and-resync burst is part
+    # of what churn always runs.
+    ctx = runner.context
+    assert not ctx.chaos
+    assert ctx.latency_bound(True) > ctx.latency_bound(False) == ctx.latency_budget
+    latency = next(
+        inv for inv in report.invariants if inv.name == "bounded-latency"
+    )
+    assert f"budget {ctx.latency_bound(True) * 1e3:.0f}ms" in latency.detail
 
 
 # --------------------------------------------------------------------------

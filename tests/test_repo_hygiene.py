@@ -233,6 +233,37 @@ def test_dispatcher_holds_no_verdict_path():
     assert not imported & {"BorderRouter", "ApnaPacket"}
 
 
+def test_one_owner_for_the_carrier_and_the_failure_ledger(world):
+    """``ShardedDataPlane`` dispatches over a carrier it is handed and
+    keeps neither it nor the policy — both live on ``plane.supervisor``,
+    the one place a worker failure is charged — and the construction
+    knobs no caller passed stay deleted with their plumbing."""
+    from repro.sharding import pool as pool_module
+    from repro.sharding import ShardedDataPlane
+
+    assert list(inspect.signature(ShardedDataPlane.for_assembly).parameters) == [
+        "assembly"
+    ]
+    tree = ast.parse(inspect.getsource(pool_module))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            names = {arg.arg for arg in node.args.args + node.args.kwonlyargs}
+            assert not names & {"start_method", "in_flight"}, node.name
+    handlers = [
+        node
+        for node in ast.walk(ast.parse(inspect.getsource(ShardedDataPlane)))
+        if isinstance(node, ast.ExceptHandler)
+        and isinstance(node.type, ast.Name)
+        and node.type.id == "ShardError"
+    ]
+    assert len(handlers) <= 1
+    with ShardedDataPlane.for_assembly(world.as_a) as plane:
+        ledger = plane.supervisor
+        held = list(vars(plane).values())
+        assert not any(value is ledger.carrier for value in held)
+        assert not any(isinstance(value, SupervisorPolicy) for value in held)
+
+
 def test_one_burst_path_frames_in_records_out():
     """The worker hands raw frames to ``BorderRouter.process_burst`` and
     frames the records it returns: a packet parse or a ``Verdict`` in

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core import ephid as ephid_module
 from repro.core import verdict as verdict_module
 from repro.core.border_router import Action, DropReason, Verdict
 from repro.core.config import ApnaConfig
@@ -32,11 +33,11 @@ from repro.sharding import wire
 from repro.sharding.pool import InProcessCarrier
 from repro.state import ColumnarShardView
 from repro.topology import WorldBuilder
-from repro.wire.apna import ApnaPacket
+from repro.wire.apna import SRC_EPHID_FIELD, ApnaPacket
 from repro.workload import TrafficProfile
 from repro.workload.packets import build_apna_pool
 
-from tests.conftest import process_packets
+from tests.conftest import inprocess_plane, process_packets
 
 #: Tier-1 worlds always use two shards — enough to cross a shard
 #: boundary, cheap enough for the 1-CPU CI container.
@@ -136,6 +137,29 @@ class TestPinnedIvAllocation:
         ]
         assert len(set(ivs)) == len(ivs)
         assert alloc.issued == 200
+
+    def test_skewed_draw_banks_a_bounded_surplus(self):
+        """One HID drawing thousands of IVs (the per-packet policy) used
+        to bank about as many candidates for *each* idle shard, without
+        limit; the surplus is capped and the overflow never issued."""
+        plan = ShardPlan(4, key=_KR)
+        alloc = IvAllocator(start=0xBEEF, plan=plan)
+        hid = FIRST_HOST_HID + 1
+        draws = 4 * ephid_module.BANKED_IVS_PER_SHARD
+        ivs = [alloc.next_iv_for(hid) for _ in range(draws)]
+        assert len(set(ivs)) == draws
+        assert set(plan.owners_of_iv_bytes([iv.to_bytes(4, "big") for iv in ivs])) == {
+            plan.owner_of(hid)
+        }
+        banked = {shard: len(bucket) for shard, bucket in alloc._buckets.items()}
+        assert max(banked.values()) == ephid_module.BANKED_IVS_PER_SHARD
+        # The idle shards' banked IVs are still good: unique and pinned.
+        other = next(
+            h for h in range(FIRST_HOST_HID, FIRST_HOST_HID + 8)
+            if plan.owner_of(h) != plan.owner_of(hid)
+        )
+        late = alloc.next_iv_for(other)
+        assert late not in ivs and plan.owner_of_iv(late) == plan.owner_of(other)
 
     def test_unpinned_allocator_unchanged_by_hid_api(self):
         a = IvAllocator(start=99)
@@ -535,10 +559,27 @@ class TestDispatcher:
             plane.collect(t2)
 
     def test_pool_requires_pinned_assembly(self, world):
-        # tests/conftest worlds are unsharded: no IV pinning, so a
-        # multi-shard pool must refuse to build.
+        # tests/conftest worlds are unsharded: no IV pinning, no kR.  A
+        # plane cannot be asked to shard one wider than it was built
+        # (``for_assembly`` takes the assembly's own plan), and a
+        # two-shard plan that cannot route IVs is refused by the
+        # constructor before anything reaches the carrier.
+        with ShardedDataPlane.for_assembly(world.as_a) as plane:
+            assert plane.nshards == plane.plan.nshards == 1
+            specs = plane.supervisor.bare_specs * 2
+
+        class Untouched:
+            def __getattr__(self, name):
+                raise AssertionError(f"carrier.{name} used before validation")
+
         with pytest.raises(ValueError):
-            ShardedDataPlane.for_assembly(world.as_a, 2)
+            ShardedDataPlane(
+                Untouched(),
+                specs,
+                ShardPlan(2),
+                aid=world.as_a.aid,
+                state_source=None,
+            )
 
     def test_runt_frame_rejected_at_dispatch(self):
         with build_sharded_world(hosts=1) as world:
@@ -593,7 +634,7 @@ class TestDispatcher:
         delivered in place of the next expected reply instead."""
         with build_sharded_world(hosts=1) as world:
             plane = world.asys("a").shard_pool
-            plane._pool.send_bytes(0, bytes([99]))  # unknown message kind
+            plane.supervisor.carrier.send_bytes(0, bytes([99]))  # unknown message kind
             with pytest.raises(ShardError, match="unknown message kind"):
                 plane.shard_stats()
 
@@ -607,7 +648,7 @@ class TestDispatcher:
                 as_a, [world.host("a0")], size=128, count=2, dst_aid=200
             )
             plane = as_a.shard_pool
-            plane._pool.send_bytes(0, bytes([99]))  # breaks the next reply
+            plane.supervisor.carrier.send_bytes(0, bytes([99]))  # breaks the next reply
             ticket = plane.submit(pool.wire_frames, [True, True], as_a.clock())
             verdicts = plane.collect(ticket)
             assert all(
@@ -639,7 +680,7 @@ class TestDispatcher:
             plane = as_a.shard_pool
             frames = pool.wire_frames
             egress = [True] * len(frames)
-            for proc in list(plane._pool._procs):
+            for proc in list(plane.supervisor.carrier._procs):
                 proc.terminate()
                 proc.join(timeout=5.0)
             # The massacre burst: every sub-burst dropped-and-counted.
@@ -669,7 +710,7 @@ class TestDispatcher:
             plane = as_a.shard_pool
             as_a.revocations.add(revoked.apna_packets[0].header.src_ephid, 2**31)
             # Kill every worker so each one must resync to serve again.
-            for proc in list(plane._pool._procs):
+            for proc in list(plane.supervisor.carrier._procs):
                 proc.terminate()
                 proc.join(timeout=5.0)
             plane.process(
@@ -733,6 +774,51 @@ class TestDispatcher:
             plane.collect(ticket)
             plane.revoke_ephid(bytes(16), 1e12)  # fine once drained
 
+    def test_route_is_pure(self):
+        """``route`` is the dispatcher's side-effect-free half: twice on
+        one burst gives equal answers and moves no counter, no seq and
+        nothing on the carrier — it does not need a live one at all."""
+        with build_sharded_world(hosts=2) as world:
+            as_a = world.asys("a")
+            hosts = [world.host("a0"), world.host("a1")]
+            local = build_apna_pool(as_a, hosts, size=128, count=8, dst_aid=200)
+            transit = build_apna_pool(as_a, hosts, size=128, count=2, dst_aid=65000)
+            frames = local.wire_frames + transit.wire_frames
+            egress = [True] * 8 + [False] * 2
+            plane = as_a.shard_pool
+            ledger = plane.supervisor
+            plane.process(frames, egress, as_a.clock())  # counters off zero
+
+            def state():
+                return (
+                    plane.stats(),
+                    list(ledger.burst_seq),
+                    ledger.in_flight_verdicts,
+                    len(ledger.tickets),
+                    len(ledger.failures),
+                )
+
+            before = state()
+            carrier, ledger.carrier = ledger.carrier, None
+            try:
+                first = plane.route(frames, egress)
+                assert plane.route(frames, egress) == first
+                with pytest.raises(ShardError):
+                    plane.route(frames + [b"\x00" * 8], egress + [True])
+            finally:
+                ledger.carrier = carrier
+            assert state() == before
+            moved, by_shard = first
+            assert moved == [8, 9]
+            assert sorted(i for indices, _, _ in by_shard.values() for i in indices) == list(range(8))
+            assert len(by_shard) == TIER1_SHARDS  # the burst did cross shards
+            for shard, (indices, shard_frames, directions) in by_shard.items():
+                assert shard_frames == [frames[i] for i in indices]
+                assert directions == [wire.EGRESS] * len(indices)
+                assert {
+                    plane.plan.shard_of_ephid(f[SRC_EPHID_FIELD]) for f in shard_frames
+                } == {shard}
+
     def test_rejected_burst_leaves_counters_untouched(self):
         with build_sharded_world(hosts=1) as world:
             as_a = world.asys("a")
@@ -762,8 +848,9 @@ class TestRekeyedHost:
             as_a = world.asys("a")
             plane = as_a.shard_pool
             if carrier == "inprocess":
-                plane._degrade("forced by the test", [])
-                assert isinstance(plane._pool, InProcessCarrier)
+                plane = inprocess_plane(plane, as_a)
+                assert isinstance(plane.supervisor.carrier, InProcessCarrier)
+                assert plane.degraded is None
             host = world.host("a0")
             packet = build_apna_pool(
                 as_a, [host], size=128, count=1, dst_aid=200

@@ -25,7 +25,7 @@ from repro.crypto import backend as crypto_backend
 from repro.sharding import ShardedDataPlane
 from repro.wire.apna import Endpoint
 
-from tests.conftest import build_world, process_packets
+from tests.conftest import build_world, inprocess_plane, process_packets
 
 BACKENDS = crypto_backend.available_backends()
 #: The fuzzed suite runs on the active crypto backend; the ids say which.
@@ -309,7 +309,12 @@ def test_one_stream_same_verdicts_on_every_crypto_backend(monkeypatch):
     stream with replays, a revoke and a ``revoke_hid`` mid-stream, through
     one 2-shard plane per available backend (``ShardSpec.crypto_backend``
     names it), must yield the same verdicts and the same summed counters.
-    Primitive-level agreement is ``tests/test_crypto_backends.py``."""
+    Primitive-level agreement is ``tests/test_crypto_backends.py``.
+
+    The same stream runs once more through a plane *constructed* on an
+    ``InProcessCarrier`` — a carrier is a constructor argument, not
+    something only a degrade can install — and that plane must match the
+    pooled ones verdict for verdict and counter for counter."""
     world = _build_world(2)
     world.network.run_until(5.0)  # expire the crafted exp_time=1 EphID
     rng = random.Random(0xC0DE)
@@ -337,6 +342,8 @@ def test_one_stream_same_verdicts_on_every_crypto_backend(monkeypatch):
             with crypto_backend.use_backend(name), monkeypatch.context() as patch:
                 patch.setattr(crypto_backend, "set_backend", counting_set_backend)
                 planes[name] = ShardedDataPlane.for_assembly(as_a)
+        planes["in-process"] = inprocess_plane(planes[BACKENDS[0]], as_a)
+        assert planes["in-process"].degraded is None
         for round_no in range(6):
             items = _mixed_burst(build, rng, KINDS, rng.randint(8, 40))
             now = as_a.clock()

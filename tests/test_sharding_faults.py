@@ -23,7 +23,11 @@ divergence is a real bug.
 
 import dataclasses
 import multiprocessing
+import os
 import random
+import signal
+import threading
+import time
 from collections import Counter
 
 import pytest
@@ -360,6 +364,60 @@ class TestFaultKindsIsolated:
         outcomes, stats = self._run(FaultPlan({(0, 1): "hang", (1, 1): "hang"}))
         self._assert_recovered(outcomes, stats, expect_failures=True)
 
+    def test_send_to_a_stopped_worker_is_bounded(self):
+        """The injected ``hang`` swallows the burst; a really stopped
+        worker takes it until its socket buffer fills, and the send used
+        to wait on that buffer for as long as the worker stayed stopped.
+        An oversized burst to a ``SIGSTOP``ped worker must cost the send
+        bound, forfeit that shard's frames only, and one restart."""
+        policy = SupervisorPolicy(
+            reply_timeout=0.5, max_restarts=10_000, restart_backoff=0.001
+        )
+        world = _build_world(2, policy)
+        router = _reference_router(world)
+        dst = Endpoint(
+            world.as_b.aid, world.hosts["bob"].acquire_ephid_direct().ephid
+        )
+        sources = [
+            (world.hosts[name], world.hosts[name].acquire_ephid_direct().ephid)
+            for name in ("alice", "carol", "erin")
+        ]
+        packets = [  # ~900 KB: several socket buffers' worth per shard
+            host.stack.make_packet(ephid, dst, bytes(1400))
+            for host, ephid in (sources[i % 3] for i in range(600))
+        ]
+        frames = [p.to_wire() for p in packets]
+        plane = ShardedDataPlane.for_assembly(world.as_a)
+        owners = [plane.plan.shard_of_ephid(f[SRC_EPHID_FIELD]) for f in frames]
+        victim = max((0, 1), key=owners.count)
+        assert 0 < owners.count(1 - victim) < owners.count(victim)
+        stopped = plane.supervisor.carrier._procs[victim]
+        # The parent's send wedges until the worker runs again: resume it
+        # after a while, so the regression fails the clock, not the suite.
+        rescue = threading.Timer(8.0, os.kill, (stopped.pid, signal.SIGCONT))
+        try:
+            os.kill(stopped.pid, signal.SIGSTOP)
+            rescue.start()
+            started = time.monotonic()
+            verdicts = plane.process(frames, [True] * len(frames), world.as_a.clock())
+            elapsed = time.monotonic() - started
+            # Two send waits of the bound, then terminate → kill of a
+            # process that cannot see SIGTERM (a 1 s join), a respawn.
+            assert elapsed < 5.0, f"send to a stopped worker took {elapsed:.1f}s"
+            for packet, owner, verdict in zip(packets, owners, verdicts):
+                if owner == victim:
+                    assert verdict.reason is DropReason.SHARD_FAILURE
+                else:
+                    assert verdict == router.process_outgoing(packet)
+            stats = plane.stats()
+            assert stats["restarts"] == 1
+            assert stats["dropped_packets"] == owners.count(victim)
+            assert stats["degraded"] == 0
+            assert "send blocked" in plane.supervisor.failures[0][1]
+        finally:
+            rescue.cancel()
+            plane.close()
+
     def test_error_frame_recovers(self):
         outcomes, stats = self._run(
             FaultPlan({(0, 1): "error", (1, 1): "error"})
@@ -584,7 +642,7 @@ class TestDegradation:
 
         try:
             for shard in range(2):
-                plane._pool.kill_worker(shard)
+                plane.supervisor.carrier.kill_worker(shard)
             # The first dead pipe degrades the plane mid-burst: what was
             # bound for it is forfeited, the rest is already served.
             opening = [build("inter") for _ in range(4)]
@@ -685,7 +743,7 @@ class TestFailedResyncCleanup:
             # Sabotage resync: every budgeted restart attempt respawns
             # a worker, then blows up before it can be handed its state.
             # (Degrading afterwards needs the snapshot to work again.)
-            pool = plane._pool
+            pool = plane.supervisor.carrier
             source = plane.supervisor._state
             real_snapshot = source.shard_snapshot
             respawned = []

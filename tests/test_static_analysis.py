@@ -166,6 +166,19 @@ def test_ct_compare_detects_and_passes():
     )
     assert not findings_of("ct-compare", good, "core/border_router.py")
     assert RULES["ct-compare"].applies_to("core/border_router.py")
+    # PR 24: the NAT AP's client-frame check as it stood — in a module
+    # the rule's listed scope left out, like the shutoff agent's kHA
+    # check and the host's own.  The scope is the whole tree now.
+    lc_open = (
+        "def _lc_open(mac, frame_bytes):\n"
+        "    head, tag = frame_bytes[:-8], frame_bytes[-8:]\n"
+        "    if mac.tag(head, 8) != tag:\n"
+        "        raise MacError('local control frame failed authentication')\n"
+        "    return head[0], head[1:]\n"
+    )
+    assert findings_of("ct-compare", lc_open, "gateway/ap.py")
+    for rel in ("core/accountability.py", "core/host.py", "sharding/wire.py"):
+        assert RULES["ct-compare"].applies_to(rel)
 
 
 def test_shard_routing_mod_detects_and_passes():
@@ -358,25 +371,31 @@ def test_wire_protocol_detects_missing_worker_arm():
 
 def test_wire_protocol_detects_undecoded_reply():
     # The worker starts answering with a kind the dispatcher never reads.
-    found = _wire_findings(
-        _wire_project(
-            wire_extra=(
-                "MSG_NOTE = 9\n"
-                "def encode_note(n):\n"
-                "    return bytes([MSG_NOTE]) + bytes(n)\n"
-                "def decode_note(msg):\n"
-                "    return len(msg) - 1\n"
-            ),
-            worker_extra=(
-                "def note(conn):\n"
-                "    conn.send_bytes(wire.encode_note(1))\n"
-            ),
-        )
+    unread = dict(
+        wire_extra=(
+            "MSG_NOTE = 9\n"
+            "def encode_note(n):\n"
+            "    return bytes([MSG_NOTE]) + bytes(n)\n"
+            "def decode_note(msg):\n"
+            "    return len(msg) - 1\n"
+        ),
+        worker_extra=(
+            "def note(conn):\n"
+            "    conn.send_bytes(wire.encode_note(1))\n"
+        ),
     )
+    found = _wire_findings(_wire_project(**unread))
     assert any(
         "MSG_NOTE" in f.message and "dispatcher never decodes" in f.message
         for f in found
     )
+    # Handing the decoder to the call that reads the reply is reading it:
+    # the dispatcher gives the ledger's one reply method its decoder.
+    by_reference = (
+        "def note(ledger):\n"
+        "    return ledger.reply_from(0, wire.decode_note, 'note')\n"
+    )
+    assert not _wire_findings(_wire_project(**unread, pool_extra=by_reference))
 
 
 def test_wire_protocol_detects_encoder_without_decoder():
