@@ -33,7 +33,7 @@ from .border_router import Action, BorderRouter, ICMP_CODES, Verdict
 from .certs import EphIdCertificate, FLAG_CONTROL, FLAG_RECEIVE_ONLY
 from .config import ApnaConfig, DEFAULT_CONFIG
 from .ephid import EphIdCodec, IvAllocator
-from .errors import ApnaError, IssuanceError, ShardError, ShutoffError
+from .errors import ApnaError, IssuanceError, ShutoffError
 from .granularity import GranularityPolicy, PerFlowPolicy
 from .host import HostStack
 from .hostdb import (
@@ -141,24 +141,28 @@ class ApnaAutonomousSystem:
         self.aa = AccountabilityAgent(
             aid, self.codec, self.hostdb, self.bus, rpki, clock, config
         )
-        replay_filter = None
-        # The filter keys on the Section VIII-D nonce, which the burst
-        # path reads at a fixed frame offset: without nonces on the wire
-        # there is nothing to observe, so no filter is run.
-        if config.in_network_replay_filter and config.replay_protection:
-            replay_filter = RotatingReplayFilter(
-                window=config.replay_filter_window,
-                bits_per_generation=config.replay_filter_bits,
+        #: The in-line data plane of a single-process AS.  A sharded AS
+        #: has none: its shard pool is its only data plane.
+        self.br = None
+        if self.shard_plan is None:
+            replay_filter = None
+            # The filter keys on the Section VIII-D nonce, which the burst
+            # path reads at a fixed frame offset: without nonces on the
+            # wire there is nothing to observe, so no filter is run.
+            if config.in_network_replay_filter and config.replay_protection:
+                replay_filter = RotatingReplayFilter(
+                    window=config.replay_filter_window,
+                    bits_per_generation=config.replay_filter_bits,
+                )
+            self.br = BorderRouter(
+                aid,
+                self.codec,
+                self.hostdb,
+                self.revocations,
+                clock,
+                packet_mac_size=config.packet_mac_size,
+                replay_filter=replay_filter,
             )
-        self.br = BorderRouter(
-            aid,
-            self.codec,
-            self.hostdb,
-            self.revocations,
-            clock,
-            packet_mac_size=config.packet_mac_size,
-            replay_filter=replay_filter,
-        )
 
         # Service identities (reserved HIDs).  The AA comes first so every
         # other certificate can point shutoff requests at its EphID.
@@ -235,9 +239,9 @@ class ApnaAutonomousSystem:
 
     # -- sharded data plane (paper §V-A3; see repro.sharding) --
 
-    def start_shard_pool(self, *, fault_plan=None):
-        """Spawn the persistent worker shards and route the data plane
-        through them.
+    def start_shard_pool(self):
+        """Spawn the persistent worker shards: the sharded AS's one data
+        plane.
 
         Snapshot-then-subscribe: the pool is seeded with the current
         hostdb/revocation state, and the database hooks keep the worker
@@ -246,17 +250,11 @@ class ApnaAutonomousSystem:
         The pool also retains the hostdb/revocation list as its
         authoritative state source, from which the supervisor resyncs a
         restarted worker (and a degraded plane's in-process shards) —
-        see the fault-model section of
-        :mod:`repro.sharding`.  ``fault_plan`` arms a deterministic
-        :class:`repro.faults.FaultPlan` on the new pool's data path
-        (chaos testing).
+        see the fault-model section of :mod:`repro.sharding`.
 
-        Intended at world-build time (before data traffic), which is
-        when :meth:`repro.topology.World.from_spec` calls it.  Replay-
-        filter history does *not* cross the transition: Bloom membership
-        cannot be re-keyed into per-shard filters, so the workers start
-        with empty filters and packets seen by the in-line router could
-        replay once.  A mid-traffic switch therefore warns.
+        :meth:`repro.topology.World.from_spec` calls it once every
+        build-time host is registered; until then, and after
+        :meth:`stop_shard_pool`, the AS judges no data packet.
         """
         if self.shard_plan is None:
             raise ApnaError(
@@ -265,31 +263,21 @@ class ApnaAutonomousSystem:
             )
         if self.shard_pool is not None:
             return self.shard_pool
-        inline_filter = self.br.replay_filter
-        if inline_filter is not None and (
-            inline_filter.passed or inline_filter.replays
-        ):
-            self._warn_replay_history_lost("start_shard_pool")
         from ..sharding.pool import ShardedDataPlane
 
         pool = ShardedDataPlane.for_assembly(self)
-        if fault_plan is not None:
-            pool.install_faults(fault_plan)
         self.shard_pool = pool
         self.revocations.on_add = pool.revoke_ephid
         self.hostdb.on_register = pool.register_host
         self.hostdb.on_revoke_hid = pool.revoke_hid
         return pool
 
-    def stop_shard_pool(self, *, final: bool = False) -> None:
-        """Tear the worker pool down and fall back to the in-line router.
+    def stop_shard_pool(self) -> None:
+        """Tear the worker pool down (idempotent).
 
-        A teardown path, not a live migration: the shards' replay-filter
-        history and verdict counters die with the worker processes, so
-        switching back mid-traffic reopens the replay window exactly as
-        :meth:`start_shard_pool` does — hence the same warning.  Pass
-        ``final=True`` (as ``World.close`` does) when the world is done
-        and no further traffic exists to protect.
+        The shards' replay-filter history and verdict counters die with
+        the worker processes; nothing takes their traffic over, so a
+        data packet offered afterwards raises :class:`ApnaError`.
         """
         pool, self.shard_pool = self.shard_pool, None
         if pool is None:
@@ -297,29 +285,7 @@ class ApnaAutonomousSystem:
         self.revocations.on_add = None
         self.hostdb.on_register = None
         self.hostdb.on_revoke_hid = None
-        if not final and self.config.in_network_replay_filter and not pool.closed:
-            # Best-effort read purely to decide whether to warn: a shard
-            # failure here must not block teardown, but anything other
-            # than a shard failure is a real bug and propagates.
-            try:
-                stats = pool.stats()
-            except ShardError:
-                stats = {}
-            if stats.get("replay_passed", 0) or stats.get("replay_replays", 0):
-                self._warn_replay_history_lost("stop_shard_pool")
         pool.close()
-
-    def _warn_replay_history_lost(self, transition: str) -> None:
-        """The caller saw replay-filter traffic before a plane transition."""
-        import warnings
-
-        warnings.warn(
-            f"{transition} with in-network replay filtering mid-traffic: "
-            "filter history does not cross the transition, so packets "
-            "already seen could replay once",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
     def attach_host(
         self,
@@ -468,13 +434,14 @@ class BorderRouterNode(Node):
     flushes every packet as a burst of one.  The flush timer guarantees a
     partially-filled burst always drains when the event queue is run.
 
-    When the assembly has a live shard pool (``config.forwarding_shards
-    >= 2`` + :meth:`ApnaAutonomousSystem.start_shard_pool`), every data
-    packet's verdict comes from the pool instead of the in-line router —
-    the accumulated burst is dispatched as packed wire frames, one IPC
+    A sharded AS (``config.forwarding_shards >= 2``) has no in-line
+    router: every data packet's verdict comes from its shard pool — the
+    accumulated burst is dispatched as packed wire frames, one IPC
     message per shard, and the merged verdicts are acted on in arrival
-    order.  The in-line ``assembly.br`` is bypassed entirely for data
-    traffic so router state cannot diverge from the shards'.
+    order.  With no pool running (before
+    :meth:`ApnaAutonomousSystem.start_shard_pool`, or after
+    :meth:`~ApnaAutonomousSystem.stop_shard_pool`) a flush raises
+    :class:`ApnaError`.
     """
 
     def __init__(self, assembly: ApnaAutonomousSystem) -> None:
@@ -523,12 +490,15 @@ class BorderRouterNode(Node):
         self.largest_burst = max(self.largest_burst, len(burst))
         frames = [frame for _, _, frame in burst]
         egress = [not outside for _, outside, _ in burst]
-        pool = self.assembly.shard_pool
-        if pool is not None:
-            verdicts = pool.process(frames, egress, self.assembly.clock())
+        assembly = self.assembly
+        if assembly.br is not None:
+            verdicts = verdicts_of(b"".join(assembly.br.process_burst(frames, egress)))
+        elif assembly.shard_pool is not None:
+            verdicts = assembly.shard_pool.process(frames, egress, assembly.clock())
         else:
-            verdicts = verdicts_of(
-                b"".join(self.assembly.br.process_burst(frames, egress))
+            raise ApnaError(
+                f"AS {assembly.aid} is sharded and has no shard pool running "
+                "to judge this burst"
             )
         for (packet, outside, _), verdict in zip(burst, verdicts):
             assert verdict is not None

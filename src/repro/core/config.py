@@ -66,7 +66,9 @@ class ApnaConfig:
     #: in-line pipeline.  Values >= 2 make EphID issuance pin each IV to
     #: its HID's owning shard so the dispatcher can route packed frames
     #: without decrypting, and make world builds spawn a
-    #: :class:`repro.sharding.ShardedDataPlane` per AS.
+    #: :class:`repro.sharding.ShardedDataPlane` per AS as its only data
+    #: plane: a sharded AS builds no in-line router (``asys.br is
+    #: None``) and judges no packet while its pool is not running.
     forwarding_shards: int = 0
 
     #: Consecutive host HIDs per contiguous shard-ownership block

@@ -32,7 +32,8 @@ range, fed one burst-sized batch of packed wire frames per IPC message:
 
 Enable it deployment-wide with ``ApnaConfig(forwarding_shards=N)`` (plus
 a burst size, ``forwarding_batch_size``), passed as ``config=`` to
-``WorldBuilder`` or ``scenarios.build``.
+``WorldBuilder`` or ``scenarios.build``.  The plane is then the AS's
+only data plane: a sharded AS builds no in-line router.
 
 Fault model & recovery semantics
 --------------------------------

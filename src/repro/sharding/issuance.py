@@ -16,6 +16,7 @@ from __future__ import annotations
 import struct
 import traceback
 
+from ..core.errors import ShardError
 from . import wire
 from .pool import ShardProcessPool
 
@@ -23,6 +24,17 @@ _JOB = struct.Struct(">BII")  # kind, requests, seed
 _RESULT = struct.Struct(">BId")  # kind, requests done, elapsed seconds
 _KIND_JOB = 1
 _KIND_RESULT = 2
+
+
+def _read(layout: struct.Struct, kind: int, msg: bytes) -> tuple:
+    """The fields after the kind byte of a private ``kind`` frame, which
+    is exactly ``layout`` long — anything else is a ``ValueError``."""
+    if len(msg) != layout.size or msg[0] != kind:
+        raise ValueError(
+            f"{len(msg)}-byte frame of kind {msg[:1].hex() or 'none'} where "
+            f"a {layout.size}-byte kind-{kind} frame was expected"
+        )
+    return layout.unpack(msg)[1:]
 
 
 def split_requests(requests: int, workers: int) -> "list[int]":
@@ -57,7 +69,7 @@ def issuance_worker(conn, worker_index: int) -> None:
         if not msg or msg[0] != _KIND_JOB:
             break
         try:
-            _, requests, seed = _JOB.unpack(msg)
+            requests, seed = _read(_JOB, _KIND_JOB, msg)
             elapsed = measure_issuance_rate(requests, seed=seed)
         # Nothing is swallowed: the traceback ships home as a MSG_ERROR
         # frame and ShardProcessPool.recv_bytes re-raises it as ShardError.
@@ -88,8 +100,10 @@ def run_issuance_shards(
     and times only its issuance loop, exactly as the paper's 4-process
     measurement does.  Returns ``(requests_done, elapsed_seconds)`` per
     worker.  A worker that sends no result within ``reply_timeout``
-    seconds raises :class:`~repro.sharding.pool.ShardTimeout`; teardown
-    then reaps the hung process.
+    seconds raises :class:`~repro.sharding.pool.ShardTimeout`; one that
+    answers with anything but a result frame (short, long, another kind)
+    raises :class:`~repro.sharding.pool.ShardError` naming it.  Teardown
+    then reaps the workers.
     """
     pool = ShardProcessPool(
         issuance_worker, list(range(len(counts))), name="apna-ms"
@@ -100,8 +114,10 @@ def run_issuance_shards(
         results = []
         for i in range(len(counts)):
             msg = pool.recv_bytes(i, timeout=reply_timeout)
-            _, done, elapsed = _RESULT.unpack(msg)
-            results.append((done, elapsed))
+            try:
+                results.append(_read(_RESULT, _KIND_RESULT, msg))
+            except ValueError as exc:
+                raise ShardError(f"issuance worker {i}: {exc}") from exc
         return results
     finally:
         pool.close(stop_msg=b"\x00")

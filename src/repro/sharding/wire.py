@@ -238,6 +238,9 @@ def decode_resync(msg: bytes):
     """The :class:`repro.state.ShardSnapshot` carried by a resync frame."""
     from ..state.snapshot import ShardSnapshot
 
+    if not msg:
+        raise ValueError("empty message where a resync was expected")
+    _check_kind(msg[0], MSG_RESYNC)
     return ShardSnapshot.decode(memoryview(msg)[1:])
 
 

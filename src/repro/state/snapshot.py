@@ -179,6 +179,11 @@ class ShardSnapshot:
     @classmethod
     def decode(cls, buf) -> "ShardSnapshot":
         view = memoryview(buf)
+        if len(view) < _HEAD.size:
+            raise ValueError(
+                f"snapshot is {len(view)} bytes, shorter than its "
+                f"{_HEAD.size}-byte header"
+            )
         n, m, k = _HEAD.unpack_from(view)
         offset = _HEAD.size
         sections = []

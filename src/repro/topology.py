@@ -598,7 +598,7 @@ class World:
         processes do not linger until interpreter exit.
         """
         for asys in self.ases:
-            asys.stop_shard_pool(final=True)
+            asys.stop_shard_pool()
 
     def __enter__(self) -> "World":
         return self

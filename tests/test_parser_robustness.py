@@ -205,7 +205,7 @@ def test_shard_wire_decoders_round_trip_or_refuse(
     """A burst of frames of any length (empty ones included) round-trips
     byte-exact through its direction / length / blob columns; and damage
     anywhere in it — or in a verdict reply, a control frame, a stats
-    reply or a resync ack — is refused with ``ValueError`` (never a raw
+    reply, a resync or its ack — is refused with ``ValueError`` (never a raw
     ``struct.error`` or ``IndexError``), or reads as a message that
     re-encodes to the very bytes received: nothing is half-understood."""
     frames = [frame for frame, _ in burst]
@@ -254,6 +254,9 @@ def test_shard_wire_decoders_round_trip_or_refuse(
 
     # The same one byte of damage over every other decoder of the pipe.
     key = bytes(range(16))
+    resync = shard_wire.encode_resync(
+        ShardSnapshot.from_rows([(hid, key, key[::-1], owned)], [hid], [(key, now)])
+    )
     for valid, decoder, reencode in (
         (
             shard_wire.encode_verdicts(seq, verdicts),
@@ -287,12 +290,18 @@ def test_shard_wire_decoders_round_trip_or_refuse(
             shard_wire.decode_resync_ack,
             lambda decoded: shard_wire.encode_resync_ack(*decoded),
         ),
+        (resync, shard_wire.decode_resync, shard_wire.encode_resync),
     ):
         assert reencode(decoder(valid)) == valid
         refused_or_exact(decoder, reencode, _one_damaged_byte(data, valid))
         # Another kind's frame, or a frame cut or padded, is never read.
         for wrong in (b"", valid[:-1], valid + b"\x00", bytes([valid[0] ^ 1]) + valid[1:]):
             assert refused_or_exact(decoder, reencode, wrong), wrong
+    # A resync cut anywhere up to the end of its kind byte + snapshot head.
+    for cut in range(14):
+        assert refused_or_exact(
+            shard_wire.decode_resync, shard_wire.encode_resync, resync[:cut]
+        ), cut
 
 
 # -- the shard snapshot: one codec, one loader on two platform arms ---------

@@ -264,6 +264,73 @@ def test_one_owner_for_the_carrier_and_the_failure_ledger(world):
         assert not any(isinstance(value, SupervisorPolicy) for value in held)
 
 
+def test_one_data_plane_per_as():
+    """A sharded AS judges with its shards alone: no idle in-line router
+    or replay filter beside the pool, no start/stop transition to warn
+    about, and no silent fallback once the pool is gone."""
+    from repro.core.autonomous_system import ApnaAutonomousSystem
+    from repro.core.errors import ApnaError
+    from repro.core.replay_filter import RotatingReplayFilter
+    from repro.topology import WorldBuilder
+    from repro.wire.apna import Endpoint
+
+    for method in (
+        ApnaAutonomousSystem.start_shard_pool,
+        ApnaAutonomousSystem.stop_shard_pool,
+    ):
+        assert list(inspect.signature(method).parameters) == ["self"], method
+    imported = set()
+    for node in ast.walk(
+        ast.parse((ROOT / "src/repro/core/autonomous_system.py").read_text())
+    ):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "warnings" not in imported
+
+    world = (
+        WorldBuilder(
+            seed=5,
+            config=ApnaConfig(
+                replay_protection=True,
+                in_network_replay_filter=True,
+                forwarding_shards=2,
+            ),
+        )
+        .asys("a", aid=100)
+        .asys("b", aid=200)
+        .link("a", "b")
+        .host("alice", at="a")
+        .host("bob", at="b")
+        .build()
+    )
+    try:
+        for asys in world.ases:
+            assert asys.br is None
+            for owner in (asys, asys.node):
+                hanging = [
+                    value
+                    for attr in vars(owner).values()
+                    for value in (attr, *getattr(attr, "__dict__", {}).values())
+                ]
+                assert not any(isinstance(v, RotatingReplayFilter) for v in hanging)
+        alice, as_a = world.host("alice"), world.asys("a")
+        peer = world.host("bob").acquire_ephid_direct().cert
+        packet = alice.stack.make_packet(
+            alice.acquire_ephid_direct().ephid,
+            Endpoint(peer.aid, peer.ephid),
+            b"one data plane",
+            nonce=1,
+        )
+        as_a.node.handle_frame(packet.to_wire(), from_node="alice")
+        assert as_a.shard_pool.stats()["forwarded_inter"] == 1
+    finally:
+        world.close()
+    with pytest.raises(ApnaError, match="no shard pool"):
+        as_a.node.handle_frame(packet.to_wire(), from_node="alice")
+
+
 def test_one_burst_path_frames_in_records_out():
     """The worker hands raw frames to ``BorderRouter.process_burst`` and
     frames the records it returns: a packet parse or a ``Verdict`` in
