@@ -21,6 +21,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     package_data={"repro.analysis": ["baseline.txt"]},
+    # ``public_bytes_raw`` (the Ed25519 / X25519 public keys) is new in 40.0.
+    install_requires=["cryptography>=40"],
     entry_points={
         "console_scripts": [
             "repro-analyze=repro.analysis.cli:main",

@@ -44,7 +44,7 @@ depends on — the motivating bug/PR is part of the rule's definition:
     sanctioned seams (``crypto/rng.py``'s ``SystemRng``,
     ``metrics/timing``, and ``bench/`` which sits outside the
     tree).  Same-seed world equivalence is load-bearing for the
-    sharding, crypto-backend, state-backend and chaos suites.
+    sharding, state-store and chaos suites.
 ``bounded-wait`` (PRs 6 and 8)
     No ``Connection.recv_bytes`` in ``sharding/`` or ``faults/`` without
     a ``timeout=`` or a ``poll(timeout)`` guard in the same function —

@@ -1,7 +1,7 @@
 """Determinism rule: same seed, same world — everywhere.
 
-Every differential suite in this repo (sharding equivalence, crypto
-backends, state stores, fault storms) works by building two worlds
+Every world-level differential suite in this repo (sharding
+equivalence, state stores, fault storms) works by building two worlds
 from one seed and asserting bit-identical behaviour.  That only holds
 if nothing in the simulation path reads ambient entropy or the wall
 clock.  The sanctioned seams are:
@@ -56,8 +56,8 @@ class DeterminismRule(Rule):
     title = "no ambient entropy or wall-clock reads outside sanctioned seams"
     motivation = (
         "same-seed world equivalence is load-bearing for every "
-        "differential suite (sharding, crypto backends, state stores, "
-        "chaos storms); one stray time.time()/os.urandom breaks them all"
+        "world-level differential suite (sharding, state stores, chaos "
+        "storms); one stray time.time()/os.urandom breaks them all"
     )
     scope = ("**/*.py",)
     exclude = ("crypto/rng.py", "metrics/timing.py")

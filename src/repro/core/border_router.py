@@ -12,11 +12,10 @@ Two pipelines, both built purely from symmetric cryptography:
   intra-domain by HID.
 
 The router is sans-IO: it turns a packet into a :class:`Verdict`, and the
-AS assembly (or a benchmark loop) acts on it.  With the ``openssl``
-crypto backend active (see :mod:`repro.crypto.backend`) the AES pass
-over the packet — and the EphID open before it — runs on AES-NI, which
-*is* the data path of the paper's DPDK prototype rather than a
-simulation of it.
+AS assembly (or a benchmark loop) acts on it.  The AES pass over the
+packet — and the EphID open before it — runs in OpenSSL on AES-NI (see
+:mod:`repro.crypto`), which *is* the data path of the paper's DPDK
+prototype rather than a simulation of it.
 
 Per-host CMAC contexts
 ----------------------

@@ -71,21 +71,18 @@ class EphIdInfo(NamedTuple):
 class EphIdCodec:
     """Seals and opens EphIDs for one AS (holder of kA' and kA'').
 
-    The two AES instances route through the active crypto backend (see
-    :mod:`repro.crypto.backend`), so on the ``openssl`` backend a seal or
-    open costs two AES-NI block operations — the paper's "one MAC check
-    plus one AES operation" data path.  Pass ``backend=`` to pin a codec
-    to a specific provider (EphIDs sealed under one backend open under
-    the other; the differential suite relies on this).
+    The two :class:`~repro.crypto.aes.AES` instances are OpenSSL
+    contexts, so a seal or open costs two AES-NI block operations — the
+    paper's "one MAC check plus one AES operation" data path.
     """
 
     __slots__ = ("_enc", "_mac_cipher")
 
-    def __init__(self, enc_key: bytes, mac_key: bytes, *, backend=None) -> None:
+    def __init__(self, enc_key: bytes, mac_key: bytes) -> None:
         if enc_key == mac_key:
             raise ValueError("encryption and MAC keys must differ (EtM composition)")
-        self._enc = AES(enc_key, backend=backend)
-        self._mac_cipher = AES(mac_key, backend=backend)
+        self._enc = AES(enc_key)
+        self._mac_cipher = AES(mac_key)
 
     def _keystream(self, iv: int) -> bytes:
         block = struct.pack(">I", iv) + bytes(12)
@@ -133,10 +130,10 @@ class EphIdCodec:
         OR in the column shifted eight bytes right and it is ``IV | 0^4
         | ciphertext``, the CBC-MAC input — so a whole burst's
         keystreams (under kA') and MACs (under kA'') are two ECB passes,
-        two EVP updates on the ``openssl`` backend whatever the burst
-        size.  The column XORed against the keystreams reads back as
-        ``(hid, exp_time)`` pairs (only the ciphertext's eight bytes of
-        each block mean anything).
+        two OpenSSL EVP updates whatever the burst size.  The column
+        XORed against the keystreams reads back as ``(hid, exp_time)``
+        pairs (only the ciphertext's eight bytes of each block mean
+        anything).
 
         The tags are checked as a column too — twelve bytes to the left
         the presented tags lead their blocks, where the computed ones

@@ -1,6 +1,6 @@
 """Cryptographic substrate for the APNA reproduction.
 
-Everything the paper's protocols need is implemented here directly:
+Everything the paper's protocols need:
 
 * :mod:`repro.crypto.aes` — AES block cipher (FIPS-197).
 * :mod:`repro.crypto.modes` — CTR, CBC, fixed-length CBC-MAC.
@@ -12,40 +12,30 @@ Everything the paper's protocols need is implemented here directly:
 * :mod:`repro.crypto.ed25519` — Ed25519 signatures (RFC 8032).
 * :mod:`repro.crypto.rng` — system and deterministic randomness.
 
-Backend selection
------------------
+One provider, and a spec beside it
+----------------------------------
 
-Every primitive above is a facade over a pluggable *backend* (see
-:mod:`repro.crypto.backend`).  Two providers ship:
+The primitives every protocol path uses — :class:`AES`, :class:`Cmac`,
+:class:`AesGcm`, ``ed25519.public_key`` / ``sign`` / ``verify``,
+``x25519.public_key`` / ``shared_secret`` and :func:`hmac_sha256` — are
+the OpenSSL implementations of the ``cryptography`` package (AES-NI
+where the CPU has it), mirroring the paper's DPDK/AES-NI data plane so
+the border-router verdict loop and EphID issuance run at hardware
+speed.  There is nothing to select.
 
-* ``"pure"`` — the from-scratch implementations in this package,
-  dependency-free and byte-for-byte the reference semantics.
-* ``"openssl"`` — delegation to the ``cryptography`` package (OpenSSL
-  with AES-NI), mirroring the paper's DPDK/AES-NI data plane so the
-  border-router verdict loop and EphID issuance run at hardware speed.
-
-The backend is chosen once at import time: set
-``REPRO_CRYPTO_BACKEND=pure`` (or ``openssl``) to force one, otherwise
-``openssl`` is used when the ``cryptography`` package is importable and
-``pure`` is the clean offline fallback.  Inspect the choice with
-:func:`active_backend`; switch at runtime with :func:`set_backend` or
-the :func:`use_backend` context manager (only objects constructed after
-a switch pick up the new provider).  The two providers are pinned
-against each other by the cross-backend differential suite in
-``tests/test_crypto_backends.py``.
+Beside each sits a from-scratch implementation — :class:`PureAES`,
+:class:`PureCmac`, :class:`PureAesGcm`, ``ed25519.pure_*``,
+``x25519.pure_*``, :func:`~repro.crypto.kdf.pure_hmac_sha256` — which
+no protocol path calls.  It is the spec: ``tests/test_crypto_backends.py``
+compares each production primitive against it, and the known-answer
+tables of the ``tests/test_crypto_*.py`` files run against both.
+:func:`active_backend` names the provider for run records.
 """
+
+from types import SimpleNamespace
 
 from .aead import AeadScheme, EtmScheme, GcmScheme, new_aead
 from .aes import AES, BLOCK_SIZE, PureAES
-from .backend import (
-    BackendUnavailable,
-    active_backend,
-    available_backends,
-    get_backend,
-    register_backend,
-    set_backend,
-    use_backend,
-)
 from .cmac import Cmac, PureCmac, cmac
 from .gcm import AesGcm, PureAesGcm
 from .kdf import derive_subkey, hkdf, hkdf_expand, hkdf_extract, hmac_sha256
@@ -54,12 +44,20 @@ from .rng import DeterministicRng, Rng, SystemRng
 from .util import ct_eq, inc_counter, xor_bytes
 from . import ed25519, x25519
 
+_OPENSSL = SimpleNamespace(name="openssl")
+
+
+def active_backend():
+    """The crypto provider, for run records: its ``.name`` is always
+    ``"openssl"``."""
+    return _OPENSSL
+
+
 __all__ = [
     "AES",
     "BLOCK_SIZE",
     "AeadScheme",
     "AesGcm",
-    "BackendUnavailable",
     "Cmac",
     "DeterministicRng",
     "EtmScheme",
@@ -70,7 +68,6 @@ __all__ = [
     "Rng",
     "SystemRng",
     "active_backend",
-    "available_backends",
     "cbc_decrypt",
     "cbc_encrypt",
     "cbc_mac",
@@ -80,16 +77,12 @@ __all__ = [
     "ctr_xcrypt",
     "derive_subkey",
     "ed25519",
-    "get_backend",
     "hkdf",
     "hkdf_expand",
     "hkdf_extract",
     "hmac_sha256",
     "inc_counter",
     "new_aead",
-    "register_backend",
-    "set_backend",
-    "use_backend",
     "x25519",
     "xor_bytes",
 ]

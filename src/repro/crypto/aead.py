@@ -41,8 +41,8 @@ class GcmScheme:
 
     NONCE_SIZE = 12
 
-    def __init__(self, key: bytes, tag_size: int = 16, *, backend=None) -> None:
-        self._gcm = AesGcm(key, tag_size, backend=backend)
+    def __init__(self, key: bytes, tag_size: int = 16) -> None:
+        self._gcm = AesGcm(key, tag_size)
         self.tag_size = tag_size
 
     def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
@@ -61,11 +61,11 @@ class EtmScheme:
 
     NONCE_SIZE = 12
 
-    def __init__(self, key: bytes, tag_size: int = 16, *, backend=None) -> None:
+    def __init__(self, key: bytes, tag_size: int = 16) -> None:
         if not 4 <= tag_size <= 16:
             raise ValueError("tag size must be between 4 and 16 bytes")
-        self._enc = AES(derive_subkey(key, "etm-enc", 16), backend=backend)
-        self._mac = Cmac(derive_subkey(key, "etm-mac", 16), backend=backend)
+        self._enc = AES(derive_subkey(key, "etm-enc", 16))
+        self._mac = Cmac(derive_subkey(key, "etm-mac", 16))
         self.tag_size = tag_size
 
     @staticmethod
@@ -100,12 +100,10 @@ class EtmScheme:
         return ctr_xcrypt(self._enc, self._counter_block(nonce), ciphertext)
 
 
-def new_aead(
-    key: bytes, scheme: str = "etm", tag_size: int = 16, *, backend=None
-) -> AeadScheme:
+def new_aead(key: bytes, scheme: str = "etm", tag_size: int = 16) -> AeadScheme:
     """Factory for data-plane AEAD schemes ("etm" or "gcm")."""
     if scheme == "etm":
-        return EtmScheme(key, tag_size, backend=backend)
+        return EtmScheme(key, tag_size)
     if scheme == "gcm":
-        return GcmScheme(key, tag_size, backend=backend)
+        return GcmScheme(key, tag_size)
     raise ValueError(f"unknown AEAD scheme {scheme!r}")

@@ -1,28 +1,36 @@
-"""AES block cipher facade plus the from-scratch FIPS-197 implementation.
+"""The AES block cipher (FIPS-197): OpenSSL in production, from scratch as the spec.
 
-:class:`AES` is a thin facade that dispatches to the active crypto
-backend (see :mod:`repro.crypto.backend`): ``"openssl"`` routes each
-block through an AES-NI-capable OpenSSL context, ``"pure"`` uses
-:class:`PureAES` below.
+:class:`AES` is the cipher every protocol path uses: OpenSSL contexts
+(AES-NI where the CPU has it), the data path of the paper's DPDK
+prototype (§V-B) rather than a simulation of it.
 
-:class:`PureAES` is the from-scratch implementation.  Its encryption
-path uses the classic 32-bit T-table formulation, which is the fastest
-formulation available to pure Python.  The decryption path uses the
-straightforward byte-oriented inverse cipher; APNA only ever *encrypts*
-blocks on the fast path (CTR mode and CBC-MAC both use the forward
-direction), so decryption speed is irrelevant.
+:class:`PureAES` is the from-scratch implementation — the spec that
+``tests/test_crypto_backends.py`` compares :class:`AES` against.  Its
+encryption path uses the classic 32-bit T-table formulation, the
+fastest formulation available to pure Python.  The decryption path uses
+the straightforward byte-oriented inverse cipher; APNA only ever
+*encrypts* blocks on the fast path (CTR mode and CBC-MAC both use the
+forward direction), so decryption speed is irrelevant.
 
-Key sizes 128, 192 and 256 bits are supported.  Correctness is pinned to
-the FIPS-197 appendix vectors in ``tests/test_crypto_aes.py`` (run under
-whichever backend is active) and the cross-backend differential suite in
-``tests/test_crypto_backends.py``.
+Key sizes 128, 192 and 256 bits are supported.  Both classes are pinned
+to the FIPS-197 appendix vectors in ``tests/test_crypto_aes.py``.
 """
 
 from __future__ import annotations
 
-from .backend import resolve_backend
+# ``algorithms`` and ``modes`` are deprecation proxies whose every
+# attribute read runs a Python-level ``__getattr__`` (``algorithms.AES``
+# ~2.5 µs against ~0.5 µs for the class itself — more than the key
+# schedule of the per-host CMAC context a border router builds on first
+# contact), so each class is resolved once, here, at import.
+from cryptography.hazmat.primitives.ciphers import Cipher
+from cryptography.hazmat.primitives.ciphers.algorithms import AES as _AesKey
+from cryptography.hazmat.primitives.ciphers.modes import CBC, CTR, ECB
+
+from .util import xor_bytes
 
 BLOCK_SIZE = 16
+_MASK128 = (1 << 128) - 1
 
 
 def _xtime(b: int) -> int:
@@ -110,12 +118,13 @@ def _rot_word(word: int) -> int:
 
 
 class AES:
-    """An AES cipher instance bound to one key.
+    """An AES cipher instance bound to one key, run by OpenSSL.
 
-    A facade over the active backend's block cipher: construction
-    captures the backend (or an explicit ``backend=`` provider/name), so
-    an instance keeps its implementation even if the active backend is
-    switched later.
+    ECB is stateless per block, so one ``encryptor()`` context serves
+    every ``encrypt_block`` call — the per-block cost is a single EVP
+    update instead of a context setup.  Bulk CTR and CBC get one-shot
+    contexts of their own; :mod:`repro.crypto.modes` hands multi-block
+    work to them so it runs entirely inside OpenSSL.
 
     >>> cipher = AES(bytes(16))
     >>> ct = cipher.encrypt_block(bytes(16))
@@ -123,47 +132,72 @@ class AES:
     True
     """
 
-    __slots__ = ("_impl", "key_size")
+    __slots__ = ("key_size", "_algorithm", "_ecb_enc", "_ecb_dec")
 
-    def __init__(self, key: bytes, *, backend=None) -> None:
+    def __init__(self, key: bytes) -> None:
         if len(key) not in (16, 24, 32):
             raise ValueError(f"AES key must be 16, 24 or 32 bytes, got {len(key)}")
         self.key_size = len(key)
-        self._impl = resolve_backend(backend).new_aes(key)
+        self._algorithm = _AesKey(key)
+        ecb = Cipher(self._algorithm, ECB())
+        self._ecb_enc = ecb.encryptor()
+        self._ecb_dec = ecb.decryptor()
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 16-byte block."""
-        return self._impl.encrypt_block(block)
+        if len(block) != BLOCK_SIZE:
+            raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
+        return self._ecb_enc.update(block)
 
     def encrypt_blocks(self, data: bytes) -> bytes:
         """ECB-encrypt a concatenation of independent 16-byte blocks.
 
-        Backends with a native bulk path (OpenSSL) run the whole buffer
-        in one call; otherwise this falls back to a per-block loop.  Used
-        by :meth:`repro.core.ephid.EphIdCodec.open_batch` to amortise a
-        burst of EphID opens.
+        One EVP update covers the whole buffer — the bulk entry point
+        :meth:`repro.core.ephid.EphIdCodec.open_batch` uses to open a
+        burst's worth of EphIDs (their CTR keystream and CBC-MAC inputs
+        are one block each) in two OpenSSL calls total.
         """
         if len(data) % BLOCK_SIZE:
             raise ValueError(
                 f"data must be a multiple of {BLOCK_SIZE} bytes, got {len(data)}"
             )
-        impl = self._impl
-        native = getattr(impl, "encrypt_blocks", None)
-        if native is not None:
-            return native(data)
-        encrypt = impl.encrypt_block
-        return b"".join(
-            encrypt(data[i : i + BLOCK_SIZE])
-            for i in range(0, len(data), BLOCK_SIZE)
-        )
+        return self._ecb_enc.update(data)
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt one 16-byte block."""
-        return self._impl.decrypt_block(block)
+        if len(block) != BLOCK_SIZE:
+            raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
+        return self._ecb_dec.update(block)
+
+    def ctr_xcrypt(self, counter_block: bytes, data: bytes) -> bytes:
+        """AES-CTR over ``data`` from ``counter_block`` (full 128-bit
+        big-endian counter, wrapping)."""
+        # For short payloads (single-digit block counts: EphIDs, small
+        # packets) a fresh CTR context costs more than the work itself,
+        # so the keystream comes from the reusable ECB context instead.
+        if len(data) <= 128:
+            counter = int.from_bytes(counter_block, "big")
+            encrypt = self._ecb_enc.update
+            stream = b"".join(
+                encrypt(((counter + i) & _MASK128).to_bytes(BLOCK_SIZE, "big"))
+                for i in range((len(data) + BLOCK_SIZE - 1) // BLOCK_SIZE)
+            )
+            return xor_bytes(data, stream[: len(data)]) if data else b""
+        return Cipher(self._algorithm, CTR(counter_block)).encryptor().update(data)
+
+    def cbc_encrypt(self, iv: bytes, plaintext: bytes) -> bytes:
+        """AES-CBC encryption of a block-aligned plaintext (no padding)."""
+        enc = Cipher(self._algorithm, CBC(iv)).encryptor()
+        return enc.update(plaintext) + enc.finalize()
+
+    def cbc_decrypt(self, iv: bytes, ciphertext: bytes) -> bytes:
+        """AES-CBC decryption of a block-aligned ciphertext (no padding)."""
+        dec = Cipher(self._algorithm, CBC(iv)).decryptor()
+        return dec.update(ciphertext) + dec.finalize()
 
 
 class PureAES:
-    """The from-scratch AES instance bound to one key (the "pure" backend).
+    """The from-scratch AES instance bound to one key (the spec).
 
     >>> cipher = PureAES(bytes(16))
     >>> ct = cipher.encrypt_block(bytes(16))

@@ -5,15 +5,17 @@ host<->AS shared key (paper Section IV-D2).  Packets have variable length,
 so plain CBC-MAC would be forgeable; CMAC is the standard fix and is what
 this reproduction uses for packet authentication.
 
-:class:`Cmac` is a facade over the active crypto backend (see
-:mod:`repro.crypto.backend`); :class:`PureCmac` is the from-scratch
-implementation that backs the ``"pure"`` provider.
+:class:`Cmac` is OpenSSL's CMAC; :class:`PureCmac` is the from-scratch
+RFC 4493 construction, the spec ``tests/test_crypto_backends.py``
+compares it against.
 """
 
 from __future__ import annotations
 
+from cryptography.hazmat.primitives.ciphers.algorithms import AES as _AesKey
+from cryptography.hazmat.primitives.cmac import CMAC
+
 from .aes import BLOCK_SIZE, PureAES
-from .backend import resolve_backend
 from .util import ct_eq, xor_bytes
 
 _R128 = 0x87
@@ -28,39 +30,42 @@ def _left_shift(block: bytes) -> bytes:
 
 
 class Cmac:
-    """A reusable CMAC instance bound to one AES key.
+    """A reusable AES-CMAC instance bound to one key, run by OpenSSL.
 
-    The key schedule (and, for the pure backend, the RFC 4493 subkeys
-    K1/K2) is derived once at construction, making repeated ``tag`` calls
-    cheap — the border router caches one instance per host.
+    A base CMAC context is initialised once (key schedule and subkey
+    derivation) and ``copy()``-ed per tag, so the border router's cached
+    per-host instances pay only the message pass on each packet.
     """
 
-    __slots__ = ("_impl",)
+    __slots__ = ("_base",)
 
-    def __init__(self, key: bytes, *, backend=None) -> None:
-        self._impl = resolve_backend(backend).new_cmac(key)
+    def __init__(self, key: bytes) -> None:
+        self._base = CMAC(_AesKey(key))
 
     def tag(self, message: bytes, length: int = BLOCK_SIZE) -> bytes:
         """Compute the CMAC tag, optionally truncated to ``length`` bytes."""
         if not 1 <= length <= BLOCK_SIZE:
             raise ValueError("tag length must be between 1 and 16 bytes")
-        return self._impl.tag(message, length)
+        ctx = self._base.copy()
+        ctx.update(message)
+        return ctx.finalize()[:length]
 
     def tag_many(self, messages, length: int = BLOCK_SIZE) -> list[bytes]:
         """Tag a burst of messages under the shared key schedule.
 
-        Backends with a native bulk path (OpenSSL) keep the loop inside
-        one call; the result is element-for-element identical to calling
-        :meth:`tag` on each message.
+        Each message still needs its own CMAC finalization, but the loop
+        stays inside one call; the result is element-for-element
+        identical to calling :meth:`tag` on each message.
         """
         if not 1 <= length <= BLOCK_SIZE:
             raise ValueError("tag length must be between 1 and 16 bytes")
-        impl = self._impl
-        native = getattr(impl, "tag_many", None)
-        if native is not None:
-            return native(messages, length)
-        tag = impl.tag
-        return [tag(message, length) for message in messages]
+        copy = self._base.copy
+        out = []
+        for message in messages:
+            ctx = copy()
+            ctx.update(message)
+            out.append(ctx.finalize()[:length])
+        return out
 
     def verify(self, message: bytes, tag: bytes) -> bool:
         """Verify a (possibly truncated) tag in constant time."""
@@ -68,7 +73,7 @@ class Cmac:
 
 
 class PureCmac:
-    """The from-scratch RFC 4493 implementation (the "pure" backend).
+    """The from-scratch RFC 4493 implementation (the spec).
 
     Subkeys K1/K2 are derived once at construction (RFC 4493 Section 2.3).
     """

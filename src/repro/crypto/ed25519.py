@@ -2,19 +2,23 @@
 
 The paper signs EphID certificates and shutoff requests with ed25519
 ("we use the ed25519 signature scheme", Section V-A2).  The public
-``public_key`` / ``sign`` / ``verify`` functions dispatch to the active
-crypto backend (see :mod:`repro.crypto.backend`); the ``pure_*``
-variants below are the from-scratch implementation over extended
-twisted-Edwards coordinates, pinned to the RFC 8032 Section 7.1 test
-vectors.  Signing is deterministic, so both backends produce identical
-signatures — the differential suite asserts this byte-for-byte.
+``public_key`` / ``sign`` / ``verify`` functions run OpenSSL; the
+``pure_*`` variants below are the from-scratch implementation over
+extended twisted-Edwards coordinates and the spec, and both are pinned
+to the RFC 8032 Section 7.1 test vectors.  Signing is deterministic, so
+the two produce identical signatures — ``tests/test_crypto_backends.py``
+asserts this byte-for-byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from .backend import active_backend
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 
 P = 2**255 - 19
 L = 2**252 + 27742317777372353535851937790883648493
@@ -129,20 +133,52 @@ def _expand_secret(secret: bytes) -> tuple[int, bytes]:
 
 def public_key(secret: bytes) -> bytes:
     """Derive the 32-byte public key from a 32-byte secret seed."""
-    return active_backend().ed25519_public_key(secret)
+    if len(secret) != KEY_SIZE:
+        raise ValueError("Ed25519 secret must be 32 bytes")
+    return (
+        Ed25519PrivateKey.from_private_bytes(secret).public_key().public_bytes_raw()
+    )
 
 
 def sign(secret: bytes, message: bytes) -> bytes:
     """Produce a 64-byte Ed25519 signature."""
-    return active_backend().ed25519_sign(secret, message)
+    if len(secret) != KEY_SIZE:
+        raise ValueError("Ed25519 secret must be 32 bytes")
+    return Ed25519PrivateKey.from_private_bytes(secret).sign(message)
+
+
+def _canonical_point(encoded: bytes) -> bool:
+    """RFC 8032 §5.1.3 strict decoding, which OpenSSL is lax about.
+
+    Decoding a point fails for y >= p (a non-canonical encoding) and for
+    a set sign bit when x = 0 (y in {1, p-1}); OpenSSL reduces such
+    encodings instead of rejecting them, so :func:`verify` screens the
+    public key and the signature's R with this first.
+    """
+    value = int.from_bytes(encoded, "little")
+    sign_bit = value >> 255
+    y = value & ((1 << 255) - 1)
+    if y >= P:
+        return False
+    if sign_bit and y in (1, P - 1):  # x = 0 admits no odd representative
+        return False
+    return True
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     """Check an Ed25519 signature; returns False on any malformed input."""
-    return active_backend().ed25519_verify(public, message, signature)
+    if len(public) != KEY_SIZE or len(signature) != SIGNATURE_SIZE:
+        return False
+    if not (_canonical_point(public) and _canonical_point(signature[:32])):
+        return False
+    try:
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
+    except (ValueError, InvalidSignature):
+        return False
+    return True
 
 
-# -- the from-scratch implementation (the "pure" backend) --
+# -- the from-scratch implementation (the spec) --
 
 
 def pure_public_key(secret: bytes) -> bytes:

@@ -1,22 +1,27 @@
 """AES-GCM authenticated encryption (NIST SP 800-38D).
 
 The paper requires a CCA-secure scheme for data-plane encryption and cites
-GCM as a suitable choice.  :class:`AesGcm` is a facade over the active
-crypto backend (see :mod:`repro.crypto.backend`); :class:`PureAesGcm` is
-the from-scratch implementation behind the ``"pure"`` provider.  GHASH is
+GCM as a suitable choice.  :class:`AesGcm` is OpenSSL's GCM, taking the
+96-bit nonces :class:`~repro.crypto.aead.GcmScheme` uses and no other.
+:class:`PureAesGcm` is the from-scratch implementation and the spec,
+including SP 800-38D's general-length IV (J0 = GHASH(IV)).  Its GHASH is
 implemented over GF(2^128) with a per-key table of the 128 multiples
 H*x^i, so each block multiplication is a sparse XOR walk over the set bits
 of the accumulator rather than a bit-serial shift loop.
 
-Correctness is pinned to the NIST GCM validation vectors in
-``tests/test_crypto_gcm.py`` and the cross-backend differential suite in
-``tests/test_crypto_backends.py``.
+Both are pinned to the NIST GCM test cases in
+``tests/test_crypto_gcm.py`` (the non-96-bit IV cases run against the
+spec alone), and ``tests/test_crypto_backends.py`` compares the two.
 """
 
 from __future__ import annotations
 
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers import Cipher
+from cryptography.hazmat.primitives.ciphers.algorithms import AES as _AesKey
+from cryptography.hazmat.primitives.ciphers.modes import GCM
+
 from .aes import BLOCK_SIZE, PureAES
-from .backend import resolve_backend
 from .modes import ctr_keystream
 from .util import ct_eq, xor_bytes
 
@@ -65,33 +70,56 @@ class _GHash:
 
 
 class AesGcm:
-    """AES-GCM with 96-bit nonces and configurable tag length.
+    """AES-GCM via OpenSSL with 96-bit nonces and a truncatable tag.
 
-    A facade over the active backend; ``seal``/``open`` semantics are
-    identical across backends (the differential suite pins this).
+    Any other nonce length is a ``ValueError``.
     """
 
     NONCE_SIZE = 12
 
-    __slots__ = ("_impl", "tag_size")
+    __slots__ = ("_algorithm", "tag_size")
 
-    def __init__(self, key: bytes, tag_size: int = 16, *, backend=None) -> None:
+    def __init__(self, key: bytes, tag_size: int = 16) -> None:
         if not 4 <= tag_size <= 16:
             raise ValueError("tag size must be between 4 and 16 bytes")
-        self._impl = resolve_backend(backend).new_gcm(key, tag_size)
+        self._algorithm = _AesKey(key)
         self.tag_size = tag_size
+
+    def _check_nonce(self, nonce: bytes) -> None:
+        if len(nonce) != self.NONCE_SIZE:
+            raise ValueError(
+                f"nonce must be {self.NONCE_SIZE} bytes, got {len(nonce)}"
+            )
 
     def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Encrypt and authenticate; returns ciphertext || tag."""
-        return self._impl.seal(nonce, plaintext, aad)
+        self._check_nonce(nonce)
+        enc = Cipher(self._algorithm, GCM(nonce)).encryptor()
+        if aad:
+            enc.authenticate_additional_data(aad)
+        ciphertext = enc.update(plaintext) + enc.finalize()
+        return ciphertext + enc.tag[: self.tag_size]
 
     def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
         """Verify and decrypt; raises ``ValueError`` on authentication failure."""
-        return self._impl.open(nonce, sealed, aad)
+        self._check_nonce(nonce)
+        if len(sealed) < self.tag_size:
+            raise ValueError("ciphertext shorter than the authentication tag")
+        ciphertext, tag = sealed[: -self.tag_size], sealed[-self.tag_size :]
+        mode = GCM(nonce, tag, min_tag_length=self.tag_size)
+        dec = Cipher(self._algorithm, mode).decryptor()
+        if aad:
+            dec.authenticate_additional_data(aad)
+        plaintext = dec.update(ciphertext)
+        try:
+            plaintext += dec.finalize()
+        except InvalidTag:
+            raise ValueError("GCM authentication failed") from None
+        return plaintext
 
 
 class PureAesGcm:
-    """The from-scratch SP 800-38D implementation (the "pure" backend)."""
+    """The from-scratch SP 800-38D implementation (the spec)."""
 
     NONCE_SIZE = 12
 
@@ -107,6 +135,8 @@ class PureAesGcm:
     def _counter0(self, nonce: bytes) -> bytes:
         if len(nonce) == self.NONCE_SIZE:
             return nonce + b"\x00\x00\x00\x01"
+        if not nonce:  # SP 800-38D §5.2.1.1: 1 <= len(IV)
+            raise ValueError("GCM IV must not be empty")
         # Non-96-bit nonces are GHASHed per the spec (J0 = GHASH(nonce)).
         return self._ghash.digest(b"", nonce)
 

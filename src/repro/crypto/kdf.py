@@ -5,32 +5,29 @@ from the AS master secret kA (the EphID encryption key kA' and MAC key
 kA'' "can be derived from the secret key of the AS").  HKDF-SHA256 is the
 conventional realisation of those derivations.
 
-:func:`hmac_sha256` dispatches to the active crypto backend (see
-:mod:`repro.crypto.backend`): the ``"openssl"`` provider uses the
-stdlib's OpenSSL-accelerated HMAC, :func:`pure_hmac_sha256` is the
-direct RFC 2104 construction over the stdlib hash substrate.  The HKDF
-extract/expand logic is backend-independent and built on whichever HMAC
-is active; outputs are identical across backends by construction (and
-pinned by the differential suite).
+:func:`hmac_sha256` is the stdlib's OpenSSL-accelerated HMAC;
+:func:`pure_hmac_sha256` is the direct RFC 2104 construction over the
+stdlib hash substrate and the spec ``tests/test_crypto_backends.py``
+compares it against.  HKDF extract/expand is built on
+:func:`hmac_sha256`.
 """
 
 from __future__ import annotations
 
 import hashlib
-
-from .backend import active_backend
+import hmac
 
 _SHA256_BLOCK = 64
 _SHA256_LEN = 32
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA256 per RFC 2104, via the active backend."""
-    return active_backend().hmac_sha256(key, message)
+    """HMAC-SHA256 per RFC 2104."""
+    return hmac.digest(key, message, "sha256")
 
 
 def pure_hmac_sha256(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA256 implemented directly from RFC 2104 (the "pure" backend)."""
+    """HMAC-SHA256 implemented directly from RFC 2104 (the spec)."""
     if len(key) > _SHA256_BLOCK:
         key = hashlib.sha256(key).digest()
     key = key + bytes(_SHA256_BLOCK - len(key))
@@ -51,12 +48,11 @@ def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
     """HKDF-Expand to ``length`` bytes."""
     if length > 255 * _SHA256_LEN:
         raise ValueError("HKDF output too long")
-    hmac = active_backend().hmac_sha256
     blocks = []
     previous = b""
     counter = 1
     while sum(len(b) for b in blocks) < length:
-        previous = hmac(prk, previous + info + bytes([counter]))
+        previous = hmac_sha256(prk, previous + info + bytes([counter]))
         blocks.append(previous)
         counter += 1
     return b"".join(blocks)[:length]

@@ -6,12 +6,12 @@ both are provided here.  CBC encryption/decryption is included for
 completeness and for cross-checking against NIST SP 800-38A vectors.
 
 Every function accepts any object exposing ``encrypt_block`` /
-``decrypt_block`` (the :class:`~repro.crypto.aes.AES` facade, a backend
-implementation, or the from-scratch :class:`~repro.crypto.aes.PureAES`).
-When the underlying implementation offers a native bulk operation
-(``ctr_xcrypt``, ``cbc_encrypt``, ``cbc_decrypt`` — the OpenSSL backend
-does), multi-block work is handed over wholesale so it runs inside one
-EVP call instead of a Python block loop.
+``decrypt_block``: the OpenSSL :class:`~repro.crypto.aes.AES`, or the
+from-scratch :class:`~repro.crypto.aes.PureAES` the spec's GCM runs
+over.  When the cipher offers a native bulk operation (``ctr_xcrypt``,
+``cbc_encrypt``, ``cbc_decrypt`` — :class:`~repro.crypto.aes.AES` does),
+multi-block work is handed over wholesale so it runs inside one EVP call
+instead of a Python block loop.
 """
 
 from __future__ import annotations
@@ -22,17 +22,11 @@ from .util import xor_bytes
 _MAX_COUNTER = (1 << 128) - 1
 
 
-def _native(cipher, op: str):
-    """The backend-native bulk operation for ``cipher``, if it has one."""
-    impl = getattr(cipher, "_impl", cipher)
-    return getattr(impl, op, None)
-
-
 def ctr_keystream(cipher: AES, counter_block: bytes, length: int) -> bytes:
     """Generate ``length`` bytes of CTR keystream starting at ``counter_block``."""
     if len(counter_block) != BLOCK_SIZE:
         raise ValueError("counter block must be 16 bytes")
-    native = _native(cipher, "ctr_xcrypt")
+    native = getattr(cipher, "ctr_xcrypt", None)
     if native is not None:
         return native(counter_block, bytes(length))
     counter = int.from_bytes(counter_block, "big")
@@ -47,7 +41,7 @@ def ctr_xcrypt(cipher: AES, counter_block: bytes, data: bytes) -> bytes:
     """Encrypt or decrypt ``data`` with AES-CTR (the operation is symmetric)."""
     if len(counter_block) != BLOCK_SIZE:
         raise ValueError("counter block must be 16 bytes")
-    native = _native(cipher, "ctr_xcrypt")
+    native = getattr(cipher, "ctr_xcrypt", None)
     if native is not None:
         return native(counter_block, data)
     stream = ctr_keystream(cipher, counter_block, len(data))
@@ -60,7 +54,7 @@ def cbc_encrypt(cipher: AES, iv: bytes, plaintext: bytes) -> bytes:
         raise ValueError("IV must be 16 bytes")
     if len(plaintext) % BLOCK_SIZE:
         raise ValueError("plaintext must be a multiple of the block size")
-    native = _native(cipher, "cbc_encrypt")
+    native = getattr(cipher, "cbc_encrypt", None)
     if native is not None:
         return native(iv, plaintext)
     out = []
@@ -78,7 +72,7 @@ def cbc_decrypt(cipher: AES, iv: bytes, ciphertext: bytes) -> bytes:
         raise ValueError("IV must be 16 bytes")
     if len(ciphertext) % BLOCK_SIZE:
         raise ValueError("ciphertext must be a multiple of the block size")
-    native = _native(cipher, "cbc_decrypt")
+    native = getattr(cipher, "cbc_decrypt", None)
     if native is not None:
         return native(iv, ciphertext)
     out = []
@@ -109,7 +103,7 @@ def cbc_mac(cipher: AES, message: bytes, *, expected_length: int | None = None) 
     if len(message) == BLOCK_SIZE:
         # Single-block MAC (the EphID hot path): E(0 ^ m) = E(m).
         return cipher.encrypt_block(message)
-    native = _native(cipher, "cbc_encrypt")
+    native = getattr(cipher, "cbc_encrypt", None)
     if native is not None:
         return native(bytes(BLOCK_SIZE), message)[-BLOCK_SIZE:]
     tag = bytes(BLOCK_SIZE)

@@ -2,17 +2,20 @@
 
 APNA uses Curve25519 key exchange both for the host<->AS shared key kHA
 (paper Fig. 2) and for the per-session key k_EaEb between EphID key pairs
-(Section IV-D1).  ``public_key`` and ``shared_secret`` dispatch to the
-active crypto backend (see :mod:`repro.crypto.backend`); the raw
-:func:`x25519` ladder and the ``pure_*`` variants are the from-scratch
-implementation, following RFC 7748 Section 5 and pinned to the RFC test
-vectors.  Both backends apply the same scalar clamping and reject the
-all-zero shared secret, so their outputs agree byte-for-byte.
+(Section IV-D1).  ``public_key`` and ``shared_secret`` run OpenSSL; the
+raw :func:`x25519` ladder and the ``pure_*`` variants are the
+from-scratch implementation and the spec, following RFC 7748 Section 5
+and pinned to the RFC test vectors.  Both apply the same scalar clamping
+and reject the all-zero shared secret, so their outputs agree
+byte-for-byte (``tests/test_crypto_backends.py``).
 """
 
 from __future__ import annotations
 
-from .backend import active_backend
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
+)
 
 P = 2**255 - 19
 _A24 = 121665
@@ -81,7 +84,11 @@ def x25519(scalar: bytes, u_point: bytes = BASE_POINT) -> bytes:
 
 def public_key(private: bytes) -> bytes:
     """Derive the public u-coordinate for a 32-byte private scalar."""
-    return active_backend().x25519_public_key(private)
+    if len(private) != KEY_SIZE:
+        raise ValueError("X25519 scalar must be 32 bytes")
+    return (
+        X25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
+    )
 
 
 def shared_secret(private: bytes, peer_public: bytes) -> bytes:
@@ -90,7 +97,16 @@ def shared_secret(private: bytes, peer_public: bytes) -> bytes:
     RFC 7748 recommends rejecting the all-zero result, which arises when
     the peer supplies a low-order point.
     """
-    return active_backend().x25519_shared_secret(private, peer_public)
+    if len(private) != KEY_SIZE:
+        raise ValueError("X25519 scalar must be 32 bytes")
+    if len(peer_public) != KEY_SIZE:
+        raise ValueError("X25519 point must be 32 bytes")
+    key = X25519PrivateKey.from_private_bytes(private)
+    try:
+        return key.exchange(X25519PublicKey.from_public_bytes(peer_public))
+    except ValueError:
+        # OpenSSL refuses the all-zero output of a low-order peer point.
+        raise ValueError("X25519 produced the all-zero shared secret") from None
 
 
 def pure_public_key(private: bytes) -> bytes:

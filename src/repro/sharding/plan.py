@@ -43,8 +43,7 @@ shard, so an observer learns nothing an unsharded deployment would not
 leak.  The dispatcher pays one short PRF per packet, batched over a
 burst's whole IV column with a single AES-ECB pass — a 4-byte CMAC
 collapses to one AES call, see :class:`RoutingKey` —
-(:meth:`ShardPlan.owners_of_iv_bytes`; nearly free on the openssl
-backend).
+(:meth:`ShardPlan.owners_of_iv_bytes`; nearly free on AES-NI).
 
 This module is the **only** place an IV -> shard decision may be
 computed: the ``shard-routing-mod`` rule of :mod:`repro.analysis` fails
@@ -93,20 +92,20 @@ class RoutingKey:
 
     which this class exploits on the dispatch path: a whole burst's IV
     column becomes one :meth:`repro.crypto.aes.AES.encrypt_blocks` call
-    (a single EVP update on the openssl backend) instead of a per-IV
-    CMAC context loop — the bit-identical tag at a fraction of the cost
+    (a single OpenSSL EVP update) instead of a per-IV CMAC context loop
+    — the bit-identical tag at a fraction of the cost
     (``tests/test_sharding.py`` pins the equivalence against the generic
     CMAC).  The K2 mask is derived once at construction.
     """
 
     __slots__ = ("_aes", "_mask")
 
-    def __init__(self, key: bytes, *, backend=None) -> None:
+    def __init__(self, key: bytes) -> None:
         if len(key) != ROUTING_KEY_SIZE:
             raise ValueError(
                 f"routing key kR must be {ROUTING_KEY_SIZE} bytes, got {len(key)}"
             )
-        self._aes = AES(key, backend=backend)
+        self._aes = AES(key)
         # RFC 4493 subkeys: L = AES_K(0), K1 = dbl(L), K2 = dbl(K1).
         k2 = _left_shift(_left_shift(self._aes.encrypt_block(bytes(BLOCK_SIZE))))
         # K2 XOR (0^4 || 0x80 || 0^11): XORed onto ``iv || 0^12`` it

@@ -21,7 +21,8 @@ to the single-process
 :meth:`~repro.core.border_router.BorderRouter.process_burst`, and
 the summed shard counters match the single router's counters
 (``tests/test_sharding_equivalence.py`` fuzzes both, and runs one
-stream through workers on each crypto backend).  One qualification:
+stream through pooled workers and through in-process shards).  One
+qualification:
 replay detection is a Bloom filter, and each shard owns its own —
 inserts are partitioned across N filters instead of hashed into one, so
 Bloom *false positives* (and rotation counts) can differ from the
@@ -358,8 +359,7 @@ class ShardedDataPlane:
         unsharded assembly gets the one-shard plan).  The assembly's
         config also supplies the supervision policy
         (``shard_reply_timeout`` / ``shard_max_restarts`` /
-        ``shard_restart_backoff``); the workers run the crypto backend
-        active in the caller.
+        ``shard_restart_backoff``).
 
         The assembly's ``hostdb`` / ``revocations`` are snapshotted into
         the worker specs — as encoded :class:`repro.state.ShardSnapshot`
@@ -370,8 +370,6 @@ class ShardedDataPlane:
         *authoritative* state source: a restarted worker — and every
         in-process shard of a degraded plane — is resynced from them.
         """
-        from ..crypto import backend as crypto_backend
-
         config = assembly.config
         plan = assembly.shard_plan or ShardPlan(1)
         secret = assembly.keys.secret
@@ -384,7 +382,7 @@ class ShardedDataPlane:
                 aid=assembly.aid,
                 ephid_enc_key=secret.ephid_enc,
                 ephid_mac_key=secret.ephid_mac,
-                crypto_backend=crypto_backend.active_backend().name,
+                crypto_backend="openssl",
                 packet_mac_size=config.packet_mac_size,
                 with_nonce=config.replay_protection,
                 replay_window=(

@@ -156,16 +156,11 @@ class InProcessCarrier:
 
     The states are built from the specs they are given — the
     supervisor's bare ones when it degrades (it resyncs them like any
-    fresh worker) — with ``crypto_backend=None``: a named backend would
-    switch the *process-wide* one, which a worker process wants and the
-    dispatcher's does not.
+    fresh worker).
     """
 
     def __init__(self, specs: Sequence[ShardSpec]) -> None:
-        self._states = [
-            ShardState(dataclasses.replace(spec, crypto_backend=None))
-            for spec in specs
-        ]
+        self._states = [ShardState(spec) for spec in specs]
         self._replies: "list[deque[bytes]]" = [deque() for _ in specs]
         self._closed = False
 

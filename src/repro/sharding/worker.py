@@ -51,7 +51,10 @@ class ShardSpec:
     aid: int
     ephid_enc_key: bytes
     ephid_mac_key: bytes
-    crypto_backend: "str | None"
+    #: Kept for ``bench/`` until ROADMAP item 0(a); not an option.  The
+    #: shard runs the one OpenSSL provider of :mod:`repro.crypto` and
+    #: :class:`ShardState` refuses any other value.
+    crypto_backend: str
     packet_mac_size: int
     with_nonce: bool
     #: ``None`` disables the in-network replay filter.
@@ -111,10 +114,11 @@ class ShardState:
                 f"state_backend {spec.state_backend!r}: the columnar "
                 "stores are the only state family"
             )
-        if spec.crypto_backend is not None:
-            from ..crypto import backend as crypto_backend
-
-            crypto_backend.set_backend(spec.crypto_backend)
+        if spec.crypto_backend != "openssl":
+            raise ValueError(
+                f"crypto_backend {spec.crypto_backend!r}: OpenSSL is the "
+                "only crypto provider"
+            )
         self.spec = spec
         self.clock = _SettableClock()
         #: A failed fire-and-forget frame's error, owed to the next reply.

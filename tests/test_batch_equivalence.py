@@ -13,7 +13,8 @@ runs, the scalar side over the per-record ``HostDatabase`` /
 ``RevocationList`` fed the same registrations and revocations
 (``_object_oracle``).  ``TestShardBurst`` pins the shard's reply to the
 scalar verdicts byte for byte over the benchmark's own smoke traffic;
-the primitive classes at the bottom compare the crypto backends directly.
+the classes at the bottom pin the codec's column open and the bulk
+crypto entry points against their scalar forms.
 """
 
 import dataclasses
@@ -34,7 +35,6 @@ from repro.core.keys import HostAsKeys
 from repro.core.replay_filter import RotatingReplayFilter
 from repro.core.revocation import RevocationList
 from repro.core.verdict import VERDICT_TABLE_CAP, verdict_of
-from repro.crypto import backend as crypto_backend
 from repro.sharding import wire
 from repro.sharding.plan import ShardPlan
 from repro.sharding.worker import ShardState
@@ -48,16 +48,13 @@ from tests.conftest import build_world
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 from apnabench import engine, traffic  # noqa: E402
 
-BACKENDS = crypto_backend.available_backends()
-#: The router suites run on the active crypto backend; the ids say which
-#: (and keep the state-family label they carried while there were two).
-CRYPTO = crypto_backend.active_backend().name
-
 WINDOW = 900.0
 BITS = 1 << 14
 
 
-@pytest.fixture(params=[pytest.param(None, id=f"{CRYPTO}-columnar")])
+# The ids keep the crypto-provider and state-family labels they carried
+# while each had two.
+@pytest.fixture(params=[pytest.param(None, id="openssl-columnar")])
 def burst_world():
     """A replay-protected world."""
     return build_world(
@@ -495,17 +492,21 @@ class TestShardBurst:
             world.close()
 
 
+# The ``openssl`` ids here and in the suites below keep the crypto-provider
+# label they carried while there were two providers.
+@pytest.fixture(params=[pytest.param(None, id="openssl")])
+def codec():
+    return EphIdCodec(b"\x01" * 16, b"\x02" * 16)
+
+
 class TestOpenBatch:
     """EphIdCodec.open_batch mirrors open() element for element."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mixed_validity(self, backend):
-        with crypto_backend.use_backend(backend):
-            codec = EphIdCodec(b"\x01" * 16, b"\x02" * 16)
-            good = [codec.seal(i, 1000 + i, iv=i) for i in range(20)]
-            bad = [b"\x00" * 16, b"short", b"", good[0][:-1] + b"\xff"]
-            mixed = good + bad + good[:3]
-            results = codec.open_batch(mixed)
+    def test_mixed_validity(self, codec):
+        good = [codec.seal(i, 1000 + i, iv=i) for i in range(20)]
+        bad = [b"\x00" * 16, b"short", b"", good[0][:-1] + b"\xff"]
+        mixed = good + bad + good[:3]
+        results = codec.open_batch(mixed)
         for ephid, info in zip(mixed, results):
             try:
                 expected = codec.open(ephid)
@@ -513,30 +514,23 @@ class TestOpenBatch:
                 expected = None
             assert info == expected
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cross_backend_agreement(self, backend):
-        other = [name for name in BACKENDS if name != backend]
-        codec = EphIdCodec(b"\x01" * 16, b"\x02" * 16, backend=backend)
-        sealed = [codec.seal(i, 5000, iv=7000 + i) for i in range(8)]
-        for name in other:
-            peer = EphIdCodec(b"\x01" * 16, b"\x02" * 16, backend=name)
-            assert peer.open_batch(sealed) == codec.open_batch(sealed)
-
     def test_empty(self):
         codec = EphIdCodec(b"\x01" * 16, b"\x02" * 16)
         assert codec.open_batch([]) == []
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize(
         "forged",
         [(0,), (31,), (63,), (0, 63), (30, 31)],
-        ids=["first", "middle", "last", "both-ends", "adjacent"],
+        ids=[
+            f"{where}-openssl"
+            for where in ("first", "middle", "last", "both-ends", "adjacent")
+        ],
     )
-    def test_joined_tag_compare_locates_the_forgeries(self, backend, forged):
+    def test_joined_tag_compare_locates_the_forgeries(self, forged):
         """A column whose one joined tag compare fails is opened EphID by
         EphID: ``None`` in exactly the forged slots, every other slot
         what scalar ``open`` returns."""
-        codec = EphIdCodec(b"\x01" * 16, b"\x02" * 16, backend=backend)
+        codec = EphIdCodec(b"\x01" * 16, b"\x02" * 16)
         column = [
             codec.seal(7000 + i, 10**9 + i, iv=i * 2654435761 % 2**32)
             for i in range(64)
@@ -551,15 +545,13 @@ class TestOpenBatch:
         assert codec.open_batch(column) == expected
         assert expected.count(None) == len(forged)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fuzzed_column(self, backend):
+    def test_fuzzed_column(self, codec):
         """The column-wise open (one XOR over the whole column, tags and
         plaintexts read back with ``iter_unpack``) against scalar
         ``open``: valid EphIDs, a bit flipped in each of ciphertext / IV
         / tag, wrong lengths and duplicates, shuffled — same ``None``
         positions, same ``(hid, exp_time)``."""
         rng = random.Random(0xE9)
-        codec = EphIdCodec(b"\x01" * 16, b"\x02" * 16, backend=backend)
 
         def flipped(ephid, lo, hi):
             bit = rng.randrange(8 * lo, 8 * hi)
@@ -596,14 +588,14 @@ class TestOpenBatch:
         assert opened > 200
 
 
+@pytest.mark.parametrize("key", [pytest.param(bytes(range(16)), id="openssl")])
 class TestBulkPrimitives:
-    """The backend bulk entry points agree with their scalar forms."""
+    """The bulk crypto entry points agree with their scalar forms."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_encrypt_blocks(self, backend):
+    def test_encrypt_blocks(self, key):
         from repro.crypto.aes import AES
 
-        cipher = AES(bytes(range(16)), backend=backend)
+        cipher = AES(key)
         blocks = [bytes([i]) * 16 for i in range(9)]
         bulk = cipher.encrypt_blocks(b"".join(blocks))
         assert bulk == b"".join(cipher.encrypt_block(b) for b in blocks)
@@ -611,11 +603,10 @@ class TestBulkPrimitives:
         with pytest.raises(ValueError):
             cipher.encrypt_blocks(b"\x00" * 15)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_tag_many(self, backend):
+    def test_tag_many(self, key):
         from repro.crypto.cmac import Cmac
 
-        mac = Cmac(bytes(range(16)), backend=backend)
+        mac = Cmac(key)
         messages = [bytes([i]) * (i * 7 % 40) for i in range(12)]
         assert mac.tag_many(messages, 8) == [mac.tag(m, 8) for m in messages]
         assert mac.tag_many([], 8) == []

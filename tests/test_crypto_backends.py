@@ -1,290 +1,314 @@
-"""Cross-backend differential suite: pure and openssl must agree byte-for-byte.
+"""Production vs spec: every OpenSSL primitive against its from-scratch twin.
 
-Every primitive behind the :mod:`repro.crypto.backend` seam is driven
-with the same seeded-random vectors through both providers; any
-divergence (output bytes, acceptance/rejection behaviour) is a bug in
-one of them.  This is what lets the OpenSSL fast path replace the
-from-scratch code on the hot paths without changing semantics.
+The primitives the protocols use (:class:`AES`, :class:`Cmac`,
+:class:`AesGcm`, ``ed25519.public_key`` / ``sign`` / ``verify``,
+``x25519.public_key`` / ``shared_secret``, ``hmac_sha256``) are OpenSSL;
+the ``Pure*`` classes and ``pure_*`` functions beside them are the spec
+no protocol path runs.  The differential tests drive both with the same
+seeded-random inputs — any divergence in output bytes or in what is
+accepted or refused is a bug in one of them.  The ``test_spec_*`` tests
+run the known-answer tables of the ``tests/test_crypto_*.py`` files
+(which pin production) against the spec too.
 """
 
 import random
 
 import pytest
 
-from repro.crypto import backend as crypto_backend
-from repro.crypto.aes import AES
-from repro.crypto.cmac import Cmac
-from repro.crypto.gcm import AesGcm
+from repro.crypto import ed25519, kdf, x25519
+from repro.crypto.aead import EtmScheme, GcmScheme, new_aead
+from repro.crypto.aes import AES, PureAES
+from repro.crypto.cmac import Cmac, PureCmac
+from repro.crypto.gcm import AesGcm, PureAesGcm
+from repro.crypto.kdf import derive_subkey, hkdf
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt, cbc_mac, ctr_keystream, ctr_xcrypt
 
-pytestmark = pytest.mark.skipif(
-    "openssl" not in crypto_backend.available_backends(),
-    reason="the 'cryptography' package is not installed",
-)
-
-
-def _providers():
-    return crypto_backend.get_backend("pure"), crypto_backend.get_backend("openssl")
-
-
-def test_registry_exposes_both_backends():
-    names = crypto_backend.available_backends()
-    assert "pure" in names and "openssl" in names
-    assert crypto_backend.active_backend().name in names
-    with pytest.raises(ValueError):
-        crypto_backend.get_backend("no-such-backend")
-
-
-def test_use_backend_round_trips():
-    active = crypto_backend.active_backend()
-    other = "pure" if active.name == "openssl" else "openssl"
-    with crypto_backend.use_backend(other) as provider:
-        assert crypto_backend.active_backend() is provider
-        assert provider.name == other
-    assert crypto_backend.active_backend() is active
+from tests.test_crypto_aes import FIPS_197_VECTORS
+from tests.test_crypto_cmac import KEY as CMAC_KEY
+from tests.test_crypto_cmac import RFC4493_VECTORS
+from tests.test_crypto_ed25519 import RFC8032_VECTORS
+from tests.test_crypto_gcm import NIST_GCM_VECTORS, check_nist_case
+from tests.test_crypto_kdf import RFC4231_VECTORS
+from tests.test_crypto_modes import KEY as MODES_KEY
+from tests.test_crypto_modes import SP800_38A_VECTORS, check_sp800_38a
+from tests.test_crypto_x25519 import RFC7748_VECTORS
 
 
 def test_provider_layer_validation_parity():
-    """Rejection behaviour must match even when providers are used
-    directly (benchmarks do), not just through the facades."""
-    pure, ossl = _providers()
-    for provider in (pure, ossl):
-        mac = provider.new_cmac(bytes(16))
+    """Production and spec refuse the same out-of-range parameters."""
+    for cipher_cls in (AES, PureAES):
+        with pytest.raises(ValueError):
+            cipher_cls(bytes(15))
+        cipher = cipher_cls(bytes(16))
+        for bad_block in (bytes(15), bytes(17)):
+            with pytest.raises(ValueError):
+                cipher.encrypt_block(bad_block)
+            with pytest.raises(ValueError):
+                cipher.decrypt_block(bad_block)
+    for mac in (Cmac(bytes(16)), PureCmac(bytes(16))):
         for bad_length in (0, 17):
             with pytest.raises(ValueError):
                 mac.tag(b"x", bad_length)
+    for gcm_cls in (AesGcm, PureAesGcm):
         for bad_tag_size in (3, 17):
             with pytest.raises(ValueError):
-                provider.new_gcm(bytes(16), bad_tag_size)
-
-
-def test_register_backend_refreshes_active_instance():
-    original_cls = crypto_backend._PROVIDER_CLASSES["pure"]
-
-    class MarkedPure(original_cls):
-        marked = True
-
-    with crypto_backend.use_backend("pure"):
-        try:
-            crypto_backend.register_backend("pure", MarkedPure)
-            assert getattr(crypto_backend.active_backend(), "marked", False)
-        finally:
-            crypto_backend.register_backend("pure", original_cls)
-        assert not getattr(crypto_backend.active_backend(), "marked", False)
+                gcm_cls(bytes(16), bad_tag_size)
 
 
 @pytest.mark.parametrize("key_size", [16, 24, 32])
 def test_aes_block_agrees(key_size):
-    pure, ossl = _providers()
     rnd = random.Random(0xAE5_000 + key_size)
     for _ in range(25):
         key = rnd.randbytes(key_size)
         block = rnd.randbytes(16)
-        a, b = AES(key, backend=pure), AES(key, backend=ossl)
-        ct = a.encrypt_block(block)
-        assert ct == b.encrypt_block(block)
-        assert a.decrypt_block(ct) == b.decrypt_block(ct) == block
+        spec, prod = PureAES(key), AES(key)
+        ct = spec.encrypt_block(block)
+        assert ct == prod.encrypt_block(block)
+        assert spec.decrypt_block(ct) == prod.decrypt_block(ct) == block
 
 
 def test_ctr_agrees_including_counter_wrap():
-    pure, ossl = _providers()
     rnd = random.Random(0xC7C7)
     lengths = [0, 1, 15, 16, 17, 64, 100, 1000]
     for length in lengths:
         key = rnd.randbytes(16)
         counter = rnd.randbytes(16)
         data = rnd.randbytes(length)
-        a, b = AES(key, backend=pure), AES(key, backend=ossl)
-        assert ctr_xcrypt(a, counter, data) == ctr_xcrypt(b, counter, data)
-        assert ctr_keystream(a, counter, length) == ctr_keystream(b, counter, length)
-    # The 128-bit counter must wrap identically in both backends — with a
-    # payload large enough (>128 B) to drive the openssl backend's native
-    # EVP CTR path, not just its short-payload ECB keystream path.
+        spec, prod = PureAES(key), AES(key)
+        assert ctr_xcrypt(spec, counter, data) == ctr_xcrypt(prod, counter, data)
+        assert ctr_keystream(spec, counter, length) == ctr_keystream(
+            prod, counter, length
+        )
+    # The 128-bit counter must wrap identically — with a payload large
+    # enough (>128 B) to drive production's native EVP CTR path, not
+    # just its short-payload ECB keystream path.
     key = rnd.randbytes(16)
-    a, b = AES(key, backend=pure), AES(key, backend=ossl)
+    spec, prod = PureAES(key), AES(key)
     near_wrap = b"\xff" * 16
     for size in (64, 256):
-        assert ctr_xcrypt(a, near_wrap, bytes(size)) == ctr_xcrypt(b, near_wrap, bytes(size))
+        assert ctr_xcrypt(spec, near_wrap, bytes(size)) == ctr_xcrypt(
+            prod, near_wrap, bytes(size)
+        )
 
 
 def test_cbc_and_cbc_mac_agree():
-    pure, ossl = _providers()
     rnd = random.Random(0xCBC)
     for blocks in (1, 2, 5):
         key = rnd.randbytes(16)
         iv = rnd.randbytes(16)
         plaintext = rnd.randbytes(16 * blocks)
-        a, b = AES(key, backend=pure), AES(key, backend=ossl)
-        ct = cbc_encrypt(a, iv, plaintext)
-        assert ct == cbc_encrypt(b, iv, plaintext)
-        assert cbc_decrypt(a, iv, ct) == cbc_decrypt(b, iv, ct) == plaintext
-        assert cbc_mac(a, plaintext) == cbc_mac(b, plaintext)
+        spec, prod = PureAES(key), AES(key)
+        ct = cbc_encrypt(spec, iv, plaintext)
+        assert ct == cbc_encrypt(prod, iv, plaintext)
+        assert cbc_decrypt(spec, iv, ct) == cbc_decrypt(prod, iv, ct) == plaintext
+        assert cbc_mac(spec, plaintext) == cbc_mac(prod, plaintext)
 
 
 def test_cmac_agrees_across_lengths_and_truncations():
-    pure, ossl = _providers()
     rnd = random.Random(0xC3AC)
     for length in [0, 1, 15, 16, 17, 40, 64, 100, 1518]:
         key = rnd.randbytes(16)
         message = rnd.randbytes(length)
-        a, b = Cmac(key, backend=pure), Cmac(key, backend=ossl)
+        spec, prod = PureCmac(key), Cmac(key)
         for tag_len in (4, 8, 16):
-            assert a.tag(message, tag_len) == b.tag(message, tag_len)
-        assert b.verify(message, a.tag(message, 8))
-        assert a.verify(message, b.tag(message, 8))
+            assert spec.tag(message, tag_len) == prod.tag(message, tag_len)
+        assert prod.verify(message, spec.tag(message, 8))
+        assert prod.tag_many([message, message[:-1]], 8) == [
+            spec.tag(message, 8),
+            spec.tag(message[:-1], 8),
+        ]
 
 
 @pytest.mark.parametrize("tag_size", [4, 12, 16])
 def test_gcm_seal_agrees(tag_size):
-    pure, ossl = _providers()
     rnd = random.Random(0x6C3 + tag_size)
     cases = [
-        (rnd.randbytes(12), rnd.randbytes(64), rnd.randbytes(20)),
-        (rnd.randbytes(12), b"", rnd.randbytes(16)),  # empty plaintext
-        (rnd.randbytes(12), rnd.randbytes(33), b""),  # empty AAD
-        (rnd.randbytes(12), b"", b""),  # both empty
-        (rnd.randbytes(8), rnd.randbytes(48), rnd.randbytes(8)),  # 64-bit nonce
-        (rnd.randbytes(16), rnd.randbytes(48), rnd.randbytes(8)),  # 128-bit nonce
-        (rnd.randbytes(4), rnd.randbytes(48), rnd.randbytes(8)),  # short nonce
+        (rnd.randbytes(64), rnd.randbytes(20)),
+        (b"", rnd.randbytes(16)),  # empty plaintext
+        (rnd.randbytes(33), b""),  # empty AAD
+        (b"", b""),  # both empty
+        (rnd.randbytes(1), rnd.randbytes(1)),
+        (rnd.randbytes(1000), rnd.randbytes(50)),
     ]
-    for nonce, plaintext, aad in cases:
+    for plaintext, aad in cases:
         key = rnd.randbytes(16)
-        a = AesGcm(key, tag_size, backend=pure)
-        b = AesGcm(key, tag_size, backend=ossl)
-        sealed = a.seal(nonce, plaintext, aad)
-        assert sealed == b.seal(nonce, plaintext, aad)
-        assert a.open(nonce, sealed, aad) == b.open(nonce, sealed, aad) == plaintext
+        nonce = rnd.randbytes(12)
+        spec = PureAesGcm(key, tag_size)
+        prod = AesGcm(key, tag_size)
+        sealed = spec.seal(nonce, plaintext, aad)
+        assert sealed == prod.seal(nonce, plaintext, aad)
+        assert spec.open(nonce, sealed, aad) == plaintext
+        assert prod.open(nonce, sealed, aad) == plaintext
 
 
 def test_gcm_tamper_rejected_by_both():
-    pure, ossl = _providers()
     rnd = random.Random(0x6C37)
     key = rnd.randbytes(16)
     nonce = rnd.randbytes(12)
     aad = rnd.randbytes(10)
-    a = AesGcm(key, backend=pure)
-    b = AesGcm(key, backend=ossl)
-    sealed = a.seal(nonce, rnd.randbytes(40), aad)
+    spec = PureAesGcm(key)
+    prod = AesGcm(key)
+    sealed = spec.seal(nonce, rnd.randbytes(40), aad)
     for position in (0, len(sealed) // 2, len(sealed) - 1):
         tampered = bytearray(sealed)
         tampered[position] ^= 0x01
-        for gcm in (a, b):
+        for gcm in (spec, prod):
             with pytest.raises(ValueError):
                 gcm.open(nonce, bytes(tampered), aad)
     # Wrong AAD must also fail on both.
-    for gcm in (a, b):
+    for gcm in (spec, prod):
         with pytest.raises(ValueError):
             gcm.open(nonce, sealed, aad + b"x")
 
 
 def test_ed25519_agrees():
-    pure, ossl = _providers()
     rnd = random.Random(0xED2_5519)
     for _ in range(8):
         secret = rnd.randbytes(32)
         message = rnd.randbytes(rnd.randrange(0, 200))
-        pub_a = pure.ed25519_public_key(secret)
-        pub_b = ossl.ed25519_public_key(secret)
-        assert pub_a == pub_b
-        sig_a = pure.ed25519_sign(secret, message)
-        sig_b = ossl.ed25519_sign(secret, message)
-        assert sig_a == sig_b  # Ed25519 signing is deterministic
-        # Cross-verification: each backend accepts the other's signature.
-        assert pure.ed25519_verify(pub_b, message, sig_b)
-        assert ossl.ed25519_verify(pub_a, message, sig_a)
+        pub_spec = ed25519.pure_public_key(secret)
+        pub_prod = ed25519.public_key(secret)
+        assert pub_spec == pub_prod
+        sig_spec = ed25519.pure_sign(secret, message)
+        sig_prod = ed25519.sign(secret, message)
+        assert sig_spec == sig_prod  # Ed25519 signing is deterministic
+        # Cross-verification: each accepts the other's signature.
+        assert ed25519.pure_verify(pub_prod, message, sig_prod)
+        assert ed25519.verify(pub_spec, message, sig_spec)
         # Corruption is rejected by both.
-        bad = bytearray(sig_a)
+        bad = bytearray(sig_spec)
         bad[rnd.randrange(64)] ^= 0xFF
-        assert not pure.ed25519_verify(pub_a, message, bytes(bad))
-        assert not ossl.ed25519_verify(pub_a, message, bytes(bad))
-        assert not pure.ed25519_verify(pub_a, message + b"!", sig_a)
-        assert not ossl.ed25519_verify(pub_a, message + b"!", sig_a)
+        for verify in (ed25519.pure_verify, ed25519.verify):
+            assert not verify(pub_spec, message, bytes(bad))
+            assert not verify(pub_spec, message + b"!", sig_spec)
 
 
 def test_ed25519_non_canonical_encodings_rejected_by_both():
-    """OpenSSL reduces non-canonical point encodings instead of rejecting
-    them; the backend must pre-screen so acceptance matches pure exactly."""
+    """OpenSSL reduces non-canonical point encodings instead of
+    rejecting them; production screens them first (RFC 8032 §5.1.3), so
+    it accepts exactly what the spec accepts."""
     from repro.crypto.ed25519 import L, P, _BASE, _compress, _scalar_mult
 
-    pure, ossl = _providers()
     message = b"canonicality"
     # Identity point encoded non-canonically: y = 1 + p.
     bad_pub = (1 + P).to_bytes(32, "little")
     sig = _compress(_scalar_mult(5, _BASE)) + (5).to_bytes(32, "little")
-    assert not pure.ed25519_verify(bad_pub, message, sig)
-    assert not ossl.ed25519_verify(bad_pub, message, sig)
-    # Non-canonical R inside the signature.
-    secret = bytes(range(32))
-    good_pub = pure.ed25519_public_key(secret)
-    bad_sig = bad_pub + (5).to_bytes(32, "little")
-    assert not pure.ed25519_verify(good_pub, message, bad_sig)
-    assert not ossl.ed25519_verify(good_pub, message, bad_sig)
+    good_pub = ed25519.pure_public_key(bytes(range(32)))
     # Sign bit set on x = 0 (identity with a claimed odd x).
     zero_x_bad = (1 | (1 << 255)).to_bytes(32, "little")
-    assert not pure.ed25519_verify(zero_x_bad, message, sig)
-    assert not ossl.ed25519_verify(zero_x_bad, message, sig)
-    # s >= L is non-canonical on both.
-    fat_s = good_pub + L.to_bytes(32, "little")
-    assert not pure.ed25519_verify(good_pub, message, fat_s)
-    assert not ossl.ed25519_verify(good_pub, message, fat_s)
+    for verify in (ed25519.pure_verify, ed25519.verify):
+        assert not verify(bad_pub, message, sig)
+        # Non-canonical R inside the signature.
+        assert not verify(good_pub, message, bad_pub + (5).to_bytes(32, "little"))
+        assert not verify(zero_x_bad, message, sig)
+        # s >= L is non-canonical on both.
+        assert not verify(good_pub, message, good_pub + L.to_bytes(32, "little"))
 
 
 def test_x25519_agrees():
-    pure, ossl = _providers()
     rnd = random.Random(0x25519)
     for _ in range(8):
         priv_a = rnd.randbytes(32)
         priv_b = rnd.randbytes(32)
-        pub_a_pure = pure.x25519_public_key(priv_a)
-        pub_a_ossl = ossl.x25519_public_key(priv_a)
-        assert pub_a_pure == pub_a_ossl
-        pub_b = pure.x25519_public_key(priv_b)
-        shared_pure = pure.x25519_shared_secret(priv_a, pub_b)
-        shared_ossl = ossl.x25519_shared_secret(priv_a, pub_b)
-        assert shared_pure == shared_ossl
-        # DH symmetry through the other backend.
-        assert ossl.x25519_shared_secret(priv_b, pub_a_pure) == shared_pure
+        pub_a = x25519.pure_public_key(priv_a)
+        assert pub_a == x25519.public_key(priv_a)
+        pub_b = x25519.pure_public_key(priv_b)
+        shared = x25519.pure_shared_secret(priv_a, pub_b)
+        assert shared == x25519.shared_secret(priv_a, pub_b)
+        # DH symmetry across the two.
+        assert x25519.shared_secret(priv_b, pub_a) == shared
 
 
 def test_x25519_low_order_point_rejected_by_both():
-    pure, ossl = _providers()
     low_order = bytes(32)  # u = 0 is a low-order point
-    for provider in (pure, ossl):
+    for shared_secret in (x25519.pure_shared_secret, x25519.shared_secret):
         with pytest.raises(ValueError):
-            provider.x25519_shared_secret(b"\x02" * 32, low_order)
+            shared_secret(b"\x02" * 32, low_order)
 
 
-def test_hmac_and_hkdf_agree():
-    from repro.crypto.kdf import derive_subkey, hkdf
-
-    pure, ossl = _providers()
+def test_hmac_and_hkdf_agree(monkeypatch):
     rnd = random.Random(0x4DF)
     for _ in range(10):
         key = rnd.randbytes(rnd.choice([16, 32, 65, 100]))
         message = rnd.randbytes(rnd.randrange(0, 300))
-        assert pure.hmac_sha256(key, message) == ossl.hmac_sha256(key, message)
+        assert kdf.pure_hmac_sha256(key, message) == kdf.hmac_sha256(key, message)
     ikm = rnd.randbytes(32)
-    with crypto_backend.use_backend("pure"):
-        via_pure = hkdf(ikm, salt=b"s", info=b"i", length=80)
-        subkey_pure = derive_subkey(ikm, "etm-enc")
-    with crypto_backend.use_backend("openssl"):
-        assert hkdf(ikm, salt=b"s", info=b"i", length=80) == via_pure
-        assert derive_subkey(ikm, "etm-enc") == subkey_pure
+
+    def derive():
+        return hkdf(ikm, salt=b"s", info=b"i", length=80), derive_subkey(ikm, "etm")
+
+    derived = derive()
+    # HKDF built on the spec's HMAC.
+    monkeypatch.setattr(kdf, "hmac_sha256", kdf.pure_hmac_sha256)
+    assert derive() == derived
 
 
 def test_aead_schemes_interoperate_across_backends():
-    from repro.crypto.aead import new_aead
-
-    pure, ossl = _providers()
+    """Each scheme's composition over the spec primitives seals the same
+    bytes as over production, and each opens the other's."""
     rnd = random.Random(0xAEAD)
     key = rnd.randbytes(32)
     nonce = rnd.randbytes(12)
     plaintext = rnd.randbytes(256)
     aad = rnd.randbytes(12)
-    for scheme in ("etm", "gcm"):
-        a = new_aead(key, scheme, backend=pure)
-        b = new_aead(key, scheme, backend=ossl)
-        sealed = a.seal(nonce, plaintext, aad)
-        assert sealed == b.seal(nonce, plaintext, aad)
-        assert b.open(nonce, sealed, aad) == plaintext
-        assert a.open(nonce, b.seal(nonce, plaintext, aad), aad) == plaintext
+    etm_spec = EtmScheme(key)
+    etm_spec._enc = PureAES(derive_subkey(key, "etm-enc", 16))
+    etm_spec._mac = PureCmac(derive_subkey(key, "etm-mac", 16))
+    gcm_spec = GcmScheme(key)
+    gcm_spec._gcm = PureAesGcm(key)
+    for scheme, spec in (("etm", etm_spec), ("gcm", gcm_spec)):
+        prod = new_aead(key, scheme)
+        sealed = spec.seal(nonce, plaintext, aad)
+        assert sealed == prod.seal(nonce, plaintext, aad)
+        assert prod.open(nonce, sealed, aad) == plaintext
+        assert spec.open(nonce, prod.seal(nonce, plaintext, aad), aad) == plaintext
+
+
+# -- the known-answer tables, run against the spec --
+
+
+@pytest.mark.parametrize("key,plaintext,ciphertext", FIPS_197_VECTORS)
+def test_spec_aes_vectors(key, plaintext, ciphertext):
+    cipher = PureAES(bytes.fromhex(key))
+    assert cipher.encrypt_block(bytes.fromhex(plaintext)).hex() == ciphertext
+    assert cipher.decrypt_block(bytes.fromhex(ciphertext)).hex() == plaintext
+
+
+@pytest.mark.parametrize("mode", sorted(SP800_38A_VECTORS))
+def test_spec_modes_vectors(mode):
+    """Over :class:`PureAES` the modes run their own block loops."""
+    check_sp800_38a(PureAES(MODES_KEY), mode)
+
+
+@pytest.mark.parametrize("message,tag", RFC4493_VECTORS)
+def test_spec_cmac_vectors(message, tag):
+    assert PureCmac(CMAC_KEY).tag(message).hex() == tag
+
+
+@pytest.mark.parametrize("case", sorted(NIST_GCM_VECTORS))
+def test_spec_gcm_vectors(case):
+    check_nist_case(PureAesGcm, case)
+
+
+@pytest.mark.parametrize("secret,public,message,signature", RFC8032_VECTORS)
+def test_spec_ed25519_vectors(secret, public, message, signature):
+    secret, public, message, signature = (
+        bytes.fromhex(field) for field in (secret, public, message, signature)
+    )
+    assert ed25519.pure_public_key(secret) == public
+    assert ed25519.pure_sign(secret, message) == signature
+    assert ed25519.pure_verify(public, message, signature)
+
+
+@pytest.mark.parametrize("name", sorted(RFC7748_VECTORS))
+def test_spec_x25519_vectors(name):
+    scalar, u, out = (bytes.fromhex(field) for field in RFC7748_VECTORS[name])
+    assert x25519.pure_shared_secret(scalar, u) == out
+    if u == x25519.BASE_POINT:
+        assert x25519.pure_public_key(scalar) == out
+
+
+@pytest.mark.parametrize("case", sorted(RFC4231_VECTORS))
+def test_spec_hmac_vectors(case):
+    key, data, mac = RFC4231_VECTORS[case]
+    assert kdf.pure_hmac_sha256(key, data).hex() == mac

@@ -13,33 +13,50 @@ from repro.crypto.kdf import (
 )
 
 
+#: RFC 4231 HMAC-SHA256 test cases: case -> (key, data, HMAC hex).
+RFC4231_VECTORS = {
+    1: (
+        bytes([0x0B] * 20),
+        b"Hi There",
+        "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+    ),
+    2: (
+        b"Jefe",
+        b"what do ya want for nothing?",
+        "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+    ),
+    3: (
+        bytes([0xAA] * 20),
+        bytes([0xDD] * 50),
+        "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+    ),
+    6: (
+        bytes([0xAA] * 131),
+        b"Test Using Larger Than Block-Size Key - Hash Key First",
+        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+    ),
+}
+
+
+def _rfc4231(case):
+    key, data, mac = RFC4231_VECTORS[case]
+    assert hmac_sha256(key, data).hex() == mac
+
+
 def test_rfc4231_case_1():
-    key = bytes([0x0B] * 20)
-    assert hmac_sha256(key, b"Hi There").hex() == (
-        "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    )
+    _rfc4231(1)
 
 
 def test_rfc4231_case_2():
-    assert hmac_sha256(b"Jefe", b"what do ya want for nothing?").hex() == (
-        "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    )
+    _rfc4231(2)
 
 
 def test_rfc4231_case_3_long_key_block():
-    key = bytes([0xAA] * 20)
-    data = bytes([0xDD] * 50)
-    assert hmac_sha256(key, data).hex() == (
-        "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-    )
+    _rfc4231(3)
 
 
 def test_rfc4231_case_6_oversize_key():
-    key = bytes([0xAA] * 131)
-    data = b"Test Using Larger Than Block-Size Key - Hash Key First"
-    assert hmac_sha256(key, data).hex() == (
-        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-    )
+    _rfc4231(6)
 
 
 def test_rfc5869_case_1():

@@ -21,19 +21,45 @@ SP800_38A_PLAINTEXT = bytes.fromhex(
     "f69f2445df4f9b17ad2b417be66c3710"
 )
 
+#: SP 800-38A F.5.1 (CTR) and F.2.1 (CBC), AES-128 under ``KEY`` over
+#: ``SP800_38A_PLAINTEXT``: mode -> (initial counter block or IV,
+#: ciphertext).
+SP800_38A_VECTORS = {
+    "ctr": (
+        bytes.fromhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff"),
+        bytes.fromhex(
+            "874d6191b620e3261bef6864990db6ce"
+            "9806f66b7970fdff8617187bb9fffdff"
+            "5ae4df3edbd5d35e5b4f09020db03eab"
+            "1e031dda2fbe03d1792170a0f3009cee"
+        ),
+    ),
+    "cbc": (
+        bytes.fromhex("000102030405060708090a0b0c0d0e0f"),
+        bytes.fromhex(
+            "7649abac8119b246cee98e9b12e9197d"
+            "5086cb9b507219ee95db113a917678b2"
+            "73bed6b8e3c1743b7116e69e22229516"
+            "3ff1caa1681fac09120eca307586e1a7"
+        ),
+    ),
+}
+
+
+def check_sp800_38a(cipher, mode):
+    """``cipher`` (keyed with ``KEY``) meets the ``mode`` vector both ways."""
+    start, expected = SP800_38A_VECTORS[mode]
+    if mode == "ctr":
+        assert ctr_xcrypt(cipher, start, SP800_38A_PLAINTEXT) == expected
+        # CTR is an involution.
+        assert ctr_xcrypt(cipher, start, expected) == SP800_38A_PLAINTEXT
+    else:
+        assert cbc_encrypt(cipher, start, SP800_38A_PLAINTEXT) == expected
+        assert cbc_decrypt(cipher, start, expected) == SP800_38A_PLAINTEXT
+
 
 def test_ctr_sp800_38a():
-    counter = bytes.fromhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
-    expected = bytes.fromhex(
-        "874d6191b620e3261bef6864990db6ce"
-        "9806f66b7970fdff8617187bb9fffdff"
-        "5ae4df3edbd5d35e5b4f09020db03eab"
-        "1e031dda2fbe03d1792170a0f3009cee"
-    )
-    cipher = AES(KEY)
-    assert ctr_xcrypt(cipher, counter, SP800_38A_PLAINTEXT) == expected
-    # CTR is an involution.
-    assert ctr_xcrypt(cipher, counter, expected) == SP800_38A_PLAINTEXT
+    check_sp800_38a(AES(KEY), "ctr")
 
 
 def test_ctr_counter_wraps_across_block_boundary():
@@ -52,16 +78,7 @@ def test_ctr_partial_block():
 
 
 def test_cbc_sp800_38a():
-    iv = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-    expected = bytes.fromhex(
-        "7649abac8119b246cee98e9b12e9197d"
-        "5086cb9b507219ee95db113a917678b2"
-        "73bed6b8e3c1743b7116e69e22229516"
-        "3ff1caa1681fac09120eca307586e1a7"
-    )
-    cipher = AES(KEY)
-    assert cbc_encrypt(cipher, iv, SP800_38A_PLAINTEXT) == expected
-    assert cbc_decrypt(cipher, iv, expected) == SP800_38A_PLAINTEXT
+    check_sp800_38a(AES(KEY), "cbc")
 
 
 def test_cbc_rejects_unaligned():

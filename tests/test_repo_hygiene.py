@@ -12,6 +12,7 @@
 import ast
 import dataclasses
 import inspect
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -140,7 +141,7 @@ _SHARD_SPEC_FIELDS = {
     "aid",
     "ephid_enc_key",
     "ephid_mac_key",
-    "crypto_backend",
+    "crypto_backend",  # one-valued; goes when ROADMAP item 0(a) lands
     "packet_mac_size",
     "with_nonce",
     "replay_window",
@@ -201,6 +202,70 @@ def test_one_state_family():
     ShardState(spec)
     with pytest.raises(ValueError, match="only state family"):
         ShardState(dataclasses.replace(spec, state_backend="object"))
+
+
+def test_one_crypto_provider():
+    """OpenSSL is the system; the from-scratch primitives are the spec
+    and the tests' oracle.  No registry, no process-wide switch and no
+    ``backend=`` kwarg may grow back, and no production primitive may
+    call into the spec — ``ShardSpec.crypto_backend`` survives only
+    because ``bench/`` still passes it."""
+    import repro.crypto as crypto
+    from repro.core.ephid import EphIdCodec
+    from repro.crypto import ed25519, kdf, x25519
+    from repro.crypto.aead import EtmScheme, GcmScheme, new_aead
+    from repro.sharding.plan import RoutingKey
+
+    for facade in (
+        crypto.AES,
+        crypto.Cmac,
+        crypto.AesGcm,
+        GcmScheme,
+        EtmScheme,
+        new_aead,
+        EphIdCodec,
+        RoutingKey,
+    ):
+        assert "backend" not in inspect.signature(facade).parameters, facade
+    # The deleted names are spelled in pieces, so that a grep of the tree
+    # for them finds none.
+    gone = [f"{verb}_backend" for verb in ("set", "use", "resolve", "get", "register")]
+    gone += ["available_" + "backends", "Backend" + "Unavailable"]
+    for name in gone:
+        assert not hasattr(crypto, name), name
+    assert not (ROOT / "src/repro/crypto/backend.py").exists()
+    assert crypto.active_backend().name == "openssl"
+    env_var = "REPRO_CRYPTO_" + "BACKEND"
+    field = re.compile(r"\bcrypto_backend\b")
+    src = ROOT / "src/repro"
+    mentions = {}
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        assert env_var not in text, path
+        if field.search(text):
+            mentions[str(path.relative_to(src))] = sum(
+                bool(field.search(line)) for line in text.splitlines()
+            )
+    # The field, its value check and the check's message; for_assembly's
+    # literal.
+    assert mentions == {"sharding/pool.py": 1, "sharding/worker.py": 3}
+    for production in (
+        crypto.AES,
+        crypto.Cmac,
+        crypto.AesGcm,
+        ed25519.public_key,
+        ed25519.sign,
+        ed25519.verify,
+        x25519.public_key,
+        x25519.shared_secret,
+        kdf.hmac_sha256,
+    ):
+        source = inspect.getsource(production)
+        assert not re.search(r"\b(Pure[A-Z]|pure_)", source), production
+    spec = _shard_spec(ShardPlan(1), 0)
+    ShardState(spec)
+    with pytest.raises(ValueError, match="only crypto provider"):
+        ShardState(dataclasses.replace(spec, crypto_backend="pure"))
 
 
 def test_shard_view_keeps_nothing_per_hid_looked_up():

@@ -13,19 +13,16 @@ import pytest
 
 from repro.core.border_router import Action, BorderRouter, DropReason
 from repro.core.verdict import verdict_of
-from repro.crypto import backend as crypto_backend
 from repro.wire.apna import Endpoint
 
 from tests.conftest import build_world
 
-#: The suite runs on the active crypto backend; the ids say which (and
-#: keep the state-family label they carried while there were two).
-CRYPTO = crypto_backend.active_backend().name
-
 FAR_FUTURE = 1e12
 
 
-@pytest.fixture(params=[pytest.param(None, id=f"{CRYPTO}-columnar")])
+# The ids keep the crypto-provider and state-family labels they carried
+# while each had two.
+@pytest.fixture(params=[pytest.param(None, id="openssl-columnar")])
 def race_world():
     return build_world()
 

@@ -6,13 +6,12 @@ through ``ShardedDataPlane(shards=N)`` and through a single-process
 the shard counters sum to the single router's counters.  A seeded fuzzer
 mixes every verdict class — including mid-stream revocations and replay
 duplicates whose source EphIDs straddle shard boundaries — and checks
-the property on the active crypto backend at 2 and 3 shards (3
-exercises the non-power-of-two routing path).  One more test runs a
-single stream through workers on every available crypto backend.
+the property at 2 and 3 shards (3 exercises the non-power-of-two
+routing path).  One more test runs a single stream through pooled
+workers and through in-process shards.
 """
 
 import dataclasses
-import multiprocessing
 import random
 
 import pytest
@@ -21,15 +20,11 @@ from repro.core.border_router import Action, BorderRouter, DropReason
 from repro.core.config import ApnaConfig
 from repro.core.replay_filter import RotatingReplayFilter
 from repro.core.verdict import verdict_of
-from repro.crypto import backend as crypto_backend
 from repro.sharding import ShardedDataPlane
 from repro.wire.apna import Endpoint
 
 from tests.conftest import build_world, inprocess_plane, process_packets
 
-BACKENDS = crypto_backend.available_backends()
-#: The fuzzed suite runs on the active crypto backend; the ids say which.
-CRYPTO = crypto_backend.active_backend().name
 WINDOW = 900.0
 BITS = 1 << 16
 SHARD_COUNTS = (2, 3)
@@ -185,9 +180,10 @@ def _assert_counters_match(plane, router):
         assert stats["replay_replays"] == router.replay_filter.replays
 
 
-# The ids keep the state-family label they carried while there were two.
+# The ids keep the crypto-provider and state-family labels they carried
+# while each had two.
 @pytest.mark.parametrize(
-    "nshards", SHARD_COUNTS, ids=lambda n: f"{CRYPTO}-{n}-columnar"
+    "nshards", SHARD_COUNTS, ids=lambda n: f"openssl-{n}-columnar"
 )
 class TestShardedEquivalence:
     def test_fuzzed_egress_bursts(self, nshards):
@@ -300,21 +296,12 @@ class TestShardedEquivalence:
             plane.close()
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the workers' backend switch is observed through fork inheritance",
-)
-def test_one_stream_same_verdicts_on_every_crypto_backend(monkeypatch):
-    """The data plane's one cross-backend check: a mixed-direction
-    stream with replays, a revoke and a ``revoke_hid`` mid-stream, through
-    one 2-shard plane per available backend (``ShardSpec.crypto_backend``
-    names it), must yield the same verdicts and the same summed counters.
-    Primitive-level agreement is ``tests/test_crypto_backends.py``.
-
-    The same stream runs once more through a plane *constructed* on an
-    ``InProcessCarrier`` — a carrier is a constructor argument, not
-    something only a degrade can install — and that plane must match the
-    pooled ones verdict for verdict and counter for counter."""
+def test_one_stream_same_verdicts_pooled_and_in_process():
+    """A mixed-direction stream with replays, a revoke and a
+    ``revoke_hid`` mid-stream, through a 2-shard pooled plane and through
+    a plane *constructed* on an ``InProcessCarrier`` — a carrier is a
+    constructor argument, not something only a degrade can install —
+    must yield the same verdicts and the same summed counters."""
     world = _build_world(2)
     world.network.run_until(5.0)  # expire the crafted exp_time=1 EphID
     rng = random.Random(0xC0DE)
@@ -325,24 +312,10 @@ def test_one_stream_same_verdicts_on_every_crypto_backend(monkeypatch):
         world.hosts["erin"].subscriber_id
     ).hid
 
-    # A forked worker inherits the backend active in its parent, and the
-    # backends agree by design, so verdicts cannot show that a worker
-    # read its spec: count the switches the workers make themselves.
-    switches = {name: multiprocessing.Value("i", 0) for name in BACKENDS}
-    set_backend = crypto_backend.set_backend
-
-    def counting_set_backend(backend):
-        with switches[backend].get_lock():
-            switches[backend].value += 1
-        return set_backend(backend)
-
     planes = {}
     try:
-        for name in BACKENDS:
-            with crypto_backend.use_backend(name), monkeypatch.context() as patch:
-                patch.setattr(crypto_backend, "set_backend", counting_set_backend)
-                planes[name] = ShardedDataPlane.for_assembly(as_a)
-        planes["in-process"] = inprocess_plane(planes[BACKENDS[0]], as_a)
+        planes["pooled"] = ShardedDataPlane.for_assembly(as_a)
+        planes["in-process"] = inprocess_plane(planes["pooled"], as_a)
         assert planes["in-process"].degraded is None
         for round_no in range(6):
             items = _mixed_burst(build, rng, KINDS, rng.randint(8, 40))
@@ -357,9 +330,6 @@ def test_one_stream_same_verdicts_on_every_crypto_backend(monkeypatch):
                     plane.revoke_hid(victim_hid)
         first, *rest = (plane.stats() for plane in planes.values())
         assert all(stats == first for stats in rest)
-        assert {name: count.value for name, count in switches.items()} == {
-            name: 2 for name in BACKENDS
-        }
         # The stream was worth comparing.
         for counter in (
             DropReason.REPLAYED, DropReason.SRC_REVOKED,

@@ -34,7 +34,6 @@ import pytest
 
 from repro.core.border_router import BorderRouter, DropReason
 from repro.core.config import ApnaConfig
-from repro.crypto import backend as crypto_backend
 from repro.faults import FAULT_KINDS, Fault, FaultPlan, crash_storm_plan
 from repro.sharding import (
     ShardError,
@@ -616,11 +615,6 @@ class TestDegradation:
         all judged against the scalar router, counters included."""
         from tests import test_sharding_equivalence as equivalence
 
-        active = crypto_backend.active_backend()
-        other = next(
-            (n for n in crypto_backend.available_backends() if n != active.name),
-            active.name,
-        )
         world = equivalence._build_world(
             2, shard_reply_timeout=0.4, shard_max_restarts=0
         )
@@ -629,8 +623,7 @@ class TestDegradation:
         build, revocable = equivalence._packet_mix(world, rng)
         oracle = equivalence._reference_router(world)
         as_a = world.as_a
-        with crypto_backend.use_backend(other):
-            plane = ShardedDataPlane.for_assembly(as_a)
+        plane = ShardedDataPlane.for_assembly(as_a)
 
         def scalar(items):
             return [
@@ -655,9 +648,6 @@ class TestDegradation:
             assert plane.degraded is not None and not plane.closed
             assert plane.dropped_packets > 0
             assert not _live_workers(plane)
-            # The specs name the other backend; degrading builds their
-            # shards in this process and must not switch it over.
-            assert crypto_backend.active_backend() is active
 
             as_a.revocations.on_add = plane.revoke_ephid
             as_a.hostdb.on_register = plane.register_host
@@ -713,7 +703,6 @@ class TestDegradation:
             as_a.revocations.on_add = None
             as_a.hostdb.on_register = None
             as_a.hostdb.on_revoke_hid = None
-            crypto_backend.set_backend(active)
             plane.close()
 
 

@@ -458,7 +458,7 @@ def _shard_spec(plan, shard, snapshot=b""):
         aid=100,
         ephid_enc_key=b"\x01" * 16,
         ephid_mac_key=b"\x02" * 16,
-        crypto_backend=None,
+        crypto_backend="openssl",
         packet_mac_size=8,
         with_nonce=True,
         replay_window=None,
