@@ -22,7 +22,8 @@ setup(
     packages=find_packages("src"),
     package_data={"repro.analysis": ["baseline.txt"]},
     # ``public_bytes_raw`` (the Ed25519 / X25519 public keys) is new in 40.0.
-    install_requires=["cryptography>=40"],
+    # numpy gathers and scatters the shard-state columns.
+    install_requires=["cryptography>=40", "numpy"],
     entry_points={
         "console_scripts": [
             "repro-analyze=repro.analysis.cli:main",

@@ -28,8 +28,9 @@ depends on — the motivating bug/PR is part of the rule's definition:
     found a live non-constant-time passport MAC compare, PR 24 three
     more in modules a listed scope had left out.
 ``shard-routing-mod`` (PR 8)
-    Shard routing arithmetic (``% nshards``) exists only inside
-    ``sharding/plan.py``; the keyed PRF map is the single router.  The
+    Shard arithmetic (``% nshards``) exists nowhere in the tree but
+    ``sharding/plan.py``; the keyed PRF map is the single router and
+    the plan the single HID-row layout.  The
     residue shortcut it forbids leaked log2(nshards) cross-EphID
     linkage bits — exactly what the paper's domain-brokered privacy
     model (Sections IV, V-A1) rules out.

@@ -3,9 +3,11 @@
 ``shard-routing-mod`` is the PR 8 audit.  The dispatcher used to route
 by the publicly computable ``iv % nshards`` residue, handing any on-path
 observer log2(nshards) bits of exactly the cross-EphID linkage the
-paper's domain-brokered privacy model (Sections IV, V-A1) forbids.  Routing arithmetic is allowed only inside
-``sharding/plan.py``; everyone else goes through
-``ShardPlan.owner_of_iv*`` / ``owners_of_iv_bytes``.
+paper's domain-brokered privacy model (Sections IV, V-A1) forbids.  Shard
+arithmetic is allowed only inside ``sharding/plan.py``; everyone else
+goes through ``ShardPlan.owner_of_iv*`` / ``owners_of_iv_bytes`` for
+routing and ``owner_of`` / ``owners_of`` / ``row_lookup`` /
+``dense_rows`` for HID ownership, so every party computes one partition.
 
 ``secret-hygiene`` keeps key material out of every human-readable
 surface: ``__repr__`` bodies, f-string interpolations, logging calls
@@ -50,18 +52,8 @@ class ShardRoutingModRule(Rule):
         "linkage bits to on-path observers; routing is now PRF-keyed "
         "and owned by sharding/plan.py alone"
     )
-    #: Everything that sees clear IV bytes and a shard count.  plan.py
-    #: is the one module allowed to turn one into the other.
-    #: Deliberately *not* audited: state/view.py and state/columns.py
-    #: use ``blk % nshards`` for HID-block ownership (which rows a
-    #: shard stores) — keyed on the secret HID, not on clear packet
-    #: bytes, and not a routing decision an observer can replay.
-    scope = (
-        "sharding/*.py",
-        "core/ephid.py",
-        "core/border_router.py",
-        "core/autonomous_system.py",
-    )
+    #: The whole tree but plan.py, the one module allowed to reduce
+    #: anything modulo a shard count.
     exclude = ("sharding/plan.py",)
 
     def check_module(self, module: Module):
@@ -73,7 +65,8 @@ class ShardRoutingModRule(Rule):
                         module.rel,
                         node.lineno,
                         "shard-count modulo outside ShardPlan — route via "
-                        "plan.owner_of_iv*/owners_of_iv_bytes instead",
+                        "plan.owner_of_iv*/owners_of_iv_bytes and place "
+                        "rows via plan.owner_of/owners_of/row_lookup instead",
                     )
 
 

@@ -21,6 +21,7 @@ from ..netsim import Network, Node
 from ..wire import gre
 from ..wire import icmp as icmp_wire
 from ..wire.apna import ApnaHeader, ApnaPacket, Endpoint
+from ..wire.errors import WireError
 from ..wire.transport import (
     PROTO_DATA,
     TransportHeader,
@@ -448,6 +449,10 @@ class BorderRouterNode(Node):
         super().__init__(f"AS{assembly.aid}")
         self.assembly = assembly
         self.icmp_sent = 0
+        #: Frames dropped at the node because they do not parse (a runt,
+        #: a broken GRE/IPv4 wrapper, a header without the configured
+        #: nonce): they never reach a verdict, so no ``DropReason``.
+        self.malformed_frames = 0
         #: Pending (packet, arrived_from_outside, wire_frame) triples
         #: awaiting a burst.
         self._burst: list[tuple[ApnaPacket, bool, bytes]] = []
@@ -459,17 +464,22 @@ class BorderRouterNode(Node):
 
     def handle_frame(self, frame_bytes: bytes, *, from_node: str) -> None:
         assembly = self.assembly
-        if from_node in assembly._host_node_names:
-            # Raw APNA bytes from a local host: the egress pipeline.
-            apna_bytes = frame_bytes
-            arrived_from_outside = False
-        else:
-            # GRE/IPv4 encapsulated bytes from a neighbor AS.
-            _, apna_bytes = gre.decapsulate(frame_bytes)
-            arrived_from_outside = True
-        packet = ApnaPacket.from_wire(
-            apna_bytes, with_nonce=assembly.config.replay_protection
-        )
+        arrived_from_outside = from_node not in assembly._host_node_names
+        try:
+            if arrived_from_outside:
+                # GRE/IPv4 encapsulated bytes from a neighbor AS.
+                _, apna_bytes = gre.decapsulate(frame_bytes)
+            else:
+                # Raw APNA bytes from a local host: the egress pipeline.
+                apna_bytes = frame_bytes
+            packet = ApnaPacket.from_wire(
+                apna_bytes, with_nonce=assembly.config.replay_protection
+            )
+        except WireError:
+            # Anyone on a link can send bytes: one bad frame is dropped
+            # here, never raised into the event loop.
+            self.malformed_frames += 1
+            return
         self._burst.append((packet, arrived_from_outside, apna_bytes))
         if len(self._burst) >= assembly.config.forwarding_batch_size:
             self._flush_burst()

@@ -16,7 +16,6 @@ from typing import Callable
 from ..crypto.aead import EtmScheme
 from ..crypto.cmac import Cmac
 from ..crypto.rng import Rng, SystemRng
-from ..crypto.util import ct_eq
 from ..wire.apna import ApnaHeader, ApnaPacket, Endpoint
 from .certs import EphIdCertificate
 from .config import ApnaConfig, DEFAULT_CONFIG
@@ -203,15 +202,6 @@ class HostStack:
             header.mac_input(payload), self.config.packet_mac_size
         )
         return ApnaPacket(header.with_mac(mac), payload)
-
-    def verify_own_packet(self, packet: ApnaPacket) -> bool:
-        """Check a packet's MAC against our kHA (testing/diagnostics)."""
-        self._require_bootstrap()
-        assert self._packet_mac is not None
-        expected = self._packet_mac.tag(
-            packet.mac_input(), self.config.packet_mac_size
-        )
-        return ct_eq(expected, packet.header.mac)
 
     # -- Section IV-D1: sessions --
 

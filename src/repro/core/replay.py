@@ -40,7 +40,3 @@ class ReplayWindow:
                 self._seen = {n for n in self._seen if n > new_floor}
         self.accepted += 1
         return True
-
-    @property
-    def max_seen(self) -> int:
-        return self._max_seen

@@ -77,12 +77,6 @@ class Link:
         )
         return True
 
-    def stats_from(self, sender: Receiver) -> LinkStats:
-        direction = self._dirs.get(id(sender))
-        if direction is None:
-            raise ValueError("sender is not an endpoint of this link")
-        return direction.stats
-
     @property
     def endpoints(self) -> tuple[Receiver, Receiver]:
         return self._ends

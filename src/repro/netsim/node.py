@@ -66,6 +66,3 @@ class Node:
 
     def handle_frame(self, frame: bytes, *, from_node: str) -> None:
         """Process an arriving frame.  Subclasses override."""
-
-    def call_later(self, delay: float, callback, *args) -> None:
-        self.scheduler.schedule(delay, callback, *args)

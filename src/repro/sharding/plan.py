@@ -1,8 +1,9 @@
-"""Shard ownership: HID -> shard, and the keyed IV -> shard routing map.
+"""Shard ownership: HID -> shard, each shard's row layout, and the keyed
+IV -> shard routing map.
 
 The paper scales the MS across four processes with "no coordination
-between the processes"; this module fixes *which* process owns which
-host so the data plane can be split the same way.  A
+between the processes"; that holds only while every party computes the
+same partition, so this module is its one definition.  A
 :class:`ShardPlan` maps every HID to exactly one shard:
 
 * service HIDs (below :data:`repro.core.hostdb.FIRST_HOST_HID`) always
@@ -12,6 +13,21 @@ host so the data plane can be split the same way.  A
   over registration order (host HIDs are allocated sequentially), while
   a larger block gives each shard long contiguous HID runs, the layout
   a range-partitioned ``host_info`` table would use.
+
+It also fixes where an owned host lands in its shard: the owned blocks
+compact to the shard's own dense row space, so a worker's key pool has
+no holes for other shards' hosts::
+
+    row  = hid - FIRST_HOST_HID
+    blk, off = divmod(row, block)           # owner = blk % nshards
+    dense = (blk // nshards) * block + off  # row in the owner's space
+
+Each map has a scalar form (:meth:`ShardPlan.owner_of`, and
+:meth:`ShardPlan.row_lookup` — one shard's row map, bound once for the
+worker's key fetch) and a numpy column form (:meth:`ShardPlan.owners_of`,
+:meth:`ShardPlan.dense_rows`) for the snapshot export and load.
+``repro.state`` takes the plan as a parameter and never re-derives the
+stripe.
 
 Routing without decrypting — and without leaking
 ------------------------------------------------
@@ -45,17 +61,20 @@ burst's whole IV column with a single AES-ECB pass — a 4-byte CMAC
 collapses to one AES call, see :class:`RoutingKey` —
 (:meth:`ShardPlan.owners_of_iv_bytes`; nearly free on AES-NI).
 
-This module is the **only** place an IV -> shard decision may be
-computed: the ``shard-routing-mod`` rule of :mod:`repro.analysis` fails
-on any ``% nshards``-style routing arithmetic elsewhere on the dispatch
-or issuance paths, so the leak cannot quietly come back.
+This module is the **only** place a shard decision — IV routing or HID
+ownership — may be computed: the ``shard-routing-mod`` rule of
+:mod:`repro.analysis` fails on any ``% nshards``-style arithmetic
+anywhere else in the tree, so neither the leak nor a second, drifting
+copy of the partition can quietly come back.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import Callable, ClassVar
+
+import numpy as np
 
 from ..core.ephid import CIPHERTEXT_SIZE, IV_SIZE
 from ..core.hostdb import FIRST_HOST_HID
@@ -133,16 +152,18 @@ class RoutingKey:
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """One AS's shard ownership: HID -> shard and IV -> shard."""
+    """One AS's shard ownership: HID -> shard, HID -> dense row in its
+    shard, and IV -> shard."""
 
     nshards: int
     #: Consecutive host HIDs per contiguous ownership block.
     block: int = 1
     #: kR for the keyed map.  Required for routing over more than one
-    #: shard; ownership-only uses (``owner_of``) never need it.
+    #: shard; ownership and row-layout uses never need it.
     key: "bytes | None" = field(default=None, repr=False)
-    #: The IV -> shard map's tag, fixed: worker specs and snapshots carry
-    #: it so a worker can cross-check that both came from one plan.
+    #: The IV -> shard map's tag, fixed.  ``ShardSpec.routing_mode``
+    #: carries it and :class:`~repro.sharding.worker.ShardState` refuses
+    #: any other value.
     mode: ClassVar[str] = "keyed"
 
     def __post_init__(self) -> None:
@@ -156,13 +177,52 @@ class ShardPlan:
                 f"got {len(self.key)}"
             )
 
-    # -- HID ownership ------------------------------------------------------
+    # -- HID ownership and row layout --------------------------------------
 
     def owner_of(self, hid: int) -> int:
         """The shard owning ``hid``'s record (MAC keys included)."""
         if hid < FIRST_HOST_HID:
             return 0  # service identities live on shard 0
         return ((hid - FIRST_HOST_HID) // self.block) % self.nshards
+
+    def row_lookup(self, shard: int) -> Callable[[int], int]:
+        """``shard``'s scalar HID -> dense-row map, bound once: the row a
+        host HID ``shard`` owns lands in, else -1 (service HIDs have no
+        dense row; a shard keeps them out of plan).  One call per key
+        fetch on the worker's first-contact path, the plan's fields in
+        cells."""
+        block, stripe = self.block, self.block * self.nshards
+        start = FIRST_HOST_HID + shard * block
+
+        def local_row(hid: int) -> int:
+            if hid < FIRST_HOST_HID:
+                return -1
+            stripes, pos = divmod(hid - start, stripe)
+            return stripes * block + pos if pos < block else -1
+
+        return local_row
+
+    def owners_of(self, hids) -> np.ndarray:
+        """:meth:`owner_of` over a column of HIDs (any integer array)."""
+        # In place over one int64 column: the export runs this over every
+        # registered host, where temporaries raise the process's peak RSS.
+        owners = np.subtract(hids, FIRST_HOST_HID, dtype=np.int64)
+        # A service HID clips to row 0, which shard 0 owns too.
+        np.maximum(owners, 0, out=owners)
+        owners //= self.block
+        owners %= self.nshards
+        return owners
+
+    def dense_rows(self, hids) -> np.ndarray:
+        """Each HID's row in its owner's dense row space, over a column of
+        HIDs (any integer array): what the owner's :meth:`row_lookup`
+        answers, and -1 for a service HID."""
+        rows = np.subtract(hids, FIRST_HOST_HID, dtype=np.int64)
+        dense = rows // (self.block * self.nshards)
+        dense *= self.block
+        dense += rows % self.block
+        dense[rows < 0] = -1
+        return dense
 
     # -- IV routing ---------------------------------------------------------
 

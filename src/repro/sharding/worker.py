@@ -36,6 +36,7 @@ from ..state.revlist import ColumnarRevocationList
 from ..state.snapshot import ShardSnapshot
 from ..state.view import ColumnarShardView
 from . import wire
+from .plan import ShardPlan
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,12 @@ class ShardSpec:
     replay_bits: int
     #: Consecutive HIDs per shard-ownership block (``ShardPlan.block``).
     shard_block: int
-    #: Tag of the IV -> shard map the dispatcher routes this worker's
-    #: packets with (``ShardPlan.mode``, always ``"keyed"``).
+    #: Kept for ``bench/`` until ROADMAP item 0(a); not an option.  The
+    #: IV -> shard map is the keyed one and :class:`ShardState` refuses
+    #: any value but ``ShardPlan.mode``.
     routing_mode: str
-    #: kR — carried with the tag so the worker can cross-check resync'd
-    #: snapshots against its spec.
+    #: kR — carried so the worker can cross-check resync'd snapshots
+    #: against its spec.
     routing_key: bytes
     #: Kept for ``bench/`` until ROADMAP item 0(a); not an option.  The
     #: replica is the :mod:`repro.state` columns and :class:`ShardState`
@@ -119,7 +121,15 @@ class ShardState:
                 f"crypto_backend {spec.crypto_backend!r}: OpenSSL is the "
                 "only crypto provider"
             )
+        if spec.routing_mode != ShardPlan.mode:
+            raise ValueError(
+                f"routing_mode {spec.routing_mode!r}: the keyed map is the "
+                "only IV -> shard routing"
+            )
         self.spec = spec
+        #: The ownership half of the dispatcher's plan: which HIDs this
+        #: shard holds and where each lands in its row space.
+        self.plan = ShardPlan(spec.nshards, block=spec.shard_block)
         self.clock = _SettableClock()
         #: A failed fire-and-forget frame's error, owed to the next reply.
         self._held_error: "str | None" = None
@@ -142,14 +152,9 @@ class ShardState:
         from.
         """
         spec = self.spec
-        # A snapshot built under a different IV -> shard map than the one
-        # the dispatcher routes with would silently mispair source-side
-        # state and traffic; refuse it here, where spawn and resync meet.
-        if snap.routing_mode and snap.routing_mode != spec.routing_mode:
-            raise ValueError(
-                f"snapshot routed {snap.routing_mode!r} but this shard's "
-                f"spec routes {spec.routing_mode!r}"
-            )
+        # A snapshot built under a different kR than the one the
+        # dispatcher routes with would silently mispair source-side state
+        # and traffic; refuse it here, where spawn and resync meet.
         if (
             snap.routing_key
             and spec.routing_key
@@ -160,9 +165,7 @@ class ShardState:
             )
         # Column blobs load wholesale: the snapshot's packed arrays
         # become the view's backing stores with no per-host objects.
-        hosts = ColumnarShardView(
-            shard=spec.shard, nshards=spec.nshards, block=spec.shard_block
-        )
+        hosts = ColumnarShardView(self.plan, spec.shard)
         hosts.load_snapshot(snap)
         revocations = ColumnarRevocationList()
         revocations.load_packed(snap.rev_exp, snap.rev_ephids)

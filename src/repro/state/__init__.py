@@ -21,16 +21,24 @@ pooled in a single ``bytearray``), one subscriber id (``array('q')``,
 per registered host and zero Python objects until a caller materialises
 a :class:`~repro.state.columns.HostRef` row proxy.
 :class:`ColumnarRevocationList` stores ``revoked_ids`` as an expiry
-column plus a pooled EphID blob; :class:`ColumnarShardView` compacts a
-shard's owned block-stripe to its own dense row space worker-side.
+column plus a pooled EphID blob; :class:`ColumnarShardView` holds a
+shard's owned rows worker-side, in the dense row space its
+:class:`~repro.sharding.plan.ShardPlan` assigns.
+
+**One shard layout.**  Which host rows a shard owns, and where each
+lands in the shard's row space, is the plan's alone: the export
+(``ColumnarHostDatabase.shard_columns(plan, shard)``) and the view
+(``ColumnarShardView(plan, shard)``) take a plan — any object with its
+methods, since importing :mod:`repro.sharding` here would be circular —
+and call its scalar and numpy column forms.  Nothing in this package
+computes a shard stripe itself.
 
 **Snapshot codec.**  :class:`ShardSnapshot` packs one shard's owned
 keys, replicated live-HID view and revocation replica as length-
 prefixed big-endian columns.  ``MSG_RESYNC`` frames carry its
 ``encode()`` output verbatim and the initial ``ShardSpec`` embeds the
 same bytes, so spawning and resyncing a million-host shard is a few
-buffer copies (numpy-gathered when available, stdlib ``array``
-otherwise) instead of per-record ``struct.pack`` loops.
+numpy gathers and scatters instead of per-record ``struct.pack`` loops.
 
 **One family.**  There is no backend to select:
 :class:`~repro.core.autonomous_system.ApnaAutonomousSystem` constructs
@@ -50,11 +58,10 @@ import hashlib
 
 from .columns import ColumnarHostDatabase, HostRef
 from .revlist import ColumnarRevocationList
-from .snapshot import HAVE_NUMPY, KEY_BYTES, ShardSnapshot, build_shard_snapshot
+from .snapshot import KEY_BYTES, ShardSnapshot, build_shard_snapshot
 from .view import ColumnarShardView
 
 __all__ = [
-    "HAVE_NUMPY",
     "ColumnarHostDatabase",
     "ColumnarRevocationList",
     "ColumnarShardView",

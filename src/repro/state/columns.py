@@ -17,8 +17,8 @@ per-record spec the differential tests hold this store to
 ``on_revoke_hid``/``__len__``/``total_registered``), plus two bulk entry
 points:
 ``bulk_register`` admits a population from one keystream blob, and
-``shard_columns`` slices the columns per shard for the snapshot codec
-(numpy-gathered when available).
+``shard_columns`` gathers one shard's rows for the snapshot codec with
+numpy, asking the plan it is handed which rows that shard owns.
 """
 
 from __future__ import annotations
@@ -26,15 +26,12 @@ from __future__ import annotations
 from array import array
 from typing import Callable
 
+import numpy as np
+
 from ..core.errors import RevokedError, UnknownHostError
 from ..core.hostdb import FIRST_HOST_HID, HostRecord
 from ..core.keys import SYMMETRIC_KEY_SIZE, HostAsKeys
 from .snapshot import KEY_BYTES, pack_u32s
-
-try:  # optional acceleration; shard_columns has a stdlib fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
 
 F_REGISTERED = 1
 F_REVOKED = 2
@@ -349,9 +346,11 @@ class ColumnarHostDatabase:
     def shard_columns(self, plan, shard: int):
         """One shard's owned/live sections as packed column bytes.
 
-        Returns ``(owned_hids, owned_flags, owned_keys, live_hids)`` in
-        the snapshot codec's layout; service records come first (they
-        all route to shard 0), host rows follow in HID order.
+        ``plan`` is a :class:`~repro.sharding.plan.ShardPlan` (any object
+        with its ``owner_of`` / ``owners_of``).  Returns ``(owned_hids,
+        owned_flags, owned_keys, live_hids)`` in the snapshot codec's
+        layout; service records come first (they all route to shard 0),
+        host rows follow in HID order.
         """
         svc_hids: list[int] = []
         svc_flags = bytearray()
@@ -365,45 +364,18 @@ class ColumnarHostDatabase:
                 svc_flags.append(1 if record.revoked else 0)
                 svc_keys.append(record.keys.control)
                 svc_keys.append(record.keys.packet_mac)
-        nshards, block = plan.nshards, plan.block
-        if _np is not None:
-            flags = _np.frombuffer(self._flags, dtype=_np.uint8)
-            rows = _np.flatnonzero(flags & F_REGISTERED)
-            hids = rows.astype(_np.uint32) + _np.uint32(FIRST_HOST_HID)
-            row_flags = flags[rows]
-            live_hids = hids[(row_flags & F_REVOKED) == 0].astype(">u4").tobytes()
-            owned = ((rows // block) % nshards) == shard
-            owned_rows = rows[owned]
-            owned_hids = hids[owned].astype(">u4").tobytes()
-            owned_flags = ((row_flags[owned] & F_REVOKED) >> 1).tobytes()
-            keymat = _np.frombuffer(self._keys, dtype=_np.uint8)
-            owned_keys = keymat.reshape(-1, KEY_BYTES)[owned_rows].tobytes()
-        else:
-            host_hids: list[int] = []
-            host_flags = bytearray()
-            key_parts: list[bytes] = []
-            live: list[int] = []
-            flags_col = self._flags
-            keys_col = self._keys
-            for row in range(len(flags_col)):
-                f = flags_col[row]
-                if not f & F_REGISTERED:
-                    continue
-                hid = FIRST_HOST_HID + row
-                if not f & F_REVOKED:
-                    live.append(hid)
-                if (row // block) % nshards == shard:
-                    host_hids.append(hid)
-                    host_flags.append(1 if f & F_REVOKED else 0)
-                    base = row * KEY_BYTES
-                    key_parts.append(bytes(keys_col[base : base + KEY_BYTES]))
-            owned_hids = pack_u32s(host_hids)
-            owned_flags = bytes(host_flags)
-            owned_keys = b"".join(key_parts)
-            live_hids = pack_u32s(live)
+        flags = np.frombuffer(self._flags, dtype=np.uint8)
+        rows = np.flatnonzero(flags & F_REGISTERED)
+        hids = (rows + FIRST_HOST_HID).astype(">u4")
+        row_flags = flags[rows]
+        live_hids = hids[(row_flags & F_REVOKED) == 0]
+        owned = plan.owners_of(hids) == shard
+        owned_flags = (row_flags[owned] & F_REVOKED) >> 1
+        keymat = np.frombuffer(self._keys, dtype=np.uint8)
+        owned_keys = keymat.reshape(-1, KEY_BYTES)[rows[owned]]
         return (
-            pack_u32s(svc_hids) + owned_hids,
-            bytes(svc_flags) + owned_flags,
-            b"".join(svc_keys) + owned_keys,
-            pack_u32s(svc_live) + live_hids,
+            pack_u32s(svc_hids) + hids[owned].tobytes(),
+            bytes(svc_flags) + owned_flags.tobytes(),
+            b"".join(svc_keys) + owned_keys.tobytes(),
+            pack_u32s(svc_live) + live_hids.tobytes(),
         )

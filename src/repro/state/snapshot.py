@@ -10,7 +10,9 @@ shard's complete state — exactly what a worker needs to (re)build its
 * the **live section**: every live HID of the AS (the replicated
   validity view destination-side checks consult);
 * the **revocation section**: the ``(exp_time, ephid)`` replica of the
-  AS revocation list.
+  AS revocation list;
+* a **trailer**: the plan's routing key kR, which the worker checks
+  against its spec.
 
 Each section is stored as packed parallel columns (u32 HIDs, u8 flags,
 fixed-width byte pools, f64 expiries — all big-endian), so encoding a
@@ -19,7 +21,10 @@ million-iteration ``struct.pack`` loop, and the wire image *is* the
 in-memory image.  Both the initial :class:`~repro.sharding.worker.
 ShardSpec` and the supervisor's ``MSG_RESYNC`` replay carry one of
 these, so there is exactly one serialisation of shard state in the
-system.
+system.  The codec is layout-free: which rows a shard owns is decided by
+the :class:`~repro.sharding.plan.ShardPlan` that
+:meth:`~repro.state.ColumnarHostDatabase.shard_columns` exports under
+and :class:`~repro.state.ColumnarShardView` loads under.
 """
 
 from __future__ import annotations
@@ -29,16 +34,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 
-try:  # optional acceleration; every path below has a stdlib fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
 __all__ = [
     "EPHID_BYTES",
-    "HAVE_NUMPY",
     "KEY_BYTES",
     "ShardSnapshot",
     "build_shard_snapshot",
@@ -54,12 +51,6 @@ EPHID_BYTES = 16
 
 _NEEDS_SWAP = sys.byteorder == "little"
 _HEAD = struct.Struct(">III")  # n_owned, n_live, n_revoked
-
-#: Routing-trailer mode flags (u8): ``""`` for a snapshot built without
-#: a plan (:meth:`ShardSnapshot.empty` / ``from_rows``), ``"keyed"`` for
-#: every plan-built one.  Flag 1 is retired and decodes as unknown.
-_ROUTING_FLAG = {"": 0, "keyed": 2}
-_ROUTING_MODE = {flag: mode for mode, flag in _ROUTING_FLAG.items()}
 
 
 def pack_u32s(values) -> bytes:
@@ -111,12 +102,10 @@ class ShardSnapshot:
     live_hids: bytes  # m x u32 BE
     rev_exp: bytes  # k x f64 BE
     rev_ephids: bytes  # k x 16 B
-    #: IV -> shard routing the snapshot's plan uses (``""`` when built
-    #: without one).  Carried so a restarted worker can sanity-check
-    #: that its spec and the resync'd state agree on how packets reach
-    #: it.
-    routing_mode: str = ""
-    #: kR when ``routing_mode == "keyed"`` (else empty).
+    #: kR of the plan the snapshot was built under (empty when built
+    #: without one, or under a one-shard plan without a key).  Carried
+    #: so a restarted worker can check that its spec and the resync'd
+    #: state agree on how packets reach it.
     routing_key: bytes = b""
 
     def __post_init__(self) -> None:
@@ -126,9 +115,8 @@ class ShardSnapshot:
                 f"owned columns disagree: {n} hids, "
                 f"{len(self.owned_flags)} flags, {len(self.owned_keys)} key bytes"
             )
-        # The numpy and stdlib loaders agree only on flags 0 and 1: numpy
-        # multiplies the byte into its flag column, where 2 or 128 lose
-        # the revoked bit; the stdlib loop tests it for truth.
+        # The loader multiplies the byte into its flag column, where 2
+        # or 128 would lose the revoked bit: only 0 and 1 mean anything.
         stray = self.owned_flags.translate(None, b"\x00\x01")
         if stray:
             raise ValueError(
@@ -140,8 +128,6 @@ class ShardSnapshot:
                 f"revocation columns disagree: {self.revoked_count} expiries, "
                 f"{len(self.rev_ephids)} ephid bytes"
             )
-        if self.routing_mode not in _ROUTING_FLAG:
-            raise ValueError(f"unknown routing mode {self.routing_mode!r}")
         if len(self.routing_key) > 255:
             raise ValueError("routing key too long for the u8 length field")
 
@@ -161,7 +147,7 @@ class ShardSnapshot:
 
     def encode(self) -> bytes:
         """The wire image: a 12-byte header, the six columns, then the
-        routing trailer (u8 mode flag, u8 key length, kR bytes)."""
+        routing trailer (u8 key length, kR bytes)."""
         return b"".join(
             (
                 _HEAD.pack(self.owned_count, self.live_count, self.revoked_count),
@@ -171,7 +157,7 @@ class ShardSnapshot:
                 self.live_hids,
                 self.rev_exp,
                 self.rev_ephids,
-                bytes((_ROUTING_FLAG[self.routing_mode], len(self.routing_key))),
+                bytes((len(self.routing_key),)),
                 self.routing_key,
             )
         )
@@ -190,27 +176,23 @@ class ShardSnapshot:
         for size in (n * 4, n, n * KEY_BYTES, m * 4, k * 8, k * EPHID_BYTES):
             sections.append(bytes(view[offset : offset + size]))
             offset += size
-        if offset + 2 > len(view):
+        if offset >= len(view):
             # Snapshots only ever live in a spawn spec or a MSG_RESYNC
             # frame, both written by encode(): a blob without the
             # trailer is truncated, and accepting it would skip the
             # worker's routing cross-check.
             raise ValueError(
                 f"snapshot is {len(view)} bytes, columns end at {offset} "
-                "with a missing or truncated routing trailer"
+                "with a missing routing trailer"
             )
-        flag, keylen = view[offset], view[offset + 1]
-        offset += 2
-        mode = _ROUTING_MODE.get(flag)
-        if mode is None:
-            raise ValueError(f"unknown routing-mode flag {flag}")
-        key = bytes(view[offset : offset + keylen])
-        offset += keylen
+        keylen = view[offset]
+        key = bytes(view[offset + 1 : offset + 1 + keylen])
+        offset += 1 + keylen
         if offset != len(view):
             raise ValueError(
                 f"snapshot is {len(view)} bytes, header implies {offset}"
             )
-        return cls(*sections, routing_mode=mode, routing_key=key)
+        return cls(*sections, routing_key=key)
 
     @classmethod
     def empty(cls) -> "ShardSnapshot":
@@ -242,7 +224,7 @@ class ShardSnapshot:
             rev_ephids=b"".join(ephid for ephid, _ in entries),
         )
 
-    # -- row iteration (the no-numpy loader, and tests reading one back) ----
+    # -- row iteration (tests reading one back, and their reference model) -
 
     def iter_owned(self):
         """Yield ``(hid, control, packet_mac, revoked)`` per owned row."""
@@ -284,6 +266,5 @@ def build_shard_snapshot(hostdb, revocations, plan, shard: int) -> ShardSnapshot
         live_hids=live_hids,
         rev_exp=rev_exp,
         rev_ephids=rev_ephids,
-        routing_mode=plan.mode,
         routing_key=plan.key or b"",
     )

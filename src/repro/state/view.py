@@ -6,36 +6,29 @@ border router uses: ``is_valid`` (answered from the replicated live-HID
 column, so destination-side checks work for hosts other shards own) and
 ``packet_mac_key`` (answered, like ``get``, only for owned HIDs; the
 router fetches MAC keys for source hosts alone, which the IV-pinned
-routing guarantees are local).  A shard owns the HID blocks
-``blk % nshards == shard`` of the dense row space, so its owned rows
-compact to their own dense index::
-
-    row  = hid - FIRST_HOST_HID
-    blk, off = divmod(row, block)          # owned iff blk % nshards == shard
-    orow = (blk // nshards) * block + off  # dense per-shard row
-
-Owned keys live in one pooled bytearray at ``orow``; the replicated
-live-HID view is one byte per dense row.  ``load_snapshot`` ingests a
-:class:`~repro.state.snapshot.ShardSnapshot` with numpy scatter stores
-when available (stdlib loop otherwise), so a worker resync at
-million-host scale is a handful of vectorised copies.  The router's key
-fetch, ``packet_mac_key``, is a 16-byte slice of the key pool behind the
-flag-byte checks; ``get`` builds a :class:`_ViewRecord` on demand for
-the callers that want a whole record, and nothing here is kept per HID
-looked up.
+routing guarantees are local).  The view is built from a
+:class:`~repro.sharding.plan.ShardPlan` (any object with its methods)
+and a shard index, and asks the plan which host rows the shard owns and
+where each lands in the shard's dense row space — it never re-derives
+the stripe.  Owned keys live in one pooled bytearray at that dense row;
+the replicated live-HID view is one byte per ``hid - FIRST_HOST_HID``.
+``load_snapshot`` ingests a :class:`~repro.state.snapshot.ShardSnapshot`
+with numpy scatter stores over the plan's column forms, so a worker
+resync at million-host scale is a handful of vectorised copies.  The
+router's key fetch, ``packet_mac_key``, is a 16-byte slice of the key
+pool behind the flag-byte checks; ``get`` builds a :class:`_ViewRecord`
+on demand for the callers that want a whole record, and nothing here is
+kept per HID looked up.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..core.errors import RevokedError, UnknownHostError
 from ..core.hostdb import FIRST_HOST_HID
 from ..core.keys import HostAsKeys
 from .snapshot import KEY_BYTES, ShardSnapshot
-
-try:  # optional acceleration; load_snapshot has a stdlib fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
 
 _ABSENT = 0
 _PRESENT = 1
@@ -56,30 +49,22 @@ class _ViewRecord:
 class ColumnarShardView:
     """A shard's ``host_info`` view over dense columns."""
 
-    def __init__(self, *, shard: int, nshards: int, block: int = 1) -> None:
+    def __init__(self, plan, shard: int) -> None:
+        self._plan = plan
         self._shard = shard
-        self._nshards = nshards
-        self._block = block
+        #: Dense per-shard row of an HID; -1 if not in this shard's plan.
+        self._orow = plan.row_lookup(shard)
         self._owned_flags = bytearray()  # by orow: _ABSENT/_PRESENT[|_REVOKED]
         self._keys = bytearray()  # by orow: 32 B (control || packet_mac)
         self._owned_n = 0
-        self._live = bytearray()  # by dense row: 1 == live
+        self._live = bytearray()  # by hid - FIRST_HOST_HID: 1 == live
         self._service_live: set[int] = set()
         #: Out-of-plan rows — service HIDs (< FIRST_HOST_HID) and any
         #: host HID add_owned put here despite not mapping to this shard
         #: — as ``[32 key bytes, revoked]``.
         self._extra: dict[int, list] = {}
 
-    # -- row math ----------------------------------------------------------
-
-    def _orow(self, hid: int) -> int:
-        """Dense per-shard row for ``hid``; -1 if not in this shard's plan."""
-        if hid < FIRST_HOST_HID:
-            return -1
-        blk, off = divmod(hid - FIRST_HOST_HID, self._block)
-        if blk % self._nshards != self._shard:
-            return -1
-        return (blk // self._nshards) * self._block + off
+    # -- row storage -------------------------------------------------------
 
     def _ensure_orows(self, count: int) -> None:
         grow = count - len(self._owned_flags)
@@ -186,58 +171,45 @@ class ColumnarShardView:
     def load_snapshot(self, snap: ShardSnapshot) -> None:
         """Replace this view's contents with a packed shard snapshot:
         keys and revoked flags from its owned section, liveness from its
-        live section alone — on the numpy arm and the stdlib one alike.
-        A snapshot that names an owned HID twice is refused (a repeated
-        scatter index has no defined winner)."""
+        live section alone.  A snapshot that names an owned HID twice is
+        refused (a repeated scatter index has no defined winner)."""
         self._owned_flags = bytearray()
         self._keys = bytearray()
-        self._owned_n = 0
         self._live = bytearray()
-        self._service_live = set()
         self._extra = {}
-        if _np is not None and snap.owned_count + snap.live_count > 0:
-            self._load_snapshot_np(snap)
-        else:
-            for hid, control, packet_mac, revoked in snap.iter_owned():
-                self._put_owned(hid, control + packet_mac, revoked)
-            for hid in snap.iter_live():
-                self.set_live(hid)
-        # The rows written, however often the snapshot named each.
-        flags = self._owned_flags
-        self._owned_n = len(flags) - flags.count(_ABSENT) + len(self._extra)
-        if self._owned_n != snap.owned_count:
-            raise ValueError("owned HIDs repeat: a shard holds one row per HID")
-
-    def _load_snapshot_np(self, snap: ShardSnapshot) -> None:
-        block, nshards, shard = self._block, self._nshards, self._shard
-        hids = _np.frombuffer(snap.owned_hids, dtype=">u4").astype(_np.int64)
-        flags = _np.frombuffer(snap.owned_flags, dtype=_np.uint8)
-        rows = hids - FIRST_HOST_HID
-        blk, off = _np.divmod(rows, block)
-        in_plan = (rows >= 0) & (blk % nshards == shard)
-        plan_idx = _np.flatnonzero(in_plan)
+        plan, shard = self._plan, self._shard
+        hids = np.frombuffer(snap.owned_hids, dtype=">u4")
+        flags = np.frombuffer(snap.owned_flags, dtype=np.uint8)
+        orows = plan.dense_rows(hids)
+        in_plan = (orows >= 0) & (plan.owners_of(hids) == shard)
+        plan_idx = np.flatnonzero(in_plan)
         if plan_idx.size:
-            orows = (blk[plan_idx] // nshards) * block + off[plan_idx]
+            orows = orows[plan_idx]
             self._ensure_orows(int(orows.max()) + 1)
-            dest_flags = _np.frombuffer(self._owned_flags, dtype=_np.uint8)
+            dest_flags = np.frombuffer(self._owned_flags, dtype=np.uint8)
             dest_flags[orows] = _PRESENT | (flags[plan_idx] * _REVOKED)
-            src_keys = _np.frombuffer(snap.owned_keys, dtype=_np.uint8)
-            dest_keys = _np.frombuffer(self._keys, dtype=_np.uint8)
+            src_keys = np.frombuffer(snap.owned_keys, dtype=np.uint8)
+            dest_keys = np.frombuffer(self._keys, dtype=np.uint8)
             dest_keys.reshape(-1, KEY_BYTES)[orows] = src_keys.reshape(
                 -1, KEY_BYTES
             )[plan_idx]
-        for i in _np.flatnonzero(~in_plan):
+        for i in np.flatnonzero(~in_plan):
             base = int(i) * KEY_BYTES
             self._extra[int(hids[i])] = [
                 bytes(snap.owned_keys[base : base + KEY_BYTES]),
                 bool(flags[i]),
             ]
-        live = _np.frombuffer(snap.live_hids, dtype=">u4").astype(_np.int64)
+        live = np.frombuffer(snap.live_hids, dtype=">u4").astype(np.int64)
         live_rows = live - FIRST_HOST_HID
         host_live = live_rows >= 0
         rows_live = live_rows[host_live]
         if rows_live.size:
             self._ensure_live(int(rows_live.max()) + 1)
-            dest_live = _np.frombuffer(self._live, dtype=_np.uint8)
+            dest_live = np.frombuffer(self._live, dtype=np.uint8)
             dest_live[rows_live] = 1
         self._service_live = {int(h) for h in live[~host_live]}
+        # The rows written, however often the snapshot named each.
+        written = self._owned_flags
+        self._owned_n = len(written) - written.count(_ABSENT) + len(self._extra)
+        if self._owned_n != snap.owned_count:
+            raise ValueError("owned HIDs repeat: a shard holds one row per HID")

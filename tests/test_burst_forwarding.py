@@ -4,12 +4,17 @@
 node accumulate frames and push them through ``process_burst`` when the
 burst fills (or the flush window elapses), acting on the verdicts in
 arrival order.
-End-to-end traffic must come out identical to per-packet dispatch.
+End-to-end traffic must come out identical to per-packet dispatch, and
+a frame that does not parse is dropped and counted at the node, never
+raised into the event loop.
 """
 
 import pytest
 
 from repro.core.config import ApnaConfig
+from repro.topology import WorldBuilder
+from repro.wire import gre
+from repro.wire.apna import ApnaHeader, ApnaPacket
 from repro.workload import TrafficProfile
 
 from repro import scenarios
@@ -63,6 +68,36 @@ class TestBorderRouterNodeBursts:
         alice, _ = _exchange(world)
         assert len(alice.inbox) == 1
         assert world.as_a.node.largest_burst == 1
+
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_malformed_frames_are_dropped_not_raised(self, shards):
+        """Anyone on a link can send bytes.  A runt from an attached host,
+        a garbled frame from the neighbouring AS and a nonce-less frame in
+        a replay-protected world are each dropped and counted at the node:
+        the simulation runs on, and a session after them completes."""
+        config = ApnaConfig(replay_protection=True, forwarding_shards=shards)
+        world = (
+            WorldBuilder(seed=5, config=config)
+            .asys("a", aid=100)
+            .asys("b", aid=200)
+            .link("a", "b")
+            .host("alice", at="a")
+            .host("bob", at="b")
+            .build()
+        )
+        with world:
+            alice, as_a, as_b = world.host("alice"), world.asys("a"), world.asys("b")
+            garbled = bytearray(gre.encapsulate(bytes(64), src_ip=200, dst_ip=100))
+            garbled[8] ^= 0xFF  # the IPv4 TTL: the header checksum fails
+            nonceless = ApnaPacket(ApnaHeader(100, bytes(16), bytes(16), 200))
+            alice.send(as_a.node.name, bytes(20))
+            alice.send(as_a.node.name, nonceless.to_wire())
+            as_b.node.send(as_a.node.name, bytes(garbled))
+            world.run()
+            assert as_a.node.malformed_frames == 3
+            assert as_b.node.malformed_frames == 0
+            alice, _ = _exchange(world)
+            assert [data for _, _, data in alice.inbox] == [b"OK hello"]
 
 
 class TestTrafficProfileBursts:

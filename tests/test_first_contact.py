@@ -132,10 +132,10 @@ def test_revoked_hid_leaves_no_context_behind():
 
 @pytest.mark.parametrize("flag", (2, 3, 128, 255))
 def test_snapshot_flag_byte_cannot_unrevoke_a_host(flag):
-    """An owned row's flag is 0 or 1.  The numpy loader multiplied any
-    other byte into its flag column, where 2 and 128 lose the revoked
-    bit: the row loaded live and ``packet_mac_key`` released a key the
-    stdlib loader held revoked.  The codec refuses such a byte — at
+    """An owned row's flag is 0 or 1.  The loader multiplies the byte
+    into its flag column, where 2 and 128 would lose the revoked bit:
+    the row would load live and ``packet_mac_key`` release a key the
+    authority holds revoked.  The codec refuses such a byte — at
     construction, at ``decode``, and as the ``MSG_ERROR`` reply to a
     ``MSG_RESYNC`` that carries it, the shard's previous state serving."""
     hid = FIRST_HOST_HID + 5

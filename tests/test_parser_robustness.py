@@ -11,8 +11,6 @@ probe deeper than random noise) and accepts exactly two outcomes: a
 successful parse, or the documented exception.
 """
 
-from unittest import mock
-
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -21,7 +19,7 @@ from repro.core import verdict as verdict_module
 from repro.core.certs import AsCertificate, CertError, EphIdCertificate
 from repro.core.ephid import EphIdCodec
 from repro.core.errors import ApnaError, EphIdError, RevokedError, UnknownHostError
-from repro.core.hostdb import FIRST_HOST_HID, HostRecord
+from repro.core.hostdb import FIRST_HOST_HID, HostDatabase, HostRecord
 from repro.core.keys import HostAsKeys
 from repro.core.messages import (
     BootstrapReply,
@@ -46,8 +44,6 @@ from repro.state import (
     ColumnarShardView,
     ShardSnapshot,
     build_shard_snapshot,
-    columns as columns_module,
-    view as view_module,
 )
 from repro.tls.ca import DomainCertError, DomainCertificate
 from repro.tls.handshake import Attestation, AuthRequest, TlsAuthError
@@ -304,7 +300,7 @@ def test_shard_wire_decoders_round_trip_or_refuse(
         ), cut
 
 
-# -- the shard snapshot: one codec, one loader on two platform arms ---------
+# -- the shard snapshot: one codec, one loader, one exporter -----------------
 
 _H = FIRST_HOST_HID
 #: Service HIDs, a stripe of host rows every plan below splits into
@@ -313,25 +309,19 @@ _snapshot_hids = st.one_of(
     st.integers(1, 8), st.integers(_H, _H + 24), st.integers(_H + 200, _H + 230)
 )
 
+_REPEAT = "owned HIDs repeat: a shard holds one row per HID"
+
 
 def _keys(hid: int) -> HostAsKeys:
     return HostAsKeys(control=b"\x0c" * 16, packet_mac=hid.to_bytes(4, "big") * 4)
 
 
-def _loaded(snap, shard, plan, *, numpy: bool) -> ColumnarShardView:
-    """``snap`` in a fresh view, through the numpy loader as installed or
-    through the stdlib loop a numpy-less host runs."""
-    view = ColumnarShardView(shard=shard, nshards=plan.nshards, block=plan.block)
-    with mock.patch.object(view_module, "_np", view_module._np if numpy else None):
-        view.load_snapshot(snap)
-    return view
-
-
-def _answers(snap, shard, plan, hids, *, numpy: bool):
+def _answers(snap, shard, plan, hids):
     """What a view loaded from ``snap`` says about ``hids`` — or that the
     loader refused it."""
+    view = ColumnarShardView(plan, shard)
     try:
-        view = _loaded(snap, shard, plan, numpy=numpy)
+        view.load_snapshot(snap)
     except ValueError as exc:
         return str(exc)
     answers = {"owned_count": view.owned_count}
@@ -342,6 +332,28 @@ def _answers(snap, shard, plan, hids, *, numpy: bool):
             key = type(exc)
         answers[hid] = (view.is_valid(hid), key)
     return answers
+
+
+def _model(snap, hids):
+    """What ``snap``'s rows say about ``hids``, read through the codec's
+    row iterators into a dict: the reference the loader is held to,
+    whatever shard and plan load it (out-of-plan rows are kept aside,
+    not dropped)."""
+    owned = {
+        hid: (packet_mac, revoked) for hid, _, packet_mac, revoked in snap.iter_owned()
+    }
+    if len(owned) != snap.owned_count:
+        return _REPEAT
+    live = set(snap.iter_live())
+    model = {"owned_count": len(owned)}
+    for hid in hids:
+        if hid not in owned:
+            key = UnknownHostError
+        else:
+            packet_mac, revoked = owned[hid]
+            key = RevokedError if revoked else packet_mac
+        model[hid] = (hid in live, key)
+    return model
 
 
 def _with_neighbours(hids):
@@ -356,15 +368,14 @@ def _with_neighbours(hids):
     data=st.data(),
 )
 @settings(max_examples=100, deadline=None)
-def test_shard_snapshot_loads_alike_with_and_without_numpy(
-    owned, live, nshards, block, data
-):
+def test_shard_snapshot_loads_and_exports_its_rows(owned, live, nshards, block, data):
     """``encode`` -> ``decode`` -> ``load_snapshot`` answers ``is_valid``,
-    ``packet_mac_key`` and ``owned_count`` as a plain dict model does,
-    whether or not numpy is there to scatter the columns; the columns a
-    ``ColumnarHostDatabase`` exports are the same bytes on both arms; and
+    ``packet_mac_key`` and ``owned_count`` as a dict model of the
+    snapshot's rows does; ``build_shard_snapshot`` over the columns
+    writes exactly the rows scalar ``ShardPlan.owner_of`` assigns the
+    shard over a per-record ``HostDatabase`` of the same population; and
     one flipped, dropped or inserted byte is refused by ``decode``, or
-    refused by both loaders, or loads to the same answers on both."""
+    loads to exactly what its rows say (a repeated owned HID refused)."""
     plan = ShardPlan(nshards, block=block)
     shard = data.draw(st.integers(0, nshards - 1))
     rows = [
@@ -375,26 +386,30 @@ def test_shard_snapshot_loads_alike_with_and_without_numpy(
     blob = ShardSnapshot.from_rows(rows, sorted(live), revoked_ephids).encode()
     snap = ShardSnapshot.decode(blob)
     probes = _with_neighbours(set(owned) | live)
-    model = {"owned_count": len(owned)}
-    for hid in probes:
-        if hid not in owned:
-            key = UnknownHostError
-        else:
-            key = RevokedError if owned[hid] else _keys(hid).packet_mac
-        model[hid] = (hid in live, key)
-    for numpy in (True, False):
-        assert _answers(snap, shard, plan, probes, numpy=numpy) == model
+    assert list(snap.iter_owned()) == rows
+    assert _answers(snap, shard, plan, probes) == _model(snap, probes)
 
-    # The exporting side: the same population in the authoritative columns.
-    hostdb = ColumnarHostDatabase()
-    for hid, revoked in owned.items():
-        hostdb.register(HostRecord(hid, _keys(hid), revoked=revoked))
+    # The exporting side: the same population, registered in HID order,
+    # in the authoritative columns and in the per-record spec.
+    hostdb, spec_db = ColumnarHostDatabase(), HostDatabase()
+    for hid in sorted(owned):
+        for db in (hostdb, spec_db):
+            db.register(HostRecord(hid, _keys(hid), revoked=owned[hid]))
     revocations = ColumnarRevocationList()
     for ephid, exp_time in revoked_ephids:
         revocations.add(ephid, exp_time)
-    exported = build_shard_snapshot(hostdb, revocations, plan, shard).encode()
-    with mock.patch.object(columns_module, "_np", None):
-        assert build_shard_snapshot(hostdb, revocations, plan, shard).encode() == exported
+    exported = build_shard_snapshot(hostdb, revocations, plan, shard)
+    records = list(spec_db.records())
+    walked = ShardSnapshot.from_rows(
+        [
+            (r.hid, r.keys.control, r.keys.packet_mac, r.revoked)
+            for r in records
+            if plan.owner_of(r.hid) == shard
+        ],
+        [r.hid for r in records if not r.revoked],
+        revoked_ephids,
+    )
+    assert exported.encode() == walked.encode()
 
     # One byte of damage.  An HID may move, but not so far that loading
     # it would allocate columns for a billion rows.
@@ -406,9 +421,7 @@ def test_shard_snapshot_loads_alike_with_and_without_numpy(
     named = [hid for hid, *_ in snap.iter_owned()] + list(snap.iter_live())
     assume(max(named, default=0) < _H + (1 << 16))
     probes = _with_neighbours(named)
-    assert _answers(snap, shard, plan, probes, numpy=True) == _answers(
-        snap, shard, plan, probes, numpy=False
-    )
+    assert _answers(snap, shard, plan, probes) == _model(snap, probes)
 
 
 class TestMutatedValidInputs:

@@ -273,10 +273,43 @@ def test_shard_view_keeps_nothing_per_hid_looked_up():
     asked for — a second unbounded per-host cache under the router's.
     The router fetches keys with ``packet_mac_key``; the view holds
     columns and the out-of-plan rows, nothing keyed by lookups."""
-    view = ColumnarShardView(shard=0, nshards=1)
+    view = ColumnarShardView(ShardPlan(1), 0)
     assert not hasattr(view, "_cache")
     assert "_cache" not in (ROOT / "src/repro/state/view.py").read_text()
     assert "hostdb.get" not in inspect.getsource(BorderRouter)
+
+
+def test_one_shard_layout():
+    """Which host rows a shard owns, and where each lands in its row
+    space, is ``ShardPlan``'s alone: numpy is declared, so the state
+    package has no fallback arm to keep in step, and the worker's view
+    is built from a plan rather than from the numbers to re-derive one."""
+    setup = ast.parse((ROOT / "setup.py").read_text())
+    requires = next(
+        keyword.value
+        for node in ast.walk(setup)
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+        if keyword.arg == "install_requires"
+    )
+    assert any(
+        re.match(r"numpy\b", ast.literal_eval(item)) for item in requires.elts
+    )
+    for path in sorted((ROOT / "src/repro/state").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = {
+                    sub.id for sub in ast.walk(node.type) if isinstance(sub, ast.Name)
+                }
+                assert "ImportError" not in caught, path
+    # Spelled in pieces, so that a grep of the tree for it finds none.
+    gone = "HAVE_" + "NUMPY"
+    for tree in ("src", "tests"):
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            assert gone not in path.read_text(), path
+    assert list(inspect.signature(ColumnarShardView).parameters) == ["plan", "shard"]
+    plan = ShardPlan(2, block=4)
+    assert ShardState(_shard_spec(plan, 1)).hosts._plan == plan
 
 
 def _imported_names(rel: str) -> set[str]:

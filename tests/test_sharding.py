@@ -11,7 +11,9 @@ single lenient scaling sanity check runs only on multi-core hosts.
 import os
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ephid as ephid_module
 from repro.core import verdict as verdict_module
@@ -120,6 +122,47 @@ class TestShardPlan:
             ShardPlan(2, block=0)
         with pytest.raises(ValueError):
             ShardPlan(2, key=b"short")
+
+    def test_dense_rows_compact_each_shards_stripe(self):
+        """A shard's owned host rows fill its row space without holes,
+        in HID order; services have no dense row."""
+        for plan in (ShardPlan(3), ShardPlan(2, block=4)):
+            hids = range(FIRST_HOST_HID, FIRST_HOST_HID + 40)
+            for shard in range(plan.nshards):
+                lookup = plan.row_lookup(shard)
+                rows = [lookup(h) for h in hids if plan.owner_of(h) == shard]
+                assert rows == list(range(len(rows)))
+                assert lookup(FIRST_HOST_HID - 1) == -1
+
+
+@given(
+    hids=st.lists(
+        st.one_of(
+            st.integers(1, FIRST_HOST_HID + 64),
+            st.integers(FIRST_HOST_HID, 2**32 - 1),
+        ),
+        max_size=40,
+    ),
+    nshards=st.integers(1, 3),
+    block=st.sampled_from((1, 4)),
+)
+@settings(max_examples=100, deadline=None)
+def test_plan_column_forms_equal_the_scalar_forms(hids, nshards, block):
+    """One partition however it is asked: over a u32 column, ``owners_of``
+    equals scalar ``owner_of`` element for element, and ``dense_rows``
+    the scalar row of the owner's ``row_lookup`` — which answers -1 for
+    a service HID and for every HID another shard owns."""
+    plan = ShardPlan(nshards, block=block)
+    column = np.array(hids, dtype=">u4")
+    owners = [plan.owner_of(hid) for hid in hids]
+    lookups = [plan.row_lookup(shard) for shard in range(nshards)]
+    assert plan.owners_of(column).tolist() == owners
+    dense = [lookups[owner](hid) for owner, hid in zip(owners, hids)]
+    assert plan.dense_rows(column).tolist() == dense
+    for hid, owner, row in zip(hids, owners, dense):
+        assert (row == -1) == (hid < FIRST_HOST_HID), hid
+        for shard, lookup in enumerate(lookups):
+            assert lookup(hid) == (row if shard == owner else -1), (hid, shard)
 
 
 class TestPinnedIvAllocation:
@@ -318,7 +361,7 @@ class TestShardHostView:
     name its ids were first collected under)."""
 
     def test_owned_vs_replicated_split(self):
-        view = ColumnarShardView(shard=0, nshards=1)
+        view = ColumnarShardView(ShardPlan(1), 0)
         view.add_owned(10, b"c" * 16, b"m" * 16)
         view.set_live(11)
         assert view.is_valid(10) and view.is_valid(11)
@@ -327,7 +370,7 @@ class TestShardHostView:
             view.get(11)  # liveness replicated, keys not owned here
 
     def test_revoke(self):
-        view = ColumnarShardView(shard=0, nshards=1)
+        view = ColumnarShardView(ShardPlan(1), 0)
         view.add_owned(10, b"c" * 16, b"m" * 16)
         view.revoke(10)
         assert not view.is_valid(10)

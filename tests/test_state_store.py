@@ -29,7 +29,6 @@ from repro.state import (
     build_shard_snapshot,
     population_key_material,
 )
-from repro.state import view as view_module
 from repro.state.snapshot import pack_f64s, pack_u32s
 
 SERVICE_HIDS = (3, 1, 2, 4, 5)  # AA, registry, MS, DNS, router order
@@ -344,17 +343,18 @@ class TestShardSnapshotCodec:
         assert list(decoded.iter_owned()) == rows
         assert list(decoded.iter_live()) == live
         assert list(decoded.iter_revoked()) == revoked
-        # The routing trailer round-trips too, and is required: a blob
-        # cut exactly where it starts is truncated, not a trailer-less
-        # snapshot (that would skip the worker's kR cross-check), and
-        # the retired residue flag no longer decodes.
-        keyed = replace(snap, routing_mode="keyed", routing_key=b"\x07" * 16)
+        # The routing trailer — kR's length, then kR — round-trips too,
+        # and is required: a blob cut exactly where it starts is
+        # truncated, not a trailer-less snapshot (that would skip the
+        # worker's kR cross-check).
+        keyed = replace(snap, routing_key=b"\x07" * 16)
         blob = keyed.encode()
+        assert blob[-17:] == b"\x10" + b"\x07" * 16
         assert ShardSnapshot.decode(blob) == keyed
         with pytest.raises(ValueError, match="routing trailer"):
-            ShardSnapshot.decode(blob[:-18])
-        with pytest.raises(ValueError, match="unknown routing-mode flag 1"):
-            ShardSnapshot.decode(blob[:-18] + b"\x01\x00")
+            ShardSnapshot.decode(blob[:-17])
+        with pytest.raises(ValueError, match="header implies"):
+            ShardSnapshot.decode(blob[:-1])
 
     def test_decode_rejects_trailing_bytes(self):
         blob = ShardSnapshot.empty().encode() + b"\x00"
@@ -381,18 +381,16 @@ class TestShardSnapshotCodec:
                 rev_ephids=b"",
             )
 
-    @pytest.mark.parametrize("numpy", (True, False), ids=("numpy", "stdlib"))
-    def test_repeated_owned_hid_refused_at_load(self, numpy, monkeypatch):
+    def test_repeated_owned_hid_refused_at_load(self):
         """One row per owned HID: numpy's scatter leaves the winner of a
         repeated index undefined and used to count the row twice, so the
-        loader refuses the snapshot — on both of its arms."""
-        if not numpy:
-            monkeypatch.setattr(view_module, "_np", None)
+        loader refuses the snapshot — for an in-plan HID and an
+        out-of-plan one alike."""
         row = (FIRST_HOST_HID, b"\x01" * 16, b"\x02" * 16, False)
         for rows in ([row, row], [(3, *row[1:]), row, (3, *row[1:])]):
             snap = ShardSnapshot.decode(ShardSnapshot.from_rows(rows, [], []).encode())
             with pytest.raises(ValueError, match="owned HIDs repeat"):
-                ColumnarShardView(shard=0, nshards=1).load_snapshot(snap)
+                ColumnarShardView(ShardPlan(1), 0).load_snapshot(snap)
 
 
 def _authoritative(columnar: bool = True, hosts: int = 240):
@@ -448,7 +446,7 @@ def _walked_snapshot(hostdb, revocations, plan, shard) -> ShardSnapshot:
                 )
             )
     walked = ShardSnapshot.from_rows(owned, live, revocations.snapshot())
-    return replace(walked, routing_mode=plan.mode, routing_key=plan.key or b"")
+    return replace(walked, routing_key=plan.key or b"")
 
 
 def _shard_spec(plan, shard, snapshot=b""):
@@ -552,6 +550,17 @@ def test_refused_resync_leaves_the_previous_state_whole():
     assert state.router._hostdb is state.hosts
 
 
+def test_shard_state_refuses_a_second_routing_mode():
+    """The IV -> shard map is the keyed one.  ``ShardSpec.routing_mode``
+    survives only because ``bench/`` still passes it, and any value but
+    ``ShardPlan.mode`` is refused, as a second ``crypto_backend`` is."""
+    spec = _shard_spec(ShardPlan(1), 0)
+    ShardState(spec)
+    for mode in ("", "residue"):
+        with pytest.raises(ValueError, match="only IV -> shard routing"):
+            ShardState(replace(spec, routing_mode=mode))
+
+
 def test_handle_holds_a_control_error_for_the_next_reply():
     """The worker protocol's alignment rule, in-process: a failed
     fire-and-forget frame yields no reply of its own; its error takes
@@ -586,9 +595,9 @@ class TestColumnarShardView:
     def test_load_snapshot_matches_per_record_adds(self):
         plan, rows, live = self._snapshot()
         snap = ShardSnapshot.from_rows(rows, live, [])
-        loaded = ColumnarShardView(shard=1, nshards=plan.nshards, block=plan.block)
+        loaded = ColumnarShardView(plan, 1)
         loaded.load_snapshot(snap)
-        manual = ColumnarShardView(shard=1, nshards=plan.nshards, block=plan.block)
+        manual = ColumnarShardView(plan, 1)
         for hid, control, packet_mac, revoked in rows:
             manual.add_owned(hid, control, packet_mac, revoked=revoked)
         for hid in live:
@@ -602,7 +611,7 @@ class TestColumnarShardView:
         assert loaded.is_valid(3) and manual.is_valid(3)
 
     def test_misrouted_and_revoked_errors(self):
-        view = ColumnarShardView(shard=0, nshards=2)
+        view = ColumnarShardView(ShardPlan(2), 0)
         with pytest.raises(UnknownHostError, match="misrouted"):
             view.get(FIRST_HOST_HID)
         view.add_owned(FIRST_HOST_HID, b"\x01" * 16, b"\x02" * 16)
@@ -614,7 +623,7 @@ class TestColumnarShardView:
     def test_out_of_plan_entries(self):
         """Service HIDs and HIDs another shard owns still work when pushed
         via add_owned (the supervisor's broadcast registration path)."""
-        view = ColumnarShardView(shard=1, nshards=2)
+        view = ColumnarShardView(ShardPlan(2), 1)
         view.add_owned(3, b"\x01" * 16, b"\x02" * 16)  # service
         foreign = FIRST_HOST_HID + 1  # shard 1 of 2 owns odd rows; row 1 -> shard 1
         not_mine = FIRST_HOST_HID  # row 0 -> shard 0

@@ -190,12 +190,20 @@ def test_shard_routing_mod_detects_and_passes():
         "    return plan.owner_of_iv(wrapped)\n"
     )
     assert not findings_of("shard-routing-mod", good, "sharding/fixture.py")
-    # plan.py itself is the one sanctioned home of routing arithmetic.
+    # plan.py itself is the one sanctioned home of shard arithmetic.
     assert not RULES["shard-routing-mod"].applies_to("sharding/plan.py")
-    # HID-block *ownership* arithmetic (which rows a shard stores) is
-    # keyed on the secret HID, not clear packet bytes: out of scope.
-    assert not RULES["shard-routing-mod"].applies_to("state/view.py")
-    assert not RULES["shard-routing-mod"].applies_to("state/columns.py")
+    # HID-block ownership re-derived beside the plan — the copies the
+    # state package once held — fires like routing does: two copies of
+    # the partition can disagree.
+    stripe = (
+        "def _orow(self, hid):\n"
+        "    blk, off = divmod(hid - FIRST_HOST_HID, self._block)\n"
+        "    if blk % self._nshards != self._shard:\n"
+        "        return -1\n"
+        "    return (blk // self._nshards) * self._block + off\n"
+    )
+    for rel in ("state/view.py", "state/columns.py", "core/hostdb.py"):
+        assert findings_of("shard-routing-mod", stripe, rel), rel
 
 
 def test_secret_hygiene_detects_and_passes():
