@@ -17,8 +17,10 @@ Package map
 -----------
 
 =================== ========================================================
-``repro.crypto``    From-scratch crypto substrate: AES, CTR/CBC-MAC/CMAC/
-                    GCM, HKDF, X25519, Ed25519, AEAD schemes, RNGs.
+``repro.crypto``    Crypto primitives: AES, CMAC, GCM, HMAC, X25519 and
+                    Ed25519 are OpenSSL calls (``cryptography``), with
+                    the from-scratch code beside them as their spec;
+                    HKDF, AEAD schemes, RNGs.
 ``repro.wire``      Wire formats: the 48 B APNA header (Fig. 7), replay-
                     nonce extension, IPv4/GRE encapsulation (Fig. 9),
                     transport, ICMP.

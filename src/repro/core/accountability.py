@@ -24,7 +24,6 @@ from typing import Callable
 
 from ..crypto import ed25519
 from ..crypto.cmac import Cmac
-from ..crypto.util import ct_eq
 from ..wire.apna import ApnaPacket, HEADER_SIZE
 from .certs import EphIdCertificate
 from .config import ApnaConfig
@@ -56,7 +55,6 @@ class AccountabilityAgent:
         self._bus = bus
         self._rpki = rpki
         self._clock = clock
-        self._config = config
         self.policy = RevocationPolicy(
             config.revocation_threshold, on_hid_revoked=self._revoke_hid
         )
@@ -127,11 +125,7 @@ class AccountabilityAgent:
             return None, "src-ephid-expired"
         if not self._hostdb.is_valid(info.hid):
             return None, "src-hid-invalid"
-        kha = self._hostdb.get(info.hid).keys
-        expected = Cmac(kha.packet_mac).tag(
-            packet.mac_input(), self._config.packet_mac_size
-        )
-        if not ct_eq(expected, header.mac):
+        if not packet.mac_valid(Cmac(self._hostdb.packet_mac_key(info.hid))):
             return None, "packet-mac-invalid"
         return info, None
 

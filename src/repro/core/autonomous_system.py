@@ -13,6 +13,7 @@ behind an access link.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ..crypto.cmac import Cmac
@@ -49,7 +50,7 @@ from .keys import AsKeyMaterial, EphIdKeyPair, HostAsKeys
 from .management import ManagementService
 from .messages import ShutoffRequest, ShutoffResponse
 from .registry import RegistryService
-from .onetime import DemuxError, FlowTagger, TagDemuxer, pack_tagged, unpack_tagged
+from .onetime import FlowTagger, TagDemuxer, pack_tagged, unpack_tagged
 from .replay import ReplayWindow
 from .replay_filter import RotatingReplayFilter
 from .rpki import RpkiDirectory, TrustAnchor
@@ -72,7 +73,7 @@ class ServiceIdentity:
     _mac: Cmac
 
     def make_packet(
-        self, aid: int, dst: Endpoint, payload: bytes, *, mac_size: int, nonce: int | None = None
+        self, aid: int, dst: Endpoint, payload: bytes, *, nonce: int | None = None
     ) -> ApnaPacket:
         header = ApnaHeader(
             src_aid=aid,
@@ -81,8 +82,7 @@ class ServiceIdentity:
             dst_aid=dst.aid,
             nonce=nonce,
         )
-        mac = self._mac.tag(header.mac_input(payload), mac_size)
-        return ApnaPacket(header.with_mac(mac), payload)
+        return header.signed(self._mac, payload)
 
 
 class ApnaAutonomousSystem:
@@ -119,9 +119,7 @@ class ApnaAutonomousSystem:
             from ..sharding.plan import ShardPlan
 
             self.shard_plan = ShardPlan(
-                config.forwarding_shards,
-                block=config.shard_block,
-                key=self.keys.secret.shard_route,
+                config.forwarding_shards, key=self.keys.secret.shard_route
             ).validate_routing()
         #: The live worker pool (see :meth:`start_shard_pool`).
         self.shard_pool = None
@@ -161,7 +159,6 @@ class ApnaAutonomousSystem:
                 self.hostdb,
                 self.revocations,
                 clock,
-                packet_mac_size=config.packet_mac_size,
                 replay_filter=replay_filter,
             )
 
@@ -398,7 +395,6 @@ class ApnaAutonomousSystem:
             self.aid,
             Endpoint(packet.header.src_aid, packet.header.src_ephid),
             framing.frame(framing.PT_CONTROL_REP, sealed_reply),
-            mac_size=self.config.packet_mac_size,
             nonce=self.next_service_nonce(),
         )
         self.route_packet(reply)
@@ -418,7 +414,6 @@ class ApnaAutonomousSystem:
             self.aid,
             Endpoint(packet.header.src_aid, packet.header.src_ephid),
             framing.frame(framing.PT_SHUTOFF_RESP, response.pack()),
-            mac_size=self.config.packet_mac_size,
             nonce=self.next_service_nonce(),
         )
         self.route_packet(reply)
@@ -531,11 +526,7 @@ class BorderRouterNode(Node):
             assert verdict.hid is not None
             self._deliver_hid(packet, verdict.hid)
         else:
-            if (
-                arrived_from_outside
-                and self.assembly.config.icmp_on_drop
-                and verdict.reason in ICMP_CODES
-            ):
+            if arrived_from_outside and verdict.reason in ICMP_CODES:
                 self._send_icmp_unreachable(packet, ICMP_CODES[verdict.reason])
 
     def _forward_inter(self, packet: ApnaPacket, dst_aid: int) -> None:
@@ -574,7 +565,6 @@ class BorderRouterNode(Node):
             assembly.aid,
             Endpoint(packet.header.src_aid, packet.header.src_ephid),
             framing.frame(framing.PT_ICMP, message.pack()),
-            mac_size=assembly.config.packet_mac_size,
             nonce=assembly.next_service_nonce(),
         )
         self.icmp_sent += 1
@@ -626,6 +616,11 @@ class ApnaHostNode(Node):
         self.inbox: list[tuple[Session, TransportHeader, bytes]] = []
         self.icmp_log: list[icmp_wire.IcmpMessage] = []
         self.replay_drops = 0
+        #: Frames dropped because they fail a parse, certificate or reply
+        #: check (see :meth:`handle_frame`).
+        self.malformed_frames = 0
+        #: Application callbacks the frame being checked owes.
+        self._owed: list[Callable[[], None]] = []
         #: Per-packet EphID support (VIII-A): flow-tag demultiplexer and
         #: per-session taggers, created on first use.
         self.demux = TagDemuxer()
@@ -859,6 +854,26 @@ class ApnaHostNode(Node):
     # -- receive path --
 
     def handle_frame(self, frame_bytes: bytes, *, from_node: str) -> None:
+        owed = self._owed = []
+        try:
+            self._accept(frame_bytes)
+        except (WireError, ApnaError):
+            # Anyone on the access link can send bytes, and a forged
+            # certificate or a garbled reply is bytes too: a frame that
+            # fails a parse, certificate or reply check is dropped here,
+            # never raised into the event loop.  The application callbacks
+            # an accepted frame owes run after, outside this net, so their
+            # own errors still propagate.
+            self.malformed_frames += 1
+            return
+        for callback in owed:
+            callback()
+
+    def _owe(self, callback: Callable, *args) -> None:
+        """Hold an application callback until the frame passes every check."""
+        self._owed.append(partial(callback, *args))
+
+    def _accept(self, frame_bytes: bytes) -> None:
         packet = ApnaPacket.from_wire(
             frame_bytes, with_nonce=self.assembly.config.replay_protection
         )
@@ -898,27 +913,16 @@ class ApnaHostNode(Node):
         session = self.sessions.get(key)
         if session is None:
             return
-        try:
-            segment = session.open(body)
-        except SessionError:
-            return
-        transport, data = split_segment(segment)
-        self._dispatch_segment(session, transport, data)
+        transport, data = split_segment(session.open(body))
+        self._owe(self._dispatch_segment, session, transport, data)
 
     def _on_data_ota(self, body: bytes) -> None:
         """One-time-tagged data: the header's EphIDs carry no session
         information, the flow tag does (Section VIII-A, reference [23])."""
-        try:
-            tag, sealed = unpack_tagged(body)
-            session = self.demux.match(tag)
-        except DemuxError:
-            return
-        try:
-            segment = session.open(sealed)
-        except SessionError:
-            return
-        transport, data = split_segment(segment)
-        self._dispatch_segment(session, transport, data)
+        tag, sealed = unpack_tagged(body)
+        session = self.demux.match(tag)
+        transport, data = split_segment(session.open(sealed))
+        self._owe(self._dispatch_segment, session, transport, data)
 
     def _on_conn_request(self, packet: ApnaPacket, body: bytes) -> None:
         request = ConnectionRequest.parse(body)
@@ -927,27 +931,23 @@ class ApnaHostNode(Node):
         if local is None:
             return
         if local.receive_only:
-            self._accept_via_serving_ephid(packet, request, local)
+            self._accept_via_serving_ephid(request, local)
             return
         session = self.sessions.get((local.ephid, request.cert.ephid))
         if session is None:
-            session = Session(
-                local, request.cert, scheme=self.assembly.config.aead_scheme
-            )
+            session = Session(local, request.cert)
             self.sessions[(local.ephid, request.cert.ephid)] = session
             if self.on_connection is not None:
-                self.on_connection(session)
+                self._owe(self.on_connection, session)
         if request.early_data:
-            self._deliver_early(session, request.early_data)
+            self._deliver_early(session, request.early_data, session)
 
     def _accept_via_serving_ephid(
-        self, packet: ApnaPacket, request: ConnectionRequest, receive_only: OwnedEphId
+        self, request: ConnectionRequest, receive_only: OwnedEphId
     ) -> None:
         """The Section VII-A server flow: answer with a serving EphID."""
         serving = self.acquire_ephid_direct()
-        serving_session = Session(
-            serving, request.cert, scheme=self.assembly.config.aead_scheme
-        )
+        serving_session = Session(serving, request.cert)
         self.sessions[(serving.ephid, request.cert.ephid)] = serving_session
         # Send the accept BEFORE dispatching data to the application: any
         # response the application emits must arrive behind the accept
@@ -961,21 +961,14 @@ class ApnaHostNode(Node):
         )
         self._transmit(reply)
         if self.on_connection is not None:
-            self.on_connection(serving_session)
+            self._owe(self.on_connection, serving_session)
         if request.early_data:
             # 0-RTT data was encrypted against the receive-only EphID's
             # key; decrypt with it but hand the application the serving
             # session, which is what replies must flow through.
-            early_session = Session(
-                receive_only, request.cert, scheme=self.assembly.config.aead_scheme
+            self._deliver_early(
+                Session(receive_only, request.cert), request.early_data, serving_session
             )
-            try:
-                segment = early_session.open(request.early_data)
-            except SessionError:
-                segment = None
-            if segment is not None:
-                transport, data = split_segment(segment)
-                self._dispatch_segment(serving_session, transport, data)
 
     def _on_conn_accept(self, packet: ApnaPacket, body: bytes) -> None:
         accept = ConnectionAccept.parse(body)
@@ -986,37 +979,40 @@ class ApnaHostNode(Node):
         local = self.owned.get(local_ephid)
         if local is None:
             return
-        session = Session(
-            local, accept.serving_cert, scheme=self.assembly.config.aead_scheme
-        )
+        session = Session(local, accept.serving_cert)
         self.sessions[(local_ephid, accept.serving_cert.ephid)] = session
         for (pending_local, original_peer), callback in list(self._pending_accept.items()):
             if pending_local == local_ephid:
                 del self._pending_accept[(pending_local, original_peer)]
-                callback(session)
+                self._owe(callback, session)
                 break
 
-    def _deliver_early(self, session: Session, sealed: bytes) -> None:
+    def _deliver_early(self, opener: Session, sealed: bytes, session: Session) -> None:
+        """0-RTT data, opened under ``opener`` and handed to the
+        application on ``session``.  Data that does not open is dropped;
+        the connection stands without it."""
         try:
-            segment = session.open(sealed)
-        except SessionError:
+            transport, data = split_segment(opener.open(sealed))
+        except (SessionError, WireError):
             return
-        transport, data = split_segment(segment)
-        self._dispatch_segment(session, transport, data)
+        self._owe(self._dispatch_segment, session, transport, data)
 
     def _on_control_reply(self, sealed: bytes) -> None:
         if not self._pending_ephid:
             return
-        keypair, callback = self._pending_ephid.pop(0)
+        keypair, callback = self._pending_ephid[0]
         owned = self.stack.accept_ephid_reply(keypair, sealed)
+        # Only an authentic reply settles the request; a garbled one
+        # leaves it waiting for the real reply.
+        self._pending_ephid.pop(0)
         self.owned[owned.ephid] = owned
         if callback is not None:
-            callback(owned)
+            self._owe(callback, owned)
 
     def _on_shutoff_response(self, body: bytes) -> None:
         response = ShutoffResponse.parse(body)
         if self._pending_shutoff:
-            self._pending_shutoff.pop(0)(response)
+            self._owe(self._pending_shutoff.pop(0), response)
 
     def _on_icmp(self, packet: ApnaPacket, body: bytes) -> None:
         message = icmp_wire.IcmpMessage.parse(body)
@@ -1035,4 +1031,4 @@ class ApnaHostNode(Node):
             key = (message.identifier, message.sequence)
             callback = self._pending_pings.pop(key, None)
             if callback is not None:
-                callback()
+                self._owe(callback)

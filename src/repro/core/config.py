@@ -1,4 +1,4 @@
-"""Deployment-wide APNA configuration knobs.
+"""Deployment-wide APNA configuration.
 
 Defaults follow the paper's parameter discussion (Section VIII-G): data
 EphIDs live 15 minutes (98% of Internet flows are shorter, per the
@@ -10,24 +10,40 @@ HID revoked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
+
+from ..wire.apna import MAC_SIZE
 
 
 @dataclass(frozen=True)
 class ApnaConfig:
-    """Knobs shared by all entities of a deployment."""
+    """What a deployment chooses, and what the paper fixes.
+
+    The fields are the options: some caller (a scenario, the benchmark,
+    an experiment or a test) sets each to a second value.  The class
+    constants are the paper's design parameters, readable off any
+    instance (``config.data_ephid_lifetime``) but not settable.
+    """
+
+    # -- the paper's fixed parameters --
 
     #: Lifetime of control EphIDs ("e.g., DHCP lease time", Section IV-B).
-    control_ephid_lifetime: float = 86_400.0
+    control_ephid_lifetime: ClassVar[float] = 86_400.0
 
     #: Default lifetime of data-plane EphIDs (15 min, Section VIII-G1).
-    data_ephid_lifetime: float = 900.0
+    data_ephid_lifetime: ClassVar[float] = 900.0
 
     #: Three lifetime classes hosts may request (Section VIII-G1 suggests
     #: short/medium/long-term categories).
-    lifetime_classes: tuple[float, float, float] = (60.0, 900.0, 3600.0)
+    lifetime_classes: ClassVar[tuple[float, float, float]] = (60.0, 900.0, 3600.0)
 
     #: Hard cap on any requested EphID lifetime.
-    max_ephid_lifetime: float = 86_400.0
+    max_ephid_lifetime: ClassVar[float] = 86_400.0
+
+    #: Truncated per-packet MAC length in the APNA header (Fig. 7: 8 B).
+    packet_mac_size: ClassVar[int] = MAC_SIZE
+
+    # -- options --
 
     #: Whether packets carry the per-packet replay nonce (Section VIII-D).
     #: Off by default: the base header of Fig. 7 has no nonce.
@@ -71,11 +87,6 @@ class ApnaConfig:
     #: None``) and judges no packet while its pool is not running.
     forwarding_shards: int = 0
 
-    #: Consecutive host HIDs per contiguous shard-ownership block
-    #: (``repro.sharding.ShardPlan.block``).  1 = round-robin over
-    #: registration order.
-    shard_block: int = 1
-
     #: Wall-clock seconds the shard dispatcher waits for any single
     #: worker reply before declaring the worker hung and restarting it
     #: (bounded ``Connection.poll``; see
@@ -98,19 +109,10 @@ class ApnaConfig:
     #: any other value is refused.
     state_backend: str = "columnar"
 
-    #: Data-plane AEAD ("etm" or "gcm"); any CCA-secure scheme is allowed.
-    aead_scheme: str = "etm"
-
-    #: Truncated per-packet MAC length in the APNA header (Fig. 7: 8 B).
-    packet_mac_size: int = 8
-
     #: Preemptive revocations per host before the AS revokes the HID
     #: itself (Section VIII-G2's "maximum number of EphIDs that can be
     #: preemptively revoked for each host").
     revocation_threshold: int = 32
-
-    #: Whether border routers emit ICMP errors for dropped inbound packets.
-    icmp_on_drop: bool = True
 
     def __post_init__(self) -> None:
         if self.state_backend != "columnar":

@@ -160,18 +160,7 @@ class HostStack:
 
     def accept_ephid_reply(self, keypair: EphIdKeyPair, sealed: bytes) -> OwnedEphId:
         """Open and verify the sealed certificate reply."""
-        self._require_bootstrap()
-        assert self._ctrl_scheme is not None
-        if len(sealed) < 12:
-            raise ApnaError("EphID reply too short")
-        nonce, body = sealed[:12], sealed[12:]
-        try:
-            plain = self._ctrl_scheme.open(nonce, body, b"ephid-reply")
-        except ValueError as exc:
-            raise MacError("EphID reply failed authentication") from exc
-        cert = EphIdReply.parse(plain).cert
-        as_cert = self._rpki.lookup(self.aid)
-        cert.verify(as_cert.signing_public, now=self._clock())
+        cert = self.accept_ephid_reply_cert(sealed)
         if cert.dh_public != keypair.exchange.public:
             raise CertError("certificate does not match our DH key")
         if cert.sig_public != keypair.signing.public:
@@ -198,10 +187,7 @@ class HostStack:
             dst_aid=dst.aid,
             nonce=nonce,
         )
-        mac = self._packet_mac.tag(
-            header.mac_input(payload), self.config.packet_mac_size
-        )
-        return ApnaPacket(header.with_mac(mac), payload)
+        return header.signed(self._packet_mac, payload)
 
     # -- Section IV-D1: sessions --
 
@@ -217,7 +203,7 @@ class HostStack:
             self.verify_peer_cert(peer_cert)
         if local.receive_only:
             raise ApnaError("receive-only EphIDs must not source a session")
-        return Session(local, peer_cert, scheme=self.config.aead_scheme)
+        return Session(local, peer_cert)
 
     # -- Fig. 5: shutoff requests --
 

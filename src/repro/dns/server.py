@@ -78,9 +78,7 @@ class DnsServer:
         key = (local.ephid, request.cert.ephid)
         session = self._sessions.get(key)
         if session is None:
-            session = Session(
-                local, request.cert, scheme=self.assembly.config.aead_scheme
-            )
+            session = Session(local, request.cert)
             self._sessions[key] = session
         if request.early_data:
             self._serve(session, request.early_data)
@@ -116,7 +114,6 @@ class DnsServer:
             self.assembly.aid,
             Endpoint(session.peer_cert.aid, session.peer_cert.ephid),
             framing.frame(framing.PT_DATA, session.seal(reply_segment)),
-            mac_size=self.assembly.config.packet_mac_size,
             nonce=self.assembly.next_service_nonce(),
         )
         self.assembly.route_packet(reply)

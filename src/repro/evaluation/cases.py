@@ -140,7 +140,6 @@ class _Source:
     hid: int
     ephid: bytes
     mac: Cmac
-    mac_size: int
 
     def packet(self, dst: Endpoint, payload: bytes) -> ApnaPacket:
         header = ApnaHeader(
@@ -149,12 +148,11 @@ class _Source:
             dst_ephid=dst.ephid,
             dst_aid=dst.aid,
         )
-        tag = self.mac.tag(header.mac_input(payload), self.mac_size)
-        return ApnaPacket(header.with_mac(tag), payload)
+        return header.signed(self.mac, payload)
 
 
-def _sources(asys, hids, count: int, config: ApnaConfig) -> "list[_Source]":
-    exp_time = int(asys.clock() + config.data_ephid_lifetime)
+def _sources(asys, hids, count: int) -> "list[_Source]":
+    exp_time = int(asys.clock() + ApnaConfig.data_ephid_lifetime)
     picked = list(hids[: max(1, count)])
     out = []
     for hid in picked:
@@ -168,13 +166,12 @@ def _sources(asys, hids, count: int, config: ApnaConfig) -> "list[_Source]":
                 hid=hid,
                 ephid=ephid,
                 mac=Cmac(record.keys.packet_mac),
-                mac_size=config.packet_mac_size,
             )
         )
     return out
 
 
-def _oracle(asys, config: ApnaConfig) -> BorderRouter:
+def _oracle(asys) -> BorderRouter:
     """The single-process reference router over the same live state."""
     return BorderRouter(
         asys.aid,
@@ -182,7 +179,6 @@ def _oracle(asys, config: ApnaConfig) -> BorderRouter:
         asys.hostdb,
         asys.revocations,
         asys.clock,
-        packet_mac_size=config.packet_mac_size,
         replay_filter=None,
     )
 
@@ -321,9 +317,7 @@ def _flash_crowd(ctx: CaseContext) -> ScenarioReport:
     try:
         as_a = world.asys("a")
         plane = as_a.shard_pool
-        sources = _sources(
-            as_a, world.population("a"), ctx.source_count, ctx.config
-        )
+        sources = _sources(as_a, world.population("a"), ctx.source_count)
         dst = Endpoint(
             world.asys("b").aid,
             world.host("bob").acquire_ephid_direct().ephid,
@@ -334,7 +328,7 @@ def _flash_crowd(ctx: CaseContext) -> ScenarioReport:
         )
         tally = _Tally()
         tally.run_bursts(
-            plane, _oracle(as_a, ctx.config), as_a.clock, packets,
+            plane, _oracle(as_a), as_a.clock, packets,
             ctx.burst_size,
         )
         stats = plane.stats()
@@ -398,9 +392,7 @@ def _revocation_wave(ctx: CaseContext) -> ScenarioReport:
     try:
         as_a = world.asys("a")
         plane = as_a.shard_pool
-        sources = _sources(
-            as_a, world.population("a"), ctx.source_count, ctx.config
-        )
+        sources = _sources(as_a, world.population("a"), ctx.source_count)
         dst = Endpoint(
             world.asys("b").aid,
             world.host("bob").acquire_ephid_direct().ephid,
@@ -411,7 +403,7 @@ def _revocation_wave(ctx: CaseContext) -> ScenarioReport:
             plane,
             rounds * _bursts_for(len(sources), ctx.burst_size),
         )
-        oracle = _oracle(as_a, ctx.config)
+        oracle = _oracle(as_a)
         tally = _Tally()
         wave_size = max(1, len(sources) // waves)
         exp_time = int(as_a.clock() + ctx.config.data_ephid_lifetime)
@@ -462,9 +454,7 @@ def _migration(ctx: CaseContext) -> ScenarioReport:
     try:
         as_a, as_b = world.asys("a"), world.asys("b")
         plane_a, plane_b = as_a.shard_pool, as_b.shard_pool
-        sources = _sources(
-            as_a, world.population("a"), ctx.source_count, ctx.config
-        )
+        sources = _sources(as_a, world.population("a"), ctx.source_count)
         movers = sources[: max(1, len(sources) // 3)]
         toward_b = Endpoint(
             as_b.aid, world.host("bob").acquire_ephid_direct().ephid
@@ -474,8 +464,8 @@ def _migration(ctx: CaseContext) -> ScenarioReport:
         )
         rounds_a = 2 * _bursts_for(len(sources), ctx.burst_size)
         _maybe_arm_chaos(ctx, plane_a, rounds_a)
-        oracle_a = _oracle(as_a, ctx.config)
-        oracle_b = _oracle(as_b, ctx.config)
+        oracle_a = _oracle(as_a)
+        oracle_b = _oracle(as_b)
         tally_a, tally_b = _Tally(), _Tally()
 
         # Phase 1: everyone still lives at "a" and forwards.
@@ -506,7 +496,6 @@ def _migration(ctx: CaseContext) -> ScenarioReport:
                     hid=hid,
                     ephid=ephid,
                     mac=Cmac(keys.packet_mac),
-                    mac_size=ctx.config.packet_mac_size,
                 )
             )
 
@@ -572,9 +561,7 @@ def _churn(ctx: CaseContext) -> ScenarioReport:
     try:
         as_a = world.asys("a")
         plane = as_a.shard_pool
-        sources = _sources(
-            as_a, world.population("a"), ctx.source_count, ctx.config
-        )
+        sources = _sources(as_a, world.population("a"), ctx.source_count)
         dst = Endpoint(
             world.asys("b").aid,
             world.host("bob").acquire_ephid_direct().ephid,
@@ -583,7 +570,7 @@ def _churn(ctx: CaseContext) -> ScenarioReport:
         # Churn *is* the chaos composition: the storm is always on.
         plan = ctx.storm_plan(bursts)
         plane.install_faults(plan)
-        oracle = _oracle(as_a, ctx.config)
+        oracle = _oracle(as_a)
         tally = _Tally()
         for _ in range(traffic_rounds):
             packets = [source.packet(dst, b"churn") for source in sources]
@@ -645,9 +632,7 @@ def _shutoff_storm(ctx: CaseContext) -> ScenarioReport:
         )
         agent = upgrade_to_onpath(as1)
         plane = as1.shard_pool
-        sources = _sources(
-            as1, world.population("as1"), ctx.source_count, ctx.config
-        )
+        sources = _sources(as1, world.population("as1"), ctx.source_count)
         accused = sources[: max(1, min(len(sources) // 2, 32))]
         dst = Endpoint(
             as3.aid, world.host("dst").acquire_ephid_direct().ephid
@@ -693,7 +678,7 @@ def _shutoff_storm(ctx: CaseContext) -> ScenarioReport:
         _maybe_arm_chaos(
             ctx, plane, _bursts_for(len(sources), ctx.burst_size)
         )
-        oracle = _oracle(as1, ctx.config)
+        oracle = _oracle(as1)
         tally = _Tally()
         tally.run_bursts(
             plane,

@@ -29,6 +29,7 @@ from ..crypto.cmac import Cmac
 from ..crypto.util import ct_eq
 from ..netsim import Node
 from ..wire.apna import ApnaHeader, ApnaPacket, Endpoint
+from ..wire.errors import WireError
 from ..wire.transport import PROTO_DATA, TransportHeader, build_segment, split_segment
 
 if TYPE_CHECKING:
@@ -44,6 +45,8 @@ class BridgeAccessPoint(Node):
         self.assembly = assembly
         self._table: dict[bytes, str] = {}  # src EphID -> client node name
         self.flooded = 0
+        #: Frames dropped because they do not parse as APNA packets.
+        self.malformed_frames = 0
 
     @classmethod
     def attach(cls, assembly: "ApnaAutonomousSystem", name: str, *, latency: float = 0.001) -> "BridgeAccessPoint":
@@ -55,9 +58,13 @@ class BridgeAccessPoint(Node):
 
     def handle_frame(self, frame_bytes: bytes, *, from_node: str) -> None:
         uplink = self.assembly.node.name
-        packet = ApnaPacket.from_wire(
-            frame_bytes, with_nonce=self.assembly.config.replay_protection
-        )
+        try:
+            packet = ApnaPacket.from_wire(
+                frame_bytes, with_nonce=self.assembly.config.replay_protection
+            )
+        except WireError:
+            self.malformed_frames += 1
+            return
         if from_node == uplink:
             # Inbound: forward by learned destination EphID, else flood.
             target = self._table.get(packet.header.dst_ephid)
@@ -175,9 +182,13 @@ class NatAccessPoint(ApnaHostNode):
 
     def _relay_out(self, apna_bytes: bytes, client_name: str) -> None:
         """The AP-as-router egress: verify ownership, re-MAC, forward."""
-        packet = ApnaPacket.from_wire(
-            apna_bytes, with_nonce=self.assembly.config.replay_protection
-        )
+        try:
+            packet = ApnaPacket.from_wire(
+                apna_bytes, with_nonce=self.assembly.config.replay_protection
+            )
+        except WireError:
+            self.malformed_frames += 1
+            return
         owner = self.ephid_info.get(packet.header.src_ephid)
         if owner != client_name:
             self.rejected_frames += 1
@@ -185,20 +196,23 @@ class NatAccessPoint(ApnaHostNode):
         # Replace the client's MAC with the AP's kHA MAC (Section VII-B:
         # "the AP replaces the MAC using its shared key with the AS").
         assert self.stack._packet_mac is not None
-        new_mac = self.stack._packet_mac.tag(
-            packet.mac_input(), self.assembly.config.packet_mac_size
-        )
-        remacked = ApnaPacket(packet.header.with_mac(new_mac), packet.payload)
+        remacked = packet.header.signed(self.stack._packet_mac, packet.payload)
         self.relayed_out += 1
         self.send(self.assembly.node.name, remacked.to_wire())
 
     def _handle_uplink_frame(self, frame_bytes: bytes, from_node: str) -> None:
-        packet = ApnaPacket.from_wire(
-            frame_bytes, with_nonce=self.assembly.config.replay_protection
-        )
-        payload_type, body = framing.unframe(packet.payload)
-        if payload_type == framing.PT_CONTROL_REP:
-            self._on_proxied_reply(body)
+        try:
+            packet = ApnaPacket.from_wire(
+                frame_bytes, with_nonce=self.assembly.config.replay_protection
+            )
+            payload_type, body = framing.unframe(packet.payload)
+            if payload_type == framing.PT_CONTROL_REP:
+                self._on_proxied_reply(body)
+                return
+        except (WireError, ApnaError):
+            # As on any host: a bad frame is dropped and counted, never
+            # raised into the event loop.
+            self.malformed_frames += 1
             return
         client_name = self.ephid_info.get(packet.header.dst_ephid)
         if client_name is not None:
@@ -212,8 +226,9 @@ class NatAccessPoint(ApnaHostNode):
     def _on_proxied_reply(self, sealed: bytes) -> None:
         if not self._pending_client_ephid:
             return
-        client_name, request_id = self._pending_client_ephid.pop(0)
         cert = self.stack.accept_ephid_reply_cert(sealed)
+        # Only an authentic reply settles the oldest request.
+        client_name, request_id = self._pending_client_ephid.pop(0)
         # Track the binding: the AP cannot decrypt EphIDs (they contain
         # *its* HID under the AS key), so it keeps the EphID_info list.
         self.ephid_info[cert.ephid] = client_name
@@ -282,10 +297,7 @@ class ApClientNode(Node):
             nonce=nonce,
         )
         # MAC with the client<->AP key; the AP re-MACs with its kHA.
-        mac = self._mac.tag(
-            header.mac_input(payload), self.ap.assembly.config.packet_mac_size
-        )
-        return ApnaPacket(header.with_mac(mac), payload)
+        return header.signed(self._mac, payload)
 
     def connect(
         self,
@@ -296,7 +308,7 @@ class ApClientNode(Node):
         src_port: int = 0,
         dst_port: int = 0,
     ) -> Session:
-        session = Session(src_owned, peer_cert, scheme=self.ap.assembly.config.aead_scheme)
+        session = Session(src_owned, peer_cert)
         self.sessions[(src_owned.ephid, peer_cert.ephid)] = session
         sealed_early = b""
         if early_data:
@@ -374,7 +386,7 @@ class ApClientNode(Node):
             local = self.owned.get(packet.header.dst_ephid)
             if local is None:
                 return
-            session = Session(local, request.cert, scheme=self.ap.assembly.config.aead_scheme)
+            session = Session(local, request.cert)
             self.sessions[(local.ephid, request.cert.ephid)] = session
             if request.early_data:
                 try:

@@ -199,24 +199,12 @@ def _metro(arg: str | None) -> TopologySpec:
     """
     usage = "metro:N (e.g. metro:250k, metro:1M)"
     hosts_per_as = 1_000_000 if arg is None else _scale_int(arg, usage)
-    if hosts_per_as < 1:
-        raise TopologyError(
-            f"metro needs at least one host per AS, got {hosts_per_as}"
-        )
-    from .topology import HostSpec, PopulationSpec
-
-    spec = TopologySpec.fig1()
-    return replace(
-        spec.with_hosts(HostSpec("alice", at="a"), HostSpec("bob", at="b")),
-        populations=(
-            PopulationSpec("a", hosts_per_as),
-            PopulationSpec("b", hosts_per_as),
-        ),
-    )
+    return _population_pair(hosts_per_as, preset="metro")
 
 
 def _population_pair(hosts_per_as: int, *, preset: str) -> TopologySpec:
-    """The metro shape shared by the adversarial/churn presets.
+    """The metro shape, shared by ``metro`` and the adversarial/churn
+    presets.
 
     Fig. 1 pair, ``alice``/``bob`` attached for protocol-level traffic,
     plus a bulk population of ``hosts_per_as`` registered HIDs per AS.
@@ -226,8 +214,7 @@ def _population_pair(hosts_per_as: int, *, preset: str) -> TopologySpec:
     """
     if hosts_per_as < 1:
         raise TopologyError(
-            f"{preset} needs at least one population host per AS, "
-            f"got {hosts_per_as}"
+            f"{preset} needs at least one host per AS, got {hosts_per_as}"
         )
     from .topology import HostSpec, PopulationSpec
 

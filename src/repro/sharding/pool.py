@@ -67,6 +67,7 @@ from ..wire.apna import (
     DST_AID_FIELD,
     HEADER_SIZE,
     HEADER_SIZE_WITH_NONCE,
+    MAC_SIZE,
 )
 from . import wire
 from .plan import ShardPlan
@@ -383,7 +384,7 @@ class ShardedDataPlane:
                 ephid_enc_key=secret.ephid_enc,
                 ephid_mac_key=secret.ephid_mac,
                 crypto_backend="openssl",
-                packet_mac_size=config.packet_mac_size,
+                packet_mac_size=MAC_SIZE,
                 with_nonce=config.replay_protection,
                 replay_window=(
                     config.replay_filter_window

@@ -35,6 +35,7 @@ from ..core.replay_filter import RotatingReplayFilter
 from ..state.revlist import ColumnarRevocationList
 from ..state.snapshot import ShardSnapshot
 from ..state.view import ColumnarShardView
+from ..wire.apna import MAC_SIZE
 from . import wire
 from .plan import ShardPlan
 
@@ -56,6 +57,8 @@ class ShardSpec:
     #: shard runs the one OpenSSL provider of :mod:`repro.crypto` and
     #: :class:`ShardState` refuses any other value.
     crypto_backend: str
+    #: Kept for ``bench/``; not an option.  The Fig. 7 MAC is ``MAC_SIZE``
+    #: bytes and :class:`ShardState` refuses any other value.
     packet_mac_size: int
     with_nonce: bool
     #: ``None`` disables the in-network replay filter.
@@ -120,6 +123,11 @@ class ShardState:
             raise ValueError(
                 f"crypto_backend {spec.crypto_backend!r}: OpenSSL is the "
                 "only crypto provider"
+            )
+        if spec.packet_mac_size != MAC_SIZE:
+            raise ValueError(
+                f"packet_mac_size {spec.packet_mac_size}: the Fig. 7 MAC is "
+                f"{MAC_SIZE} bytes"
             )
         if spec.routing_mode != ShardPlan.mode:
             raise ValueError(
@@ -186,7 +194,6 @@ class ShardState:
             self.hosts,  # type: ignore[arg-type]  # duck-typed HostDatabase
             self.revocations,
             self.clock,
-            packet_mac_size=spec.packet_mac_size,
             replay_filter=replay_filter,
         )
 

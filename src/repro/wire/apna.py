@@ -24,6 +24,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, replace
 
+from ..crypto.cmac import Cmac
+from ..crypto.util import ct_eq
 from .errors import FieldError, ParseError
 
 EPHID_SIZE = 16
@@ -55,10 +57,10 @@ _HEADER_FMT = f">I{EPHID_SIZE}s{EPHID_SIZE}sI{MAC_SIZE}s"
 class ApnaHeader:
     """Parsed APNA header.
 
-    ``mac`` is filled in by the sending host (see
-    :meth:`repro.core.host.Host.send`); a zero MAC is used while computing
-    the MAC input itself.  ``nonce`` is ``None`` unless the deployment
-    enables replay protection (paper Section VIII-D).
+    ``mac`` is filled in by the sender (see :meth:`signed`); a zero MAC
+    is used while computing the MAC input itself.  ``nonce`` is ``None``
+    unless the deployment enables replay protection (paper Section
+    VIII-D).
     """
 
     src_aid: int
@@ -135,6 +137,13 @@ class ApnaHeader:
             head += struct.pack(">Q", self.nonce)
         return head + payload
 
+    def signed(self, mac: Cmac, payload: bytes) -> "ApnaPacket":
+        """This header and ``payload`` as a packet MAC'd by ``mac`` (a CMAC
+        under the sender's packet-MAC key): the one place a Fig. 7 MAC is
+        made, over :meth:`mac_input` and truncated to ``MAC_SIZE``."""
+        tag = mac.tag(self.mac_input(payload), MAC_SIZE)
+        return ApnaPacket(self.with_mac(tag), payload)
+
     def with_mac(self, mac: bytes) -> "ApnaHeader":
         return replace(self, mac=mac)
 
@@ -170,6 +179,12 @@ class ApnaPacket:
 
     def mac_input(self) -> bytes:
         return self.header.mac_input(self.payload)
+
+    def mac_valid(self, mac: Cmac) -> bool:
+        """Whether the carried MAC is ``mac``'s tag over :meth:`mac_input`,
+        compared in constant time: the scalar Fig. 7 MAC check (the burst
+        path checks whole columns, see :mod:`repro.core.border_router`)."""
+        return ct_eq(mac.tag(self.mac_input(), MAC_SIZE), self.header.mac)
 
 
 @dataclass(frozen=True)

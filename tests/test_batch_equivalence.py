@@ -77,7 +77,6 @@ def _fresh_router(world, stores=None):
         hostdb,
         revocations,
         world.network.scheduler.clock(),
-        packet_mac_size=world.config.packet_mac_size,
         replay_filter=RotatingReplayFilter(
             window=WINDOW, bits_per_generation=BITS
         ),
@@ -404,7 +403,6 @@ def _smoke_twin(plan):
         asys.hostdb,
         asys.revocations,
         lambda: plan.now,
-        packet_mac_size=plan.config.packet_mac_size,
         replay_filter=replay_filter,
     )
     return world, state, oracle

@@ -110,10 +110,6 @@ def test_analysis_baseline_only_shrinks():
 #: a visible edit to this list (and a reviewer asking which two callers
 #: need different values); removing a knob just deletes its name here.
 _CONFIG_FIELDS = {
-    "control_ephid_lifetime",
-    "data_ephid_lifetime",
-    "lifetime_classes",
-    "max_ephid_lifetime",
     "replay_protection",
     "in_network_replay_filter",
     "replay_filter_window",
@@ -121,15 +117,11 @@ _CONFIG_FIELDS = {
     "forwarding_batch_size",
     "forwarding_batch_window",
     "forwarding_shards",
-    "shard_block",
     "shard_reply_timeout",
     "shard_max_restarts",
     "shard_restart_backoff",
     "state_backend",  # one-valued; goes when ROADMAP item 0(a) lands
-    "aead_scheme",
-    "packet_mac_size",
     "revocation_threshold",
-    "icmp_on_drop",
 }
 
 
@@ -142,7 +134,7 @@ _SHARD_SPEC_FIELDS = {
     "ephid_enc_key",
     "ephid_mac_key",
     "crypto_backend",  # one-valued; goes when ROADMAP item 0(a) lands
-    "packet_mac_size",
+    "packet_mac_size",  # one-valued (wire.apna.MAC_SIZE); kept for bench/
     "with_nonce",
     "replay_window",
     "replay_bits",
@@ -163,6 +155,111 @@ def test_option_surface_only_shrinks():
     ):
         fields = {field.name for field in dataclasses.fields(options)}
         assert fields <= pinned, (options.__name__, sorted(fields - pinned))
+
+
+#: Where the benchmark, the examples and the tests live beside ``src/``:
+#: an option has to be set by a caller in one of them.
+_CALLER_TREES = ("src", "tests", "bench", "examples")
+
+
+def _config_keywords_set() -> set[str]:
+    """Every keyword passed to an ``ApnaConfig(...)`` or a
+    ``(dataclasses.)replace(...)`` call anywhere in the caller trees —
+    bar this file, whose pins and refusal checks are not callers."""
+    seen = set()
+    for tree in _CALLER_TREES:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            if path == Path(__file__).resolve():
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                    func, "id", None
+                )
+                if name in ("ApnaConfig", "replace"):
+                    seen.update(kw.arg for kw in node.keywords if kw.arg)
+    return seen
+
+
+def test_every_option_has_a_caller_that_sets_it():
+    """An ``ApnaConfig`` field no caller sets to a value is a constant
+    wearing an option's clothes: it multiplies the test matrix for a
+    second value nobody needs.  Make it a ``ClassVar`` (or delete it)."""
+    # Exempt until ROADMAP item 0(a): bench/ passes it, always "columnar".
+    exempt = {"state_backend"}
+    options = {field.name for field in dataclasses.fields(ApnaConfig)}
+    unset = sorted(options - exempt - _config_keywords_set())
+    assert not unset, f"ApnaConfig fields no caller sets: {unset}"
+
+
+def test_one_packet_mac():
+    """The Fig. 7 MAC has one width and one definition.  The lifetimes
+    and the MAC width are the paper's constants, readable off a config
+    but not settable; ``aead_scheme``, ``icmp_on_drop`` and
+    ``shard_block`` are gone; the two survivors of the width's plumbing
+    (kept because ``bench/`` passes them) refuse any other value; and
+    every packet is signed by ``ApnaHeader.signed``."""
+    from repro.core.autonomous_system import ServiceIdentity
+    from repro.core.ephid import EphIdCodec
+    from repro.core.hostdb import HostDatabase
+    from repro.core.revocation import RevocationList
+    from repro.wire.apna import MAC_SIZE, ApnaHeader
+
+    config = ApnaConfig()
+    constants = {
+        "control_ephid_lifetime": 86_400.0,
+        "data_ephid_lifetime": 900.0,
+        "lifetime_classes": (60.0, 900.0, 3600.0),
+        "max_ephid_lifetime": 86_400.0,
+        "packet_mac_size": MAC_SIZE,
+    }
+    deleted = ("aead_scheme", "icmp_on_drop", "shard_block")
+    for name, value in constants.items():
+        assert getattr(config, name) == value, name
+    for name in deleted:
+        assert not hasattr(config, name), name
+    for name in (*constants, *deleted):
+        with pytest.raises(TypeError):
+            ApnaConfig(**{name: constants.get(name)})
+    assert len(dataclasses.fields(ApnaConfig)) == len(_CONFIG_FIELDS) == 12
+
+    codec = EphIdCodec(b"\x01" * 16, b"\x02" * 16)
+    with pytest.raises(ValueError, match="Fig. 7 MAC"):
+        BorderRouter(
+            100, codec, HostDatabase(), RevocationList(), float, packet_mac_size=4
+        )
+    spec = _shard_spec(ShardPlan(1), 0)
+    with pytest.raises(ValueError, match="Fig. 7 MAC"):
+        ShardState(dataclasses.replace(spec, packet_mac_size=4))
+    assert "mac_size" not in inspect.signature(ServiceIdentity.make_packet).parameters
+
+    src = ROOT / "src/repro"
+    field = re.compile(r"\bpacket_mac_size\b")
+    mentions, remacs = {}, {}
+    for path in sorted(src.rglob("*.py")):
+        rel = str(path.relative_to(src))
+        lines = path.read_text().splitlines()
+        for counts, pattern in (
+            (mentions, field),
+            (remacs, re.compile(r"\.with_mac\(")),
+        ):
+            count = sum(bool(pattern.search(line)) for line in lines)
+            if count:
+                counts[rel] = count
+    # The ApnaConfig constant; the router's keyword, check and message;
+    # the spec field, ShardState's check and message; for_assembly's
+    # literal.
+    assert mentions == {
+        "core/border_router.py": 3,
+        "core/config.py": 1,
+        "sharding/pool.py": 1,
+        "sharding/worker.py": 3,
+    }
+    # The sign helper, and E10's deliberately doctored packet.
+    assert remacs == {"experiments/e10_security.py": 1, "wire/apna.py": 1}
+    assert ".with_mac(" in inspect.getsource(ApnaHeader.signed)
 
 
 def test_one_state_family():

@@ -35,7 +35,6 @@ def _router(world, clock=None):
         world.as_a.hostdb,
         world.as_a.revocations,
         clock or world.network.scheduler.clock(),
-        packet_mac_size=world.config.packet_mac_size,
         replay_filter=None,
     )
 

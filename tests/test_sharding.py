@@ -35,7 +35,7 @@ from repro.sharding import wire
 from repro.sharding.pool import InProcessCarrier
 from repro.state import ColumnarShardView
 from repro.topology import WorldBuilder
-from repro.wire.apna import SRC_EPHID_FIELD, ApnaPacket
+from repro.wire.apna import SRC_EPHID_FIELD
 from repro.workload import TrafficProfile
 from repro.workload.packets import build_apna_pool
 
@@ -855,14 +855,7 @@ class TestRekeyedHost:
                     ),
                 )
             )
-            rekeyed = ApnaPacket(
-                packet.header.with_mac(
-                    Cmac(new_key).tag(
-                        packet.mac_input(), as_a.config.packet_mac_size
-                    )
-                ),
-                packet.payload,
-            )
+            rekeyed = packet.header.signed(Cmac(new_key), packet.payload)
             assert process_packets(
                 plane, [(packet, True), (rekeyed, True)], as_a.clock()
             ) == [Verdict(Action.DROP, reason=DropReason.BAD_MAC), forward]
@@ -989,7 +982,6 @@ def test_two_shards_not_slower_than_half_single_process():
             as_a.hostdb,
             as_a.revocations,
             as_a.clock,
-            packet_mac_size=as_a.config.packet_mac_size,
         )
         router.process_burst(frames, [True] * len(frames))  # warm the MAC cache
         start = time.perf_counter()

@@ -52,7 +52,6 @@ def _reference_router(world):
         world.as_a.hostdb,
         world.as_a.revocations,
         world.network.scheduler.clock(),
-        packet_mac_size=world.config.packet_mac_size,
         replay_filter=RotatingReplayFilter(
             window=WINDOW, bits_per_generation=BITS
         ),
