@@ -64,9 +64,9 @@ depends on — the motivating bug/PR is part of the rule's definition:
     use the exception, re-raise, or carry an inline justification.
 ``scenario-coverage`` (PR 10)
     Every ``@register("name")`` preset in ``scenarios.py`` is
-    referenced by at least one test under ``tests/``.  The evaluation
-    runner resolves worlds by preset name, so an unreferenced preset is
-    an eval surface with zero regression protection.
+    referenced by at least one test under ``tests/``.  Evaluation
+    cases build their worlds from preset strings, so an unreferenced
+    preset is a topology with zero regression protection.
 ``doc-references`` (PR 14)
     A ``*.md`` file or ``tests/``/``bench/`` ``*.py`` path named in a
     docstring exists in the repo.  Docstrings kept citing a design

@@ -4,9 +4,9 @@
 visible: a preset registered in :mod:`repro.scenarios` but referenced
 by no test is a scenario the suite silently stopped defending — its
 topology factory, arg parsing and population wiring can rot without a
-single red test.  The registry *is* the evaluation surface (the runner
-builds worlds by preset name), so registration and test coverage must
-move together.
+single red test.  Evaluation cases, experiments and one-liners build
+their worlds from preset strings, so registration and test coverage
+must move together.
 
 The rule parses ``scenarios.py`` for ``@register("name", ...)``
 decorators and greps the sibling ``tests/`` tree for the quoted preset
@@ -54,9 +54,9 @@ class ScenarioCoverageRule(Rule):
     name = "scenario-coverage"
     title = "every registered scenario preset is exercised by a test"
     motivation = (
-        "PR 10: the evaluation runner resolves worlds by preset name, so "
-        "a preset no test references is an eval surface with zero "
-        "regression protection"
+        "evaluation cases build their worlds from preset strings "
+        "(metro:N, shutoff-storm:N), so a preset no test references is "
+        "a topology with zero regression protection"
     )
     scope = (_SCENARIOS,)
     project_wide = True

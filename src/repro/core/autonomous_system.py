@@ -145,10 +145,7 @@ class ApnaAutonomousSystem:
         self.br = None
         if self.shard_plan is None:
             replay_filter = None
-            # The filter keys on the Section VIII-D nonce, which the burst
-            # path reads at a fixed frame offset: without nonces on the
-            # wire there is nothing to observe, so no filter is run.
-            if config.in_network_replay_filter and config.replay_protection:
+            if config.in_network_replay_filter:
                 replay_filter = RotatingReplayFilter(
                     window=config.replay_filter_window,
                     bits_per_generation=config.replay_filter_bits,

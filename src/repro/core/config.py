@@ -51,7 +51,8 @@ class ApnaConfig:
 
     #: Whether border routers run in-network replay detection (the
     #: Section VIII-D future-work mechanism; see
-    #: :mod:`repro.core.replay_filter`).  Requires ``replay_protection``.
+    #: :mod:`repro.core.replay_filter`).  Requires ``replay_protection``:
+    #: setting it alone is a ``ValueError``.
     in_network_replay_filter: bool = False
 
     #: Rotation window of the in-network replay filter, in seconds.
@@ -115,6 +116,11 @@ class ApnaConfig:
     revocation_threshold: int = 32
 
     def __post_init__(self) -> None:
+        if self.in_network_replay_filter and not self.replay_protection:
+            raise ValueError(
+                "in_network_replay_filter needs replay_protection: the "
+                "filter keys on the Section VIII-D nonce"
+            )
         if self.state_backend != "columnar":
             raise ValueError(
                 f"state_backend {self.state_backend!r}: the columnar "

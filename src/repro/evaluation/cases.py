@@ -1,9 +1,10 @@
-"""Scenario case drivers: one registered driver per adversarial preset.
+"""Scenario case drivers: one registered driver per adversarial pattern.
 
-A *case* binds a :mod:`repro.scenarios` preset to the traffic/fault
-pattern that gives the preset its name, drives it through the world's
-own sharded data plane against a single-process oracle router sharing
-the same host database and revocation list, and returns a
+A *case* names a traffic/fault pattern, builds the world it runs on
+from a :mod:`repro.scenarios` preset (``metro:N`` for the population
+cases, ``shutoff-storm:N`` for the on-path one), drives it through the
+world's own sharded data plane against a single-process oracle router
+sharing the same host database and revocation list, and returns a
 :class:`~repro.evaluation.report.ScenarioReport` with every invariant
 verdict filled in.
 
@@ -42,7 +43,7 @@ __all__ = ["CaseContext", "ScenarioCase", "case", "cases", "run_case"]
 
 @dataclass(frozen=True)
 class CaseContext:
-    """Everything a case driver needs besides the preset name."""
+    """Everything a case driver needs besides the case name."""
 
     scale: int
     seed: int
@@ -97,16 +98,11 @@ _CASES: dict[str, ScenarioCase] = {}
 
 
 def case(name: str, *, description: str = ""):
-    """Decorator: register ``driver(ctx) -> ScenarioReport`` under a
-    :mod:`repro.scenarios` preset name."""
+    """Decorator: register ``driver(ctx) -> ScenarioReport`` under ``name``."""
 
     def _register(driver):
         if name in _CASES:
             raise ValueError(f"case {name!r} is already registered")
-        if name not in scenarios.names():
-            raise ValueError(
-                f"case {name!r} has no matching scenarios preset"
-            )
         _CASES[name] = ScenarioCase(name, description, driver)
         return driver
 
@@ -312,7 +308,7 @@ def _bursts_for(n_packets: int, burst_size: int) -> int:
 )
 def _flash_crowd(ctx: CaseContext) -> ScenarioReport:
     world = scenarios.build(
-        f"flash-crowd:{ctx.scale}", seed=ctx.seed, config=ctx.config
+        f"metro:{ctx.scale}", seed=ctx.seed, config=ctx.config
     )
     try:
         as_a = world.asys("a")
@@ -358,8 +354,8 @@ def _flash_crowd(ctx: CaseContext) -> ScenarioReport:
 
 
 def _stream_arm(world, ctx: CaseContext) -> dict:
-    """The TrafficProfile(stream=True) composition arm: protocol-level
-    sessions through the same sharded plane the synthetic surge used."""
+    """The TrafficProfile composition arm: protocol-level sessions
+    through the same sharded plane the synthetic surge used."""
     from ..workload import TraceConfig, TrafficProfile
 
     profile = TrafficProfile(
@@ -370,7 +366,6 @@ def _stream_arm(world, ctx: CaseContext) -> dict:
         server_at="b",
         max_flows=ctx.stream_flows,
         window=1.0,
-        stream=True,
         host_prefix="eval",
     )
     traffic = profile.drive(world)
@@ -387,7 +382,7 @@ def _stream_arm(world, ctx: CaseContext) -> dict:
 def _revocation_wave(ctx: CaseContext) -> ScenarioReport:
     waves = 4
     world = scenarios.build(
-        f"revocation-wave:{ctx.scale}", seed=ctx.seed, config=ctx.config
+        f"metro:{ctx.scale}", seed=ctx.seed, config=ctx.config
     )
     try:
         as_a = world.asys("a")
@@ -449,7 +444,7 @@ def _revocation_wave(ctx: CaseContext) -> ScenarioReport:
 )
 def _migration(ctx: CaseContext) -> ScenarioReport:
     world = scenarios.build(
-        f"migration:{ctx.scale}", seed=ctx.seed, config=ctx.config
+        f"metro:{ctx.scale}", seed=ctx.seed, config=ctx.config
     )
     try:
         as_a, as_b = world.asys("a"), world.asys("b")
@@ -556,7 +551,7 @@ def _migration(ctx: CaseContext) -> ScenarioReport:
 def _churn(ctx: CaseContext) -> ScenarioReport:
     traffic_rounds = 3
     world = scenarios.build(
-        f"churn:{ctx.scale}", seed=ctx.seed, config=ctx.config
+        f"metro:{ctx.scale}", seed=ctx.seed, config=ctx.config
     )
     try:
         as_a = world.asys("a")

@@ -11,7 +11,7 @@ the registered adversarial cases, returning an
     >>> report.passed
     True
 
-Every case builds its preset's world with a sharded, columnar-state
+Every case builds its world with a sharded, columnar-state
 configuration (the §V-A3 data plane the invariants are about), drives
 synthetic population traffic through the world's own shard pool, and
 judges the run against the declared invariants — see
@@ -82,11 +82,11 @@ class EvaluationRunner:
 
     @staticmethod
     def case_names() -> "list[str]":
-        """The registered case names (== their scenario preset names)."""
+        """The registered case names."""
         return _case_names()
 
     def run(self, name: str) -> ScenarioReport:
-        """Execute one case; ``name`` is a registered preset name."""
+        """Execute one case; ``name`` is a registered case name."""
         return _run_case(name, self.context)
 
     def run_all(self, names: "list[str] | None" = None) -> EvaluationReport:

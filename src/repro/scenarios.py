@@ -112,11 +112,6 @@ def _fig1(arg: str | None) -> TopologySpec:
     return TopologySpec.fig1()
 
 
-@register("two-as", description='alias of "fig1"')
-def _two_as(arg: str | None) -> TopologySpec:
-    return _fig1(arg)
-
-
 @register("chain", description="linear chain of N ASes, as chain:N (Section VIII-C)")
 def _chain(arg: str | None) -> TopologySpec:
     return TopologySpec.chain(_int_arg(arg, "chain:N"))
@@ -195,26 +190,16 @@ def _metro(arg: str | None) -> TopologySpec:
     per-host objects, see :mod:`repro.state`), plus the named
     ``alice``/``bob`` pair so protocol-level traffic still works.  The
     population is pure ``host_info`` state — the paper's §V-A2 registry
-    at the AS sizes its tables are dimensioned for.
+    at the AS sizes its tables are dimensioned for.  The ``flash-crowd``,
+    ``revocation-wave``, ``migration`` and ``churn`` cases of
+    :mod:`repro.evaluation` differ in the traffic and faults they drive
+    through this shape, not in its wiring.
     """
     usage = "metro:N (e.g. metro:250k, metro:1M)"
     hosts_per_as = 1_000_000 if arg is None else _scale_int(arg, usage)
-    return _population_pair(hosts_per_as, preset="metro")
-
-
-def _population_pair(hosts_per_as: int, *, preset: str) -> TopologySpec:
-    """The metro shape, shared by ``metro`` and the adversarial/churn
-    presets.
-
-    Fig. 1 pair, ``alice``/``bob`` attached for protocol-level traffic,
-    plus a bulk population of ``hosts_per_as`` registered HIDs per AS.
-    The presets below differ in the *traffic and fault pattern* their
-    :mod:`repro.evaluation` case drives through this shape, not in the
-    wiring itself.
-    """
     if hosts_per_as < 1:
         raise TopologyError(
-            f"{preset} needs at least one host per AS, got {hosts_per_as}"
+            f"metro needs at least one host per AS, got {hosts_per_as}"
         )
     from .topology import HostSpec, PopulationSpec
 
@@ -226,92 +211,6 @@ def _population_pair(hosts_per_as: int, *, preset: str) -> TopologySpec:
             PopulationSpec("b", hosts_per_as),
         ),
     )
-
-
-@register(
-    "flash-crowd",
-    description=(
-        "fig1 pair with an N-host population per AS for sudden many-source "
-        "surges (flash-crowd:N, k/M suffixes, default 10k); the evaluation "
-        "case floods cold sources at the border in one burst wave"
-    ),
-)
-def _flash_crowd(arg: str | None) -> TopologySpec:
-    """The surge shape: a metro population that all speaks at once.
-
-    Every source is cold — no verdict cache, no warmed EphID — so a
-    flash crowd stresses exactly the paper's §V-B per-packet verification
-    budget.  The matching :mod:`repro.evaluation` case sweeps the whole
-    population through the border in interleaved bursts and holds the
-    zero-false-drop and bounded-p99 invariants.
-    """
-    usage = "flash-crowd:N (e.g. flash-crowd:10k)"
-    n = 10_000 if arg is None else _scale_int(arg, usage)
-    return _population_pair(n, preset="flash-crowd")
-
-
-@register(
-    "revocation-wave",
-    description=(
-        "fig1 pair with an N-host population per AS where a rolling slice "
-        "of sources is revoked mid-traffic (revocation-wave:N, k/M "
-        "suffixes, default 10k)"
-    ),
-)
-def _revocation_wave(arg: str | None) -> TopologySpec:
-    """The revocation shape: live traffic racing a wave of revocations.
-
-    The evaluation case revokes successive slices of the population's
-    EphIDs *between* bursts that keep using them, asserting the exact
-    flip from ``FORWARD`` to ``DROP(SRC_REVOKED)`` with no collateral
-    drops of unrevoked neighbours (§IV-D's shutoff end state).
-    """
-    usage = "revocation-wave:N (e.g. revocation-wave:10k)"
-    n = 10_000 if arg is None else _scale_int(arg, usage)
-    return _population_pair(n, preset="revocation-wave")
-
-
-@register(
-    "migration",
-    description=(
-        "fig1 pair with an N-host population per AS where sources are "
-        "deregistered at one AS and re-admitted at the peer "
-        "(migration:N, k/M suffixes, default 10k)"
-    ),
-)
-def _migration(arg: str | None) -> TopologySpec:
-    """The mobility shape: hosts leaving one AS and joining the peer.
-
-    The evaluation case tears a slice of ``a``'s population out of the
-    host database (their stale EphIDs must drop as ``SRC_HID_INVALID``)
-    and registers replacements at ``b`` whose fresh EphIDs must forward
-    immediately — the churn half of the §V-A2 registry lifecycle.
-    """
-    usage = "migration:N (e.g. migration:10k)"
-    n = 10_000 if arg is None else _scale_int(arg, usage)
-    return _population_pair(n, preset="migration")
-
-
-@register(
-    "churn",
-    description=(
-        "fig1 pair with an N-host population per AS run under a "
-        "repro.faults crash-storm while traffic flows (churn:N, k/M "
-        "suffixes, default 10k); the composition layer over flash-crowd"
-    ),
-)
-def _churn(arg: str | None) -> TopologySpec:
-    """The composition shape: flash-crowd traffic under a fault storm.
-
-    Topology-wise identical to ``flash-crowd:N``; the evaluation case
-    arms a :func:`repro.faults.crash_storm_plan` on the sharded data
-    plane and holds the exact-accounting invariant — every packet either
-    matches the single-process oracle's verdict or is charged to
-    ``SHARD_FAILURE``, with the two tallies reconciling to the burst.
-    """
-    usage = "churn:N (e.g. churn:10k)"
-    n = 10_000 if arg is None else _scale_int(arg, usage)
-    return _population_pair(n, preset="churn")
 
 
 @register(

@@ -54,34 +54,47 @@ class TraceConfig:
     tortoise_fraction: float = 0.02
     seed: int = 20161003  # the paper's arXiv date
 
+    def __post_init__(self) -> None:
+        if not self.duration > 0:
+            raise ValueError(
+                f"TraceConfig.duration must be positive, got {self.duration}"
+            )
+        if self.hosts < 0:
+            raise ValueError(
+                f"TraceConfig.hosts must not be negative, got {self.hosts}"
+            )
+        if not self.peak_per_host >= 0:
+            raise ValueError(
+                "TraceConfig.peak_per_host must not be negative, got "
+                f"{self.peak_per_host}"
+            )
+        for name in ("https_fraction", "tortoise_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(
+                    f"TraceConfig.{name} must lie in [0, 1], got {value}"
+                )
+
 
 class TraceGenerator:
-    """Generates time-sorted :class:`FlowRecord` streams."""
+    """Draws the time-sorted trace, column-wise or row by row.
+
+    The trace is drawn slice by slice from one generator seeded by
+    ``config.seed``, made afresh by each call: equal seeds and equal
+    slice lengths give bit-identical traces, and the generator object
+    holds no random state between calls.
+    """
 
     def __init__(self, config: TraceConfig | None = None) -> None:
         self.config = config or TraceConfig()
-        self._rng = np.random.default_rng(self.config.seed)
 
     def _intensity(self, t: np.ndarray) -> np.ndarray:
         """Diurnal profile: trough at 04:00, peak at 16:00 local time."""
         day_phase = 2 * np.pi * (t / 86_400.0 - 16.0 / 24.0)
         return 0.55 + 0.45 * np.cos(day_phase)
 
-    def arrival_times(self) -> np.ndarray:
-        """Flow start times via thinning of a homogeneous Poisson process."""
-        cfg = self.config
-        peak_rate = cfg.peak_per_host * cfg.hosts
-        expected = peak_rate * cfg.duration  # upper bound before thinning
-        n_candidates = self._rng.poisson(expected)
-        candidates = self._rng.uniform(0.0, cfg.duration, size=n_candidates)
-        keep = self._rng.uniform(size=n_candidates) < self._intensity(candidates)
-        return np.sort(candidates[keep])
-
-    def durations(self, n: int) -> np.ndarray:
+    def _durations(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Dragonfly/tortoise mixture, calibrated to ~98% under 15 min."""
-        return self._durations_with(self._rng, n)
-
-    def _durations_with(self, rng: np.random.Generator, n: int) -> np.ndarray:
         cfg = self.config
         is_tortoise = rng.uniform(size=n) < cfg.tortoise_fraction
         # Dragonflies: lognormal, median ~8 s, sigma wide but bounded.
@@ -90,87 +103,55 @@ class TraceGenerator:
         tortoises = 900.0 * (1.0 + rng.pareto(1.2, size=n))
         return np.where(is_tortoise, tortoises, np.minimum(dragonflies, 890.0))
 
-    def hosts_for(self, n: int) -> np.ndarray:
+    def _hosts(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Skewed host activity via a Zipf-like draw over the host space."""
-        return self._hosts_with(self._rng, n)
-
-    def _hosts_with(self, rng: np.random.Generator, n: int) -> np.ndarray:
         cfg = self.config
         ranks = rng.zipf(1.2, size=n)
         return (ranks + rng.integers(0, cfg.hosts, size=n)) % cfg.hosts
 
-    def generate(self) -> Iterator[FlowRecord]:
-        """The full time-sorted trace."""
-        starts = self.arrival_times()
-        n = len(starts)
-        durations = self.durations(n)
-        hosts = self.hosts_for(n)
-        https = self._rng.uniform(size=n) < self.config.https_fraction
-        for i in range(n):
-            yield FlowRecord(
-                start=float(starts[i]),
-                duration=float(durations[i]),
-                host_id=int(hosts[i]),
-                is_https=bool(https[i]),
-            )
-
     def generate_arrays(self) -> dict[str, np.ndarray]:
-        """Column-oriented trace (what the analyzer consumes; much faster
-        than materialising per-row records for large traces)."""
-        starts = self.arrival_times()
-        n = len(starts)
-        return {
-            "start": starts,
-            "duration": self.durations(n),
-            "host_id": self.hosts_for(n),
-            "is_https": self._rng.uniform(size=n) < self.config.https_fraction,
-        }
+        """The whole trace as one slice, column-oriented (what the
+        analyzer consumes; much faster than per-row records)."""
+        (columns,) = self.iter_arrays(chunk_duration=self.config.duration)
+        return columns
 
     def iter_arrays(
         self, *, chunk_duration: float = 3_600.0
     ) -> "Iterator[dict[str, np.ndarray]]":
         """Lazily yield column chunks over consecutive time slices.
 
-        The streaming counterpart of :meth:`generate_arrays` for traces
-        too large to materialise: each chunk covers ``chunk_duration``
-        trace seconds and is drawn from its own ``(seed, chunk_index)``
-        generator, so chunk ``k`` is reproducible without generating
-        chunks ``0..k-1`` and memory stays bounded by one slice whatever
-        the total trace size.  Starts are sorted within each slice and
-        slices are consecutive, so the concatenated stream is globally
-        time-sorted.  (The draw scheme differs from the one-shot
-        generator's, so the streamed trace is statistically — not
-        bit- — identical to :meth:`generate_arrays` at equal seeds.)
+        Each chunk covers ``chunk_duration`` trace seconds, so memory
+        stays bounded by one slice whatever the total trace size.  Flow
+        starts are thinned from a homogeneous Poisson process under the
+        diurnal intensity and sorted within each slice; slices are
+        consecutive, so the concatenated stream is globally time-sorted.
         """
         if chunk_duration <= 0:
             raise ValueError(f"chunk_duration must be positive, got {chunk_duration}")
         cfg = self.config
+        rng = np.random.default_rng(cfg.seed)
         peak_rate = cfg.peak_per_host * cfg.hosts
-        chunk_index = 0
         slice_start = 0.0
         while slice_start < cfg.duration:
             slice_end = min(slice_start + chunk_duration, cfg.duration)
-            rng = np.random.default_rng((cfg.seed, chunk_index))
-            expected = peak_rate * (slice_end - slice_start)
-            n_candidates = rng.poisson(expected)
+            n_candidates = rng.poisson(peak_rate * (slice_end - slice_start))
             candidates = rng.uniform(slice_start, slice_end, size=n_candidates)
             keep = rng.uniform(size=n_candidates) < self._intensity(candidates)
             starts = np.sort(candidates[keep])
             n = len(starts)
             yield {
                 "start": starts,
-                "duration": self._durations_with(rng, n),
-                "host_id": self._hosts_with(rng, n),
+                "duration": self._durations(rng, n),
+                "host_id": self._hosts(rng, n),
                 "is_https": rng.uniform(size=n) < cfg.https_fraction,
             }
             slice_start = slice_end
-            chunk_index += 1
 
     def stream(
         self, *, chunk_duration: float = 3_600.0
     ) -> Iterator[FlowRecord]:
         """Lazy, globally time-sorted :class:`FlowRecord` stream (the
-        per-row view of :meth:`iter_arrays`; same chunked draw scheme)."""
+        per-row view of :meth:`iter_arrays`)."""
         for columns in self.iter_arrays(chunk_duration=chunk_duration):
             starts = columns["start"]
             durations = columns["duration"]

@@ -15,8 +15,11 @@ behind one call::
 Flow arrivals come from :class:`~repro.workload.flows.TraceGenerator`
 (the paper's diurnal/dragonfly-tortoise trace shape); the trace's span is
 compressed into ``window`` seconds of virtual time so even a 24 h trace
-drives a short deterministic simulation.  Thousands of sessions across
-arbitrary topologies are one call: crank ``trace``/``max_flows`` up.
+drives a short deterministic simulation.  The trace is generated and
+simulated one :data:`SLICE_SECONDS` slice at a time, so memory stays
+bounded by one slice however long the trace.  Thousands of sessions
+across arbitrary topologies are one call: crank ``trace``/``max_flows``
+up.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..topology import World
 
 __all__ = ["TrafficProfile", "TrafficReport"]
+
+#: Trace seconds generated, scheduled and simulated per slice.  A trace
+#: no longer than this is one slice.
+SLICE_SECONDS = 3_600.0
 
 
 def _ref_list(refs: object, *, default: object) -> list[object]:
@@ -77,7 +84,9 @@ class TrafficProfile:
     several are given.  Each trace flow becomes one APNA session: the
     mapped client connects to a server's published EphID certificate with
     the request as 0-RTT early data, at the flow's (time-compressed)
-    arrival instant.
+    arrival instant.  The trace is replayed one :data:`SLICE_SECONDS`
+    slice at a time: a slice's launches are scheduled, and the world is
+    run up to that slice's end before the next slice is drawn.
     """
 
     trace: TraceConfig = field(
@@ -101,15 +110,6 @@ class TrafficProfile:
     #: Echo a response for each delivered request.
     respond: bool = True
     port: int = 80
-    #: Generate the trace lazily (:meth:`TraceGenerator.iter_arrays`)
-    #: and interleave generation with simulation, one time slice at a
-    #: time — memory stays bounded by one slice however long the trace.
-    #: The chunked draw scheme differs from the one-shot generator's,
-    #: so a streamed run is statistically (not bit-) identical to the
-    #: default materialising run at equal seeds.
-    stream: bool = False
-    #: Trace seconds per streamed slice (only with ``stream=True``).
-    stream_chunk: float = 3_600.0
     #: Attached host names are ``<prefix>-c<i>`` / ``<prefix>-s<j>``.
     #: Re-driving the same world auto-bumps the prefix (``traffic2``, ...)
     #: so each run gets a fresh, non-colliding set of endpoints.
@@ -123,6 +123,8 @@ class TrafficProfile:
             raise ValueError("window must be positive")
         if self.burst < 1:
             raise ValueError("burst must be at least 1")
+        if self.max_flows is not None and self.max_flows < 0:
+            raise ValueError("max_flows must not be negative")
 
         client_ases = [
             world.asys(ref)
@@ -179,37 +181,47 @@ class TrafficProfile:
             server.listen(self.port, _serve(server))
             server_certs.append(server.acquire_ephid_direct().cert)
 
-        scale = self.window / self.trace.duration
-        opened = {"count": 0}
-        scheduler = world.network.scheduler
+        opened = 0
 
-        if self.stream:
-            n, events = self._drive_stream(
-                world, clients, server_certs, scheduler, scale, opened
-            )
-        else:
-            columns = TraceGenerator(self.trace).generate_arrays()
+        def _launch(host_id: int, index: int) -> None:
+            nonlocal opened
+            client = clients[host_id % len(clients)]
+            cert = server_certs[index % len(server_certs)]
+            client.connect(cert, early_data=self.payload, dst_port=self.port)
+            opened += 1
+
+        scheduler = world.network.scheduler
+        scale = self.window / self.trace.duration
+        base = scheduler.now
+        offered = events = 0
+        slice_end = 0.0
+        generator = TraceGenerator(self.trace)
+        for columns in generator.iter_arrays(chunk_duration=SLICE_SECONDS):
+            if slice_end:
+                # Drain the previous slice before scheduling this one:
+                # its launches all fall at or before its end's instant.
+                events += world.run_until(base + slice_end * scale)
+            slice_end = min(slice_end + SLICE_SECONDS, self.trace.duration)
             starts = columns["start"]
             host_ids = columns["host_id"]
             n = len(starts)
             if self.max_flows is not None:
-                n = min(n, self.max_flows)
-
-            def _launch(index: int) -> None:
-                client = clients[int(host_ids[index]) % len(clients)]
-                cert = server_certs[index % len(server_certs)]
-                client.connect(cert, early_data=self.payload, dst_port=self.port)
-                opened["count"] += 1
-
+                n = min(n, self.max_flows - offered)
+            # A burst groups arrivals within one slice, never across two.
             for group_start in range(0, n, self.burst):
-                when = scheduler.now + float(starts[group_start]) * scale
+                when = base + float(starts[group_start]) * scale
                 for index in range(group_start, min(group_start + self.burst, n)):
-                    scheduler.schedule_at(when, _launch, index)
-            events = world.run()
+                    scheduler.schedule_at(
+                        when, _launch, int(host_ids[index]), offered + index
+                    )
+            offered += n
+            if self.max_flows is not None and offered >= self.max_flows:
+                break
+        events += world.run()
 
         return TrafficReport(
-            flows_offered=n,
-            sessions_opened=opened["count"],
+            flows_offered=offered,
+            sessions_opened=opened,
             payloads_delivered=sum(delivered_by_server.values()),
             responses_received=sum(len(c.inbox) for c in clients),
             clients=len(clients),
@@ -218,50 +230,3 @@ class TrafficProfile:
             events=events,
             by_server=delivered_by_server,
         )
-
-    def _drive_stream(
-        self, world, clients, server_certs, scheduler, scale, opened
-    ) -> "tuple[int, int]":
-        """Streamed replay: schedule one trace slice, simulate it, repeat.
-
-        The scheduler never holds more than one slice's launches, so an
-        arbitrarily long trace drives the world in bounded memory.
-        Bursts group within a slice (a burst never straddles slices).
-        Returns ``(flows_offered, events)``.
-        """
-
-        def _launch(host_id: int, index: int) -> None:
-            client = clients[host_id % len(clients)]
-            cert = server_certs[index % len(server_certs)]
-            client.connect(cert, early_data=self.payload, dst_port=self.port)
-            opened["count"] += 1
-
-        base = scheduler.now
-        offered = 0
-        events = 0
-        slice_end = 0.0
-        generator = TraceGenerator(self.trace)
-        for columns in generator.iter_arrays(chunk_duration=self.stream_chunk):
-            slice_end = min(slice_end + self.stream_chunk, self.trace.duration)
-            starts = columns["start"]
-            host_ids = columns["host_id"]
-            n = len(starts)
-            if self.max_flows is not None:
-                n = min(n, self.max_flows - offered)
-            for group_start in range(0, n, self.burst):
-                when = base + float(starts[group_start]) * scale
-                for index in range(group_start, min(group_start + self.burst, n)):
-                    scheduler.schedule_at(
-                        when,
-                        _launch,
-                        int(host_ids[index]),
-                        offered + index,
-                    )
-            offered += n
-            # Drain this slice before generating the next: launches are
-            # all at or before the slice boundary's virtual instant.
-            events += world.run_until(base + slice_end * scale)
-            if self.max_flows is not None and offered >= self.max_flows:
-                break
-        events += world.run()
-        return offered, events

@@ -5,17 +5,14 @@ Four layers:
 1. **Latency histogram** — the :mod:`repro.metrics.timing` measurement
    substrate the bounded-latency invariant stands on (conservative
    upper-edge percentiles, merge, snapshot).
-2. **Runner machinery** — registry/preset agreement, constructor
-   validation, report emission (text + JSON round-trip), the CLI.
+2. **Runner machinery** — the case registry, constructor validation,
+   report emission (text + JSON round-trip), the CLI.
 3. **Nominal matrix** — every registered case runs green at small
    scale: no false drops, exact accounting, bounded latency, plus each
    scenario's own exactness arithmetic.
-4. **Acceptance** — the ISSUE 10 gate: every preset at ``metro``-class
-   scale (100k-host population) with all invariants green, and a
-   chaos-composed run where every lost packet is exactly accounted.
-
-The quoted preset names below double as the evidence the
-``scenario-coverage`` analysis rule checks for.
+4. **Acceptance** — every case at ``metro``-class scale (100k-host
+   population) with all invariants green, and a chaos-composed run
+   where every lost packet is exactly accounted.
 """
 
 import json
@@ -29,12 +26,11 @@ import pytest
 from repro.evaluation import EvaluationRunner
 from repro.metrics import LatencyHistogram
 from repro.metrics.timing import Timer
-from repro import scenarios
 
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Every evaluation case, spelled the way a runner caller would.
-PRESETS = (
+CASES = (
     "flash-crowd",
     "revocation-wave",
     "migration",
@@ -95,10 +91,7 @@ def test_timer_records_elapsed():
 
 
 def test_case_registry_matches_scenario_registry():
-    names = EvaluationRunner.case_names()
-    assert sorted(names) == sorted(PRESETS)
-    # Every case builds a real registered preset.
-    assert set(names) <= set(scenarios.names())
+    assert sorted(EvaluationRunner.case_names()) == sorted(CASES)
 
 
 def test_runner_validates_its_knobs():
@@ -163,9 +156,9 @@ def test_cli_runs_and_writes_json(tmp_path):
 # 3. The nominal matrix, small scale
 
 
-@pytest.mark.parametrize("preset", PRESETS)
-def test_nominal_invariants_hold(preset):
-    report = _small_runner().run(preset)
+@pytest.mark.parametrize("name", CASES)
+def test_nominal_invariants_hold(name):
+    report = _small_runner().run(name)
     failed = [inv.render() for inv in report.invariants if not inv.passed]
     assert not failed, "\n".join(failed)
     assert report.packets > 0
@@ -203,10 +196,10 @@ def test_churn_always_composes_a_crash_storm():
 METRO_SCALE = 100_000
 
 
-@pytest.mark.parametrize("preset", PRESETS)
-def test_acceptance_metro_scale_invariants_green(preset):
-    """ISSUE 10 gate: each preset at a 100k-host population, all green."""
-    report = EvaluationRunner(scale=METRO_SCALE, seed=7, nshards=2).run(preset)
+@pytest.mark.parametrize("name", CASES)
+def test_acceptance_metro_scale_invariants_green(name):
+    """Each case at a 100k-host population, all green."""
+    report = EvaluationRunner(scale=METRO_SCALE, seed=7, nshards=2).run(name)
     failed = [inv.render() for inv in report.invariants if not inv.passed]
     assert not failed, "\n".join(failed)
     assert report.population == METRO_SCALE

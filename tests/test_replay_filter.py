@@ -277,16 +277,18 @@ class TestBorderRouterIntegration:
         assert br.replay_filter.passed == 0
         assert br.process_outgoing(packet).action is Action.FORWARD_INTER
 
-    def test_nonceless_deployment_never_consults_filter(self):
-        # Filter enabled but nonces disabled: everything passes (the
-        # mechanism requires the Section VIII-D header extension) — on
-        # the burst path too, which would otherwise read the first
-        # payload bytes as a nonce.
-        world = build_world(
-            config=ApnaConfig(
-                replay_protection=False, in_network_replay_filter=True
-            )
-        )
+    def test_filter_without_nonces_is_refused(self):
+        # The filter keys on the Section VIII-D nonce: asking for it
+        # without the header extension is an error, not a silent no-op.
+        with pytest.raises(ValueError, match="replay_protection"):
+            ApnaConfig(in_network_replay_filter=True)
+        with pytest.raises(ValueError, match="replay_protection"):
+            ApnaConfig(replay_protection=False, in_network_replay_filter=True)
+
+    def test_nonceless_burst_path_reads_no_nonce(self):
+        # Without nonces there is no filter, and the burst path must not
+        # read the first payload bytes as one: a repeated packet passes.
+        world = build_world(config=ApnaConfig())
         packet = self._outgoing_packet(world, nonce=None)
         br = world.as_a.br
         assert br.process_outgoing(packet).action is Action.FORWARD_INTER
@@ -294,6 +296,3 @@ class TestBorderRouterIntegration:
         assert br.replay_filter is None
         records = br.process_burst([packet.to_wire()] * 2, [True, True])
         assert [verdict_of(r).action for r in records] == [Action.FORWARD_INTER] * 2
-
-    def _outgoing_packet_nonceless(self, world):
-        return self._outgoing_packet(world, nonce=None)

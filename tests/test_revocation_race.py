@@ -1,6 +1,6 @@
 """Revocation racing in-flight traffic (paper Sections IV-E, VIII-G2).
 
-The race the evaluation pack's ``revocation-wave`` preset exercises at
+The race the evaluation pack's ``revocation-wave`` case exercises at
 scale, pinned down here at the single-router level: packets are *built*
 (sealed, MAC'd, queued) before the revocation lands, and the contract
 is that the verdict depends only on the revocation state **at

@@ -11,9 +11,6 @@ class TestPresetParsing:
         spec = scenarios.spec("fig1")
         assert [a.aid for a in spec.ases] == [100, 200]
 
-    def test_two_as_alias(self):
-        assert scenarios.spec("two-as") == scenarios.spec("fig1")
-
     def test_fig1_rejects_parameter(self):
         with pytest.raises(TopologyError):
             scenarios.spec("fig1:2")
@@ -74,7 +71,7 @@ class TestBuild:
 
 class TestRegistry:
     def test_names_include_builtins(self):
-        for name in ("fig1", "chain", "star", "transit-stub", "two-as"):
+        for name in ("fig1", "chain", "star", "transit-stub"):
             assert name in scenarios.names()
 
     def test_describe_pairs(self):

@@ -27,6 +27,7 @@ from repro.topology import (
     WorldBuilder,
 )
 from repro.workload import TraceConfig, TraceGenerator, TrafficProfile
+from repro.workload.profile import SLICE_SECONDS
 
 METRO_HOSTS = 100_000
 #: RSS budget for one metro:100k build (2 x 100k hosts).  The packed
@@ -200,23 +201,31 @@ class TestStreamingTrace:
             next(generator.iter_arrays(chunk_duration=0.0))
 
     def test_streamed_profile_delivers_all_flows(self):
+        # Three slices of a sparse trace: every slice's launches are
+        # scheduled and simulated in turn, and every flow is delivered.
+        trace = TraceConfig(
+            hosts=16, duration=3 * SLICE_SECONDS, peak_per_host=0.0005, seed=6
+        )
+        slices = [
+            len(columns["start"])
+            for columns in TraceGenerator(trace).iter_arrays(
+                chunk_duration=SLICE_SECONDS
+            )
+        ]
+        assert len(slices) == 3 and sum(count > 0 for count in slices) >= 2
         world = scenarios.build("fig1", seed=2)
         try:
             profile = TrafficProfile(
-                trace=TraceConfig(
-                    hosts=16, duration=600.0, peak_per_host=0.05, seed=6
-                ),
-                clients=2,
-                servers=1,
-                max_flows=40,
-                window=2.0,
-                stream=True,
-                stream_chunk=120.0,
+                trace=trace, clients=2, servers=1, max_flows=None, window=2.0
             )
             report = profile.drive(world)
-            assert report.flows_offered == 40
-            assert report.sessions_opened == 40
-            assert report.payloads_delivered == 40
+            assert report.flows_offered == sum(slices)
+            assert report.sessions_opened == sum(slices)
+            assert report.payloads_delivered == sum(slices)
             assert report.delivery_ratio == 1.0
+            # max_flows counts across slices: one flow past the first.
+            profile.max_flows = slices[0] + 1
+            report = profile.drive(world)
+            assert report.flows_offered == report.payloads_delivered == slices[0] + 1
         finally:
             world.close()

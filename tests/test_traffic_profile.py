@@ -109,6 +109,23 @@ class TestDrive:
         with pytest.raises(ValueError):
             TrafficProfile(window=0.0).drive(world)
 
+    def test_inputs_that_cannot_run_are_refused(self):
+        for name, value in (
+            ("duration", 0.0),
+            ("duration", -5.0),
+            ("hosts", -1),
+            ("peak_per_host", -0.1),
+            ("https_fraction", 1.5),
+            ("tortoise_fraction", -0.01),
+        ):
+            with pytest.raises(ValueError, match=f"TraceConfig.{name}"):
+                TraceConfig(**{name: value})
+        world = scenarios.build("fig1", seed=15)
+        before = dict(world.hosts)
+        with pytest.raises(ValueError, match="max_flows"):
+            small_profile(max_flows=-3).drive(world)
+        assert world.hosts == before
+
     def test_single_as_world_carries_traffic(self):
         world = WorldBuilder(seed=13).asys("solo").build()
         report = small_profile(clients=2, servers=1).drive(world)
