@@ -132,8 +132,6 @@ class AccountabilityAgent:
     def _revoke_source(self, src_ephid: bytes, info) -> ShutoffResponse:
         """Fig. 5 final step: revoke the EphID and push to border routers."""
         self._bus.publish_revocation(src_ephid, info.exp_time)
-        record = self._hostdb.get(info.hid)
-        record.ephids_revoked += 1
         self.policy.record(info.hid)
         self.accepted += 1
         return ShutoffResponse(accepted=True, reason="revoked")

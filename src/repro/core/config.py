@@ -121,6 +121,19 @@ class ApnaConfig:
                 "in_network_replay_filter needs replay_protection: the "
                 "filter keys on the Section VIII-D nonce"
             )
+        if self.shard_reply_timeout <= 0:
+            raise ValueError(
+                f"shard_reply_timeout must be > 0, got {self.shard_reply_timeout}"
+            )
+        if self.shard_max_restarts < 0:
+            raise ValueError(
+                f"shard_max_restarts must be >= 0, got {self.shard_max_restarts}"
+            )
+        if self.shard_restart_backoff < 0:
+            raise ValueError(
+                f"shard_restart_backoff must be >= 0, got "
+                f"{self.shard_restart_backoff}"
+            )
         if self.state_backend != "columnar":
             raise ValueError(
                 f"state_backend {self.state_backend!r}: the columnar "

@@ -10,11 +10,19 @@ An AS runs :class:`repro.state.ColumnarHostDatabase`, which keeps the
 same rows as dense columns; :class:`HostDatabase` is the one-screen spec
 of that API, the type the core services are annotated with, and the
 oracle the differential tests build directly.
+
+The store is the one writer of host state: a :class:`HostRecord` is
+frozen, so ``register`` and ``revoke_hid`` are the only ways in, and
+every change reaches the ``on_register`` / ``on_revoke_hid`` hooks a
+sharded data plane listens on.  A row holds what accountability uses —
+the HID, kHA, the subscriber and the revoked flag — and nothing more;
+the per-host revocation count the Section VIII-G2 threshold needs is
+kept by :class:`repro.core.accountability.RevocationPolicy`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .errors import RevokedError, UnknownHostError
@@ -28,7 +36,7 @@ HID_DNS = 4
 FIRST_HOST_HID = 0x0001_0000
 
 
-@dataclass
+@dataclass(frozen=True)
 class HostRecord:
     """One registered host (or AS service endpoint)."""
 
@@ -36,8 +44,6 @@ class HostRecord:
     keys: HostAsKeys
     subscriber_id: int | None = None
     revoked: bool = False
-    ephids_issued: int = 0
-    ephids_revoked: int = 0
 
 
 class HostDatabase:
@@ -51,8 +57,7 @@ class HostDatabase:
         self._by_subscriber: dict[int, int] = {}
         self._next_hid = FIRST_HOST_HID
         #: Live (non-revoked) record count, so ``len()`` is O(1) instead
-        #: of a scan.  Kept exact by register/revoke_hid and by the
-        #: direct-mutation healing paths below.
+        #: of a scan.  Kept exact by register/revoke_hid, the only writers.
         self._live_count = 0
         #: Optional observers, called after a successful register /
         #: revoke_hid — how a sharded data plane keeps its worker
@@ -61,7 +66,8 @@ class HostDatabase:
         self.on_revoke_hid: Callable[[int], None] | None = None
 
     def allocate_hid(self) -> int:
-        """Assign a fresh, never-reused HID."""
+        """Assign a fresh, never-reused HID: past every one allocated or
+        registered."""
         hid = self._next_hid
         if hid > 0xFFFF_FFFF:
             raise UnknownHostError("HID space exhausted")
@@ -84,6 +90,7 @@ class HostDatabase:
                 )
             self._by_subscriber[record.subscriber_id] = record.hid
         self._records[record.hid] = record
+        self._next_hid = max(self._next_hid, record.hid + 1)
         if not record.revoked:
             self._live_count += 1
         if self.on_register is not None:
@@ -113,37 +120,18 @@ class HostDatabase:
         if record is None:
             raise UnknownHostError(f"HID {hid} is not registered")
         if not record.revoked:
-            record.revoked = True
+            self._records[hid] = replace(record, revoked=True)
             self._live_count -= 1
-        elif (
-            record.subscriber_id is not None
-            and self._by_subscriber.get(record.subscriber_id) == hid
-        ):
-            # Revoked by direct mutation (the subscriber index was never
-            # healed, so the counter hasn't seen this record yet).
-            self._live_count -= 1
-        if (
-            record.subscriber_id is not None
-            and self._by_subscriber.get(record.subscriber_id) == hid
-        ):
-            del self._by_subscriber[record.subscriber_id]
+            # Every live record with a subscriber is indexed, no other.
+            if record.subscriber_id is not None:
+                del self._by_subscriber[record.subscriber_id]
         if self.on_revoke_hid is not None:
             self.on_revoke_hid(hid)
 
     def find_by_subscriber(self, subscriber_id: int) -> HostRecord | None:
         """Current live HID for a subscriber, if any (one HID per host)."""
         hid = self._by_subscriber.get(subscriber_id)
-        if hid is None:
-            return None
-        record = self._records[hid]
-        if record.revoked:
-            # The record was revoked directly (not via revoke_hid); heal
-            # the index so the stale mapping cannot be returned again,
-            # and account the revocation the mutation bypassed.
-            del self._by_subscriber[subscriber_id]
-            self._live_count -= 1
-            return None
-        return record
+        return None if hid is None else self._records[hid]
 
     def records(self):
         """Iterate every record, revoked included (for shard snapshots)."""

@@ -132,7 +132,5 @@ class ManagementService:
             aa_ephid=self.aa_ephid,
             flags=request.flags,
         )
-        record = self._hostdb.get(hid)
-        record.ephids_issued += 1
         self.issued += 1
         return cert

@@ -26,7 +26,7 @@ PAPER = {
     "requests": 500_000,
     "total_seconds": 6.9,
     "us_per_ephid": 13.7,
-    "ephids_per_sec": 72_800,
+    "ephid_rate": 72_800,
     "peak_demand": 3_888,
     "hosts": 1_266_598,
     "headroom": 72_800 / 3_888,
@@ -160,7 +160,7 @@ def report(result: E1Result, stats) -> None:
             f"{PAPER['peak_demand']:,}",
             f"{PAPER['requests']:,}",
             f"{PAPER['us_per_ephid']:.1f}",
-            f"{PAPER['ephids_per_sec']:,}",
+            f"{PAPER['ephid_rate']:,}",
             f"{PAPER['headroom']:.1f}x",
         ),
         (

@@ -23,8 +23,10 @@ range, fed one burst-sized batch of packed wire frames per IPC message:
   carrier of worker messages it is handed, and the process one, the
   generic :class:`ShardProcessPool`;
 * :mod:`~repro.sharding.supervisor` — :class:`ShardSupervisor`, the
-  dispatcher's ledger and the one owner of the carrier, the policy, the
-  in-flight tickets and every failure charge: crash/hang detection,
+  dispatcher's ledger and the one owner of the carrier, the recovery
+  policy (the ``ApnaConfig`` it is handed: its three ``shard_*``
+  options, checked at construction), the in-flight tickets and every
+  failure charge: crash/hang detection,
   restart with state resync, the degradation decision and the
   in-process carrier it degrades to;
 * :mod:`~repro.sharding.issuance` — E1's share-nothing MS measurement
@@ -112,7 +114,7 @@ carriers).
 from .issuance import run_issuance_shards, split_requests
 from .plan import ShardPlan
 from .pool import ShardError, ShardProcessPool, ShardTimeout, ShardedDataPlane
-from .supervisor import ShardStateSource, ShardSupervisor, SupervisorPolicy
+from .supervisor import ShardStateSource, ShardSupervisor
 from .worker import ShardSpec, ShardState, data_plane_worker
 
 __all__ = [
@@ -125,7 +127,6 @@ __all__ = [
     "ShardSupervisor",
     "ShardTimeout",
     "ShardedDataPlane",
-    "SupervisorPolicy",
     "data_plane_worker",
     "run_issuance_shards",
     "split_requests",

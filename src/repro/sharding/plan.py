@@ -8,19 +8,15 @@ same partition, so this module is its one definition.  A
 
 * service HIDs (below :data:`repro.core.hostdb.FIRST_HOST_HID`) always
   belong to shard 0, and
-* host HIDs are striped over the shards in contiguous blocks of
-  ``block`` consecutive HIDs — ``block=1`` degenerates to round-robin
-  over registration order (host HIDs are allocated sequentially), while
-  a larger block gives each shard long contiguous HID runs, the layout
-  a range-partitioned ``host_info`` table would use.
+* host HIDs are striped round-robin over the shards in registration
+  order (host HIDs are allocated sequentially).
 
-It also fixes where an owned host lands in its shard: the owned blocks
+It also fixes where an owned host lands in its shard: the owned rows
 compact to the shard's own dense row space, so a worker's key pool has
 no holes for other shards' hosts::
 
-    row  = hid - FIRST_HOST_HID
-    blk, off = divmod(row, block)           # owner = blk % nshards
-    dense = (blk // nshards) * block + off  # row in the owner's space
+    row = hid - FIRST_HOST_HID
+    dense, owner = divmod(row, nshards)  # row in the owner's space
 
 Each map has a scalar form (:meth:`ShardPlan.owner_of`, and
 :meth:`ShardPlan.row_lookup` — one shard's row map, bound once for the
@@ -156,8 +152,6 @@ class ShardPlan:
     shard, and IV -> shard."""
 
     nshards: int
-    #: Consecutive host HIDs per contiguous ownership block.
-    block: int = 1
     #: kR for the keyed map.  Required for routing over more than one
     #: shard; ownership and row-layout uses never need it.
     key: "bytes | None" = field(default=None, repr=False)
@@ -165,12 +159,14 @@ class ShardPlan:
     #: carries it and :class:`~repro.sharding.worker.ShardState` refuses
     #: any other value.
     mode: ClassVar[str] = "keyed"
+    #: Consecutive host HIDs per ownership block, fixed: the stripe is
+    #: round-robin.  ``ShardSpec.shard_block`` carries it and
+    #: :class:`~repro.sharding.worker.ShardState` refuses any other value.
+    block: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if self.nshards < 1:
             raise ValueError(f"nshards must be >= 1, got {self.nshards}")
-        if self.block < 1:
-            raise ValueError(f"block must be >= 1, got {self.block}")
         if self.key is not None and len(self.key) != ROUTING_KEY_SIZE:
             raise ValueError(
                 f"routing key kR must be {ROUTING_KEY_SIZE} bytes, "
@@ -183,7 +179,7 @@ class ShardPlan:
         """The shard owning ``hid``'s record (MAC keys included)."""
         if hid < FIRST_HOST_HID:
             return 0  # service identities live on shard 0
-        return ((hid - FIRST_HOST_HID) // self.block) % self.nshards
+        return (hid - FIRST_HOST_HID) % self.nshards
 
     def row_lookup(self, shard: int) -> Callable[[int], int]:
         """``shard``'s scalar HID -> dense-row map, bound once: the row a
@@ -191,14 +187,13 @@ class ShardPlan:
         dense row; a shard keeps them out of plan).  One call per key
         fetch on the worker's first-contact path, the plan's fields in
         cells."""
-        block, stripe = self.block, self.block * self.nshards
-        start = FIRST_HOST_HID + shard * block
+        nshards = self.nshards
 
         def local_row(hid: int) -> int:
             if hid < FIRST_HOST_HID:
                 return -1
-            stripes, pos = divmod(hid - start, stripe)
-            return stripes * block + pos if pos < block else -1
+            dense, owner = divmod(hid - FIRST_HOST_HID, nshards)
+            return dense if owner == shard else -1
 
         return local_row
 
@@ -209,7 +204,6 @@ class ShardPlan:
         owners = np.subtract(hids, FIRST_HOST_HID, dtype=np.int64)
         # A service HID clips to row 0, which shard 0 owns too.
         np.maximum(owners, 0, out=owners)
-        owners //= self.block
         owners %= self.nshards
         return owners
 
@@ -218,9 +212,7 @@ class ShardPlan:
         HIDs (any integer array): what the owner's :meth:`row_lookup`
         answers, and -1 for a service HID."""
         rows = np.subtract(hids, FIRST_HOST_HID, dtype=np.int64)
-        dense = rows // (self.block * self.nshards)
-        dense *= self.block
-        dense += rows % self.block
+        dense = rows // self.nshards
         dense[rows < 0] = -1
         return dense
 

@@ -35,9 +35,10 @@ by the sharded ``bench/`` workloads (``egress_cold_metro``,
 
 Who owns what: the dispatcher routes, packs, sequences and merges
 (:meth:`ShardedDataPlane.route` is the side-effect-free half, callable
-with no carrier at all) and nothing else; the carrier, the policy, the
-in-flight tickets and every reaction to a failed send or reply belong
-to its ledger, :class:`~repro.sharding.supervisor.ShardSupervisor`.
+with no carrier at all) and nothing else; the carrier, the config's
+recovery policy, the in-flight tickets and every reaction to a failed
+send or reply belong to its ledger,
+:class:`~repro.sharding.supervisor.ShardSupervisor`.
 
 Failure bar: the plane is *self-healing*.  Every wait on a worker — for
 a reply or for room to send — is bounded, a dead or hung worker is
@@ -59,6 +60,7 @@ import socket
 import struct
 from typing import Callable, Sequence
 
+from ..core.config import DEFAULT_CONFIG, ApnaConfig
 from ..core.verdict import INTER_HEAD, DropReason, Verdict, verdict_of
 from ..core.ephid import CIPHERTEXT_SIZE, IV_SIZE
 from ..core.errors import ShardError, ShardTimeout
@@ -75,7 +77,6 @@ from .supervisor import (
     InProcessCarrier,
     ShardStateSource,
     ShardSupervisor,
-    SupervisorPolicy,
     Ticket,
     reply_or_raise,
 )
@@ -327,7 +328,7 @@ class ShardedDataPlane:
         *,
         aid: int,
         state_source: ShardStateSource,
-        supervision: "SupervisorPolicy | None" = None,
+        config: ApnaConfig = DEFAULT_CONFIG,
     ) -> None:
         # Fail at construction, not mid-burst — and before anything is
         # sent — if the plan cannot route IVs (e.g. keyed mode without kR).
@@ -342,7 +343,7 @@ class ShardedDataPlane:
         self._min_frame = HEADER_SIZE_WITH_NONCE if nonce else HEADER_SIZE
         #: The ledger: carrier, policy, tickets, charges, restart, degrade.
         self.supervisor = ShardSupervisor(
-            carrier, plan, specs, state_source, supervision or SupervisorPolicy()
+            carrier, plan, specs, state_source, config=config
         )
         #: Dispatcher-side transit forwarding (no shard round-trip).
         self.forwarded_inter = 0
@@ -358,9 +359,8 @@ class ShardedDataPlane:
         owner shard — without pinning, an authentic packet could be
         routed to a shard that does not hold its host's MAC keys (an
         unsharded assembly gets the one-shard plan).  The assembly's
-        config also supplies the supervision policy
-        (``shard_reply_timeout`` / ``shard_max_restarts`` /
-        ``shard_restart_backoff``).
+        config is also the supervision policy (``shard_reply_timeout`` /
+        ``shard_max_restarts`` / ``shard_restart_backoff``).
 
         The assembly's ``hostdb`` / ``revocations`` are snapshotted into
         the worker specs — as encoded :class:`repro.state.ShardSnapshot`
@@ -374,7 +374,6 @@ class ShardedDataPlane:
         config = assembly.config
         plan = assembly.shard_plan or ShardPlan(1)
         secret = assembly.keys.secret
-        policy = SupervisorPolicy.from_config(config)
         state_source = ShardStateSource(assembly.hostdb, assembly.revocations)
         specs = [
             ShardSpec(
@@ -405,13 +404,13 @@ class ShardedDataPlane:
                 data_plane_worker,
                 specs,
                 name=f"apna-br-{assembly.aid}",
-                send_timeout=policy.reply_timeout,
+                send_timeout=config.shard_reply_timeout,
             ),
             specs,
             plan,
             aid=assembly.aid,
             state_source=state_source,
-            supervision=policy,
+            config=config,
         )
 
     # -- fault injection ----------------------------------------------------

@@ -8,9 +8,11 @@ worker failure and the plane giving up on its pool — the carrier, the
 policy, the in-flight tickets, every charge — and the dispatcher
 (:class:`repro.sharding.pool.ShardedDataPlane`) reaches workers only
 through its one :meth:`~ShardSupervisor.send_to` and one
-:meth:`~ShardSupervisor.reply_from`:
+:meth:`~ShardSupervisor.reply_from`.  The policy is the plane's
+:class:`~repro.core.config.ApnaConfig` itself — its three ``shard_*``
+options, checked there — held as :attr:`ShardSupervisor.config`:
 
-1. **Detection** — every wait is bounded by ``reply_timeout``: a reply
+1. **Detection** — every wait is bounded by ``shard_reply_timeout``: a reply
    wait is a bounded poll, a send into a full socket buffer gives up
    after the same bound (``SO_SNDTIMEO``; see :class:`repro.sharding.
    pool.ShardProcessPool`), so a dead worker surfaces as an immediate
@@ -25,7 +27,7 @@ through its one :meth:`~ShardSupervisor.send_to` and one
    the worker before any traffic resumes.  Attempts back off with a
    capped exponential delay.
 3. **Degradation** — once a shard exhausts its restart budget
-   (:attr:`SupervisorPolicy.max_restarts`), the ledger stops gambling on
+   (``shard_max_restarts``), the ledger stops gambling on
    processes: it swaps its carrier for the same shards run in the
    dispatcher's own process (:class:`InProcessCarrier`), hands each the
    same :meth:`resync <ShardSupervisor.resync>` a restarted worker gets,
@@ -48,6 +50,7 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
+from ..core.config import DEFAULT_CONFIG, ApnaConfig
 from ..core.errors import ShardError, ShardTimeout
 from ..core.verdict import Action, DropReason, Verdict
 from . import wire
@@ -56,9 +59,7 @@ from .worker import ShardSpec, ShardState
 if TYPE_CHECKING:  # pragma: no cover
     from .plan import ShardPlan
 
-__all__ = [
-    "ShardStateSource", "SupervisorPolicy", "InProcessCarrier", "ShardSupervisor",
-]
+__all__ = ["ShardStateSource", "InProcessCarrier", "ShardSupervisor"]
 
 #: Restart backoff is capped at this multiple of the base delay.
 _BACKOFF_CAP_FACTOR = 50
@@ -67,38 +68,6 @@ _BACKOFF_CAP_FACTOR = 50
 #: before replying: the packet is dropped and accounted, never given a
 #: guessed verdict.
 _SHARD_FAILURE = Verdict(Action.DROP, reason=DropReason.SHARD_FAILURE)
-
-
-@dataclasses.dataclass(frozen=True)
-class SupervisorPolicy:
-    """The recovery knobs, mirrored from :class:`repro.core.config.
-    ApnaConfig`'s ``shard_*`` fields (see there for semantics)."""
-
-    reply_timeout: float = 5.0
-    max_restarts: int = 3
-    restart_backoff: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.reply_timeout <= 0:
-            raise ValueError(
-                f"reply_timeout must be > 0, got {self.reply_timeout}"
-            )
-        if self.max_restarts < 0:
-            raise ValueError(
-                f"max_restarts must be >= 0, got {self.max_restarts}"
-            )
-        if self.restart_backoff < 0:
-            raise ValueError(
-                f"restart_backoff must be >= 0, got {self.restart_backoff}"
-            )
-
-    @classmethod
-    def from_config(cls, config) -> "SupervisorPolicy":
-        return cls(
-            reply_timeout=config.shard_reply_timeout,
-            max_restarts=config.shard_max_restarts,
-            restart_backoff=config.shard_restart_backoff,
-        )
 
 
 class ShardStateSource:
@@ -197,8 +166,8 @@ class ShardSupervisor:
         plan: "ShardPlan",
         specs: "Sequence[ShardSpec]",
         state: ShardStateSource,
-        policy: SupervisorPolicy,
         *,
+        config: ApnaConfig = DEFAULT_CONFIG,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         #: Where worker messages go — the only reference to it: swapped
@@ -212,7 +181,9 @@ class ShardSupervisor:
             dataclasses.replace(spec, snapshot=b"") for spec in specs
         ]
         self._state = state
-        self.policy = policy
+        #: The recovery policy: ``shard_reply_timeout``,
+        #: ``shard_max_restarts`` and ``shard_restart_backoff``.
+        self.config = config
         self._sleep = sleep
         #: Bursts submitted and not yet collected, in submission order.
         self.tickets: "deque[Ticket]" = deque()
@@ -290,7 +261,7 @@ class ShardSupervisor:
         """``decode`` of ``shard``'s next message, waiting at most the
         reply timeout.  A reply that is lost (death, hang, error frame)
         or undecodable is charged to the shard and answered ``None``."""
-        timeout = self.policy.reply_timeout
+        timeout = self.config.shard_reply_timeout
         try:
             return decode(self.carrier.recv_bytes(shard, timeout=timeout))
         except ShardError as exc:
@@ -442,14 +413,14 @@ class ShardSupervisor:
         a capped exponential delay so a crash-looping worker cannot spin
         the dispatcher.
         """
-        while self.restarts[shard] < self.policy.max_restarts:
+        while self.restarts[shard] < self.config.shard_max_restarts:
             attempt = self.restarts[shard]
             self.restarts[shard] += 1
             if attempt > 0:
                 # Cap the multiplier, not the product: ``restarts`` is a
                 # lifetime count and 2 ** 1024 no longer fits a float.
                 self._sleep(
-                    self.policy.restart_backoff
+                    self.config.shard_restart_backoff
                     * min(2 ** (attempt - 1), _BACKOFF_CAP_FACTOR)
                 )
             respawned = False
@@ -476,7 +447,7 @@ class ShardSupervisor:
         snap = self._state.shard_snapshot(self._plan, shard)
         self.carrier.send_bytes(shard, wire.encode_resync(snap))
         acked = wire.decode_resync_ack(  # refuses any other kind of reply
-            self.carrier.recv_bytes(shard, timeout=self.policy.reply_timeout)
+            self.carrier.recv_bytes(shard, timeout=self.config.shard_reply_timeout)
         )
         if acked != (snap.owned_count, snap.revoked_count):
             raise ShardError(

@@ -64,7 +64,9 @@ class ShardSpec:
     #: ``None`` disables the in-network replay filter.
     replay_window: "float | None"
     replay_bits: int
-    #: Consecutive HIDs per shard-ownership block (``ShardPlan.block``).
+    #: Kept for ``bench/`` until ROADMAP item 0(a); not an option.  The
+    #: stripe is round-robin and :class:`ShardState` refuses any value but
+    #: ``ShardPlan.block``.
     shard_block: int
     #: Kept for ``bench/`` until ROADMAP item 0(a); not an option.  The
     #: IV -> shard map is the keyed one and :class:`ShardState` refuses
@@ -129,6 +131,11 @@ class ShardState:
                 f"packet_mac_size {spec.packet_mac_size}: the Fig. 7 MAC is "
                 f"{MAC_SIZE} bytes"
             )
+        if spec.shard_block != ShardPlan.block:
+            raise ValueError(
+                f"shard_block {spec.shard_block}: the round-robin stripe is "
+                "the only HID -> shard ownership"
+            )
         if spec.routing_mode != ShardPlan.mode:
             raise ValueError(
                 f"routing_mode {spec.routing_mode!r}: the keyed map is the "
@@ -137,7 +144,7 @@ class ShardState:
         self.spec = spec
         #: The ownership half of the dispatcher's plan: which HIDs this
         #: shard holds and where each lands in its row space.
-        self.plan = ShardPlan(spec.nshards, block=spec.shard_block)
+        self.plan = ShardPlan(spec.nshards)
         self.clock = _SettableClock()
         #: A failed fire-and-forget frame's error, owed to the next reply.
         self._held_error: "str | None" = None

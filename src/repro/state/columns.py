@@ -2,12 +2,16 @@
 
 Host HIDs are allocated sequentially from ``FIRST_HOST_HID``, so
 ``row = hid - FIRST_HOST_HID`` is a dense index: every per-host field
-lives at that offset in a flat column (a flags byte, a 32-byte kHA key
-slot, a subscriber id, two EphID counters).  A registered host costs
-~53 bytes of column storage and **zero** Python objects; the
-:class:`HostRef` row proxy is materialised only when a caller actually
-asks for a record, and reads/writes through to the columns.  Service
-HIDs (below ``FIRST_HOST_HID``, a handful per AS) keep their real
+lives at that offset in a flat column — a flags byte (registered,
+revoked), a 32-byte kHA key slot and an 8-byte subscriber id.  A row
+costs 41 bytes of column storage and **zero** Python objects.  The
+:class:`HostRef` row proxy is materialised only when a caller asks for a
+record; it reads the columns and writes nothing, so ``register``,
+``bulk_register`` and ``revoke_hid`` are the store's only writers and
+every change passes the ``on_register`` / ``on_revoke_hid`` hooks.  The
+columns end at the allocation cursor: ``register`` moves the cursor past
+any host HID it accepts, so no row lies beyond it.  Service HIDs (below
+``FIRST_HOST_HID``, a handful per AS) keep their real, frozen
 :class:`~repro.core.hostdb.HostRecord` objects.
 
 The API is that of :class:`~repro.core.hostdb.HostDatabase`, the
@@ -24,6 +28,7 @@ numpy, asking the plan it is handed which rows that shard owns.
 from __future__ import annotations
 
 from array import array
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -40,9 +45,8 @@ _MAX_HID = 0xFFFF_FFFF
 
 
 class HostRef:
-    """A row proxy over the columns, attribute-compatible with
-    :class:`~repro.core.hostdb.HostRecord`; mutations (``revoked``,
-    ``ephids_issued += 1``...) write through to the columns."""
+    """A read-only row proxy over the columns, attribute-compatible with
+    :class:`~repro.core.hostdb.HostRecord`."""
 
     __slots__ = ("_db", "hid", "_row")
 
@@ -69,33 +73,6 @@ class HostRef:
     def revoked(self) -> bool:
         return bool(self._db._flags[self._row] & F_REVOKED)
 
-    @revoked.setter
-    def revoked(self, value: bool) -> None:
-        db = self._db
-        current = db._flags[self._row] & F_REVOKED
-        if value and not current:
-            db._flags[self._row] |= F_REVOKED
-            db._live_hosts -= 1
-        elif not value and current:
-            db._flags[self._row] &= 0xFF ^ F_REVOKED
-            db._live_hosts += 1
-
-    @property
-    def ephids_issued(self) -> int:
-        return self._db._issued[self._row]
-
-    @ephids_issued.setter
-    def ephids_issued(self, value: int) -> None:
-        self._db._issued[self._row] = value
-
-    @property
-    def ephids_revoked(self) -> int:
-        return self._db._erevoked[self._row]
-
-    @ephids_revoked.setter
-    def ephids_revoked(self, value: int) -> None:
-        self._db._erevoked[self._row] = value
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"HostRef(hid={self.hid}, subscriber_id={self.subscriber_id}, "
@@ -110,8 +87,6 @@ class ColumnarHostDatabase:
         self._flags = bytearray()
         self._keys = bytearray()
         self._subs = array("q")
-        self._issued = array("I")
-        self._erevoked = array("I")
         #: Service endpoints (hid < FIRST_HOST_HID) keep real records;
         #: insertion order first in ``records()``, as ``HostDatabase`` has it.
         self._services: dict[int, HostRecord] = {}
@@ -131,13 +106,12 @@ class ColumnarHostDatabase:
         self._flags += bytes(grow)
         self._keys += bytes(grow * KEY_BYTES)
         self._subs.frombytes(b"\xff" * (8 * grow))  # -1 == no subscriber
-        self._issued.frombytes(bytes(4 * grow))
-        self._erevoked.frombytes(bytes(4 * grow))
 
     # -- HostDatabase duck API ---------------------------------------------
 
     def allocate_hid(self) -> int:
-        """Assign a fresh, never-reused HID."""
+        """Assign a fresh, never-reused HID: past every one allocated or
+        registered."""
         hid = self._next_hid
         if hid > _MAX_HID:
             raise UnknownHostError("HID space exhausted")
@@ -182,8 +156,7 @@ class ColumnarHostDatabase:
         self._subs[row] = (
             _NO_SUBSCRIBER if record.subscriber_id is None else record.subscriber_id
         )
-        self._issued[row] = record.ephids_issued
-        self._erevoked[row] = record.ephids_revoked
+        self._next_hid = max(self._next_hid, hid + 1)
         self._registered_hosts += 1
         if not record.revoked:
             self._live_hosts += 1
@@ -231,21 +204,21 @@ class ColumnarHostDatabase:
             record = self._services.get(hid)
             if record is None:
                 raise UnknownHostError(f"HID {hid} is not registered")
-            record.revoked = True
-            subscriber_id = record.subscriber_id
+            was_live, subscriber_id = not record.revoked, record.subscriber_id
+            if was_live:
+                self._services[hid] = replace(record, revoked=True)
         else:
             row = hid - FIRST_HOST_HID
             if row >= len(self._flags) or not self._flags[row] & F_REGISTERED:
                 raise UnknownHostError(f"HID {hid} is not registered")
-            if not self._flags[row] & F_REVOKED:
+            was_live = not self._flags[row] & F_REVOKED
+            if was_live:
                 self._flags[row] |= F_REVOKED
                 self._live_hosts -= 1
             sub = self._subs[row]
             subscriber_id = None if sub == _NO_SUBSCRIBER else sub
-        if (
-            subscriber_id is not None
-            and self._by_subscriber.get(subscriber_id) == hid
-        ):
+        # Every live record with a subscriber is indexed, no other.
+        if was_live and subscriber_id is not None:
             del self._by_subscriber[subscriber_id]
         if self.on_revoke_hid is not None:
             self.on_revoke_hid(hid)
@@ -256,18 +229,8 @@ class ColumnarHostDatabase:
         if hid is None:
             return None
         if hid < FIRST_HOST_HID:
-            record = self._services[hid]
-            if record.revoked:
-                del self._by_subscriber[subscriber_id]
-                return None
-            return record
-        row = hid - FIRST_HOST_HID
-        if self._flags[row] & F_REVOKED:
-            # Revoked via direct HostRef mutation (which keeps the live
-            # counter exact); heal the stale index entry.
-            del self._by_subscriber[subscriber_id]
-            return None
-        return HostRef(self, hid, row)
+            return self._services[hid]
+        return HostRef(self, hid, hid - FIRST_HOST_HID)
 
     def records(self):
         """Iterate every record, revoked included (for shard snapshots)."""
@@ -308,33 +271,12 @@ class ColumnarHostDatabase:
         first = self._next_hid
         if first + count - 1 > _MAX_HID:
             raise UnknownHostError("HID space exhausted")
-        row = first - FIRST_HOST_HID
-        if row == len(self._flags):
-            self._flags += b"\x01" * count
-            self._keys += key_material
-            self._subs.frombytes(b"\xff" * (8 * count))
-            self._issued.frombytes(bytes(4 * count))
-            self._erevoked.frombytes(bytes(4 * count))
-        else:
-            # Rows past _next_hid already exist (out-of-order explicit
-            # registration); fall back to per-row writes with collision
-            # checks.
-            self._ensure_rows(row + count)
-            for r in range(row, row + count):
-                if self._flags[r] & F_REGISTERED:
-                    raise UnknownHostError(
-                        f"HID {FIRST_HOST_HID + r} already registered"
-                    )
-            for i in range(count):
-                r = row + i
-                self._flags[r] = F_REGISTERED
-                base = r * KEY_BYTES
-                self._keys[base : base + KEY_BYTES] = key_material[
-                    i * KEY_BYTES : (i + 1) * KEY_BYTES
-                ]
-                self._subs[r] = _NO_SUBSCRIBER
-                self._issued[r] = 0
-                self._erevoked[r] = 0
+        # No row lies past the cursor; HIDs allocated but never
+        # registered leave unregistered rows before it.
+        self._ensure_rows(first - FIRST_HOST_HID)
+        self._flags += b"\x01" * count
+        self._keys += key_material
+        self._subs.frombytes(b"\xff" * (8 * count))
         self._next_hid = first + count
         self._live_hosts += count
         self._registered_hosts += count

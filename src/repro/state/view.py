@@ -12,6 +12,10 @@ and a shard index, and asks the plan which host rows the shard owns and
 where each lands in the shard's dense row space — it never re-derives
 the stripe.  Owned keys live in one pooled bytearray at that dense row;
 the replicated live-HID view is one byte per ``hid - FIRST_HOST_HID``.
+Service HIDs (shard 0's, out of every plan) keep their keys in a small
+side dict.  A host HID another shard owns is refused with
+``ValueError`` — by ``add_owned`` and by ``load_snapshot`` alike — so a
+view never serves a MAC key for a host outside its stripe.
 ``load_snapshot`` ingests a :class:`~repro.state.snapshot.ShardSnapshot`
 with numpy scatter stores over the plan's column forms, so a worker
 resync at million-host scale is a handful of vectorised copies.  The
@@ -59,9 +63,8 @@ class ColumnarShardView:
         self._owned_n = 0
         self._live = bytearray()  # by hid - FIRST_HOST_HID: 1 == live
         self._service_live: set[int] = set()
-        #: Out-of-plan rows — service HIDs (< FIRST_HOST_HID) and any
-        #: host HID add_owned put here despite not mapping to this shard
-        #: — as ``[32 key bytes, revoked]``.
+        #: Service HIDs (< FIRST_HOST_HID, out of every plan) as
+        #: ``[32 key bytes, revoked]``.
         self._extra: dict[int, list] = {}
 
     # -- row storage -------------------------------------------------------
@@ -82,24 +85,28 @@ class ColumnarShardView:
     def add_owned(
         self, hid: int, control: bytes, packet_mac: bytes, *, revoked: bool = False
     ) -> None:
-        self._put_owned(hid, control + packet_mac, revoked)
-        if not revoked:
-            self.set_live(hid)
-
-    def _put_owned(self, hid: int, keys: bytes, revoked: bool) -> None:
-        """Write one owned row (32 key bytes + flag); liveness untouched."""
-        orow = self._orow(hid)
-        if orow < 0:
+        """Write one owned row (32 key bytes + flag), and mark it live
+        unless it is revoked."""
+        keys = control + packet_mac
+        if hid < FIRST_HOST_HID:
             if hid not in self._extra:
                 self._owned_n += 1
             self._extra[hid] = [keys, revoked]
         else:
+            orow = self._orow(hid)
+            if orow < 0:
+                raise ValueError(
+                    f"HID {hid} is owned by shard {self._plan.owner_of(hid)}, "
+                    f"not shard {self._shard}"
+                )
             self._ensure_orows(orow + 1)
             if self._owned_flags[orow] == _ABSENT:
                 self._owned_n += 1
             self._owned_flags[orow] = _PRESENT | (_REVOKED if revoked else 0)
             base = orow * KEY_BYTES
             self._keys[base : base + KEY_BYTES] = keys
+        if not revoked:
+            self.set_live(hid)
 
     def set_live(self, hid: int) -> None:
         if hid < FIRST_HOST_HID:
@@ -171,17 +178,25 @@ class ColumnarShardView:
     def load_snapshot(self, snap: ShardSnapshot) -> None:
         """Replace this view's contents with a packed shard snapshot:
         keys and revoked flags from its owned section, liveness from its
-        live section alone.  A snapshot that names an owned HID twice is
-        refused (a repeated scatter index has no defined winner)."""
-        self._owned_flags = bytearray()
-        self._keys = bytearray()
-        self._live = bytearray()
-        self._extra = {}
+        live section alone.  A snapshot that names a host HID another
+        shard owns, or an owned HID twice (a repeated scatter index has
+        no defined winner), is refused."""
         plan, shard = self._plan, self._shard
         hids = np.frombuffer(snap.owned_hids, dtype=">u4")
         flags = np.frombuffer(snap.owned_flags, dtype=np.uint8)
         orows = plan.dense_rows(hids)
-        in_plan = (orows >= 0) & (plan.owners_of(hids) == shard)
+        foreign = np.flatnonzero((orows >= 0) & (plan.owners_of(hids) != shard))
+        if foreign.size:
+            hid = int(hids[foreign[0]])
+            raise ValueError(
+                f"HID {hid} is owned by shard {plan.owner_of(hid)}, "
+                f"not shard {shard}"
+            )
+        self._owned_flags = bytearray()
+        self._keys = bytearray()
+        self._live = bytearray()
+        self._extra = {}
+        in_plan = orows >= 0
         plan_idx = np.flatnonzero(in_plan)
         if plan_idx.size:
             orows = orows[plan_idx]

@@ -99,7 +99,7 @@ def process_packets(plane, items, now):
 
 def inprocess_plane(pooled, asys):
     """A plane over ``asys`` *constructed* on an ``InProcessCarrier`` —
-    ``pooled``'s specs (over the state as it is now), plan and policy,
+    ``pooled``'s specs (over the state as it is now), plan and config,
     no worker process and no degrade behind it."""
     source = ShardStateSource(asys.hostdb, asys.revocations)
     specs = [
@@ -114,7 +114,7 @@ def inprocess_plane(pooled, asys):
         pooled.plan,
         aid=asys.aid,
         state_source=source,
-        supervision=pooled.supervisor.policy,
+        config=pooled.supervisor.config,
     )
 
 

@@ -107,16 +107,6 @@ class TestHostDatabase:
         assert db.find_by_subscriber(9).hid == first
         assert second not in db  # the rejected record was not registered
 
-    def test_find_by_subscriber_heals_after_direct_mutation(self):
-        # Flipping record.revoked without going through revoke_hid must
-        # not let the index return a revoked record.
-        db = HostDatabase()
-        hid = db.allocate_hid()
-        db.register(HostRecord(hid=hid, keys=make_keys(), subscriber_id=5))
-        db.get(hid).revoked = True
-        assert db.find_by_subscriber(5) is None
-        assert db.find_by_subscriber(5) is None  # idempotent after healing
-
     def test_find_by_subscriber_is_indexed(self):
         # The lookup must not scan: register many, then check the index
         # content directly.

@@ -264,9 +264,9 @@ def test_key_fetch_on_the_authoritative_stores(store):
 
 
 #: A shard-1-of-2 view's hosts (it owns the odd rows), as ``(hid,
-#: registered revoked)``: in-plan rows, service HIDs and host rows of the
-#: other shard pushed here anyway (both out of plan — ``_extra`` on the
-#: columnar view).
+#: registered revoked)``: in-plan rows and service HIDs (out of plan —
+#: ``_extra`` on the columnar view).  A host row of the other shard is
+#: refused, so none is pushed here.
 _VIEW_OWNED = [
     (H + 1, False),
     (H + 3, False),
@@ -274,23 +274,21 @@ _VIEW_OWNED = [
     (H + 11, False),  # leaves H+7 and H+9 absent inside the columns
     (3, False),
     (4, False),
-    (H + 2, False),
-    (H + 4, True),
-    (H + 8, False),
 ]
-_VIEW_LIVE_ONLY = [H + 6]  # liveness is replicated, the keys live on shard 0
+#: Liveness is replicated; the keys of these live on shard 0.
+_VIEW_LIVE_ONLY = [H + 6, H + 8]
 _VIEW_REVOKED_LATER = [H + 3, 4, H + 8]
 _VIEW_EXPECTED = {
     H + 1: OK,
     H + 11: OK,
     3: OK,
-    H + 2: OK,
     H + 3: RevokedError,
     H + 5: RevokedError,
     4: RevokedError,
-    H + 4: RevokedError,
-    H + 8: RevokedError,
-    H + 6: UnknownHostError,  # not owned by this shard
+    H + 2: UnknownHostError,  # not owned by this shard
+    H + 4: UnknownHostError,
+    H + 6: UnknownHostError,
+    H + 8: UnknownHostError,
     H + 7: UnknownHostError,
     H + 99: UnknownHostError,
     H + 100: UnknownHostError,

@@ -334,11 +334,15 @@ def _answers(snap, shard, plan, hids):
     return answers
 
 
-def _model(snap, hids):
+def _model(snap, shard, plan, hids):
     """What ``snap``'s rows say about ``hids``, read through the codec's
-    row iterators into a dict: the reference the loader is held to,
-    whatever shard and plan load it (out-of-plan rows are kept aside,
-    not dropped)."""
+    row iterators into a dict: the reference the loader is held to.  A
+    snapshot naming a host HID another shard owns is refused (service
+    rows, out of every plan, are kept aside, not dropped)."""
+    for hid, *_ in snap.iter_owned():
+        owner = plan.owner_of(hid)
+        if hid >= _H and owner != shard:
+            return f"HID {hid} is owned by shard {owner}, not shard {shard}"
     owned = {
         hid: (packet_mac, revoked) for hid, _, packet_mac, revoked in snap.iter_owned()
     }
@@ -364,30 +368,34 @@ def _with_neighbours(hids):
     owned=st.dictionaries(_snapshot_hids, st.booleans(), max_size=12),
     live=st.sets(_snapshot_hids, max_size=12),
     nshards=st.integers(1, 3),
-    block=st.sampled_from((1, 4)),
     data=st.data(),
 )
 @settings(max_examples=100, deadline=None)
-def test_shard_snapshot_loads_and_exports_its_rows(owned, live, nshards, block, data):
+def test_shard_snapshot_loads_and_exports_its_rows(owned, live, nshards, data):
     """``encode`` -> ``decode`` -> ``load_snapshot`` answers ``is_valid``,
     ``packet_mac_key`` and ``owned_count`` as a dict model of the
     snapshot's rows does; ``build_shard_snapshot`` over the columns
     writes exactly the rows scalar ``ShardPlan.owner_of`` assigns the
     shard over a per-record ``HostDatabase`` of the same population; and
     one flipped, dropped or inserted byte is refused by ``decode``, or
-    loads to exactly what its rows say (a repeated owned HID refused)."""
-    plan = ShardPlan(nshards, block=block)
+    loads to exactly what its rows say (another shard's host, or a
+    repeated owned HID, refused)."""
+    plan = ShardPlan(nshards)
     shard = data.draw(st.integers(0, nshards - 1))
+    # Mostly the shard's own rows, so that most snapshots load; now and
+    # then every row, another shard's hosts included.
+    foreign = data.draw(st.booleans())
     rows = [
         (hid, _keys(hid).control, _keys(hid).packet_mac, revoked)
         for hid, revoked in owned.items()
+        if foreign or plan.owner_of(hid) == shard
     ]
     revoked_ephids = [(bytes([i]) * 16, 50.0 + i) for i in range(2)]
     blob = ShardSnapshot.from_rows(rows, sorted(live), revoked_ephids).encode()
     snap = ShardSnapshot.decode(blob)
     probes = _with_neighbours(set(owned) | live)
     assert list(snap.iter_owned()) == rows
-    assert _answers(snap, shard, plan, probes) == _model(snap, probes)
+    assert _answers(snap, shard, plan, probes) == _model(snap, shard, plan, probes)
 
     # The exporting side: the same population, registered in HID order,
     # in the authoritative columns and in the per-record spec.
@@ -421,7 +429,7 @@ def test_shard_snapshot_loads_and_exports_its_rows(owned, live, nshards, block, 
     named = [hid for hid, *_ in snap.iter_owned()] + list(snap.iter_live())
     assume(max(named, default=0) < _H + (1 << 16))
     probes = _with_neighbours(named)
-    assert _answers(snap, shard, plan, probes) == _model(snap, probes)
+    assert _answers(snap, shard, plan, probes) == _model(snap, shard, plan, probes)
 
 
 class TestMutatedValidInputs:

@@ -15,13 +15,14 @@ import inspect
 import re
 import shutil
 import subprocess
+import typing
 from pathlib import Path
 
 import pytest
 
 from repro.core.border_router import BorderRouter
 from repro.core.config import ApnaConfig
-from repro.sharding import ShardPlan, SupervisorPolicy
+from repro.sharding import ShardPlan
 from repro.sharding.worker import ShardSpec, ShardState
 from repro.state import ColumnarShardView
 
@@ -125,8 +126,8 @@ _CONFIG_FIELDS = {
 }
 
 
-#: What crosses to a worker, and the supervision policy: pinned the same
-#: way, so a cache capacity (say) cannot quietly become a knob.
+#: What crosses to a worker: pinned the same way, so a cache capacity
+#: (say) cannot quietly become a knob.
 _SHARD_SPEC_FIELDS = {
     "shard",
     "nshards",
@@ -138,20 +139,18 @@ _SHARD_SPEC_FIELDS = {
     "with_nonce",
     "replay_window",
     "replay_bits",
-    "shard_block",
+    "shard_block",  # one-valued (ShardPlan.block); kept for bench/
     "routing_mode",
     "routing_key",
     "state_backend",  # one-valued; goes when ROADMAP item 0(a) lands
     "snapshot",
 }
-_SUPERVISOR_POLICY_FIELDS = {"reply_timeout", "max_restarts", "restart_backoff"}
 
 
 def test_option_surface_only_shrinks():
     for options, pinned in (
         (ApnaConfig, _CONFIG_FIELDS),
         (ShardSpec, _SHARD_SPEC_FIELDS),
-        (SupervisorPolicy, _SUPERVISOR_POLICY_FIELDS),
     ):
         fields = {field.name for field in dataclasses.fields(options)}
         assert fields <= pinned, (options.__name__, sorted(fields - pinned))
@@ -405,8 +404,44 @@ def test_one_shard_layout():
         for path in sorted((ROOT / tree).rglob("*.py")):
             assert gone not in path.read_text(), path
     assert list(inspect.signature(ColumnarShardView).parameters) == ["plan", "shard"]
-    plan = ShardPlan(2, block=4)
-    assert ShardState(_shard_spec(plan, 1)).hosts._plan == plan
+    plan = ShardPlan(2)
+    spec = _shard_spec(plan, 1)
+    assert ShardState(spec).hosts._plan == plan
+    with pytest.raises(ValueError, match="only HID -> shard ownership"):
+        ShardState(dataclasses.replace(spec, shard_block=4))
+
+
+def test_one_host_state_writer():
+    """The stores are the only writers of host state: a record is
+    frozen and a row proxy writes nothing, so ``revoke_hid`` — which
+    fires the hook a sharded plane listens on — is the only way to revoke
+    a host.  The per-host EphID counters nothing read are gone, as are
+    the supervision policy that mirrored three ``ApnaConfig`` options and
+    the ownership-block knob."""
+    from repro.core.hostdb import HostDatabase, HostRecord
+    from repro.core.keys import HostAsKeys
+    from repro.sharding import supervisor
+    from repro.state import ColumnarHostDatabase
+    import repro.sharding as sharding
+
+    assert HostRecord.__dataclass_params__.frozen
+    keys = HostAsKeys(control=bytes(16), packet_mac=bytes(16))
+    for db in (HostDatabase(), ColumnarHostDatabase()):
+        for hid in (3, db.allocate_hid()):  # a service row, a host row
+            db.register(HostRecord(hid=hid, keys=keys))
+            with pytest.raises(AttributeError):
+                db.get(hid).revoked = True
+            assert db.is_valid(hid), (type(db).__name__, hid)
+    # Spelled in pieces, so that a grep of the tree for them finds none.
+    counters = "ephids" + "_"
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        assert counters not in path.read_text(), path
+    policy = "Supervisor" + "Policy"
+    assert not hasattr(sharding, policy) and policy not in sharding.__all__
+    assert not hasattr(supervisor, policy)
+    block = typing.get_type_hints(ShardPlan)["block"]
+    assert typing.get_origin(block) is typing.ClassVar
+    assert "block" not in {field.name for field in dataclasses.fields(ShardPlan)}
 
 
 def _imported_names(rel: str) -> set[str]:
@@ -456,7 +491,7 @@ def test_one_owner_for_the_carrier_and_the_failure_ledger(world):
         ledger = plane.supervisor
         held = list(vars(plane).values())
         assert not any(value is ledger.carrier for value in held)
-        assert not any(isinstance(value, SupervisorPolicy) for value in held)
+        assert not any(value is ledger.config for value in held)
 
 
 def test_one_data_plane_per_as():

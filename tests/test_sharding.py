@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import scenarios
 from repro.core import ephid as ephid_module
 from repro.core import verdict as verdict_module
 from repro.core.border_router import Action, BorderRouter, DropReason, Verdict
@@ -23,19 +24,19 @@ from repro.core.ephid import IvAllocator
 from repro.core.errors import RevokedError, UnknownHostError
 from repro.core.hostdb import FIRST_HOST_HID
 from repro.core.keys import HostAsKeys
+from repro.core.verdict import verdicts_of
 from repro.crypto.cmac import Cmac
 from repro.sharding import (
     ShardError,
     ShardPlan,
     ShardedDataPlane,
-    SupervisorPolicy,
     split_requests,
 )
 from repro.sharding import wire
 from repro.sharding.pool import InProcessCarrier
 from repro.state import ColumnarShardView
 from repro.topology import WorldBuilder
-from repro.wire.apna import SRC_EPHID_FIELD
+from repro.wire.apna import SRC_EPHID_FIELD, ApnaHeader
 from repro.workload import TrafficProfile
 from repro.workload.packets import build_apna_pool
 
@@ -59,11 +60,6 @@ class TestShardPlan:
         plan = ShardPlan(3)
         owners = [plan.owner_of(FIRST_HOST_HID + i) for i in range(6)]
         assert owners == [0, 1, 2, 0, 1, 2]
-
-    def test_contiguous_blocks(self):
-        plan = ShardPlan(2, block=3)
-        owners = [plan.owner_of(FIRST_HOST_HID + i) for i in range(8)]
-        assert owners == [0, 0, 0, 1, 1, 1, 0, 0]
 
     def test_keyed_mode_routes_by_prf_not_residue(self):
         plan = ShardPlan(3, key=_KR)
@@ -119,14 +115,12 @@ class TestShardPlan:
         with pytest.raises(ValueError):
             ShardPlan(0)
         with pytest.raises(ValueError):
-            ShardPlan(2, block=0)
-        with pytest.raises(ValueError):
             ShardPlan(2, key=b"short")
 
     def test_dense_rows_compact_each_shards_stripe(self):
         """A shard's owned host rows fill its row space without holes,
         in HID order; services have no dense row."""
-        for plan in (ShardPlan(3), ShardPlan(2, block=4)):
+        for plan in (ShardPlan(3), ShardPlan(2)):
             hids = range(FIRST_HOST_HID, FIRST_HOST_HID + 40)
             for shard in range(plan.nshards):
                 lookup = plan.row_lookup(shard)
@@ -144,15 +138,14 @@ class TestShardPlan:
         max_size=40,
     ),
     nshards=st.integers(1, 3),
-    block=st.sampled_from((1, 4)),
 )
 @settings(max_examples=100, deadline=None)
-def test_plan_column_forms_equal_the_scalar_forms(hids, nshards, block):
+def test_plan_column_forms_equal_the_scalar_forms(hids, nshards):
     """One partition however it is asked: over a u32 column, ``owners_of``
     equals scalar ``owner_of`` element for element, and ``dense_rows``
     the scalar row of the owner's ``row_lookup`` — which answers -1 for
     a service HID and for every HID another shard owns."""
-    plan = ShardPlan(nshards, block=block)
+    plan = ShardPlan(nshards)
     column = np.array(hids, dtype=">u4")
     owners = [plan.owner_of(hid) for hid in hids]
     lookups = [plan.row_lookup(shard) for shard in range(nshards)]
@@ -602,17 +595,19 @@ class TestDispatcher:
                 plane.process([b"\x00" * 48, b"\x00" * 48], [True], 0.0)
 
     def test_removed_options_are_rejected(self):
-        # One data-plane configuration: the residue map and unbounded
-        # waits have no spelling left, at the plan or in the policy every
-        # plane is built with.
-        with pytest.raises(TypeError):
-            ShardPlan(2, mode="residue")
-        with pytest.raises(ValueError, match="reply_timeout"):
-            SupervisorPolicy.from_config(ApnaConfig(shard_reply_timeout=0))
-        with pytest.raises(ValueError, match="max_restarts"):
-            SupervisorPolicy(max_restarts=-1)
-        with pytest.raises(ValueError, match="restart_backoff"):
-            SupervisorPolicy(restart_backoff=-0.1)
+        # One data-plane configuration: the residue map, the block stripe
+        # and unbounded waits have no spelling left, at the plan or in
+        # the config every plane is built with — refused when the config
+        # is made, not when a pool is built from it.
+        for removed in ({"mode": "residue"}, {"block": 4}):
+            with pytest.raises(TypeError):
+                ShardPlan(2, **removed)
+        with pytest.raises(ValueError, match="shard_reply_timeout must be > 0"):
+            ApnaConfig(shard_reply_timeout=0)
+        with pytest.raises(ValueError, match="shard_max_restarts must be >= 0"):
+            ApnaConfig(shard_max_restarts=-1)
+        with pytest.raises(ValueError, match="shard_restart_backoff must be >= 0"):
+            ApnaConfig(shard_restart_backoff=-0.1)
 
     def test_control_error_held_until_next_reply(self):
         """A failing fire-and-forget message must not emit an unsolicited
@@ -859,6 +854,52 @@ class TestRekeyedHost:
             assert process_packets(
                 plane, [(packet, True), (rekeyed, True)], as_a.clock()
             ) == [Verdict(Action.DROP, reason=DropReason.BAD_MAC), forward]
+
+
+def test_only_revoke_hid_revokes_a_host_and_every_verdict_path_sees_it():
+    """On a sharded population, a host is revoked by ``revoke_hid`` or
+    not at all: a revoked flag set on the record it hands out would skip
+    the hook that tells the shards, which then forwarded what the
+    single-process oracle drops.  After ``revoke_hid`` the plane and the
+    oracle both drop the host's packet as ``SRC_HID_INVALID``."""
+    world = scenarios.build(
+        "metro:1k", seed=3, config=ApnaConfig(forwarding_shards=TIER1_SHARDS)
+    )
+    try:
+        as_a = world.asys("a")
+        plane = as_a.shard_pool
+        oracle = BorderRouter(
+            as_a.aid, as_a.codec, as_a.hostdb, as_a.revocations, as_a.clock
+        )
+        hid = world.population("a")[1]
+        ephid = as_a.codec.seal(
+            hid=hid,
+            exp_time=int(as_a.clock() + ApnaConfig.data_ephid_lifetime),
+            iv=as_a.ivs.next_iv_for(hid),
+        )
+        bob = world.host("bob").acquire_ephid_direct().cert
+        header = ApnaHeader(
+            src_aid=as_a.aid, src_ephid=ephid, dst_ephid=bob.ephid, dst_aid=bob.aid
+        )
+        frame = header.signed(Cmac(as_a.hostdb.packet_mac_key(hid)), b"x").to_wire()
+
+        def verdicts():
+            now = as_a.clock()
+            return (
+                plane.process([frame], [True], now)[0],
+                verdicts_of(b"".join(oracle.process_burst([frame], [True])))[0],
+            )
+
+        forward = Verdict(Action.FORWARD_INTER, next_aid=bob.aid)
+        assert verdicts() == (forward, forward)
+        with pytest.raises(AttributeError):
+            as_a.hostdb.get(hid).revoked = True
+        assert verdicts() == (forward, forward)
+        as_a.hostdb.revoke_hid(hid)
+        dropped = Verdict(Action.DROP, reason=DropReason.SRC_HID_INVALID)
+        assert verdicts() == (dropped, dropped)
+    finally:
+        world.close()
 
 
 #: Requests count -> the malformed result a stubbed MS worker answers with.

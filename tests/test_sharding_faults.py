@@ -40,7 +40,6 @@ from repro.sharding import (
     ShardPlan,
     ShardSupervisor,
     ShardedDataPlane,
-    SupervisorPolicy,
 )
 from repro.wire.apna import SRC_EPHID_FIELD, Endpoint
 from repro import scenarios
@@ -52,19 +51,16 @@ SHARD_COUNTS = (2, 3)
 #: Chaos supervision: quick hang detection, effectively unlimited
 #: restarts (the storm must never exhaust the budget unless a test wants
 #: it to), minimal backoff so the suite stays fast.
-CHAOS_POLICY = SupervisorPolicy(
-    reply_timeout=0.4, max_restarts=10_000, restart_backoff=0.001
+CHAOS = ApnaConfig(
+    shard_reply_timeout=0.4, shard_max_restarts=10_000, shard_restart_backoff=0.001
 )
 
 
-def _build_world(nshards, policy=CHAOS_POLICY):
+def _build_world(nshards, **supervision):
+    """A world on ``nshards`` shards under :data:`CHAOS` supervision,
+    with any ``shard_*`` option overridden."""
     return build_world(
-        config=ApnaConfig(
-            forwarding_shards=nshards,
-            shard_reply_timeout=policy.reply_timeout,
-            shard_max_restarts=policy.max_restarts,
-            shard_restart_backoff=policy.restart_backoff,
-        ),
+        config=dataclasses.replace(CHAOS, forwarding_shards=nshards, **supervision),
         host_names=("alice", "bob", "carol", "dave", "erin"),
     )
 
@@ -307,8 +303,8 @@ class TestCrashStormEquivalence:
 class TestFaultKindsIsolated:
     """One fault kind at a time, pinned to a specific burst."""
 
-    def _run(self, plan, *, bursts=6, policy=CHAOS_POLICY):
-        world = _build_world(2, policy)
+    def _run(self, plan, *, bursts=6):
+        world = _build_world(2)
         rng = random.Random(3)
         build, _ = _packet_mix(world, rng)
         router = _reference_router(world)
@@ -368,10 +364,7 @@ class TestFaultKindsIsolated:
         to wait on that buffer for as long as the worker stayed stopped.
         An oversized burst to a ``SIGSTOP``ped worker must cost the send
         bound, forfeit that shard's frames only, and one restart."""
-        policy = SupervisorPolicy(
-            reply_timeout=0.5, max_restarts=10_000, restart_backoff=0.001
-        )
-        world = _build_world(2, policy)
+        world = _build_world(2, shard_reply_timeout=0.5)
         router = _reference_router(world)
         dst = Endpoint(
             world.as_b.aid, world.hosts["bob"].acquire_ephid_direct().ephid
@@ -474,12 +467,7 @@ class TestDegradation:
     of exceptions."""
 
     def test_degrades_to_exact_inprocess_service(self):
-        world = _build_world(
-            2,
-            SupervisorPolicy(
-                reply_timeout=0.4, max_restarts=1, restart_backoff=0.001
-            ),
-        )
+        world = _build_world(2, shard_max_restarts=1)
         rng = random.Random(11)
         build, revocable = _packet_mix(world, rng)
         router = _reference_router(world)
@@ -554,12 +542,12 @@ class TestDegradation:
             plan,
             [_shard_spec(plan, 0, "columnar")],
             None,
-            CHAOS_POLICY,
+            config=CHAOS,
             sleep=slept.append,
         )
         assert supervisor.restart(0) is False
-        assert supervisor.restarts == [CHAOS_POLICY.max_restarts]
-        assert max(slept) <= 50 * CHAOS_POLICY.restart_backoff
+        assert supervisor.restarts == [CHAOS.shard_max_restarts]
+        assert max(slept) <= 50 * CHAOS.shard_restart_backoff
 
     def test_send_failure_mid_submit_degrades_once(self):
         """A worker found dead while a burst is being *sent* forfeits the
@@ -567,9 +555,7 @@ class TestDegradation:
         them to be read off the closed pool, blamed on a healthy shard
         and answered with a second degrade that forgets what the plane
         served in between."""
-        world = _build_world(
-            2, SupervisorPolicy(reply_timeout=0.4, max_restarts=0)
-        )
+        world = _build_world(2, shard_max_restarts=0)
         rng = random.Random(17)
         build, _ = _packet_mix(world, rng)
         router = _reference_router(world)
@@ -712,10 +698,7 @@ class TestFailedResyncCleanup:
     degraded plane — starts from a clean slate."""
 
     def test_failed_resync_kills_half_respawned_worker(self):
-        policy = SupervisorPolicy(
-            reply_timeout=0.4, max_restarts=2, restart_backoff=0.001
-        )
-        world = _build_world(2, policy)
+        world = _build_world(2, shard_max_restarts=2)
         rng = random.Random(21)
         build, _ = _packet_mix(world, rng)
         plane = ShardedDataPlane.for_assembly(world.as_a)
@@ -737,7 +720,7 @@ class TestFailedResyncCleanup:
             respawned = []
 
             def broken_snapshot(plan, shard):
-                if len(respawned) == policy.max_restarts:
+                if len(respawned) == plane.supervisor.config.shard_max_restarts:
                     return real_snapshot(plan, shard)
                 respawned.append(pool._procs[shard])
                 raise RuntimeError("resync sabotaged")

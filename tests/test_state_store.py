@@ -56,8 +56,6 @@ def _describe(record):
         record.keys.packet_mac,
         record.subscriber_id,
         record.revoked,
-        record.ephids_issued,
-        record.ephids_revoked,
     )
 
 
@@ -150,39 +148,6 @@ class TestHostDatabaseDifferential:
         assert obj.total_registered == col.total_registered == 1
         _assert_same_db(obj, col, [FIRST_HOST_HID], [42])
 
-    def test_direct_mutation_heals_identically(self):
-        """``record.revoked = True`` bypasses ``revoke_hid``; after the
-        ``find_by_subscriber`` heal both stores agree on everything."""
-        obj = HostDatabase()
-        col = ColumnarHostDatabase()
-        self._populate(obj)
-        self._populate(col)
-        for db in (obj, col):
-            db.get(FIRST_HOST_HID + 1).revoked = True
-            assert db.find_by_subscriber(701) is None  # heals the index
-            assert db.find_by_subscriber(701) is None  # and stays healed
-        _assert_same_db(
-            obj, col, range(FIRST_HOST_HID, FIRST_HOST_HID + 8), range(700, 708)
-        )
-        # revoke_hid after a direct mutation must not double-count.
-        for db in (obj, col):
-            db.get(FIRST_HOST_HID + 3).revoked = True
-            db.revoke_hid(FIRST_HOST_HID + 3)
-        assert len(obj) == len(col)
-
-    def test_counter_write_through_parity(self):
-        obj = HostDatabase()
-        col = ColumnarHostDatabase()
-        self._populate(obj, hosts=2)
-        self._populate(col, hosts=2)
-        for db in (obj, col):
-            record = db.get(FIRST_HOST_HID)
-            record.ephids_issued += 3
-            record.ephids_revoked += 1
-        assert _describe(obj.get(FIRST_HOST_HID)) == _describe(
-            col.get(FIRST_HOST_HID)
-        )
-
     def test_hooks_fire_identically(self):
         events = {"object": [], "columnar": []}
         for name, db in (("object", HostDatabase()), ("columnar", ColumnarHostDatabase())):
@@ -238,18 +203,36 @@ class TestHostDatabaseDifferential:
         _assert_same_db(obj, col, range(first, first + 40), [700])
         assert col.allocate_hid() == obj.allocate_hid()
 
-    def test_bulk_register_after_explicit_rows(self):
-        """The non-dense-tail path: explicit registrations past _next_hid
-        force per-row writes with collision checks."""
+    def test_allocate_hid_skips_registered_hids(self):
+        """``register`` moves the allocation cursor past any host HID it
+        accepts, in both stores, so ``allocate_hid`` never hands out a
+        registered HID; a hole below the cursor stays registrable."""
+        for db in (HostDatabase(), ColumnarHostDatabase()):
+            hid = db.allocate_hid()
+            db.register(HostRecord(hid=hid + 1, keys=_keys(1)))
+            fresh = db.allocate_hid()
+            assert fresh == hid + 2, type(db).__name__
+            db.register(HostRecord(hid=fresh, keys=_keys(2)))
+            db.register(HostRecord(hid=hid, keys=_keys(3)))
+            assert db.allocate_hid() == hid + 3
+            db.register(HostRecord(hid=3, keys=_keys(4)))  # a service HID
+            assert db.allocate_hid() == hid + 4
+
+    def test_bulk_register_starts_past_the_cursor(self):
+        """No row lies past the cursor, so a bulk population appends:
+        after explicit rows, and after HIDs allocated but never
+        registered (which stay unregistered)."""
         col = ColumnarHostDatabase()
-        hid0 = col.allocate_hid()
-        col.register(HostRecord(hid=hid0 + 2, keys=_keys(1)))  # out of order
-        col.register(HostRecord(hid=hid0, keys=_keys(2)))
-        first = col.bulk_register(1, population_key_material(b"gap", 1))
-        assert first == hid0 + 1  # fills the hole between the explicit rows
-        assert col.is_valid(hid0 + 1)
-        with pytest.raises(UnknownHostError, match="already registered"):
-            col.bulk_register(1, population_key_material(b"x", 1))
+        hid = col.allocate_hid()
+        col.register(HostRecord(hid=hid + 2, keys=_keys(1)))
+        first = col.bulk_register(2, population_key_material(b"gap", 2))
+        assert first == hid + 3
+        assert col.allocate_hid() == first + 2
+        first = col.bulk_register(1, population_key_material(b"x", 1))
+        assert first == hid + 6
+        valid = [h for h in range(hid, hid + 8) if col.is_valid(h)]
+        assert valid == [hid + 2, hid + 3, hid + 4, hid + 6]
+        assert [record.hid for record in col.records()] == valid
 
 
 class TestRevocationListDifferential:
@@ -474,7 +457,7 @@ class TestMetroResyncRoundTrip:
     stores export is the one a per-record walk writes, and shipped as a
     ``MSG_RESYNC`` frame it rebuilds exactly those rows in the worker."""
 
-    @pytest.mark.parametrize("plan", [ShardPlan(3), ShardPlan(2, block=4)])
+    @pytest.mark.parametrize("plan", [ShardPlan(3), ShardPlan(2)])
     def test_snapshot_to_resync_to_worker_view(self, plan):
         obj_db, obj_rev = _authoritative(columnar=False)
         col_db, col_rev = _authoritative()
@@ -621,23 +604,40 @@ class TestColumnarShardView:
             view.get(FIRST_HOST_HID)
 
     def test_out_of_plan_entries(self):
-        """Service HIDs and HIDs another shard owns still work when pushed
-        via add_owned (the supervisor's broadcast registration path)."""
-        view = ColumnarShardView(ShardPlan(2), 1)
-        view.add_owned(3, b"\x01" * 16, b"\x02" * 16)  # service
-        foreign = FIRST_HOST_HID + 1  # shard 1 of 2 owns odd rows; row 1 -> shard 1
-        not_mine = FIRST_HOST_HID  # row 0 -> shard 0
-        view.add_owned(not_mine, b"\x03" * 16, b"\x04" * 16)
-        view.add_owned(foreign, b"\x05" * 16, b"\x06" * 16)
-        assert view.owned_count == 3
+        """Service HIDs, out of every plan, still work when pushed via
+        add_owned (the supervisor's broadcast registration path)."""
+        view = ColumnarShardView(ShardPlan(2), 0)
+        view.add_owned(3, b"\x01" * 16, b"\x02" * 16)
+        assert view.owned_count == 1
         assert view.get(3).keys.control == b"\x01" * 16
-        assert view.get(not_mine).keys.control == b"\x03" * 16
-        view.revoke(not_mine)
-        with pytest.raises(RevokedError):
-            view.get(not_mine)
-        assert view.is_valid(foreign)
         view.revoke(3)
         assert not view.is_valid(3)
+        with pytest.raises(RevokedError):
+            view.get(3)
+
+    def test_another_shards_host_is_refused(self):
+        """A host HID outside the shard's stripe is refused by add_owned
+        and by load_snapshot, so the view never serves its MAC key."""
+        plan = ShardPlan(2)
+        theirs = FIRST_HOST_HID + 1  # row 1: shard 1's
+        view = ColumnarShardView(plan, 0)
+        with pytest.raises(ValueError, match="owned by shard 1, not shard 0"):
+            view.add_owned(theirs, b"\x01" * 16, b"\x02" * 16)
+        assert view.owned_count == 0 and not view.is_valid(theirs)
+        with pytest.raises(UnknownHostError, match="misrouted"):
+            view.packet_mac_key(theirs)
+        rows = [
+            (FIRST_HOST_HID, b"\x03" * 16, b"\x04" * 16, False),
+            (theirs, b"\x01" * 16, b"\x02" * 16, False),
+        ]
+        snap = ShardSnapshot.from_rows(rows, [FIRST_HOST_HID, theirs], [])
+        with pytest.raises(ValueError, match="owned by shard 1, not shard 0"):
+            view.load_snapshot(snap)
+        state = ShardState(_shard_spec(plan, 0))
+        reply = state.handle(wire.encode_resync(snap))
+        assert reply[0] == wire.MSG_ERROR
+        assert "owned by shard 1" in wire.decode_error(reply)
+        assert state.hosts.owned_count == 0
 
 
 def _describe_view(record):
