@@ -84,7 +84,7 @@ def main() -> None:
     print(f"on-path shutoff from AS{transit.aid}: {response.reason}")
 
     # --- The flood dies at its own AS's border router.
-    verdicts = [source.br.process_outgoing(packet) for packet in flood]
+    verdicts = source.judge([packet.to_wire() for packet in flood], [True] * len(flood))
     dropped = sum(v.reason is DropReason.SRC_REVOKED for v in verdicts)
     print(f"source border router now drops {dropped}/{len(flood)} flood packets")
 

@@ -35,15 +35,18 @@ class EphIdSpoofer:
         self.successes = 0
 
     def spoof(self, sniffed_ephid: bytes, dst: Endpoint, payload: bytes = b"spoof") -> bool:
+        """Inject one frame at the source AS's border, as a host on its
+        access network would; ``True`` if the AS lets it through."""
         header = ApnaHeader(
             src_aid=self.assembly.aid,
             src_ephid=sniffed_ephid,
             dst_ephid=dst.ephid,
             dst_aid=dst.aid,
             mac=self._rng.read(8),  # best effort: a guessed MAC
+            nonce=self.attempts if self.assembly.config.replay_protection else None,
         )
-        packet = ApnaPacket(header, payload)
-        verdict = self.assembly.br.process_outgoing(packet)
+        frame = ApnaPacket(header, payload).to_wire()
+        [verdict] = self.assembly.judge([frame], [True])
         self.attempts += 1
         success = verdict.action is not Action.DROP
         self.successes += int(success)

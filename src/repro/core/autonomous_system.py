@@ -282,6 +282,25 @@ class ApnaAutonomousSystem:
         self.hostdb.on_revoke_hid = None
         pool.close()
 
+    def judge(self, frames: "list[bytes]", egress: "list[bool]") -> "list[Verdict]":
+        """The AS's one verdict path: both Fig. 4 pipelines over a burst
+        of raw APNA frames (``egress[k]``: ``frames[k]`` came from a local
+        host), one :class:`Verdict` per frame in arrival order.
+
+        The in-line router judges a single-process AS; the shard pool
+        judges a sharded one, which raises :class:`ApnaError` while no
+        pool runs.  The node, E2, E7, E12 and :mod:`repro.attacks` all
+        judge here.
+        """
+        if self.br is not None:
+            return verdicts_of(b"".join(self.br.process_burst(frames, egress)))
+        if self.shard_pool is None:
+            raise ApnaError(
+                f"AS {self.aid} is sharded and has no shard pool running "
+                "to judge this burst"
+            )
+        return self.shard_pool.process(frames, egress, self.clock())
+
     def attach_host(
         self,
         name: str,
@@ -420,21 +439,18 @@ class BorderRouterNode(Node):
     """The simulated border router: wire bytes in, wire bytes out.
 
     The node runs the paper's burst data plane: arriving packets are
-    accumulated and pushed through :meth:`BorderRouter.process_burst`
-    once ``config.forwarding_batch_size`` of them are waiting (or after
+    accumulated and judged by :meth:`ApnaAutonomousSystem.judge` once
+    ``config.forwarding_batch_size`` of them are waiting (or after
     ``forwarding_batch_window`` virtual seconds, whichever comes first),
     and the verdicts are acted on in arrival order.  A burst size of 1
     flushes every packet as a burst of one.  The flush timer guarantees a
     partially-filled burst always drains when the event queue is run.
 
-    A sharded AS (``config.forwarding_shards >= 2``) has no in-line
-    router: every data packet's verdict comes from its shard pool — the
-    accumulated burst is dispatched as packed wire frames, one IPC
-    message per shard, and the merged verdicts are acted on in arrival
-    order.  With no pool running (before
-    :meth:`ApnaAutonomousSystem.start_shard_pool`, or after
-    :meth:`~ApnaAutonomousSystem.stop_shard_pool`) a flush raises
-    :class:`ApnaError`.
+    ``judge`` is the node's only verdict source, whether the in-line
+    router or a sharded AS's pool sits behind it: a sharded AS with no
+    pool running (before :meth:`ApnaAutonomousSystem.start_shard_pool`,
+    or after :meth:`~ApnaAutonomousSystem.stop_shard_pool`) raises
+    :class:`ApnaError` at the flush.
     """
 
     def __init__(self, assembly: ApnaAutonomousSystem) -> None:
@@ -490,18 +506,9 @@ class BorderRouterNode(Node):
             return
         self.bursts_flushed += 1
         self.largest_burst = max(self.largest_burst, len(burst))
-        frames = [frame for _, _, frame in burst]
-        egress = [not outside for _, outside, _ in burst]
-        assembly = self.assembly
-        if assembly.br is not None:
-            verdicts = verdicts_of(b"".join(assembly.br.process_burst(frames, egress)))
-        elif assembly.shard_pool is not None:
-            verdicts = assembly.shard_pool.process(frames, egress, assembly.clock())
-        else:
-            raise ApnaError(
-                f"AS {assembly.aid} is sharded and has no shard pool running "
-                "to judge this burst"
-            )
+        verdicts = self.assembly.judge(
+            [frame for _, _, frame in burst], [not outside for _, outside, _ in burst]
+        )
         for (packet, outside, _), verdict in zip(burst, verdicts):
             assert verdict is not None
             self._act(packet, verdict, arrived_from_outside=outside)

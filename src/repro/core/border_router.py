@@ -53,8 +53,14 @@ Burst pipeline
 
 The paper's DPDK prototype hits line rate by computing verdicts over
 *bursts* of raw frames; :meth:`BorderRouter.process_burst` is that loop
-and the only production verdict path (the in-line node and every
-:class:`~repro.sharding.worker.ShardState` call it).  It never builds a
+and the only production verdict path.  Every caller reaches it through
+:meth:`~repro.core.autonomous_system.ApnaAutonomousSystem.judge` — the
+simulated border-router node, the E2/E7/E12 forwarding experiments, the
+:mod:`repro.attacks` spoofer and ``examples/path_validation_shutoff.py``
+— which runs it in-line or, on a sharded AS, in each
+:class:`~repro.sharding.worker.ShardState`.  Only the evaluation oracle
+and the tests call the scalar pipelines (``process_outgoing`` /
+``process_incoming``).  The burst loop never builds a
 packet object: the fields are fixed-offset slices of the packed Fig. 7
 header (:mod:`repro.wire.apna`) — source AID ``[0:4]``, source EphID
 ``[4:20]``, destination EphID ``[20:36]``, destination AID ``[36:40]``,
@@ -462,12 +468,3 @@ class BorderRouter:
         ``bench/apnabench/trace.py``; ROADMAP item 0(b) deletes it."""
         frames = [packet.to_wire() for packet in packets]
         return verdicts_of(b"".join(self.process_burst(frames, egress)))
-
-    # -- observability --
-
-    @property
-    def total_drops(self) -> int:
-        return sum(self.drops.values())
-
-    def drop_counts(self) -> dict[str, int]:
-        return {reason.value: count for reason, count in self.drops.items() if count}

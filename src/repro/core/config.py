@@ -84,8 +84,8 @@ class ApnaConfig:
     #: its HID's owning shard so the dispatcher can route packed frames
     #: without decrypting, and make world builds spawn a
     #: :class:`repro.sharding.ShardedDataPlane` per AS as its only data
-    #: plane: a sharded AS builds no in-line router (``asys.br is
-    #: None``) and judges no packet while its pool is not running.
+    #: plane: a sharded AS builds no in-line router, and its ``judge``
+    #: refuses every burst while its pool is not running.
     forwarding_shards: int = 0
 
     #: Wall-clock seconds the shard dispatcher waits for any single

@@ -5,6 +5,16 @@ from __future__ import annotations
 from ..core.config import ApnaConfig
 from ..topology import World, WorldBuilder
 
+#: Frames per burst handed to ``ApnaAutonomousSystem.judge`` by the
+#: forwarding experiments (E2, E7, E12): the burst the benchmark and the
+#: evaluation runner time.
+BURST = 64
+
+
+def bursts(frames: list[bytes]) -> list[list[bytes]]:
+    """``frames`` cut into :data:`BURST`-frame bursts (the last may be short)."""
+    return [frames[k : k + BURST] for k in range(0, len(frames), BURST)]
+
 
 def build_bench_world(
     *,

@@ -8,22 +8,33 @@ exactly that bar:
 
 1. effectiveness — replayed packets die at the source AS border router,
    before they consume inter-domain bandwidth;
-2. forwarding cost — egress pipeline throughput with and without the
-   filter;
+2. forwarding cost — µs per packet through
+   :meth:`ApnaAutonomousSystem.judge` with and without the filter, over
+   64-frame bursts of fresh-nonce frames built before the timing;
 3. memory/accuracy trade-off — false-positive probability as a function
    of filter size for a border-router-scale packet window.
+
+Measured 2026-10-16 on a shared 2-vCPU Intel Xeon VM (Python 3.11.7,
+``cryptography`` 48), default arguments, over eight runs: every replay
+is caught (800 of 800), and the burst path costs 2.3–4.8 µs/pkt without
+the filter and 4.4–8.5 µs/pkt with it, +63 % to +91 %.  So the cost
+claim prints FAILS: the filter's per-key SHA-256 and bit-array touches
+(~2 µs a key) cost more than the rest of a warm verdict.  Timed per
+packet through the scalar pipelines instead, the same cost hides under
+~12 µs of per-packet parsing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import median
 
 from ..core.border_router import DropReason
 from ..core.config import ApnaConfig
-from ..core.replay_filter import BloomFilter, RotatingReplayFilter
-from ..metrics import format_table, time_loop
+from ..core.replay_filter import BloomFilter
+from ..metrics import Timer, format_table
 from ..wire.apna import Endpoint
-from .common import build_bench_world, print_header
+from .common import BURST, build_bench_world, bursts, print_header
 
 
 @dataclass
@@ -50,11 +61,26 @@ class E12Result:
         return self.overhead_fraction < 0.15
 
 
+def _frames(host, owned, dst: Endpoint, payload: bytes, nonces) -> list[bytes]:
+    """``host``'s wire frames from ``owned`` to ``dst``, one per nonce."""
+    return [
+        host.stack.make_packet(owned.ephid, dst, payload, nonce=n).to_wire()
+        for n in nonces
+    ]
+
+
+def _judge_seconds(asys, burst: list[bytes]) -> float:
+    """Seconds ``asys.judge`` takes over one egress burst."""
+    with Timer() as timer:
+        asys.judge(burst, [True] * len(burst))
+    return timer.elapsed
+
+
 def run(
     *,
     packets: int = 400,
     replay_factor: int = 3,
-    iterations: int = 300,
+    timed_bursts: int = 20,
     window_packets: int = 90_000,
     quiet: bool = False,
 ) -> E12Result:
@@ -69,67 +95,46 @@ def run(
     bob = world.hosts_b[0]
     owned = alice.acquire_ephid_direct()
     peer = bob.acquire_ephid_direct()
-    br = world.as_a.br
+    peer_ep = Endpoint(world.as_b.aid, peer.ephid)
 
-    originals = [
-        alice.stack.make_packet(
-            owned.ephid, Endpoint(world.as_b.aid, peer.ephid), b"data", nonce=n
-        )
-        for n in range(1, packets + 1)
-    ]
-    for packet in originals:
-        verdict = br.process_outgoing(packet)
-        assert not verdict.dropped
+    originals = _frames(alice, owned, peer_ep, b"data", range(1, packets + 1))
+    for burst in bursts(originals):
+        verdicts = world.as_a.judge(burst, [True] * len(burst))
+        assert not any(verdict.dropped for verdict in verdicts)
 
     replayed = 0
     caught = 0
-    for packet in originals * (replay_factor - 1):
-        replayed += 1
-        verdict = br.process_outgoing(packet)
-        if verdict.dropped and verdict.reason is DropReason.REPLAYED:
-            caught += 1
+    for burst in bursts(originals * (replay_factor - 1)):
+        replayed += len(burst)
+        caught += sum(
+            verdict.reason is DropReason.REPLAYED
+            for verdict in world.as_a.judge(burst, [True] * len(burst))
+        )
 
     # -- 2. forwarding cost ----------------------------------------------
     plain_world = build_bench_world(
         seed=12, hosts_per_as=1, config=ApnaConfig(replay_protection=True)
     )
     p_alice = plain_world.hosts_a[0]
-    p_bob = plain_world.hosts_b[0]
     p_owned = p_alice.acquire_ephid_direct()
-    p_peer = p_bob.acquire_ephid_direct()
+    p_peer = plain_world.hosts_b[0].acquire_ephid_direct()
+    p_peer_ep = Endpoint(plain_world.as_b.aid, p_peer.ephid)
 
-    state = {"plain": 0, "filtered": 1_000_000}
-
-    peer_ep_plain = Endpoint(plain_world.as_b.aid, p_peer.ephid)
-    peer_ep = Endpoint(world.as_b.aid, peer.ephid)
-
-    def forward_plain():
-        state["plain"] += 1
-        packet = p_alice.stack.make_packet(
-            p_owned.ephid, peer_ep_plain, b"x" * 512, nonce=state["plain"]
-        )
-        plain_world.as_a.br.process_outgoing(packet)
-
-    def forward_filtered():
-        state["filtered"] += 1  # fresh nonce range, no replays
-        packet = alice.stack.make_packet(
-            owned.ephid, peer_ep, b"x" * 512, nonce=state["filtered"]
-        )
-        br.process_outgoing(packet)
-
-    # Interleave the two arms in alternating batches so that transient
-    # background load perturbs both equally (a sequential A/B turns any
-    # load spike into a phantom filter cost).
-    batches = 20
-    per_batch = max(1, iterations // batches)
-    seconds_without = 0.0
-    seconds_with = 0.0
-    for _ in range(batches):
-        seconds_without += time_loop(forward_plain, repeat=per_batch)
-        seconds_with += time_loop(forward_filtered, repeat=per_batch)
-    total = batches * per_batch
-    egress_without = seconds_without / total * 1e6
-    egress_with = seconds_with / total * 1e6
+    # Every timed frame carries a fresh nonce, past the effectiveness
+    # arm's, and all are built before any clock starts: the arms time
+    # ``judge`` alone.
+    nonces = range(1_000_000, 1_000_000 + timed_bursts * BURST)
+    plain_bursts = bursts(_frames(p_alice, p_owned, p_peer_ep, b"x" * 512, nonces))
+    filtered_bursts = bursts(_frames(alice, owned, peer_ep, b"x" * 512, nonces))
+    # Alternate the two arms burst by burst so that transient background
+    # load perturbs both equally (a sequential A/B turns any load spike
+    # into a phantom filter cost), and keep each arm's median burst.
+    seconds_without, seconds_with = [], []
+    for plain, filtered in zip(plain_bursts, filtered_bursts):
+        seconds_without.append(_judge_seconds(plain_world.as_a, plain))
+        seconds_with.append(_judge_seconds(world.as_a, filtered))
+    egress_without = median(seconds_without) / BURST * 1e6
+    egress_with = median(seconds_with) / BURST * 1e6
 
     # -- 3. memory/accuracy trade-off -------------------------------------
     fp_rows = []

@@ -6,28 +6,35 @@ Paper setup: a DPDK border router on 2x Xeon E5-2680 with 6 dual-port
 theoretical line-rate maximum at every size — the APNA checks (EphID
 decrypt + table lookups + MAC verify) add no throughput penalty.
 
-Reproduction: the same pipeline in pure Python, with the 120 Gbps
-hardware replaced by a *calibrated virtual line rate* — the capacity is
-chosen so that, like the paper's AES-NI router, the CPU is never the
-bottleneck.  We report:
+Reproduction: the production egress path on one core.  Valid egress
+frames of each size go through :meth:`ApnaAutonomousSystem.judge` in
+64-frame bursts, and every forwarded frame is GRE/IPv4-encapsulated, as
+the paper's router does; the best of several repeats is kept.  We
+report, per size, µs per packet, the per-core packet and bit rates
+(Fig. 8a/8b's axes) and the cores a 120 Gbps line would need.  No line
+rate is simulated: a pure-Python core does not reach the paper's, and
+the core count says by how far.  The shape claim — packet rate falls
+and bit rate rises with size — is read off the measured rates, so it
+can fail (neighbouring small sizes differ by ~0.1 µs of MAC work).
 
-* Fig. 8(a): packet rate vs packet size (measured == theoretical),
-* Fig. 8(b): bit rate vs packet size (saturating the virtual capacity),
-* honest raw CPU-bound rates for the APNA pipeline and a plain-IPv4
-  baseline, which show the pure-Python cost the calibration hides.
+Measured 2026-10-16 on a shared 2-vCPU Intel Xeon VM (Python 3.11.7,
+``cryptography`` 48), default arguments, over nine runs: 6.7–12.5
+µs/pkt at 128 B and 8.2–14.2 µs/pkt at 1518 B.  The host's speed moved
+the absolute figures by up to 2x between runs; the ordering held in
+each.  About 4.3 µs of every packet is ``gre.encapsulate``; ``judge``
+alone took ~2.0 µs at 128 B and ~3.3 µs at 1518 B.  A 120 Gbps line
+would need ~660–1230 such cores at 128 B and ~80–140 at 1518 B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..baselines.plain_ip import PlainIpRouter, RoutingTable
 from ..core.border_router import Action
-from ..metrics import Timer, format_table, rate
+from ..metrics import Timer, format_table
 from ..wire import gre
-from ..wire.apna import ApnaPacket
-from ..workload.packets import PAPER_PACKET_SIZES, build_apna_pool, build_ipv4_pool
-from .common import build_bench_world, print_header
+from ..workload.packets import PAPER_PACKET_SIZES, build_apna_pool
+from .common import build_bench_world, bursts, print_header
 
 PAPER_CAPACITY_GBPS = 120.0
 
@@ -39,92 +46,74 @@ FRAME_OVERHEAD = 24
 
 @dataclass
 class SizePoint:
+    """One packet size, judged on one core."""
+
     size: int
-    apna_cpu_pps: float
-    ipv4_cpu_pps: float
-    line_pps: float
-    measured_pps: float
-    measured_gbps: float
+    us_per_pkt: float
+    pps: float
+    gbps: float
+    #: Cores a :data:`PAPER_CAPACITY_GBPS` line of this size would need.
+    cores_for_line: float
 
 
 @dataclass
 class E2Result:
     points: list[SizePoint]
-    virtual_capacity_bps: float
-
-    @property
-    def no_penalty(self) -> bool:
-        """The paper's headline: measured == theoretical at every size."""
-        return all(
-            abs(p.measured_pps - p.line_pps) / p.line_pps < 1e-9 for p in self.points
-        )
 
 
-def _measure_apna_pps(world, pool) -> float:
-    """The full egress path: parse wire bytes, run Fig. 4 checks, keep the
-    GRE/IPv4 encapsulation step (what the paper's router also performs)."""
-    br = world.as_a.br
-    frames = pool.wire_frames
+def _judge_seconds(asys, burst: list[bytes]) -> float:
+    """Seconds to judge one egress burst through ``asys.judge`` and
+    GRE/IPv4-encapsulate each forwarded frame, as the paper's router
+    does."""
     with Timer() as timer:
-        for frame in frames:
-            packet = ApnaPacket.from_wire(frame)
-            verdict = br.process_outgoing(packet)
+        verdicts = asys.judge(burst, [True] * len(burst))
+        for frame, verdict in zip(burst, verdicts):
             if verdict.action is Action.FORWARD_INTER:
-                gre.encapsulate(frame, src_ip=100, dst_ip=verdict.next_aid)
-    return rate(len(frames), timer.elapsed)
-
-
-def _measure_ipv4_pps(pool) -> float:
-    routes = RoutingTable()
-    routes.add(0, 0, "peer")
-    router = PlainIpRouter(routes)
-    frames = pool.wire_frames
-    with Timer() as timer:
-        for frame in frames:
-            router.process(frame)
-    return rate(len(frames), timer.elapsed)
+                gre.encapsulate(frame, src_ip=asys.aid, dst_ip=verdict.next_aid)
+    return timer.elapsed
 
 
 def run(
     *,
-    packets_per_size: int = 300,
+    packets_per_size: int = 320,
     hosts: int = 4,
     sizes: tuple[int, ...] = PAPER_PACKET_SIZES,
+    repeats: int = 7,
     quiet: bool = False,
 ) -> E2Result:
     world = build_bench_world(seed=2, hosts_per_as=hosts)
-
-    apna_cpu: dict[int, float] = {}
-    ipv4_cpu: dict[int, float] = {}
-    for size in sizes:
-        pool = build_apna_pool(
-            world.as_a, world.hosts_a, size=size, count=packets_per_size, dst_aid=200
+    asys = world.as_a
+    chunks = {
+        size: bursts(
+            build_apna_pool(
+                asys, world.hosts_a, size=size, count=packets_per_size, dst_aid=200
+            ).wire_frames
         )
-        apna_cpu[size] = _measure_apna_pps(world, pool)
-        ipv4_cpu[size] = _measure_ipv4_pps(build_ipv4_pool(size=size, count=packets_per_size))
-
-    # Calibrate the virtual line rate: the largest capacity at which the
-    # CPU out-runs the wire at EVERY size (x0.9 safety margin), mirroring
-    # the paper where AES-NI processing out-runs 120 Gbps.
-    capacity = 0.9 * min(
-        apna_cpu[size] * (size + FRAME_OVERHEAD) * 8 for size in sizes
-    )
-
+        for size in sizes
+    }
+    # Each burst keeps its best of ``repeats``, and the sizes interleave
+    # within a repeat, so a slow stretch of the host costs every size one
+    # repeat instead of deciding one size's timing.
+    best = {size: [float("inf")] * len(chunk) for size, chunk in chunks.items()}
+    for _ in range(repeats):
+        for size, chunk in chunks.items():
+            for k, burst in enumerate(chunk):
+                best[size][k] = min(best[size][k], _judge_seconds(asys, burst))
     points = []
     for size in sizes:
-        line_pps = capacity / ((size + FRAME_OVERHEAD) * 8)
-        measured_pps = min(line_pps, apna_cpu[size])
+        us = sum(best[size]) / packets_per_size * 1e6
+        pps = 1e6 / us
+        line_pps = PAPER_CAPACITY_GBPS * 1e9 / ((size + FRAME_OVERHEAD) * 8)
         points.append(
             SizePoint(
                 size=size,
-                apna_cpu_pps=apna_cpu[size],
-                ipv4_cpu_pps=ipv4_cpu[size],
-                line_pps=line_pps,
-                measured_pps=measured_pps,
-                measured_gbps=measured_pps * size * 8 / 1e9,
+                us_per_pkt=us,
+                pps=pps,
+                gbps=pps * size * 8 / 1e9,
+                cores_for_line=line_pps / pps,
             )
         )
-    result = E2Result(points=points, virtual_capacity_bps=capacity)
+    result = E2Result(points=points)
     if not quiet:
         report(result)
     return result
@@ -134,52 +123,35 @@ def report(result: E2Result) -> None:
     print_header(
         "E2/E3: border-router forwarding throughput", "paper Fig. 8(a) and 8(b)"
     )
-    capacity_mbps = result.virtual_capacity_bps / 1e6
-    print(
-        f"virtual line capacity: {capacity_mbps:,.2f} Mbps "
-        f"(stands in for the paper's {PAPER_CAPACITY_GBPS:,.0f} Gbps testbed; "
-        "calibrated so processing, like AES-NI in the paper, is never the bottleneck)"
-    )
-    rows = []
-    for p in result.points:
-        rows.append(
-            (
-                p.size,
-                f"{p.apna_cpu_pps:,.0f}",
-                f"{p.ipv4_cpu_pps:,.0f}",
-                f"{p.line_pps:,.0f}",
-                f"{p.measured_pps:,.0f}",
-                f"{1e3 * p.measured_gbps:,.2f}",
-                f"{100 * p.measured_pps / p.line_pps:.1f}%",
-            )
+    rows = [
+        (
+            p.size,
+            f"{p.us_per_pkt:.2f}",
+            f"{p.pps:,.0f}",
+            f"{p.gbps:.3f}",
+            f"{p.cores_for_line:,.0f}",
         )
+        for p in result.points
+    ]
     print(
         format_table(
             (
                 "size (B)",
-                "APNA cpu pps",
-                "IPv4 cpu pps",
-                "line-rate pps",
-                "measured pps",
-                "measured Mbps",
-                "of theoretical",
+                "us/pkt",
+                "pps per core",
+                "Gbps per core",
+                f"cores for {PAPER_CAPACITY_GBPS:.0f} Gbps",
             ),
             rows,
         )
     )
+    pps = [p.pps for p in result.points]
+    gbps = [p.gbps for p in result.points]
+    shape = pps == sorted(pps, reverse=True) and gbps == sorted(gbps)
+    verdict = "HOLDS" if shape else "FAILS"
     print(
-        "\nFig 8(a) shape: measured packet rate ~ 1/size  |  "
-        "Fig 8(b) shape: bit rate saturates capacity at large sizes"
-    )
-    verdict = "HOLDS" if result.no_penalty else "FAILS"
-    print(f"shape claim (APNA processing adds no throughput penalty): {verdict}")
-    overhead = [
-        p.ipv4_cpu_pps / p.apna_cpu_pps for p in result.points
-    ]
-    print(
-        f"raw cost: APNA pipeline is {min(overhead):.1f}-{max(overhead):.1f}x "
-        "slower than plain IPv4 forwarding in pure Python "
-        "(the paper hides this behind AES-NI + DPDK)"
+        "\nshape claim (Fig. 8: packet rate falls and bit rate rises with "
+        f"packet size): {verdict}"
     )
 
 

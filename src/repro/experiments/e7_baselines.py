@@ -24,9 +24,8 @@ from ..baselines import (
 )
 from ..crypto.rng import DeterministicRng
 from ..metrics import Timer, format_table, rate
-from ..wire.apna import ApnaPacket
 from ..workload.packets import build_apna_pool, build_ipv4_pool
-from .common import build_bench_world, print_header
+from .common import build_bench_world, bursts, print_header
 
 PROPERTY_MATRIX = [
     # system, per-pkt accountability, host privacy, data privacy+PFS, shutoff point
@@ -61,10 +60,10 @@ class E7Result:
 def _measure_apna(count: int) -> float:
     world = build_bench_world(seed=7, hosts_per_as=2)
     pool = build_apna_pool(world.as_a, world.hosts_a, size=256, count=count, dst_aid=200)
-    br = world.as_a.br
+    chunks = bursts(pool.wire_frames)
     with Timer() as timer:
-        for frame in pool.wire_frames:
-            br.process_outgoing(ApnaPacket.from_wire(frame))
+        for burst in chunks:
+            world.as_a.judge(burst, [True] * len(burst))
     return rate(count, timer.elapsed)
 
 

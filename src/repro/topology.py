@@ -475,9 +475,6 @@ class World:
                 return self._populations.get(name, range(0))
         return range(0)
 
-    def as_by_name(self, name: str) -> ApnaAutonomousSystem:
-        return self.asys(name)
-
     def as_by_aid(self, aid: int) -> ApnaAutonomousSystem:
         return self.asys(aid)
 

@@ -16,8 +16,10 @@ from repro.attacks import (
     PfsBreaker,
     ShutoffAbuser,
 )
+from repro.core.config import ApnaConfig
 from repro.core.keys import SigningKeyPair
 from repro.core.session import Session, derive_session_key
+from repro.experiments.common import build_bench_world
 from repro.wire.apna import Endpoint
 
 
@@ -32,6 +34,20 @@ class TestEphIdSpoofing:
             assert not spoofer.spoof(victim_ephid, Endpoint(200, bob_owned.ephid))
         assert spoofer.successes == 0
         assert spoofer.attempts == 20
+
+
+def test_spoofer_is_judged_by_a_sharded_plane():
+    """The spoofer injects at the AS's one verdict path, so it runs
+    against a sharded AS (which has no in-line router) too, and the
+    shards charge every guessed MAC."""
+    with build_bench_world(config=ApnaConfig(forwarding_shards=2)) as world:
+        victim_ephid = world.hosts_a[0].acquire_ephid_direct().ephid
+        peer = Endpoint(world.as_b.aid, world.hosts_b[0].acquire_ephid_direct().ephid)
+        spoofer = EphIdSpoofer(world.as_a)
+        for _ in range(50):
+            spoofer.spoof(victim_ephid, peer)
+        assert (spoofer.attempts, spoofer.successes) == (50, 0)
+        assert world.as_a.shard_pool.stats()["packet-mac-invalid"] == 50
 
 
 class TestEphIdMinting:

@@ -261,6 +261,66 @@ def test_one_packet_mac():
     assert ".with_mac(" in inspect.getsource(ApnaHeader.signed)
 
 
+class _AttributeLoads(ast.NodeVisitor):
+    """Collects the enclosing class/def path of every load of an
+    attribute named in ``names``."""
+
+    def __init__(self, names: set[str]) -> None:
+        self.names, self.scope, self.found = names, [], set()
+
+    def _enter(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr in self.names and isinstance(node.ctx, ast.Load):
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def _attribute_loads(tree: str, names: set[str]) -> set[tuple[str, str]]:
+    """``(file, scope)`` for each load of one of ``names`` under ``tree``."""
+    loads = set()
+    for path in sorted((ROOT / tree).rglob("*.py")):
+        visitor = _AttributeLoads(names)
+        visitor.visit(ast.parse(path.read_text()))
+        rel = str(path.relative_to(ROOT / tree))
+        loads.update((rel, scope) for scope in visitor.found)
+    return loads
+
+
+def test_one_verdict_path():
+    """Every caller judges frames through ``ApnaAutonomousSystem.judge``.
+    The scalar pipelines are the spec, read only by their own module and
+    the evaluation oracle (and tests); ``asys.br`` is read only by the
+    constructor and ``judge``; and E2 keeps no verdict that holds by
+    construction."""
+    from repro.experiments.e2_figure8 import E2Result
+
+    scalar = {"process_outgoing", "process_incoming"}
+    for tree in ("src", "examples"):
+        stray = {
+            (rel, scope)
+            for rel, scope in _attribute_loads(tree, scalar)
+            if rel != "repro/core/border_router.py"
+            and not rel.startswith("repro/evaluation/")
+        }
+        assert not stray, f"scalar pipeline callers outside the spec: {stray}"
+    readers = _attribute_loads("src", {"br"})
+    judge = ("repro/core/autonomous_system.py", "ApnaAutonomousSystem.judge")
+    assert judge in readers
+    assert readers <= {
+        judge,
+        ("repro/core/autonomous_system.py", "ApnaAutonomousSystem.__init__"),
+    }, readers
+    for gone in ("no_penalty", "virtual_capacity_bps"):
+        assert not hasattr(E2Result, gone), gone
+        assert gone not in {field.name for field in dataclasses.fields(E2Result)}
+
+
 def test_one_state_family():
     """The columnar stores are the system; the per-record stores are the
     spec and the tests' oracle.  No factory, no worker-side object

@@ -203,7 +203,7 @@ class TestWorldAddressing:
         by_name = world.asys("a")
         assert world.asys(100) is by_name
         assert world.asys(by_name) is by_name
-        assert world.as_by_name("b") is world.as_by_aid(200)
+        assert world.asys("b") is world.as_by_aid(200)
 
     def test_unknown_as_error_lists_known_names(self, world):
         with pytest.raises(UnknownAsError) as excinfo:
