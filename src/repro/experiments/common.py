@@ -16,6 +16,12 @@ def bursts(frames: list[bytes]) -> list[list[bytes]]:
     return [frames[k : k + BURST] for k in range(0, len(frames), BURST)]
 
 
+def judge_egress(asys, burst: list[bytes]) -> list:
+    """``asys.judge``'s verdicts on one burst of frames that all came
+    from local hosts: the egress burst every forwarding experiment times."""
+    return asys.judge(burst, [True] * len(burst))
+
+
 def build_bench_world(
     *,
     seed: int = 1,

@@ -34,7 +34,7 @@ from ..core.config import ApnaConfig
 from ..core.replay_filter import BloomFilter
 from ..metrics import Timer, format_table
 from ..wire.apna import Endpoint
-from .common import BURST, build_bench_world, bursts, print_header
+from .common import BURST, build_bench_world, bursts, judge_egress, print_header
 
 
 @dataclass
@@ -69,13 +69,6 @@ def _frames(host, owned, dst: Endpoint, payload: bytes, nonces) -> list[bytes]:
     ]
 
 
-def _judge_seconds(asys, burst: list[bytes]) -> float:
-    """Seconds ``asys.judge`` takes over one egress burst."""
-    with Timer() as timer:
-        asys.judge(burst, [True] * len(burst))
-    return timer.elapsed
-
-
 def run(
     *,
     packets: int = 400,
@@ -99,8 +92,7 @@ def run(
 
     originals = _frames(alice, owned, peer_ep, b"data", range(1, packets + 1))
     for burst in bursts(originals):
-        verdicts = world.as_a.judge(burst, [True] * len(burst))
-        assert not any(verdict.dropped for verdict in verdicts)
+        assert not any(v.dropped for v in judge_egress(world.as_a, burst))
 
     replayed = 0
     caught = 0
@@ -108,7 +100,7 @@ def run(
         replayed += len(burst)
         caught += sum(
             verdict.reason is DropReason.REPLAYED
-            for verdict in world.as_a.judge(burst, [True] * len(burst))
+            for verdict in judge_egress(world.as_a, burst)
         )
 
     # -- 2. forwarding cost ----------------------------------------------
@@ -129,12 +121,13 @@ def run(
     # Alternate the two arms burst by burst so that transient background
     # load perturbs both equally (a sequential A/B turns any load spike
     # into a phantom filter cost), and keep each arm's median burst.
-    seconds_without, seconds_with = [], []
-    for plain, filtered in zip(plain_bursts, filtered_bursts):
-        seconds_without.append(_judge_seconds(plain_world.as_a, plain))
-        seconds_with.append(_judge_seconds(world.as_a, filtered))
-    egress_without = median(seconds_without) / BURST * 1e6
-    egress_with = median(seconds_with) / BURST * 1e6
+    arms, seconds = (plain_world.as_a, world.as_a), ([], [])
+    for pair in zip(plain_bursts, filtered_bursts):
+        for asys, burst, arm in zip(arms, pair, seconds):
+            with Timer() as timer:
+                judge_egress(asys, burst)
+            arm.append(timer.elapsed)
+    egress_without, egress_with = (median(arm) / BURST * 1e6 for arm in seconds)
 
     # -- 3. memory/accuracy trade-off -------------------------------------
     fp_rows = []

@@ -34,7 +34,7 @@ from ..core.border_router import Action
 from ..metrics import Timer, format_table
 from ..wire import gre
 from ..workload.packets import PAPER_PACKET_SIZES, build_apna_pool
-from .common import build_bench_world, bursts, print_header
+from .common import build_bench_world, bursts, judge_egress, print_header
 
 PAPER_CAPACITY_GBPS = 120.0
 
@@ -42,6 +42,9 @@ PAPER_CAPACITY_GBPS = 120.0
 #: this is why the paper's Fig. 8(b) rises with packet size before
 #: saturating — small packets waste a larger share of the wire.
 FRAME_OVERHEAD = 24
+
+#: Timed passes over every size's bursts; each burst keeps its best.
+REPEATS = 7
 
 
 @dataclass
@@ -61,13 +64,11 @@ class E2Result:
     points: list[SizePoint]
 
 
-def _judge_seconds(asys, burst: list[bytes]) -> float:
-    """Seconds to judge one egress burst through ``asys.judge`` and
-    GRE/IPv4-encapsulate each forwarded frame, as the paper's router
-    does."""
+def _forward_seconds(asys, burst: list[bytes]) -> float:
+    """Seconds to judge one egress burst and GRE/IPv4-encapsulate each
+    forwarded frame, as the paper's router does."""
     with Timer() as timer:
-        verdicts = asys.judge(burst, [True] * len(burst))
-        for frame, verdict in zip(burst, verdicts):
+        for frame, verdict in zip(burst, judge_egress(asys, burst)):
             if verdict.action is Action.FORWARD_INTER:
                 gre.encapsulate(frame, src_ip=asys.aid, dst_ip=verdict.next_aid)
     return timer.elapsed
@@ -78,7 +79,6 @@ def run(
     packets_per_size: int = 320,
     hosts: int = 4,
     sizes: tuple[int, ...] = PAPER_PACKET_SIZES,
-    repeats: int = 7,
     quiet: bool = False,
 ) -> E2Result:
     world = build_bench_world(seed=2, hosts_per_as=hosts)
@@ -91,14 +91,14 @@ def run(
         )
         for size in sizes
     }
-    # Each burst keeps its best of ``repeats``, and the sizes interleave
-    # within a repeat, so a slow stretch of the host costs every size one
-    # repeat instead of deciding one size's timing.
+    # Each burst keeps its best of :data:`REPEATS`, and the sizes
+    # interleave within a repeat, so a slow stretch of the host costs
+    # every size one repeat instead of deciding one size's timing.
     best = {size: [float("inf")] * len(chunk) for size, chunk in chunks.items()}
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for size, chunk in chunks.items():
             for k, burst in enumerate(chunk):
-                best[size][k] = min(best[size][k], _judge_seconds(asys, burst))
+                best[size][k] = min(best[size][k], _forward_seconds(asys, burst))
     points = []
     for size in sizes:
         us = sum(best[size]) / packets_per_size * 1e6

@@ -52,9 +52,15 @@ class TestE1MsPerformance:
 
 
 class TestE2Figure8:
+    # The two rates are measured, so the ordering is a wall-clock
+    # comparison.  On a 2-vCPU Xeon VM, 1518 B took 1.19-1.27x as long
+    # per packet as 128 B over 20 idle runs, and 1.14-1.39x over 30 runs
+    # beside three busy-looping processes: sizes interleave within each
+    # of E2's repeats, so load slows both alike.  Four bursts a size
+    # average out one unlucky burst.
     @pytest.fixture(scope="class")
     def result(self):
-        return e2_figure8.run(packets_per_size=128, hosts=2, sizes=(128, 1518), quiet=True)
+        return e2_figure8.run(packets_per_size=256, hosts=2, sizes=(128, 1518), quiet=True)
 
     def test_packet_rate_decreases_with_size(self, result):
         rates = [point.pps for point in result.points]
