@@ -5,7 +5,7 @@ by the publicly computable ``iv % nshards`` residue, handing any on-path
 observer log2(nshards) bits of exactly the cross-EphID linkage the
 paper's domain-brokered privacy model (Sections IV, V-A1) forbids.  Shard
 arithmetic is allowed only inside ``sharding/plan.py``; everyone else
-goes through ``ShardPlan.owner_of_iv*`` / ``owners_of_iv_bytes`` for
+goes through ``ShardPlan.owners_of_iv_bytes`` for
 routing and ``owner_of`` / ``owners_of`` / ``row_lookup`` /
 ``dense_rows`` for HID ownership, so every party computes one partition.
 
@@ -65,7 +65,7 @@ class ShardRoutingModRule(Rule):
                         module.rel,
                         node.lineno,
                         "shard-count modulo outside ShardPlan — route via "
-                        "plan.owner_of_iv*/owners_of_iv_bytes and place "
+                        "plan.owners_of_iv_bytes and place "
                         "rows via plan.owner_of/owners_of/row_lookup instead",
                     )
 

@@ -106,12 +106,6 @@ class AipHost:
             self.sent += 1
         return accepted
 
-    def request_shutoff(self, offending: AipPacket) -> tuple[bytes, bytes]:
-        """Victim side: sign the offending packet to demand a shutoff."""
-        if offending.dst_eid != self.eid:
-            raise ValueError("can only shut off traffic addressed to us")
-        return self._keys.public, self._keys.sign(offending.fingerprint())
-
     def verify_source(self, packet: AipPacket, claimed_public: bytes) -> bool:
         """First-packet verification: does the public key hash to the EID?"""
         return eid_of(claimed_public) == packet.src_eid

@@ -289,8 +289,10 @@ class ApnaAutonomousSystem:
 
         The in-line router judges a single-process AS; the shard pool
         judges a sharded one, which raises :class:`ApnaError` while no
-        pool runs.  The node, E2, E7, E12 and :mod:`repro.attacks` all
-        judge here.
+        pool runs.  Both refuse a bad burst alike, before any counter
+        moves: ``ParseError`` for a frame shorter than the header,
+        ``ValueError`` when ``egress`` and ``frames`` differ in length.
+        The node, E2, E7, E12 and :mod:`repro.attacks` all judge here.
         """
         if self.br is not None:
             return verdicts_of(b"".join(self.br.process_burst(frames, egress)))

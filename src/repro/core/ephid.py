@@ -209,10 +209,10 @@ class IvAllocator:
     and ``owners_of_iv_bytes``, normally a
     :class:`repro.sharding.plan.ShardPlan`) the allocator additionally
     *pins* each IV to a shard under the plan's IV -> shard map:
-    :meth:`next_iv_for` hands HID ``h`` an IV with
-    ``plan.owner_of_iv(iv) == plan.owner_of(h)``, so a sharded data
-    plane's dispatcher can recover the owning shard from the EphID's four
-    clear IV bytes without touching the AS secret (see
+    :meth:`next_iv_for` hands HID ``h`` an IV whose four clear bytes
+    ``plan.owners_of_iv_bytes`` maps to ``plan.owner_of(h)``, so a
+    sharded data plane's dispatcher can recover the owning shard from the
+    EphID's clear IV bytes without touching the AS secret (see
     :mod:`repro.sharding.plan`).
 
     Pinning works by drawing candidate IVs off the one global sequential
@@ -230,12 +230,10 @@ class IvAllocator:
     every idle shard on every draw, without limit.
 
     Issuance accounting (:attr:`issued`) counts only IVs actually handed
-    out, never banked candidates, and is broken down per shard
-    (:attr:`issued_by_shard`).  Plan-less :meth:`next_iv` calls under a
-    plan — service identities, callers with no HID — are pinned to shard
-    0 (they must route somewhere, and shard 0 owns all service HIDs) but
-    tallied separately in :attr:`issued_unattributed` so that draw no
-    longer drains shard 0's budget silently.
+    out, never banked candidates.  Plan-less :meth:`next_iv` calls under
+    a plan — service identities, callers with no HID — are pinned to
+    shard 0 (they must route somewhere, and shard 0 owns all service
+    HIDs).
     """
 
     __slots__ = (
@@ -243,9 +241,7 @@ class IvAllocator:
         "_remaining",
         "_plan",
         "_buckets",
-        "_issued_unpinned",
-        "_issued_by_shard",
-        "_issued_unattributed",
+        "_issued",
     )
 
     def __init__(
@@ -262,22 +258,18 @@ class IvAllocator:
         self._remaining = 2**32
         self._plan = plan if plan is not None and plan.nshards > 1 else None
         self._buckets: dict[int, deque[int]] = {}
-        self._issued_unpinned = 0
-        self._issued_by_shard: dict[int, int] = {}
-        self._issued_unattributed = 0
+        self._issued = 0
 
     def next_iv(self) -> int:
         """An arbitrary fresh IV (pinned to shard 0 under a shard plan)."""
         if self._plan is not None:
-            iv = self._pinned_next(0)
-            self._issued_unattributed += 1
-            return iv
+            return self._pinned_next(0)
         if self._remaining == 0:
             raise EphIdError("IV space exhausted: rotate the AS secret kA")
         iv = self._next
         self._next = (self._next + 1) % 2**32
         self._remaining -= 1
-        self._issued_unpinned += 1
+        self._issued += 1
         return iv
 
     def next_iv_for(self, hid: int) -> int:
@@ -298,7 +290,7 @@ class IvAllocator:
         iv = bucket.popleft()
         if not bucket:
             del self._buckets[shard]
-        self._issued_by_shard[shard] = self._issued_by_shard.get(shard, 0) + 1
+        self._issued += 1
         return iv
 
     def _draw_candidates(self) -> None:
@@ -329,18 +321,4 @@ class IvAllocator:
     @property
     def issued(self) -> int:
         """IVs actually handed out (banked candidates excluded)."""
-        return self._issued_unpinned + sum(self._issued_by_shard.values())
-
-    @property
-    def issued_by_shard(self) -> "dict[int, int]":
-        """Pinned issuance per shard (a copy)."""
-        return dict(self._issued_by_shard)
-
-    @property
-    def issued_unattributed(self) -> int:
-        """Pinned draws that carried no HID (service identities etc.).
-
-        These land on shard 0 and are also counted there in
-        :attr:`issued_by_shard`.
-        """
-        return self._issued_unattributed
+        return self._issued

@@ -57,9 +57,6 @@ class GranularityPolicy:
     ) -> OwnedEphId:
         raise NotImplementedError
 
-    def invalidate(self, owned: OwnedEphId) -> None:
-        """Forget an EphID (it was shut off or expired)."""
-
 
 class _CachingPolicy(GranularityPolicy):
     """Shared machinery: cache EphIDs under a policy-specific key."""
@@ -80,15 +77,6 @@ class _CachingPolicy(GranularityPolicy):
             owned = self._fresh()
             self._cache[key] = owned
         return owned
-
-    def invalidate(self, owned: OwnedEphId) -> None:
-        stale = [k for k, v in self._cache.items() if v.ephid == owned.ephid]
-        for key in stale:
-            del self._cache[key]
-
-    @property
-    def active_count(self) -> int:
-        return len(self._cache)
 
 
 class PerHostPolicy(_CachingPolicy):

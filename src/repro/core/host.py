@@ -89,10 +89,6 @@ class HostStack:
         self.ms_cert = reply.ms_cert
         self.dns_cert = reply.dns_cert
 
-    @property
-    def bootstrapped(self) -> bool:
-        return self.kha is not None
-
     def _require_bootstrap(self) -> HostAsKeys:
         if self.kha is None:
             raise ApnaError("host is not bootstrapped")

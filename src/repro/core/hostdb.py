@@ -142,7 +142,3 @@ class HostDatabase:
 
     def __len__(self) -> int:
         return self._live_count
-
-    @property
-    def total_registered(self) -> int:
-        return len(self._records)

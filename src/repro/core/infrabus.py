@@ -1,11 +1,13 @@
 """The authenticated intra-AS control channel.
 
-Fig. 2's ``m1 = E_kA(HID, kHA)`` distributes new host bindings to every
-AS entity, and Fig. 5's ``MAC_kAS(revoke EphID_s)`` pushes revocations to
-the border routers.  This bus realises both: updates are sealed/
-authenticated with keys derived from kA, and subscribers verify before
-applying.  A tampered or replayed message is rejected, which the security
-tests exercise.
+Fig. 2's ``m1 = E_kA(HID, kHA)`` announces a new host binding inside the
+AS, and Fig. 5's ``MAC_kAS(revoke EphID_s)`` pushes revocations to the
+border routers.  This bus realises both: messages are sealed/
+authenticated with keys derived from kA and verified on delivery, and
+revocation subscribers apply a push only once it verifies.  The AS's
+entities share the one host store the registry writes, so a verified m1
+has nothing left to apply.  A tampered or replayed message is rejected,
+which the security tests exercise.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from typing import Callable
 from ..crypto.aead import EtmScheme
 from ..crypto.cmac import Cmac
 from .errors import MacError
-from .keys import AsSecret, HostAsKeys
-from .hostdb import HostDatabase, HostRecord
+from .keys import AsSecret
 from .messages import InfraUpdate, RevocationPush
 from .revocation import RevocationList
 
@@ -27,7 +28,6 @@ class InfraBus:
     def __init__(self, secret: AsSecret) -> None:
         self._aead = EtmScheme(secret.infra_enc)
         self._mac = Cmac(secret.infra_mac)
-        self._host_subscribers: list[HostDatabase] = []
         self._revocation_subscribers: list[RevocationList] = []
         self._listeners: list[Callable[[str, bytes], None]] = []
         self._seq = 0
@@ -35,9 +35,6 @@ class InfraBus:
         self.updates_rejected = 0
 
     # -- subscription --
-
-    def subscribe_hostdb(self, db: HostDatabase) -> None:
-        self._host_subscribers.append(db)
 
     def subscribe_revocations(self, revocations: RevocationList) -> None:
         self._revocation_subscribers.append(revocations)
@@ -58,7 +55,7 @@ class InfraBus:
         self.deliver_host_update(self.seal_host_update(update))
 
     def deliver_host_update(self, sealed: bytes) -> None:
-        """Verify and apply an m1 message; raises :class:`MacError` on tamper."""
+        """Verify an m1 message; raises :class:`MacError` on tamper."""
         for listener in self._listeners:
             listener("m1", sealed)
         nonce, body = sealed[:12], sealed[12:]
@@ -67,14 +64,7 @@ class InfraBus:
         except ValueError as exc:
             self.updates_rejected += 1
             raise MacError("infra host update failed authentication") from exc
-        update = InfraUpdate.parse(plain)
-        record = HostRecord(
-            hid=update.hid,
-            keys=HostAsKeys(update.control_key, update.packet_mac_key),
-        )
-        for db in self._host_subscribers:
-            if not db.is_valid(update.hid):
-                db.register(record)
+        InfraUpdate.parse(plain)  # a verified m1 is well-formed, or ParseError
         self.updates_sent += 1
 
     # -- revocation push (Fig. 5) --

@@ -162,11 +162,6 @@ class EphIdKeyPair:
             signing=SigningKeyPair(sig_secret, ed25519.public_key(sig_secret)),
         )
 
-    @property
-    def public_pair(self) -> tuple[bytes, bytes]:
-        """(DH public, signing public) — the cert's view of K+EphID."""
-        return self.exchange.public, self.signing.public
-
 
 def host_as_dh(host_exchange: ExchangeKeyPair, as_public: bytes) -> HostAsKeys:
     """Host side of the Fig. 2 key agreement: kHA = DH(K-H, K+AS)."""

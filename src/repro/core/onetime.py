@@ -107,14 +107,6 @@ class TagDemuxer:
         self._windows[handle] = state
         self._extend(handle, state, self.window)
 
-    def unregister(self, session: Session) -> None:
-        handle = id(session)
-        state = self._windows.pop(handle, None)
-        if state is None:
-            return
-        for index in range(state.low, state.high):
-            self._by_tag.pop(flow_tag(state.key, index), None)
-
     def _extend(self, handle: int, state: _SessionWindow, up_to: int) -> None:
         """Precompute tags so indexes < ``up_to`` are live, trim the tail."""
         for index in range(state.high, up_to):

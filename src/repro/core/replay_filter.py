@@ -67,18 +67,6 @@ class BloomFilter:
             for index in self._indexes(item)
         )
 
-    def check_and_add(self, item: bytes) -> bool:
-        """True iff ``item`` was (probably) already present; inserts it."""
-        indexes = self._indexes(item)
-        present = all(
-            self._array[index >> 3] & (1 << (index & 7)) for index in indexes
-        )
-        if not present:
-            for index in indexes:
-                self._array[index >> 3] |= 1 << (index & 7)
-            self.inserted += 1
-        return present
-
     def clear(self) -> None:
         self._array = bytearray(len(self._array))
         self.inserted = 0

@@ -109,7 +109,3 @@ class RevocationPolicy:
 
     def count(self, hid: int) -> int:
         return self._counts.get(hid, 0)
-
-    def reset(self, hid: int) -> None:
-        """Clear the counter (e.g., after the host re-bootstraps)."""
-        self._counts.pop(hid, None)

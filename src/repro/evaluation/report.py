@@ -130,12 +130,6 @@ class EvaluationReport:
     def passed(self) -> bool:
         return all(report.passed for report in self.reports)
 
-    def report_for(self, preset: str) -> ScenarioReport:
-        for report in self.reports:
-            if report.preset == preset or report.preset.split(":")[0] == preset:
-                return report
-        raise KeyError(f"no report for preset {preset!r}")
-
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,

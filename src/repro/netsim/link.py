@@ -56,7 +56,6 @@ class Link:
         self.bandwidth = bandwidth
         self.queue_limit = queue_limit
         self._dirs = {id(receiver_a): _Direction(receiver_b), id(receiver_b): _Direction(receiver_a)}
-        self._ends = (receiver_a, receiver_b)
 
     def send_from(self, sender: Receiver, frame: bytes) -> bool:
         """Transmit ``frame`` from ``sender``'s side; returns False on drop."""
@@ -76,7 +75,3 @@ class Link:
             start + tx_time + self.latency, direction.receiver, frame
         )
         return True
-
-    @property
-    def endpoints(self) -> tuple[Receiver, Receiver]:
-        return self._ends

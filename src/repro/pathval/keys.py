@@ -62,9 +62,5 @@ class AsPairwiseKeys:
             self._cache[peer_aid] = key
         return key
 
-    def forget(self, peer_aid: int) -> None:
-        """Drop a cached key (e.g. after the peer rotates its AS keys)."""
-        self._cache.pop(peer_aid, None)
-
     def __len__(self) -> int:
         return len(self._cache)

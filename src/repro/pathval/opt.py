@@ -18,7 +18,6 @@ encrypted key-delivery of DRKey without changing what is computed.
 from __future__ import annotations
 
 import hashlib
-import struct
 
 from ..crypto.cmac import Cmac
 from ..crypto.kdf import derive_subkey
@@ -113,19 +112,3 @@ class OptSession:
                 f"PVF mismatch for session {self.session_id.hex()[:8]}"
             )
         self.validated += 1
-
-    @property
-    def path_length(self) -> int:
-        return len(self._path_keys)
-
-
-def pack_pvf(session_id: bytes, pvf: bytes) -> bytes:
-    """Wire form of the OPT extension: session id plus current PVF."""
-    return struct.pack(f">{SESSION_ID_SIZE}s{PVF_SIZE}s", session_id, pvf)
-
-
-def parse_pvf(data: bytes) -> tuple[bytes, bytes]:
-    if len(data) < SESSION_ID_SIZE + PVF_SIZE:
-        raise ValueError("OPT extension truncated")
-    session_id, pvf = struct.unpack_from(f">{SESSION_ID_SIZE}s{PVF_SIZE}s", data)
-    return session_id, pvf

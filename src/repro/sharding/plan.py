@@ -32,15 +32,15 @@ An EphID hides its HID (that is the point of the construction), so a
 dispatcher cannot look at a packet and see which shard owns its source
 host.  What *is* in the clear is the EphID's IV (Fig. 6: the middle four
 bytes).  Because the AS issues every EphID itself, it can pin IVs at
-issuance time so that :meth:`ShardPlan.owner_of_iv` of the clear IV
-equals the owning shard (:meth:`repro.core.ephid.IvAllocator.
+issuance time so that :meth:`ShardPlan.owners_of_iv_bytes` maps the
+clear IV to the owning shard (:meth:`repro.core.ephid.IvAllocator.
 next_iv_for`), and the dispatcher recovers the shard from four
 clear-text bytes — the software analogue of NIC RSS steering.
 
 The *shape* of that map is a privacy decision, which is why it is
 **keyed** and why there is no other mode:
 
-    ``owner_of_iv(iv) = CMAC_kR(iv) % nshards``
+    ``owner(iv) = CMAC_kR(iv) % nshards``
 
 under ``kR``, an AS-internal routing key derived from the AS master
 secret (:attr:`repro.core.keys.AsSecret.shard_route`).  The cheaper bare
@@ -72,15 +72,10 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from ..core.ephid import CIPHERTEXT_SIZE, IV_SIZE
+from ..core.ephid import IV_SIZE
 from ..core.hostdb import FIRST_HOST_HID
 from ..crypto.aes import AES, BLOCK_SIZE
 from ..crypto.cmac import _left_shift
-from ..crypto.util import xor_bytes
-
-#: EphID layout offsets (Fig. 6): ciphertext || IV || tag.
-_IV_OFFSET = CIPHERTEXT_SIZE
-_IV_END = CIPHERTEXT_SIZE + IV_SIZE
 
 #: kR length: one AES-CMAC key.
 ROUTING_KEY_SIZE = 16
@@ -127,14 +122,9 @@ class RoutingKey:
         # yields the padded, subkey-masked block.
         self._mask = k2[:IV_SIZE] + bytes((k2[IV_SIZE] ^ 0x80,)) + k2[IV_SIZE + 1 :]
 
-    def shard_of(self, iv_bytes: bytes, nshards: int) -> int:
-        """The shard the keyed map sends four clear IV bytes to."""
-        tag = self._aes.encrypt_block(xor_bytes(iv_bytes + _PAD12, self._mask))
-        return int.from_bytes(tag[:_PRF_BYTES], "big") % nshards
-
     def shards_of(self, iv_columns, nshards: int) -> "list[int]":
-        """Bulk form of :meth:`shard_of` — one XOR and one AES-ECB call
-        per burst."""
+        """The shards the keyed map sends a column of four-byte clear IVs
+        to — one XOR and one AES-ECB call per burst."""
         if not iv_columns:
             return []
         # The column as ``iv || 0^12`` blocks, masked as one integer.
@@ -236,29 +226,12 @@ class ShardPlan:
             self._keyed_router()
         return self
 
-    def owner_of_iv(self, iv: int) -> int:
-        """The shard a pinned IV routes to, under the plan's map."""
-        if self.nshards == 1:
-            return 0
-        return self._keyed_router().shard_of(iv.to_bytes(4, "big"), self.nshards)
-
-    def owner_of_iv_bytes(self, iv_bytes: bytes) -> int:
-        """:meth:`owner_of_iv` straight from four clear wire bytes."""
-        if self.nshards == 1:
-            return 0
-        return self._keyed_router().shard_of(bytes(iv_bytes), self.nshards)
-
     def owners_of_iv_bytes(self, iv_columns) -> "list[int]":
         """Route a whole burst's IV column at once.
 
         One bulk CMAC call for the entire column (the dispatcher's
-        batched pre-route).  Element-for-element identical to
-        :meth:`owner_of_iv_bytes` per entry.
+        batched pre-route).
         """
         if self.nshards == 1:
             return [0] * len(iv_columns)
         return self._keyed_router().shards_of(iv_columns, self.nshards)
-
-    def shard_of_ephid(self, ephid: bytes) -> int:
-        """Routing shard of an EphID, read from its clear IV bytes."""
-        return self.owner_of_iv_bytes(ephid[_IV_OFFSET:_IV_END])

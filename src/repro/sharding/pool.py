@@ -71,6 +71,7 @@ from ..wire.apna import (
     HEADER_SIZE_WITH_NONCE,
     MAC_SIZE,
 )
+from ..wire.errors import ParseError
 from . import wire
 from .plan import ShardPlan
 from .supervisor import (
@@ -441,16 +442,19 @@ class ShardedDataPlane:
         Pure: it validates and classifies without touching a counter, a
         sequence number or the carrier, so a rejected burst leaves the
         plane's state untouched (the caller can retry a corrected one)
-        and the routing cost can be timed alone.
+        and the routing cost can be timed alone.  It refuses a burst as
+        :meth:`~repro.core.border_router.BorderRouter.process_burst`
+        does: ``ValueError`` when the direction flags do not match the
+        frames, ``ParseError`` for a frame shorter than the header.
         """
         if len(frames) != len(egress):
-            raise ShardError(
+            raise ValueError(
                 f"{len(frames)} frames but {len(egress)} direction flags — "
                 "every frame needs one"
             )
         for i, frame in enumerate(frames):
             if len(frame) < self._min_frame:
-                raise ShardError(
+                raise ParseError(
                     f"frame {i} is {len(frame)} bytes — shorter than this "
                     f"deployment's {self._min_frame}-byte APNA header, "
                     "cannot route"

@@ -18,8 +18,7 @@ The API is that of :class:`~repro.core.hostdb.HostDatabase`, the
 per-record spec the differential tests hold this store to
 (``allocate_hid``/``register``/``get``/``packet_mac_key``/``is_valid``/
 ``revoke_hid``/``find_by_subscriber``/``records``/``on_register``/
-``on_revoke_hid``/``__len__``/``total_registered``), plus two bulk entry
-points:
+``on_revoke_hid``/``__len__``), plus two bulk entry points:
 ``bulk_register`` admits a population from one keystream blob, and
 ``shard_columns`` gathers one shard's rows for the snapshot codec with
 numpy, asking the plan it is handed which rows that shard owns.
@@ -93,7 +92,6 @@ class ColumnarHostDatabase:
         self._by_subscriber: dict[int, int] = {}
         self._next_hid = FIRST_HOST_HID
         self._live_hosts = 0
-        self._registered_hosts = 0
         self.on_register: Callable[[HostRecord], None] | None = None
         self.on_revoke_hid: Callable[[int], None] | None = None
 
@@ -157,7 +155,6 @@ class ColumnarHostDatabase:
             _NO_SUBSCRIBER if record.subscriber_id is None else record.subscriber_id
         )
         self._next_hid = max(self._next_hid, hid + 1)
-        self._registered_hosts += 1
         if not record.revoked:
             self._live_hosts += 1
         if self.on_register is not None:
@@ -248,10 +245,6 @@ class ColumnarHostDatabase:
             1 for record in self._services.values() if not record.revoked
         )
 
-    @property
-    def total_registered(self) -> int:
-        return len(self._services) + self._registered_hosts
-
     # -- bulk entry points -------------------------------------------------
 
     def bulk_register(self, count: int, key_material: bytes) -> int:
@@ -279,7 +272,6 @@ class ColumnarHostDatabase:
         self._subs.frombytes(b"\xff" * (8 * count))
         self._next_hid = first + count
         self._live_hosts += count
-        self._registered_hosts += count
         if self.on_register is not None:
             for hid in range(first, first + count):
                 self.on_register(self.get(hid))

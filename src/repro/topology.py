@@ -20,7 +20,7 @@ than one bespoke builder per shape, this module provides three layers:
 
 * :class:`World` — the single runtime class every topology builds into:
   uniform ``attach_host(name, at=<as-name>)`` addressing, host lookup and
-  lifecycle (``run``, ``run_until``, ``advance``) regardless of shape.
+  lifecycle (``run``, ``run_until``) regardless of shape.
 
 Named presets ("fig1", "chain:4", ...) live in :mod:`repro.scenarios`.
 """
@@ -62,7 +62,7 @@ class TopologyError(ApnaError, ValueError):
 class UnknownAsError(TopologyError, KeyError):
     """An AS reference (``at=...``) did not resolve.
 
-    Also a :class:`KeyError`: :meth:`World.as_by_aid` is a lookup.
+    Also a :class:`KeyError`: :meth:`World.asys` is a lookup.
     """
 
     def __init__(self, ref: object, known: list[str]) -> None:
@@ -331,9 +331,9 @@ class TopologySpec:
 class World:
     """A built simulated internet, whatever its shape.
 
-    Every topology exposes the same addressing (`asys`, `as_by_aid`,
-    `as_names`), host management (`attach_host(name, at=...)`, `host`)
-    and lifecycle (`run`, `run_until`, `advance`) surface.
+    Every topology exposes the same addressing (`asys`), host
+    management (`attach_host(name, at=...)`, `host`) and lifecycle
+    (`run`, `run_until`) surface.
     """
 
     def __init__(
@@ -439,10 +439,6 @@ class World:
 
     # -- AS addressing ------------------------------------------------------
 
-    def as_names(self) -> list[str]:
-        """The addressable AS names, in creation order."""
-        return list(self._by_name)
-
     def asys(
         self, at: "str | int | ApnaAutonomousSystem"
     ) -> ApnaAutonomousSystem:
@@ -474,9 +470,6 @@ class World:
             if candidate is asys:
                 return self._populations.get(name, range(0))
         return range(0)
-
-    def as_by_aid(self, aid: int) -> ApnaAutonomousSystem:
-        return self.asys(aid)
 
     def _known_refs(self) -> list[str]:
         refs = list(self._by_name)
@@ -609,12 +602,6 @@ class World:
 
     def run_until(self, deadline: float, **kwargs) -> int:
         return self.network.run_until(deadline, **kwargs)
-
-    def advance(self, dt: float, **kwargs) -> int:
-        """Advance virtual time by ``dt`` seconds, processing due events."""
-        if dt < 0:
-            raise ValueError(f"cannot advance backwards (dt={dt})")
-        return self.network.run_until(self.network.now + dt, **kwargs)
 
     @property
     def now(self) -> float:

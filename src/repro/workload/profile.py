@@ -67,13 +67,6 @@ class TrafficReport:
     events: int
     by_server: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def delivery_ratio(self) -> float:
-        """Delivered first-flight payloads over offered flows."""
-        if not self.flows_offered:
-            return 1.0
-        return self.payloads_delivered / self.flows_offered
-
 
 @dataclass
 class TrafficProfile:

@@ -82,8 +82,8 @@ class TestAip:
         rng = DeterministicRng(3)
         a, b = AipHost(100, rng), AipHost(200, rng)
         offending = a.send(b, b"unwanted")
-        victim_public, signature = b.request_shutoff(offending)
-        assert a.nic.handle_shutoff(offending, victim_public, signature)
+        signature = b._keys.sign(offending.fingerprint())
+        assert a.nic.handle_shutoff(offending, b.public_key, signature)
         assert a.send(b, b"more") is None
         assert a.nic.enforced_drops == 1
 
@@ -92,11 +92,12 @@ class TestAip:
         a, b, c = AipHost(100, rng), AipHost(200, rng), AipHost(300, rng)
         offending = a.send(b, b"x")
         # c (not the recipient) tries to shut off a->b traffic.
-        with pytest.raises(ValueError):
-            c.request_shutoff(offending)
-        victim_public, signature = b.request_shutoff(offending)
-        # A forged signature is refused.
+        forged = c._keys.sign(offending.fingerprint())
+        assert not a.nic.handle_shutoff(offending, c.public_key, forged)
+        # A signature under a key that is not the victim's is refused.
+        signature = b._keys.sign(offending.fingerprint())
         assert not a.nic.handle_shutoff(offending, c.public_key, signature)
+        assert a.send(b, b"still flowing") is not None
 
     def test_eid_is_hash_of_key(self):
         rng = DeterministicRng(5)

@@ -108,7 +108,6 @@ class TestTrafficProfileBursts:
         ).drive(world)
         assert report.flows_offered > 16  # enough arrivals to form bursts
         assert report.payloads_delivered == report.flows_offered
-        assert report.delivery_ratio == 1.0
         # The routers really saw multi-packet bursts.
         assert max(
             asys.node.largest_burst for asys in world.ases

@@ -64,11 +64,11 @@ class TestKeys:
     def test_ephid_keypair_dual_use(self, rng):
         pair = EphIdKeyPair.generate(rng)
         # DH public and signing public are distinct keys from one seed.
-        dh_pub, sig_pub = pair.public_pair
-        assert dh_pub != sig_pub
+        assert pair.exchange.public != pair.signing.public
         # Deterministic from the seed.
         again = EphIdKeyPair.from_seed(pair.seed)
-        assert again.public_pair == pair.public_pair
+        assert again.exchange.public == pair.exchange.public
+        assert again.signing.public == pair.signing.public
 
     def test_ephid_keypair_seed_length(self):
         with pytest.raises(ValueError):

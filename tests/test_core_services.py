@@ -14,7 +14,7 @@ from tests.conftest import build_world
 class TestBootstrap:
     def test_host_bootstraps(self, world):
         alice = world.hosts["alice"]
-        assert alice.stack.bootstrapped
+        assert alice.stack.kha is not None
         assert alice.stack.control_ephid is not None
         assert alice.stack.ms_cert is not None
         assert alice.stack.dns_cert is not None

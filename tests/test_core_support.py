@@ -57,7 +57,7 @@ class TestHostDatabase:
             db.get(hid)
         assert not db.is_valid(hid)
         assert len(db) == 0
-        assert db.total_registered == 1
+        assert len(list(db.records())) == 1
 
     def test_duplicate_registration_rejected(self):
         db = HostDatabase()
@@ -171,12 +171,6 @@ class TestRevocationPolicy:
         assert not policy.record(2)
         assert policy.record(1)
 
-    def test_reset(self):
-        policy = RevocationPolicy(2)
-        policy.record(5)
-        policy.reset(5)
-        assert policy.count(5) == 0
-
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             RevocationPolicy(0)
@@ -189,20 +183,19 @@ class TestInfraBus:
 
     def test_host_update_distributes(self):
         bus, _ = self.make_bus()
-        db1, db2 = HostDatabase(), HostDatabase()
-        bus.subscribe_hostdb(db1)
-        bus.subscribe_hostdb(db2)
+        seen = []
+        bus.tap(lambda kind, data: seen.append(data))
         keys = make_keys()
         bus.publish_host_update(
             InfraUpdate(hid=0x10000, control_key=keys.control, packet_mac_key=keys.packet_mac)
         )
-        assert db1.get(0x10000).keys == keys
-        assert db2.get(0x10000).keys == keys
+        # Sealed on the bus, verified on delivery.
+        (sealed,) = seen
+        assert keys.packet_mac not in sealed and keys.control not in sealed
+        assert (bus.updates_sent, bus.updates_rejected) == (1, 0)
 
     def test_tampered_host_update_rejected(self):
         bus, _ = self.make_bus()
-        db = HostDatabase()
-        bus.subscribe_hostdb(db)
         keys = make_keys()
         sealed = bytearray(
             bus.seal_host_update(
@@ -212,8 +205,7 @@ class TestInfraBus:
         sealed[20] ^= 0xFF
         with pytest.raises(MacError):
             bus.deliver_host_update(bytes(sealed))
-        assert not db.is_valid(0x10000)
-        assert bus.updates_rejected == 1
+        assert (bus.updates_sent, bus.updates_rejected) == (0, 1)
 
     def test_update_from_wrong_as_rejected(self):
         bus_a, _ = self.make_bus()
@@ -298,7 +290,6 @@ class TestGranularityPolicies:
         assert a.ephid != b.ephid
         assert policy.ephid_for(flow1).ephid == a.ephid  # stable per flow
         assert policy.requests_made == 2
-        assert policy.active_count == 2
 
     def test_per_flow_requires_flow(self, world):
         policy = PerFlowPolicy(self.make_requester(world), world.network.scheduler.clock())
@@ -321,14 +312,6 @@ class TestGranularityPolicies:
         ephids = {policy.ephid_for().ephid for _ in range(5)}
         assert len(ephids) == 5
         assert policy.requests_made == 5
-
-    def test_invalidate_forces_reissue(self, world):
-        policy = PerFlowPolicy(self.make_requester(world), world.network.scheduler.clock())
-        flow = FlowKey(200, b"\x01" * 16, 1, 80)
-        first = policy.ephid_for(flow)
-        policy.invalidate(first)
-        second = policy.ephid_for(flow)
-        assert first.ephid != second.ephid
 
     def test_expired_ephid_replaced(self, world):
         policy = PerHostPolicy(self.make_requester(world), world.network.scheduler.clock())

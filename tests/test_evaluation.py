@@ -114,8 +114,8 @@ def _small_runner(**overrides):
 def test_report_emission_round_trips():
     report = _small_runner().run_all(["flash-crowd"])
     assert report.passed
-    scenario = report.report_for("flash-crowd")
-    assert scenario is not None and scenario.preset == "flash-crowd"
+    (scenario,) = report.reports
+    assert scenario.preset == "flash-crowd"
     text = report.render_text()
     assert "flash-crowd" in text and "[PASS]" in text and "[FAIL]" not in text
     payload = json.loads(report.to_json())

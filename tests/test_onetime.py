@@ -128,16 +128,6 @@ class TestTagDemuxer:
         assert demux.match(FlowTagger(sender).next_tag()) is receiver
         assert demux.match(FlowTagger(other_send).next_tag()) is other_recv
 
-    def test_unregister_removes_all_tags(self, session_pair):
-        _w, _a, _b, sender, receiver = session_pair
-        demux = TagDemuxer(window=16)
-        demux.register(receiver)
-        assert demux.live_tags() == 16
-        demux.unregister(receiver)
-        assert demux.live_tags() == 0
-        with pytest.raises(DemuxError):
-            demux.match(FlowTagger(sender).next_tag())
-
     def test_register_idempotent(self, session_pair):
         _w, _a, _b, _sender, receiver = session_pair
         demux = TagDemuxer(window=16)

@@ -26,12 +26,6 @@ class TestBloomFilter:
             assert f"item-{i}".encode() in bloom
         assert bloom.inserted == 100
 
-    def test_check_and_add_semantics(self):
-        bloom = BloomFilter(1 << 12)
-        assert not bloom.check_and_add(b"first")
-        assert bloom.check_and_add(b"first")
-        assert bloom.inserted == 1
-
     def test_clear(self):
         bloom = BloomFilter(1 << 10)
         bloom.add(b"x")
@@ -161,12 +155,13 @@ class TestRotatingReplayFilter:
 
         def lookup_then_insert(ephid, nonce, now):
             # The two-generation rule spelled out on the Bloom filters'
-            # public calls (two hashes per fresh key).
+            # public calls.
             reference._maybe_rotate(now)
             item = key(ephid, nonce)
-            if item in reference._previous or reference._current.check_and_add(item):
+            if item in reference._previous or item in reference._current:
                 reference.replays += 1
                 return False
+            reference._current.add(item)
             reference.passed += 1
             return True
 

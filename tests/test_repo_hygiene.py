@@ -676,3 +676,130 @@ def test_one_trace_draw_one_name_per_topology():
     assert len(fields) == 12 and not fields & knobs
     for gone in ("generate", "arrival_times", "durations", "hosts_for"):
         assert not hasattr(TraceGenerator, gone), gone
+
+
+#: Where production code lives: a ``src/repro`` definition needs a
+#: reference from one of these trees, not only from ``tests/``.
+_PRODUCTION_TREES = ("src", "bench", "examples")
+
+#: Decorators that register a definition by name (scenario presets,
+#: evaluation cases, analysis rules): the registry is the caller.
+_REGISTRY_DECORATORS = {"register", "case"}
+
+#: ``src/repro`` definitions no production code calls, each kept for the
+#: reason given.  Shrink-only, like ``_CONFIG_FIELDS``: delete a name once
+#: production calls it or it is gone; a new entry is a reviewer's question.
+_TEST_ONLY_KEPT = {
+    "crypto/ed25519.py:pure_public_key": "spec the OpenSSL facade is checked against",
+    "crypto/ed25519.py:pure_sign": "spec the OpenSSL facade is checked against",
+    "crypto/ed25519.py:pure_verify": "spec the OpenSSL facade is checked against",
+    "crypto/x25519.py:pure_public_key": "spec the OpenSSL facade is checked against",
+    "crypto/x25519.py:pure_shared_secret": "spec the OpenSSL facade is checked against",
+    "crypto/kdf.py:pure_hmac_sha256": "spec the OpenSSL facade is checked against",
+    "state/snapshot.py:ShardSnapshot.from_rows": "the snapshot loader's model",
+    "state/snapshot.py:ShardSnapshot.iter_owned": "the snapshot loader's model",
+    "state/snapshot.py:ShardSnapshot.iter_live": "the snapshot loader's model",
+    "state/snapshot.py:ShardSnapshot.iter_revoked": "the snapshot loader's model",
+    "sharding/pool.py:ShardedDataPlane.barrier": "ROADMAP item 7's model drives it",
+    "analysis/model.py:Module.from_source": "the rules' self-test seam",
+    "core/autonomous_system.py:ApnaAutonomousSystem.attach_host_behind_bridge": (
+        "paper §VII-B bridge mode"
+    ),
+    "gateway/ap.py:BridgeAccessPoint.attach": "paper §VII-B bridge mode",
+    "gateway/ap.py:BridgeAccessPoint.learned": "paper §VII-B bridge mode",
+    "core/autonomous_system.py:ApnaHostNode.ota_listen": "paper §VIII-A per-packet EphIDs",
+    "core/autonomous_system.py:ApnaHostNode.send_data_ota": (
+        "paper §VIII-A per-packet EphIDs"
+    ),
+    "core/onetime.py:TagDemuxer.live_tags": "the one view of a bounded structure",
+    "core/replay_filter.py:RotatingReplayFilter.memory_bytes": (
+        "the one view of a bounded structure"
+    ),
+}
+
+
+def _production_references() -> dict[str, list[tuple[str, int]]]:
+    """Identifier -> ``(file, line)`` of every reference to it in the
+    production trees: a ``Name``, an ``Attribute``, an import alias, a
+    call keyword, or a string constant spelling an identifier (a runner
+    listed by module name).  A bare string statement is a docstring, not
+    a reference."""
+    refs: dict[str, list[tuple[str, int]]] = {}
+    for tree in _PRODUCTION_TREES:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            module = ast.parse(path.read_text())
+            rel = str(path.relative_to(ROOT))
+            docstrings = {
+                id(node.value)
+                for node in ast.walk(module)
+                if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            }
+            for node in ast.walk(module):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.alias):
+                    names = [node.name.rpartition(".")[2], node.asname]
+                elif isinstance(node, ast.keyword):
+                    names = [node.arg]
+                elif (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and node.value.isidentifier()
+                    and id(node) not in docstrings
+                ):
+                    names = [node.value]
+                else:
+                    continue
+                for name in names:
+                    if name:
+                        refs.setdefault(name, []).append((rel, node.lineno))
+    return refs
+
+
+def _definitions(module: ast.AST, scope: tuple[str, ...] = ()):
+    """``(qualified name, node)`` of every function, class and method."""
+    for child in ast.iter_child_nodes(module):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield ".".join((*scope, child.name)), child
+            yield from _definitions(child, (*scope, child.name))
+        else:
+            yield from _definitions(child, scope)
+
+
+def test_src_definitions_have_a_production_caller():
+    """Every ``src/repro`` function, class and method is referenced from
+    ``src/``, ``bench/`` or ``examples/`` somewhere outside its own body:
+    an API only tests call tells a reader the system runs something it
+    does not.  Dunders and registry-decorated definitions are exempt;
+    the rest of the exceptions are ``_TEST_ONLY_KEPT``, which may only
+    shrink."""
+    refs = _production_references()
+    src = ROOT / "src/repro"
+    uncalled = set()
+    for path in sorted(src.rglob("*.py")):
+        rel = str(path.relative_to(src))
+        where = str(path.relative_to(ROOT))
+        for qualname, node in _definitions(ast.parse(path.read_text())):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            decorators = {
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                for d in node.decorator_list
+            }
+            if decorators & _REGISTRY_DECORATORS:
+                continue
+            if not any(
+                not (ref == where and node.lineno <= line <= node.end_lineno)
+                for ref, line in refs.get(name, ())
+            ):
+                uncalled.add(f"{rel}:{qualname}")
+    unexplained = sorted(uncalled - set(_TEST_ONLY_KEPT))
+    assert not unexplained, (
+        "src/repro definitions only tests call (delete them, or rewrite the "
+        "test on the production API):\n  " + "\n  ".join(unexplained)
+    )
+    stale = sorted(set(_TEST_ONLY_KEPT) - uncalled)
+    assert not stale, f"production calls these now, or they are gone: {stale}"

@@ -37,6 +37,7 @@ from repro.sharding.pool import InProcessCarrier
 from repro.state import ColumnarShardView
 from repro.topology import WorldBuilder
 from repro.wire.apna import SRC_EPHID_FIELD, ApnaHeader
+from repro.wire.errors import ParseError
 from repro.workload import TrafficProfile
 from repro.workload.packets import build_apna_pool
 
@@ -49,6 +50,11 @@ TIER1_SHARDS = 2
 #: A fixed kR for plan-level tests (worlds derive theirs from the AS
 #: secret).
 _KR = bytes(range(16))
+
+
+def _iv(iv: int) -> bytes:
+    """An IV's four clear wire bytes, as the plan routes them."""
+    return iv.to_bytes(4, "big")
 
 
 class TestShardPlan:
@@ -64,16 +70,10 @@ class TestShardPlan:
     def test_keyed_mode_routes_by_prf_not_residue(self):
         plan = ShardPlan(3, key=_KR)
         ivs = list(range(64))
-        owners = [plan.owner_of_iv(iv) for iv in ivs]
+        owners = plan.owners_of_iv_bytes([_iv(iv) for iv in ivs])
+        # One IV at a time routes as it does inside a burst.
         for iv, owner in zip(ivs, owners):
-            ephid = bytes(8) + iv.to_bytes(4, "big") + bytes(4)
-            assert plan.shard_of_ephid(ephid) == owner
-            assert plan.owner_of_iv_bytes(iv.to_bytes(4, "big")) == owner
-        # The bulk burst entry point agrees element-for-element.
-        assert (
-            plan.owners_of_iv_bytes([iv.to_bytes(4, "big") for iv in ivs])
-            == owners
-        )
+            assert plan.owners_of_iv_bytes([_iv(iv)]) == [owner]
         # The keyed map is not the public residue map, and it actually
         # spreads load over every shard.
         assert owners != [iv % 3 for iv in ivs]
@@ -89,7 +89,7 @@ class TestShardPlan:
         """The routing PRF is genuine AES-CMAC over the IV bytes: the
         RoutingKey single-AES-block shortcut (a 4-byte message is one
         incomplete CMAC block) must stay bit-identical to the generic
-        CMAC, scalar and bulk."""
+        CMAC."""
         from repro.crypto.cmac import Cmac
 
         cmac = Cmac(_KR)
@@ -98,18 +98,17 @@ class TestShardPlan:
         expected = [
             int.from_bytes(cmac.tag(iv, 8), "big") % 5 for iv in ivs
         ]
-        assert [plan.owner_of_iv_bytes(iv) for iv in ivs] == expected
         assert plan.owners_of_iv_bytes(ivs) == expected
 
     def test_keyed_routing_requires_kr(self):
         plan = ShardPlan(2)  # legal: ownership-only uses need no key
         assert plan.owner_of(FIRST_HOST_HID) == 0
         with pytest.raises(ValueError):
-            plan.owner_of_iv(5)
+            plan.owners_of_iv_bytes([_iv(5)])
         with pytest.raises(ValueError):
             plan.validate_routing()
         # A single shard routes trivially, key or not.
-        assert ShardPlan(1).validate_routing().owner_of_iv(5) == 0
+        assert ShardPlan(1).validate_routing().owners_of_iv_bytes([_iv(5)]) == [0]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -164,7 +163,7 @@ class TestPinnedIvAllocation:
         alloc = IvAllocator(start=12345, plan=plan)
         for hid in range(FIRST_HOST_HID, FIRST_HOST_HID + 9):
             iv = alloc.next_iv_for(hid)
-            assert plan.owner_of_iv(iv) == plan.owner_of(hid)
+            assert plan.owners_of_iv_bytes([_iv(iv)]) == [plan.owner_of(hid)]
 
     def test_pinned_ivs_stay_unique(self):
         alloc = IvAllocator(start=7, plan=ShardPlan(2, key=_KR))
@@ -184,7 +183,7 @@ class TestPinnedIvAllocation:
         draws = 4 * ephid_module.BANKED_IVS_PER_SHARD
         ivs = [alloc.next_iv_for(hid) for _ in range(draws)]
         assert len(set(ivs)) == draws
-        assert set(plan.owners_of_iv_bytes([iv.to_bytes(4, "big") for iv in ivs])) == {
+        assert set(plan.owners_of_iv_bytes([_iv(iv) for iv in ivs])) == {
             plan.owner_of(hid)
         }
         banked = {shard: len(bucket) for shard, bucket in alloc._buckets.items()}
@@ -195,7 +194,8 @@ class TestPinnedIvAllocation:
             if plan.owner_of(h) != plan.owner_of(hid)
         )
         late = alloc.next_iv_for(other)
-        assert late not in ivs and plan.owner_of_iv(late) == plan.owner_of(other)
+        assert late not in ivs
+        assert plan.owners_of_iv_bytes([_iv(late)]) == [plan.owner_of(other)]
 
     def test_unpinned_allocator_unchanged_by_hid_api(self):
         a = IvAllocator(start=99)
@@ -210,14 +210,9 @@ class TestPinnedIvAllocation:
         unattributed = [alloc.next_iv() for _ in range(4)]
         for hid in range(FIRST_HOST_HID, FIRST_HOST_HID + 6):
             alloc.next_iv_for(hid)
-        # HID-less draws land on shard 0 (where all service HIDs live)
-        # and are tallied both there and as unattributed.
-        assert all(plan.owner_of_iv(iv) == 0 for iv in unattributed)
+        # HID-less draws land on shard 0, where all service HIDs live.
+        assert plan.owners_of_iv_bytes([_iv(iv) for iv in unattributed]) == [0] * 4
         assert alloc.issued == 10
-        assert alloc.issued_unattributed == 4
-        by_shard = alloc.issued_by_shard
-        assert sum(by_shard.values()) == 10
-        assert by_shard[0] >= 4
 
 
 class TestDispatcherObserverLinkage:
@@ -261,7 +256,7 @@ class TestDispatcherObserverLinkage:
         # And yet the AS-internal map still pins both EphIDs of a host
         # to its owner shard — routing works, only the observer lost.
         for hid, a, b in pairs:
-            assert plan.owner_of_iv(a) == plan.owner_of_iv(b) == plan.owner_of(hid)
+            assert plan.owners_of_iv_bytes([_iv(a), _iv(b)]) == [plan.owner_of(hid)] * 2
 
 
 class TestWireCodecs:
@@ -340,7 +335,7 @@ class TestWireCodecs:
             ivs = [(size * 1009 + i).to_bytes(4, "big") for i in range(size)]
             owners = plan.owners_of_iv_bytes(ivs)
             assert len(owners) == size
-            assert owners[-1] == plan.owner_of_iv_bytes(ivs[-1])
+            assert owners[-1:] == plan.owners_of_iv_bytes(ivs[-1:])
             frames = [bytes([i % 251]) * (i % 7) for i in range(size)]
             directions = [i % 2 for i in range(size)]
             assert wire.decode_burst(
@@ -563,7 +558,7 @@ class TestDispatcher:
     def test_runt_frame_rejected_at_dispatch(self):
         with build_sharded_world(hosts=1) as world:
             plane = world.asys("a").shard_pool
-            with pytest.raises(ShardError):
+            with pytest.raises(ParseError):
                 plane.process([b"\x00" * 8], [True], 0.0)
 
     def test_runt_rejection_is_nonce_aware(self):
@@ -584,15 +579,48 @@ class TestDispatcher:
         )
         with builder.build() as world:
             plane = world.asys("a").shard_pool
-            with pytest.raises(ShardError, match="56-byte"):
+            with pytest.raises(ParseError, match="56-byte"):
                 plane.process([b"\x00" * 50], [True], 0.0)
             plane.shard_stats()  # still healthy
 
     def test_mismatched_direction_flags_rejected(self):
         with build_sharded_world(hosts=1) as world:
             plane = world.asys("a").shard_pool
-            with pytest.raises(ShardError, match="direction flags"):
+            with pytest.raises(ValueError, match="direction flags"):
                 plane.process([b"\x00" * 48, b"\x00" * 48], [True], 0.0)
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_judge_refuses_a_bad_burst_alike_on_every_kind_of_as(self, shards):
+        """``judge`` is the one verdict path, so it has one refusal
+        contract: a runt is a ``ParseError`` and a flag-count mismatch a
+        ``ValueError``, whether the in-line router or the shard pool
+        judges, and neither moves a counter."""
+        world = (
+            WorldBuilder(seed=9, config=ApnaConfig(forwarding_shards=shards))
+            .asys("a", aid=100)
+            .host("h", at="a")
+            .build()
+        )
+        with world:
+            asys = world.asys("a")
+            frame = build_apna_pool(
+                asys, [world.host("h")], size=128, count=1, dst_aid=200
+            ).wire_frames[0]
+
+            def counters():
+                if asys.br is None:
+                    return asys.shard_pool.stats()
+                br = asys.br
+                return dict(br.drops), br.forwarded_inter, br.forwarded_intra
+
+            before = counters()
+            with pytest.raises(ParseError):
+                asys.judge([frame, b"\x00" * 8], [True, True])
+            with pytest.raises(ValueError, match="direction flags"):
+                asys.judge([frame, frame], [True])
+            assert counters() == before
+            (verdict,) = asys.judge([frame], [True])
+            assert verdict.action is Action.FORWARD_INTER
 
     def test_removed_options_are_rejected(self):
         # One data-plane configuration: the residue map, the block stripe
@@ -784,7 +812,7 @@ class TestDispatcher:
             try:
                 first = plane.route(frames, egress)
                 assert plane.route(frames, egress) == first
-                with pytest.raises(ShardError):
+                with pytest.raises(ParseError):
                     plane.route(frames + [b"\x00" * 8], egress + [True])
             finally:
                 ledger.carrier = carrier
@@ -796,8 +824,10 @@ class TestDispatcher:
             for shard, (indices, shard_frames, directions) in by_shard.items():
                 assert shard_frames == [frames[i] for i in indices]
                 assert directions == [wire.EGRESS] * len(indices)
+                # Each frame reaches the shard that owns its source host.
                 assert {
-                    plane.plan.shard_of_ephid(f[SRC_EPHID_FIELD]) for f in shard_frames
+                    plane.plan.owner_of(as_a.codec.open(f[SRC_EPHID_FIELD]).hid)
+                    for f in shard_frames
                 } == {shard}
 
     def test_rejected_burst_leaves_counters_untouched(self):
@@ -808,7 +838,7 @@ class TestDispatcher:
             )
             plane = as_a.shard_pool
             transit = pool.wire_frames[0]
-            with pytest.raises(ShardError):
+            with pytest.raises(ParseError):
                 # Valid transit frame followed by a runt: the whole burst
                 # is rejected before any counter moves.
                 plane.process([transit, b"\x00" * 8], [False, False], 0.0)

@@ -274,9 +274,9 @@ class TestShardedEquivalence:
         plane = ShardedDataPlane.for_assembly(world.as_a)
         try:
             firsts = [build("inter") for _ in range(nshards * 2)]
-            shards_hit = {
-                plane.plan.shard_of_ephid(p.header.src_ephid) for p in firsts
-            }
+            _, shards_hit = plane.route(
+                [p.to_wire() for p in firsts], [True] * len(firsts)
+            )
             assert len(shards_hit) > 1  # genuinely straddles a boundary
             burst = firsts + firsts  # every packet replayed once
             now = world.as_a.clock()

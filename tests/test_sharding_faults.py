@@ -41,7 +41,7 @@ from repro.sharding import (
     ShardSupervisor,
     ShardedDataPlane,
 )
-from repro.wire.apna import SRC_EPHID_FIELD, Endpoint
+from repro.wire.apna import Endpoint
 from repro import scenarios
 
 from tests.conftest import build_world, process_packets
@@ -379,7 +379,11 @@ class TestFaultKindsIsolated:
         ]
         frames = [p.to_wire() for p in packets]
         plane = ShardedDataPlane.for_assembly(world.as_a)
-        owners = [plane.plan.shard_of_ephid(f[SRC_EPHID_FIELD]) for f in frames]
+        owners = [0] * len(frames)
+        _, by_shard = plane.route(frames, [True] * len(frames))
+        for shard, (indices, _, _) in by_shard.items():
+            for i in indices:
+                owners[i] = shard
         victim = max((0, 1), key=owners.count)
         assert 0 < owners.count(1 - victim) < owners.count(victim)
         stopped = plane.supervisor.carrier._procs[victim]
@@ -563,12 +567,8 @@ class TestDegradation:
         try:
             packets = [build("inter") for _ in range(8)]
             frames = [p.to_wire() for p in packets]
-            send_order = list(
-                dict.fromkeys(
-                    plane.plan.shard_of_ephid(frame[SRC_EPHID_FIELD])
-                    for frame in frames
-                )
-            )
+            # One message per shard, sent in the order route lists them.
+            send_order = list(plane.route(frames, [True] * len(frames))[1])
             assert len(send_order) == 2, "burst must touch both shards"
             killed = send_order[1]
             plane.install_faults(FaultPlan({(killed, 0): "kill"}))

@@ -187,7 +187,7 @@ def test_shard_routing_mod_detects_and_passes():
     good = (
         "def shard_of(plan, iv):\n"
         "    wrapped = iv % 2**32\n"  # constant modulus is not routing
-        "    return plan.owner_of_iv(wrapped)\n"
+        "    return plan.owners_of_iv_bytes([wrapped.to_bytes(4, 'big')])\n"
     )
     assert not findings_of("shard-routing-mod", good, "sharding/fixture.py")
     # plan.py itself is the one sanctioned home of shard arithmetic.

@@ -112,7 +112,7 @@ class TestWorldBuilder:
             .build()
         )
         assert isinstance(world, World)
-        assert world.as_names() == ["T1", "S1"]
+        assert [asys.aid for asys in world.ases] == [1, 100]  # creation order
         assert world.asys("T1").aid == 1  # transit auto-AIDs count from 1
         assert world.asys("S1").aid == 100
         assert world.host("alice").assembly is world.asys("S1")
@@ -203,7 +203,7 @@ class TestWorldAddressing:
         by_name = world.asys("a")
         assert world.asys(100) is by_name
         assert world.asys(by_name) is by_name
-        assert world.asys("b") is world.as_by_aid(200)
+        assert world.asys("b") is world.asys(200)
 
     def test_unknown_as_error_lists_known_names(self, world):
         with pytest.raises(UnknownAsError) as excinfo:
@@ -215,7 +215,7 @@ class TestWorldAddressing:
         with pytest.raises(ValueError):
             world.asys("ghost")
         with pytest.raises(KeyError):
-            world.as_by_aid(999)
+            world.asys(999)
 
     def test_attach_host_requires_at_with_multiple_ases(self, world):
         with pytest.raises(TopologyError, match="at="):
@@ -252,10 +252,10 @@ class TestWorldLifecycle:
     def test_advance_moves_virtual_time(self):
         world = WorldBuilder(seed=1).asys("a").build()
         assert world.now == 0.0
-        world.advance(1.5)
-        assert world.now == pytest.approx(1.5)
-        with pytest.raises(ValueError):
-            world.advance(-1.0)
+        world.run_until(1.5)
+        assert world.now == 1.5
+        world.run_until(1.0)
+        assert world.now == 1.5
 
     def test_run_drains_events(self):
         world = (

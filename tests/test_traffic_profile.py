@@ -25,7 +25,6 @@ class TestDrive:
         assert report.flows_offered > 0
         assert report.sessions_opened == report.flows_offered
         assert report.payloads_delivered == report.flows_offered
-        assert report.delivery_ratio == 1.0
 
     def test_responses_come_back(self):
         report = small_profile().drive(scenarios.build("fig1", seed=2))
@@ -38,7 +37,7 @@ class TestDrive:
 
     def test_works_across_arbitrary_topologies(self):
         report = small_profile().drive(scenarios.build("chain:3", seed=4))
-        assert report.delivery_ratio == 1.0
+        assert report.payloads_delivered == report.flows_offered
         assert report.sim_time <= 1.0 + 0.5  # window + in-flight tail
 
     def test_endpoint_placement_defaults_first_and_last_as(self):
@@ -52,7 +51,7 @@ class TestDrive:
         report = small_profile(
             client_at=["leaf1"], server_at=["leaf2"], clients=2, servers=1
         ).drive(world)
-        assert report.delivery_ratio == 1.0
+        assert report.payloads_delivered == report.flows_offered
         assert world.host("traffic-c1").assembly is world.asys("leaf1")
         assert world.host("traffic-s0").assembly is world.asys("leaf2")
 
@@ -62,7 +61,7 @@ class TestDrive:
         report = small_profile(
             client_at="leaf1", server_at=world.asys("hub"), clients=2, servers=1
         ).drive(world)
-        assert report.delivery_ratio == 1.0
+        assert report.payloads_delivered == report.flows_offered
         assert world.host("traffic-c0").assembly is world.asys("leaf1")
         assert world.host("traffic-s0").assembly is world.asys("hub")
 
@@ -92,13 +91,13 @@ class TestDrive:
         # Second run auto-bumps the prefix: fresh endpoints, same traffic.
         assert set(second.by_server) == {"traffic2-s0", "traffic2-s1"}
         assert second.flows_offered == first.flows_offered
-        assert second.delivery_ratio == 1.0
+        assert second.payloads_delivered == second.flows_offered
 
     def test_colliding_manual_host_bumps_prefix(self):
         world = scenarios.build("fig1", seed=11)
         world.attach_host("traffic-c0", at="a")
         report = small_profile().drive(world)
-        assert report.delivery_ratio == 1.0
+        assert report.payloads_delivered == report.flows_offered
         assert "traffic2-c0" in world.hosts
         assert world.host("traffic-c0").assembly.aid == 100  # untouched
 
@@ -129,4 +128,4 @@ class TestDrive:
     def test_single_as_world_carries_traffic(self):
         world = WorldBuilder(seed=13).asys("solo").build()
         report = small_profile(clients=2, servers=1).drive(world)
-        assert report.delivery_ratio == 1.0
+        assert report.payloads_delivered == report.flows_offered
