@@ -17,10 +17,11 @@ Package map
 -----------
 
 =================== ========================================================
-``repro.crypto``    Crypto primitives: AES, CMAC, GCM, HMAC, X25519 and
-                    Ed25519 are OpenSSL calls (``cryptography``), with
-                    the from-scratch code beside them as their spec;
-                    HKDF, AEAD schemes, RNGs.
+``repro.crypto``    Crypto primitives: AES (forward only: blocks and CTR),
+                    CMAC, HMAC, X25519 and Ed25519 are OpenSSL calls
+                    (``cryptography``), with the from-scratch code beside
+                    them as their spec; HKDF, the one data-plane AEAD
+                    (AES-CTR + CMAC Encrypt-then-MAC), RNGs.
 ``repro.wire``      Wire formats: the 48 B APNA header (Fig. 7), replay-
                     nonce extension, IPv4/GRE encapsulation (Fig. 9),
                     transport, ICMP.

@@ -29,7 +29,6 @@ from .errors import (
     AuthError,
     CertError,
     EphIdError,
-    ExpiredError,
     IssuanceError,
     MacError,
     RevokedError,
@@ -113,7 +112,6 @@ __all__ = [
     "EphIdReply",
     "EphIdRequest",
     "ExchangeKeyPair",
-    "ExpiredError",
     "FLAG_CONTROL",
     "FLAG_RECEIVE_ONLY",
     "FlowKey",

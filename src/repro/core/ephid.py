@@ -25,7 +25,6 @@ from itertools import repeat
 from typing import NamedTuple
 
 from ..crypto.aes import AES
-from ..crypto.modes import cbc_mac
 from ..crypto.rng import Rng, SystemRng
 from ..crypto.util import ct_eq, xor_bytes
 from .errors import EphIdError
@@ -89,8 +88,12 @@ class EphIdCodec:
         return self._enc.encrypt_block(block)[:CIPHERTEXT_SIZE]
 
     def _tag(self, iv: int, ciphertext: bytes) -> bytes:
+        # CBC-MAC over Fig. 6's fixed 16-byte input is one block, so the
+        # whole MAC is one AES call: E(0 ^ m) = E(m).  ``encrypt_block``
+        # refuses any other length, which is the fixed-length rule that
+        # keeps CBC-MAC unforgeable.
         block = struct.pack(">I", iv) + bytes(4) + ciphertext
-        return cbc_mac(self._mac_cipher, block, expected_length=16)[:TAG_SIZE]
+        return self._mac_cipher.encrypt_block(block)[:TAG_SIZE]
 
     def seal(self, hid: int, exp_time: int, iv: int) -> bytes:
         """Create an EphID binding (hid, exp_time) under a fresh IV."""

@@ -11,10 +11,6 @@ class EphIdError(ApnaError):
     """An EphID failed authentication or decoding (forged or corrupted)."""
 
 
-class ExpiredError(ApnaError):
-    """An EphID or certificate is past its expiration time."""
-
-
 class RevokedError(ApnaError):
     """An EphID or HID has been revoked."""
 

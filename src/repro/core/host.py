@@ -192,11 +192,8 @@ class HostStack:
         as_key = self._rpki.signing_key_of(cert.aid)
         cert.verify(as_key, now=self._clock())
 
-    def open_session(
-        self, local: OwnedEphId, peer_cert: EphIdCertificate, *, verify: bool = True
-    ) -> Session:
-        if verify:
-            self.verify_peer_cert(peer_cert)
+    def open_session(self, local: OwnedEphId, peer_cert: EphIdCertificate) -> Session:
+        self.verify_peer_cert(peer_cert)
         if local.receive_only:
             raise ApnaError("receive-only EphIDs must not source a session")
         return Session(local, peer_cert)

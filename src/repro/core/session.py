@@ -15,7 +15,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from ..crypto.aead import new_aead
+from ..crypto.aead import EtmScheme
 from ..crypto.kdf import hkdf
 from .certs import EPHID_CERT_SIZE, EphIdCertificate
 from .errors import ApnaError, CertError
@@ -76,7 +76,6 @@ class Session:
         local: OwnedEphId,
         peer_cert: EphIdCertificate,
         *,
-        scheme: str = "etm",
         replay_window: int = 1024,
     ) -> None:
         self.local = local
@@ -84,7 +83,7 @@ class Session:
         self.key = derive_session_key(
             local.keypair, peer_cert.dh_public, local.ephid, peer_cert.ephid
         )
-        self._aead = new_aead(self.key, scheme)
+        self._aead = EtmScheme(self.key)
         self._send_dir = 1 if local.ephid < peer_cert.ephid else 2
         self._recv_dir = 3 - self._send_dir
         self._send_seq = 0
@@ -106,18 +105,23 @@ class Session:
         return struct.pack(">Q", seq) + sealed
 
     def open(self, payload: bytes) -> bytes:
-        """Authenticate and decrypt a payload from the peer."""
+        """Authenticate and decrypt a payload from the peer.
+
+        The sequence number enters the replay window only once the
+        payload authenticates, so a forged payload cannot move the window
+        past the peer's real sequence numbers.
+        """
         if len(payload) < 8:
             raise SessionError("payload too short for sequence number")
         (seq,) = struct.unpack_from(">Q", payload)
-        if not self._replay.check(seq):
-            raise SessionError(f"replayed or stale sequence number {seq}")
         try:
             plaintext = self._aead.open(
                 self._nonce(self._recv_dir, seq), payload[8:], self._aad
             )
         except ValueError as exc:
             raise SessionError("payload failed authentication") from exc
+        if not self._replay.check(seq):
+            raise SessionError(f"replayed or stale sequence number {seq}")
         self.received += 1
         return plaintext
 

@@ -1,19 +1,24 @@
-"""The AES block cipher (FIPS-197): OpenSSL in production, from scratch as the spec.
+"""The AES block cipher (FIPS-197), forward direction only.
+
+APNA only ever *encrypts* blocks: the EphID of Fig. 6 is single-block
+CTR plus a one-block CBC-MAC, and the data-plane AEAD is CTR plus CMAC,
+all of which run the cipher forwards.  So there is no decryption here,
+and the modes live on the cipher as the operations the protocols call:
+:meth:`AES.encrypt_block` / :meth:`AES.encrypt_blocks` (ECB over
+independent blocks) and :meth:`AES.ctr_xcrypt`.
 
 :class:`AES` is the cipher every protocol path uses: OpenSSL contexts
 (AES-NI where the CPU has it), the data path of the paper's DPDK
 prototype (§V-B) rather than a simulation of it.
 
 :class:`PureAES` is the from-scratch implementation — the spec that
-``tests/test_crypto_backends.py`` compares :class:`AES` against.  Its
-encryption path uses the classic 32-bit T-table formulation, the
-fastest formulation available to pure Python.  The decryption path uses
-the straightforward byte-oriented inverse cipher; APNA only ever
-*encrypts* blocks on the fast path (CTR mode and CBC-MAC both use the
-forward direction), so decryption speed is irrelevant.
+``tests/test_crypto_backends.py`` compares :class:`AES` against.  It uses
+the classic 32-bit T-table formulation, the fastest available to pure
+Python.
 
 Key sizes 128, 192 and 256 bits are supported.  Both classes are pinned
-to the FIPS-197 appendix vectors in ``tests/test_crypto_aes.py``.
+to the FIPS-197 appendix vectors in ``tests/test_crypto_aes.py`` and to
+the SP 800-38A CTR vectors in ``tests/test_crypto_modes.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 # contact), so each class is resolved once, here, at import.
 from cryptography.hazmat.primitives.ciphers import Cipher
 from cryptography.hazmat.primitives.ciphers.algorithms import AES as _AesKey
-from cryptography.hazmat.primitives.ciphers.modes import CBC, CTR, ECB
+from cryptography.hazmat.primitives.ciphers.modes import CTR, ECB
 
 from .util import xor_bytes
 
@@ -41,19 +46,8 @@ def _xtime(b: int) -> int:
     return b & 0xFF
 
 
-def _gf_mul(a: int, b: int) -> int:
-    """Multiply two elements of GF(2^8) modulo the AES polynomial."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a = _xtime(a)
-        b >>= 1
-    return result
-
-
-def _build_sbox() -> tuple[list[int], list[int]]:
-    """Compute the AES S-box and its inverse from first principles."""
+def _build_sbox() -> list[int]:
+    """Compute the AES S-box from first principles."""
     # Exponentiation/log tables over GF(2^8) with generator 0x03.
     exp = [0] * 255
     log = [0] * 256
@@ -64,7 +58,6 @@ def _build_sbox() -> tuple[list[int], list[int]]:
         value ^= _xtime(value)  # multiply by 0x03 = x + 1
 
     sbox = [0] * 256
-    inv_sbox = [0] * 256
     for v in range(256):
         inverse = 0 if v == 0 else exp[(255 - log[v]) % 255]
         s = inverse
@@ -74,11 +67,10 @@ def _build_sbox() -> tuple[list[int], list[int]]:
             s ^= r
         s ^= 0x63
         sbox[v] = s
-        inv_sbox[s] = v
-    return sbox, inv_sbox
+    return sbox
 
 
-SBOX, INV_SBOX = _build_sbox()
+SBOX = _build_sbox()
 
 
 def _build_enc_tables() -> tuple[list[int], list[int], list[int], list[int]]:
@@ -122,26 +114,21 @@ class AES:
 
     ECB is stateless per block, so one ``encryptor()`` context serves
     every ``encrypt_block`` call — the per-block cost is a single EVP
-    update instead of a context setup.  Bulk CTR and CBC get one-shot
-    contexts of their own; :mod:`repro.crypto.modes` hands multi-block
-    work to them so it runs entirely inside OpenSSL.
+    update instead of a context setup.  Bulk CTR gets a one-shot context
+    of its own, so it runs entirely inside OpenSSL.
 
-    >>> cipher = AES(bytes(16))
-    >>> ct = cipher.encrypt_block(bytes(16))
-    >>> cipher.decrypt_block(ct) == bytes(16)
-    True
+    >>> AES(bytes(16)).encrypt_block(bytes(16)).hex()
+    '66e94bd4ef8a2c3b884cfa59ca342b2e'
     """
 
-    __slots__ = ("key_size", "_algorithm", "_ecb_enc", "_ecb_dec")
+    __slots__ = ("key_size", "_algorithm", "_ecb_enc")
 
     def __init__(self, key: bytes) -> None:
         if len(key) not in (16, 24, 32):
             raise ValueError(f"AES key must be 16, 24 or 32 bytes, got {len(key)}")
         self.key_size = len(key)
         self._algorithm = _AesKey(key)
-        ecb = Cipher(self._algorithm, ECB())
-        self._ecb_enc = ecb.encryptor()
-        self._ecb_dec = ecb.decryptor()
+        self._ecb_enc = Cipher(self._algorithm, ECB()).encryptor()
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 16-byte block."""
@@ -163,15 +150,12 @@ class AES:
             )
         return self._ecb_enc.update(data)
 
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt one 16-byte block."""
-        if len(block) != BLOCK_SIZE:
-            raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        return self._ecb_dec.update(block)
-
     def ctr_xcrypt(self, counter_block: bytes, data: bytes) -> bytes:
         """AES-CTR over ``data`` from ``counter_block`` (full 128-bit
-        big-endian counter, wrapping)."""
+        big-endian counter, wrapping); encryption and decryption are the
+        same operation."""
+        if len(counter_block) != BLOCK_SIZE:
+            raise ValueError("counter block must be 16 bytes")
         # For short payloads (single-digit block counts: EphIDs, small
         # packets) a fresh CTR context costs more than the work itself,
         # so the keystream comes from the reusable ECB context instead.
@@ -185,24 +169,11 @@ class AES:
             return xor_bytes(data, stream[: len(data)]) if data else b""
         return Cipher(self._algorithm, CTR(counter_block)).encryptor().update(data)
 
-    def cbc_encrypt(self, iv: bytes, plaintext: bytes) -> bytes:
-        """AES-CBC encryption of a block-aligned plaintext (no padding)."""
-        enc = Cipher(self._algorithm, CBC(iv)).encryptor()
-        return enc.update(plaintext) + enc.finalize()
-
-    def cbc_decrypt(self, iv: bytes, ciphertext: bytes) -> bytes:
-        """AES-CBC decryption of a block-aligned ciphertext (no padding)."""
-        dec = Cipher(self._algorithm, CBC(iv)).decryptor()
-        return dec.update(ciphertext) + dec.finalize()
-
-
 class PureAES:
     """The from-scratch AES instance bound to one key (the spec).
 
-    >>> cipher = PureAES(bytes(16))
-    >>> ct = cipher.encrypt_block(bytes(16))
-    >>> cipher.decrypt_block(ct) == bytes(16)
-    True
+    >>> PureAES(bytes(16)).encrypt_block(bytes(16)).hex()
+    '66e94bd4ef8a2c3b884cfa59ca342b2e'
     """
 
     __slots__ = ("_round_keys", "rounds", "key_size")
@@ -305,55 +276,14 @@ class PureAES:
             + o3.to_bytes(4, "big")
         )
 
-    # -- Decryption (byte-oriented inverse cipher; not on the fast path) --
-
-    def _round_key_bytes(self, round_index: int) -> list[int]:
-        words = self._round_keys[4 * round_index : 4 * round_index + 4]
-        out: list[int] = []
-        for word in words:
-            out.extend(word.to_bytes(4, "big"))
-        return out
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt one 16-byte block."""
-        if len(block) != BLOCK_SIZE:
-            raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        state = list(block)
-        state = [b ^ k for b, k in zip(state, self._round_key_bytes(self.rounds))]
-        for rnd in range(self.rounds - 1, 0, -1):
-            state = _inv_shift_rows(state)
-            state = [INV_SBOX[b] for b in state]
-            state = [b ^ k for b, k in zip(state, self._round_key_bytes(rnd))]
-            state = _inv_mix_columns(state)
-        state = _inv_shift_rows(state)
-        state = [INV_SBOX[b] for b in state]
-        state = [b ^ k for b, k in zip(state, self._round_key_bytes(0))]
-        return bytes(state)
-
-
-def _inv_shift_rows(state: list[int]) -> list[int]:
-    """Inverse ShiftRows on a column-major 16-byte state."""
-    out = [0] * 16
-    for col in range(4):
-        for row in range(4):
-            out[4 * ((col + row) % 4) + row] = state[4 * col + row]
-    return out
-
-
-def _inv_mix_columns(state: list[int]) -> list[int]:
-    out = [0] * 16
-    for col in range(4):
-        b0, b1, b2, b3 = state[4 * col : 4 * col + 4]
-        out[4 * col + 0] = (
-            _gf_mul(b0, 14) ^ _gf_mul(b1, 11) ^ _gf_mul(b2, 13) ^ _gf_mul(b3, 9)
+    def ctr_xcrypt(self, counter_block: bytes, data: bytes) -> bytes:
+        """AES-CTR one block at a time: the spec :meth:`AES.ctr_xcrypt`
+        is compared against."""
+        if len(counter_block) != BLOCK_SIZE:
+            raise ValueError("counter block must be 16 bytes")
+        counter = int.from_bytes(counter_block, "big")
+        stream = b"".join(
+            self.encrypt_block(((counter + i) & _MASK128).to_bytes(BLOCK_SIZE, "big"))
+            for i in range((len(data) + BLOCK_SIZE - 1) // BLOCK_SIZE)
         )
-        out[4 * col + 1] = (
-            _gf_mul(b0, 9) ^ _gf_mul(b1, 14) ^ _gf_mul(b2, 11) ^ _gf_mul(b3, 13)
-        )
-        out[4 * col + 2] = (
-            _gf_mul(b0, 13) ^ _gf_mul(b1, 9) ^ _gf_mul(b2, 14) ^ _gf_mul(b3, 11)
-        )
-        out[4 * col + 3] = (
-            _gf_mul(b0, 11) ^ _gf_mul(b1, 13) ^ _gf_mul(b2, 9) ^ _gf_mul(b3, 14)
-        )
-    return out
+        return xor_bytes(data, stream[: len(data)])

@@ -104,8 +104,3 @@ class PureCmac:
         for i in range(n_blocks - 1):
             state = encrypt(xor_bytes(state, message[i * BLOCK_SIZE : (i + 1) * BLOCK_SIZE]))
         return encrypt(xor_bytes(state, last))[:length]
-
-
-def cmac(key: bytes, message: bytes, length: int = BLOCK_SIZE) -> bytes:
-    """One-shot AES-CMAC."""
-    return Cmac(key).tag(message, length)

@@ -24,9 +24,3 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
         len(a), "big"
     )
-
-
-def inc_counter(block: bytes, width: int = 16) -> bytes:
-    """Increment a big-endian counter block, wrapping modulo 2**(8*width)."""
-    value = (int.from_bytes(block, "big") + 1) % (1 << (8 * width))
-    return value.to_bytes(width, "big")

@@ -27,7 +27,7 @@ from typing import Callable
 from .core.config import ApnaConfig
 from .topology import TopologyError, TopologySpec, World
 
-__all__ = ["Scenario", "build", "describe", "names", "register", "spec"]
+__all__ = ["Scenario", "build", "names", "register", "spec"]
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,6 @@ def register(
 def names() -> list[str]:
     """All registered preset names, sorted."""
     return sorted(_REGISTRY)
-
-
-def describe() -> list[tuple[str, str]]:
-    """``(name, description)`` pairs for every registered preset."""
-    return [(s.name, s.description) for _, s in sorted(_REGISTRY.items())]
 
 
 def spec(preset: str) -> TopologySpec:

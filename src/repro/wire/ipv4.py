@@ -99,7 +99,7 @@ class Ipv4Header:
         return header[:10] + struct.pack(">H", cksum) + header[12:]
 
     @classmethod
-    def parse(cls, data: bytes, *, verify_checksum: bool = True) -> "Ipv4Header":
+    def parse(cls, data: bytes) -> "Ipv4Header":
         if len(data) < HEADER_SIZE:
             raise ParseError(f"IPv4 header needs {HEADER_SIZE} bytes, got {len(data)}")
         (
@@ -118,7 +118,7 @@ class Ipv4Header:
             raise ParseError(f"not an IPv4 packet (version={version_ihl >> 4})")
         if version_ihl & 0x0F != 5:
             raise ParseError("IPv4 options are not supported")
-        if verify_checksum and checksum(data[:HEADER_SIZE]) != 0:
+        if checksum(data[:HEADER_SIZE]) != 0:
             raise ParseError("IPv4 header checksum mismatch")
         return cls(
             src=src,

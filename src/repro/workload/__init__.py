@@ -3,7 +3,7 @@ substitute), packet pools for the Fig. 8 forwarding experiments, and
 traffic profiles that replay traces against a built
 :class:`~repro.topology.World`."""
 
-from .analyzer import TraceStats, analyze, concurrent_flows, ephid_demand_per_second
+from .analyzer import TraceStats, analyze
 from .flows import (
     PAPER_HOSTS,
     PAPER_PEAK_RATE,
@@ -28,6 +28,4 @@ __all__ = [
     "analyze",
     "build_apna_pool",
     "build_ipv4_pool",
-    "concurrent_flows",
-    "ephid_demand_per_second",
 ]

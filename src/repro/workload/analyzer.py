@@ -3,7 +3,7 @@
 "We identify 1,266,598 unique hosts generating a peak rate of 3,888
 active HTTP(S) sessions per second."  The analyzer computes unique-host
 counts and the peak per-second new-session rate from a (synthetic)
-trace, plus the concurrency profile used by the revocation experiment.
+trace.
 """
 
 from __future__ import annotations
@@ -52,19 +52,3 @@ def analyze(trace: dict[str, np.ndarray], *, duration: float | None = None) -> T
         mean_duration=float(durations.mean()),
         p98_duration=float(np.percentile(durations, 98)),
     )
-
-
-def concurrent_flows(trace: dict[str, np.ndarray], at: float) -> int:
-    """Flows active at time ``at`` (started, not yet ended)."""
-    starts = trace["start"]
-    ends = starts + trace["duration"]
-    return int(((starts <= at) & (ends > at)).sum())
-
-
-def ephid_demand_per_second(
-    trace: dict[str, np.ndarray], *, horizon: float
-) -> np.ndarray:
-    """Per-second EphID issuance demand under per-flow EphIDs: exactly the
-    new-session rate (every new flow needs a fresh EphID)."""
-    starts = trace["start"]
-    return np.bincount(starts.astype(np.int64), minlength=int(horizon) + 1)

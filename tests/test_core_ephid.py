@@ -16,6 +16,7 @@ from repro.core.ephid import (
     IvAllocator,
 )
 from repro.core.errors import EphIdError
+from repro.crypto.aes import PureAES
 from repro.crypto.rng import DeterministicRng
 
 ENC_KEY = bytes(range(16))
@@ -102,6 +103,20 @@ def test_field_ranges(codec):
         codec.seal(hid=0, exp_time=0, iv=2**32)
     with pytest.raises(EphIdError):
         codec.seal(hid=-1, exp_time=0, iv=0)
+
+
+def test_matches_fig6_over_the_spec_cipher(codec):
+    """Fig. 6 written out over :class:`PureAES`: single-block CTR for the
+    ciphertext, and a CBC-MAC over one fixed 16-byte block — which is one
+    block encryption — for the tag."""
+    for hid, exp_time, iv in ((1, 2, 3), (0xDEADBEEF, 2**32 - 1, 0), (7, 10**9, 2**31)):
+        keystream = PureAES(ENC_KEY).encrypt_block(struct.pack(">I", iv) + bytes(12))
+        ciphertext = bytes(
+            x ^ k for x, k in zip(struct.pack(">II", hid, exp_time), keystream)
+        )
+        mac_input = struct.pack(">I", iv) + bytes(4) + ciphertext
+        tag = PureAES(MAC_KEY).encrypt_block(mac_input)[:TAG_SIZE]
+        assert codec.seal(hid, exp_time, iv) == ciphertext + struct.pack(">I", iv) + tag
 
 
 def test_identical_keys_rejected():

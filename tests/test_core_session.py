@@ -119,11 +119,19 @@ class TestSession:
         with pytest.raises(SessionError):
             sc.open(sa_b.seal(b"for b only"))
 
-    def test_gcm_scheme_interoperates(self, pair):
+    def test_forged_sequence_numbers_do_not_move_the_window(self, pair):
+        # The EphID pair travels in the clear, so anyone can send a payload
+        # under any sequence number.  Refused, it must leave the replay
+        # window where it was, or every real payload after it is "stale".
         a, b = pair
-        sa = Session(a, b.cert, scheme="gcm")
-        sb = Session(b, a.cert, scheme="gcm")
-        assert sb.open(sa.seal(b"gcm data")) == b"gcm data"
+        sa, sb = Session(a, b.cert), Session(b, a.cert)
+        for forged_seq in (2**62, 0):
+            with pytest.raises(SessionError, match="authentication"):
+                sb.open(forged_seq.to_bytes(8, "big") + bytes(40))
+        real = [sa.seal(f"msg-{i}".encode()) for i in range(3)]
+        assert [sb.open(payload) for payload in real] == [b"msg-0", b"msg-1", b"msg-2"]
+        with pytest.raises(SessionError, match="replayed"):
+            sb.open(real[1])
 
     def test_short_payload_rejected(self, pair):
         a, b = pair

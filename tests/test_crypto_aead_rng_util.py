@@ -1,49 +1,42 @@
-"""Tests for the AEAD abstraction, RNGs and byte utilities."""
+"""Tests for the data-plane AEAD, RNGs and byte utilities."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aead import EtmScheme, GcmScheme, new_aead
+from repro.crypto.aead import EtmScheme
 from repro.crypto.rng import DeterministicRng, SystemRng
-from repro.crypto.util import ct_eq, inc_counter, xor_bytes
+from repro.crypto.util import ct_eq, xor_bytes
 
 
-@pytest.mark.parametrize("scheme", ["etm", "gcm"])
-def test_aead_roundtrip(scheme):
-    aead = new_aead(bytes(range(32)), scheme)
+def test_etm_roundtrip():
+    aead = EtmScheme(bytes(range(32)))
     nonce = bytes(12)
     sealed = aead.seal(nonce, b"secret payload", b"header")
+    assert len(sealed) == len(b"secret payload") + EtmScheme.TAG_SIZE == 30
     assert aead.open(nonce, sealed, b"header") == b"secret payload"
 
 
-@pytest.mark.parametrize("scheme", ["etm", "gcm"])
-def test_aead_rejects_wrong_aad(scheme):
-    aead = new_aead(bytes(range(32)), scheme)
+def test_etm_rejects_wrong_aad():
+    aead = EtmScheme(bytes(range(32)))
     sealed = aead.seal(bytes(12), b"data", b"aad")
     with pytest.raises(ValueError):
         aead.open(bytes(12), sealed, b"other")
 
 
-@pytest.mark.parametrize("scheme", ["etm", "gcm"])
-def test_aead_rejects_wrong_nonce(scheme):
-    aead = new_aead(bytes(range(32)), scheme)
+def test_etm_rejects_wrong_nonce():
+    aead = EtmScheme(bytes(range(32)))
     sealed = aead.seal(bytes(12), b"data")
     with pytest.raises(ValueError):
         aead.open(b"\x01" + bytes(11), sealed)
 
 
-def test_new_aead_rejects_unknown_scheme():
-    with pytest.raises(ValueError):
-        new_aead(bytes(32), "rot13")
-
-
-def test_etm_and_gcm_are_incompatible():
-    # Same key, same nonce: the two schemes must not accept each other's output.
-    key = bytes(range(32))
-    sealed = EtmScheme(key).seal(bytes(12), b"payload")
-    with pytest.raises(ValueError):
-        GcmScheme(key).open(bytes(12), sealed)
+def test_etm_rejects_malformed_input():
+    aead = EtmScheme(bytes(range(32)))
+    with pytest.raises(ValueError, match="nonce must be 12 bytes"):
+        aead.seal(bytes(8), b"data")
+    with pytest.raises(ValueError, match="shorter than the authentication tag"):
+        aead.open(bytes(12), bytes(EtmScheme.TAG_SIZE - 1))
 
 
 def test_etm_ciphertext_hides_plaintext():
@@ -124,8 +117,3 @@ def test_xor_bytes():
     with pytest.raises(ValueError):
         xor_bytes(b"\x00", b"\x00\x00")
 
-
-def test_inc_counter_wraps():
-    assert inc_counter(bytes(16)) == bytes(15) + b"\x01"
-    assert inc_counter(b"\xff" * 16) == bytes(16)
-    assert inc_counter(b"\xff" * 4, width=4) == bytes(4)

@@ -11,6 +11,7 @@
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import re
 import shutil
@@ -369,19 +370,9 @@ def test_one_crypto_provider():
     import repro.crypto as crypto
     from repro.core.ephid import EphIdCodec
     from repro.crypto import ed25519, kdf, x25519
-    from repro.crypto.aead import EtmScheme, GcmScheme, new_aead
     from repro.sharding.plan import RoutingKey
 
-    for facade in (
-        crypto.AES,
-        crypto.Cmac,
-        crypto.AesGcm,
-        GcmScheme,
-        EtmScheme,
-        new_aead,
-        EphIdCodec,
-        RoutingKey,
-    ):
+    for facade in (crypto.AES, crypto.Cmac, crypto.EtmScheme, EphIdCodec, RoutingKey):
         assert "backend" not in inspect.signature(facade).parameters, facade
     # The deleted names are spelled in pieces, so that a grep of the tree
     # for them finds none.
@@ -408,7 +399,7 @@ def test_one_crypto_provider():
     for production in (
         crypto.AES,
         crypto.Cmac,
-        crypto.AesGcm,
+        crypto.EtmScheme,
         ed25519.public_key,
         ed25519.sign,
         ed25519.verify,
@@ -422,6 +413,48 @@ def test_one_crypto_provider():
     ShardState(spec)
     with pytest.raises(ValueError, match="only crypto provider"):
         ShardState(dataclasses.replace(spec, crypto_backend="pure"))
+
+
+def test_one_aead():
+    """Every protocol path seals with the EtM scheme, and AES runs forwards
+    only: GCM, CBC and AES decryption were a second AEAD and modes no
+    protocol called, and ``Session(scheme=)`` / ``tag_size=`` were the
+    knobs that reached them.  None may grow back."""
+    import pkgutil
+
+    import repro.crypto as crypto
+    from repro.core.session import Session
+
+    banned = re.compile(r"gcm|cbc|decrypt", re.IGNORECASE)
+    modules = [crypto] + [
+        importlib.import_module(f"repro.crypto.{info.name}")
+        for info in pkgutil.iter_modules(crypto.__path__)
+    ]
+    names = set()
+    for module in modules:
+        names.add(module.__name__.rpartition(".")[2])
+        for name, value in vars(module).items():
+            names.add(name)
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                names.update(vars(value))
+    assert not sorted(filter(banned.search, names))
+    # ``cryptography``'s GCM / CBC modes and its AESGCM, imported or
+    # reached through a module attribute.
+    mode = re.compile(r"GCM|CBC")
+    imported = {}
+    for path in sorted((ROOT / "src/repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "cryptography"
+            ):
+                for alias in node.names:
+                    if mode.search(alias.name):
+                        imported[str(path.relative_to(ROOT))] = alias.name
+            elif isinstance(node, ast.Attribute) and mode.search(node.attr):
+                imported[str(path.relative_to(ROOT))] = node.attr
+    assert not imported
+    for cls in (Session, crypto.EtmScheme):
+        assert not {"scheme", "tag_size"} & set(inspect.signature(cls).parameters), cls
 
 
 def test_shard_view_keeps_nothing_per_hid_looked_up():
@@ -696,6 +729,7 @@ _TEST_ONLY_KEPT = {
     "crypto/x25519.py:pure_public_key": "spec the OpenSSL facade is checked against",
     "crypto/x25519.py:pure_shared_secret": "spec the OpenSSL facade is checked against",
     "crypto/kdf.py:pure_hmac_sha256": "spec the OpenSSL facade is checked against",
+    "crypto/cmac.py:PureCmac": "spec the OpenSSL facade is checked against",
     "state/snapshot.py:ShardSnapshot.from_rows": "the snapshot loader's model",
     "state/snapshot.py:ShardSnapshot.iter_owned": "the snapshot loader's model",
     "state/snapshot.py:ShardSnapshot.iter_live": "the snapshot loader's model",
@@ -705,6 +739,7 @@ _TEST_ONLY_KEPT = {
     "core/autonomous_system.py:ApnaAutonomousSystem.attach_host_behind_bridge": (
         "paper §VII-B bridge mode"
     ),
+    "gateway/ap.py:BridgeAccessPoint": "paper §VII-B bridge mode",
     "gateway/ap.py:BridgeAccessPoint.attach": "paper §VII-B bridge mode",
     "gateway/ap.py:BridgeAccessPoint.learned": "paper §VII-B bridge mode",
     "core/autonomous_system.py:ApnaHostNode.ota_listen": "paper §VIII-A per-packet EphIDs",
@@ -720,41 +755,53 @@ _TEST_ONLY_KEPT = {
 
 def _production_references() -> dict[str, list[tuple[str, int]]]:
     """Identifier -> ``(file, line)`` of every reference to it in the
-    production trees: a ``Name``, an ``Attribute``, an import alias, a
-    call keyword, or a string constant spelling an identifier (a runner
-    listed by module name).  A bare string statement is a docstring, not
-    a reference."""
+    production trees: a ``Name``, an ``Attribute``, a call keyword, or a
+    string constant spelling an identifier (a runner listed by module
+    name).  Importing or re-exporting a name is not a use of it: an
+    import alias and an ``__all__`` string count for nothing, and a use
+    of ``y`` after ``import x as y`` counts for ``x``.  A bare string
+    statement is a docstring, not a reference."""
     refs: dict[str, list[tuple[str, int]]] = {}
     for tree in _PRODUCTION_TREES:
         for path in sorted((ROOT / tree).rglob("*.py")):
             module = ast.parse(path.read_text())
             rel = str(path.relative_to(ROOT))
-            docstrings = {
+            skipped = {
                 id(node.value)
                 for node in ast.walk(module)
                 if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
             }
             for node in ast.walk(module):
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets
+                ):
+                    skipped.update(id(leaf) for leaf in ast.walk(node.value))
+            aliases = {
+                alias.asname: alias.name.rpartition(".")[2]
+                for node in ast.walk(module)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+                if alias.asname
+            }
+            for node in ast.walk(module):
                 if isinstance(node, ast.Name):
-                    names = [node.id]
+                    name = aliases.get(node.id, node.id)
                 elif isinstance(node, ast.Attribute):
-                    names = [node.attr]
-                elif isinstance(node, ast.alias):
-                    names = [node.name.rpartition(".")[2], node.asname]
+                    name = node.attr
                 elif isinstance(node, ast.keyword):
-                    names = [node.arg]
+                    name = node.arg
                 elif (
                     isinstance(node, ast.Constant)
                     and isinstance(node.value, str)
                     and node.value.isidentifier()
-                    and id(node) not in docstrings
+                    and id(node) not in skipped
                 ):
-                    names = [node.value]
+                    name = node.value
                 else:
                     continue
-                for name in names:
-                    if name:
-                        refs.setdefault(name, []).append((rel, node.lineno))
+                if name:
+                    refs.setdefault(name, []).append((rel, node.lineno))
     return refs
 
 

@@ -74,10 +74,6 @@ class TestRegistry:
         for name in ("fig1", "chain", "star", "transit-stub"):
             assert name in scenarios.names()
 
-    def test_describe_pairs(self):
-        described = dict(scenarios.describe())
-        assert "Fig. 1" in described["fig1"]
-
     def test_register_and_resolve_custom(self):
         name = "test-dumbbell"
         if name in scenarios.names():  # pragma: no cover - reruns in one process

@@ -13,8 +13,6 @@ from repro.workload import (
     TraceGenerator,
     analyze,
     build_ipv4_pool,
-    concurrent_flows,
-    ephid_demand_per_second,
 )
 
 
@@ -116,26 +114,6 @@ class TestAnalyzer:
         stats = analyze({"start": np.array([]), "duration": np.array([]),
                          "host_id": np.array([]), "is_https": np.array([])})
         assert stats.total_flows == 0
-
-    def test_concurrent_flows(self):
-        trace = {
-            "start": np.array([0.0, 10.0, 20.0]),
-            "duration": np.array([15.0, 15.0, 15.0]),
-            "host_id": np.array([1, 2, 3]),
-            "is_https": np.array([True, False, True]),
-        }
-        assert concurrent_flows(trace, at=12.0) == 2  # flows 1 and 2
-        assert concurrent_flows(trace, at=50.0) == 0
-
-    def test_ephid_demand_equals_new_session_rate(self):
-        trace = {
-            "start": np.array([0.2, 0.7, 1.1, 1.5, 1.9]),
-            "duration": np.ones(5),
-            "host_id": np.arange(5),
-            "is_https": np.ones(5, dtype=bool),
-        }
-        demand = ephid_demand_per_second(trace, horizon=3.0)
-        assert demand[0] == 2 and demand[1] == 3
 
 
 class TestPacketPools:
