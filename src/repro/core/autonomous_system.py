@@ -47,6 +47,7 @@ from .hostdb import (
 )
 from .infrabus import InfraBus
 from .keys import AsKeyMaterial, EphIdKeyPair, HostAsKeys
+from .lru import LruCache
 from .management import ManagementService
 from .messages import ShutoffRequest, ShutoffResponse
 from .registry import RegistryService
@@ -61,6 +62,15 @@ HID_ROUTER = 5
 
 #: Lifetime of AS service EphIDs (MS/AA/DNS/router identities).
 SERVICE_EPHID_LIFETIME = 10 * 365 * 86_400.0
+
+#: Most per-source-EphID replay windows one host keeps (see
+#: :meth:`ApnaHostNode._accept`).  Measured, no host ever holds more
+#: than one: tier-1's replay-protected worlds give each host one peer
+#: EphID, and ``python -m repro.evaluation --scale 1k`` delivers no frame
+#: to a host node.  64 leaves room for a server with many peers; an
+#: evicted window forgets only which 0-RTT payloads it saw, since every
+#: session keeps its own window.  A constant, not a knob.
+REPLAY_WINDOW_CAPACITY = 64
 
 
 @dataclass
@@ -617,7 +627,8 @@ class ApnaHostNode(Node):
         self._pending_pings: dict[tuple[int, int], Callable] = {}
         self._pending_shutoff: list[Callable] = []
         self._listeners: dict[int, Callable] = {}
-        self._replay_windows: dict[bytes, ReplayWindow] = {}
+        #: Source EphID -> its nonces' window (see :meth:`_accept`).
+        self._replay_windows = LruCache(REPLAY_WINDOW_CAPACITY)
         self._nonce_counter = 0
         self.inbox: list[tuple[Session, TransportHeader, bytes]] = []
         self.icmp_log: list[icmp_wire.IcmpMessage] = []
@@ -880,30 +891,55 @@ class ApnaHostNode(Node):
         self._owed.append(partial(callback, *args))
 
     def _accept(self, frame_bytes: bytes) -> None:
-        packet = ApnaPacket.from_wire(
-            frame_bytes, with_nonce=self.assembly.config.replay_protection
-        )
+        """Parse one frame and hand it to its payload type's handler.
+
+        With ``replay_protection`` on, the nonce is first tested against
+        the source EphID's :class:`ReplayWindow`, which records nothing.
+        It is recorded, and the window created, only once a handler
+        returns true: the frame's payload authenticated under a key its
+        sender holds, as a session payload that opens (``PT_DATA``,
+        ``PT_DATA_OTA``, 0-RTT data) or an EphID reply sealed under kHA.
+        So a forged frame can neither move a peer's window past its real
+        nonces nor grow ``_replay_windows``.  A frame that nothing
+        authenticates records nothing: one with no session, a payload
+        that fails ``session.open``, a handshake whose only credential
+        is a certificate (certificates are public, so a valid one vouches
+        for itself, not for the frame), a shutoff response or a plaintext
+        ICMP message.  Such a frame can be replayed, but it could as well
+        be forged.
+        """
+        replay_protection = self.assembly.config.replay_protection
+        packet = ApnaPacket.from_wire(frame_bytes, with_nonce=replay_protection)
         header = packet.header
-        if self.assembly.config.replay_protection:
-            window = self._replay_windows.setdefault(header.src_ephid, ReplayWindow())
-            if header.nonce is None or not window.check(header.nonce):
+        if replay_protection:
+            window = self._replay_windows.get(header.src_ephid)
+            if header.nonce is None or (
+                window is not None and not window.fresh(header.nonce)
+            ):
                 self.replay_drops += 1
                 return
         payload_type, body = framing.unframe(packet.payload)
+        authentic = False
         if payload_type == framing.PT_DATA:
-            self._on_data(packet, body)
+            authentic = self._on_data(packet, body)
         elif payload_type == framing.PT_DATA_OTA:
-            self._on_data_ota(body)
+            authentic = self._on_data_ota(body)
         elif payload_type == framing.PT_CONN_REQUEST:
-            self._on_conn_request(packet, body)
+            authentic = self._on_conn_request(packet, body)
         elif payload_type == framing.PT_CONN_ACCEPT:
             self._on_conn_accept(packet, body)
         elif payload_type == framing.PT_CONTROL_REP:
-            self._on_control_reply(body)
+            authentic = self._on_control_reply(body)
         elif payload_type == framing.PT_SHUTOFF_RESP:
             self._on_shutoff_response(body)
         elif payload_type == framing.PT_ICMP:
             self._on_icmp(packet, body)
+        if authentic and replay_protection:
+            window = self._replay_windows.hit(header.src_ephid)
+            if window is None:
+                window = ReplayWindow()
+                self._replay_windows.put(header.src_ephid, window)
+            window.check(header.nonce)
 
     def _dispatch_segment(
         self, session: Session, transport: TransportHeader, data: bytes
@@ -914,43 +950,49 @@ class ApnaHostNode(Node):
         else:
             self.inbox.append((session, transport, data))
 
-    def _on_data(self, packet: ApnaPacket, body: bytes) -> None:
+    # Each handler returns whether the frame's payload authenticated
+    # (see :meth:`_accept`); the ones that never do return nothing.
+
+    def _on_data(self, packet: ApnaPacket, body: bytes) -> bool:
         key = (packet.header.dst_ephid, packet.header.src_ephid)
         session = self.sessions.get(key)
         if session is None:
-            return
+            return False
         transport, data = split_segment(session.open(body))
         self._owe(self._dispatch_segment, session, transport, data)
+        return True
 
-    def _on_data_ota(self, body: bytes) -> None:
+    def _on_data_ota(self, body: bytes) -> bool:
         """One-time-tagged data: the header's EphIDs carry no session
         information, the flow tag does (Section VIII-A, reference [23])."""
         tag, sealed = unpack_tagged(body)
         session = self.demux.match(tag)
         transport, data = split_segment(session.open(sealed))
         self._owe(self._dispatch_segment, session, transport, data)
+        return True
 
-    def _on_conn_request(self, packet: ApnaPacket, body: bytes) -> None:
+    def _on_conn_request(self, packet: ApnaPacket, body: bytes) -> bool:
+        """True only if the request carried 0-RTT data that opened."""
         request = ConnectionRequest.parse(body)
         self.stack.verify_peer_cert(request.cert)
         local = self.owned.get(packet.header.dst_ephid)
         if local is None:
-            return
+            return False
         if local.receive_only:
-            self._accept_via_serving_ephid(request, local)
-            return
+            return self._accept_via_serving_ephid(request, local)
         session = self.sessions.get((local.ephid, request.cert.ephid))
         if session is None:
             session = Session(local, request.cert)
             self.sessions[(local.ephid, request.cert.ephid)] = session
             if self.on_connection is not None:
                 self._owe(self.on_connection, session)
-        if request.early_data:
-            self._deliver_early(session, request.early_data, session)
+        return bool(request.early_data) and self._deliver_early(
+            session, request.early_data, session
+        )
 
     def _accept_via_serving_ephid(
         self, request: ConnectionRequest, receive_only: OwnedEphId
-    ) -> None:
+    ) -> bool:
         """The Section VII-A server flow: answer with a serving EphID."""
         serving = self.acquire_ephid_direct()
         serving_session = Session(serving, request.cert)
@@ -968,13 +1010,12 @@ class ApnaHostNode(Node):
         self._transmit(reply)
         if self.on_connection is not None:
             self._owe(self.on_connection, serving_session)
-        if request.early_data:
-            # 0-RTT data was encrypted against the receive-only EphID's
-            # key; decrypt with it but hand the application the serving
-            # session, which is what replies must flow through.
-            self._deliver_early(
-                Session(receive_only, request.cert), request.early_data, serving_session
-            )
+        # 0-RTT data was encrypted against the receive-only EphID's key;
+        # decrypt with it but hand the application the serving session,
+        # which is what replies must flow through.
+        return bool(request.early_data) and self._deliver_early(
+            Session(receive_only, request.cert), request.early_data, serving_session
+        )
 
     def _on_conn_accept(self, packet: ApnaPacket, body: bytes) -> None:
         accept = ConnectionAccept.parse(body)
@@ -993,19 +1034,20 @@ class ApnaHostNode(Node):
                 self._owe(callback, session)
                 break
 
-    def _deliver_early(self, opener: Session, sealed: bytes, session: Session) -> None:
+    def _deliver_early(self, opener: Session, sealed: bytes, session: Session) -> bool:
         """0-RTT data, opened under ``opener`` and handed to the
-        application on ``session``.  Data that does not open is dropped;
-        the connection stands without it."""
+        application on ``session``; whether it opened.  Data that does
+        not open is dropped; the connection stands without it."""
         try:
             transport, data = split_segment(opener.open(sealed))
         except (SessionError, WireError):
-            return
+            return False
         self._owe(self._dispatch_segment, session, transport, data)
+        return True
 
-    def _on_control_reply(self, sealed: bytes) -> None:
+    def _on_control_reply(self, sealed: bytes) -> bool:
         if not self._pending_ephid:
-            return
+            return False
         keypair, callback = self._pending_ephid[0]
         owned = self.stack.accept_ephid_reply(keypair, sealed)
         # Only an authentic reply settles the request; a garbled one
@@ -1014,6 +1056,7 @@ class ApnaHostNode(Node):
         self.owned[owned.ephid] = owned
         if callback is not None:
             self._owe(callback, owned)
+        return True
 
     def _on_shutoff_response(self, body: bytes) -> None:
         response = ShutoffResponse.parse(body)

@@ -21,7 +21,8 @@ Per-host CMAC contexts
 ----------------------
 
 Steady-state verification costs one AES pass over the packet because
-each host's CMAC context (key schedule and subkeys) is kept — in one
+each host's CMAC context (key schedule and subkeys, a raw
+``CmacContext`` of :mod:`repro.crypto.cmac`) is kept — in one
 :class:`~repro.core.lru.LruCache` of :data:`MAC_CACHE_CAPACITY` contexts
 (8192, ~950 B each, so under 8 MB per router), never in a map that grows
 with the sources seen: a flash crowd of first-contact hosts evicts the
@@ -29,14 +30,21 @@ least recently used context, one per insertion, instead of inflating the
 router.  The capacity is a constant sized from the MAC-reaching working
 sets of the benchmark's warm workloads — 1024 sources per shard on
 ``mixed_imix_pipelined``, ~650 growing to ~1300 per shard on
-``churn_hostile`` — so every warm workload stays fully resident.  A miss
+``churn_hostile`` — so every warm workload stays fully resident.  The
+burst path probes the cache inside its EphID ladder (below); a miss
 fetches the key with ``hostdb.packet_mac_key(hid)`` (on the columnar
 stores a 16-byte slice of the pooled key column — no per-host record is
-built) and builds the context.  There is deliberately no one-shot path
-for a HID seen once in a burst: measured, a one-shot CMAC (build, update,
-finalize) costs 1.69 µs against 1.41 µs build + 0.49 µs copy-and-tag =
-1.90 µs for the reusable context, ~1.5 % of a 64-frame cold burst — not
-worth a second code path.
+built), builds the context and inserts it, with no Python call beyond
+the key fetch: the LRU's ``get`` / ``move_to_end`` / ``popitem`` are
+inlined and the context is the OpenSSL object itself, no wrapper.  A burst with
+more first-contact HIDs than the capacity evicts contexts it built
+itself; the burst still holds them until its MAC pass.  There is
+deliberately no one-shot path for a HID seen once in a burst: measured,
+a one-shot CMAC (build, update, finalize) costs 1.69 µs against 1.41 µs
+build + 0.49 µs copy-and-tag = 1.90 µs for the reusable context, ~1.5 %
+of a 64-frame cold burst — not worth a second code path.  The scalar
+pipeline builds a fresh :class:`~repro.crypto.cmac.Cmac` per packet: it
+is the spec, and shares no cache with the path it checks.
 
 :meth:`BorderRouter.forget_host` drops one host's context.  A
 :class:`~repro.sharding.worker.ShardState` calls it when a
@@ -66,16 +74,20 @@ header (:mod:`repro.wire.apna`) — source AID ``[0:4]``, source EphID
 ``[4:20]``, destination EphID ``[20:36]``, destination AID ``[36:40]``,
 MAC ``[40:48]`` and, when the router runs a replay filter (the one
 stage that reads it), the Section VIII-D nonce ``[48:56]`` — and the MAC
-input is ``frame[:40] + zero MAC + frame[48:]``.  A burst pays one clock read
-and one revocation prune; each *distinct* source/destination EphID is
-opened (:meth:`~repro.core.ephid.EphIdCodec.open_batch`, two bulk ECB
-calls) and checked once; MACs are verified grouped by HID through each
-host's cached CMAC context (:meth:`~repro.crypto.cmac.Cmac.tag_many`);
-replay keys go through one
+input is ``frame[:40] + zero MAC + frame[48:]``.  A burst pays one clock
+read and one revocation prune.  Each side's *distinct* EphIDs go through
+one ladder pass (:meth:`BorderRouter._ladder`): opened together
+(:meth:`~repro.core.ephid.EphIdCodec.open_batch`, two bulk ECB calls),
+then checked once each; on the source side the same pass resolves each
+admitted EphID to its host's CMAC context, so the Python work per
+source host is the revocation and liveness probes, plus the key fetch on
+first contact.  The MACs of every admitted frame are then one column
+(:func:`~repro.crypto.cmac.tag_column`: a context per frame, many frames
+sharing one), and the replay keys go through one
 :meth:`~repro.core.replay_filter.RotatingReplayFilter.observe_many`.
 
-The tag checks are column passes too: a column of EphID tags (inside
-``open_batch``) and each HID group's packet MACs are compared *joined*,
+The tag checks are column passes too: the column of EphID tags (inside
+``open_batch``) and the burst's packet MACs are each compared *joined*,
 all computed tags against all carried ones in a single ``ct_eq``, and
 only a column that fails is walked element by element, again with
 ``ct_eq``, to charge exactly the forged EphIDs or the ``BAD_MAC``
@@ -87,7 +99,9 @@ Each verdict leaves as its packed 11-byte record (:mod:`repro.core.
 verdict`, the one definition of the layout) — one constant per
 :class:`DropReason` (``DROP_RECORDS``), ``INTER_HEAD + dst_aid`` for
 ``FORWARD_INTER``, ``INTRA_HEAD + hid + INTRA_TAIL`` for ``FORWARD_INTRA``
-— so a shard's reply is a header plus ``b"".join(records)``.
+— so a shard's reply is a header plus ``b"".join(records)``.  Every
+record starts as its frame's ``FORWARD_INTER`` one; only drops and
+intra-AS deliveries overwrite it.
 :func:`~repro.core.verdict.verdicts_of` turns records into
 :class:`Verdict` objects at the API edge, out of a bounded intern table.
 
@@ -104,7 +118,7 @@ the :mod:`repro.state` columns; the scalar pipelines stay as the
 one-screen spec and that oracle.  They share no predicate with the burst
 path: each side's EphID ladder is written once for the scalar pipelines
 (:meth:`BorderRouter._admit`) and once for the burst
-(:meth:`BorderRouter._vet`), because an oracle that calls the code it
+(:meth:`BorderRouter._ladder`), because an oracle that calls the code it
 checks checks nothing.
 
 :meth:`BorderRouter.process_mixed_batch` is an adapter over
@@ -118,7 +132,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Callable, Sequence
 
-from ..crypto.cmac import Cmac
+from ..crypto.cmac import AesKey, Cmac, CmacContext, tag_column
 from ..crypto.util import ct_eq
 from ..wire import icmp as icmp_wire
 from ..wire.apna import (
@@ -208,7 +222,7 @@ class BorderRouter:
         self._hostdb = hostdb
         self._revocations = revocations
         self._clock = clock
-        self._mac_cache = LruCache(MAC_CACHE_CAPACITY)  # hid -> Cmac
+        self._mac_cache = LruCache(MAC_CACHE_CAPACITY)  # hid -> CmacContext
         #: Optional in-network replay detection (Section VIII-D future
         #: work; see :mod:`repro.core.replay_filter`).  Checked on both
         #: pipelines for packets that carry the replay nonce.
@@ -220,13 +234,6 @@ class BorderRouter:
     def _drop(self, reason: DropReason) -> Verdict:
         self.drops[reason] += 1
         return Verdict(Action.DROP, reason=reason)
-
-    def _mac_for(self, hid: int) -> Cmac:
-        mac = self._mac_cache.hit(hid)
-        if mac is None:
-            mac = Cmac(self._hostdb.packet_mac_key(hid))
-            self._mac_cache.put(hid, mac)
-        return mac
 
     def forget_host(self, hid: int) -> None:
         """Drop ``hid``'s cached CMAC context: its key changed or the
@@ -245,7 +252,9 @@ class BorderRouter:
         hid, fault = self._admit(header.src_ephid, now, _SRC_FAULTS)
         if fault is not None:
             return self._drop(fault)
-        if not packet.mac_valid(self._mac_for(hid)):
+        # The spec builds its context per packet; only the burst path
+        # caches them.
+        if not packet.mac_valid(Cmac(self._hostdb.packet_mac_key(hid))):
             return self._drop(DropReason.BAD_MAC)
         # Replay detection runs after the MAC check so that spoofed
         # packets cannot pollute the filter against a victim's nonces.
@@ -344,7 +353,9 @@ class BorderRouter:
         now = self._clock()
         self._revocations.maybe_prune(now)
         aid = self.aid.to_bytes(4, "big")
-        records: "list[bytes | None]" = [None] * len(frames)
+        # Every frame starts out forwarded toward its destination AS; only
+        # drops and intra-AS deliveries overwrite that record.
+        records = [INTER_HEAD + frame[DST_AID_FIELD] for frame in frames]
         foreign: list[int] = []  # egress frames of another AS's source AID
         by_src: dict[bytes, list[int]] = {}  # the rest, by source EphID
         checked: list[int] = []  # frames due the replay check
@@ -359,29 +370,31 @@ class BorderRouter:
                 checked.append(k)
             else:  # transit
                 inter += 1
-                records[k] = INTER_HEAD + frame[DST_AID_FIELD]
         self._drop_frames(DropReason.NOT_LOCAL_SOURCE, foreign, records)
-        # Source side: MAC work grouped by HID so each group reuses one
-        # cached CMAC context.
-        bad_mac: list[int] = []
-        for hid, group in self._vet(by_src, now, _SRC_FAULTS, records).items():
-            tags = self._mac_for(hid).tag_many(
-                [
-                    frames[k][_BEFORE_MAC] + _ZERO_MAC + frames[k][_AFTER_MAC]
-                    for k in group
-                ],
-                MAC_SIZE,
-            )
-            carried = [frames[k][MAC_FIELD] for k in group]
-            # One joined compare per group; frame by frame only to
-            # locate the bad MACs of a group that fails it.
-            if ct_eq(b"".join(tags), b"".join(carried)):
-                checked += group
-            else:
-                for k, tag, mac in zip(group, tags, carried):
-                    (checked if ct_eq(tag, mac) else bad_mac).append(k)
-        self._drop_frames(DropReason.BAD_MAC, bad_mac, records)
-        # Replay inserts happen in arrival order (the MAC groups and the
+        # Source side: one MAC column over the admitted frames, each
+        # tagged under its host's context.
+        contexts: list = []
+        signed = self._ladder(by_src, now, _SRC_FAULTS, records, contexts)
+        tags = tag_column(
+            contexts,
+            [
+                frames[k][_BEFORE_MAC] + _ZERO_MAC + frames[k][_AFTER_MAC]
+                for k in signed
+            ],
+            MAC_SIZE,
+        )
+        carried = b"".join([frames[k][MAC_FIELD] for k in signed])
+        # One joined compare per burst; frame by frame only to locate the
+        # bad MACs of a burst that fails it.
+        if ct_eq(tags, carried):
+            checked += signed
+        else:
+            bad_mac: list[int] = []
+            for at, k in zip(range(0, len(tags), MAC_SIZE), signed):
+                ok = ct_eq(tags[at : at + MAC_SIZE], carried[at : at + MAC_SIZE])
+                (checked if ok else bad_mac).append(k)
+            self._drop_frames(DropReason.BAD_MAC, bad_mac, records)
+        # Replay inserts happen in arrival order (the source EphIDs and the
         # ingress frames interleave), after the MAC check so spoofed
         # packets cannot pollute the filter against a victim's nonces.
         checked.sort()
@@ -399,22 +412,19 @@ class BorderRouter:
         by_dst: dict[bytes, list[int]] = {}  # local deliveries, by dst EphID
         for k, ok in zip(checked, fresh):
             frame = frames[k]
-            dst_aid = frame[DST_AID_FIELD]
             if not ok:
                 replayed.append(k)
-            elif dst_aid == aid:
+            elif frame[DST_AID_FIELD] == aid:
                 by_dst.setdefault(frame[DST_EPHID_FIELD], []).append(k)
             else:
                 inter += 1
-                records[k] = INTER_HEAD + dst_aid
         self._drop_frames(DropReason.REPLAYED, replayed, records)
         self.forwarded_inter += inter
-        for hid, group in self._vet(by_dst, now, _DST_FAULTS, records).items():
-            self.forwarded_intra += len(group)
-            record = INTRA_HEAD + hid.to_bytes(4, "big") + INTRA_TAIL
-            for k in group:
-                records[k] = record
-        return records  # type: ignore[return-value]  # every slot is filled
+        if by_dst:
+            self.forwarded_intra += len(
+                self._ladder(by_dst, now, _DST_FAULTS, records)
+            )
+        return records
 
     def _drop_frames(
         self, reason: DropReason, group: "list[int]", records: list
@@ -424,17 +434,29 @@ class BorderRouter:
         for k in group:
             records[k] = record
 
-    def _vet(
+    def _ladder(
         self,
         by_ephid: "dict[bytes, list[int]]",
         now: float,
         faults: "tuple[DropReason, ...]",
         records: list,
-    ) -> "dict[int, list[int]]":
-        """Open and check each distinct EphID of a burst column
-        (``by_ephid`` maps it to the frames that carry it).  Frames of
-        an EphID the scalar ladder refuses get the drop record of the
-        matching one of ``faults``; the rest come back grouped by HID.
+        contexts: "list | None" = None,
+    ) -> "list[int]":
+        """The burst's EphID ladder over one side's column (``by_ephid``
+        maps each distinct EphID to the frames that carry it): one
+        :meth:`~repro.core.ephid.EphIdCodec.open_batch`, then one pass
+        that checks each EphID as :meth:`_admit` does.  Frames of an
+        EphID it refuses get the drop record of the matching one of
+        ``faults``.  Returns the admitted frames.
+
+        On the source side (``contexts`` given) the same pass resolves
+        each admitted EphID's HID to its cached CMAC context — on a miss
+        it fetches ``packet_mac_key``, builds the context and inserts
+        it, evicting the least recently used — and appends it to
+        ``contexts`` once per admitted frame, aligned with the result.
+        A context evicted later in the same burst stays referenced
+        there.  On the destination side admitted frames get their
+        intra-AS record.
 
         Bursts repeat EphIDs heavily (a flow's packets share one), so
         deduplication removes most of the per-packet cost before the
@@ -442,24 +464,42 @@ class BorderRouter:
         """
         forged, expired, revoked, hid_invalid = faults
         contains, is_valid = self._revocations.contains, self._hostdb.is_valid
-        by_hid: dict[int, list[int]] = {}
+        fetch_key, cache = self._hostdb.packet_mac_key, self._mac_cache
+        refused: "dict[DropReason, list[int]]" = {}
+        admitted: list[int] = []
         infos = self._codec.open_batch(list(by_ephid))
         for (ephid, group), info in zip(by_ephid.items(), infos):
             if info is None:
-                self._drop_frames(forged, group, records)
-                continue
-            hid, exp_time = info
-            if exp_time < now:
-                self._drop_frames(expired, group, records)
-            elif contains(ephid):
-                self._drop_frames(revoked, group, records)
-            elif not is_valid(hid):
-                self._drop_frames(hid_invalid, group, records)
-            elif hid in by_hid:
-                by_hid[hid] += group
+                fault = forged
             else:
-                by_hid[hid] = group
-        return by_hid
+                hid, exp_time = info
+                if exp_time < now:
+                    fault = expired
+                elif contains(ephid):
+                    fault = revoked
+                elif not is_valid(hid):
+                    fault = hid_invalid
+                else:
+                    admitted += group
+                    if contexts is None:
+                        record = INTRA_HEAD + hid.to_bytes(4, "big") + INTRA_TAIL
+                        for k in group:
+                            records[k] = record
+                        continue
+                    # The LRU's hit / put, inlined: no Python frame per HID.
+                    context = cache.get(hid)
+                    if context is None:
+                        context = cache[hid] = CmacContext(AesKey(fetch_key(hid)))
+                        if len(cache) > cache.capacity:
+                            cache.popitem(last=False)
+                    else:
+                        cache.move_to_end(hid)
+                    contexts += [context] * len(group)
+                    continue
+            refused.setdefault(fault, []).extend(group)
+        for fault, group in refused.items():
+            self._drop_frames(fault, group, records)
+        return admitted
 
     def process_mixed_batch(
         self, packets: "list[ApnaPacket]", egress: "list[bool]"

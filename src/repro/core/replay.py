@@ -22,13 +22,17 @@ class ReplayWindow:
         self.accepted = 0
         self.rejected = 0
 
+    def fresh(self, nonce: int) -> bool:
+        """Whether :meth:`check` would accept ``nonce``; records nothing."""
+        return (
+            nonce >= 0
+            and nonce > self._max_seen - self.window
+            and nonce not in self._seen
+        )
+
     def check(self, nonce: int) -> bool:
         """True (and record it) if ``nonce`` is fresh; False for replays."""
-        if nonce < 0:
-            self.rejected += 1
-            return False
-        floor = self._max_seen - self.window
-        if nonce <= floor or nonce in self._seen:
+        if not self.fresh(nonce):
             self.rejected += 1
             return False
         self._seen.add(nonce)

@@ -7,16 +7,26 @@ this reproduction uses for packet authentication.
 
 :class:`Cmac` is OpenSSL's CMAC; :class:`PureCmac` is the from-scratch
 RFC 4493 construction, the spec ``tests/test_crypto_backends.py``
-compares it against.
+compares it against.  The border router's burst path uses neither
+wrapper: it keeps raw per-host contexts (``CmacContext(AesKey(key))``)
+and tags a whole burst with one :func:`tag_column` call.
 """
 
 from __future__ import annotations
 
-from cryptography.hazmat.primitives.ciphers.algorithms import AES as _AesKey
-from cryptography.hazmat.primitives.cmac import CMAC
+from itertools import repeat
+
+from cryptography.hazmat.primitives.ciphers.algorithms import AES as AesKey
+from cryptography.hazmat.primitives.cmac import CMAC as CmacContext
 
 from .aes import BLOCK_SIZE, PureAES
 from .util import ct_eq, xor_bytes
+
+# ``CmacContext(AesKey(key))`` is one key's CMAC context (key schedule
+# and subkeys), what :func:`tag_column` consumes.  The two OpenSSL
+# classes are re-exported unwrapped: the border router builds a context
+# on first contact without importing ``cryptography`` and without a
+# Python frame of this package.
 
 _R128 = 0x87
 
@@ -29,18 +39,38 @@ def _left_shift(block: bytes) -> bytes:
     return out.to_bytes(BLOCK_SIZE, "big")
 
 
+def tag_column(contexts, messages, length: int = BLOCK_SIZE) -> bytes:
+    """Tag ``messages[k]`` under ``contexts[k]`` for every ``k`` and
+    return the tags, each truncated to ``length`` bytes, joined.
+
+    Each tag copies, updates and finalizes its context, so a context
+    (see ``CmacContext``) may serve any number of messages and stays
+    reusable.  The border router passes a whole burst — one context per
+    admitted frame, many frames sharing one — and compares the result
+    with the joined carried MACs in a single ``ct_eq``.
+    """
+    if not 1 <= length <= BLOCK_SIZE:
+        raise ValueError("tag length must be between 1 and 16 bytes")
+    tags = []
+    for base, message in zip(contexts, messages):
+        ctx = base.copy()
+        ctx.update(message)
+        tags.append(ctx.finalize()[:length])
+    return b"".join(tags)
+
+
 class Cmac:
     """A reusable AES-CMAC instance bound to one key, run by OpenSSL.
 
     A base CMAC context is initialised once (key schedule and subkey
-    derivation) and ``copy()``-ed per tag, so the border router's cached
-    per-host instances pay only the message pass on each packet.
+    derivation) and ``copy()``-ed per tag, so each tag pays only the
+    message pass.
     """
 
     __slots__ = ("_base",)
 
     def __init__(self, key: bytes) -> None:
-        self._base = CMAC(_AesKey(key))
+        self._base = CmacContext(AesKey(key))
 
     def tag(self, message: bytes, length: int = BLOCK_SIZE) -> bytes:
         """Compute the CMAC tag, optionally truncated to ``length`` bytes."""
@@ -51,21 +81,10 @@ class Cmac:
         return ctx.finalize()[:length]
 
     def tag_many(self, messages, length: int = BLOCK_SIZE) -> list[bytes]:
-        """Tag a burst of messages under the shared key schedule.
-
-        Each message still needs its own CMAC finalization, but the loop
-        stays inside one call; the result is element-for-element
-        identical to calling :meth:`tag` on each message.
-        """
-        if not 1 <= length <= BLOCK_SIZE:
-            raise ValueError("tag length must be between 1 and 16 bytes")
-        copy = self._base.copy
-        out = []
-        for message in messages:
-            ctx = copy()
-            ctx.update(message)
-            out.append(ctx.finalize()[:length])
-        return out
+        """:meth:`tag` over each of ``messages``: :func:`tag_column`
+        under this one key, split back into a list."""
+        joined = tag_column(repeat(self._base), messages, length)
+        return [joined[k : k + length] for k in range(0, len(joined), length)]
 
     def verify(self, message: bytes, tag: bytes) -> bool:
         """Verify a (possibly truncated) tag in constant time."""

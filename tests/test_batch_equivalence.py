@@ -602,7 +602,7 @@ class TestBulkPrimitives:
             cipher.encrypt_blocks(b"\x00" * 15)
 
     def test_tag_many(self, key):
-        from repro.crypto.cmac import Cmac
+        from repro.crypto.cmac import AesKey, Cmac, CmacContext, tag_column
 
         mac = Cmac(key)
         messages = [bytes([i]) * (i * 7 % 40) for i in range(12)]
@@ -610,3 +610,19 @@ class TestBulkPrimitives:
         assert mac.tag_many([], 8) == []
         with pytest.raises(ValueError):
             mac.tag_many(messages, 0)
+        # The column: a context per message, contexts shared and reused.
+        keys = [key, bytes(16), key[::-1]]
+        macs = [Cmac(k) for k in keys]
+        contexts = [CmacContext(AesKey(k)) for k in keys]
+        owner = [i % 3 for i in range(len(messages))]
+        expected = b"".join(macs[o].tag(m, 8) for o, m in zip(owner, messages))
+        column = [contexts[o] for o in owner]
+        assert tag_column(column, messages, 8) == expected
+        assert tag_column(column, messages, 8) == expected  # contexts reusable
+        assert tag_column(column, messages) == b"".join(
+            macs[o].tag(m) for o, m in zip(owner, messages)
+        )
+        assert tag_column([], [], 8) == b""
+        for length in (0, 17):
+            with pytest.raises(ValueError):
+                tag_column(column, messages, length)

@@ -12,8 +12,12 @@ from: re-keying or revoking a HID on a shard drops it.
 
 import dataclasses
 import gc
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.core import border_router
 from repro.core.border_router import Action, BorderRouter, DropReason, Verdict
@@ -22,13 +26,15 @@ from repro.core.errors import RevokedError, UnknownHostError
 from repro.core.hostdb import FIRST_HOST_HID, HostDatabase, HostRecord
 from repro.core.keys import HostAsKeys
 from repro.core.revocation import RevocationList
+from repro.core.verdict import verdicts_of
 from repro.crypto.cmac import Cmac
 from repro.sharding import wire
 from repro.sharding.plan import ShardPlan
 from repro.sharding.worker import ShardState
 from repro.state import ColumnarHostDatabase, ShardSnapshot
-from repro.wire.apna import ApnaHeader, ApnaPacket
+from repro.wire.apna import SRC_EPHID_FIELD, ApnaHeader, ApnaPacket
 
+from tests.test_batch_equivalence import _smoke_twin, traffic
 from tests.test_state_store import _outcome, _shard_spec
 
 #: Every shard here is ``tests.test_state_store``'s; frames are sealed
@@ -181,16 +187,20 @@ def test_flash_crowd_grows_neither_router_nor_view(monkeypatch):
     a time between eight warm hosts, one frame of each burst tampered:
     the cache stays at its bound, every verdict is the scalar oracle's,
     the warm hosts are never evicted, and nothing per source survives in
-    the router or the view (gc object count flat from 1x to 4x)."""
+    the router or the view (gc object count flat from 1x to 4x).  Then
+    one burst of 2x the capacity in first contacts, whose ladder evicts
+    contexts it built itself before its MAC pass runs: its records are
+    still the scalar oracle's, byte for byte."""
     monkeypatch.setattr(border_router, "MAC_CACHE_CAPACITY", CAPACITY)
-    hids = [FIRST_HOST_HID + i for i in range(WARM + 4 * CAPACITY)]
+    hids = [FIRST_HOST_HID + i for i in range(WARM + 6 * CAPACITY)]
     rows = [(hid, b"\x0c" * 16, _mac_key(hid), False) for hid in hids]
     state = ShardState(
         _spec(snapshot=ShardSnapshot.from_rows(rows, hids, []).encode())
     )
     oracle = _scalar_oracle(rows)
     cache = state.router._mac_cache
-    warm, crowd = hids[:WARM], hids[WARM:]
+    warm, crowd = hids[:WARM], hids[WARM : WARM + 4 * CAPACITY]
+    overflow = hids[WARM + 4 * CAPACITY :]
     objects = {}
     for seen in range(WARM, len(crowd) + 1, WARM):
         fresh = [_packet(hid, _mac_key(hid)) for hid in crowd[seen - WARM : seen]]
@@ -212,6 +222,82 @@ def test_flash_crowd_grows_neither_router_nor_view(monkeypatch):
     assert len(cache) == cache.capacity == CAPACITY
     assert all(hid in cache for hid in warm)
     assert objects[4 * CAPACITY] - objects[CAPACITY] < 16, objects
+    packets = [_packet(hid, _mac_key(hid)) for hid in overflow]
+    # The contexts of the first two are evicted before the MAC pass; the
+    # last one's is not.
+    for k in (0, CAPACITY - 1, len(packets) - 1):
+        packets[k] = _tampered(packets[k])
+    frames = [packet.to_wire() for packet in packets]
+    reply = state.handle(
+        wire.encode_burst(NOW, 0, frames, [wire.EGRESS] * len(frames))
+    )
+    assert reply == wire.encode_verdicts(
+        0, [oracle.process_outgoing(packet) for packet in packets]
+    )
+    assert wire.decode_verdicts(reply)[1].count(BAD_MAC) == 3
+    assert list(cache) == overflow[-CAPACITY:]
+
+
+# --------------------------------------------------------------------------
+# The Python work per source host is a count
+
+#: Python calls ``process_burst`` may make per extra distinct source
+#: EphID (the revocation and liveness probes), and on top per first
+#: contact (the key fetch: ``packet_mac_key``, the key slot, the row
+#: map).  Measured under CPython 3.11.7, where a 64-frame egress burst
+#: of one warm source, 64 warm sources and 64 first contacts makes
+#: 20 / 146 / 338 such calls; counts are per interpreter.
+PER_SOURCE_CALLS = 2
+PER_FIRST_CONTACT_CALLS = 3
+_REPRO_SRC = str(Path(repro.__file__).parent)
+
+
+def _repro_calls(fn, *args):
+    """``fn(*args)`` and the ``call`` events of ``src/repro`` code it
+    fired.  Only this package's frames count, so a ``cryptography``
+    upgrade cannot move the number, and no ``c_call`` does: calls made
+    inside ``map`` do not fire them."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(_REPRO_SRC):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_per_source_host_work_is_a_budget():
+    """The burst path does no Python work per source host beyond its
+    ladder probes, and per first contact beyond the key fetch: the
+    context build, the cache probe and insert, and the MAC pass run no
+    frame of this package per host."""
+    plan = traffic.egress_cold_metro(1, traffic.SMOKE)
+    world, state, _ = _smoke_twin(plan)
+    try:
+        router = state.router
+        warm, cold = plan.bursts[0], plan.bursts[1]
+        router.process_burst(warm.frames, warm.egress)
+        single = [warm.frames[0]] * len(warm.frames)
+        bursts = ((single, warm), (warm.frames, warm), (cold.frames, cold))
+        runs = [
+            _repro_calls(router.process_burst, frames, burst.egress)
+            for frames, burst in bursts
+        ]
+    finally:
+        world.close()
+    for (records, _), burst in zip(runs, (warm, warm, cold)):
+        assert verdicts_of(b"".join(records)) == burst.expect
+    sources = len({frame[SRC_EPHID_FIELD] for frame in warm.frames})
+    assert sources == len({frame[SRC_EPHID_FIELD] for frame in cold.frames}) == 64
+    one, many, first = (calls for _, calls in runs)
+    assert many - one <= PER_SOURCE_CALLS * (sources - 1), (one, many)
+    assert first - many <= PER_FIRST_CONTACT_CALLS * sources, (many, first)
 
 
 # --------------------------------------------------------------------------

@@ -5,10 +5,14 @@ Covers: bootstrap -> EphID issuance -> connection establishment ->
 encrypted communication -> shutoff -> ICMP -> replay protection.
 """
 
+import random
+
 import pytest
 
+from repro.core import framing
+from repro.core.autonomous_system import REPLAY_WINDOW_CAPACITY
 from repro.core.config import ApnaConfig
-from repro.wire.apna import ApnaPacket, Endpoint
+from repro.wire.apna import ApnaHeader, ApnaPacket, Endpoint
 from tests.conftest import build_world
 
 
@@ -229,6 +233,79 @@ class TestReplayProtection:
         bob.handle_frame(replayed, from_node=world.as_b.node.name)
         assert len(bob.inbox) == 2  # no duplicate delivery
         assert bob.replay_drops == 1
+
+    @staticmethod
+    def _forged_data(src_ephid: bytes, real: ApnaPacket, nonce: int) -> bytes:
+        """A ``PT_DATA`` frame toward ``real``'s destination whose sealed
+        payload is garbage: nothing the forger holds opens a session."""
+        header = ApnaHeader(
+            src_aid=real.header.src_aid,
+            src_ephid=src_ephid,
+            dst_ephid=real.header.dst_ephid,
+            dst_aid=real.header.dst_aid,
+            nonce=nonce,
+        )
+        body = nonce.to_bytes(8, "big") + bytes(40)
+        return ApnaPacket(header, framing.frame(framing.PT_DATA, body)).to_wire()
+
+    def _session_with_capture(self, world):
+        """Alice -> Bob session; returns it and the frames Bob received."""
+        alice, bob = world.hosts["alice"], world.hosts["bob"]
+        bob_owned = bob.acquire_ephid_direct()
+        session = alice.connect(bob_owned.cert, early_data=b"first")
+        captured = []
+        original = bob.handle_frame
+
+        def capture(frame_bytes, *, from_node):
+            captured.append(frame_bytes)
+            original(frame_bytes, from_node=from_node)
+
+        bob.handle_frame = capture
+        world.network.run()
+        assert len(bob.inbox) == 1
+        return session, captured
+
+    def test_forged_frames_cannot_close_a_peers_window(self, world_with_nonces):
+        """An on-path forger copies the clear EphID pair of Alice's
+        frames and sends ``PT_DATA`` under it with nonces far ahead of
+        hers.  The payloads do not open, so Bob's window records none of
+        them, and every real packet Alice sends afterwards arrives."""
+        world = world_with_nonces
+        alice, bob = world.hosts["alice"], world.hosts["bob"]
+        session, captured = self._session_with_capture(world)
+        real = ApnaPacket.from_wire(captured[-1], with_nonce=True)
+        for nonce in (10**6, 10**6 + 1, 2**63):
+            bob.handle_frame(
+                self._forged_data(real.header.src_ephid, real, nonce),
+                from_node=world.as_b.node.name,
+            )
+        assert bob.malformed_frames == 3
+        for data in (b"second", b"third", b"fourth"):
+            alice.send_data(session, data)
+        world.network.run()
+        assert [entry[2] for entry in bob.inbox] == [
+            b"first", b"second", b"third", b"fourth"
+        ]
+        assert bob.replay_drops == 0
+
+    def test_forged_sources_do_not_grow_the_window_table(self, world_with_nonces):
+        """Frames from random source EphIDs authenticate nothing, so they
+        add no replay window; the table is an LRU of a fixed capacity."""
+        world = world_with_nonces
+        bob = world.hosts["bob"]
+        _, captured = self._session_with_capture(world)
+        real = ApnaPacket.from_wire(captured[-1], with_nonce=True)
+        windows = bob._replay_windows
+        before = len(windows)
+        rng = random.Random(34)
+        for nonce in range(1, 201):
+            bob.handle_frame(
+                self._forged_data(rng.randbytes(16), real, nonce),
+                from_node=world.as_b.node.name,
+            )
+        assert len(windows) == before
+        assert bob.malformed_frames == 0  # no session: dropped unopened
+        assert windows.capacity == REPLAY_WINDOW_CAPACITY
 
     def test_nonce_header_is_56_bytes(self, world_with_nonces):
         world = world_with_nonces

@@ -366,7 +366,9 @@ def test_one_crypto_provider():
     and the tests' oracle.  No registry, no process-wide switch and no
     ``backend=`` kwarg may grow back, and no production primitive may
     call into the spec — ``ShardSpec.crypto_backend`` survives only
-    because ``bench/`` still passes it."""
+    because ``bench/`` still passes it.  ``repro.crypto`` is the one
+    importer of ``cryptography``: the border router reaches OpenSSL's
+    CMAC contexts through its re-exports, never past them."""
     import repro.crypto as crypto
     from repro.core.ephid import EphIdCodec
     from repro.crypto import ed25519, kdf, x25519
@@ -396,6 +398,20 @@ def test_one_crypto_provider():
     # The field, its value check and the check's message; for_assembly's
     # literal.
     assert mentions == {"sharding/pool.py": 1, "sharding/worker.py": 3}
+    importers = []
+    for path in sorted(src.rglob("*.py")):
+        if path.parent.name == "crypto":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "cryptography" for name in names):
+                importers.append((str(path.relative_to(src)), node.lineno))
+    assert importers == []
     for production in (
         crypto.AES,
         crypto.Cmac,
