@@ -83,8 +83,11 @@ admitted EphID to its host's CMAC context, so the Python work per
 source host is the revocation and liveness probes, plus the key fetch on
 first contact.  The MACs of every admitted frame are then one column
 (:func:`~repro.crypto.cmac.tag_column`: a context per frame, many frames
-sharing one), and the replay keys go through one
-:meth:`~repro.core.replay_filter.RotatingReplayFilter.observe_many`.
+sharing one).  The replay check is one
+:meth:`~repro.core.replay_filter.RotatingReplayFilter.observe_many` over
+two columns cut from the checked frames — their source EphIDs and their
+nonces, no per-packet key built — whose indices are two AES calls for
+the burst, then one word test-and-set per frame.
 
 The tag checks are column passes too: the column of EphID tags (inside
 ``open_batch``) and the burst's packet MACs are each compared *joined*,
@@ -400,10 +403,8 @@ class BorderRouter:
         checked.sort()
         if replay_filter is not None and checked:
             fresh = replay_filter.observe_many(
-                [
-                    frames[k][SRC_EPHID_FIELD] + frames[k][NONCE_FIELD]
-                    for k in checked
-                ],
+                [frames[k][SRC_EPHID_FIELD] for k in checked],
+                [frames[k][NONCE_FIELD] for k in checked],
                 now,
             )
         else:

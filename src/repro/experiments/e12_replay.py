@@ -14,14 +14,15 @@ exactly that bar:
 3. memory/accuracy trade-off — false-positive probability as a function
    of filter size for a border-router-scale packet window.
 
-Measured 2026-10-16 on a shared 2-vCPU Intel Xeon VM (Python 3.11.7,
+Measured 2026-10-17 on a shared 2-vCPU Intel Xeon VM (Python 3.11.7,
 ``cryptography`` 48), default arguments, over eight runs: every replay
-is caught (800 of 800), and the burst path costs 2.3–4.8 µs/pkt without
-the filter and 4.4–8.5 µs/pkt with it, +63 % to +91 %.  So the cost
-claim prints FAILS: the filter's per-key SHA-256 and bit-array touches
-(~2 µs a key) cost more than the rest of a warm verdict.  Timed per
-packet through the scalar pipelines instead, the same cost hides under
-~12 µs of per-packet parsing.
+is caught (800 of 800), and the burst path costs 2.2–3.8 µs/pkt without
+the filter and 3.2–5.4 µs/pkt with it, +41 % to +50 %.  So the cost
+claim prints FAILS: the word-blocked filter's two AES calls per burst
+and one word test-and-set per key cost 1.0–1.8 µs a packet, almost
+half a warm verdict.  Timed per packet through the
+scalar pipelines instead, the same cost hides under ~12 µs of
+per-packet parsing.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def run(
     # -- 3. memory/accuracy trade-off -------------------------------------
     fp_rows = []
     for bits_log2 in (16, 18, 20, 22):
-        bloom = BloomFilter(1 << bits_log2, hashes=4)
+        bloom = BloomFilter(1 << bits_log2)
         fp = bloom.fp_probability(window_packets)
         fp_rows.append((bits_log2, (1 << bits_log2) // 8 // 1024, fp))
 

@@ -71,10 +71,13 @@ before it answers.  What happens next, in order:
    What does not survive: the shard's **replay-filter history** (packets
    first seen up to one rotation window before the crash may pass once
    more — the same bounded two-window horizon the filter itself
-   guarantees, restarted) and the shard's **verdict counters** (the
-   supervision ledger in ``stats()`` keeps its own).  Restart attempts
-   back off exponentially (``shard_restart_backoff``, capped) and each
-   shard has a lifetime budget of ``shard_max_restarts`` attempts.
+   guarantees, restarted; ``stats()`` counts each such reopening as
+   ``replay_windows_reopened``, one per restarted shard that filters
+   replays and one per such shard a degrade rebuilds) and the shard's
+   **verdict counters** (the supervision ledger in ``stats()`` keeps
+   its own).  Restart attempts back off exponentially
+   (``shard_restart_backoff``, capped) and each shard has a lifetime
+   budget of ``shard_max_restarts`` attempts.
 
 3. **Degrade, don't refuse.**  A shard that exhausts its budget ends the
    pooled plane: the workers are stopped and the *same* N shards are

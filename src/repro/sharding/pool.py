@@ -625,7 +625,8 @@ class ShardedDataPlane:
     def stats(self) -> "dict[str, int]":
         """Aggregate counters: shard sums plus dispatcher-side transit
         and the supervision ledger (``restarts`` / ``dropped_bursts`` /
-        ``dropped_packets`` / ``degraded``)."""
+        ``dropped_packets`` / ``stale_replies`` / ``degraded`` /
+        ``replay_windows_reopened``)."""
         totals: "dict[str, int]" = {field: 0 for field in wire.STATS_FIELDS}
         for shard in self.shard_stats():
             for field, value in shard.items():
@@ -638,6 +639,7 @@ class ShardedDataPlane:
         totals["dropped_packets"] = ledger.dropped_packets
         totals["stale_replies"] = ledger.stale_replies
         totals["degraded"] = 0 if ledger.degraded is None else 1
+        totals["replay_windows_reopened"] = ledger.replay_windows_reopened
         return totals
 
     def barrier(self) -> None:

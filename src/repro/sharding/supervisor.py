@@ -37,8 +37,9 @@ What survives a restart and what does not is part of the contract (see
 the package docstring's fault-model section): host records and
 revocations are replayed from the authoritative copies, so they survive
 exactly; the shard's replay-filter history and its verdict counters die
-with the process.  Verdicts owed by the failed worker are *dropped and
-counted* (``Action.DROP`` / ``DropReason.SHARD_FAILURE``), never
+with the process (``stats()`` counts each reopened replay window as
+``replay_windows_reopened``).  Verdicts owed by the failed worker are
+*dropped and counted* (``Action.DROP`` / ``DropReason.SHARD_FAILURE``), never
 guessed — the reply stream restarts clean on the fresh pipe, so no
 later burst can inherit an earlier burst's verdicts.
 """
@@ -202,6 +203,11 @@ class ShardSupervisor:
         self.stale_replies = 0
         #: Successful + failed restart attempts, per shard.
         self.restarts = [0] * len(specs)
+        #: Replay windows a failure reopened: one per resync of a shard
+        #: that filters replays — a restarted worker, or each shard a
+        #: degrade rebuilds — since its filter starts empty and a nonce
+        #: it saw before may pass once more.
+        self.replay_windows_reopened = 0
         #: ``(shard, cause)`` log of every failure handled, for tests and
         #: post-mortems.
         self.failures: "list[tuple[int, str]]" = []
@@ -456,3 +462,5 @@ class ShardSupervisor:
                 f"{snap.owned_count}/{snap.revoked_count}",
                 shard=shard,
             )
+        if self.bare_specs[shard].filters_replays:
+            self.replay_windows_reopened += 1

@@ -84,6 +84,12 @@ class ShardSpec:
     #: replica, as packed columns.  Empty means an empty shard.
     snapshot: bytes
 
+    @property
+    def filters_replays(self) -> bool:
+        """Whether the shard runs the in-network replay filter: as in
+        the assembly, only with a window and a nonce on the wire to key."""
+        return self.replay_window is not None and self.with_nonce
+
 
 class _SettableClock:
     """The worker router's clock: each burst message carries the
@@ -189,8 +195,7 @@ class ShardState:
         self.hosts = hosts
         self.revocations = revocations
         replay_filter = None
-        # As in the assembly: no nonce on the wire, no filter to key.
-        if spec.replay_window is not None and spec.with_nonce:
+        if spec.filters_replays:
             replay_filter = RotatingReplayFilter(
                 window=spec.replay_window, bits_per_generation=spec.replay_bits
             )

@@ -691,6 +691,63 @@ class TestDegradation:
             plane.close()
 
 
+class TestReplayWindowReopened:
+    """A restart discards the shard's replay-filter history: the
+    documented horizon loss, counted rather than implied."""
+
+    def _plane(self, **supervision):
+        """A replay-protected 2-shard plane, one nonce-carrying egress
+        frame, the shard it routes to, and a call judging it alone."""
+        from tests import test_sharding_equivalence as equivalence
+
+        world = equivalence._build_world(
+            2, shard_reply_timeout=0.4, shard_restart_backoff=0.001, **supervision
+        )
+        alice, bob = world.hosts["alice"], world.hosts["bob"]
+        src = alice.acquire_ephid_direct()
+        dst = Endpoint(world.as_b.aid, bob.acquire_ephid_direct().ephid)
+        frame = alice.stack.make_packet(src.ephid, dst, b"x", nonce=7).to_wire()
+        plane = ShardedDataPlane.for_assembly(world.as_a)
+        (shard,) = plane.route([frame], [True])[1]
+
+        def reason():
+            (verdict,) = plane.process([frame], [True], world.as_a.clock())
+            return verdict.reason
+
+        return plane, shard, reason
+
+    def test_each_kill_reopens_one_window(self):
+        plane, shard, reason = self._plane(shard_max_restarts=10)
+        try:
+            assert reason() is None
+            assert reason() is DropReason.REPLAYED
+            for kills in range(1, 4):
+                plane.supervisor.carrier.kill_worker(shard)
+                assert reason() is DropReason.SHARD_FAILURE
+                # The restarted worker's filter is empty: the nonce it
+                # saw before the kill is forwarded once, then dropped.
+                assert reason() is None
+                assert reason() is DropReason.REPLAYED
+                stats = plane.stats()
+                assert stats["replay_windows_reopened"] == stats["restarts"] == kills
+        finally:
+            plane.close()
+
+    def test_a_degrade_reopens_every_shard(self):
+        plane, shard, reason = self._plane(shard_max_restarts=0)
+        try:
+            assert reason() is None
+            assert plane.stats()["replay_windows_reopened"] == 0
+            plane.supervisor.carrier.kill_worker(shard)
+            assert reason() is DropReason.SHARD_FAILURE
+            assert plane.degraded is not None
+            assert plane.stats()["replay_windows_reopened"] == 2
+            assert reason() is None
+            assert reason() is DropReason.REPLAYED
+        finally:
+            plane.close()
+
+
 class TestFailedResyncCleanup:
     """A restart attempt whose resync fails must not leak the
     half-respawned worker process across the backoff (or past the final
