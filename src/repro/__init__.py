@@ -41,7 +41,7 @@ Package map
 ``repro.dns``       DNS substrate with signed records and receive-only
                     EphIDs (Section VII-A).
 ``repro.gateway``   Deployment bridges: IPv4<->APNA gateway (VII-D),
-                    bridge/NAT access points (VII-B), APNA-as-a-Service
+                    NAT-mode access points (VII-B), APNA-as-a-Service
                     (VIII-E).
 ``repro.pathval``   Path validation + on-path shutoff authorization
                     (Section VIII-C, built).

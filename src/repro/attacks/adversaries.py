@@ -166,11 +166,15 @@ class ShutoffAbuser:
 
 class FlowLinker:
     """Section II-B sender-flow unlinkability: a passive observer groups
-    flows by what the headers reveal and scores against ground truth.
+    flows by their source EphIDs and scores against ground truth.
 
-    With per-flow EphIDs the best header-only strategy (group by source
-    EphID) recovers nothing beyond singleton groups; with per-host EphIDs
-    it recovers the full sender<->flows mapping.
+    It reads EphIDs only, not the header's other clear fields.  Grouping
+    by source EphID recovers nothing beyond singleton groups with
+    per-flow EphIDs and the full sender<->flows mapping with per-host
+    ones.  A score of 0 is not unlinkability against every header-only
+    observer: nonces number each EphID's own packets (so they link no
+    two EphIDs), but the Fig. 6 IVs of EphIDs issued back to back are
+    adjacent, an open leak this linker does not score.
     """
 
     def __init__(self) -> None:

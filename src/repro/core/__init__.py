@@ -67,7 +67,6 @@ from .messages import (
     ShutoffRequest,
     ShutoffResponse,
 )
-from .onetime import DemuxError, FlowTagger, TagDemuxer
 from .registry import RegistryService, credential_proof
 from .replay import ReplayWindow
 from .replay_filter import BloomFilter, RotatingReplayFilter
@@ -102,7 +101,6 @@ __all__ = [
     "ConnectionAccept",
     "ConnectionRequest",
     "DEFAULT_CONFIG",
-    "DemuxError",
     "DropReason",
     "EphIdCertificate",
     "EphIdCodec",
@@ -115,7 +113,6 @@ __all__ = [
     "FLAG_CONTROL",
     "FLAG_RECEIVE_ONLY",
     "FlowKey",
-    "FlowTagger",
     "GranularityPolicy",
     "HostAsKeys",
     "HostDatabase",
@@ -148,7 +145,6 @@ __all__ = [
     "ShutoffRequest",
     "ShutoffResponse",
     "SigningKeyPair",
-    "TagDemuxer",
     "TrustAnchor",
     "UnknownHostError",
     "Verdict",

@@ -51,11 +51,17 @@ from .lru import LruCache
 from .management import ManagementService
 from .messages import ShutoffRequest, ShutoffResponse
 from .registry import RegistryService
-from .onetime import FlowTagger, TagDemuxer, pack_tagged, unpack_tagged
 from .replay import ReplayWindow
 from .replay_filter import RotatingReplayFilter
 from .rpki import RpkiDirectory, TrustAnchor
-from .session import ConnectionAccept, ConnectionRequest, OwnedEphId, Session, SessionError
+from .session import (
+    ConnectionAccept,
+    ConnectionRequest,
+    OwnedEphId,
+    Session,
+    SessionError,
+    header_nonce,
+)
 from .verdict import verdicts_of
 
 HID_ROUTER = 5
@@ -201,7 +207,6 @@ class ApnaAutonomousSystem:
             HID_ACCOUNTABILITY: self._handle_aa_packet,
         }
         self._next_subscriber = 1
-        self._service_nonces = 0
 
     # -- construction helpers --
 
@@ -339,28 +344,6 @@ class ApnaAutonomousSystem:
         self._host_node_names.add(name)
         return host
 
-    def attach_host_behind_bridge(
-        self,
-        bridge: Node,
-        name: str,
-        *,
-        latency: float = 0.001,
-        bandwidth: float = 1e8,
-        policy: type[GranularityPolicy] = PerFlowPolicy,
-    ) -> "ApnaHostNode":
-        """Attach a host whose access link runs through a bridge-mode AP
-        (Section VII-B): the host authenticates directly to the AS, the
-        bridge transparently relays frames."""
-        subscriber_id = self._next_subscriber
-        self._next_subscriber += 1
-        secret = self.rs.enroll_subscriber(subscriber_id)
-        host = ApnaHostNode(name, self, subscriber_id, secret, policy_cls=policy)
-        host.uplink = bridge.name
-        host.via = bridge.name
-        self.network.add_node(host)
-        self.network.connect(bridge, host, latency=latency, bandwidth=bandwidth)
-        return host
-
     def register_population(self, count: int) -> range:
         """Bulk-register ``count`` hosts in ``host_info`` (scale presets).
 
@@ -399,15 +382,16 @@ class ApnaAutonomousSystem:
 
     # -- packet plumbing --
 
-    def route_packet(self, packet: ApnaPacket) -> None:
-        """Send a locally-originated (service) packet toward its destination."""
+    def send_from(self, service: ServiceIdentity, dst: Endpoint, payload: bytes) -> None:
+        """Send a packet from one of this AS's service EphIDs toward
+        ``dst``, numbered from that EphID's own nonce sequence."""
+        packet = service.make_packet(
+            self.aid,
+            dst,
+            payload,
+            nonce=header_nonce(service.owned.nonces, self.config.replay_protection),
+        )
         self.node.route_local(packet)
-
-    def next_service_nonce(self) -> int | None:
-        if not self.config.replay_protection:
-            return None
-        self._service_nonces += 1
-        return self._service_nonces
 
     # -- service endpoints --
 
@@ -419,13 +403,11 @@ class ApnaAutonomousSystem:
             sealed_reply = self.ms.handle_request(packet.header.src_ephid, body)
         except IssuanceError:
             return  # Fig. 3: invalid requests are dropped.
-        reply = self.ms_identity.make_packet(
-            self.aid,
+        self.send_from(
+            self.ms_identity,
             Endpoint(packet.header.src_aid, packet.header.src_ephid),
             framing.frame(framing.PT_CONTROL_REP, sealed_reply),
-            nonce=self.next_service_nonce(),
         )
-        self.route_packet(reply)
 
     def _handle_aa_packet(self, packet: ApnaPacket) -> None:
         payload_type, body = framing.unframe(packet.payload)
@@ -438,13 +420,11 @@ class ApnaAutonomousSystem:
         response = self.aa.handle_shutoff(
             request, with_nonce=self.config.replay_protection
         )
-        reply = self.aa_identity.make_packet(
-            self.aid,
+        self.send_from(
+            self.aa_identity,
             Endpoint(packet.header.src_aid, packet.header.src_ephid),
             framing.frame(framing.PT_SHUTOFF_RESP, response.pack()),
-            nonce=self.next_service_nonce(),
         )
-        self.route_packet(reply)
 
 
 class BorderRouterNode(Node):
@@ -566,8 +546,7 @@ class BorderRouterNode(Node):
             return
         host = self.assembly.host_nodes.get(hid)
         if host is not None:
-            # Bridged hosts are reached through their bridge (host.via).
-            self.send(host.via or host.name, packet.to_wire())
+            self.send(host.name, packet.to_wire())
 
     def _send_icmp_unreachable(self, packet: ApnaPacket, code: int) -> None:
         """ICMP back to the source endpoint (Section VIII-B)."""
@@ -576,15 +555,12 @@ class BorderRouterNode(Node):
             code=code,
             payload=packet.to_wire()[:64],
         )
-        assembly = self.assembly
-        reply = assembly.router_identity.make_packet(
-            assembly.aid,
+        self.icmp_sent += 1
+        self.assembly.send_from(
+            self.assembly.router_identity,
             Endpoint(packet.header.src_aid, packet.header.src_ephid),
             framing.frame(framing.PT_ICMP, message.pack()),
-            nonce=assembly.next_service_nonce(),
         )
-        self.icmp_sent += 1
-        self.route_local(reply)
 
 
 class ApnaHostNode(Node):
@@ -615,10 +591,6 @@ class ApnaHostNode(Node):
             self._policy_requester, assembly.network.scheduler.clock()
         )
         self.hid_hint: int | None = None  # AS-side bookkeeping only
-        #: Next-hop node name for transmissions (a bridge for bridged hosts).
-        self.uplink: str | None = None
-        #: Where the border router should send frames destined to us.
-        self.via: str | None = None
 
         self.owned: dict[bytes, OwnedEphId] = {}
         self.sessions: dict[tuple[bytes, bytes], Session] = {}
@@ -629,7 +601,6 @@ class ApnaHostNode(Node):
         self._listeners: dict[int, Callable] = {}
         #: Source EphID -> its nonces' window (see :meth:`_accept`).
         self._replay_windows = LruCache(REPLAY_WINDOW_CAPACITY)
-        self._nonce_counter = 0
         self.inbox: list[tuple[Session, TransportHeader, bytes]] = []
         self.icmp_log: list[icmp_wire.IcmpMessage] = []
         self.replay_drops = 0
@@ -638,10 +609,6 @@ class ApnaHostNode(Node):
         self.malformed_frames = 0
         #: Application callbacks the frame being checked owes.
         self._owed: list[Callable[[], None]] = []
-        #: Per-packet EphID support (VIII-A): flow-tag demultiplexer and
-        #: per-session taggers, created on first use.
-        self.demux = TagDemuxer()
-        self._taggers: dict[int, FlowTagger] = {}
         self._ping_id = 0
         #: Application hook: called with the new Session whenever a peer's
         #: connection request creates one (lets servers speak first).
@@ -681,28 +648,38 @@ class ApnaHostNode(Node):
         """Request an EphID from the MS over the network (Fig. 3)."""
         keypair, sealed = self.stack.build_ephid_request(flags, lifetime)
         self._pending_ephid.append((keypair, callback))
-        assert self.stack.control_ephid is not None and self.stack.ms_cert is not None
-        packet = self.stack.make_packet(
-            self.stack.control_ephid,
+        assert self.stack.ms_cert is not None
+        self._send(
+            None,
             Endpoint(self.assembly.aid, self.stack.ms_cert.ephid),
             framing.frame(framing.PT_CONTROL_REQ, sealed),
-            nonce=self._next_nonce(),
         )
-        self._transmit(packet)
 
     def _policy_requester(self, flags: int, lifetime: float | None) -> OwnedEphId:
         return self.acquire_ephid_direct(flags, lifetime)
 
     # -- packet transmission --
 
-    def _next_nonce(self) -> int | None:
-        if not self.assembly.config.replay_protection:
-            return None
-        self._nonce_counter += 1
-        return self._nonce_counter
+    def _send(self, src: OwnedEphId | None, dst: Endpoint, payload: bytes) -> None:
+        """MAC a packet from ``src`` (``None``: the control EphID) and
+        transmit it, numbered from that EphID's own nonce sequence."""
+        stack = self.stack
+        if src is None:
+            assert stack.control_ephid is not None
+            ephid, nonces = stack.control_ephid, stack.control_nonces
+        else:
+            ephid, nonces = src.ephid, src.nonces
+        self._transmit(
+            stack.make_packet(
+                ephid,
+                dst,
+                payload,
+                nonce=header_nonce(nonces, self.assembly.config.replay_protection),
+            )
+        )
 
     def _transmit(self, packet: ApnaPacket) -> None:
-        self.send(self.uplink or self.assembly.node.name, packet.to_wire())
+        self.send(self.assembly.node.name, packet.to_wire())
 
     # -- sessions (Section IV-D1 + VII-A) --
 
@@ -732,13 +709,11 @@ class ApnaHostNode(Node):
         if on_accept is not None:
             self._pending_accept[(src_owned.ephid, peer_cert.ephid)] = on_accept
         request = ConnectionRequest(cert=src_owned.cert, early_data=sealed_early)
-        packet = self.stack.make_packet(
-            src_owned.ephid,
+        self._send(
+            src_owned,
             Endpoint(peer_cert.aid, peer_cert.ephid),
             framing.frame(framing.PT_CONN_REQUEST, request.pack()),
-            nonce=self._next_nonce(),
         )
-        self._transmit(packet)
         return session
 
     def send_data(
@@ -754,62 +729,15 @@ class ApnaHostNode(Node):
         segment = build_segment(
             TransportHeader(src_port, dst_port, seq=seq, proto=proto), data
         )
-        packet = self.stack.make_packet(
-            session.local.ephid,
+        self._send(
+            session.local,
             Endpoint(session.peer_cert.aid, session.peer_cert.ephid),
             framing.frame(framing.PT_DATA, session.seal(segment)),
-            nonce=self._next_nonce(),
         )
-        self._transmit(packet)
 
     def listen(self, port: int, handler: Callable) -> None:
         """Register ``handler(session, transport_header, data)`` for a port."""
         self._listeners[port] = handler
-
-    # -- per-packet EphIDs (Section VIII-A + its reference [23]) --
-
-    def ota_listen(self, session: Session) -> None:
-        """Accept one-time-tagged traffic on ``session``.
-
-        Required before a peer can send with :meth:`send_data_ota`: with
-        per-packet source EphIDs the APNA header no longer identifies the
-        session, so the flow-tag demultiplexer takes over.
-        """
-        self.demux.register(session)
-
-    def send_data_ota(
-        self,
-        session: Session,
-        data: bytes,
-        *,
-        src_port: int = 0,
-        dst_port: int = 0,
-        proto: int = PROTO_DATA,
-        seq: int = 0,
-    ) -> None:
-        """Send one payload under a fresh, single-use source EphID.
-
-        The strongest privacy mode of Section VIII-A: every packet gets
-        its own EphID (one Fig. 3 issuance per packet — E5 quantifies the
-        cost) plus a flow tag so the receiver can still demultiplex.
-        """
-        tagger = self._taggers.get(id(session))
-        if tagger is None:
-            tagger = FlowTagger(session)
-            self._taggers[id(session)] = tagger
-        one_time = self.acquire_ephid_direct()
-        self.owned[one_time.ephid] = one_time
-        segment = build_segment(
-            TransportHeader(src_port, dst_port, seq=seq, proto=proto), data
-        )
-        body = pack_tagged(tagger.next_tag(), session.seal(segment))
-        packet = self.stack.make_packet(
-            one_time.ephid,
-            Endpoint(session.peer_cert.aid, session.peer_cert.ephid),
-            framing.frame(framing.PT_DATA_OTA, body),
-            nonce=self._next_nonce(),
-        )
-        self._transmit(packet)
 
     # -- ICMP (Section VIII-B) --
 
@@ -832,13 +760,7 @@ class ApnaHostNode(Node):
         message = icmp_wire.IcmpMessage(
             type=icmp_wire.ECHO_REQUEST, identifier=identifier, sequence=0
         )
-        packet = self.stack.make_packet(
-            src_owned.ephid,
-            dst,
-            framing.frame(framing.PT_ICMP, message.pack()),
-            nonce=self._next_nonce(),
-        )
-        self._transmit(packet)
+        self._send(src_owned, dst, framing.frame(framing.PT_ICMP, message.pack()))
 
     # -- shutoff (Fig. 5) --
 
@@ -860,13 +782,9 @@ class ApnaHostNode(Node):
         request = self.stack.build_shutoff_request(offending.to_wire(), signer)
         if callback is not None:
             self._pending_shutoff.append(callback)
-        packet = self.stack.make_packet(
-            src_owned.ephid,
-            aa_endpoint,
-            framing.frame(framing.PT_SHUTOFF, request.pack()),
-            nonce=self._next_nonce(),
+        self._send(
+            src_owned, aa_endpoint, framing.frame(framing.PT_SHUTOFF, request.pack())
         )
-        self._transmit(packet)
 
     # -- receive path --
 
@@ -897,8 +815,8 @@ class ApnaHostNode(Node):
         the source EphID's :class:`ReplayWindow`, which records nothing.
         It is recorded, and the window created, only once a handler
         returns true: the frame's payload authenticated under a key its
-        sender holds, as a session payload that opens (``PT_DATA``,
-        ``PT_DATA_OTA``, 0-RTT data) or an EphID reply sealed under kHA.
+        sender holds, as a session payload that opens (``PT_DATA``, 0-RTT
+        data) or an EphID reply sealed under kHA.
         So a forged frame can neither move a peer's window past its real
         nonces nor grow ``_replay_windows``.  A frame that nothing
         authenticates records nothing: one with no session, a payload
@@ -922,8 +840,6 @@ class ApnaHostNode(Node):
         authentic = False
         if payload_type == framing.PT_DATA:
             authentic = self._on_data(packet, body)
-        elif payload_type == framing.PT_DATA_OTA:
-            authentic = self._on_data_ota(body)
         elif payload_type == framing.PT_CONN_REQUEST:
             authentic = self._on_conn_request(packet, body)
         elif payload_type == framing.PT_CONN_ACCEPT:
@@ -962,15 +878,6 @@ class ApnaHostNode(Node):
         self._owe(self._dispatch_segment, session, transport, data)
         return True
 
-    def _on_data_ota(self, body: bytes) -> bool:
-        """One-time-tagged data: the header's EphIDs carry no session
-        information, the flow tag does (Section VIII-A, reference [23])."""
-        tag, sealed = unpack_tagged(body)
-        session = self.demux.match(tag)
-        transport, data = split_segment(session.open(sealed))
-        self._owe(self._dispatch_segment, session, transport, data)
-        return True
-
     def _on_conn_request(self, packet: ApnaPacket, body: bytes) -> bool:
         """True only if the request carried 0-RTT data that opened."""
         request = ConnectionRequest.parse(body)
@@ -1001,13 +908,11 @@ class ApnaHostNode(Node):
         # response the application emits must arrive behind the accept
         # that creates the client-side session.
         accept = ConnectionAccept(serving_cert=serving.cert)
-        reply = self.stack.make_packet(
-            serving.ephid,
+        self._send(
+            serving,
             Endpoint(request.cert.aid, request.cert.ephid),
             framing.frame(framing.PT_CONN_ACCEPT, accept.pack()),
-            nonce=self._next_nonce(),
         )
-        self._transmit(reply)
         if self.on_connection is not None:
             self._owe(self.on_connection, serving_session)
         # 0-RTT data was encrypted against the receive-only EphID's key;
@@ -1067,15 +972,17 @@ class ApnaHostNode(Node):
         message = icmp_wire.IcmpMessage.parse(body)
         self.icmp_log.append(message)
         if message.type == icmp_wire.ECHO_REQUEST:
-            local = self.owned.get(packet.header.dst_ephid)
-            src = local.ephid if local is not None else packet.header.dst_ephid
-            reply = self.stack.make_packet(
-                src,
+            # Answered from the EphID asked, if this host holds it: each
+            # EphID numbers its own nonces (see :meth:`_send`).
+            dst_ephid = packet.header.dst_ephid
+            local = self.owned.get(dst_ephid)
+            if local is None and dst_ephid != self.stack.control_ephid:
+                return
+            self._send(
+                local,
                 Endpoint(packet.header.src_aid, packet.header.src_ephid),
                 framing.frame(framing.PT_ICMP, message.reply().pack()),
-                nonce=self._next_nonce(),
             )
-            self._transmit(reply)
         elif message.type == icmp_wire.ECHO_REPLY:
             key = (message.identifier, message.sequence)
             callback = self._pending_pings.pop(key, None)

@@ -259,8 +259,9 @@ class BorderRouter:
         # caches them.
         if not packet.mac_valid(Cmac(self._hostdb.packet_mac_key(hid))):
             return self._drop(DropReason.BAD_MAC)
-        # Replay detection runs after the MAC check so that spoofed
-        # packets cannot pollute the filter against a victim's nonces.
+        # Replay detection runs after the MAC check, so a spoofed egress
+        # packet cannot pollute the filter against a victim's nonces.
+        # (Ingress records before any check can authenticate the source.)
         if not self._replay_fresh(header, now):
             return self._drop(DropReason.REPLAYED)
         if header.dst_aid == self.aid:
@@ -398,8 +399,10 @@ class BorderRouter:
                 (checked if ok else bad_mac).append(k)
             self._drop_frames(DropReason.BAD_MAC, bad_mac, records)
         # Replay inserts happen in arrival order (the source EphIDs and the
-        # ingress frames interleave), after the MAC check so spoofed
-        # packets cannot pollute the filter against a victim's nonces.
+        # ingress frames interleave), after the MAC check, so a spoofed
+        # egress frame cannot pollute the filter against a victim's
+        # nonces.  An ingress frame has no MAC this AS can check: a
+        # spoofed one is recorded.
         checked.sort()
         if replay_filter is not None and checked:
             fresh = replay_filter.observe_many(

@@ -21,8 +21,9 @@ class ApnaConfig:
 
     The fields are the options: some caller (a scenario, the benchmark,
     an experiment or a test) sets each to a second value.  The class
-    constants are the paper's design parameters, readable off any
-    instance (``config.data_ephid_lifetime``) but not settable.
+    constants are the paper's design parameters and the simulator's
+    burst flush window, readable off any instance
+    (``config.data_ephid_lifetime``) but not settable.
     """
 
     # -- the paper's fixed parameters --
@@ -42,6 +43,13 @@ class ApnaConfig:
 
     #: Truncated per-packet MAC length in the APNA header (Fig. 7: 8 B).
     packet_mac_size: ClassVar[int] = MAC_SIZE
+
+    # -- fixed by the simulator --
+
+    #: Max virtual seconds a partially-filled burst waits at a border
+    #: router node before it is flushed anyway: the latency cost of
+    #: batching (``forwarding_batch_size > 1``).
+    forwarding_batch_window: ClassVar[float] = 0.0002
 
     # -- options --
 
@@ -73,11 +81,6 @@ class ApnaConfig:
     #: values amortise clock reads, revocation prunes and crypto across
     #: the burst, as the paper's DPDK prototype does (§V-B).
     forwarding_batch_size: int = 1
-
-    #: Max virtual seconds a partially-filled burst may wait before it is
-    #: flushed anyway.  Only meaningful with ``forwarding_batch_size > 1``;
-    #: this is the latency cost of batching.
-    forwarding_batch_window: float = 0.0002
 
     #: Number of persistent worker processes the border-router data plane
     #: is sharded over (the paper's §V-A3 share-nothing scale-out; see

@@ -19,7 +19,6 @@ PT_CONTROL_REP = 0x04  # sealed EphID reply (MS -> host)
 PT_SHUTOFF = 0x05  # ShutoffRequest (recipient -> AA)
 PT_SHUTOFF_RESP = 0x06  # ShutoffResponse (AA -> recipient)
 PT_ICMP = 0x07  # IcmpMessage (plaintext, per Section VIII-B)
-PT_DATA_OTA = 0x08  # one-time-tagged data for per-packet EphIDs (VIII-A)
 
 _NAMES = {
     PT_DATA: "data",
@@ -30,7 +29,6 @@ _NAMES = {
     PT_SHUTOFF: "shutoff",
     PT_SHUTOFF_RESP: "shutoff-response",
     PT_ICMP: "icmp",
-    PT_DATA_OTA: "data-ota",
 }
 
 

@@ -11,7 +11,9 @@ interchangeable policies a host stack is configured with:
 * **per-application**: one EphID per application label — lets host and
   AS cooperate to pinpoint a malicious app;
 * **per-packet**: a fresh EphID for every packet — strongest privacy,
-  at the cost of per-packet issuance and custom demultiplexing.
+  at the cost of per-packet issuance and of a receive-side
+  demultiplexing protocol (the paper's reference [23]), which E5 does
+  not cost and this reproduction does not build.
 
 E5 quantifies the trade-offs (MS request load, linkability, shutoff
 blast radius).

@@ -11,7 +11,8 @@ stack onto the simulated network.
 
 from __future__ import annotations
 
-from typing import Callable
+import itertools
+from typing import Callable, Iterator
 
 from ..crypto.aead import EtmScheme
 from ..crypto.cmac import Cmac
@@ -59,6 +60,9 @@ class HostStack:
         # Populated by bootstrapping.
         self.kha: HostAsKeys | None = None
         self.control_ephid: bytes | None = None
+        #: The control EphID's own nonce sequence (an :class:`OwnedEphId`
+        #: carries its own); restarts with each new control EphID.
+        self.control_nonces: Iterator[int] = itertools.count(1)
         self.control_exp: int | None = None
         self.ms_cert: EphIdCertificate | None = None
         self.dns_cert: EphIdCertificate | None = None
@@ -85,6 +89,7 @@ class HostStack:
         self._packet_mac = Cmac(self.kha.packet_mac)
         self._ctrl_scheme = EtmScheme(self.kha.control)
         self.control_ephid = reply.id_info.ephid
+        self.control_nonces = itertools.count(1)
         self.control_exp = reply.id_info.exp_time
         self.ms_cert = reply.ms_cert
         self.dns_cert = reply.dns_cert

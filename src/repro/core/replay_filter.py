@@ -30,9 +30,12 @@ it: a pair of rotating Bloom filters keyed on ``(source EphID, nonce)``.
   The AES key is :data:`INDEX_KEY`, a public constant: the indices are
   exactly as predictable as an unkeyed hash's.  They spread honest
   traffic evenly over the words, which is all the false-positive
-  analysis needs; they do not stop an attacker who can place authentic
-  packets (the MAC check runs first, so only a source's own host can)
-  from choosing nonces that aim false positives at a victim's keys.
+  analysis needs; they do not stop an attacker whose packets the filter
+  records from choosing nonces that aim false positives at a victim's
+  keys.  On egress the MAC check runs first, so only a source's own host
+  is such an attacker.  On ingress the filter records ``(src EphID,
+  nonce)`` before anything authenticates the frame (the destination AS
+  cannot check the source host's MAC), so any sender is.
   Keyed indices would close that, at the price of a per-router secret.
 * **Two generations** rotate every ``window`` seconds: lookups consult
   both, inserts go to the current one.  A packet is therefore remembered

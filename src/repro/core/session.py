@@ -12,8 +12,10 @@ compromising long-term keys reveals nothing about past sessions
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ..crypto.aead import EtmScheme
 from ..crypto.kdf import hkdf
@@ -29,10 +31,15 @@ class SessionError(ApnaError):
 
 @dataclass(frozen=True)
 class OwnedEphId:
-    """An EphID a host owns: the certificate plus the private key pair."""
+    """An EphID a host owns: the certificate plus the private key pair,
+    and the EphID's own Section VIII-D nonce sequence (see
+    :func:`header_nonce`)."""
 
     cert: EphIdCertificate
     keypair: EphIdKeyPair
+    nonces: Iterator[int] = field(
+        default_factory=lambda: itertools.count(1), compare=False, repr=False
+    )
 
     @property
     def ephid(self) -> bytes:
@@ -48,6 +55,19 @@ class OwnedEphId:
 
     def expired(self, now: float) -> bool:
         return self.cert.exp_time < now
+
+
+def header_nonce(nonces: Iterator[int], replay_protection: bool) -> int | None:
+    """The next header nonce of the sending EphID, or ``None`` when the
+    deployment's header has no nonce field (Section VIII-D).
+
+    Every sender numbers its packets here, from the sequence of the EphID
+    it sends from: 1, 2, 3, ... per EphID.  A per-EphID count tells an
+    observer nothing about the host's other EphIDs; one counter per host
+    would link them all, which sender-flow unlinkability (Section II-B)
+    forbids.
+    """
+    return next(nonces) if replay_protection else None
 
 
 def derive_session_key(

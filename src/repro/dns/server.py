@@ -110,13 +110,11 @@ class DnsServer:
             ),
             response.pack(),
         )
-        reply = self.assembly.dns_identity.make_packet(
-            self.assembly.aid,
+        self.assembly.send_from(
+            self.assembly.dns_identity,
             Endpoint(session.peer_cert.aid, session.peer_cert.ephid),
             framing.frame(framing.PT_DATA, session.seal(reply_segment)),
-            nonce=self.assembly.next_service_nonce(),
         )
-        self.assembly.route_packet(reply)
 
 
 def publish_service(

@@ -2,13 +2,12 @@
 APNA-as-a-Service (paper Sections VII-B, VII-D and VIII-E)."""
 
 from .aas import DownstreamAs
-from .ap import ApClientNode, BridgeAccessPoint, NatAccessPoint
+from .ap import ApClientNode, NatAccessPoint
 from .gateway import ApnaGateway, LegacyHostNode
 
 __all__ = [
     "ApClientNode",
     "ApnaGateway",
-    "BridgeAccessPoint",
     "DownstreamAs",
     "LegacyHostNode",
     "NatAccessPoint",

@@ -1,18 +1,15 @@
-"""Connection-sharing devices (paper Section VII-B).
+"""Connection-sharing devices (paper Section VII-B): the NAT-mode AP.
 
-Two modes are implemented:
+The AP is a host to the AS and plays RS, MS, router and accountability
+agent for its clients: it negotiates per-client shared keys, proxies
+EphID requests using the client-supplied public keys, keeps the
+``EphID_info`` list mapping EphIDs to clients, verifies and *replaces*
+the MAC on outgoing packets with its own kHA MAC, and can identify (and
+block) the client behind a misbehaving EphID.
 
-* **Bridge mode** — the AP is a transparent L2-style bridge.  Clients
-  authenticate directly to the AS; the bridge learns which client owns
-  which EphID from the *source* EphIDs of outgoing frames (the analogue
-  of MAC-address learning) and forwards inbound frames accordingly.
-
-* **NAT mode** — the AP is a host to the AS and plays RS, MS, router and
-  accountability agent for its clients: it negotiates per-client shared
-  keys, proxies EphID requests using the client-supplied public keys,
-  keeps the ``EphID_info`` list mapping EphIDs to clients, verifies and
-  *replaces* the MAC on outgoing packets with its own kHA MAC, and can
-  identify (and block) the client behind a misbehaving EphID.
+The paper's other mode, a bridge, relays frames unchanged, so at the AS
+a bridged host is a directly attached one (:meth:`repro.core.
+autonomous_system.ApnaAutonomousSystem.attach_host`).
 """
 
 from __future__ import annotations
@@ -24,7 +21,13 @@ from ..core import framing
 from ..core.autonomous_system import ApnaHostNode
 from ..core.errors import ApnaError, MacError
 from ..core.keys import EphIdKeyPair
-from ..core.session import ConnectionRequest, OwnedEphId, Session, SessionError
+from ..core.session import (
+    ConnectionRequest,
+    OwnedEphId,
+    Session,
+    SessionError,
+    header_nonce,
+)
 from ..crypto.cmac import Cmac
 from ..crypto.util import ct_eq
 from ..netsim import Node
@@ -33,61 +36,8 @@ from ..wire.errors import WireError
 from ..wire.transport import PROTO_DATA, TransportHeader, build_segment, split_segment
 
 if TYPE_CHECKING:
-    from ..core.autonomous_system import ApnaAutonomousSystem
     from ..core.certs import EphIdCertificate
 
-
-class BridgeAccessPoint(Node):
-    """Transparent bridge: relays frames, learns EphID -> client port."""
-
-    def __init__(self, name: str, assembly: "ApnaAutonomousSystem") -> None:
-        super().__init__(name)
-        self.assembly = assembly
-        self._table: dict[bytes, str] = {}  # src EphID -> client node name
-        self.flooded = 0
-        #: Frames dropped because they do not parse as APNA packets.
-        self.malformed_frames = 0
-
-    @classmethod
-    def attach(cls, assembly: "ApnaAutonomousSystem", name: str, *, latency: float = 0.001) -> "BridgeAccessPoint":
-        bridge = cls(name, assembly)
-        assembly.network.add_node(bridge)
-        assembly.network.connect(assembly.node, bridge, latency=latency)
-        assembly._host_node_names.add(name)
-        return bridge
-
-    def handle_frame(self, frame_bytes: bytes, *, from_node: str) -> None:
-        uplink = self.assembly.node.name
-        try:
-            packet = ApnaPacket.from_wire(
-                frame_bytes, with_nonce=self.assembly.config.replay_protection
-            )
-        except WireError:
-            self.malformed_frames += 1
-            return
-        if from_node == uplink:
-            # Inbound: forward by learned destination EphID, else flood.
-            target = self._table.get(packet.header.dst_ephid)
-            if target is not None:
-                self.send(target, frame_bytes)
-            else:
-                self.flooded += 1
-                for neighbor in self.neighbors:
-                    if neighbor != uplink:
-                        self.send(neighbor, frame_bytes)
-        else:
-            # Outbound: learn the client's source EphID, relay upstream.
-            self._table[packet.header.src_ephid] = from_node
-            self.send(uplink, frame_bytes)
-
-    @property
-    def learned(self) -> int:
-        return len(self._table)
-
-
-# ---------------------------------------------------------------------------
-# NAT mode
-# ---------------------------------------------------------------------------
 
 # Local control protocol on the client<->AP links (the "inside the cafe"
 # protocol; plays the role DHCP/802.1X play today).  Every message ends
@@ -144,14 +94,12 @@ class NatAccessPoint(ApnaHostNode):
     ) -> None:
         sealed = self.stack.build_ephid_request_for(dh_public, sig_public, flags)
         self._pending_client_ephid.append((client_name, request_id))
-        assert self.stack.control_ephid is not None and self.stack.ms_cert is not None
-        packet = self.stack.make_packet(
-            self.stack.control_ephid,
+        assert self.stack.ms_cert is not None
+        self._send(
+            None,
             Endpoint(self.assembly.aid, self.stack.ms_cert.ephid),
             framing.frame(framing.PT_CONTROL_REQ, sealed),
-            nonce=self._next_nonce(),
         )
-        self._transmit(packet)
 
     # -- frame handling (both sides) --
 
@@ -286,15 +234,12 @@ class ApClientNode(Node):
     # -- data path --
 
     def _make_packet(self, src: OwnedEphId, dst: Endpoint, payload: bytes) -> ApnaPacket:
-        nonce = None
-        if self.ap.assembly.config.replay_protection:
-            nonce = self.frames_sent + 1
         header = ApnaHeader(
             src_aid=self.aid,
             src_ephid=src.ephid,
             dst_ephid=dst.ephid,
             dst_aid=dst.aid,
-            nonce=nonce,
+            nonce=header_nonce(src.nonces, self.ap.assembly.config.replay_protection),
         )
         # MAC with the client<->AP key; the AP re-MACs with its kHA.
         return header.signed(self._mac, payload)

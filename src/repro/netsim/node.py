@@ -46,10 +46,6 @@ class Node:
     def now(self) -> float:
         return self.scheduler.now
 
-    @property
-    def neighbors(self) -> list[str]:
-        return list(self._links)
-
     # -- data path --
 
     def send(self, peer_name: str, frame: bytes) -> bool:

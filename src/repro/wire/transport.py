@@ -1,8 +1,7 @@
 """Minimal transport header carried inside the encrypted APNA payload.
 
 APNA is a network-layer architecture; hosts still need ports and sequence
-numbers to demultiplex flows (per-packet EphIDs even require a dedicated
-demux protocol, Section VIII-A).  This 12-byte header is the upper-layer
+numbers to demultiplex flows.  This 12-byte header is the upper-layer
 shim every payload starts with *before* encryption — it is never visible
 on the wire, which is what gives APNA its sender-flow unlinkability even
 for port information.

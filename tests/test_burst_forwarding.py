@@ -21,10 +21,8 @@ from repro import scenarios
 from tests.conftest import build_world
 
 
-def _batched_config(size, window=0.0002, **kwargs):
-    return ApnaConfig(
-        forwarding_batch_size=size, forwarding_batch_window=window, **kwargs
-    )
+def _batched_config(size, **kwargs):
+    return ApnaConfig(forwarding_batch_size=size, **kwargs)
 
 
 def _exchange(world):
@@ -51,7 +49,7 @@ class TestBorderRouterNodeBursts:
     def test_partial_burst_drains_via_flush_timer(self):
         # A single packet never fills an 64-packet burst; the window
         # timer must flush it (otherwise the session would hang).
-        world = build_world(config=_batched_config(64, window=0.01))
+        world = build_world(config=_batched_config(64))
         alice, _ = _exchange(world)
         assert len(alice.inbox) == 1
         assert world.as_a.node.bursts_flushed > 0

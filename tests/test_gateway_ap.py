@@ -5,62 +5,12 @@ import pytest
 
 from repro.gateway import (
     ApnaGateway,
-    BridgeAccessPoint,
     DownstreamAs,
     LegacyHostNode,
     NatAccessPoint,
 )
 from repro.wire.ipv4 import ip_to_int
 from tests.conftest import build_world
-
-
-class TestBridgeMode:
-    @pytest.fixture()
-    def bridged(self):
-        world = build_world(host_names=("bob",))
-        bridge = BridgeAccessPoint.attach(world.as_a, "home-bridge")
-        client1 = world.as_a.attach_host_behind_bridge(bridge, "laptop")
-        client2 = world.as_a.attach_host_behind_bridge(bridge, "phone")
-        client1.bootstrap()
-        client2.bootstrap()
-        world.network.compute_routes()
-        return world, bridge, client1, client2
-
-    def test_bridged_host_communicates(self, bridged):
-        world, bridge, laptop, phone = bridged
-        bob = world.hosts["bob"]
-        bob_owned = bob.acquire_ephid_direct()
-        laptop.connect(bob_owned.cert, early_data=b"hello via bridge")
-        world.network.run()
-        assert bob.inbox[0][2] == b"hello via bridge"
-
-    def test_bridge_learns_ephids(self, bridged):
-        world, bridge, laptop, phone = bridged
-        bob = world.hosts["bob"]
-        bob_owned = bob.acquire_ephid_direct()
-        laptop.connect(bob_owned.cert, early_data=b"x")
-        phone.connect(bob_owned.cert, early_data=b"y")
-        world.network.run()
-        assert bridge.learned >= 2
-
-    def test_inbound_forwarded_to_right_client(self, bridged):
-        world, bridge, laptop, phone = bridged
-        bob = world.hosts["bob"]
-        bob_owned = bob.acquire_ephid_direct()
-        session = laptop.connect(bob_owned.cert, early_data=b"req")
-        world.network.run()
-        bob_session = next(iter(bob.sessions.values()))
-        bob.send_data(bob_session, b"reply")
-        world.network.run()
-        assert laptop.inbox[-1][2] == b"reply"
-        assert phone.inbox == []  # not flooded once learned
-
-    def test_each_bridged_client_has_own_hid(self, bridged):
-        # Bridge mode: "the AS needs to authenticate every single user".
-        world, bridge, laptop, phone = bridged
-        r1 = world.as_a.hostdb.find_by_subscriber(laptop.subscriber_id)
-        r2 = world.as_a.hostdb.find_by_subscriber(phone.subscriber_id)
-        assert r1.hid != r2.hid
 
 
 class TestNatMode:

@@ -19,7 +19,7 @@ from repro.core import framing
 from repro.core.errors import ApnaError
 from repro.core.messages import ShutoffResponse
 from repro.core.session import ConnectionRequest
-from repro.gateway import BridgeAccessPoint, NatAccessPoint
+from repro.gateway import NatAccessPoint
 from repro.gateway.ap import LC_DATA, _lc_seal
 from repro.wire.apna import Endpoint
 from repro.wire.errors import WireError
@@ -101,7 +101,6 @@ def test_application_errors_still_propagate(fig1):
 #: are addressed to AS services and a host ignores them.
 _HOST_TYPES = (
     framing.PT_DATA,
-    framing.PT_DATA_OTA,
     framing.PT_CONN_REQUEST,
     framing.PT_CONN_ACCEPT,
     framing.PT_CONTROL_REP,
@@ -123,10 +122,9 @@ def test_random_bodies_never_raise_and_are_counted(fig1):
     """Under every payload type a host acts on, and under every byte that
     is no payload type, a random body never raises, and the frame is
     counted malformed exactly when it fails a check.  Every body under an
-    authenticated type fails one (a session's AEAD, a flow tag, a
-    certificate signature, the EphID reply's AEAD); ICMP and shutoff
-    responses are unauthenticated, so those fail only where they do not
-    parse."""
+    authenticated type fails one (a session's AEAD, a certificate
+    signature, the EphID reply's AEAD); ICMP and shutoff responses are
+    unauthenticated, so those fail only where they do not parse."""
     world, alice, bob = fig1
     peer = bob.acquire_ephid_direct()
     session = alice.connect(peer.cert, early_data=b"open")
@@ -159,17 +157,6 @@ def test_random_bodies_never_raise_and_are_counted(fig1):
 
 
 class TestAccessPoints:
-    def test_bridge_drops_a_runt(self):
-        world = build_world(host_names=("bob",))
-        bridge = BridgeAccessPoint.attach(world.as_a, "home-bridge")
-        laptop = world.as_a.attach_host_behind_bridge(bridge, "laptop")
-        laptop.bootstrap()
-        world.network.compute_routes()
-        laptop.send(bridge.name, bytes(20))
-        world.as_a.node.send(bridge.name, bytes(20))
-        world.network.run()
-        assert bridge.malformed_frames == 2
-
     def test_nat_ap_drops_runts_and_garbled_replies(self):
         world = build_world(host_names=("bob",))
         ap = world.as_a.attach_host("cafe-ap", node_cls=NatAccessPoint)

@@ -117,7 +117,6 @@ _CONFIG_FIELDS = {
     "replay_filter_window",
     "replay_filter_bits",
     "forwarding_batch_size",
-    "forwarding_batch_window",
     "forwarding_shards",
     "shard_reply_timeout",
     "shard_max_restarts",
@@ -196,11 +195,12 @@ def test_every_option_has_a_caller_that_sets_it():
 
 def test_one_packet_mac():
     """The Fig. 7 MAC has one width and one definition.  The lifetimes
-    and the MAC width are the paper's constants, readable off a config
-    but not settable; ``aead_scheme``, ``icmp_on_drop`` and
-    ``shard_block`` are gone; the two survivors of the width's plumbing
-    (kept because ``bench/`` passes them) refuse any other value; and
-    every packet is signed by ``ApnaHeader.signed``."""
+    and the MAC width are the paper's constants (and the burst flush
+    window the simulator's), readable off a config but not settable;
+    ``aead_scheme``, ``icmp_on_drop`` and ``shard_block`` are gone; the
+    two survivors of the width's plumbing (kept because ``bench/`` passes
+    them) refuse any other value; and every packet is signed by
+    ``ApnaHeader.signed``."""
     from repro.core.autonomous_system import ServiceIdentity
     from repro.core.ephid import EphIdCodec
     from repro.core.hostdb import HostDatabase
@@ -214,6 +214,7 @@ def test_one_packet_mac():
         "lifetime_classes": (60.0, 900.0, 3600.0),
         "max_ephid_lifetime": 86_400.0,
         "packet_mac_size": MAC_SIZE,
+        "forwarding_batch_window": 0.0002,  # the simulator's, not the paper's
     }
     deleted = ("aead_scheme", "icmp_on_drop", "shard_block")
     for name, value in constants.items():
@@ -223,7 +224,7 @@ def test_one_packet_mac():
     for name in (*constants, *deleted):
         with pytest.raises(TypeError):
             ApnaConfig(**{name: constants.get(name)})
-    assert len(dataclasses.fields(ApnaConfig)) == len(_CONFIG_FIELDS) == 12
+    assert len(dataclasses.fields(ApnaConfig)) == len(_CONFIG_FIELDS) == 11
 
     codec = EphIdCodec(b"\x01" * 16, b"\x02" * 16)
     with pytest.raises(ValueError, match="Fig. 7 MAC"):
@@ -553,6 +554,121 @@ def test_one_host_state_writer():
     assert "block" not in {field.name for field in dataclasses.fields(ShardPlan)}
 
 
+class _NonceSteps(ast.NodeVisitor):
+    """Where one file's code makes or steps a header nonce, each site as
+    ``(kind, enclosing class/def path, line)``."""
+
+    def __init__(self) -> None:
+        self.scope: list[str] = []
+        self.bound: list[set[str]] = [set()]  # per def: params, loop targets
+        self.sites: list[tuple[str, str, int]] = []
+
+    def _site(self, kind: str, node: ast.AST) -> None:
+        self.sites.append((kind, ".".join(self.scope), node.lineno))
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_FunctionDef(self, node) -> None:
+        loops = (ast.For, ast.comprehension)
+        bound = {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+        bound |= {
+            name.id
+            for loop in ast.walk(node)
+            if isinstance(loop, loops)
+            for name in ast.walk(loop.target)
+            if isinstance(name, ast.Name)
+        }
+        self.scope.append(node.name)
+        self.bound.append(bound)
+        self.generic_visit(node)
+        self.bound.pop()
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    @staticmethod
+    def _named(node: ast.AST) -> bool:
+        return any(
+            "nonce" in (getattr(leaf, "id", None) or getattr(leaf, "attr", ""))
+            for leaf in ast.walk(node)
+        )
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name == "next" and any(self._named(arg) for arg in node.args):
+            self._site("next", node)
+        if name == "count" and (
+            isinstance(func, ast.Name) or getattr(func.value, "id", None) == "itertools"
+        ):
+            self._site("count", node)
+        for keyword in node.keywords:
+            if keyword.arg != "nonce":
+                continue
+            value = keyword.value
+            if isinstance(value, ast.Call) and getattr(value.func, "id", "") == "header_nonce":
+                continue
+            if isinstance(value, ast.Name) and value.id in self.bound[-1]:
+                continue  # a nonce the caller chose, handed on
+            self._site("nonce=", node)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        if self._named(node.target):
+            self._site("+=", node)
+        self.generic_visit(node)
+
+    def visit_Assign(self, node) -> None:
+        targets = getattr(node, "targets", None) or [node.target]
+        if any(
+            isinstance(leaf, ast.Attribute) and "nonce" in leaf.attr
+            for target in targets
+            for leaf in ast.walk(target)
+        ):
+            self._site("store", node)
+        self.generic_visit(node)
+
+    visit_AnnAssign = visit_Assign
+
+
+def test_one_nonce_source():
+    """Each EphID numbers its own Section VIII-D nonces, through one
+    helper: outside ``wire/`` (the header codec) and ``attacks/`` (the
+    spoofer forges nonces on purpose), ``session.header_nonce`` is the
+    only code that advances a header nonce.  As AST facts:
+
+    * every ``nonce=`` keyword is a ``header_nonce(...)`` call, or hands
+      on a parameter or loop variable (a nonce its caller chose, as E12's
+      explicit ones);
+    * ``next()`` on a nonce sequence appears only in ``header_nonce``;
+    * a nonce sequence is made (``itertools.count``) and stored on an
+      object only as ``OwnedEphId.nonces`` and ``HostStack.control_nonces``;
+    * nothing steps a nonce-named counter with ``+=``.
+
+    A node-wide counter, the cross-EphID link Section II-B forbids, has to
+    break one of them."""
+    src = ROOT / "src/repro"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        rel = str(path.relative_to(src))
+        if rel.startswith(("wire/", "attacks/")):
+            continue
+        visitor = _NonceSteps()
+        visitor.visit(ast.parse(path.read_text()))
+        found += [(rel, *site) for site in visitor.sites]
+    assert {site[:3] for site in found} == {
+        ("core/session.py", "next", "header_nonce"),
+        ("core/session.py", "count", "OwnedEphId"),
+        ("core/host.py", "count", "HostStack.__init__"),
+        ("core/host.py", "store", "HostStack.__init__"),
+        ("core/host.py", "count", "HostStack.accept_bootstrap_reply"),
+        ("core/host.py", "store", "HostStack.accept_bootstrap_reply"),
+    }, sorted(found)
+
+
 def _imported_names(rel: str) -> set[str]:
     tree = ast.parse((ROOT / rel).read_text())
     return {
@@ -752,17 +868,6 @@ _TEST_ONLY_KEPT = {
     "state/snapshot.py:ShardSnapshot.iter_revoked": "the snapshot loader's model",
     "sharding/pool.py:ShardedDataPlane.barrier": "ROADMAP item 7's model drives it",
     "analysis/model.py:Module.from_source": "the rules' self-test seam",
-    "core/autonomous_system.py:ApnaAutonomousSystem.attach_host_behind_bridge": (
-        "paper §VII-B bridge mode"
-    ),
-    "gateway/ap.py:BridgeAccessPoint": "paper §VII-B bridge mode",
-    "gateway/ap.py:BridgeAccessPoint.attach": "paper §VII-B bridge mode",
-    "gateway/ap.py:BridgeAccessPoint.learned": "paper §VII-B bridge mode",
-    "core/autonomous_system.py:ApnaHostNode.ota_listen": "paper §VIII-A per-packet EphIDs",
-    "core/autonomous_system.py:ApnaHostNode.send_data_ota": (
-        "paper §VIII-A per-packet EphIDs"
-    ),
-    "core/onetime.py:TagDemuxer.live_tags": "the one view of a bounded structure",
     "core/replay_filter.py:RotatingReplayFilter.memory_bytes": (
         "the one view of a bounded structure"
     ),
