@@ -47,11 +47,10 @@ from .hostdb import (
 )
 from .infrabus import InfraBus
 from .keys import AsKeyMaterial, EphIdKeyPair, HostAsKeys
-from .lru import LruCache
 from .management import ManagementService
 from .messages import ShutoffRequest, ShutoffResponse
 from .registry import RegistryService
-from .replay import ReplayWindow
+from .replay import SourceReplayWindows
 from .replay_filter import RotatingReplayFilter
 from .rpki import RpkiDirectory, TrustAnchor
 from .session import (
@@ -69,11 +68,11 @@ HID_ROUTER = 5
 #: Lifetime of AS service EphIDs (MS/AA/DNS/router identities).
 SERVICE_EPHID_LIFETIME = 10 * 365 * 86_400.0
 
-#: Most per-source-EphID replay windows one host keeps (see
-#: :meth:`ApnaHostNode._accept`).  Measured, no host ever holds more
-#: than one: tier-1's replay-protected worlds give each host one peer
-#: EphID, and ``python -m repro.evaluation --scale 1k`` delivers no frame
-#: to a host node.  64 leaves room for a server with many peers; an
+#: Most per-source-EphID replay windows one host, or one client behind
+#: a NAT-mode AP, keeps (see :meth:`ApnaHostNode._accept`).  Measured, no
+#: host ever holds more than one: tier-1's replay-protected worlds give
+#: each host one peer EphID, and ``python -m repro.evaluation --scale
+#: 1k`` delivers no frame to a host node.  64 leaves room for a server with many peers; an
 #: evicted window forgets only which 0-RTT payloads it saw, since every
 #: session keeps its own window.  A constant, not a knob.
 REPLAY_WINDOW_CAPACITY = 64
@@ -350,8 +349,9 @@ class ApnaAutonomousSystem:
         The hosts get HIDs and kHA subkeys but no simulated nodes — they
         are the metro-area population the AS is accountable for, against
         which issuance/verdict machinery is exercised at scale.  Key
-        material comes from one SHAKE-256 keystream seeded by a single
-        ``rng.read(32)`` draw, and the registration is a few column
+        material comes from one AES-CTR keystream seeded by a single
+        ``rng.read(32)`` draw (:func:`repro.state.population_key_material`),
+        and the registration is a few column
         appends with zero per-host objects
         (:meth:`repro.state.ColumnarHostDatabase.bulk_register`).
         Returns the registered HID range.
@@ -600,7 +600,7 @@ class ApnaHostNode(Node):
         self._pending_shutoff: list[Callable] = []
         self._listeners: dict[int, Callable] = {}
         #: Source EphID -> its nonces' window (see :meth:`_accept`).
-        self._replay_windows = LruCache(REPLAY_WINDOW_CAPACITY)
+        self._replay_windows = SourceReplayWindows(REPLAY_WINDOW_CAPACITY)
         self.inbox: list[tuple[Session, TransportHeader, bytes]] = []
         self.icmp_log: list[icmp_wire.IcmpMessage] = []
         self.replay_drops = 0
@@ -829,13 +829,10 @@ class ApnaHostNode(Node):
         replay_protection = self.assembly.config.replay_protection
         packet = ApnaPacket.from_wire(frame_bytes, with_nonce=replay_protection)
         header = packet.header
-        if replay_protection:
-            window = self._replay_windows.get(header.src_ephid)
-            if header.nonce is None or (
-                window is not None and not window.fresh(header.nonce)
-            ):
-                self.replay_drops += 1
-                return
+        windows = self._replay_windows
+        if replay_protection and not windows.fresh(header.src_ephid, header.nonce):
+            self.replay_drops += 1
+            return
         payload_type, body = framing.unframe(packet.payload)
         authentic = False
         if payload_type == framing.PT_DATA:
@@ -851,11 +848,7 @@ class ApnaHostNode(Node):
         elif payload_type == framing.PT_ICMP:
             self._on_icmp(packet, body)
         if authentic and replay_protection:
-            window = self._replay_windows.hit(header.src_ephid)
-            if window is None:
-                window = ReplayWindow()
-                self._replay_windows.put(header.src_ephid, window)
-            window.check(header.nonce)
+            windows.record(header.src_ephid, header.nonce)
 
     def _dispatch_segment(
         self, session: Session, transport: TransportHeader, data: bytes

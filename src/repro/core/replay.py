@@ -9,6 +9,8 @@ rejected outright, recent values are tracked exactly.
 
 from __future__ import annotations
 
+from .lru import LruCache
+
 
 class ReplayWindow:
     """Sliding-window duplicate detector over monotonically-ish nonces."""
@@ -44,3 +46,29 @@ class ReplayWindow:
                 self._seen = {n for n in self._seen if n > new_floor}
         self.accepted += 1
         return True
+
+
+class SourceReplayWindows(LruCache):
+    """One :class:`ReplayWindow` per source EphID, the least recently
+    used evicted past ``capacity``: the receive-side replay check of a
+    host node and of a NAT-AP client.
+
+    :meth:`fresh` tests a frame's nonce before dispatch and records
+    nothing; :meth:`record` records it, creating the source's window,
+    only once the frame's payload authenticated.  So a forged frame can
+    neither move a peer's window past its real nonces nor add a window.
+    """
+
+    def fresh(self, source: bytes, nonce: "int | None") -> bool:
+        """Whether a frame from ``source`` numbered ``nonce`` may be
+        dispatched: it carries a nonce its source's window accepts."""
+        window = self.get(source)
+        return nonce is not None and (window is None or window.fresh(nonce))
+
+    def record(self, source: bytes, nonce: int) -> None:
+        """Record an authenticated frame's nonce in its source's window."""
+        window = self.hit(source)
+        if window is None:
+            window = ReplayWindow()
+            self.put(source, window)
+        window.check(nonce)

@@ -15,12 +15,14 @@ autonomous_system.ApnaAutonomousSystem.attach_host`).
 from __future__ import annotations
 
 import struct
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
-from ..core import framing
+from ..core import autonomous_system, framing
 from ..core.autonomous_system import ApnaHostNode
 from ..core.errors import ApnaError, MacError
 from ..core.keys import EphIdKeyPair
+from ..core.replay import SourceReplayWindows
 from ..core.session import (
     ConnectionRequest,
     OwnedEphId,
@@ -47,6 +49,9 @@ LC_EPHID_REP = 0x02
 LC_DATA = 0x03
 
 _LC_MAC_SIZE = 8
+#: An ``LC_EPHID_REQ`` body: request id, X25519 and Ed25519 public keys,
+#: flags byte.
+_LC_EPHID_REQ_SIZE = 4 + 32 + 32 + 1
 
 
 def _lc_seal(mac: Cmac, msg_type: int, body: bytes) -> bytes:
@@ -120,6 +125,9 @@ class NatAccessPoint(ApnaHostNode):
             self.rejected_frames += 1
             return
         if msg_type == LC_EPHID_REQ:
+            if len(body) != _LC_EPHID_REQ_SIZE:
+                self.malformed_frames += 1
+                return
             (request_id,) = struct.unpack_from(">I", body)
             dh_public = body[4:36]
             sig_public = body[36:68]
@@ -211,6 +219,14 @@ class ApClientNode(Node):
         self._pending: dict[int, tuple[EphIdKeyPair, Callable | None]] = {}
         self._next_request = 1
         self.inbox: list[tuple[Session, TransportHeader, bytes]] = []
+        #: Source EphID -> its nonces' window (see :meth:`_on_apna`).
+        self._replay_windows = SourceReplayWindows(
+            autonomous_system.REPLAY_WINDOW_CAPACITY
+        )
+        self.replay_drops = 0
+        #: Frames dropped because they fail the AP's MAC, a parse or a
+        #: reply check (see :meth:`handle_frame`).
+        self.malformed_frames = 0
 
     @property
     def aid(self) -> int:
@@ -287,56 +303,80 @@ class ApClientNode(Node):
     # -- receive path --
 
     def handle_frame(self, frame_bytes: bytes, *, from_node: str) -> None:
-        msg_type, body = _lc_open(self._mac, frame_bytes)
-        if msg_type == LC_EPHID_REP:
-            self._on_ephid_reply(body)
-        elif msg_type == LC_DATA:
-            self._on_apna(body)
+        owed = None
+        try:
+            msg_type, body = _lc_open(self._mac, frame_bytes)
+            if msg_type == LC_EPHID_REP:
+                owed = self._on_ephid_reply(body)
+            elif msg_type == LC_DATA:
+                self._on_apna(body)
+        except (MacError, WireError, ApnaError):
+            # As on a host: a frame that fails the AP's MAC, a parse or a
+            # reply check is dropped and counted, never raised into the
+            # event loop.  The callback an EphID reply owes runs after,
+            # outside this net, so its own errors still propagate.
+            self.malformed_frames += 1
+            return
+        if owed is not None:
+            owed()
 
-    def _on_ephid_reply(self, body: bytes) -> None:
+    def _on_ephid_reply(self, body: bytes) -> "Callable[[], None] | None":
+        """Settle a pending request; returns the callback it owes."""
         from ..core.certs import EphIdCertificate
 
+        if len(body) < 4:
+            raise WireError("EphID reply shorter than its request id")
         (request_id,) = struct.unpack_from(">I", body)
         cert = EphIdCertificate.parse(body[4:])
         pending = self._pending.pop(request_id, None)
         if pending is None:
-            return
+            return None
         keypair, callback = pending
         if cert.dh_public != keypair.exchange.public:
-            return  # not our keys: the AP substituted them
+            return None  # not our keys: the AP substituted them
         owned = OwnedEphId(cert=cert, keypair=keypair)
         self.owned[owned.ephid] = owned
-        if callback is not None:
-            callback(owned)
+        return None if callback is None else partial(callback, owned)
 
     def _on_apna(self, apna_bytes: bytes) -> None:
-        packet = ApnaPacket.from_wire(
-            apna_bytes, with_nonce=self.ap.assembly.config.replay_protection
-        )
+        """Dispatch one relayed APNA frame.  With ``replay_protection``
+        on, its nonce is tested against the source EphID's window first
+        and recorded only once the payload authenticated, as
+        :meth:`repro.core.autonomous_system.ApnaHostNode._accept` does."""
+        replay_protection = self.ap.assembly.config.replay_protection
+        packet = ApnaPacket.from_wire(apna_bytes, with_nonce=replay_protection)
+        header = packet.header
+        windows = self._replay_windows
+        if replay_protection and not windows.fresh(header.src_ephid, header.nonce):
+            self.replay_drops += 1
+            return
         payload_type, body = framing.unframe(packet.payload)
+        authentic = False
         if payload_type == framing.PT_DATA:
-            session = self.sessions.get(
-                (packet.header.dst_ephid, packet.header.src_ephid)
-            )
-            if session is None:
-                return
-            try:
-                segment = session.open(body)
-            except SessionError:
-                return
-            transport, data = split_segment(segment)
-            self.inbox.append((session, transport, data))
+            session = self.sessions.get((header.dst_ephid, header.src_ephid))
+            authentic = session is not None and self._deliver(session, body)
         elif payload_type == framing.PT_CONN_REQUEST:
             request = ConnectionRequest.parse(body)
-            local = self.owned.get(packet.header.dst_ephid)
+            local = self.owned.get(header.dst_ephid)
             if local is None:
                 return
-            session = Session(local, request.cert)
-            self.sessions[(local.ephid, request.cert.ephid)] = session
-            if request.early_data:
-                try:
-                    segment = session.open(request.early_data)
-                except SessionError:
-                    return
-                transport, data = split_segment(segment)
-                self.inbox.append((session, transport, data))
+            key = (local.ephid, request.cert.ephid)
+            session = self.sessions.get(key)
+            if session is None:
+                session = Session(local, request.cert)
+                self.sessions[key] = session
+            authentic = bool(request.early_data) and self._deliver(
+                session, request.early_data
+            )
+        if authentic and replay_protection:
+            windows.record(header.src_ephid, header.nonce)
+
+    def _deliver(self, session: Session, sealed: bytes) -> bool:
+        """Open a sealed segment into the inbox; whether it authenticated."""
+        try:
+            segment = session.open(sealed)
+        except SessionError:
+            return False
+        transport, data = split_segment(segment)
+        self.inbox.append((session, transport, data))
+        return True

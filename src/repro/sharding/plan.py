@@ -21,7 +21,8 @@ no holes for other shards' hosts::
 Each map has a scalar form (:meth:`ShardPlan.owner_of`, and
 :meth:`ShardPlan.row_lookup` — one shard's row map, bound once for the
 worker's key fetch) and a numpy column form (:meth:`ShardPlan.owners_of`,
-:meth:`ShardPlan.dense_rows`) for the snapshot export and load.
+:meth:`ShardPlan.dense_rows`) for the snapshot load; the export reads a
+shard's rows as the strided slice :meth:`ShardPlan.owned_rows` hands out.
 ``repro.state`` takes the plan as a parameter and never re-derives the
 stripe.
 
@@ -187,10 +188,17 @@ class ShardPlan:
 
         return local_row
 
+    def owned_rows(self, shard: int) -> slice:
+        """The host rows (``hid - FIRST_HOST_HID``) ``shard`` owns, as a
+        slice over a whole-population column: the export reads the
+        shard's rows through it as a strided view, with no index column
+        built over the population."""
+        return slice(shard, None, self.nshards)
+
     def owners_of(self, hids) -> np.ndarray:
         """:meth:`owner_of` over a column of HIDs (any integer array)."""
-        # In place over one int64 column: the export runs this over every
-        # registered host, where temporaries raise the process's peak RSS.
+        # In place over one int64 column: the load runs this over every
+        # HID a snapshot's owned section names.
         owners = np.subtract(hids, FIRST_HOST_HID, dtype=np.int64)
         # A service HID clips to row 0, which shard 0 owns too.
         np.maximum(owners, 0, out=owners)

@@ -30,8 +30,9 @@ lands in the shard's row space, is the plan's alone: the export
 (``ColumnarHostDatabase.shard_columns(plan, shard)``) and the view
 (``ColumnarShardView(plan, shard)``) take a plan — any object with its
 methods, since importing :mod:`repro.sharding` here would be circular —
-and call its scalar and numpy column forms.  Nothing in this package
-computes a shard stripe itself.
+and call its scalar and numpy column forms, or read a shard's rows
+through the strided slice ``plan.owned_rows(shard)``.  Nothing in this
+package computes a shard stripe itself.
 
 **Snapshot codec.**  :class:`ShardSnapshot` packs one shard's owned
 keys, replicated live-HID view and revocation replica as length-
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import hashlib
 
+from ..crypto.aes import AES, BLOCK_SIZE
 from .columns import ColumnarHostDatabase, HostRef
 from .revlist import ColumnarRevocationList
 from .snapshot import KEY_BYTES, ShardSnapshot, build_shard_snapshot
@@ -71,13 +73,30 @@ __all__ = [
     "population_key_material",
 ]
 
+#: Keystream bytes per CTR call of :func:`population_key_material`: a
+#: multiple of the block size, so each slice's counter continues the
+#: last one's.
+_KEYSTREAM_SLICE = 1 << 20
+
 
 def population_key_material(seed: bytes, count: int) -> bytes:
     """Deterministic kHA keystream for a bulk-registered population.
 
-    One SHAKE-256 squeeze of ``count`` 32-byte rows (control ||
-    packet_mac per host) — drawing a million hosts' keys through the
-    per-call AES rng would dominate build time.  A pure function of the
-    seed, so same-seed worlds register identical populations.
+    ``count`` 32-byte rows (control || packet_mac per host) of one
+    AES-256-CTR keystream, keyed by ``sha256(seed)`` from counter 0, so
+    a seed of any length works and same-seed worlds register identical
+    populations.  Drawing a million hosts' keys through the per-call AES
+    rng would dominate build time; the keystream runs at the cipher's
+    bulk speed, in slices of :data:`_KEYSTREAM_SLICE` bytes, so no
+    full-size zero input is held beside it.
     """
-    return hashlib.shake_256(seed).digest(KEY_BYTES * count)
+    total = KEY_BYTES * count
+    aes = AES(hashlib.sha256(seed).digest())
+    zeros = bytes(min(total, _KEYSTREAM_SLICE))
+    return b"".join(
+        aes.ctr_xcrypt(
+            (start // BLOCK_SIZE).to_bytes(BLOCK_SIZE, "big"),
+            zeros[: total - start],
+        )
+        for start in range(0, total, _KEYSTREAM_SLICE)
+    )

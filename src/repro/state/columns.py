@@ -35,7 +35,7 @@ import numpy as np
 from ..core.errors import RevokedError, UnknownHostError
 from ..core.hostdb import FIRST_HOST_HID, HostRecord
 from ..core.keys import SYMMETRIC_KEY_SIZE, HostAsKeys
-from .snapshot import KEY_BYTES, pack_u32s
+from .snapshot import KEY_BYTES, KEY_ROW, pack_u32s
 
 F_REGISTERED = 1
 F_REVOKED = 2
@@ -281,10 +281,13 @@ class ColumnarHostDatabase:
         """One shard's owned/live sections as packed column bytes.
 
         ``plan`` is a :class:`~repro.sharding.plan.ShardPlan` (any object
-        with its ``owner_of`` / ``owners_of``).  Returns ``(owned_hids,
+        with its ``owner_of`` / ``owned_rows``).  Returns ``(owned_hids,
         owned_flags, owned_keys, live_hids)`` in the snapshot codec's
         layout; service records come first (they all route to shard 0),
-        host rows follow in HID order.
+        host rows follow in HID order.  The shard's rows are read as the
+        strided view ``owned_rows`` hands out and its keys gathered as
+        32-byte rows, so the export copies the shard's state and builds
+        no index column over the population.
         """
         svc_hids: list[int] = []
         svc_flags = bytearray()
@@ -299,17 +302,23 @@ class ColumnarHostDatabase:
                 svc_keys.append(record.keys.control)
                 svc_keys.append(record.keys.packet_mac)
         flags = np.frombuffer(self._flags, dtype=np.uint8)
-        rows = np.flatnonzero(flags & F_REGISTERED)
-        hids = (rows + FIRST_HOST_HID).astype(">u4")
-        row_flags = flags[rows]
-        live_hids = hids[(row_flags & F_REVOKED) == 0]
-        owned = plan.owners_of(hids) == shard
-        owned_flags = (row_flags[owned] & F_REVOKED) >> 1
-        keymat = np.frombuffer(self._keys, dtype=np.uint8)
-        owned_keys = keymat.reshape(-1, KEY_BYTES)[rows[owned]]
+        hids = range(FIRST_HOST_HID, FIRST_HOST_HID + len(flags))
+        stripe = plan.owned_rows(shard)
+        stripe_flags = flags[stripe]
+        owned = (stripe_flags & F_REGISTERED) != 0
+        owned_hids = _hid_column(hids[stripe])[owned]
+        owned_flags = (stripe_flags[owned] & F_REVOKED) >> 1
+        owned_keys = np.frombuffer(self._keys, dtype=KEY_ROW)[stripe][owned]
+        # A row is live when it is registered and not revoked.
+        live_hids = _hid_column(hids)[flags == F_REGISTERED]
         return (
-            pack_u32s(svc_hids) + hids[owned].tobytes(),
+            pack_u32s(svc_hids) + owned_hids.tobytes(),
             bytes(svc_flags) + owned_flags.tobytes(),
             b"".join(svc_keys) + owned_keys.tobytes(),
             pack_u32s(svc_live) + live_hids.tobytes(),
         )
+
+
+def _hid_column(hids: range) -> np.ndarray:
+    """A range of HIDs as the codec's big-endian u32 column."""
+    return np.arange(hids.start, hids.stop, hids.step, dtype=">u4")

@@ -14,7 +14,9 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
-from .snapshot import EPHID_BYTES, pack_f64s, unpack_f64s
+import numpy as np
+
+from .snapshot import EPHID_BYTES, EPHID_ROW, unpack_f64s
 
 #: Compact the columns once pruned holes outnumber live rows (and the
 #: store is big enough for the copy to be worth it).
@@ -100,15 +102,14 @@ class ColumnarRevocationList:
         return [(ephid, self._exp[row]) for ephid, row in self._index.items()]
 
     def packed_snapshot(self) -> "tuple[bytes, bytes]":
-        """The live entries as packed ``(exp_be_blob, ephid_blob)`` columns."""
-        if len(self._index) == len(self._exp):
-            return pack_f64s(self._exp), bytes(self._ephids)
-        exps = []
-        ephids = bytearray()
-        for ephid, row in self._index.items():
-            exps.append(self._exp[row])
-            ephids += ephid
-        return pack_f64s(exps), bytes(ephids)
+        """The live entries as packed ``(exp_be_blob, ephid_blob)``
+        columns, in insertion order: one take of each column by the
+        index's rows, holes left by a prune that did not compact skipped."""
+        index = self._index
+        rows = np.fromiter(index.values(), dtype=np.intp, count=len(index))
+        exps = np.frombuffer(self._exp, dtype=np.float64)[rows]
+        ephids = np.frombuffer(self._ephids, dtype=EPHID_ROW)[rows]
+        return exps.astype(">f8").tobytes(), ephids.tobytes()
 
     def load_packed(self, exp_blob: bytes, ephid_blob: bytes) -> int:
         """Bulk-ingest packed columns (a fresh replica's resync path)."""
@@ -121,10 +122,8 @@ class ColumnarRevocationList:
             )
         self._exp = exps
         self._ephids = bytearray(ephid_blob)
-        self._index = {
-            bytes(ephid_blob[i * EPHID_BYTES : (i + 1) * EPHID_BYTES]): i
-            for i in range(n)
-        }
+        ephids = np.frombuffer(ephid_blob, dtype=EPHID_ROW).tolist()
+        self._index = dict(zip(ephids, range(n)))
         if len(self._index) != n:
             raise ValueError("duplicate EphIDs in packed revocation columns")
         heap = list(zip(exps, range(n)))

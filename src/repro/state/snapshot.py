@@ -34,9 +34,13 @@ import sys
 from array import array
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "EPHID_BYTES",
+    "EPHID_ROW",
     "KEY_BYTES",
+    "KEY_ROW",
     "ShardSnapshot",
     "build_shard_snapshot",
     "pack_f64s",
@@ -48,6 +52,10 @@ __all__ = [
 #: One owned row's key payload: control subkey || packet-MAC subkey.
 KEY_BYTES = 32
 EPHID_BYTES = 16
+#: The same widths as numpy row types: a column of them is gathered and
+#: scattered one row per element.
+KEY_ROW = np.dtype((np.void, KEY_BYTES))
+EPHID_ROW = np.dtype((np.void, EPHID_BYTES))
 
 _NEEDS_SWAP = sys.byteorder == "little"
 _HEAD = struct.Struct(">III")  # n_owned, n_live, n_revoked

@@ -32,7 +32,7 @@ import numpy as np
 from ..core.errors import RevokedError, UnknownHostError
 from ..core.hostdb import FIRST_HOST_HID
 from ..core.keys import HostAsKeys
-from .snapshot import KEY_BYTES, ShardSnapshot
+from .snapshot import KEY_BYTES, KEY_ROW, ShardSnapshot
 
 _ABSENT = 0
 _PRESENT = 1
@@ -192,36 +192,29 @@ class ColumnarShardView:
                 f"HID {hid} is owned by shard {plan.owner_of(hid)}, "
                 f"not shard {shard}"
             )
-        self._owned_flags = bytearray()
-        self._keys = bytearray()
-        self._live = bytearray()
-        self._extra = {}
         in_plan = orows >= 0
         plan_idx = np.flatnonzero(in_plan)
-        if plan_idx.size:
-            orows = orows[plan_idx]
-            self._ensure_orows(int(orows.max()) + 1)
-            dest_flags = np.frombuffer(self._owned_flags, dtype=np.uint8)
-            dest_flags[orows] = _PRESENT | (flags[plan_idx] * _REVOKED)
-            src_keys = np.frombuffer(snap.owned_keys, dtype=np.uint8)
-            dest_keys = np.frombuffer(self._keys, dtype=np.uint8)
-            dest_keys.reshape(-1, KEY_BYTES)[orows] = src_keys.reshape(
-                -1, KEY_BYTES
-            )[plan_idx]
+        orows = orows[plan_idx]
+        nrows = int(orows.max()) + 1 if orows.size else 0
+        self._owned_flags = bytearray(nrows)
+        self._keys = bytearray(nrows * KEY_BYTES)
+        self._extra = {}
+        dest_flags = np.frombuffer(self._owned_flags, dtype=np.uint8)
+        dest_flags[orows] = _PRESENT | (flags[plan_idx] * _REVOKED)
+        src_keys = np.frombuffer(snap.owned_keys, dtype=KEY_ROW)
+        dest_keys = np.frombuffer(self._keys, dtype=KEY_ROW)
+        dest_keys[orows] = src_keys[plan_idx]
         for i in np.flatnonzero(~in_plan):
             base = int(i) * KEY_BYTES
             self._extra[int(hids[i])] = [
                 bytes(snap.owned_keys[base : base + KEY_BYTES]),
                 bool(flags[i]),
             ]
-        live = np.frombuffer(snap.live_hids, dtype=">u4").astype(np.int64)
-        live_rows = live - FIRST_HOST_HID
-        host_live = live_rows >= 0
-        rows_live = live_rows[host_live]
-        if rows_live.size:
-            self._ensure_live(int(rows_live.max()) + 1)
-            dest_live = np.frombuffer(self._live, dtype=np.uint8)
-            dest_live[rows_live] = 1
+        live = np.frombuffer(snap.live_hids, dtype=">u4")
+        host_live = live >= FIRST_HOST_HID
+        rows_live = np.subtract(live[host_live], FIRST_HOST_HID, dtype=np.intp)
+        self._live = bytearray(int(rows_live.max()) + 1 if rows_live.size else 0)
+        np.frombuffer(self._live, dtype=np.uint8)[rows_live] = 1
         self._service_live = {int(h) for h in live[~host_live]}
         # The rows written, however often the snapshot named each.
         written = self._owned_flags

@@ -3,6 +3,7 @@ and APNA-as-a-Service (VIII-E)."""
 
 import pytest
 
+from repro.core.config import ApnaConfig
 from repro.gateway import (
     ApnaGateway,
     DownstreamAs,
@@ -102,6 +103,38 @@ class TestNatMode:
         laptop.connect(bob_owned.cert, owned, early_data=b"blocked?")
         world.network.run()
         assert bob.inbox == []
+
+    def test_replayed_connection_request_delivers_once(self):
+        """With replay protection on, a client tests a relayed frame's
+        nonce against its source EphID's window before dispatch, as a
+        host does: a replayed connection request re-delivers no 0-RTT
+        data and builds no second session."""
+        world = build_world(
+            host_names=("bob",), config=ApnaConfig(replay_protection=True)
+        )
+        ap = world.as_a.attach_host("cafe-ap", node_cls=NatAccessPoint)
+        ap.bootstrap()
+        laptop = ap.register_client("cafe-laptop")
+        world.network.compute_routes()
+        owned = self.acquire(world, laptop)
+        captured = []
+        original = laptop.handle_frame
+
+        def capture(frame_bytes, *, from_node):
+            captured.append(frame_bytes)
+            original(frame_bytes, from_node=from_node)
+
+        laptop.handle_frame = capture
+        world.hosts["bob"].connect(owned.cert, early_data=b"pay 10 EUR")
+        world.network.run()
+        assert [entry[2] for entry in laptop.inbox] == [b"pay 10 EUR"]
+        sessions = dict(laptop.sessions)
+        assert len(sessions) == 1
+        original(captured[-1], from_node=ap.name)
+        assert [entry[2] for entry in laptop.inbox] == [b"pay 10 EUR"]
+        assert laptop.replay_drops == 1
+        assert laptop.sessions == sessions
+        assert all(laptop.sessions[key] is sessions[key] for key in sessions)
 
     def test_ap_replaces_mac(self, cafe):
         # Outgoing packets pass the AS border router's MAC check, which

@@ -20,7 +20,7 @@ from repro.core.errors import ApnaError
 from repro.core.messages import ShutoffResponse
 from repro.core.session import ConnectionRequest
 from repro.gateway import NatAccessPoint
-from repro.gateway.ap import LC_DATA, _lc_seal
+from repro.gateway.ap import LC_DATA, LC_EPHID_REP, LC_EPHID_REQ, _lc_seal
 from repro.wire.apna import Endpoint
 from repro.wire.errors import WireError
 from repro.wire.icmp import IcmpMessage
@@ -157,6 +157,28 @@ def test_random_bodies_never_raise_and_are_counted(fig1):
 
 
 class TestAccessPoints:
+    def test_nat_client_drops_bad_frames_from_its_ap(self):
+        """A client behind a NAT-mode AP counts a frame that fails the
+        AP's MAC, and an authentic one carrying a runt, in
+        ``malformed_frames`` instead of raising out of the event loop."""
+        world = build_world(host_names=("bob",))
+        ap = world.as_a.attach_host("cafe-ap", node_cls=NatAccessPoint)
+        ap.bootstrap()
+        laptop = ap.register_client("cafe-laptop")
+        world.network.compute_routes()
+        ap.send(laptop.name, bytes(20))
+        world.network.run()
+        assert laptop.malformed_frames == 1
+        ap.send(laptop.name, _lc_seal(ap._clients[laptop.name], LC_DATA, bytes(20)))
+        ap.send(laptop.name, _lc_seal(ap._clients[laptop.name], LC_EPHID_REP, b"\0"))
+        world.network.run()
+        assert laptop.malformed_frames == 3
+        # The client keeps working: an EphID through the AP after them.
+        got = []
+        laptop.acquire_ephid(callback=got.append)
+        world.network.run()
+        assert len(got) == 1 and laptop.malformed_frames == 3
+
     def test_nat_ap_drops_runts_and_garbled_replies(self):
         world = build_world(host_names=("bob",))
         ap = world.as_a.attach_host("cafe-ap", node_cls=NatAccessPoint)
@@ -167,8 +189,10 @@ class TestAccessPoints:
         laptop.send(ap.name, _lc_seal(laptop._mac, LC_DATA, bytes(20)))
         # A runt from the uplink.
         world.as_a.node.send(ap.name, bytes(20))
+        # A client-authenticated EphID request too short for its fields.
+        laptop.send(ap.name, _lc_seal(laptop._mac, LC_EPHID_REQ, bytes(2)))
         world.network.run()
-        assert ap.malformed_frames == 2
+        assert ap.malformed_frames == 3
         # A garbled proxied EphID reply leaves the client's request
         # waiting; the genuine one settles it.
         got = []
@@ -181,6 +205,6 @@ class TestAccessPoints:
             framing.frame(framing.PT_CONTROL_REP, bytes(96)),
         )
         ap.handle_frame(garbled.to_wire(), from_node=world.as_a.node.name)
-        assert ap.malformed_frames == 3
+        assert ap.malformed_frames == 4
         world.network.run()
         assert len(got) == 1

@@ -9,8 +9,13 @@ bytes a per-record walk of either family would write, so a worker
 resynced over ``MSG_RESYNC`` holds exactly the authoritative rows.
 """
 
+import gc
+import hashlib
+import random
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.config import ApnaConfig
@@ -18,6 +23,7 @@ from repro.core.errors import RevokedError, UnknownHostError
 from repro.core.hostdb import FIRST_HOST_HID, HostDatabase, HostRecord
 from repro.core.keys import HostAsKeys
 from repro.core.revocation import RevocationList
+from repro.crypto import AES, PureAES
 from repro.sharding import wire
 from repro.sharding.plan import ShardPlan
 from repro.sharding.worker import ShardSpec, ShardState
@@ -29,7 +35,9 @@ from repro.state import (
     build_shard_snapshot,
     population_key_material,
 )
-from repro.state.snapshot import pack_f64s, pack_u32s
+from repro.state import _KEYSTREAM_SLICE
+from repro.state.revlist import _COMPACT_MIN_ROWS
+from repro.state.snapshot import KEY_BYTES, pack_f64s, pack_u32s
 
 SERVICE_HIDS = (3, 1, 2, 4, 5)  # AA, registry, MS, DNS, router order
 
@@ -298,6 +306,38 @@ class TestRevocationListDifferential:
         fresh = ColumnarRevocationList()
         assert fresh.load_packed(exp_blob, ephid_blob) == 5
         assert set(fresh.snapshot()) == set(col.snapshot())
+
+    def test_hole_heavy_packed_round_trip(self):
+        """Prunes scattered through insertion order leave holes the
+        columns keep (live rows never fall below half, so nothing
+        compacts): the packed columns are the survivors in insertion
+        order, and a replica loaded from them answers and prunes as the
+        original does."""
+        rng = random.Random(48)
+        for size in (_COMPACT_MIN_ROWS - 1, 2048):
+            col = ColumnarRevocationList()
+            expiries = [float(rng.randrange(1, 10 * size)) for _ in range(size)]
+            for i, exp_time in enumerate(expiries):
+                col.add(i.to_bytes(16, "big"), exp_time)
+            cut = sorted(expiries)[size // 2]
+            pruned = col.prune(cut)
+            assert 0 < pruned and len(col) * 2 >= len(col._exp) == size
+            survivors = [
+                (i.to_bytes(16, "big"), exp_time)
+                for i, exp_time in enumerate(expiries)
+                if exp_time >= cut
+            ]
+            assert col.snapshot() == survivors
+            exp_blob, ephid_blob = col.packed_snapshot()
+            assert exp_blob == pack_f64s(exp for _, exp in survivors)
+            assert ephid_blob == b"".join(ephid for ephid, _ in survivors)
+            fresh = ColumnarRevocationList()
+            assert fresh.load_packed(exp_blob, ephid_blob) == len(survivors)
+            assert fresh.snapshot() == survivors
+            assert fresh.packed_snapshot() == (exp_blob, ephid_blob)
+            later = sorted(expiries)[3 * size // 4]
+            assert fresh.prune(later) == col.prune(later)
+            assert fresh.snapshot() == col.snapshot()
 
     def test_load_packed_validation(self):
         with pytest.raises(ValueError, match="disagree"):
@@ -642,3 +682,238 @@ class TestColumnarShardView:
 
 def _describe_view(record):
     return (record.hid, record.keys.control, record.keys.packet_mac)
+
+
+class TestPopulationKeyMaterial:
+    """A bulk population's kHA rows are one AES-256-CTR keystream under
+    ``sha256(seed)`` from counter 0: a pure function of a seed of any
+    length, ``32 * count`` bytes long, and pinned here so the derivation
+    cannot change silently."""
+
+    def test_known_answer(self):
+        assert population_key_material(b"population-kat", 1).hex() == (
+            "4a0b6a9acc37cc4ca7d21ef64142613c"
+            "5e6e4770e47cf0be0b37124732ba5e93"
+        )
+
+    def test_is_the_ctr_keystream_of_the_seed_hash(self):
+        key = hashlib.sha256(b"spec").digest()
+        spec = PureAES(key).ctr_xcrypt(bytes(16), bytes(3 * KEY_BYTES))
+        assert population_key_material(b"spec", 3) == spec
+        # Across a slice boundary the counter runs on: one CTR stream.
+        count = _KEYSTREAM_SLICE // KEY_BYTES + 5
+        whole = AES(key).ctr_xcrypt(bytes(16), bytes(count * KEY_BYTES))
+        assert population_key_material(b"spec", count) == whole
+
+    @pytest.mark.parametrize(
+        "seed", [b"", b"x", b"bulk-parity", b"metro-resync", bytes(32), bytes(97)]
+    )
+    def test_any_seed_length_gives_count_rows(self, seed):
+        for count in (1, 2, 40):
+            material = population_key_material(seed, count)
+            assert len(material) == KEY_BYTES * count
+            assert material == population_key_material(seed, count)
+        assert population_key_material(seed, 40)[: 2 * KEY_BYTES] == (
+            population_key_material(seed, 2)
+        )
+
+    def test_distinct_seeds_give_distinct_rows(self):
+        seeds = [b"", b"x", b"x\0", b"gap", b"bulk-parity", b"metro-resync"]
+        seeds += [bytes([i]) * 32 for i in range(8)]
+        assert len({population_key_material(seed, 2) for seed in seeds}) == len(seeds)
+
+
+# --------------------------------------------------------------------------
+# The export and the load against their previous bodies, byte for byte
+
+
+def _reference_shard_columns(db, plan, shard):
+    """``ColumnarHostDatabase.shard_columns`` as it was before it read a
+    shard's rows as a strided view: owners of the whole population as an
+    int64 column, keys gathered through a 2-D ``uint8`` index."""
+    svc_hids: list[int] = []
+    svc_flags = bytearray()
+    svc_keys: list[bytes] = []
+    svc_live: list[int] = []
+    for record in db._services.values():
+        if not record.revoked:
+            svc_live.append(record.hid)
+        if plan.owner_of(record.hid) == shard:
+            svc_hids.append(record.hid)
+            svc_flags.append(1 if record.revoked else 0)
+            svc_keys.append(record.keys.control)
+            svc_keys.append(record.keys.packet_mac)
+    flags = np.frombuffer(db._flags, dtype=np.uint8)
+    rows = np.flatnonzero(flags & 1)
+    hids = (rows + FIRST_HOST_HID).astype(">u4")
+    row_flags = flags[rows]
+    live_hids = hids[(row_flags & 2) == 0]
+    owned = plan.owners_of(hids) == shard
+    owned_flags = (row_flags[owned] & 2) >> 1
+    keymat = np.frombuffer(db._keys, dtype=np.uint8)
+    owned_keys = keymat.reshape(-1, KEY_BYTES)[rows[owned]]
+    return (
+        pack_u32s(svc_hids) + hids[owned].tobytes(),
+        bytes(svc_flags) + owned_flags.tobytes(),
+        b"".join(svc_keys) + owned_keys.tobytes(),
+        pack_u32s(svc_live) + live_hids.tobytes(),
+    )
+
+
+def _reference_load_snapshot(view, snap):
+    """``ColumnarShardView.load_snapshot`` as it was before it scattered
+    keys as 32-byte rows (a 2-D ``uint8`` index)."""
+    plan, shard = view._plan, view._shard
+    hids = np.frombuffer(snap.owned_hids, dtype=">u4")
+    flags = np.frombuffer(snap.owned_flags, dtype=np.uint8)
+    orows = plan.dense_rows(hids)
+    foreign = np.flatnonzero((orows >= 0) & (plan.owners_of(hids) != shard))
+    if foreign.size:
+        hid = int(hids[foreign[0]])
+        raise ValueError(
+            f"HID {hid} is owned by shard {plan.owner_of(hid)}, not shard {shard}"
+        )
+    view._owned_flags = bytearray()
+    view._keys = bytearray()
+    view._live = bytearray()
+    view._extra = {}
+    in_plan = orows >= 0
+    plan_idx = np.flatnonzero(in_plan)
+    if plan_idx.size:
+        orows = orows[plan_idx]
+        view._ensure_orows(int(orows.max()) + 1)
+        dest_flags = np.frombuffer(view._owned_flags, dtype=np.uint8)
+        dest_flags[orows] = 1 | (flags[plan_idx] * 2)
+        src_keys = np.frombuffer(snap.owned_keys, dtype=np.uint8)
+        dest_keys = np.frombuffer(view._keys, dtype=np.uint8)
+        dest_keys.reshape(-1, KEY_BYTES)[orows] = src_keys.reshape(-1, KEY_BYTES)[
+            plan_idx
+        ]
+    for i in np.flatnonzero(~in_plan):
+        base = int(i) * KEY_BYTES
+        view._extra[int(hids[i])] = [
+            bytes(snap.owned_keys[base : base + KEY_BYTES]),
+            bool(flags[i]),
+        ]
+    live = np.frombuffer(snap.live_hids, dtype=">u4").astype(np.int64)
+    live_rows = live - FIRST_HOST_HID
+    host_live = live_rows >= 0
+    rows_live = live_rows[host_live]
+    if rows_live.size:
+        view._ensure_live(int(rows_live.max()) + 1)
+        np.frombuffer(view._live, dtype=np.uint8)[rows_live] = 1
+    view._service_live = {int(h) for h in live[~host_live]}
+    written = view._owned_flags
+    view._owned_n = len(written) - written.count(0) + len(view._extra)
+    if view._owned_n != snap.owned_count:
+        raise ValueError("owned HIDs repeat: a shard holds one row per HID")
+
+
+def _view_state(view):
+    return (
+        bytes(view._owned_flags),
+        bytes(view._keys),
+        bytes(view._live),
+        view._service_live,
+        view._extra,
+        view.owned_count,
+    )
+
+
+def _mixed_population(rng: random.Random) -> ColumnarHostDatabase:
+    """Services (one revoked), host HIDs allocated but never registered,
+    hosts registered one by one (some revoked on arrival) and in bulk,
+    and revocations after."""
+    db = ColumnarHostDatabase()
+    for i, hid in enumerate(SERVICE_HIDS):
+        db.register(HostRecord(hid=hid, keys=_keys(100 + i), revoked=i == 1))
+    for _ in range(rng.randrange(30)):
+        hid = db.allocate_hid()
+        if rng.random() < 0.6:
+            db.register(HostRecord(hid, _keys(hid), revoked=rng.random() < 0.2))
+    count = rng.randrange(1, 80)
+    db.bulk_register(count, population_key_material(rng.randbytes(11), count))
+    for _ in range(rng.randrange(5)):
+        db.allocate_hid()
+    hosts = [r.hid for r in db.records() if r.hid >= FIRST_HOST_HID and not r.revoked]
+    for hid in rng.sample(hosts, len(hosts) // 7):
+        db.revoke_hid(hid)
+    return db
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_export_and_load_equal_their_previous_bodies(seed):
+    rng = random.Random(seed)
+    db = _mixed_population(rng)
+    revocations = ColumnarRevocationList()
+    for nshards in range(1, 5):
+        plan = ShardPlan(nshards)
+        for shard in range(nshards):
+            columns = db.shard_columns(plan, shard)
+            assert columns == _reference_shard_columns(db, plan, shard)
+            snap = build_shard_snapshot(db, revocations, plan, shard)
+            # The export's snapshot, and its rows in another order.
+            owned, live = list(snap.iter_owned()), list(snap.iter_live())
+            rng.shuffle(owned)
+            rng.shuffle(live)
+            for loaded in (snap, ShardSnapshot.from_rows(owned, live, [])):
+                view = ColumnarShardView(plan, shard)
+                reference = ColumnarShardView(plan, shard)
+                view.load_snapshot(loaded)
+                _reference_load_snapshot(reference, loaded)
+                assert _view_state(view) == _view_state(reference)
+            if nshards > 1 and any(hid >= FIRST_HOST_HID for hid, *_ in owned):
+                # A snapshot naming hosts another shard owns is refused.
+                other = (shard + 1) % nshards
+                with pytest.raises(ValueError, match="is owned by shard"):
+                    ColumnarShardView(plan, other).load_snapshot(snap)
+                with pytest.raises(ValueError, match="is owned by shard"):
+                    _reference_load_snapshot(ColumnarShardView(plan, other), snap)
+
+
+def _python_steps(fn) -> int:
+    """The ``call`` and ``line`` trace events of Python frames, any
+    package's, that ``fn`` fires.  Lines count as well as calls because a
+    comprehension over the hosts is one call but a line event per
+    element.  The collector is paused: a ``gc.callbacks`` hook
+    (hypothesis installs one) would add calls per collection, and
+    collections scale with allocations."""
+    steps = 0
+
+    def trace(frame, event, arg):
+        nonlocal steps
+        steps += event in ("call", "line")
+        return trace
+
+    gc.disable()
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    return steps
+
+
+def test_state_path_work_is_a_budget():
+    """A shard's resync state path — export the snapshot, load the host
+    view and the revocation replica — runs no Python per host or per
+    revocation: it takes as many Python steps over 20k hosts and 2.5k
+    revocations (scattered holes included) as over 2k and 250."""
+    counts = []
+    for hosts in (2_000, 20_000):
+        db, _ = _authoritative(hosts=hosts)
+        revocations = ColumnarRevocationList()
+        for i in range(hosts // 8):
+            revocations.add(i.to_bytes(16, "big"), 1_000.0 + (i * 7_919) % hosts)
+        revocations.prune(1_000.0 + hosts / 4)
+        plan = ShardPlan(2)
+
+        def resync():
+            for shard in range(plan.nshards):
+                snap = build_shard_snapshot(db, revocations, plan, shard)
+                ColumnarShardView(plan, shard).load_snapshot(snap)
+                ColumnarRevocationList().load_packed(snap.rev_exp, snap.rev_ephids)
+
+        counts.append(_python_steps(resync))
+    assert counts[0] == counts[1], counts
