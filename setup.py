@@ -20,10 +20,10 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
-    package_data={"repro.analysis": ["baseline.txt"]},
     # ``public_bytes_raw`` (the Ed25519 / X25519 public keys) is new in 40.0.
-    # numpy gathers and scatters the shard-state columns.
-    install_requires=["cryptography>=40", "numpy"],
+    # numpy gathers and scatters the shard-state columns; networkx routes
+    # the simulated AS topology.
+    install_requires=["cryptography>=40", "numpy", "networkx"],
     entry_points={
         "console_scripts": [
             "repro-analyze=repro.analysis.cli:main",

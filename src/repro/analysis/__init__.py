@@ -13,8 +13,11 @@ Run it::
     python -m repro.analysis [--format text|json] [--rule NAME] [ROOT]
     repro-analyze            # console entry point (setup.py)
 
-Exit 0 means every finding is suppressed or baselined; anything new
+Exit 0 means every finding is suppressed inline; any other finding
 exits 1 (and fails ``tests/test_static_analysis.py``, which is tier-1).
+``--list-rules`` names every rule.  Besides ``src/repro`` the run reads
+the repo's ``tests/``, ``bench/``, ``examples/`` and ``setup.py`` (once,
+read-only) for the rules that need callers or setters there.
 
 Static invariants
 =================
@@ -91,21 +94,49 @@ depends on — the motivating bug/PR is part of the rule's definition:
     requester-chosen HID; PR 19's guessed bound regressed
     ``churn_hostile``, PR 20 put them on one
     :class:`repro.core.lru.LruCache` sized from the benchmark's working
-    sets (or deleted them).
+    sets (or deleted them).  A list attribute appended outside
+    ``__init__`` and never shrunk is held to the same bound (the
+    supervisor's failure log grew for the plane's whole life).
+``production-caller`` (PR 32)
+    Every ``src/repro`` function, class and method is reached from
+    production code — module level, ``__main__`` blocks, ``examples/``,
+    bench's entry points, ``ALL_RUNNERS``, ``@case`` / ``@register`` —
+    over a call graph that resolves ``self.x.m`` through ``__init__``
+    assignments and annotations, falling back to the name where the type
+    is unknown.  PR 32's name match let ``AipNic.handle_shutoff`` and
+    ``IvAllocator.issued`` through on other definitions' callers.
+``gone-names`` (PRs 15, 17, 20, 21, 24–31, 33)
+    The names, options, imports and fields the simplicity PRs deleted
+    (a crypto backend switch, the object state family, GCM / CBC, an
+    object batch path, ``SupervisorPolicy``, ``HAVE_NUMPY``, ...) do not
+    grow back.
+``identifier-homes`` (PRs 21, 26, 28, 31)
+    ``packet_mac_size`` / ``state_backend`` / ``crypto_backend`` (kept
+    only because ``bench/`` passes them), the spec primitives, the one
+    packet signer (``.with_mac``), the scalar pipelines and ``asys.br``
+    appear only in the definitions listed for them.
+``third-party-imports`` (PRs 26, 27)
+    numpy, networkx and ``cryptography`` are declared in ``setup.py`` and
+    imported only from their homes (``crypto/`` alone for OpenSSL).
+``option-surface`` (PRs 20, 24, 25, 27–29)
+    ``ApnaConfig``, ``ShardSpec``, ``ShardPlan`` and ``TrafficProfile``
+    fields and the narrowed constructors' parameters are exactly the
+    pinned ones, and every ``ApnaConfig`` field has a caller that sets
+    it.
+``one-nonce-source`` (PR 47)
+    Header nonces are made, stored and stepped only at the listed sites
+    (``session.header_nonce`` and the per-EphID sequences).
 
-Suppressions and the baseline
-=============================
+Suppressions
+============
 
-A finding is silenced in exactly two reviewable ways:
-
-* **Inline**: ``# audit: allow(<rule>)`` on the flagged line or the
-  line directly above, with the justification in the same comment —
-  e.g. a worker's request loop that *should* block forever carries
-  ``# audit: allow(bounded-wait)`` and says why.
-* **Baseline**: ``src/repro/analysis/baseline.txt`` lists grandfathered
-  ``rule:file:line`` keys.  New findings fail even while old ones burn
-  down; the baseline may only ever shrink
-  (``tests/test_repo_hygiene.py`` enforces it).
+A finding is silenced in exactly one reviewable way: ``# audit:
+allow(<rule>)`` on the flagged line or the line directly above, with the
+justification in the same comment — e.g. a worker's request loop that
+*should* block forever carries ``# audit: allow(bounded-wait)`` and says
+why, and a spec kept for the tests carries ``# audit:
+allow(production-caller)`` and names what checks against it.  There is
+no findings baseline.
 
 Adding a rule: subclass :class:`Rule` in a ``rules_*`` module, set
 ``name``/``title``/``motivation``/``scope``, decorate with
@@ -114,18 +145,7 @@ known-good fixture self-test in ``tests/test_static_analysis.py`` (the
 detector must provably detect).
 """
 
-from .engine import (
-    DEFAULT_BASELINE,
-    DEFAULT_ROOT,
-    RULES,
-    Finding,
-    Report,
-    Rule,
-    load_baseline,
-    register,
-    run_analysis,
-    write_baseline,
-)
+from .engine import DEFAULT_ROOT, RULES, Finding, Report, Rule, register, run_analysis
 from .model import Module, Project
 
 # Importing the rule modules is what populates the registry.
@@ -137,9 +157,10 @@ from . import rules_exceptions  # noqa: E402,F401  (silent-except)
 from . import rules_scenarios  # noqa: E402,F401  (scenario-coverage)
 from . import rules_docs  # noqa: E402,F401  (doc-references)
 from . import rules_bounds  # noqa: E402,F401  (bounded-cache)
+from . import rules_callers  # noqa: E402,F401  (production-caller)
+from . import rules_pins  # noqa: E402,F401  (gone-names, identifier-homes, third-party-imports, option-surface, one-nonce-source)
 
 __all__ = [
-    "DEFAULT_BASELINE",
     "DEFAULT_ROOT",
     "RULES",
     "Finding",
@@ -147,8 +168,6 @@ __all__ = [
     "Project",
     "Report",
     "Rule",
-    "load_baseline",
     "register",
     "run_analysis",
-    "write_baseline",
 ]

@@ -1,11 +1,9 @@
 """Command line front end: ``python -m repro.analysis`` / ``repro-analyze``.
 
 Exit status is the contract CI relies on: 0 when every finding is
-suppressed or baselined, 1 when anything new fires.  ``--format json``
-emits the full machine-readable report (the tier-1 driver test parses
-it); ``--rule`` narrows the run; ``--write-baseline`` grandfathers the
-current findings (use only when introducing a rule, never to absorb a
-regression — the baseline may only shrink afterwards).
+suppressed inline, 1 when any fires.  ``--format json`` emits the full
+machine-readable report (the tier-1 driver test parses it); ``--rule``
+narrows the run; ``--list-rules`` names every rule.
 """
 
 from __future__ import annotations
@@ -14,13 +12,7 @@ import argparse
 import json
 import sys
 
-from .engine import (
-    DEFAULT_BASELINE,
-    DEFAULT_ROOT,
-    RULES,
-    run_analysis,
-    write_baseline,
-)
+from .engine import DEFAULT_ROOT, RULES, run_analysis
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,17 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run only this rule (repeatable)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=f"findings baseline file (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="grandfather the current findings into the baseline file",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list registered rules and exit",
@@ -74,28 +55,18 @@ def main(argv: "list[str] | None" = None) -> int:
             print(f"{rule.name:28s} {rule.title}")
         return 0
     try:
-        report = run_analysis(
-            args.root, rules=args.rule, baseline=args.baseline
-        )
+        report = run_analysis(args.root, rules=args.rule)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        path = args.baseline or DEFAULT_BASELINE
-        write_baseline(report.findings, path)
-        print(f"wrote {len(report.findings)} finding(s) to {path}")
-        return 0
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
         for finding in report.findings:
-            marker = " (baselined)" if finding.key in report.baseline else ""
-            print(finding.render() + marker)
-        for entry in report.stale_baseline:
-            print(f"stale baseline entry (no longer fires): {entry}")
+            print(finding.render())
         print(
             f"{len(report.rules)} rule(s) over {report.checked_files} "
-            f"file(s): {len(report.new)} new, {len(report.baselined)} "
-            f"baselined, {len(report.suppressed)} suppressed"
+            f"file(s): {len(report.findings)} finding(s), "
+            f"{len(report.suppressed)} suppressed"
         )
-    return 1 if report.new else 0
+    return 1 if report.findings else 0

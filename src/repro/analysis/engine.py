@@ -1,23 +1,16 @@
-"""The rule engine: registry, driver, suppressions, findings baseline.
+"""The rule engine: registry, driver, inline suppressions.
 
 A :class:`Rule` declares a **file scope** (glob patterns under the
 analysis root) and checks either one module at a time
 (:meth:`Rule.check_module`) or the whole project at once
 (:meth:`Rule.check_project`, for cross-module invariants).  Rules
 register themselves into :data:`RULES` at import; the driver runs every
-registered rule (or a ``--rule`` subset) and post-processes raw
-findings in two stages:
-
-1. **Inline suppressions** — a finding whose line (or the line above)
-   carries ``# audit: allow(<rule>)`` is recorded as suppressed, not
-   reported.  Use these for sites where the flagged pattern is the
-   point (a worker's intentionally unbounded request wait, say), with
-   the justification in the same comment.
-2. **Baseline** — a checked-in list of grandfathered finding keys
-   (``rule:file:line``).  A finding in the baseline does not fail the
-   run; anything *new* does.  The baseline may only ever shrink (a
-   repo-hygiene test enforces this), so old debt burns down while new
-   violations are stopped at the door.
+registered rule (or a ``--rule`` subset).  A finding whose line (or the
+line above) carries ``# audit: allow(<rule>)`` is recorded as
+suppressed, not reported: that is the one way to silence a finding, for
+sites where the flagged pattern is the point (a worker's intentionally
+unbounded request wait, say), with the justification in the same
+comment.  Every other finding fails the run.
 """
 
 from __future__ import annotations
@@ -31,9 +24,6 @@ from .model import Module, Project, scope_match
 #: The tree the analyzer covers by default: the ``repro`` package.
 DEFAULT_ROOT = Path(__file__).resolve().parent.parent
 
-#: The checked-in grandfathered-findings file, shipped with the package.
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.txt"
-
 
 @dataclasses.dataclass(frozen=True)
 class Finding:
@@ -43,11 +33,6 @@ class Finding:
     file: str  # path relative to the analysis root, posix separators
     line: int
     message: str
-
-    @property
-    def key(self) -> str:
-        """The stable identity used by baselines: ``rule:file:line``."""
-        return f"{self.rule}:{self.file}:{self.line}"
 
     def render(self) -> str:
         return f"{self.file}:{self.line}: [{self.rule}] {self.message}"
@@ -98,73 +83,22 @@ def register(cls: "type[Rule]") -> "type[Rule]":
     return cls
 
 
-def load_baseline(path: "Path | str | None" = None) -> "set[str]":
-    """The grandfathered finding keys (missing file = empty baseline)."""
-    path = Path(path) if path is not None else DEFAULT_BASELINE
-    if not path.is_file():
-        return set()
-    entries = set()
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            entries.add(line)
-    return entries
-
-
-def write_baseline(findings: "Iterable[Finding]", path: "Path | str") -> None:
-    """Grandfather the given findings (sorted, one key per line)."""
-    entries = sorted({finding.key for finding in findings})
-    header = (
-        "# repro.analysis findings baseline — grandfathered violations.\n"
-        "# This file may only shrink (tests/test_repo_hygiene.py enforces\n"
-        "# it): fix or `# audit: allow(...)` a finding to remove its line,\n"
-        "# never add new ones.  Keys are rule:file:line.\n"
-    )
-    Path(path).write_text(header + "".join(f"{entry}\n" for entry in entries))
-
-
 @dataclasses.dataclass
 class Report:
     """Everything one analysis run produced."""
 
-    findings: "list[Finding]"  # unsuppressed, baseline-agnostic
+    findings: "list[Finding]"  # unsuppressed: each one fails the run
     suppressed: "list[Finding]"
-    baseline: "set[str]"
     checked_files: int
     rules: "list[str]"
 
-    @property
-    def new(self) -> "list[Finding]":
-        """Findings not covered by the baseline — these fail the run."""
-        return [f for f in self.findings if f.key not in self.baseline]
-
-    @property
-    def baselined(self) -> "list[Finding]":
-        return [f for f in self.findings if f.key in self.baseline]
-
-    @property
-    def stale_baseline(self) -> "list[str]":
-        """Baseline keys that no longer fire — ripe for deletion."""
-        live = {f.key for f in self.findings}
-        return sorted(key for key in self.baseline if key not in live)
-
     def to_json(self) -> dict:
-        baseline = self.baseline
+        def rows(findings):
+            return [dataclasses.asdict(f) for f in findings]
+
         return {
-            "findings": [
-                {
-                    "rule": f.rule,
-                    "file": f.file,
-                    "line": f.line,
-                    "message": f.message,
-                    "baselined": f.key in baseline,
-                }
-                for f in self.findings
-            ],
-            "new": len(self.new),
-            "baselined": len(self.baselined),
-            "suppressed": len(self.suppressed),
-            "stale_baseline": self.stale_baseline,
+            "findings": rows(self.findings),
+            "suppressed": rows(self.suppressed),
             "checked_files": self.checked_files,
             "rules": self.rules,
         }
@@ -185,21 +119,14 @@ def run_analysis(
     root: "Path | str | None" = None,
     *,
     rules: "Iterable[str] | None" = None,
-    baseline: "Path | str | set | None" = None,
     project: "Project | None" = None,
 ) -> Report:
     """Run the selected rules and return the full :class:`Report`.
 
     ``project`` overrides ``root`` (tests pass synthetic projects).
-    ``baseline`` may be a path or a pre-loaded key set; the default is
-    the checked-in :data:`DEFAULT_BASELINE`.
     """
     if project is None:
         project = Project(root=Path(root) if root is not None else DEFAULT_ROOT)
-    if isinstance(baseline, set):
-        baseline_keys = baseline
-    else:
-        baseline_keys = load_baseline(baseline)
     selected = list(iter_rules(rules))
     findings: list[Finding] = []
     suppressed: list[Finding] = []
@@ -229,7 +156,6 @@ def run_analysis(
     return Report(
         findings=findings,
         suppressed=suppressed,
-        baseline=baseline_keys,
         checked_files=len(checked),
         rules=[rule.name for rule in selected],
     )

@@ -17,14 +17,18 @@ with the two pieces of derived structure every rule ends up wanting:
 A :class:`Project` is the set of modules under one root (normally
 ``src/repro``).  Rules that check a single file at a time get handed
 modules one by one; cross-module rules (the wire-protocol check) get
-the whole project.  Tests build synthetic projects from in-memory
-sources, which is how every rule ships with known-bad/known-good
-fixture self-tests.
+the whole project.  Beside the root, a project carries its **context**:
+the repo's ``tests/``, ``bench/``, ``examples/`` and ``setup.py``,
+parsed once and read-only, for the rules that need the callers and
+setters there (a few pin rows also reach into it).  Tests build
+synthetic projects from in-memory sources (and context), which is how
+every rule ships with known-bad/known-good fixture self-tests.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import io
 import re
 import tokenize
@@ -58,10 +62,10 @@ def _suppressions(source: str) -> "dict[int, frozenset[str]]":
     return allowed
 
 
-def _import_table(tree: ast.Module) -> "dict[str, str]":
+def _import_table(nodes: "list[ast.AST]") -> "dict[str, str]":
     """Local name -> dotted origin, from every import in the module."""
     table: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -85,14 +89,23 @@ class Module:
     def __init__(self, rel: str, source: str) -> None:
         self.rel = rel
         self.source = source
-        self.tree = ast.parse(source, filename=rel)
-        self.imports = _import_table(self.tree)
-        self.suppressions = _suppressions(source)
 
-    @classmethod
-    def from_source(cls, source: str, rel: str = "fixture.py") -> "Module":
-        """Build a module from an in-memory snippet (rule self-tests)."""
-        return cls(rel, source)
+    @functools.cached_property
+    def tree(self) -> ast.Module:
+        return ast.parse(self.source, filename=self.rel)
+
+    @functools.cached_property
+    def nodes(self) -> "list[ast.AST]":
+        """Every node of the tree, walked once for all the rules."""
+        return list(ast.walk(self.tree))
+
+    @functools.cached_property
+    def imports(self) -> "dict[str, str]":
+        return _import_table(self.nodes)
+
+    @functools.cached_property
+    def suppressions(self) -> "dict[int, frozenset[str]]":
+        return _suppressions(self.source) if "audit:" in self.source else {}
 
     def allowed(self, rule: str, line: int) -> bool:
         """Is ``rule`` suppressed at ``line`` (same line or line above)?"""
@@ -119,27 +132,46 @@ class Module:
         return ".".join([head, *reversed(parts)])
 
 
+#: The repo trees (and files) beside ``src/`` that make up the context.
+CONTEXT = ("tests", "bench", "examples", "setup.py")
+
+
 class Project:
-    """All modules under one root, parsed lazily and exactly once."""
+    """All modules under one root, parsed lazily and exactly once, plus
+    the read-only context around it (repo-relative paths)."""
 
     def __init__(
         self,
         root: "Path | None" = None,
         sources: "dict[str, str] | None" = None,
+        context: "dict[str, str] | None" = None,
     ) -> None:
         if (root is None) == (sources is None):
             raise ValueError("pass exactly one of root= or sources=")
         self.root = root
         self._modules: dict[str, Module] = {}
+        self._context: dict[str, Module] = {}
         if sources is not None:
             for rel, source in sources.items():
                 self._modules[rel] = Module(rel, source)
+            for rel, source in (context or {}).items():
+                self._context[rel] = Module(rel, source)
             self._rels = sorted(self._modules)
+            self._context_rels = sorted(self._context)
         else:
             assert root is not None
             self._rels = sorted(
                 path.relative_to(root).as_posix()
                 for path in root.rglob("*.py")
+            )
+            repo = root.parent.parent
+            self._context_rels = sorted(
+                path.relative_to(repo).as_posix()
+                for tree in CONTEXT
+                for path in (
+                    [repo / tree] if tree.endswith(".py") else (repo / tree).rglob("*.py")
+                )
+                if path.is_file()
             )
 
     def rels(self) -> "list[str]":
@@ -153,6 +185,20 @@ class Project:
             path = self.root / rel
             self._modules[rel] = Module(rel, path.read_text())
         return self._modules.get(rel)
+
+    def context_rels(self, *trees: str) -> "list[str]":
+        """Context paths (repo-relative), optionally under ``trees`` only."""
+        return [
+            rel for rel in self._context_rels
+            if not trees or rel.split("/", 1)[0] in trees
+        ]
+
+    def context_module(self, rel: str) -> Module:
+        if rel not in self._context:
+            assert self.root is not None
+            repo = self.root.parent.parent
+            self._context[rel] = Module(rel, (repo / rel).read_text())
+        return self._context[rel]
 
 
 def scope_match(rel: str, patterns: "tuple[str, ...]") -> bool:

@@ -29,6 +29,13 @@ shape of the traffic, outside every class the check above looks at
 bound to a bare ``dict`` is held to this: every function that stores
 into it compares its ``len()`` against a module-level constant, or
 evicts from it — in that same function.
+
+Lists are held to it too: ``ShardSupervisor.failures`` was a plain list
+appended on every failure and restart attempt for the plane's whole
+life.  A list built in ``__init__``, appended outside it and shrunk
+nowhere in the module (no pop, clear, remove, ``del``, slice store or
+rebinding) is a finding; ``Ticket.pending``, popped and rewritten as
+replies pair up, is the accepted shape, and so is a bounded ``deque``.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ from .engine import Finding, Rule, register
 from .model import Module
 
 _BARE_CONTAINERS = {"dict", "set", "OrderedDict", "collections.OrderedDict"}
+_APPENDS = {"append", "extend", "insert"}
+_SHRINKS = {"pop", "clear", "remove"}
 _EVICTIONS = {"popitem", "pop"}
 _INSERTIONS = {"setdefault", "add", "update"}
 _MODULE_TABLE_NAMES = ("_*_CACHE", "_*_TABLE")
@@ -150,7 +159,8 @@ class BoundedCacheRule(Rule):
         "and ColumnarShardView._cache grew one entry per requester-chosen "
         "HID forever — memory a flash crowd inflates without limit; PR 23: "
         "sharding/plan.py's module-level table of compiled unpackers grew "
-        "one entry per distinct sub-burst size"
+        "one entry per distinct sub-burst size; the supervisor's failure "
+        "log grew one entry per failure for the plane's whole life"
     )
     scope = (
         "core/border_router.py",
@@ -163,7 +173,7 @@ class BoundedCacheRule(Rule):
 
     def check_module(self, module: Module):
         constants = _module_names(module.tree)
-        for cls in ast.walk(module.tree):
+        for cls in module.nodes:
             if not isinstance(cls, ast.ClassDef):
                 continue
             caches: dict[str, int] = {}
@@ -183,6 +193,56 @@ class BoundedCacheRule(Rule):
                         "a module-level constant / evict on the insert path",
                     )
         yield from self._check_module_tables(module, constants)
+        yield from self._check_logs(module)
+
+    def _check_logs(self, module: Module):
+        """A list built in ``__init__`` (``self.<x> = []``), appended to
+        outside it through any receiver, and shrunk nowhere in the module
+        (no pop / clear / remove, ``del``, slice store or rebinding)."""
+        built: dict[str, int] = {}
+        for node in module.nodes:
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                for sub in ast.walk(node):
+                    target, value = _assignment(sub)
+                    attr = _self_attr(target)
+                    if attr and (
+                        isinstance(value, ast.List) and not value.elts
+                        or isinstance(value, ast.Call) and module.qualname(value.func) == "list"
+                    ):
+                        built.setdefault(attr, sub.lineno)
+        if not built:
+            return
+        grown, shrunk = set(), set()
+        for func in module.nodes:
+            if not isinstance(func, ast.FunctionDef) or func.name == "__init__":
+                continue
+            for node in ast.walk(func):
+                target, _ = _assignment(node)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    held = getattr(node.func.value, "attr", None)
+                    if node.func.attr in _APPENDS:
+                        grown.add(held)
+                    elif node.func.attr in _SHRINKS:
+                        shrunk.add(held)
+                elif isinstance(node, ast.AugAssign):
+                    grown.add(getattr(node.target, "attr", None))
+                elif isinstance(node, ast.Delete):
+                    held = [t.value for t in node.targets if isinstance(t, ast.Subscript)]
+                    shrunk.update(getattr(value, "attr", None) for value in held)
+                elif isinstance(target, ast.Subscript):
+                    shrunk.add(getattr(target.value, "attr", None))
+                elif isinstance(target, ast.Attribute):
+                    shrunk.add(target.attr)
+        for attr, line in built.items():
+            if attr in grown and attr not in shrunk:
+                yield Finding(
+                    self.name,
+                    module.rel,
+                    line,
+                    f"self.{attr} is a list appended outside __init__ and never "
+                    "shrunk — bound it (a deque(maxlen=...) sized from a measured "
+                    "working set, plus a total count)",
+                )
 
     @staticmethod
     def _bare_caches(module: Module, cls: ast.ClassDef):
@@ -223,7 +283,7 @@ class BoundedCacheRule(Rule):
                 tables.add(name)
         if not tables:
             return
-        for func in ast.walk(module.tree):
+        for func in module.nodes:
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             inserted, evicted, checked = _uses(func, tables, _name, constants)

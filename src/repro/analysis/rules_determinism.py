@@ -63,7 +63,7 @@ class DeterminismRule(Rule):
     exclude = ("crypto/rng.py", "metrics/timing.py")
 
     def check_module(self, module: Module):
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             qual = module.qualname(node.func)

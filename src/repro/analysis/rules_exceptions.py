@@ -62,7 +62,7 @@ class SilentExceptRule(Rule):
     scope = ("**/*.py",)
 
     def check_module(self, module: Module):
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if not _is_broad(node):

@@ -51,7 +51,7 @@ class BoundedWaitRule(Rule):
     scope = ("sharding/*.py", "faults/*.py")
 
     def check_module(self, module: Module):
-        for func in ast.walk(module.tree):
+        for func in module.nodes:
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             poll_lines = [
@@ -101,7 +101,7 @@ class PickleFreeWireRule(Rule):
     scope = ("sharding/*.py", "faults/*.py")
 
     def check_module(self, module: Module):
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -158,7 +158,7 @@ class _WireModel:
                         "MSG_"
                     ):
                         self.constants[target.id] = node.lineno
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.FunctionDef):
                 continue
             if node.name.startswith("encode_"):
@@ -187,7 +187,7 @@ def _module_usage(module: Module, wire: _WireModel):
     """
     produced: set[str] = set()
     consumed: set[str] = set()
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if isinstance(node, ast.Compare):
             consumed |= _msg_names(node)
         elif isinstance(node, ast.Call):

@@ -57,7 +57,7 @@ class ShardRoutingModRule(Rule):
     exclude = ("sharding/plan.py",)
 
     def check_module(self, module: Module):
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
                 if _names_shard_count(node.right):
                     yield Finding(
@@ -156,7 +156,7 @@ class SecretHygieneRule(Rule):
                 "redact (hex prefix, length, or omit) before formatting",
             )
 
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             # f-string interpolation of a secret, anywhere.
             if isinstance(node, ast.JoinedStr):
                 for value in node.values:

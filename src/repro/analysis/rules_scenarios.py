@@ -65,13 +65,10 @@ class ScenarioCoverageRule(Rule):
         module = project.module(_SCENARIOS)
         if module is None or project.root is None:
             return
-        tests_dir = project.root.parent.parent / "tests"
-        if not tests_dir.is_dir():
+        tests = project.context_rels("tests")
+        if not tests:
             return
-        corpus = "\n".join(
-            path.read_text(errors="replace")
-            for path in sorted(tests_dir.glob("*.py"))
-        )
+        corpus = "\n".join(project.context_module(rel).source for rel in tests)
         for preset, lineno in _registered_presets(module.tree):
             # The name as tests would spell it: a quoted "name" (or the
             # arg-taking "name:..." form).

@@ -55,7 +55,7 @@ class CtCompareRule(Rule):
     scope = ("**/*.py",)
 
     def check_module(self, module: Module):
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):

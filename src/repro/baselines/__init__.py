@@ -4,20 +4,18 @@
   "theoretical maximum" comparator for Fig. 8).
 * :mod:`repro.baselines.apip` — APIP's accountability delegate, briefs
   and verifiers, including the whitelisting hole.
-* :mod:`repro.baselines.aip` — AIP's self-certifying addresses and
-  NIC-enforced shutoff.
+* :mod:`repro.baselines.aip` — AIP's self-certifying addresses.
 * :mod:`repro.baselines.persona` — Persona-style ISP address rewriting
   and its flow-demultiplexing failure.
 """
 
-from .aip import AipHost, AipNic, AipPacket, eid_of
+from .aip import AipHost, AipPacket, eid_of
 from .apip import ApipDelegate, ApipPacket, ApipSender, ApipVerifier
 from .persona import FlowDemuxer, PersonaNat, PersonaPacket
 from .plain_ip import PlainIpRouter, RoutingTable
 
 __all__ = [
     "AipHost",
-    "AipNic",
     "AipPacket",
     "ApipDelegate",
     "ApipPacket",

@@ -5,7 +5,8 @@ In APIP the source address field carries the address of an
 *accountability delegate*; the real return address is hidden at a higher
 layer.  Senders **brief** their delegate with a fingerprint of every
 packet; on-path verifiers sample packets and ask the delegate to vouch;
-victims send shutoffs to the delegate.
+victims send shutoffs to the delegate (a table entry in E7; not modelled
+here).
 
 The properties the APNA paper criticises, reproduced faithfully:
 
@@ -46,13 +47,12 @@ class ApipPacket:
 
 
 class ApipDelegate:
-    """An accountability delegate: stores briefs, vouches, shuts off."""
+    """An accountability delegate: stores briefs and vouches."""
 
     def __init__(self, addr: int) -> None:
         self.addr = addr
         self._briefs: set[bytes] = set()
         self._clients: dict[int, bytes] = {}  # client id -> briefing key
-        self._shutoff_flows: set[int] = set()
         self.briefs_received = 0
         self.verifications = 0
 
@@ -70,12 +70,7 @@ class ApipDelegate:
     def verify(self, packet: ApipPacket) -> bool:
         """A verifier asks: do you vouch for this packet?"""
         self.verifications += 1
-        if packet.flow_id in self._shutoff_flows:
-            return False
         return packet.fingerprint() in self._briefs
-
-    def shutoff(self, flow_id: int) -> None:
-        self._shutoff_flows.add(flow_id)
 
 
 class ApipSender:

@@ -305,7 +305,7 @@ class BorderRouter:
             info = self._codec.open(ephid)
         except EphIdError:
             return None, forged
-        if info.exp_time < now:
+        if info.expired(now):
             return None, expired
         if self._revocations.contains(ephid):
             return None, revoked

@@ -321,6 +321,7 @@ class IvAllocator:
             if len(bucket) < BANKED_IVS_PER_SHARD:
                 bucket.append(iv)
 
+    # audit: allow(production-caller) the IV space used; ROADMAP item 21's counter
     @property
     def issued(self) -> int:
         """IVs actually handed out (banked candidates excluded)."""

@@ -20,21 +20,23 @@ PT_SHUTOFF = 0x05  # ShutoffRequest (recipient -> AA)
 PT_SHUTOFF_RESP = 0x06  # ShutoffResponse (AA -> recipient)
 PT_ICMP = 0x07  # IcmpMessage (plaintext, per Section VIII-B)
 
-_NAMES = {
-    PT_DATA: "data",
-    PT_CONN_REQUEST: "conn-request",
-    PT_CONN_ACCEPT: "conn-accept",
-    PT_CONTROL_REQ: "control-request",
-    PT_CONTROL_REP: "control-reply",
-    PT_SHUTOFF: "shutoff",
-    PT_SHUTOFF_RESP: "shutoff-response",
-    PT_ICMP: "icmp",
-}
+_TYPES = frozenset(
+    (
+        PT_DATA,
+        PT_CONN_REQUEST,
+        PT_CONN_ACCEPT,
+        PT_CONTROL_REQ,
+        PT_CONTROL_REP,
+        PT_SHUTOFF,
+        PT_SHUTOFF_RESP,
+        PT_ICMP,
+    )
+)
 
 
 def frame(payload_type: int, body: bytes) -> bytes:
     """Prefix ``body`` with its payload type."""
-    if payload_type not in _NAMES:
+    if payload_type not in _TYPES:
         raise ApnaError(f"unknown payload type {payload_type}")
     return bytes([payload_type]) + body
 
@@ -44,10 +46,6 @@ def unframe(payload: bytes) -> tuple[int, bytes]:
     if not payload:
         raise ApnaError("empty APNA payload")
     payload_type = payload[0]
-    if payload_type not in _NAMES:
+    if payload_type not in _TYPES:
         raise ApnaError(f"unknown payload type {payload_type}")
     return payload_type, payload[1:]
-
-
-def type_name(payload_type: int) -> str:
-    return _NAMES.get(payload_type, f"pt-{payload_type}")

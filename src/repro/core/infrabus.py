@@ -39,6 +39,7 @@ class InfraBus:
     def subscribe_revocations(self, revocations: RevocationList) -> None:
         self._revocation_subscribers.append(revocations)
 
+    # audit: allow(production-caller) the bus eavesdropper's vantage point
     def tap(self, listener: Callable[[str, bytes], None]) -> None:
         """Observe raw bus traffic (used by the eavesdropper attack tests)."""
         self._listeners.append(listener)

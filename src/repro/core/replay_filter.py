@@ -256,12 +256,7 @@ class RotatingReplayFilter:
         self.replays += len(fresh) - passed
         return fresh
 
+    # audit: allow(production-caller) the one view of a bounded structure
     @property
     def memory_bytes(self) -> int:
         return self._current.memory_bytes + self._previous.memory_bytes
-
-    def fp_probability(self) -> float:
-        """Worst-case false-positive rate across the two generations."""
-        return max(
-            self._current.fp_probability(), self._previous.fp_probability()
-        )

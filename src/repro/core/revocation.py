@@ -64,6 +64,7 @@ class RevocationList:
     def maybe_prune(self, now: float) -> int:
         return self.prune(now) if self.auto_prune else 0
 
+    # audit: allow(production-caller) the equivalence suites' view
     def snapshot(self) -> list[tuple[bytes, float]]:
         """The live ``(ephid, exp_time)`` entries (for seeding replicas)."""
         return [

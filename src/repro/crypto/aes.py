@@ -169,6 +169,7 @@ class AES:
             return xor_bytes(data, stream[: len(data)]) if data else b""
         return Cipher(self._algorithm, CTR(counter_block)).encryptor().update(data)
 
+# audit: allow(production-caller) the spec the OpenSSL facade is checked against
 class PureAES:
     """The from-scratch AES instance bound to one key (the spec).
 

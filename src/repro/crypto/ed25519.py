@@ -181,6 +181,7 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
 # -- the from-scratch implementation (the spec) --
 
 
+# audit: allow(production-caller) the spec the OpenSSL facade is checked against
 def pure_public_key(secret: bytes) -> bytes:
     """Derive the 32-byte public key from a 32-byte secret seed."""
     if len(secret) != KEY_SIZE:
@@ -189,6 +190,7 @@ def pure_public_key(secret: bytes) -> bytes:
     return _compress(_scalar_mult(a, _BASE))
 
 
+# audit: allow(production-caller) the spec the OpenSSL facade is checked against
 def pure_sign(secret: bytes, message: bytes) -> bytes:
     """Produce a 64-byte Ed25519 signature."""
     if len(secret) != KEY_SIZE:
@@ -202,6 +204,7 @@ def pure_sign(secret: bytes, message: bytes) -> bytes:
     return r_point + s.to_bytes(32, "little")
 
 
+# audit: allow(production-caller) the spec the OpenSSL facade is checked against
 def pure_verify(public: bytes, message: bytes, signature: bytes) -> bool:
     """Check an Ed25519 signature; returns False on any malformed input."""
     if len(public) != KEY_SIZE or len(signature) != SIGNATURE_SIZE:

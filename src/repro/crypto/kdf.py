@@ -26,6 +26,7 @@ def hmac_sha256(key: bytes, message: bytes) -> bytes:
     return hmac.digest(key, message, "sha256")
 
 
+# audit: allow(production-caller) the spec the OpenSSL facade is checked against
 def pure_hmac_sha256(key: bytes, message: bytes) -> bytes:
     """HMAC-SHA256 implemented directly from RFC 2104 (the spec)."""
     if len(key) > _SHA256_BLOCK:

@@ -109,11 +109,13 @@ def shared_secret(private: bytes, peer_public: bytes) -> bytes:
         raise ValueError("X25519 produced the all-zero shared secret") from None
 
 
+# audit: allow(production-caller) the spec the OpenSSL facade is checked against
 def pure_public_key(private: bytes) -> bytes:
     """Derive the public u-coordinate for a 32-byte private scalar."""
     return x25519(private, BASE_POINT)
 
 
+# audit: allow(production-caller) the spec the OpenSSL facade is checked against
 def pure_shared_secret(private: bytes, peer_public: bytes) -> bytes:
     """Compute the raw shared secret; raises on the all-zero output."""
     secret = x25519(private, peer_public)

@@ -110,6 +110,7 @@ class FaultPlan:
     def mark_injected(self, shard: int, seq: int, kind: str) -> None:
         self.injected.append((shard, seq, kind))
 
+    # audit: allow(production-caller) the reproducibility assertions' view
     def schedule(self) -> "list[tuple[int, int, Fault]]":
         """The full schedule, sorted — for reproducibility assertions."""
         return sorted(

@@ -114,7 +114,3 @@ class Scheduler:
             raise RuntimeError(f"event budget exhausted ({max_events})")
         self._now = max(self._now, deadline)
         return count
-
-    @property
-    def pending(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)

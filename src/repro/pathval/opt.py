@@ -99,6 +99,7 @@ class OptSession:
             pvf = self.update_pvf(key, pvf, packet)
         return pvf
 
+    # audit: allow(production-caller) OPT's destination check, the half E11 does not time
     def validate(self, packet: ApnaPacket, received_pvf: bytes) -> None:
         """Destination check: recompute the chain, compare in constant time.
 

@@ -70,10 +70,6 @@ class PassportHeader:
         return None
 
     @property
-    def aids(self) -> tuple[int, ...]:
-        return tuple(aid for aid, _mac in self.entries)
-
-    @property
     def wire_size(self) -> int:
         return 1 + len(self.entries) * _ENTRY_SIZE
 
@@ -82,6 +78,7 @@ class PassportHeader:
         parts.extend(struct.pack(_ENTRY_FMT, aid, mac) for aid, mac in self.entries)
         return b"".join(parts)
 
+    # audit: allow(production-caller) the decode half of a wire format its round-trip tests pin
     @classmethod
     def parse(cls, data: bytes) -> "PassportHeader":
         if not data:

@@ -608,14 +608,17 @@ class ShardedDataPlane:
         ledger.check_idle("reading stats")
         results = []
         for shard in range(self.nshards):
-            charged = len(ledger.failures)
+            charged = ledger.failure_count
             stats = None
             if ledger.send_to(shard, bytes([wire.MSG_STATS]), "stats reply lost"):
                 stats = ledger.reply_from(shard, wire.decode_stats, "stats reply")
             if stats is None:
+                # The first failure logged since ``charged``, or the oldest
+                # the bounded log still holds.
+                since = min(ledger.failure_count - charged, len(ledger.failures))
                 raise ShardError(
                     f"shard {shard}: stats unavailable "
-                    f"({ledger.failures[charged][1]}); counters died with "
+                    f"({ledger.failures[-since][1]}); counters died with "
                     "the worker",
                     shard=shard,
                 )
@@ -642,6 +645,7 @@ class ShardedDataPlane:
         totals["replay_windows_reopened"] = ledger.replay_windows_reopened
         return totals
 
+    # audit: allow(production-caller) ROADMAP item 7's model drives it
     def barrier(self) -> None:
         """Wait until every shard has drained its control queue."""
         self.shard_stats()
@@ -651,11 +655,6 @@ class ShardedDataPlane:
         """The cause, once the ledger has swapped the worker processes
         for an :class:`InProcessCarrier`."""
         return self.supervisor.degraded
-
-    @property
-    def dropped_packets(self) -> int:
-        """Packets charged ``SHARD_FAILURE`` so far."""
-        return self.supervisor.dropped_packets
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -65,6 +65,12 @@ __all__ = ["ShardStateSource", "InProcessCarrier", "ShardSupervisor"]
 #: Restart backoff is capped at this multiple of the base delay.
 _BACKOFF_CAP_FACTOR = 50
 
+#: Failures the log keeps, newest last.  The longest storm the fault
+#: suite drives through a plane logs 12 (restart attempts included); a
+#: dead carrier with a large restart budget logs one per attempt, so the
+#: log is bounded and ``failure_count`` keeps the total.
+FAILURE_LOG_CAPACITY = 64
+
 #: The synthetic verdict a packet gets when its worker shard failed
 #: before replying: the packet is dropped and accounted, never given a
 #: guessed verdict.
@@ -208,9 +214,10 @@ class ShardSupervisor:
         #: degrade rebuilds — since its filter starts empty and a nonce
         #: it saw before may pass once more.
         self.replay_windows_reopened = 0
-        #: ``(shard, cause)`` log of every failure handled, for tests and
-        #: post-mortems.
-        self.failures: "list[tuple[int, str]]" = []
+        #: ``(shard, cause)`` of the latest failures handled, for tests
+        #: and post-mortems; ``failure_count`` counts every one.
+        self.failures: "deque[tuple[int, str]]" = deque(maxlen=FAILURE_LOG_CAPACITY)
+        self.failure_count = 0
 
     def install_faults(self, plan) -> None:
         """Wrap the carrier in a :class:`repro.faults.FaultCarrier` armed
@@ -379,10 +386,14 @@ class ShardSupervisor:
             # In-process shards lose no frames, so this is a bug in the
             # shard code — and there is no carrier left to fall back to.
             raise ShardError(f"degraded plane, {cause}", shard=shard)
-        self.failures.append((shard, cause))
+        self._log_failure(shard, cause)
         self._drop_pending(shard)
         if not self.restart(shard):
             self._degrade(f"shard {shard} unrecoverable: {cause}")
+
+    def _log_failure(self, shard: int, cause: str) -> None:
+        self.failures.append((shard, cause))
+        self.failure_count += 1
 
     def _degrade(self, cause: str) -> None:
         """Swap the worker processes for an :class:`InProcessCarrier`,
@@ -436,9 +447,7 @@ class ShardSupervisor:
                 self.resync(shard)
                 return True
             except Exception as exc:  # noqa: BLE001 — any failure retries
-                self.failures.append(
-                    (shard, f"restart attempt {attempt + 1}: {exc}")
-                )
+                self._log_failure(shard, f"restart attempt {attempt + 1}: {exc}")
                 if respawned:
                     # The respawn succeeded but the worker never got its
                     # state: it must not linger across the backoff (or

@@ -97,6 +97,7 @@ class ColumnarRevocationList:
         self._exp, self._ephids = exp, ephids
         self._index, self._heap = index, heap
 
+    # audit: allow(production-caller) the equivalence suites' view
     def snapshot(self) -> "list[tuple[bytes, float]]":
         """The live ``(ephid, exp_time)`` entries (for seeding replicas)."""
         return [(ephid, self._exp[row]) for ephid, row in self._index.items()]

@@ -71,6 +71,7 @@ class AuthRequest:
         encoded = self.server_name.encode()
         return bytes([len(encoded)]) + encoded + self.client_nonce
 
+    # audit: allow(production-caller) the decode half of a wire format its round-trip tests pin
     @classmethod
     def parse(cls, data: bytes) -> "AuthRequest":
         if len(data) < 1:
@@ -109,6 +110,7 @@ class Attestation:
             + self.signature
         )
 
+    # audit: allow(production-caller) the decode half of a wire format its round-trip tests pin
     @classmethod
     def parse(cls, data: bytes) -> "Attestation":
         if len(data) < 2:

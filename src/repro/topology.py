@@ -619,12 +619,6 @@ class World:
         dst_node = self.asys(dst).node.name
         return [int(name[2:]) for name in self.network.path(src_node, dst_node)]
 
-    # -- traffic ----------------------------------------------------------------
-
-    def drive(self, profile) -> "object":
-        """Run a :class:`repro.workload.TrafficProfile` against this world."""
-        return profile.drive(self)
-
     def __repr__(self) -> str:
         return (
             f"<World ases={len(self.ases)} hosts={len(self.hosts)} "
@@ -679,10 +673,12 @@ class WorldBuilder:
     #: Short alias — ``builder.asys("a")``.
     asys = autonomous_system
 
+    # audit: allow(production-caller) builder vocabulary the package docstring shows
     def transit(self, name: str, *, aid: int | None = None) -> "WorldBuilder":
         """A transit AS (small auto-AID, mesh-core convention)."""
         return self.autonomous_system(name, aid=aid, role="transit")
 
+    # audit: allow(production-caller) builder vocabulary the package docstring shows
     def stub(
         self,
         name: str,

@@ -36,10 +36,6 @@ class FlowRecord:
     host_id: int
     is_https: bool
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
 
 @dataclass(frozen=True)
 class TraceConfig:
@@ -147,6 +143,7 @@ class TraceGenerator:
             }
             slice_start = slice_end
 
+    # audit: allow(production-caller) the row view of a trace; replay uses the columns
     def stream(
         self, *, chunk_duration: float = 3_600.0
     ) -> Iterator[FlowRecord]:

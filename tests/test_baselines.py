@@ -78,27 +78,6 @@ class TestAip:
         packets = [a.send(b, bytes([i])) for i in range(5)]
         assert len({p.src_eid for p in packets}) == 1
 
-    def test_shutoff_enforced_at_nic(self):
-        rng = DeterministicRng(3)
-        a, b = AipHost(100, rng), AipHost(200, rng)
-        offending = a.send(b, b"unwanted")
-        signature = b._keys.sign(offending.fingerprint())
-        assert a.nic.handle_shutoff(offending, b.public_key, signature)
-        assert a.send(b, b"more") is None
-        assert a.nic.enforced_drops == 1
-
-    def test_shutoff_requires_victim_ownership(self):
-        rng = DeterministicRng(4)
-        a, b, c = AipHost(100, rng), AipHost(200, rng), AipHost(300, rng)
-        offending = a.send(b, b"x")
-        # c (not the recipient) tries to shut off a->b traffic.
-        forged = c._keys.sign(offending.fingerprint())
-        assert not a.nic.handle_shutoff(offending, c.public_key, forged)
-        # A signature under a key that is not the victim's is refused.
-        signature = b._keys.sign(offending.fingerprint())
-        assert not a.nic.handle_shutoff(offending, c.public_key, signature)
-        assert a.send(b, b"still flowing") is not None
-
     def test_eid_is_hash_of_key(self):
         rng = DeterministicRng(5)
         a = AipHost(1, rng)
@@ -133,14 +112,6 @@ class TestApip:
         assert verifier.process(sneaky)  # passes!
         assert verifier.passed_unchecked == 1
         # APNA has no such hole: every packet carries its own MAC.
-
-    def test_shutoff_via_delegate(self):
-        delegate = ApipDelegate(addr=9)
-        sender = ApipSender(1, delegate, return_addr=42)
-        verifier = ApipVerifier(delegate)
-        delegate.shutoff(flow_id=3)
-        packet = sender.send(dst_addr=7, flow_id=3, payload=b"x")
-        assert not verifier.process(packet)
 
     def test_return_address_hidden_from_header(self):
         delegate = ApipDelegate(addr=9)

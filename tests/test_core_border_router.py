@@ -179,3 +179,15 @@ class TestStats:
         packet = make_outgoing(world, alice, alice_owned, bob_owned)
         world.as_a.br.process_outgoing(packet)
         assert len(world.as_a.revocations) == 0
+
+
+def test_router_refuses_any_other_mac_width():
+    """One Fig. 7 MAC width: the keyword survives only for ``bench/``."""
+    from repro.core.border_router import BorderRouter
+    from repro.core.ephid import EphIdCodec
+    from repro.core.hostdb import HostDatabase
+    from repro.core.revocation import RevocationList
+
+    codec = EphIdCodec(b"\x01" * 16, b"\x02" * 16)
+    with pytest.raises(ValueError, match="Fig. 7 MAC"):
+        BorderRouter(100, codec, HostDatabase(), RevocationList(), float, packet_mac_size=4)

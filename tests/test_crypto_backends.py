@@ -31,6 +31,12 @@ from tests.test_crypto_modes import check_sp800_38a_ctr
 from tests.test_crypto_x25519 import RFC7748_VECTORS
 
 
+def test_openssl_is_the_one_provider():
+    import repro.crypto as crypto
+
+    assert crypto.active_backend().name == "openssl"
+
+
 def test_provider_layer_validation_parity():
     """Production and spec refuse the same out-of-range parameters."""
     for cipher_cls in (AES, PureAES):

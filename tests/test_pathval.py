@@ -112,7 +112,7 @@ class TestPassportHeader:
         header = PassportHeader(((200, b"\x01" * 8), (300, b"\x02" * 8)))
         parsed = PassportHeader.parse(header.pack())
         assert parsed == header
-        assert parsed.aids == (200, 300)
+        assert [aid for aid, _mac in parsed.entries] == [200, 300]
         assert parsed.wire_size == 1 + 2 * 12
 
     def test_mac_for(self):

@@ -107,3 +107,35 @@ class TestRegistry:
     def test_double_registration_rejected(self):
         with pytest.raises(TopologyError, match="already registered"):
             scenarios.register("fig1")(lambda arg: TopologySpec())
+
+
+#: One sample argument per registered preset (``None``: taken bare).  The
+#: population-taking presets share one count, so a second name for an
+#: existing shape builds an equal spec and fails below.
+_PRESET_SAMPLES = {
+    "chain": "4",
+    "crash-storm": "4",
+    "fig1": None,
+    "metro": "4",
+    "shutoff-storm": "4",
+    "star": "4",
+    "transit-stub": "2x2",
+}
+
+
+def test_one_name_per_topology():
+    """No alias preset builds another preset's spec."""
+    unsampled = sorted(set(scenarios.names()) - set(_PRESET_SAMPLES))
+    assert not unsampled, f"add a sample argument for presets {unsampled}"
+    specs = {
+        name: scenarios.spec(name if arg is None else f"{name}:{arg}")
+        for name, arg in _PRESET_SAMPLES.items()
+    }
+    names = list(specs)
+    same = [
+        (left, right)
+        for i, left in enumerate(names)
+        for right in names[i + 1 :]
+        if specs[left] == specs[right]
+    ]
+    assert not same, f"presets naming one topology: {same}"

@@ -1060,3 +1060,83 @@ def test_two_shards_not_slower_than_half_single_process():
             router.process_burst(frames, [True] * len(frames))
         single = time.perf_counter() - start
         assert sharded < single * 2.0
+
+
+def test_config_holds_the_paper_constants():
+    """The lifetimes and the Fig. 7 MAC width are the paper's constants
+    (the burst flush window the simulator's): readable off a config, not
+    settable; the deleted knobs stay deleted."""
+    from repro.wire.apna import MAC_SIZE
+
+    config = ApnaConfig()
+    constants = {
+        "control_ephid_lifetime": 86_400.0,
+        "data_ephid_lifetime": 900.0,
+        "lifetime_classes": (60.0, 900.0, 3600.0),
+        "max_ephid_lifetime": 86_400.0,
+        "packet_mac_size": MAC_SIZE,
+        "forwarding_batch_window": 0.0002,
+    }
+    deleted = ("aead_scheme", "icmp_on_drop", "shard_block")
+    for name, value in constants.items():
+        assert getattr(config, name) == value, name
+    for name in deleted:
+        assert not hasattr(config, name), name
+    for name in (*constants, *deleted):
+        with pytest.raises(TypeError):
+            ApnaConfig(**{name: constants.get(name)})
+
+
+def test_plane_keeps_neither_carrier_nor_config(world):
+    """Both live on ``plane.supervisor``, the one place a worker failure
+    is charged."""
+    with ShardedDataPlane.for_assembly(world.as_a) as plane:
+        ledger = plane.supervisor
+        held = list(vars(plane).values())
+        assert not any(value is ledger.carrier for value in held)
+        assert not any(value is ledger.config for value in held)
+
+
+def test_a_sharded_as_judges_with_its_shards_alone():
+    """No idle in-line router or replay filter beside the pool, and no
+    silent fallback once the pool is gone."""
+    from repro.core.errors import ApnaError
+    from repro.core.replay_filter import RotatingReplayFilter
+    from repro.wire.apna import Endpoint
+
+    config = ApnaConfig(
+        replay_protection=True, in_network_replay_filter=True, forwarding_shards=2
+    )
+    world = (
+        WorldBuilder(seed=5, config=config)
+        .asys("a", aid=100)
+        .asys("b", aid=200)
+        .link("a", "b")
+        .host("alice", at="a")
+        .host("bob", at="b")
+        .build()
+    )
+    try:
+        for asys in world.ases:
+            assert asys.br is None
+            for owner in (asys, asys.node):
+                hanging = [
+                    value
+                    for attr in vars(owner).values()
+                    for value in (attr, *getattr(attr, "__dict__", {}).values())
+                ]
+                assert not any(isinstance(v, RotatingReplayFilter) for v in hanging)
+        alice, as_a = world.host("alice"), world.asys("a")
+        peer = world.host("bob").acquire_ephid_direct().cert
+        packet = alice.stack.make_packet(
+            alice.acquire_ephid_direct().ephid,
+            Endpoint(peer.aid, peer.ephid),
+            b"one data plane",
+            nonce=1,
+        )
+        as_a.node.handle_frame(packet.to_wire(), from_node="alice")
+        assert as_a.shard_pool.stats()["forwarded_inter"] == 1
+    finally:
+        world.close()
+    with pytest.raises(ApnaError, match="no shard pool"):
+        as_a.node.handle_frame(packet.to_wire(), from_node="alice")

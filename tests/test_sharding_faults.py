@@ -41,6 +41,7 @@ from repro.sharding import (
     ShardSupervisor,
     ShardedDataPlane,
 )
+from repro.sharding.supervisor import FAILURE_LOG_CAPACITY
 from repro.wire.apna import Endpoint
 from repro import scenarios
 
@@ -552,6 +553,12 @@ class TestDegradation:
         assert supervisor.restart(0) is False
         assert supervisor.restarts == [CHAOS.shard_max_restarts]
         assert max(slept) <= 50 * CHAOS.shard_restart_backoff
+        # The failure log is bounded; the count keeps every attempt.
+        assert supervisor.failure_count == CHAOS.shard_max_restarts
+        assert len(supervisor.failures) == FAILURE_LOG_CAPACITY
+        assert supervisor.failures[-1][1].startswith(
+            f"restart attempt {CHAOS.shard_max_restarts}:"
+        )
 
     def test_send_failure_mid_submit_degrades_once(self):
         """A worker found dead while a burst is being *sent* forfeits the
@@ -631,7 +638,7 @@ class TestDegradation:
                 if verdict.reason is not DropReason.SHARD_FAILURE:
                     assert verdict == oracle.process_outgoing(packet)
             assert plane.degraded is not None and not plane.closed
-            assert plane.dropped_packets > 0
+            assert plane.supervisor.dropped_packets > 0
             assert not _live_workers(plane)
 
             as_a.revocations.on_add = plane.revoke_ephid

@@ -170,7 +170,8 @@ class TestHostDatabaseDifferential:
 
     def test_unknown_backend_rejected(self):
         """There is no store to select: the vestigial config name takes
-        its one value (``tests/test_repo_hygiene.py`` pins the rest)."""
+        its one value (the ``gone-names`` and ``identifier-homes`` rules
+        of ``repro.analysis`` pin the rest)."""
         with pytest.raises(ValueError, match="only state family"):
             ApnaConfig(state_backend="bogus")
 
@@ -576,12 +577,36 @@ def test_refused_resync_leaves_the_previous_state_whole():
 def test_shard_state_refuses_a_second_routing_mode():
     """The IV -> shard map is the keyed one.  ``ShardSpec.routing_mode``
     survives only because ``bench/`` still passes it, and any value but
-    ``ShardPlan.mode`` is refused, as a second ``crypto_backend`` is."""
-    spec = _shard_spec(ShardPlan(1), 0)
-    ShardState(spec)
-    for mode in ("", "residue"):
-        with pytest.raises(ValueError, match="only IV -> shard routing"):
-            ShardState(replace(spec, routing_mode=mode))
+    ``ShardPlan.mode`` is refused, as a second ``crypto_backend`` is —
+    and a second Fig. 7 MAC width, state family or ownership stripe.
+    The view is built from the plan itself."""
+    plan = ShardPlan(2)
+    spec = _shard_spec(plan, 1)
+    assert ShardState(spec).hosts._plan == plan
+    for field, value, reason in (
+        ("routing_mode", "", "only IV -> shard routing"),
+        ("routing_mode", "residue", "only IV -> shard routing"),
+        ("packet_mac_size", 4, "Fig. 7 MAC"),
+        ("state_backend", "object", "only state family"),
+        ("crypto_backend", "pure", "only crypto provider"),
+        ("shard_block", 4, "only HID -> shard ownership"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            ShardState(replace(spec, **{field: value}))
+
+
+def test_stores_are_the_only_writers_of_host_state():
+    """A record is frozen and a row proxy writes nothing, so
+    ``revoke_hid`` (which fires the shard pool's hook) is the only way
+    to revoke a host."""
+    assert HostRecord.__dataclass_params__.frozen
+    keys = HostAsKeys(control=bytes(16), packet_mac=bytes(16))
+    for db in (HostDatabase(), ColumnarHostDatabase()):
+        for hid in (3, db.allocate_hid()):  # a service row, a host row
+            db.register(HostRecord(hid=hid, keys=keys))
+            with pytest.raises(AttributeError):
+                db.get(hid).revoked = True
+            assert db.is_valid(hid), (type(db).__name__, hid)
 
 
 def test_handle_holds_a_control_error_for_the_next_reply():

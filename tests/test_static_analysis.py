@@ -1,18 +1,20 @@
 """Tier-1 driver + self-tests for :mod:`repro.analysis`.
 
-Three layers:
+Four layers:
 
 1. **The tree is clean** — every registered rule over all of
-   ``src/repro`` yields zero non-baselined findings, both in-process
-   and through the real CLI (``python -m repro.analysis --format
-   json``), which is what CI gates on.
+   ``src/repro`` (with ``tests/``, ``bench/``, ``examples/`` and
+   ``setup.py`` as context) yields zero findings: one in-process report
+   per session, and the real CLI (``python -m repro.analysis --format
+   json``), which is what CI gates on, must print that same report.
 2. **Every rule provably detects** — per-rule known-bad/known-good
    fixture pairs, the self-testing-detector pattern the original
    audits established: a rule that silently stops firing is itself a
    regression.
-3. **The machinery round-trips** — inline ``# audit: allow(...)``
-   suppressions and the findings baseline (write, reload, burn-down,
-   stale-entry detection).
+3. **Inline ``# audit: allow(...)``** is the one suppression, and it is
+   rule-specific.
+4. **The pins** — each "one way to do it" PR's pin, now a table row of
+   a rule, fails on the mutation that PR recorded.
 """
 
 import json
@@ -23,15 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    DEFAULT_ROOT,
-    RULES,
-    Module,
-    Project,
-    load_baseline,
-    run_analysis,
-    write_baseline,
-)
+from repro.analysis import DEFAULT_ROOT, RULES, Module, Project, run_analysis
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,6 +41,12 @@ EXPECTED_RULES = {
     "scenario-coverage",
     "doc-references",
     "bounded-cache",
+    "production-caller",
+    "gone-names",
+    "identifier-homes",
+    "third-party-imports",
+    "option-surface",
+    "one-nonce-source",
 }
 
 
@@ -54,7 +54,20 @@ def findings_of(rule_name: str, source: str, rel: str):
     """Raw findings of one rule over an in-memory snippet."""
     rule = RULES[rule_name]
     assert rule.applies_to(rel), f"{rel} must be in {rule_name}'s scope"
-    return list(rule.check_module(Module.from_source(source, rel)))
+    return list(rule.check_module(Module(rel, source)))
+
+
+def fires(rule_name: str, sources: dict, context: "dict | None" = None):
+    """Findings of one project-wide rule over an in-memory tree (and the
+    ``tests/`` / ``bench/`` / ``examples/`` / ``setup.py`` context)."""
+    project = Project(sources=sources, context=context or {})
+    return list(RULES[rule_name].check_project(project))
+
+
+@pytest.fixture(scope="session")
+def report():
+    """The whole tree, analysed once for every real-tree test."""
+    return run_analysis()
 
 
 # --------------------------------------------------------------------------
@@ -71,16 +84,11 @@ def test_all_rules_registered():
             assert list(DEFAULT_ROOT.glob(pattern)), (rule.name, pattern)
 
 
-def test_source_tree_has_no_new_findings():
-    report = run_analysis()
-    assert not report.new, "new static-invariant violations:\n" + "\n".join(
-        f.render() for f in report.new
+def test_source_tree_has_no_new_findings(report):
+    assert not report.findings, "static-invariant violations:\n" + "\n".join(
+        f.render() for f in report.findings
     )
-    # The baseline must not rot: every grandfathered entry still fires.
-    assert not report.stale_baseline, (
-        "baseline entries no longer fire — delete them:\n"
-        + "\n".join(report.stale_baseline)
-    )
+    assert set(report.rules) == set(RULES) and report.checked_files > 100
 
 
 def _cli_env():
@@ -89,8 +97,9 @@ def _cli_env():
     return env
 
 
-def test_cli_json_run_is_clean():
-    """The CI entry point: the real CLI, JSON out, exit status 0."""
+def test_cli_json_run_is_clean(report):
+    """The CI entry point: the real CLI, JSON out, exit status 0, and
+    the very findings and suppressions the in-process run reports."""
     result = subprocess.run(
         [sys.executable, "-m", "repro.analysis", "--format", "json"],
         capture_output=True,
@@ -99,11 +108,7 @@ def test_cli_json_run_is_clean():
         env=_cli_env(),
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    payload = json.loads(result.stdout)
-    assert payload["new"] == 0
-    assert set(payload["rules"]) >= EXPECTED_RULES
-    assert payload["checked_files"] > 100
-    assert all(item["baselined"] for item in payload["findings"])
+    assert json.loads(result.stdout) == report.to_json()
 
 
 def test_console_entry_point_declared():
@@ -712,9 +717,7 @@ def test_bounded_cache_covers_module_level_tables():
 
 
 # --------------------------------------------------------------------------
-# 3. Suppressions and the baseline round-trip
-
-_BAD_ROUTING = "def shard_of(iv, nshards):\n    return iv % nshards\n"
+# 3. Inline suppressions
 
 
 def test_inline_suppression_same_line_and_line_above():
@@ -731,7 +734,6 @@ def test_inline_suppression_same_line_and_line_above():
         report = run_analysis(
             project=Project(sources={"sharding/fixture.py": source}),
             rules=["shard-routing-mod"],
-            baseline=set(),
         )
         assert not report.findings and len(report.suppressed) == 1
 
@@ -744,7 +746,6 @@ def test_suppression_is_rule_specific_and_string_safe():
     report = run_analysis(
         project=Project(sources={"sharding/fixture.py": wrong_rule}),
         rules=["shard-routing-mod"],
-        baseline=set(),
     )
     assert len(report.findings) == 1 and not report.suppressed
     # A '#' inside a string literal cannot fake a suppression.
@@ -756,50 +757,297 @@ def test_suppression_is_rule_specific_and_string_safe():
     report = run_analysis(
         project=Project(sources={"sharding/fixture.py": in_string}),
         rules=["shard-routing-mod"],
-        baseline=set(),
     )
     assert len(report.findings) == 1 and not report.suppressed
 
 
-def test_baseline_round_trip(tmp_path):
-    project = Project(sources={"sharding/fixture.py": _BAD_ROUTING})
-    baseline_path = tmp_path / "baseline.txt"
-
-    # Fresh finding fails the run...
-    report = run_analysis(
-        project=project, rules=["shard-routing-mod"], baseline=baseline_path
+def test_bounded_cache_covers_append_only_lists():
+    # Known-bad: the supervisor's failure log as it stood, appended on
+    # every failure and restart attempt for the plane's whole life.
+    ledger = (
+        "class ShardSupervisor:\n"
+        "    def __init__(self):\n"
+        '        self.failures: "list[tuple[int, str]]" = []\n'
+        "    def _shard_failed(self, shard, cause):\n"
+        "        self.failures.append((shard, cause))\n"
     )
-    assert len(report.new) == 1
-
-    # ...until grandfathered; then the same finding is baselined.
-    write_baseline(report.findings, baseline_path)
-    assert load_baseline(baseline_path) == {f.key for f in report.findings}
-    report = run_analysis(
-        project=project, rules=["shard-routing-mod"], baseline=baseline_path
+    (finding,) = findings_of("bounded-cache", ledger, "sharding/supervisor.py")
+    assert finding.line == 3 and "self.failures" in finding.message
+    # Known-good: a ticket's pending list, appended by the supervisor and
+    # popped and rewritten as replies pair up.
+    pending = (
+        "class Ticket:\n"
+        "    def __init__(self):\n"
+        "        self.pending = []\n"
+        "class ShardSupervisor:\n"
+        "    def submit(self, ticket, entry):\n"
+        "        ticket.pending.append(entry)\n"
+        "    def collect(self, ticket, kept):\n"
+        "        ticket.pending.pop(0)\n"
+        "        ticket.pending[:] = kept\n"
     )
-    assert not report.new and len(report.baselined) == 1
+    assert not findings_of("bounded-cache", pending, "sharding/supervisor.py")
+    bounded = ledger.replace('"list[tuple[int, str]]" = []', "deque(maxlen=64)")
+    assert not findings_of("bounded-cache", bounded, "sharding/supervisor.py")
 
-    # A *different* new violation still fails despite the baseline.
-    worse = _BAD_ROUTING + "def again(iv, num_shards):\n    return iv % num_shards\n"
-    report = run_analysis(
-        project=Project(sources={"sharding/fixture.py": worse}),
-        rules=["shard-routing-mod"],
-        baseline=baseline_path,
+
+# --------------------------------------------------------------------------
+# 4. The pins and the production-caller graph
+
+
+def test_src_definitions_have_a_production_caller():
+    """PR 32 matched callers by name, so a test-only ``pack`` or
+    ``ota_listen`` passed on another class's caller; the graph resolves
+    ``A().m``, ``self.m`` and ``self.x.m`` and tells them apart."""
+    host = "class ApnaHostNode:\n    def __init__(self):\n        self.stack = Stack()\n"
+    tree = {
+        "wire/a.py": "class A:\n    def pack(self): ...\n    def size(self): ...\n",
+        "wire/b.py": "class B:\n    def pack(self): ...\n",
+        "core/host.py": host + "    def handle_frame(self, f):\n        self.stack.accept(f)\n"
+        "    def ota_listen(self, port): ...\nclass Stack:\n    def accept(self, f): ...\n",
+        "gateway/ap.py": "class Ap:\n    def ota_listen(self, port): ...\n"
+        "    def handle_frame(self, f):\n        self.ota_listen(1)\n",
+        "__main__.py": "from .wire.a import A\nfrom .wire.b import B\n"
+        "from .core.host import ApnaHostNode\nfrom .gateway.ap import Ap\n"
+        "A().size()\nB().pack()\nApnaHostNode().handle_frame(b'')\n"
+        "Ap().handle_frame(b'')\n",
+    }
+
+    def unreached(sources):
+        return {f.message.split()[0] for f in fires("production-caller", sources)}
+
+    assert unreached(tree) == {"A.pack", "ApnaHostNode.ota_listen"}
+    # A receiver of unknown type falls back to the name, as PR 32 did...
+    main = tree["__main__.py"] + "def go(x):\n    x.pack()\n    x.ota_listen(1)\ngo(None)\n"
+    assert not unreached({**tree, "__main__.py": main})
+    # ...and an inline allow keeps a definition, and what it calls.
+    kept = "class A:\n    # audit: allow(production-caller) fixture\n    def pack(self): ...\n"
+    assert unreached({**tree, "wire/a.py": kept}) == {"ApnaHostNode.ota_listen"}
+
+
+def _gone(sources: dict, context: "dict | None" = None) -> "set[str]":
+    """The identifiers ``gone-names`` reports over an in-memory tree."""
+    return {f.message.split("'")[1] for f in fires("gone-names", sources, context)}
+
+
+def _homes(sources: dict, context: "dict | None" = None) -> "set[tuple[str, int]]":
+    return {(f.file, f.line) for f in fires("identifier-homes", sources, context)}
+
+
+def _config(extra: str = "", fields=None) -> dict:
+    from repro.analysis.rules_pins import SURFACES
+
+    fields = fields or SURFACES["core/config.py:ApnaConfig"][1]
+    body = "".join(f"    {n}: int = 0\n" for n in fields)
+    return {"core/config.py": "class ApnaConfig:\n" + body + extra}
+
+
+def _setting(*names) -> dict:
+    return {"tests/test_x.py": "ApnaConfig(" + ", ".join(f"{n}=1" for n in names) + ")\n"}
+
+
+def test_option_surface_only_shrinks():
+    """PR 20: a new ``ApnaConfig`` / ``ShardSpec`` field is a visible edit
+    to the pin, not a quiet knob; a paper constant is a ``ClassVar``."""
+    from repro.analysis.rules_pins import SURFACES
+
+    setters = _setting(*SURFACES["core/config.py:ApnaConfig"][1])
+    assert not fires("option-surface", _config(), setters)
+    assert fires("option-surface", _config("    mac_cache_capacity: int = 8192\n"), setters)
+    assert not fires("option-surface", _config("    lifetime: ClassVar[float] = 900.0\n"), setters)
+
+
+def test_every_option_has_a_caller_that_sets_it():
+    """PR 28: a field no caller sets is a constant in an option's clothes."""
+    from repro.analysis.rules_pins import SURFACES
+
+    fields = SURFACES["core/config.py:ApnaConfig"][1]
+    unset = _setting(*(n for n in fields if n != "forwarding_shards"))
+    (finding,) = fires("option-surface", _config(), unset)
+    assert "forwarding_shards" in finding.message
+    unset["examples/x.py"] = "replace(c, forwarding_shards=2)\n"
+    assert not fires("option-surface", _config(), unset)
+
+
+def test_one_packet_mac():
+    """PR 28: one Fig. 7 MAC width and one signer; the deleted knobs stay
+    deleted."""
+    reader = {"core/host.py": "def send(c):\n    return c.packet_mac_size\n"}
+    assert _homes(reader) == {("core/host.py", 2)}
+    signer = "class ApnaHeader:\n    def signed(self, cmac):\n        return self.with_mac(cmac)\n"
+    assert not _homes({"wire/apna.py": signer})
+    assert _homes({"wire/apna.py": signer, "core/host.py": "def f(h):\n    h.with_mac(b'')\n"})
+    assert _gone({
+        "core/config.py": "class ApnaConfig:\n    aead_scheme: str = 'etm'\n",
+        "core/autonomous_system.py": "class ServiceIdentity:\n"
+        "    def make_packet(self, dst, mac_size=8): ...\n",
+    }) == {"aead_scheme", "mac_size"}
+
+
+def test_one_verdict_path():
+    """PR 31: ``judge`` is the one reader of ``asys.br``; the scalar
+    pipelines are the spec; E2 keeps no verdict that holds by construction."""
+    judge = (
+        "class ApnaAutonomousSystem:\n    def __init__(self):\n        self.br = None\n"
+        "    def judge(self, frames):\n        return self.br.process_burst(frames)\n"
     )
-    assert len(report.new) == 1 and len(report.baselined) == 1
+    assert not _homes({"core/autonomous_system.py": judge})
+    reader = "def forward(asys, frames):\n    return asys.br.process_burst(frames)\n"
+    assert _homes({"core/autonomous_system.py": judge, "experiments/e2.py": reader})
+    scalar = "def run(router, packet):\n    return router.process_outgoing(packet)\n"
+    assert _homes({}, {"examples/tool.py": scalar}) == {("examples/tool.py", 2)}
+    assert not _homes({"evaluation/cases.py": scalar})
+    e2 = {"experiments/e2_figure8.py": "class E2Result:\n    no_penalty: bool\n"}
+    assert _gone(e2) == {"no_penalty"}
 
-    # Fixing the code leaves the baseline entry stale — flagged for removal.
-    report = run_analysis(
-        project=Project(sources={"sharding/fixture.py": "def ok():\n    pass\n"}),
-        rules=["shard-routing-mod"],
-        baseline=baseline_path,
+
+def test_one_state_family():
+    """PR 21: no object arm, factory or replica, and ``state_backend``
+    only where ``bench/`` needs it."""
+    arm = (
+        "class ApnaConfig:\n    def __post_init__(self):\n"
+        "        if self.state_backend == 'object': ...\n"
     )
-    assert not report.findings and len(report.stale_baseline) == 1
+    assert _gone({"core/config.py": arm}) == {'"object"'}
+    assert not _gone({"core/config.py": arm.replace("object", "columnar")})
+    assert _gone({"state/__init__.py": "def make_host_database(): ...\n"})
+    assert _homes({"core/autonomous_system.py": "def f(c):\n    return c.state_backend\n"})
 
 
-def test_checked_in_baseline_parses():
-    entries = load_baseline()
-    for entry in entries:
-        rule, _, location = entry.partition(":")
-        assert rule in RULES, f"baseline names unknown rule: {entry}"
-        assert location.count(":") == 1, f"malformed baseline entry: {entry}"
+def test_one_crypto_provider():
+    """PR 26: OpenSSL is the system, the from-scratch code the spec; no
+    backend switch, and ``crypto/`` the one importer of cryptography."""
+    imports = "from cryptography.hazmat.primitives import cmac\n"
+    setup = {"setup.py": "setup(install_requires=['cryptography>=40', 'numpy'])\n"}
+    assert not fires("third-party-imports", {"crypto/cmac.py": imports}, setup)
+    (finding,) = fires("third-party-imports", {"core/border_router.py": imports}, setup)
+    assert "outside its home" in finding.message
+    assert _gone({
+        "crypto/aes.py": "class AES:\n    def __init__(self, key, backend=None): ...\n",
+        "crypto/backend.py": "NAME = 'REPRO_CRYPTO_BACKEND'\n",
+    }) == {"backend", '"REPRO_CRYPTO_BACKEND"'}
+    facade = "class AES:\n    def encrypt(self, b):\n        return PureAES(self.key).encrypt(b)\n"
+    assert _homes({"crypto/aes.py": facade}) == {("crypto/aes.py", 3)}
+    spec = "class PureCmac:\n    def tag(self):\n        return PureAES(b'')\n"
+    assert not _homes({"crypto/cmac.py": spec})
+
+
+def test_one_aead():
+    """PR 33: one AEAD (EtM), forward-only AES; GCM, CBC, decryption and
+    the knobs that reached them do not grow back."""
+    gcm = {"crypto/aead.py": "class AesGcm:\n    def decrypt(self): ...\n"}
+    assert _gone(gcm) == {"AesGcm", "decrypt"}
+    assert _gone({"core/session.py": "def seal(modes):\n    return modes.CBC(b'')\n"}) == {"CBC"}
+    session = "class Session:\n    def __init__(self, key, scheme=None): ...\n"
+    assert _gone({"core/session.py": session}) == {"scheme"}
+    assert not _gone({"crypto/aead.py": "class EtmScheme:\n    def seal(self, nonce): ...\n"})
+
+
+def test_shard_view_keeps_nothing_per_hid_looked_up():
+    """PR 20: the view memoised a record per HID asked for; the router
+    fetches keys with ``packet_mac_key``, never ``hostdb.get``."""
+    view = "class ColumnarShardView:\n    def __init__(self):\n        self._cache = {}\n"
+    assert _gone({"state/view.py": view}) == {"_cache"}
+    fetch = (
+        "class BorderRouter:\n    def key(self, hid):\n"
+        "        return self._hostdb.get(hid).keys\n"
+    )
+    assert _gone({"core/border_router.py": fetch}) == {"_hostdb.get"}
+    column = fetch.replace(".get(hid).keys", ".packet_mac_key(hid)")
+    assert not _gone({"core/border_router.py": column})
+
+
+def test_one_shard_layout():
+    """PR 27: numpy is declared, so the state package has no fallback arm,
+    and a view is built from a plan."""
+    fallback = "try:\n    import numpy\nexcept ImportError:\n    HAVE_NUMPY = False\n"
+    expected = {"ImportError", "except ImportError", "HAVE_NUMPY"}
+    assert _gone({"state/columns.py": fallback}) == expected
+    assert _gone({}, {"tests/test_x.py": "from repro.state import HAVE_NUMPY\n"}) == {"HAVE_NUMPY"}
+    setup = {"setup.py": "setup(install_requires=['cryptography'])\n"}
+    (finding,) = fires("third-party-imports", {"state/columns.py": "import numpy\n"}, setup)
+    assert "not declared" in finding.message
+    view = "class ColumnarShardView:\n    def __init__(self, plan, shard, block=1): ...\n"
+    assert fires("option-surface", {"state/view.py": view})
+
+
+def test_one_host_state_writer():
+    """PR 30: rows carry no EphID counters, there is no supervision policy
+    object, and the ownership block is a class constant."""
+    assert _gone({
+        "core/hostdb.py": "class HostRecord:\n    ephids_issued: int = 0\n",
+        "sharding/supervisor.py": "class SupervisorPolicy: ...\n",
+    }) == {"ephids_issued", "SupervisorPolicy"}
+    plan = "class ShardPlan:\n    nshards: int\n    key: bytes = b''\n    block: int = 1\n"
+    assert fires("option-surface", {"sharding/plan.py": plan})
+    constant = plan.replace("int = 1", "ClassVar[int] = 1")
+    assert not fires("option-surface", {"sharding/plan.py": constant})
+
+
+def test_one_nonce_source():
+    """PR 47: the node-wide counter its pin was written for, and the
+    per-EphID sequence that replaced it."""
+    node_wide = (
+        "class ApnaHostNode:\n    def _send(self, frame):\n"
+        "        self._nonce += 1\n        return make(frame, nonce=self._nonce)\n"
+    )
+    found = fires("one-nonce-source", {"core/host.py": node_wide})
+    assert {f.message.split()[1] for f in found} == {"+=", "nonce="}
+    per_ephid = (
+        "import itertools\nclass OwnedEphId:\n    nonces = itertools.count(1)\n"
+        "def header_nonce(owned):\n    return next(owned.nonces)\n"
+        "def send(owned, frame, nonce):\n    make(frame, nonce=header_nonce(owned))\n"
+        "    return make(frame, nonce=nonce)\n"
+    )
+    assert not fires("one-nonce-source", {"core/session.py": per_ephid})
+    assert not fires("one-nonce-source", {"attacks/spoof.py": node_wide})
+
+
+def test_dispatcher_holds_no_verdict_path():
+    """PR 15: a router or packet parse in the dispatcher would be a third
+    verdict path."""
+    pool = "from ..core.border_router import BorderRouter\n"
+    assert _gone({"sharding/pool.py": pool}) == {"BorderRouter"}
+
+
+def test_one_owner_for_the_carrier_and_the_failure_ledger():
+    """PR 24: the plane is built from the assembly alone, keeps no
+    start-method knob, and charges no failure itself."""
+    plane = (
+        "class ShardedDataPlane:\n    @classmethod\n"
+        "    def for_assembly(cls, assembly, start_method=1): ...\n"
+    )
+    assert fires("option-surface", {"sharding/pool.py": plane})
+    catch = "def collect(ticket):\n    try: ...\n    except ShardError: ...\n"
+    assert _gone({"sharding/pool.py": plane + catch}) == {"start_method", "except ShardError"}
+
+
+def test_one_data_plane_per_as():
+    """PR 25: the pool starts and stops with no arguments and nothing to
+    warn about."""
+    asys = (
+        "import warnings\nclass ApnaAutonomousSystem:\n"
+        "    def start_shard_pool(self, nshards=2): ...\n"
+    )
+    assert _gone({"core/autonomous_system.py": asys}) == {"warnings"}
+    assert fires("option-surface", {"core/autonomous_system.py": asys})
+
+
+def test_one_burst_path_frames_in_records_out():
+    """PR 17: no object-batch method back on the router, and no packet
+    parse or ``Verdict`` in the worker."""
+    assert _gone({
+        "core/border_router.py": "class BorderRouter:\n"
+        "    def process_batch(self, packets): ...\n",
+        "sharding/worker.py": "from ..wire.apna import ApnaPacket\n",
+    }) == {"process_batch", "ApnaPacket"}
+
+
+def test_one_trace_draw_one_name_per_topology():
+    """PR 29: no ``stream`` knob choosing between two replay loops, and no
+    draw scheme kept for old seeds."""
+    assert _gone({
+        "workload/profile.py": "class TrafficProfile:\n    stream: bool = False\n",
+        "workload/flows.py": "class TraceGenerator:\n    def generate(self): ...\n"
+        "    def stream(self):\n        durations = 1\n",
+    }) == {"stream", "generate"}

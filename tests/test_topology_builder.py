@@ -271,4 +271,4 @@ class TestWorldLifecycle:
         peer = bob.acquire_ephid_direct()
         world.host("alice").connect(peer.cert, early_data=b"x", dst_port=80)
         assert world.run() > 0
-        assert world.network.scheduler.pending == 0
+        assert world.run() == 0  # nothing left pending

@@ -79,11 +79,6 @@ class TestDrive:
         report = small_profile(max_flows=5).drive(scenarios.build("fig1", seed=9))
         assert report.flows_offered == 5
 
-    def test_world_drive_delegates(self):
-        world = scenarios.build("fig1", seed=10)
-        report = world.drive(small_profile())
-        assert report.sessions_opened == report.flows_offered
-
     def test_same_world_can_be_driven_twice(self):
         world = scenarios.build("fig1", seed=11)
         first = small_profile().drive(world)
