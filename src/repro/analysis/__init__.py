@@ -114,7 +114,9 @@ depends on — the motivating bug/PR is part of the rule's definition:
     ``packet_mac_size`` / ``state_backend`` / ``crypto_backend`` (kept
     only because ``bench/`` passes them), the spec primitives, the one
     packet signer (``.with_mac``), the scalar pipelines and ``asys.br``
-    appear only in the definitions listed for them.
+    appear only in the definitions listed for them, and the dispatcher
+    reaches ``send_to`` only from its control-batch flush and its stats
+    read (``MSG_STATS`` only from the latter).
 ``third-party-imports`` (PRs 26, 27)
     numpy, networkx and ``cryptography`` are declared in ``setup.py`` and
     imported only from their homes (``crypto/`` alone for OpenSSL).

@@ -252,6 +252,13 @@ HOMES = (
         "core/autonomous_system.py:ApnaAutonomousSystem.__init__",
         "core/autonomous_system.py:ApnaAutonomousSystem.judge",
     )),
+    # A state write is a queued row: the dispatcher sends control
+    # frames only as the flush's batch, and asks for stats only there.
+    (50, r"send_to", "sharding/pool.py", (
+        "sharding/pool.py:ShardedDataPlane._flush",
+        "sharding/pool.py:ShardedDataPlane.shard_stats",
+    )),
+    (50, r"MSG_STATS", "sharding/pool.py", ("sharding/pool.py:ShardedDataPlane.shard_stats",)),
 )
 
 
@@ -262,7 +269,8 @@ class IdentifierHomesRule(Rule):
     motivation = (
         "PR 21/26/28: one-valued names kept only because bench/ passes "
         "them; PR 26: production primitives never call the spec; PR 28: "
-        "one packet signer; PR 31: one verdict path"
+        "one packet signer; PR 31: one verdict path; one sender of "
+        "control batches and of stats requests"
     )
     project_wide = True
 

@@ -254,8 +254,10 @@ class ApnaAutonomousSystem:
 
         Snapshot-then-subscribe: the pool is seeded with the current
         hostdb/revocation state, and the database hooks keep the worker
-        replicas in sync from then on — a revoke pushed over the infra
-        bus reaches every shard before the next burst is dispatched.
+        replicas in sync from then on — each write is queued per shard
+        and sent, one batch per shard, ahead of the next burst, so it
+        reaches every shard before that burst is judged (with bursts in
+        flight or not).
         The pool also retains the hostdb/revocation list as its
         authoritative state source, from which the supervisor resyncs a
         restarted worker (and a degraded plane's in-process shards) —

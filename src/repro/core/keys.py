@@ -86,6 +86,16 @@ class SigningKeyPair:
 
     secret: bytes = field(repr=False)
     public: bytes
+    #: ``secret`` loaded once into OpenSSL: re-loading it per signature
+    #: doubled the cost of one.  Derived, so not compared or printed.
+    _loaded_key: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_loaded_key", ed25519.signing_key(self.secret))
+
+    def __reduce__(self):
+        # The loaded key does not pickle; it is rebuilt from the seed.
+        return type(self), (self.secret, self.public)
 
     @classmethod
     def generate(cls, rng: Rng | None = None) -> "SigningKeyPair":
@@ -94,7 +104,7 @@ class SigningKeyPair:
         return cls(secret=secret, public=ed25519.public_key(secret))
 
     def sign(self, message: bytes) -> bytes:
-        return ed25519.sign(self.secret, message)
+        return self._loaded_key.sign(message)
 
 
 @dataclass(frozen=True)

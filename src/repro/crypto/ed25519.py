@@ -140,11 +140,18 @@ def public_key(secret: bytes) -> bytes:
     )
 
 
-def sign(secret: bytes, message: bytes) -> bytes:
-    """Produce a 64-byte Ed25519 signature."""
+def signing_key(secret: bytes) -> Ed25519PrivateKey:
+    """The loaded OpenSSL key for a 32-byte secret seed: hold it and call
+    its ``sign(message)`` to sign many messages without re-loading the
+    key for each."""
     if len(secret) != KEY_SIZE:
         raise ValueError("Ed25519 secret must be 32 bytes")
-    return Ed25519PrivateKey.from_private_bytes(secret).sign(message)
+    return Ed25519PrivateKey.from_private_bytes(secret)
+
+
+def sign(secret: bytes, message: bytes) -> bytes:
+    """Produce a 64-byte Ed25519 signature."""
+    return signing_key(secret).sign(message)
 
 
 def _canonical_point(encoded: bytes) -> bool:

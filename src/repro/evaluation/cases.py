@@ -413,8 +413,8 @@ def _revocation_wave(ctx: CaseContext) -> ScenarioReport:
             )
             if round_no < waves:
                 # Revoke the next slice through the authoritative list;
-                # the on_add hook broadcasts to every shard before the
-                # next burst is dispatched (ordered control pipe).
+                # the on_add hook queues it for every shard, and the
+                # queue rides ahead of the next burst (ordered pipe).
                 wave = sources[
                     round_no * wave_size : (round_no + 1) * wave_size
                 ]
@@ -474,7 +474,7 @@ def _migration(ctx: CaseContext) -> ScenarioReport:
 
         # Phase 2: the movers leave "a" (HID revoked — their EphIDs die
         # with it) and re-register at "b" with fresh key material; both
-        # database hooks broadcast to the respective shard pools.
+        # database hooks queue the writes for the respective shard pools.
         arrivals: "list[_Source]" = []
         exp_time = int(as_b.clock() + ctx.config.data_ephid_lifetime)
         for source in movers:

@@ -13,8 +13,9 @@ range, fed one burst-sized batch of packed wire frames per IPC message:
   lands on the owner shard, so the clear IV bytes carry no cross-EphID
   linkage an observer could check;
 * :mod:`~repro.sharding.wire` — the binary pipe protocol (bursts in,
-  verdict vectors out; revocation/registration control frames between;
-  full-state resync frames for restarted workers);
+  verdict vectors out; revocations and registrations between, batched
+  per shard as ``MSG_CONTROL`` rows; full-state resync frames for
+  restarted workers);
 * :mod:`~repro.sharding.worker` — one shard: a real
   :class:`~repro.core.border_router.BorderRouter` over local sharded
   state, and the whole worker protocol (:meth:`ShardState.handle`);
@@ -67,7 +68,10 @@ before it answers.  What happens next, in order:
    the shard's owned host records and MAC keys, the replicated live-HID
    view, and the revocation list — all reread from the AS's own
    ``host_info`` / ``revoked_ids`` columns at restart time, so even an
-   update whose control broadcast died mid-send arrives via the resync.
+   update whose control batch died in the queue, mid-send or unread on
+   the wire arrives via the resync (the stores are written before the
+   hook queues the row; a batch the fresh worker is sent as well
+   re-applies idempotently).
    What does not survive: the shard's **replay-filter history** (packets
    first seen up to one rotation window before the crash may pass once
    more — the same bounded two-window horizon the filter itself

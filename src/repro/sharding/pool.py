@@ -13,8 +13,12 @@ share-nothing scale-out applied to the border router: a dispatcher that
   :mod:`repro.sharding.plan`),
 * short-circuits transit packets itself (forwarding by destination AID
   needs no per-host state at all, Section IV-D3),
-* ships one message per shard per burst, and
-* merges the per-shard verdict vectors back into arrival order.
+* ships one message per shard per burst,
+* merges the per-shard verdict vectors back into arrival order, and
+* queues the AS's state writes (revocations, registrations) per shard,
+  sending each queue as one ``MSG_CONTROL`` batch ahead of that shard's
+  next burst — so a write costs a row, not a pipe message, and is still
+  applied before every burst submitted after it.
 
 Equivalence bar: the merged verdicts are element-for-element identical
 to the single-process
@@ -97,6 +101,17 @@ __all__ = [
 _SRC_IV = slice(
     AID_SIZE + CIPHERTEXT_SIZE, AID_SIZE + CIPHERTEXT_SIZE + IV_SIZE
 )
+
+#: Rows a shard's control queue holds before it is sent on its own,
+#: without waiting for the next burst.  A ``churn_hostile`` control
+#: round queues 26 rows per shard (16 revocations, 8 registrations, 2
+#: HID revocations) and its set-up wave 2112 (2048 revocations, 64 HID
+#: revocations), so both travel as one batch, and the workers apply the
+#: wave ahead of the first burst (~5 ms at ~2.4 µs a row in a worker).
+#: The cap bounds what one burst can wait behind at about twice that,
+#: and one message at ~160 KB (a row is at most 39 bytes).
+CONTROL_BATCH_ROWS = 4096
+
 
 def _default_start_method() -> str:
     # fork is cheap and inherits the loaded interpreter; fall back to
@@ -348,6 +363,9 @@ class ShardedDataPlane:
         )
         #: Dispatcher-side transit forwarding (no shard round-trip).
         self.forwarded_inter = 0
+        #: Per shard, the single-entry control frames written since its
+        #: last batch was sent, in write order (see :meth:`_flush`).
+        self._control: "list[list[bytes]]" = [[] for _ in range(self.nshards)]
 
     # -- construction ------------------------------------------------------
 
@@ -368,8 +386,8 @@ class ShardedDataPlane:
         columns, the same bytes a later ``MSG_RESYNC`` would carry;
         later changes propagate only through :meth:`register_host` /
         :meth:`revoke_ephid` / :meth:`revoke_hid` (the assembly wires
-        those to its database hooks).  They are also retained as the
-        *authoritative* state source: a restarted worker — and every
+        those to its database hooks), batched per shard.  They are also
+        retained as the *authoritative* state source: a restarted worker — and every
         in-process shard of a degraded plane — is resynced from them.
         """
         config = assembly.config
@@ -521,7 +539,11 @@ class ShardedDataPlane:
             for shard, (indices, shard_frames, directions) in by_shard.items()
         ]
         ticket = Ticket(len(frames))
-        self.supervisor.dispatch(ticket, messages, self.MAX_IN_FLIGHT_VERDICTS)
+        # Every queued write goes ahead of the burst on the same ordered
+        # pipe, so this burst is judged with it.
+        self.supervisor.dispatch(
+            ticket, messages, self.MAX_IN_FLIGHT_VERDICTS, self._flush_all
+        )
         for i in transit:
             self.forwarded_inter += 1
             ticket.verdicts[i] = verdict_of(INTER_HEAD + frames[i][DST_AID_FIELD])
@@ -552,52 +574,75 @@ class ShardedDataPlane:
     # -- control plane ------------------------------------------------------
 
     def revoke_ephid(self, ephid: bytes, exp_time: float) -> None:
-        """Broadcast a revocation to every shard.
+        """Queue a revocation for every shard.
 
-        The pipe is ordered, so each shard applies the revoke before any
-        burst submitted after this call — the propagation rule the AS
-        relies on ("a revoke reaches the owning shard before its next
-        burst").  It is a broadcast rather than an owner-only send
-        because destination-side revocation checks may run on any shard.
+        Every shard takes it because destination-side revocation checks
+        may run on any shard.  The queue is sent ahead of the next
+        burst on each shard's ordered pipe, so the propagation rule the
+        AS relies on — a write reaches every shard before its next
+        burst — holds by construction, with bursts in flight or not:
+        those already sent are judged without it, later ones with it.
         """
-        self._control_broadcast(wire.encode_revoke_ephid(ephid, exp_time))
+        self._broadcast(wire.encode_revoke_ephid(ephid, exp_time))
 
     def revoke_hid(self, hid: int) -> None:
-        self._control_broadcast(wire.encode_revoke_hid(hid))
+        self._broadcast(wire.encode_revoke_hid(hid))
 
     def register_host(self, record) -> None:
-        """Announce a newly registered host: keys to the owning shard,
-        liveness to everyone else."""
-        self.supervisor.check_idle("sending host registrations")
+        """Queue a newly registered host: keys for the owning shard,
+        liveness for everyone else."""
+        self.supervisor.check_usable()
         owner = self.plan.owner_of(record.hid)
+        keys = record.keys
         for shard in range(self.nshards):
-            msg = wire.encode_register_host(
-                record.hid,
-                owned=shard == owner,
-                control=record.keys.control,
-                packet_mac=record.keys.packet_mac,
+            self._enqueue(
+                shard,
+                wire.encode_register_host(
+                    record.hid,
+                    owned=shard == owner,
+                    control=keys.control,
+                    packet_mac=keys.packet_mac,
+                ),
             )
-            self.supervisor.send_to(shard, msg, "control send failed")
 
-    def _control_broadcast(self, msg: bytes) -> None:
-        """Broadcast a control frame to every shard; the ledger recovers
-        any shard whose pipe fails mid-send.
+    def _broadcast(self, row: bytes) -> None:
+        self.supervisor.check_usable()
+        for shard in range(self.nshards):
+            self._enqueue(shard, row)
+
+    def _enqueue(self, shard: int, row: bytes) -> None:
+        queue = self._control[shard]
+        queue.append(row)
+        if len(queue) >= CONTROL_BATCH_ROWS:
+            self._flush(shard)
+
+    def _flush_all(self) -> None:
+        for shard, queue in enumerate(self._control):
+            if queue:
+                self._flush(shard)
+
+    def _flush(self, shard: int) -> None:
+        """Send ``shard``'s queued writes as one control batch; the
+        ledger recovers the shard if its pipe fails mid-send.
 
         The authoritative state (hostdb / revocation list) is always
-        updated *before* its hook fires, so a worker restarted here
-        receives the very update that failed to send as part of its
-        resync — no resend, and replicas cannot diverge through this
-        path.  (Control frames are idempotent, so shards resynced by a
-        mid-broadcast degrade may take the frame again.)
+        updated *before* its hook queues the row, so a worker restarted
+        here — or at any point while its rows wait in the queue or on
+        the wire — gets them in its resync; nothing is resent.  Every
+        row is idempotent, so a fresh worker that is also sent the batch
+        (a restart while it was queued, or a degrade) ends in the same
+        state.
         """
-        self.supervisor.check_idle("sending control messages")
-        for shard in range(self.nshards):
-            self.supervisor.send_to(shard, msg, "control send failed")
+        rows, self._control[shard] = self._control[shard], []
+        self.supervisor.send_to(
+            shard, wire.encode_control(rows), "control send failed"
+        )
 
     # -- observability -------------------------------------------------------
 
     def shard_stats(self) -> "list[dict[str, int]]":
-        """Per-shard counter snapshots (synchronises all control traffic).
+        """Per-shard counter snapshots, read behind every queued write
+        (the queues are sent first, so each shard has applied them).
 
         A shard that fails to answer is restarted like any other failure
         and the call raises — its counters died with the worker, so
@@ -605,7 +650,8 @@ class ShardedDataPlane:
         reports its in-process shards, counting from the degrade.
         """
         ledger = self.supervisor
-        ledger.check_idle("reading stats")
+        ledger.check_idle()
+        self._flush_all()
         results = []
         for shard in range(self.nshards):
             charged = ledger.failure_count
@@ -647,7 +693,8 @@ class ShardedDataPlane:
 
     # audit: allow(production-caller) ROADMAP item 7's model drives it
     def barrier(self) -> None:
-        """Wait until every shard has drained its control queue."""
+        """Send every queued write and wait until each shard has
+        applied it."""
         self.shard_stats()
 
     @property
@@ -659,6 +706,10 @@ class ShardedDataPlane:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
+        """Stop the shards.  Queued writes are dropped, not sent: the
+        authoritative stores already hold them and nothing is left to
+        judge with them."""
+        self._control = [[] for _ in range(self.nshards)]
         self.supervisor.close()
 
     @property

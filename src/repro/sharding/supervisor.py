@@ -243,19 +243,18 @@ class ShardSupervisor:
         if self.closed:
             raise ShardError("data plane is closed")
 
-    def check_idle(self, what: str) -> None:
-        """Control traffic and stats reads require an empty ticket queue.
-
-        Two reasons: the revoke-before-next-burst propagation rule is
-        meaningless against bursts already on the wire, and a control
-        send could block against a worker that is itself blocked
-        mid-reply — the one remaining dispatcher/worker deadlock shape.
-        """
+    def check_idle(self) -> None:
+        """Stats reads require an empty ticket queue: a stats reply
+        queues behind every verdict reply still owed, and a request sent
+        to a worker that is itself blocked mid-reply could block in turn
+        — the one remaining dispatcher/worker deadlock shape.  (State
+        writes need no such guard: they are queued, and ride ahead of
+        the next burst.)"""
         self.check_usable()
         if self.tickets:
             raise ShardError(
                 f"{len(self.tickets)} bursts in flight; collect them "
-                f"before {what}"
+                "before reading stats"
             )
 
     def send_to(self, shard: int, msg: bytes, what: str) -> bool:
@@ -283,11 +282,14 @@ class ShardSupervisor:
             self._shard_failed(shard, f"{what} undecodable ({exc!r})")
         return None
 
-    def dispatch(self, ticket: Ticket, messages, cap: int) -> None:
+    def dispatch(
+        self, ticket: Ticket, messages, cap: int, ahead: Callable[[], None]
+    ) -> None:
         """Queue ``ticket`` and send its ``(shard, indices, message)``
         sub-bursts, each encoded with its shard's current
         :attr:`burst_seq` — unless that would put more than ``cap``
-        verdicts in flight.
+        verdicts in flight.  ``ahead`` runs once the burst is admitted,
+        before any of it is sent: the dispatcher's queued state writes.
 
         A send failure costs only the sub-burst that never reached its
         worker: it is dropped-and-counted, the worker is restarted (or
@@ -298,8 +300,9 @@ class ShardSupervisor:
         # Admission: only shard-bound packets occupy reply-pipe budget.
         # A lone burst is exempt whatever its size — with nothing else
         # outstanding the dispatcher proceeds straight to collect(), so
-        # the worker's reply always has a reader (control traffic cannot
-        # interleave: it requires an empty ticket queue).  This keeps
+        # the worker's reply always has a reader (state writes reach the
+        # pipe only ahead of an admitted burst, stats reads only with no
+        # ticket in flight).  This keeps
         # arbitrarily large forwarding_batch_size configurations working
         # while still bounding the *pipelined* backlog.
         worker_bound = sum(len(indices) for _, indices, _ in messages)
@@ -310,6 +313,7 @@ class ShardSupervisor:
                 f"would exceed the cap ({cap}); "
                 "collect outstanding bursts first"
             )
+        ahead()
         self.tickets.append(ticket)
         for shard, indices, message in messages:
             ticket.pending.append((shard, indices, self.burst_seq[shard]))

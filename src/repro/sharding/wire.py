@@ -6,6 +6,9 @@ per-packet IPC cost is a few bytes of framing amortised over the burst.
 Control traffic (revocations, host registration, stats) shares the same
 pipe, which is what guarantees ordering: a revoke written before a burst
 is processed by the worker before that burst's verdicts are computed.
+The dispatcher sends state writes as one ``MSG_CONTROL`` batch per shard
+— the single-entry revoke / register frames as length-prefixed rows —
+ahead of the next burst, so a write costs a row, not a pipe message.
 
 All integers are big-endian; every message starts with a one-byte kind.
 
@@ -54,6 +57,7 @@ MSG_STATS_REPLY = 7
 MSG_ERROR = 8
 MSG_RESYNC = 9
 MSG_RESYNC_ACK = 10
+MSG_CONTROL = 11
 
 #: Directions inside a burst message.
 EGRESS = 0
@@ -70,6 +74,7 @@ _REVOKE_EPHID = struct.Struct(">Bd16s")  # kind, exp_time, ephid
 _REVOKE_HID = struct.Struct(">BI")  # kind, hid
 _REGISTER_HOST = struct.Struct(">BIB16s16s")  # kind, hid, owned, control, mac
 _RESYNC_ACK = struct.Struct(">BII")  # kind, owned count, revoked count
+_CONTROL_HEAD = struct.Struct(">BI")  # kind, row count; then u8 length + row each
 
 #: Per-shard counters carried by a stats reply, in wire order.
 STATS_FIELDS = tuple(reason.value for reason in DropReason) + (
@@ -205,6 +210,33 @@ def decode_register_host(msg: bytes) -> "tuple[int, bool, bytes, bytes]":
     if owned > 1 or (not owned and any(control + packet_mac)):
         raise ValueError(f"register-host message for HID {hid} is malformed")
     return hid, bool(owned), control, packet_mac
+
+
+def encode_control(rows: "list[bytes]") -> bytes:
+    """Batch single-entry control frames (revoke / register, each under
+    256 bytes) into one message the worker applies in order."""
+    return b"".join(
+        (
+            _CONTROL_HEAD.pack(MSG_CONTROL, len(rows)),
+            *(bytes((len(row),)) + row for row in rows),
+        )
+    )
+
+
+def decode_control(msg: bytes) -> "list[bytes]":
+    """The rows of a control batch, in order; which kinds they may be is
+    the worker's to check."""
+    (count,) = _fields(_CONTROL_HEAD, msg, MSG_CONTROL, whole=False)
+    rows = []
+    offset = _CONTROL_HEAD.size
+    for _ in range(count):
+        if offset >= len(msg) or not msg[offset]:
+            raise ValueError(f"control row {len(rows)} is missing or empty")
+        end = offset + 1 + msg[offset]
+        rows.append(msg[offset + 1 : end])
+        offset = end
+    _check_end(msg, offset)
+    return rows
 
 
 def encode_stats(counters: "dict[str, int]") -> bytes:

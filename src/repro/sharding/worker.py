@@ -20,8 +20,10 @@ check needs:
 * destination-side checks (intra delivery, ingress local delivery) may
   run on any shard, so the inputs they need — EphID codec keys, the
   revocation set, the one-bit-per-HID liveness view — are replicated,
-  kept in sync by broadcast control messages on the same ordered pipe
-  as the bursts (a revoke therefore always lands before the next burst).
+  kept in sync by the dispatcher's control batches (``MSG_CONTROL``),
+  which travel on the same ordered pipe as the bursts, ahead of the
+  next one: a write therefore always lands before the next burst, and
+  the shard applies a batch's rows in the order they were written.
 """
 
 from __future__ import annotations
@@ -152,6 +154,12 @@ class ShardState:
         #: shard holds and where each lands in its row space.
         self.plan = ShardPlan(spec.nshards)
         self.clock = _SettableClock()
+        #: A control batch's row kinds: the single-entry state writes.
+        self._writes = {
+            wire.MSG_REVOKE_EPHID: self.handle_revoke_ephid,
+            wire.MSG_REVOKE_HID: self.handle_revoke_hid,
+            wire.MSG_REGISTER_HOST: self.handle_register_host,
+        }
         #: A failed fire-and-forget frame's error, owed to the next reply.
         self._held_error: "str | None" = None
         snap = (
@@ -216,8 +224,9 @@ class ShardState:
 
         Every kind in ``_REPLYING_KINDS`` gets exactly one frame back
         (verdicts, stats, a resync ack, or an error frame the carrier
-        re-raises).  Control frames are fire-and-forget; if one fails
-        (or an unknown kind arrives), the error is *held* and delivered
+        re-raises).  State writes arrive as control batches and are
+        fire-and-forget; if one fails (a refused row, or an unknown kind
+        arrives), the error is *held* and delivered
         in place of the next expected reply — keeping the reply stream
         aligned while still surfacing the failure loudly.
         """
@@ -233,12 +242,8 @@ class ShardState:
                 return self.stats()
             if kind == wire.MSG_RESYNC:
                 return self.handle_resync(msg)
-            if kind == wire.MSG_REVOKE_EPHID:
-                self.handle_revoke_ephid(msg)
-            elif kind == wire.MSG_REVOKE_HID:
-                self.handle_revoke_hid(msg)
-            elif kind == wire.MSG_REGISTER_HOST:
-                self.handle_register_host(msg)
+            if kind == wire.MSG_CONTROL:
+                self.handle_control(msg)
             else:
                 self._held_error = f"unknown message kind {kind}"
         # Not swallowed: the traceback becomes a MSG_ERROR frame, either
@@ -263,6 +268,20 @@ class ShardState:
         # answers the burst it is waiting on (duplicate/stale detection).
         head = wire.VERDICTS_HEAD.pack(wire.MSG_VERDICTS, seq, len(records))
         return head + b"".join(records)
+
+    def handle_control(self, msg: bytes) -> None:
+        """Apply a batch's rows in arrival order, so a registration and
+        a revocation of one host in one batch leave it revoked.  A row
+        that is not a single-entry write (a replying kind, another
+        batch) is refused, with the rows before it applied."""
+        writes = self._writes
+        for row in wire.decode_control(msg):
+            write = writes.get(row[0])
+            if write is None:
+                raise ValueError(
+                    f"control row of kind {row[0]} is not a state write"
+                )
+            write(row)
 
     def handle_revoke_ephid(self, msg: bytes) -> None:
         ephid, exp_time = wire.decode_revoke_ephid(msg)

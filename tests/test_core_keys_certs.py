@@ -1,5 +1,8 @@
 """Tests for key material, EphID certificates and the RPKI substrate."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.certs import (
@@ -60,6 +63,20 @@ class TestKeys:
         pair = SigningKeyPair.generate(rng)
         signature = pair.sign(b"message")
         assert ed25519.verify(pair.public, b"message", signature)
+
+    def test_signing_pair_holds_its_loaded_key_out_of_sight(self, rng):
+        """The pair signs with a key loaded once, and that key is neither
+        printed, compared, hashed nor pickled: the frozen pair behaves as
+        its two byte fields."""
+        pair = SigningKeyPair.generate(rng)
+        assert pair.sign(b"m") == ed25519.sign(pair.secret, b"m")
+        twin = SigningKeyPair(secret=pair.secret, public=pair.public)
+        assert twin == pair and hash(twin) == hash(pair)
+        assert repr(pair) == f"SigningKeyPair(public={pair.public!r})"
+        revived = pickle.loads(pickle.dumps(pair))
+        assert revived == pair and revived.sign(b"m") == pair.sign(b"m")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.secret = bytes(32)
 
     def test_ephid_keypair_dual_use(self, rng):
         pair = EphIdKeyPair.generate(rng)

@@ -92,7 +92,7 @@ def _register(state: ShardState, hid: int, packet_mac: bytes) -> None:
     message = wire.encode_register_host(
         hid, owned=True, control=b"\x0c" * 16, packet_mac=packet_mac
     )
-    assert state.handle(message) is None
+    assert state.handle(wire.encode_control([message])) is None
 
 
 # --------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_revoked_hid_leaves_no_context_behind():
     packets = [_packet(each, _mac_key(each)) for each in (hid, bystander)]
     assert _offer(state, packets) == [FORWARD, FORWARD]
     assert hid in state.router._mac_cache
-    assert state.handle(wire.encode_revoke_hid(hid)) is None
+    assert state.handle(wire.encode_control([wire.encode_revoke_hid(hid)])) is None
     assert hid not in state.router._mac_cache
     assert bystander in state.router._mac_cache
     assert _offer(state, packets) == [

@@ -85,6 +85,7 @@ PARSERS = [
     (DomainCertificate.parse, (DomainCertError,)),
     (AuthRequest.parse, (TlsAuthError,)),
     (Attestation.parse, (TlsAuthError,)),
+    (shard_wire.decode_control, (ValueError,)),
 ]
 
 PARSER_IDS = [
@@ -200,8 +201,8 @@ def test_shard_wire_decoders_round_trip_or_refuse(
 ):
     """A burst of frames of any length (empty ones included) round-trips
     byte-exact through its direction / length / blob columns; and damage
-    anywhere in it — or in a verdict reply, a control frame, a stats
-    reply, a resync or its ack — is refused with ``ValueError`` (never a raw
+    anywhere in it — or in a verdict reply, a control frame, a control
+    batch, a stats reply, a resync or its ack — is refused with ``ValueError`` (never a raw
     ``struct.error`` or ``IndexError``), or reads as a message that
     re-encodes to the very bytes received: nothing is half-understood."""
     frames = [frame for frame, _ in burst]
@@ -287,6 +288,17 @@ def test_shard_wire_decoders_round_trip_or_refuse(
             lambda decoded: shard_wire.encode_resync_ack(*decoded),
         ),
         (resync, shard_wire.decode_resync, shard_wire.encode_resync),
+        (
+            shard_wire.encode_control(
+                [
+                    shard_wire.encode_revoke_ephid(key, now),
+                    shard_wire.encode_revoke_hid(hid),
+                    _reencode_register_host((hid, owned, key, key[::-1])),
+                ]
+            ),
+            shard_wire.decode_control,
+            shard_wire.encode_control,
+        ),
     ):
         assert reencode(decoder(valid)) == valid
         refused_or_exact(decoder, reencode, _one_damaged_byte(data, valid))

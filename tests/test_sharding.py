@@ -22,7 +22,7 @@ from repro.core.border_router import Action, BorderRouter, DropReason, Verdict
 from repro.core.config import ApnaConfig
 from repro.core.ephid import IvAllocator
 from repro.core.errors import RevokedError, UnknownHostError
-from repro.core.hostdb import FIRST_HOST_HID
+from repro.core.hostdb import FIRST_HOST_HID, HostRecord
 from repro.core.keys import HostAsKeys
 from repro.core.verdict import verdicts_of
 from repro.crypto.cmac import Cmac
@@ -32,8 +32,10 @@ from repro.sharding import (
     ShardedDataPlane,
     split_requests,
 )
+from repro.sharding import pool as pool_module
 from repro.sharding import wire
 from repro.sharding.pool import InProcessCarrier
+from repro.sharding.supervisor import reply_or_raise
 from repro.state import ColumnarShardView
 from repro.topology import WorldBuilder
 from repro.wire.apna import SRC_EPHID_FIELD, ApnaHeader
@@ -770,7 +772,7 @@ class TestDispatcher:
             )
             assert len(verdicts) == 6
 
-    def test_control_requires_empty_ticket_queue(self):
+    def test_stats_read_requires_empty_ticket_queue(self):
         with build_sharded_world(hosts=1) as world:
             as_a = world.asys("a")
             pool = build_apna_pool(
@@ -779,9 +781,9 @@ class TestDispatcher:
             plane = as_a.shard_pool
             ticket = plane.submit(pool.wire_frames, [True, True], as_a.clock())
             with pytest.raises(ShardError, match="in flight"):
-                plane.revoke_ephid(bytes(16), 1e12)
+                plane.shard_stats()
             plane.collect(ticket)
-            plane.revoke_ephid(bytes(16), 1e12)  # fine once drained
+            assert len(plane.shard_stats()) == TIER1_SHARDS  # fine once drained
 
     def test_route_is_pure(self):
         """``route`` is the dispatcher's side-effect-free half: twice on
@@ -846,6 +848,159 @@ class TestDispatcher:
             verdicts = plane.process([transit], [False], as_a.clock())
             assert verdicts[0].next_aid == 65000
             assert plane.forwarded_inter == 1
+
+
+class TestWritesRideTheBurstStream:
+    """State writes are queued per shard and sent as one control batch
+    ahead of the next burst: a plane with bursts in flight takes them,
+    the bursts already sent are judged without them and the next one
+    with them, and the number of pipe messages does not grow with the
+    number of writes."""
+
+    @pytest.mark.parametrize("carrier", ("pool", "inprocess"))
+    def test_writes_with_a_burst_in_flight(self, carrier):
+        with build_sharded_world(hosts=2) as world:
+            as_a = world.asys("a")
+            plane = as_a.shard_pool
+            if carrier == "inprocess":
+                plane = inprocess_plane(plane, as_a)
+                as_a.revocations.on_add = plane.revoke_ephid
+                as_a.hostdb.on_register = plane.register_host
+                as_a.hostdb.on_revoke_hid = plane.revoke_hid
+            a0, a1 = world.host("a0"), world.host("a1")
+            cut = build_apna_pool(as_a, [a0], size=128, count=1, dst_aid=200)
+            gone = build_apna_pool(as_a, [a1], size=128, count=1, dst_aid=200)
+            gone_hid = as_a.hostdb.find_by_subscriber(a1.subscriber_id).hid
+            # A host the AS registers only after the first burst is sent.
+            new_hid = as_a.hostdb.allocate_hid()
+            new_keys = HostAsKeys(bytes(range(16)), bytes(range(16, 32)))
+            new_ephid = as_a.codec.seal(
+                hid=new_hid,
+                exp_time=int(as_a.clock() + ApnaConfig.data_ephid_lifetime),
+                iv=as_a.ivs.next_iv_for(new_hid),
+            )
+            arrival = ApnaHeader(
+                src_aid=as_a.aid, src_ephid=new_ephid, dst_ephid=bytes(16), dst_aid=200
+            ).signed(Cmac(new_keys.packet_mac), b"x").to_wire()
+            frames = cut.wire_frames + gone.wire_frames + [arrival]
+            egress = [True] * len(frames)
+            oracle = BorderRouter(
+                as_a.aid, as_a.codec, as_a.hostdb, as_a.revocations, as_a.clock
+            )
+
+            def expected():
+                return verdicts_of(b"".join(oracle.process_burst(frames, egress)))
+
+            in_flight = plane.submit(frames, egress, as_a.clock())
+            without = expected()
+            as_a.revocations.add(
+                cut.apna_packets[0].header.src_ephid, as_a.clock() + 3600
+            )
+            as_a.hostdb.revoke_hid(gone_hid)
+            as_a.hostdb.register(HostRecord(hid=new_hid, keys=new_keys))
+            after = plane.submit(frames, egress, as_a.clock())
+            with_writes = expected()
+            assert [v.action for v in without] == [Action.FORWARD_INTER] * 2 + [Action.DROP]
+            assert [v.reason for v in with_writes] == [
+                DropReason.SRC_REVOKED, DropReason.SRC_HID_INVALID, None
+            ]
+            assert plane.collect(in_flight) == without
+            assert plane.collect(after) == with_writes
+            assert plane.stats()["restarts"] == 0
+
+    @pytest.mark.parametrize("cap", (pool_module.CONTROL_BATCH_ROWS, 1024))
+    @pytest.mark.parametrize("revocations", (1, 64, 2048))
+    def test_pipe_messages_do_not_grow_with_writes(self, revocations, cap, monkeypatch):
+        """One burst after ``revocations`` revocations, 8 registrations
+        and 2 HID revocations costs one control batch per shard beside
+        its own messages — plus one per shard each time a queue reaches
+        ``CONTROL_BATCH_ROWS`` (also shrunk, so the largest wave shows
+        it)."""
+        monkeypatch.setattr(pool_module, "CONTROL_BATCH_ROWS", cap)
+        with build_sharded_world(hosts=2) as world:
+            as_a = world.asys("a")
+            plane = as_a.shard_pool
+            carrier = _CountingCarrier(plane.supervisor.carrier)
+            plane.supervisor.carrier = carrier
+            frames = build_apna_pool(
+                as_a, [world.host("a0"), world.host("a1")], size=128, count=8, dst_aid=200
+            ).wire_frames
+            shards_touched = len(plane.route(frames, [True] * 8)[1])
+            for i in range(revocations):
+                as_a.revocations.add(i.to_bytes(16, "big"), as_a.clock() + 3600)
+            hids = []
+            for i in range(8):
+                hids.append(as_a.hostdb.allocate_hid())
+                as_a.hostdb.register(
+                    HostRecord(hid=hids[-1], keys=HostAsKeys(bytes([i]) * 16, bytes(16)))
+                )
+            for hid in hids[:2]:
+                as_a.hostdb.revoke_hid(hid)
+            rows = revocations + 8 + 2
+            size_flushes = rows // cap
+            assert carrier.sent == [wire.MSG_CONTROL] * (TIER1_SHARDS * size_flushes)
+            verdicts = plane.process(frames, [True] * 8, as_a.clock())
+            assert all(v.action is Action.FORWARD_INTER for v in verdicts)
+            batches = TIER1_SHARDS * (size_flushes + (rows % cap > 0))
+            assert sorted(carrier.sent) == sorted(
+                [wire.MSG_CONTROL] * batches + [wire.MSG_BURST] * shards_touched
+            )
+            # Nothing queued: a stats read sends its requests alone.
+            del carrier.sent[:]
+            plane.shard_stats()
+            assert carrier.sent == [wire.MSG_STATS] * TIER1_SHARDS
+
+    def test_closing_with_queued_writes_sends_nothing(self):
+        """As bench's oracle check does: 2048 revocations queued, then
+        the world closed."""
+        world = build_sharded_world(hosts=1)
+        as_a = world.asys("a")
+        plane = as_a.shard_pool
+        carrier = _CountingCarrier(plane.supervisor.carrier)
+        plane.supervisor.carrier = carrier
+        try:
+            for i in range(2048):
+                as_a.revocations.add(i.to_bytes(16, "big"), as_a.clock() + 3600)
+        finally:
+            world.close()
+        assert carrier.sent == [] and plane.closed
+        with pytest.raises(ShardError, match="closed"):
+            plane.revoke_ephid(bytes(16), 1e12)
+
+    def test_a_batch_applies_in_order_and_refuses_what_is_no_write(self):
+        with build_sharded_world(hosts=1) as world:
+            plane = world.asys("a").shard_pool
+            state = inprocess_plane(plane, world.asys("a")).supervisor.carrier._states[0]
+            hid = FIRST_HOST_HID + 2 * 1000  # a stripe shard 0 owns
+            register = wire.encode_register_host(
+                hid, owned=True, control=bytes(16), packet_mac=bytes(16)
+            )
+            assert state.handle(
+                wire.encode_control([register, wire.encode_revoke_hid(hid)])
+            ) is None
+            assert not state.hosts.is_valid(hid)
+            assert state.handle(wire.encode_control([register])) is None
+            assert state.hosts.is_valid(hid)
+            for row in (bytes([wire.MSG_STATS]), wire.encode_control([register])):
+                assert state.handle(wire.encode_control([row])) is None
+                with pytest.raises(ShardError, match="not a state write"):
+                    reply_or_raise(0, state.handle(bytes([wire.MSG_STATS])))
+                assert wire.decode_stats(state.handle(bytes([wire.MSG_STATS])))
+
+
+class _CountingCarrier:
+    """A carrier that records the kind of every message sent through it."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.sent: "list[int]" = []
+
+    def send_bytes(self, shard: int, msg: bytes) -> None:
+        self.sent.append(msg[0])
+        self.inner.send_bytes(shard, msg)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 class TestRekeyedHost:

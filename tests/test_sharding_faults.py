@@ -34,6 +34,8 @@ import pytest
 
 from repro.core.border_router import BorderRouter, DropReason
 from repro.core.config import ApnaConfig
+from repro.core.hostdb import HostRecord
+from repro.core.keys import HostAsKeys
 from repro.faults import FAULT_KINDS, Fault, FaultPlan, crash_storm_plan
 from repro.sharding import (
     ShardError,
@@ -41,11 +43,13 @@ from repro.sharding import (
     ShardSupervisor,
     ShardedDataPlane,
 )
+from repro.sharding import wire
 from repro.sharding.supervisor import FAILURE_LOG_CAPACITY
 from repro.wire.apna import Endpoint
 from repro import scenarios
 
 from tests.conftest import build_world, process_packets
+from tests.test_sharding import _CountingCarrier
 
 SHARD_COUNTS = (2, 3)
 
@@ -753,6 +757,98 @@ class TestReplayWindowReopened:
             assert reason() is DropReason.REPLAYED
         finally:
             plane.close()
+
+
+class TestControlBatchSurvivesKills:
+    """A worker killed while its control batch is pending — still in the
+    dispatcher's queue, or sent and unread on the wire — comes back
+    resynced from the authoritative stores (written before each hook
+    queues its row); a batch the fresh worker is sent as well re-applies
+    idempotently, and every delivered verdict equals the oracle's."""
+
+    BURST_SIZE = 6
+
+    @pytest.mark.parametrize("pending", ("queued", "on-the-wire"))
+    def test_kill_with_a_batch_pending(self, pending):
+        world = _build_world(2)
+        world.network.run_until(5.0)  # let the exp_time=1 EphID expire
+        as_a = world.as_a
+        rng = random.Random(0xC0B)
+        build, revocable = _packet_mix(world, rng)
+        router = _reference_router(world)
+        plane = ShardedDataPlane.for_assembly(as_a)
+        carrier = _CountingCarrier(plane.supervisor.carrier)
+        plane.supervisor.carrier = carrier
+        as_a.revocations.on_add = plane.revoke_ephid
+        as_a.hostdb.on_register = plane.register_host
+        as_a.hostdb.on_revoke_hid = plane.revoke_hid
+        (alice, revoked), carol = revocable[0], world.hosts["carol"]
+        alice_hid = as_a.hostdb.find_by_subscriber(alice.subscriber_id).hid
+        carol_hid = as_a.hostdb.find_by_subscriber(carol.subscriber_id).hid
+        shard = plane.plan.owner_of(alice_hid)
+        away = Endpoint(world.as_b.aid, bytes(16))
+        judged = failures = 0
+
+        def submit(*, to_shard=False):
+            packets = [build(rng.choice(KINDS)) for _ in range(self.BURST_SIZE)]
+            if to_shard:  # one frame certain to need ``shard``'s reply
+                packets[0] = alice.stack.make_packet(revoked.ephid, away, b"data")
+            ticket = plane.submit(
+                [p.to_wire() for p in packets], [True] * len(packets), as_a.clock()
+            )
+            # The oracle as the burst's shards see it: no write queued
+            # after this point may reach them first.
+            return ticket, [router.process_outgoing(p) for p in packets]
+
+        def stop():
+            os.kill(plane.supervisor.carrier.inner._procs[shard].pid, signal.SIGSTOP)
+
+        def collect(submitted):
+            nonlocal judged, failures
+            ticket, expected = submitted
+            for verdict, oracle in zip(plane.collect(ticket), expected):
+                if verdict.reason is DropReason.SHARD_FAILURE:
+                    failures += 1
+                else:
+                    judged += 1
+                    assert verdict == oracle
+
+        try:
+            for _ in range(3):
+                collect(submit())
+            if pending == "queued":
+                stop()  # the in-flight burst will find no reply
+            in_flight = submit(to_shard=True)
+            as_a.revocations.add(revoked.ephid, 2**31)
+            as_a.hostdb.revoke_hid(carol_hid)
+            fresh_hid = as_a.hostdb.allocate_hid()
+            as_a.hostdb.register(
+                HostRecord(hid=fresh_hid, keys=HostAsKeys(bytes(16), bytes(16)))
+            )
+            if pending == "queued":
+                plane.supervisor.carrier.kill_worker(shard)
+                collect(in_flight)  # the kill surfaces: restart + resync
+                assert plane.supervisor.restarts[shard] == 1
+                del carrier.sent[:]
+                collect(submit())  # the queued batch reaches the fresh worker
+                assert carrier.sent.count(wire.MSG_CONTROL) == 2
+            else:
+                collect(in_flight)
+                stop()
+                del carrier.sent[:]
+                stopped = submit(to_shard=True)  # the batch and a burst, unread
+                assert carrier.sent.count(wire.MSG_CONTROL) == 2
+                plane.supervisor.carrier.kill_worker(shard)
+                collect(stopped)
+                assert plane.supervisor.restarts[shard] == 1
+            for _ in range(8):
+                collect(submit())
+            stats = plane.stats()
+        finally:
+            plane.close()
+        assert stats["restarts"] == 1 and stats["degraded"] == 0
+        assert stats["dropped_packets"] == failures
+        assert judged > failures
 
 
 class TestFailedResyncCleanup:
