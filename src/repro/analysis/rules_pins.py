@@ -184,6 +184,7 @@ GONE = (
     (33, "crypto/*.py", r"(?i)\w*(gcm|cbc|decrypt)\w*"),
     (33, _ALL, r"\w*(GCM|CBC)\w*"),
     (33, ("core/session.py::Session", "crypto/aead.py::EtmScheme"), r"scheme|tag_size"),
+    (51, "core/replay_filter.py", r"AES|INDEX_KEY|_index_column|_INDEX_CIPHER|encrypt_blocks"),
 )
 
 
@@ -192,9 +193,9 @@ class GoneNamesRule(Rule):
     name = "gone-names"
     title = "deleted names, options and imports do not grow back"
     motivation = (
-        "PRs 15-33 each deleted a second way (a backend switch, a state "
-        "family, GCM, an object batch path, a policy object); one stray "
-        "name is the start of it coming back"
+        "PRs 15-51 each deleted a second way (a backend switch, a state "
+        "family, GCM, an object batch path, a policy object, a replay "
+        "index cipher); one stray name is the start of it coming back"
     )
     project_wide = True
 

@@ -72,11 +72,12 @@ and the tests call the scalar pipelines (``process_outgoing`` /
 packet object: the fields are fixed-offset slices of the packed Fig. 7
 header (:mod:`repro.wire.apna`) — source AID ``[0:4]``, source EphID
 ``[4:20]``, destination EphID ``[20:36]``, destination AID ``[36:40]``,
-MAC ``[40:48]`` and, when the router runs a replay filter (the one
-stage that reads it), the Section VIII-D nonce ``[48:56]`` — and the MAC
-input is ``frame[:40] + zero MAC + frame[48:]``.  A burst pays one clock
-read and one revocation prune.  Each side's *distinct* EphIDs go through
-one ladder pass (:meth:`BorderRouter._ladder`): opened together
+MAC ``[40:48]`` and, when the router runs a replay filter, the
+Section VIII-D nonce ``[48:56]``, which no stage reads but the MAC
+covers — and the MAC input is ``frame[:40] + zero MAC + frame[48:]``.
+A burst pays one clock read and one revocation prune.  Each side's
+*distinct* EphIDs go through one ladder pass
+(:meth:`BorderRouter._ladder`): opened together
 (:meth:`~repro.core.ephid.EphIdCodec.open_batch`, two bulk ECB calls),
 then checked once each; on the source side the same pass resolves each
 admitted EphID to its host's CMAC context, so the Python work per
@@ -86,7 +87,7 @@ first contact.  The MACs of every admitted frame are then one column
 sharing one).  The replay check is one
 :meth:`~repro.core.replay_filter.RotatingReplayFilter.observe_many` over
 two columns cut from the checked frames — their source EphIDs and their
-nonces, no per-packet key built — whose indices are two AES calls for
+carried MACs, no per-packet key built — whose indices are one XOR for
 the burst, then one word test-and-set per frame.
 
 The tag checks are column passes too: the column of EphID tags (inside
@@ -145,7 +146,6 @@ from ..wire.apna import (
     HEADER_SIZE_WITH_NONCE,
     MAC_FIELD,
     MAC_SIZE,
-    NONCE_FIELD,
     SRC_AID_FIELD,
     SRC_EPHID_FIELD,
     ApnaPacket,
@@ -259,9 +259,9 @@ class BorderRouter:
         # caches them.
         if not packet.mac_valid(Cmac(self._hostdb.packet_mac_key(hid))):
             return self._drop(DropReason.BAD_MAC)
-        # Replay detection runs after the MAC check, so a spoofed egress
-        # packet cannot pollute the filter against a victim's nonces.
-        # (Ingress records before any check can authenticate the source.)
+        # Replay detection runs after the MAC check, so every egress key
+        # is an authentic packet's MAC.  (Ingress records before any check
+        # can authenticate the source, but a spoofed MAC is its own key.)
         if not self._replay_fresh(header, now):
             return self._drop(DropReason.REPLAYED)
         if header.dst_aid == self.aid:
@@ -314,17 +314,19 @@ class BorderRouter:
         return info.hid, None
 
     def _replay_fresh(self, header, now: float) -> bool:
-        """True unless the filter says this (EphID, nonce) was seen before.
+        """True unless the filter says this (EphID, MAC) was seen before.
 
-        Packets without a nonce (the base Fig. 7 header) always pass;
-        in-network replay detection needs the Section VIII-D nonce.
+        Packets without a nonce (the base Fig. 7 header) always pass:
+        only the Section VIII-D nonce makes each packet's MAC distinct.
         ``now`` is the pipeline's single clock read, so the expiry and
         replay checks can never disagree on time across a filter
         rotation boundary.
         """
         if self.replay_filter is None or header.nonce is None:
             return True
-        return self.replay_filter.observe(header.src_ephid, header.nonce, now)
+        return self.replay_filter.observe(
+            header.src_ephid, int.from_bytes(header.mac, "big"), now
+        )
 
     # -- the burst pipeline (paper §V-B: verdicts are computed per burst) --
 
@@ -399,15 +401,14 @@ class BorderRouter:
                 (checked if ok else bad_mac).append(k)
             self._drop_frames(DropReason.BAD_MAC, bad_mac, records)
         # Replay inserts happen in arrival order (the source EphIDs and the
-        # ingress frames interleave), after the MAC check, so a spoofed
-        # egress frame cannot pollute the filter against a victim's
-        # nonces.  An ingress frame has no MAC this AS can check: a
-        # spoofed one is recorded.
+        # ingress frames interleave), keyed on the carried MAC: checked
+        # above on egress; a spoofed ingress MAC is its own key, no real
+        # packet's.
         checked.sort()
         if replay_filter is not None and checked:
             fresh = replay_filter.observe_many(
                 [frames[k][SRC_EPHID_FIELD] for k in checked],
-                [frames[k][NONCE_FIELD] for k in checked],
+                [frames[k][MAC_FIELD] for k in checked],
                 now,
             )
         else:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from ..wire.apna import MAC_SIZE
+from .replay_filter import MAX_BITS
 
 
 @dataclass(frozen=True)
@@ -64,15 +65,15 @@ class ApnaConfig:
     in_network_replay_filter: bool = False
 
     #: Rotation window of the in-network replay filter, in seconds.
-    #: Should be at least the data EphID lifetime so that a nonce cannot
+    #: Should be at least the data EphID lifetime so that a packet cannot
     #: outlive its filter generations while the EphID is still valid.
     replay_filter_window: float = 900.0
 
-    #: Bits per Bloom-filter generation: a power of two, at least 64
-    #: (the filter is word-blocked; see :mod:`repro.core.replay_filter`).
-    #: The default 2^20 bits = 128 KiB/generation keeps the modelled
-    #: false-positive rate under 1 % up to ~88k packets per window
-    #: (0.86 % at 84k, 0.15 % at 50k).
+    #: Bits per Bloom-filter generation: a power of two from 64 (one
+    #: word) to 2^34 (what the MAC's 64 index bits address; see
+    #: :mod:`repro.core.replay_filter`).  The default 2^20 bits = 128
+    #: KiB/generation keeps the modelled false-positive rate under 1 % up
+    #: to ~88k packets per window (0.86 % at 84k): ~100 pkt/s sustained.
     replay_filter_bits: int = 1 << 20
 
     #: Max packets a border router accumulates before running the burst
@@ -124,15 +125,17 @@ class ApnaConfig:
         if self.in_network_replay_filter and not self.replay_protection:
             raise ValueError(
                 "in_network_replay_filter needs replay_protection: the "
-                "filter keys on the Section VIII-D nonce"
+                "filter keys on each packet's MAC, which only the Section "
+                "VIII-D nonce makes distinct"
             )
         # The sizes the filter refuses, refused here too: a world must
         # not build around a data plane that cannot be built.
         bits = self.replay_filter_bits
-        if bits < 64 or bits & (bits - 1):
+        if bits < 64 or bits & (bits - 1) or bits > MAX_BITS:
             raise ValueError(
-                f"replay_filter_bits must be a power of two, at least 64 "
-                f"(one 64-bit word), got {bits}"
+                f"replay_filter_bits must be a power of two from 64 (one "
+                f"64-bit word) to 2**34 (what the 64-bit index addresses), "
+                f"got {bits}"
             )
         if self.replay_filter_window <= 0:
             raise ValueError(

@@ -8,45 +8,42 @@ in-network replay detection mechanism that does not affect routers'
 forwarding performance is not trivial; it is our future work."
 
 This module is that future work, built the way line-rate middleboxes do
-it: a pair of rotating Bloom filters keyed on ``(source EphID, nonce)``.
+it: a pair of rotating Bloom filters keyed on ``(source EphID, packet
+MAC)``.
 
-* **Word-blocked generations.**  A generation is an array of 64-bit
-  words (``bits / 64`` of them; the same bits and the same memory as a
-  flat bit array).  A key's index picks one word and :data:`PROBES` bit
-  positions inside it, so a lookup is one word read and one mask compare
-  and an insert is one word write — the blocked Bloom filter of Putze,
-  Sanders & Singler (*Cache-, Hash- and Space-Efficient Bloom Filters*,
-  2007) with a 64-bit block.  Its false-positive rate is
-  :meth:`BloomFilter.fp_probability`: a word holding ``x`` keys has each
-  bit set with probability ``1 - (1 - 1/64)^(k x)``, and ``x`` is
-  Poisson with mean ``n / words``.
-* **One index column per burst.**  A key's index is the AES CBC-MAC of
-  the two blocks ``EphID || nonce || 0^8``.  A burst's EphIDs are one
-  :meth:`~repro.crypto.aes.AES.encrypt_blocks` call, the chaining XOR of
-  its nonce blocks one big-integer XOR, and the second blocks one more
-  call, whose output one big-integer AND trims to each block's index
-  bits — two OpenSSL calls per burst whatever its size, and no per-key
-  hash (the idiom of :meth:`repro.core.ephid.EphIdCodec.open_batch`).
-  The AES key is :data:`INDEX_KEY`, a public constant: the indices are
-  exactly as predictable as an unkeyed hash's.  They spread honest
-  traffic evenly over the words, which is all the false-positive
-  analysis needs; they do not stop an attacker whose packets the filter
-  records from choosing nonces that aim false positives at a victim's
-  keys.  On egress the MAC check runs first, so only a source's own host
-  is such an attacker.  On ingress the filter records ``(src EphID,
-  nonce)`` before anything authenticates the frame (the destination AS
-  cannot check the source host's MAC), so any sender is.
-  Keyed indices would close that, at the price of a per-router secret.
+* **The packet's MAC is the key.**  The 8-byte MAC covers the header,
+  nonce and payload, so two frames share a key when one copies the
+  other.  On egress the MAC is verified before the filter runs.  On
+  ingress nothing can check it, but a spoof under a victim's EphID and
+  nonce with a garbage MAC records a key no real packet has: it would
+  have to guess the MAC of a packet not yet sent to burn one.  A host
+  that re-sends a nonce with a new payload is not flagged in-network;
+  the destination host's window
+  (:class:`repro.core.replay.SourceReplayWindows`) refuses it.  The
+  nonce stays required: it is what makes each packet's MAC distinct.
+* **Index bits straight from the key.**  A key's 64 index bits are its
+  MAC XOR its EphID's first 8 bytes (the ciphertext): one big-integer
+  XOR per burst, no cipher or hash call.  The low bits pick the word (so
+  a nonce counter under one EphID spreads over words) and the top 36
+  are three 12-bit pairs of bit positions, so a generation holds at most
+  :data:`MAX_BITS` = 2^34 bits.  On egress the index is a verified PRF
+  output, which is all the false-positive analysis needs; an ingress
+  sender picks its own word and bits, so it can fill the filter but not
+  aim a false positive at a key it does not know.
+* **Word-blocked generations.**  A generation is ``bits / 64`` 64-bit
+  words.  A key sets :data:`PROBES` bits inside one word, so a lookup is
+  one word read and one mask compare and an insert one word write — the
+  blocked Bloom filter of Putze, Sanders & Singler (*Cache-, Hash- and
+  Space-Efficient Bloom Filters*, 2007) with a 64-bit block.
 * **Two generations** rotate every ``window`` seconds: lookups consult
-  both, inserts go to the current one.  A packet is therefore remembered
-  for at least one and at most two windows, bounding both memory *and*
-  the replay horizon (a nonce replayed after two windows would pass the
-  filter, so the window is chosen at least as long as the EphID
-  lifetime — after which the border router's expiry check kills the
-  packet anyway).
-* False positives drop fresh packets; the rate is engineered by sizing
-  ``bits`` for the expected packets-per-window and checked by
-  :meth:`BloomFilter.fp_probability`.
+  both, inserts go to the current one, so a packet is remembered for one
+  to two windows (chosen at least as long as the EphID lifetime, after
+  which the border router's expiry check kills the packet anyway).
+* False positives drop fresh packets; :meth:`BloomFilter.fp_probability`
+  gives the rate.  Memory grows with packets, not sources: the default
+  2^20 bits cross 1 % at ~88k packets per 900 s window, so they hold
+  ~100 pkt/s sustained, and past capacity every fresh packet reads as a
+  replay (ROADMAP item 23).
 """
 
 from __future__ import annotations
@@ -54,8 +51,6 @@ from __future__ import annotations
 import math
 import struct
 from typing import Sequence
-
-from ..crypto.aes import AES, BLOCK_SIZE
 
 #: Bits set per key, all inside its word.  Six over four, by
 #: :meth:`BloomFilter.fp_probability`: at 2^20 bits and 84k keys the
@@ -65,57 +60,53 @@ from ..crypto.aes import AES, BLOCK_SIZE
 #: three 12-bit pairs.
 PROBES = 6
 
-#: The index PRF's AES key.  Public on purpose: see the module docstring.
-INDEX_KEY = b"APNA replay idx\x00"
+#: The largest generation a 64-bit index addresses: 36 bits pick the
+#: :data:`PROBES` positions, the other 28 one of 2^28 64-bit words.
+MAX_BITS = 64 << 28
 
-_INDEX_CIPHER = AES(INDEX_KEY)
-_NONCE = struct.Struct(">Q")
+_KEY = struct.Struct(">Q")
 _PAD8 = bytes(8)
-#: One index block, once masked: the word, then three pairs of 6-bit
-#: bit positions, one pair in each 16-bit field's low 12 bits.
-_INDEX = struct.Struct(">Q3H2x")
-#: A 16-bit field's two probes as one mask.
+#: A key's index bits; the rest of its EphID is skipped.
+_INDEX = struct.Struct(">Q8x")
+#: A 12-bit field's two probes as one mask.
 _PAIR = [(1 << (h & 63)) | (1 << (h >> 6 & 63)) for h in range(1 << 12)]
 
 
-def _index_column(
-    ephids: "Sequence[bytes]", nonces: "Sequence[bytes]", block_mask: bytes
-) -> bytes:
-    """The CBC-MAC of ``EphID || nonce || 0^8`` under :data:`INDEX_KEY`
-    for each (16-byte EphID, 8-byte nonce) pair, each block ANDed with
-    ``block_mask`` (which keeps a filter's word bits and the 12 probe
-    bits of each field): two ECB calls, one XOR and one AND for the
-    whole column."""
-    first = _INDEX_CIPHER.encrypt_blocks(b"".join(ephids))
-    second = _PAD8.join(nonces) + _PAD8
-    size = len(first)
-    if size != len(second) or size != BLOCK_SIZE * len(nonces):
-        raise ValueError("replay keys must be 16-byte EphIDs and 8-byte nonces")
-    chained = int.from_bytes(first, "big") ^ int.from_bytes(second, "big")
-    tags = _INDEX_CIPHER.encrypt_blocks(chained.to_bytes(size, "big"))
-    masked = int.from_bytes(tags, "big") & int.from_bytes(
-        block_mask * len(nonces), "big"
-    )
-    return masked.to_bytes(size, "big")
+def _indices(
+    ephids: "Sequence[bytes]", keys: "Sequence[bytes]", word_mask: int
+) -> "list[tuple[int, int]]":
+    """The ``(word, probe mask)`` of each (16-byte EphID, 8-byte key)
+    pair in a generation of ``word_mask + 1`` words: the key XOR the
+    EphID's first 8 bytes, its low bits the word and its top 36 bits
+    three probe pairs — one XOR for the whole burst."""
+    padded = _PAD8.join(keys) + _PAD8
+    joined = b"".join(ephids)
+    size = len(joined)
+    if size != len(padded) or size != 16 * len(keys):
+        raise ValueError("replay keys must be 16-byte EphIDs and 8-byte keys")
+    blocks = int.from_bytes(joined, "big") ^ int.from_bytes(padded, "big")
+    pair = _PAIR
+    return [
+        (i & word_mask, pair[i >> 52] | pair[i >> 40 & 0xFFF] | pair[i >> 28 & 0xFFF])
+        for i, in _INDEX.iter_unpack(blocks.to_bytes(size, "big"))
+    ]
 
 
 class BloomFilter:
-    """A word-blocked Bloom filter over ``(EphID, nonce)`` keys."""
+    """A word-blocked Bloom filter over ``(EphID, key)`` items, the key
+    a 64-bit integer (a packet's MAC read big-endian)."""
 
     def __init__(self, bits: int) -> None:
-        if bits < 64 or bits & (bits - 1):
-            raise ValueError("bits must be a power of two, at least 64")
+        if bits < 64 or bits & (bits - 1) or bits > MAX_BITS:
+            raise ValueError("bits must be a power of two from 64 to 2**34")
         self.bits = bits
-        self._block_mask = _INDEX.pack(bits // 64 - 1, 0xFFF, 0xFFF, 0xFFF)
+        self._word_mask = bits // 64 - 1
         self._array = memoryview(bytearray(bits // 8)).cast("Q")
         self.inserted = 0
 
     def _probe(self, item: "tuple[bytes, int]") -> "tuple[int, int]":
-        ephid, nonce = item
-        word, a, b, c = _INDEX.unpack(
-            _index_column((ephid,), (_NONCE.pack(nonce),), self._block_mask)
-        )
-        return word, _PAIR[a] | _PAIR[b] | _PAIR[c]
+        ephid, key = item
+        return _indices((ephid,), (_KEY.pack(key),), self._word_mask)[0]
 
     def add(self, item: "tuple[bytes, int]") -> None:
         word, mask = self._probe(item)
@@ -162,11 +153,11 @@ class BloomFilter:
 
 
 class RotatingReplayFilter:
-    """Two-generation rotating Bloom filter for (EphID, nonce) pairs.
+    """Two-generation rotating Bloom filter for (EphID, packet MAC) keys.
 
     Designed to sit on a border router's pipeline: ``observe_many``
     performs one membership test over both generations plus (for fresh
-    packets) one insert per key, after two AES calls per burst.
+    packets) one insert per key, after one XOR per burst.
     """
 
     def __init__(
@@ -200,7 +191,7 @@ class RotatingReplayFilter:
             # is older than one window (inserts after the last rotation
             # would themselves have rotated), so both generations are
             # past the documented replay horizon.  A single swap here
-            # would leave arbitrarily old nonces in the previous
+            # would leave arbitrarily old keys in the previous
             # generation and wrongly drop fresh traffic as replays.
             self._current.clear()
             self._previous.clear()
@@ -210,35 +201,34 @@ class RotatingReplayFilter:
         self._rotated_at = now
         self.rotations += 1
 
-    def observe(self, ephid: bytes, nonce: int, now: float) -> bool:
-        """Record one packet.  True = fresh (forward), False = replay (drop)."""
-        return self.observe_many((ephid,), (_NONCE.pack(nonce),), now)[0]
+    def observe(self, ephid: bytes, key: int, now: float) -> bool:
+        """Record one packet, ``key`` its 8-byte MAC read big-endian.
+        True = fresh (forward), False = replay (drop)."""
+        return self.observe_many((ephid,), (_KEY.pack(key),), now)[0]
 
     def observe_many(
-        self, ephids: "Sequence[bytes]", nonces: "Sequence[bytes]", now: float
+        self, ephids: "Sequence[bytes]", keys: "Sequence[bytes]", now: float
     ) -> "list[bool]":
         """Record a burst's keys — its column of 16-byte source EphIDs
-        and the aligned column of 8-byte big-endian nonces — in packet
+        and the aligned column of their frames' 8-byte MACs — in packet
         order, so a duplicate inside the burst is flagged exactly where a
         loop of :meth:`observe` calls at one instant would flag it.
 
-        The burst's indices are one :func:`_index_column`; the two
-        generations are sized alike, so one (word, mask) serves the
-        lookup in the previous generation and the test-and-insert in the
-        current one (the word operations of :class:`BloomFilter`,
-        unrolled into the loop).
+        The burst's indices are one :func:`_indices`, the one index
+        function :class:`BloomFilter` uses too; the two generations are
+        sized alike, so one (word, mask) serves the lookup in the
+        previous generation and the test-and-insert in the current one
+        (the word operations of :class:`BloomFilter`, unrolled into the
+        loop).
         """
         self._maybe_rotate(now)
-        if not ephids and not nonces:
+        if not ephids and not keys:
             return []
         current = self._current
         previous, words = self._previous._array, current._array
-        indices = _index_column(ephids, nonces, current._block_mask)
-        pair = _PAIR
         fresh = []
         append = fresh.append
-        for word, a, b, c in _INDEX.iter_unpack(indices):
-            mask = pair[a] | pair[b] | pair[c]
+        for word, mask in _indices(ephids, keys, current._word_mask):
             if previous[word] & mask == mask:  # seen in the previous generation
                 append(False)
                 continue

@@ -14,15 +14,16 @@ exactly that bar:
 3. memory/accuracy trade-off — false-positive probability as a function
    of filter size for a border-router-scale packet window.
 
-Measured 2026-10-17 on a shared 2-vCPU Intel Xeon VM (Python 3.11.7,
+Measured 2026-10-20 on a shared 2-vCPU Intel Xeon VM (Python 3.11.7,
 ``cryptography`` 48), default arguments, over eight runs: every replay
-is caught (800 of 800), and the burst path costs 2.2–3.8 µs/pkt without
-the filter and 3.2–5.4 µs/pkt with it, +41 % to +50 %.  So the cost
-claim prints FAILS: the word-blocked filter's two AES calls per burst
-and one word test-and-set per key cost 1.0–1.8 µs a packet, almost
-half a warm verdict.  Timed per packet through the
-scalar pipelines instead, the same cost hides under ~12 µs of
-per-packet parsing.
+is caught (800 of 800), and the burst path costs 2.5–4.6 µs/pkt without
+the filter and 3.6–7.1 µs/pkt with it, +42 % to +57 %.  So the cost
+claim prints FAILS: with no cipher call left (the index bits are each
+frame's MAC), cutting the EphID and MAC columns and one word
+test-and-set per key cost 1.1–2.5 µs a packet, almost half a warm
+verdict; the earlier cipher-indexed filter read +38 % to +52 % in eight
+runs interleaved with these.  Timed per packet through the scalar
+pipelines instead, the same cost hides under ~12 µs of parsing.
 """
 
 from __future__ import annotations

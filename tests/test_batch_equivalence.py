@@ -7,7 +7,8 @@ verdicts the scalar loop returns — ``process_outgoing`` /
 in the identical state: same drop counters, same forwarded counters,
 same replay-filter statistics.  A seeded fuzzer mixes every verdict
 class (forged, expired, revoked, bad-MAC, replayed, transit, intra,
-foreign-source) into random bursts and checks the property across the
+foreign-source, and a spoofed copy of a live source's next frame under a
+garbage MAC) into random bursts and checks the property across the
 state families: the burst side runs over the columnar stores the system
 runs, the scalar side over the per-record ``HostDatabase`` /
 ``RevocationList`` fed the same registrations and revocations
@@ -156,9 +157,14 @@ def _packet_mix(world, rng):
     dst_intra = Endpoint(world.as_a.aid, local_peer.ephid)
     nonces = iter(range(1, 10**6))
     seen = []
+    spoofed = []  # real frames whose spoofed copy went out first
 
     def build(kind):
         make = alice.stack.make_packet
+        if kind == "inter" and spoofed:
+            packet = spoofed.pop()
+            seen.append(packet)
+            return packet
         if kind == "inter":
             packet = make(src.ephid, dst_inter, b"data", nonce=next(nonces))
             seen.append(packet)
@@ -190,6 +196,18 @@ def _packet_mix(world, rng):
             return dataclasses.replace(
                 packet, header=packet.header.with_mac(b"\xff" * 8)
             )
+        if kind == "spoofed":
+            # A live source's next frame copied under its EphID and nonce
+            # with a garbage MAC, ahead of the real one, which the next
+            # "inter" draw sends.
+            packet = make(
+                src.ephid, rng.choice((dst_inter, dst_intra)), b"data",
+                nonce=next(nonces),
+            )
+            spoofed.append(packet)
+            return dataclasses.replace(
+                packet, header=packet.header.with_mac(rng.randbytes(8))
+            )
         if kind == "foreign":
             packet = make(src.ephid, dst_inter, b"data", nonce=next(nonces))
             return dataclasses.replace(
@@ -219,8 +237,11 @@ def _packet_mix(world, rng):
 
 KINDS = (
     "inter", "inter", "inter", "intra", "replay", "forged", "expired",
-    "revoked", "bad-hid", "bad-mac", "foreign", "revoked-dst", "forged-dst",
+    "revoked", "bad-hid", "bad-mac", "spoofed", "foreign", "revoked-dst",
+    "forged-dst",
 )
+#: What reaches a destination AS: ``spoofed`` is the ingress nonce burner.
+INGRESS_KINDS = ("inter", "intra", "replay", "spoofed", "forged-dst", "revoked-dst")
 
 
 class TestEgressEquivalence:
@@ -325,7 +346,7 @@ class TestIngressEquivalence:
         batch_router = _fresh_router(burst_world)
         for _ in range(6):
             burst = [
-                as_incoming(build(rng.choice(("inter", "intra", "replay", "forged-dst", "revoked-dst"))))
+                as_incoming(build(rng.choice(INGRESS_KINDS)))
                 for _ in range(rng.randint(1, 48))
             ]
             ingress = [False] * len(burst)
@@ -340,7 +361,7 @@ class TestIngressEquivalence:
 class TestMixedEquivalence:
     def test_fuzzed_bursts(self, burst_world):
         """Both directions interleaved in one burst.  ``replay`` re-offers
-        an earlier packet in either direction, so the same (EphID, nonce)
+        an earlier packet in either direction, so the same (EphID, MAC)
         can arrive once outbound and once inbound: whichever comes first
         in the burst is the fresh one, as in the scalar loop."""
         burst_world.network.run_until(5.0)
@@ -349,12 +370,12 @@ class TestMixedEquivalence:
         scalar_router = _object_oracle(burst_world)
         batch_router = _fresh_router(burst_world)
         crossed = 0
-        for _ in range(8):
+        for _ in range(16):
             burst = [build(rng.choice(KINDS)) for _ in range(rng.randint(1, 48))]
             egress = [rng.random() < 0.5 for _ in burst]
             seen = {}
             for packet, out in zip(burst, egress):
-                key = (packet.header.src_ephid, packet.header.nonce)
+                key = (packet.header.src_ephid, packet.header.mac)
                 crossed += seen.setdefault(key, out) != out
             scalar = _scalar(scalar_router, burst, egress)
             assert scalar == _burst(batch_router, burst, egress)

@@ -1,5 +1,6 @@
 """Tests for in-network replay detection (Section VIII-D future work)."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -8,21 +9,28 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.border_router import Action, DropReason
 from repro.core.config import ApnaConfig
-from repro.core.replay_filter import BloomFilter, RotatingReplayFilter
+from repro.core.replay_filter import (
+    _PAIR,
+    MAX_BITS,
+    BloomFilter,
+    RotatingReplayFilter,
+    _indices,
+)
 from repro.core.verdict import verdict_of
 from repro.crypto.aes import AES
+from repro.sharding.pool import ShardedDataPlane
 from repro.wire.apna import Endpoint
 
-from tests.conftest import build_world
+from tests.conftest import build_world, inprocess_plane
 
 
 def _keys(rng, count):
-    """``count`` random (EphID, nonce) keys."""
+    """``count`` random (EphID, 64-bit key) items."""
     return [(rng.randbytes(16), rng.getrandbits(64)) for _ in range(count)]
 
 
 def _columns(burst):
-    """A burst of (EphID, nonce) keys as ``observe_many``'s two columns."""
+    """A burst of (EphID, key) items as ``observe_many``'s two columns."""
     return [ephid for ephid, _ in burst], [n.to_bytes(8, "big") for _, n in burst]
 
 
@@ -51,9 +59,35 @@ class TestBloomFilter:
         assert BloomFilter(1 << 20).memory_bytes == (1 << 20) // 8
 
     def test_rejects_non_power_of_two(self):
-        for bits in (1000, 32, 0):  # 32: a power of two under one word
+        # 32: a power of two under one word; 2^35: one the 64-bit index
+        # cannot address (refused before anything is allocated).
+        for bits in (1000, 32, 0, MAX_BITS * 2):
             with pytest.raises(ValueError):
                 BloomFilter(bits)
+
+    def test_index_reads_every_key_bit_once(self):
+        """At the largest size, each of the 64 bits of key XOR EphID[:8]
+        moves either the word (the low 28) or the probe mask (the top
+        36), never both and never neither; the EphID's last 8 bytes are
+        not read.  So every power-of-two size from 64 bits to
+        ``MAX_BITS`` draws its word and its probes from disjoint bits."""
+        assert MAX_BITS == 1 << 34 and MAX_BITS // 64 >= 1 << 20  # >= 2^26 bits
+        word_mask = MAX_BITS // 64 - 1
+        ephid = bytes(range(16))
+        base = int.from_bytes(ephid[:8], "big")  # key XOR EphID[:8] == 0
+        zero = base.to_bytes(8, "big")
+        assert _indices([ephid], [zero], word_mask) == [(0, _PAIR[0])]
+        for bit in range(64):
+            key = (base ^ 1 << bit).to_bytes(8, "big")
+            (word, mask), = _indices([ephid], [key], word_mask)
+            if bit < 28:
+                assert (word, mask) == (1 << bit, _PAIR[0]), bit
+            else:
+                assert word == 0 and mask != _PAIR[0], bit
+        other = ephid[:8] + bytes(8)
+        assert _indices([other], [bytes(8)], word_mask) == _indices(
+            [ephid], [bytes(8)], word_mask
+        )
 
     def test_fp_probability_grows_with_load(self):
         bloom = BloomFilter(1 << 10)
@@ -210,10 +244,15 @@ class TestRotatingReplayFilter:
 
     @pytest.mark.parametrize("count", [1, 29, 64])
     def test_crypto_work_is_a_per_burst_budget(self, monkeypatch, count):
-        """One ``observe_many`` over a burst's keys is two AES ECB calls
-        (the index column's CBC-MAC) whatever its size, and no hash."""
+        """One ``observe_many`` over a burst's keys makes no ECB call and
+        no hash whatever its size: the index bits are the keys' own."""
         calls = {"aes": 0, "sha256": 0}
-        encrypt_blocks, sha256 = AES.encrypt_blocks, hashlib.sha256
+        encrypt_block, encrypt_blocks = AES.encrypt_block, AES.encrypt_blocks
+        sha256 = hashlib.sha256
+
+        def counted_encrypt_block(self, data):
+            calls["aes"] += 1
+            return encrypt_block(self, data)
 
         def counted_encrypt_blocks(self, data):
             calls["aes"] += 1
@@ -225,11 +264,12 @@ class TestRotatingReplayFilter:
 
         filt = RotatingReplayFilter(window=10.0, bits_per_generation=1 << 16)
         burst = [(bytes([k % 7]) * 16, k) for k in range(count)]
-        ephids, nonces = _columns(burst)
+        ephids, keys = _columns(burst)
+        monkeypatch.setattr(AES, "encrypt_block", counted_encrypt_block)
         monkeypatch.setattr(AES, "encrypt_blocks", counted_encrypt_blocks)
         monkeypatch.setattr(hashlib, "sha256", counted_sha256)
-        assert filt.observe_many(ephids, nonces, 1.0) == [True] * count
-        assert calls == {"aes": 2, "sha256": 0}
+        assert filt.observe_many(ephids, keys, 1.0) == [True] * count
+        assert calls == {"aes": 0, "sha256": 0}
 
     def test_memory_accounting(self):
         filt = RotatingReplayFilter(window=1.0, bits_per_generation=1 << 13)
@@ -298,23 +338,59 @@ class TestBorderRouterIntegration:
         assert verdict.action is Action.FORWARD_INTER
         assert transit_router.replay_filter.passed == 0
 
-    def test_spoofed_packet_cannot_poison_filter(self, replay_world):
-        # A packet with a bad MAC dies before the filter sees its nonce,
-        # so an attacker cannot pre-burn a victim's nonces.
-        packet = self._outgoing_packet(replay_world)
-        import dataclasses
-
-        spoofed = dataclasses.replace(
-            packet, header=packet.header.with_mac(b"\xff" * 8)
+    @pytest.mark.parametrize("path", ["scalar", "judge", "sharded"])
+    @pytest.mark.parametrize("egress", [True, False], ids=["egress", "ingress"])
+    def test_spoofed_packet_cannot_poison_filter(self, egress, path):
+        """A frame under a victim's source EphID and next nonce, with a
+        garbage MAC and a garbage destination EphID, then the victim's
+        real packet.  The spoof dies (egress: ``BAD_MAC``, before the
+        filter; ingress, where nothing can check the MAC: ``DST_FORGED``,
+        after the filter recorded it) and the real packet passes, on the
+        scalar pipeline, the AS's burst path and a two-shard plane: the
+        filter keys on the carried MAC, so a spoof burns no real packet."""
+        config = ApnaConfig(
+            replay_protection=True,
+            in_network_replay_filter=True,
+            replay_filter_bits=1 << 14,
+            forwarding_shards=2 if path == "sharded" else 0,
         )
-        br = replay_world.as_a.br
-        assert br.process_outgoing(spoofed).reason is DropReason.BAD_MAC
-        assert br.replay_filter.passed == 0
-        assert br.process_outgoing(packet).action is Action.FORWARD_INTER
+        world = build_world(config=config)
+        packet = self._outgoing_packet(world)
+        spoofed = dataclasses.replace(
+            packet,
+            header=dataclasses.replace(
+                packet.header, dst_ephid=b"\xee" * 16
+            ).with_mac(b"\xff" * 8),
+        )
+        asys = world.as_a if egress else world.as_b
+        burst = [spoofed.to_wire(), packet.to_wire()]
+        if path == "scalar":
+            judge = asys.br.process_outgoing if egress else asys.br.process_incoming
+            verdicts = [judge(spoofed), judge(packet)]
+            passed = asys.br.replay_filter.passed
+        elif path == "judge":
+            verdicts = asys.judge(burst, [egress] * 2)
+            passed = asys.br.replay_filter.passed
+        else:
+            pooled = ShardedDataPlane.for_assembly(asys)
+            try:
+                plane = inprocess_plane(pooled, asys)
+            finally:
+                pooled.close()
+            try:
+                verdicts = plane.process(burst, [egress] * 2, asys.clock())
+                passed = plane.stats()["replay_passed"]
+            finally:
+                plane.close()
+        spoof_reason = DropReason.BAD_MAC if egress else DropReason.DST_FORGED
+        real_action = Action.FORWARD_INTER if egress else Action.FORWARD_INTRA
+        assert [verdicts[0].reason, verdicts[1].action] == [spoof_reason, real_action]
+        assert passed == (1 if egress else 2)  # an ingress spoof is recorded
 
     def test_filter_without_nonces_is_refused(self):
-        # The filter keys on the Section VIII-D nonce: asking for it
-        # without the header extension is an error, not a silent no-op.
+        # The filter keys on the packet MAC, which only the Section
+        # VIII-D nonce makes distinct per packet: asking for it without
+        # the header extension is an error, not a silent no-op.
         with pytest.raises(ValueError, match="replay_protection"):
             ApnaConfig(in_network_replay_filter=True)
         with pytest.raises(ValueError, match="replay_protection"):
@@ -324,13 +400,14 @@ class TestBorderRouterIntegration:
         # Refused where the config is built, not when a plane first
         # builds its filter from it.
         on = dict(replay_protection=True, in_network_replay_filter=True)
-        for bits in (1000, 32, 0, -64):
+        for bits in (1000, 32, 0, -64, MAX_BITS * 2):
             with pytest.raises(ValueError, match="replay_filter_bits"):
                 ApnaConfig(**on, replay_filter_bits=bits)
         for window in (0.0, -1.0):
             with pytest.raises(ValueError, match="replay_filter_window"):
                 ApnaConfig(**on, replay_filter_window=window)
-        assert ApnaConfig(**on, replay_filter_bits=64).replay_filter_bits == 64
+        for bits in (64, MAX_BITS):
+            assert ApnaConfig(**on, replay_filter_bits=bits).replay_filter_bits == bits
 
     def test_nonceless_burst_path_reads_no_nonce(self):
         # Without nonces there is no filter, and the burst path must not
